@@ -4,8 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test test-faults test-service-faults soak-service coverage \
 	lint sanitize typecheck bench bench-smoke bench-parallel-smoke \
-	bench-engine-smoke bench-sharded-smoke bench-batch-smoke report \
-	examples clean
+	bench-engine-smoke bench-sharded-smoke bench-batch-smoke \
+	perfbench-smoke report examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -97,6 +97,11 @@ bench-sharded-smoke:
 # land in bench_batch.json ($$REPRO_BENCH_BATCH_JSON to override).
 bench-batch-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_batch.py --benchmark-only -q
+
+# perfbench's own tests at tiny sizes: every workload runs, traced and
+# untraced, so a refactor that drops a name the tracer patches fails here.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench -q
 
 report:
 	$(PYTHON) -m repro.experiments report --scale 0.25 --out report.md

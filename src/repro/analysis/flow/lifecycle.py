@@ -9,9 +9,10 @@ runs on exception paths.
 **Acquisitions** are calls resolving to :data:`RESOURCE_FACTORIES`
 (``SharedMemory``, ``open``/``gzip.open``, ``numpy.memmap``,
 ``tempfile.*``), to the repo's own handle factories
-(``export_shared_graph``, ``attach_shared_graph``, ``create_evaluator``),
-or — the interprocedural part — to any function in the program whose
-return value is an acquired resource (computed to a fixpoint, so a local
+(``export_shared_graph``, ``attach_shared_graph``,
+``create_sharded_evaluator``), or — the interprocedural part — to any
+function in the program whose return value is an acquired resource
+(computed to a fixpoint, so a local
 ``def _open_segment(...)`` wrapper is tracked like ``SharedMemory``
 itself).
 
@@ -67,8 +68,8 @@ RESOURCE_FACTORIES = frozenset({
     "concurrent.futures.ProcessPoolExecutor",
     "repro.bigraph.shm.export_shared_graph",
     "repro.bigraph.shm.attach_shared_graph",
-    "repro.parallel.create_evaluator",
-    "repro.parallel.evaluator.create_evaluator",
+    "repro.parallel.create_sharded_evaluator",
+    "repro.parallel.evaluator.create_sharded_evaluator",
 })
 
 #: Method names that release a resource.

@@ -53,7 +53,7 @@ from repro.core.reduction import (
     solve_max_coverage_exact,
 )
 from repro.core.result import AnchoredCoreResult, IterationRecord
-from repro.core.sharded import CampaignShard, plan_shards, run_sharded_engine
+from repro.core.sharded import CampaignShard, plan_shards
 from repro.core.signatures import two_hop_filter, two_hop_filter_cached
 from repro.core.verify import VerificationReport, verify_result
 
@@ -102,7 +102,6 @@ __all__ = [
     "run_filver_plus_plus",
     "run_naive",
     "run_random",
-    "run_sharded_engine",
     "run_top_degree",
     "signature",
     "solve_max_coverage_exact",

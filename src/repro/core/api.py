@@ -82,7 +82,8 @@ def reinforce(
         One of :data:`METHODS`; defaults to the strongest algorithm,
         FILVER++.
     t:
-        Anchors placed per iteration (FILVER++ only).
+        Anchors placed per iteration (FILVER++ only); ``t < 1`` raises
+        :class:`~repro.exceptions.InvalidParameterError`.
     seed:
         Randomness seed (``random`` baseline only).
     time_limit:
@@ -104,10 +105,12 @@ def reinforce(
         CSR-backed graphs).  Both preserve byte-identical results — see
         ``docs/PERF.md``.
     shards:
-        Run the campaign on the component-sharded substrate with at most
-        this many shards (engine family only; ``None`` = unsharded).
-        Results are byte-identical to the unsharded path; checkpoints use
-        the sharded envelope format (``docs/RESILIENCE.md``).
+        Split the campaign's state across at most this many
+        connected-component shards (engine family only).  ``None`` (the
+        default) runs the same greedy loop on one shard over the whole
+        graph.  Results are byte-identical either way; ``shards=k``
+        checkpoints use the sharded envelope format, unsharded ones the
+        schema-1 file (``docs/RESILIENCE.md``).
     on_iteration / handle_sigterm:
         Engine-family observability and lifecycle hooks (ignored by the
         baselines): ``on_iteration`` streams each finished iteration
@@ -120,7 +123,7 @@ def reinforce(
         (α,β)-invariant substrate — base core, pristine order state,
         warm verification seed, kernel/evaluator leases — across a batch
         of same-``(graph, α, β)`` campaigns.  Engine family only (the
-        baselines and the sharded substrate have nothing it serves and
+        baselines and ``shards=k`` campaigns have nothing it serves and
         ignore it); results stay byte-identical to a context-free run
         (``docs/PERF.md``).
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.abcore.decomposition import abcore
 from repro.bigraph.graph import BipartiteGraph
@@ -50,6 +50,9 @@ from repro.core.order_maintenance import OrderState
 from repro.core.result import AnchoredCoreResult
 from repro.core.signatures import two_hop_filter_cached
 from repro.exceptions import InvalidParameterError
+
+if TYPE_CHECKING:
+    from repro.parallel import ShardedEvaluator
 
 __all__ = ["CampaignSpec", "SharedCampaignContext", "context_key",
            "run_batch"]
@@ -115,8 +118,9 @@ class SharedCampaignContext:
         self._seed_tables: Optional[SeedTables] = None
         self._kernel_pool: List[FollowerKernel] = []
         self._kernel_capable = True
-        self._eval_free: Dict[Tuple[int, bool], List[object]] = {}
-        self._eval_all: List[object] = []
+        self._eval_free: Dict[Tuple[int, bool],
+                              List["ShardedEvaluator"]] = {}
+        self._eval_all: List["ShardedEvaluator"] = []
         # Diagnostics (batch scheduler stats / benchmarks).
         self.state_clones = 0
         self.kernel_leases = 0
@@ -262,15 +266,17 @@ class SharedCampaignContext:
             else:
                 self._kernel_pool.append(kernel)
 
-    def acquire_evaluator(self, workers: int,
-                          use_flat_kernel: bool) -> Optional[object]:
+    def acquire_evaluator(self, workers: int, use_flat_kernel: bool,
+                          ) -> Optional["ShardedEvaluator"]:
         """Lease a parallel evaluator over the shared-memory graph pool.
 
-        ``None`` when ``workers <= 1`` or the pool cannot be created (the
-        campaign degrades to the serial path exactly as standalone runs
-        do).  Evaluators re-broadcast the campaign's state every iteration
-        and drain all in-flight work before each reply stream ends, so a
-        returned lease carries no campaign state.
+        The pool is the engine's one worker pool over ``[graph]`` — an
+        unsharded campaign's single identity shard.  ``None`` when
+        ``workers <= 1`` or the pool cannot be created (the campaign
+        degrades to the serial path exactly as standalone runs do).  Each
+        campaign's first broadcast carries its full state and every reply
+        stream drains all in-flight work before it ends, so a returned
+        lease carries no campaign state.
         """
         if workers <= 1:
             return None
@@ -280,10 +286,10 @@ class SharedCampaignContext:
             if pool:
                 self.evaluator_leases += 1
                 return pool.pop()
-        from repro.parallel import create_evaluator
+        from repro.parallel import create_sharded_evaluator
 
-        evaluator = create_evaluator(self.graph, workers,
-                                     use_flat_kernel=use_flat_kernel)
+        evaluator = create_sharded_evaluator([self.graph], workers,
+                                             use_flat_kernel=use_flat_kernel)
         if evaluator is not None:
             with self._lock:
                 self._eval_all.append(evaluator)
@@ -292,7 +298,7 @@ class SharedCampaignContext:
         return evaluator
 
     def release_evaluator(self, workers: int, use_flat_kernel: bool,
-                          evaluator: Optional[object]) -> None:
+                          evaluator: Optional["ShardedEvaluator"]) -> None:
         """Return a leased evaluator to the pool (accepts ``None``)."""
         if evaluator is None:
             return

@@ -16,6 +16,13 @@ anchors/iteration   1           1           ``t``
 
 Keeping one engine also gives the ablation benchmarks intermediate
 configurations (e.g. the two-hop filter without order maintenance) for free.
+
+The loop drives a list of :class:`~repro.core.sharded.CampaignShard`\\ s:
+an unsharded campaign is one shard over the input graph itself, and
+``shards=k`` splits the state across connected-component groups (followers
+never leave their anchor's component, Lemma 1).  Either way there is one
+loop, one verification scan, one fallback rule, one resume path, and one
+checkpoint writer.
 """
 
 from __future__ import annotations
@@ -23,40 +30,37 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple, Union
 
 from repro.abcore.decomposition import abcore, anchored_abcore
 from repro.bigraph.graph import BipartiteGraph
-from repro.bigraph.kernel import FollowerKernel, kernel_for
 from repro.bigraph.validation import validate_problem
 from repro.core.anchor_set import AnchorSetMaintainer
 from repro.core.deletion_order import DeletionOrder, r_scores, reachable_from
 from repro.core.followers import compute_followers
-from repro.core.incremental import VerificationCache
 from repro.core.order_maintenance import OrderState
 from repro.core.result import AnchoredCoreResult, IterationRecord
 from repro.core.signatures import two_hop_filter, two_hop_filter_cached
-from repro.exceptions import AbortCampaign
+from repro.exceptions import AbortCampaign, CheckpointError, InvalidParameterError
 from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     graph_fingerprint,
     load_checkpoint,
 )
 from repro.resilience.faults import active_plan, fault_site
+from repro.resilience.sharded import (
+    ShardedCampaignCheckpoint,
+    load_sharded_checkpoint,
+)
 from repro.resilience.signals import TerminationFlag
 
 if TYPE_CHECKING:
     from repro.core.batch import SharedCampaignContext
+    from repro.core.sharded import CampaignShard, MergedCandidate
+    from repro.parallel import ShardedEvaluator
     from repro.parallel.protocol import Evaluator
 
 __all__ = ["EngineOptions", "run_engine"]
-
-#: One ranked candidate: ``(bound, x, order, rf)``.  ``rf`` is the cached or
-#: freshly computed ``rf(x)`` when the rf bound produced it (plumbed through
-#: to Algorithm 1 so the follower peel never recollects it), ``None`` on the
-#: r-score path.
-ScoredCandidate = Tuple[int, int, DeletionOrder, Optional[Set[int]]]
-
 
 @dataclass(frozen=True)
 class EngineOptions:
@@ -77,8 +81,10 @@ class EngineOptions:
 ProgressCallback = Callable[[IterationRecord], None]
 
 #: A checkpoint source: a path to a checkpoint file, or an already-loaded
-#: :class:`CampaignCheckpoint`.
-CheckpointSource = Union[str, "os.PathLike[str]", CampaignCheckpoint]
+#: checkpoint — a :class:`CampaignCheckpoint` for unsharded campaigns, a
+#: :class:`ShardedCampaignCheckpoint` envelope for ``shards=k``.
+CheckpointSource = Union[str, "os.PathLike[str]", CampaignCheckpoint,
+                         ShardedCampaignCheckpoint]
 
 
 def run_engine(
@@ -98,6 +104,7 @@ def run_engine(
     flat_kernel: Optional[bool] = None,
     handle_sigterm: bool = False,
     context: Optional["SharedCampaignContext"] = None,
+    shards: Optional[int] = None,
 ) -> AnchoredCoreResult:
     """Run the greedy filter–verification loop to completion.
 
@@ -109,14 +116,23 @@ def run_engine(
     finished :class:`IterationRecord` — long runs can stream progress to a
     UI or log.
 
+    ``shards`` selects the substrate.  ``None`` (the default) runs the loop
+    on one shard over the input graph itself — no decomposition, no id
+    maps, no copy.  An int ``k >= 1`` decomposes the graph into connected
+    components and runs the same loop over at most ``k`` component-group
+    shards (:func:`repro.core.sharded.plan_shards`): per iteration each
+    shard reranks only if an anchor touched it, and the shard rankings are
+    merged in the unsharded sort order.  Results are byte-identical for
+    every ``shards`` value (``docs/PERF.md``).
+
     ``workers > 1`` fans candidate verification out to a process pool
-    (:mod:`repro.parallel`) sharing the CSR graph zero-copy; results are
-    reduced in the serial tie-breaking order, so the returned result —
-    anchors, followers, per-iteration records, ``verifications`` counts —
-    is identical to a ``workers=1`` run (``docs/PARALLEL.md``).  Because
-    nothing about the parallel schedule is recorded, checkpoints written by
-    serial and parallel campaigns are interchangeable.  When the pool
-    cannot be created the engine silently degrades to the serial path.
+    (:mod:`repro.parallel`) sharing each shard's CSR graph zero-copy;
+    results are reduced in the serial tie-breaking order, so the returned
+    result — anchors, followers, per-iteration records, ``verifications``
+    counts — is identical to a ``workers=1`` run (``docs/PARALLEL.md``).
+    Because nothing about the parallel schedule is recorded, checkpoints
+    written by serial and parallel campaigns are interchangeable.  When the
+    pool cannot be created the engine silently degrades to the serial scan.
 
     ``memoize`` (default on) carries verification work — ``rf(x)`` sets,
     bounds, follower signatures, two-hop verdicts, follower sets, r-score
@@ -134,13 +150,18 @@ def run_engine(
 
     Resilience hooks (see ``docs/RESILIENCE.md``):
 
-    * ``checkpoint`` — path to which a :class:`CampaignCheckpoint` is
-      atomically written after every iteration;
-    * ``resume_from`` — checkpoint path (or loaded checkpoint) whose
-      progress is replayed before the loop continues; the checkpoint must
-      match this graph, (α, β), budgets, and engine options, and the
-      resumed campaign produces the same anchors/followers/iteration
-      records as an uninterrupted run;
+    * ``checkpoint`` — path to which progress is atomically written after
+      every iteration: a schema-1 :class:`CampaignCheckpoint` when
+      ``shards`` is ``None``, a sharded envelope plus one file per shard
+      (:mod:`repro.resilience.sharded`) when it is set;
+    * ``resume_from`` — checkpoint path (or loaded checkpoint) of the same
+      format, whose progress is replayed before the loop continues; the
+      checkpoint must match this graph, (α, β), budgets, and engine
+      options, and the resumed campaign produces the same
+      anchors/followers/iteration records as an uninterrupted run.  A
+      checkpoint of the other format is refused with
+      :class:`~repro.exceptions.CheckpointError`; a sharded resume may use
+      a different shard count than the run that wrote the envelope;
     * ``KeyboardInterrupt`` / ``MemoryError`` at an iteration boundary
       degrade gracefully into a verified best-so-far result flagged
       ``interrupted=True`` instead of losing the campaign;
@@ -154,43 +175,50 @@ def run_engine(
       campaign service (:mod:`repro.service`) manages signals itself.
 
     ``context`` (a :class:`repro.core.batch.SharedCampaignContext`) lets a
-    batch of same-``(graph, α, β)`` campaigns share the (α, β)-invariant
-    substrate: the base core, a pristine order-state clone, the frozen
-    epoch-0 verification seed, and leased kernels/evaluators.  Every shared
-    value equals what this run would have computed cold, so results remain
-    byte-identical (``docs/PERF.md``).  The seed is skipped on resume —
-    the replayed apply calls run without invalidation bookkeeping, so only
-    a cache that starts cold (the standalone resume behavior) is sound.
+    batch of same-``(graph, α, β)`` unsharded campaigns share the
+    (α, β)-invariant substrate: the base core, a pristine order-state
+    clone, the frozen epoch-0 verification seed, the graph fingerprint,
+    and leased kernels/evaluators.  Every shared value equals what this
+    run would have computed cold, so results remain byte-identical
+    (``docs/PERF.md``).  The seed is skipped on resume, so a resumed
+    campaign's cache starts cold, like a standalone resume's.  Sharded
+    campaigns build per-shard state and ignore ``context``.
+
+    Invalid ``t`` (``options.anchors_per_iteration``), ``workers`` or
+    ``shards`` values raise :class:`~repro.exceptions.InvalidParameterError`.
     """
     validate_problem(graph, alpha, beta, b1, b2)
     t = options.anchors_per_iteration
     if t < 1:
-        raise ValueError("anchors_per_iteration must be >= 1")
+        raise InvalidParameterError(
+            "anchors_per_iteration (t) must be >= 1, got %d" % t)
     if workers < 1:
-        raise ValueError("workers must be >= 1, got %d" % workers)
-    if context is not None:
+        raise InvalidParameterError("workers must be >= 1, got %d" % workers)
+    if shards is not None and shards < 1:
+        raise InvalidParameterError("shards must be >= 1, got %d" % shards)
+    if shards is not None:
+        context = None  # sharded campaigns build their own per-shard state
+    elif context is not None:
         context.check_compatible(graph, alpha, beta)
+    options_dict = asdict(options)
 
-    seed = (context.seed_tables()
-            if context is not None and memoize and resume_from is None
-            else None)
-    cache = VerificationCache(graph, seed=seed) if memoize else None
-    leased_kernel = False
-    if flat_kernel is None or flat_kernel:
-        kernel = context.acquire_kernel() if context is not None else None
-        leased_kernel = kernel is not None
-        if kernel is None:
-            # Same selection as standalone: auto on CSR for None, required
-            # (construction raises on non-CSR) for True.
-            kernel = kernel_for(graph) if flat_kernel is None \
-                else FollowerKernel(graph)
-    else:
-        kernel = None
+    restored: Optional[CampaignCheckpoint] = None
+    envelope_path: Optional[str] = None
+    if resume_from is not None:
+        restored, envelope_path = _load_resume(resume_from, shards)
+        restored.validate_for(graph, alpha, beta, b1, b2, options_dict)
 
-    evaluator: Optional["Evaluator"] = None
+    # Runtime import: repro.core.sharded builds on this module's stages.
+    from repro.core.sharded import build_shards, replay_shards, split_by_shard
+
+    shard_list, route = build_shards(graph, alpha, beta, options, memoize,
+                                     flat_kernel, shards, context=context,
+                                     seeded=restored is None)
+    use_kernel = any(shard.kernel is not None for shard in shard_list)
+    evaluator: Optional["ShardedEvaluator"] = None
     shared_evaluator = False
     if workers > 1:
-        from repro.parallel import create_evaluator
+        from repro.parallel import create_sharded_evaluator
 
         plan = active_plan()
         fault_specs = tuple(
@@ -200,22 +228,24 @@ def run_engine(
             # Fault-injected pools stay private: specs are baked into the
             # workers at spawn, so a pooled evaluator would leak them
             # across campaigns.
-            evaluator = context.acquire_evaluator(
-                workers, use_flat_kernel=kernel is not None)
+            evaluator = context.acquire_evaluator(workers, use_kernel)
             shared_evaluator = evaluator is not None
         if evaluator is None:
-            evaluator = create_evaluator(graph, workers,
-                                         fault_specs=fault_specs,
-                                         use_flat_kernel=kernel is not None)
+            evaluator = create_sharded_evaluator(
+                [shard.graph for shard in shard_list], workers,
+                fault_specs=fault_specs, use_flat_kernel=use_kernel)
+    # Shards anchored since the last evaluator broadcast; starts at "all"
+    # so the first broadcast seeds every worker-side shard state.
+    dirty_shards: Set[int] = set(range(len(shard_list)))
 
     start = time.perf_counter()
-    base_core = (context.base_core() if context is not None
-                 else abcore(graph, alpha, beta))
     if context is not None:
-        state = context.order_state(maintain=options.maintain_orders)
+        base_core = context.base_core()
     else:
-        state = OrderState(graph, alpha, beta,
-                           maintain=options.maintain_orders)
+        # The (α,β)-core of a disjoint union is the union of the parts'.
+        base_core = set()
+        for shard in shard_list:
+            base_core |= shard.view.globalize(abcore(shard.graph, alpha, beta))
 
     anchors: List[int] = []
     # Budget bookkeeping is incremental: placed upper anchors are counted as
@@ -227,20 +257,18 @@ def run_engine(
     interrupted = False
     exhausted = False
     elapsed_prior = 0.0
-    options_dict = asdict(options)
-    fingerprint = graph_fingerprint(graph) if checkpoint is not None else None
+    fingerprint = ""
+    if checkpoint is not None:
+        fingerprint = (context.fingerprint if context is not None
+                       else graph_fingerprint(graph))
 
-    if resume_from is not None:
-        restored = (resume_from if isinstance(resume_from, CampaignCheckpoint)
-                    else load_checkpoint(resume_from))
-        restored.validate_for(graph, alpha, beta, b1, b2, options_dict)
+    if restored is not None:
         # Replay apply_anchors with the recorded per-iteration batches — the
         # exact call sequence the original run made — so the incremental
         # order-maintenance state (and every later candidate ranking) is
         # identical to the uninterrupted run's.
-        for record in restored.iterations:
-            if record.anchors:
-                state.apply_anchors(record.anchors)
+        replay_shards(shard_list, route, restored, envelope_path,
+                      alpha, beta, b1, b2, options_dict)
         anchors = list(restored.anchors)
         upper_used = restored.upper_used
         iterations = list(restored.iterations)
@@ -250,13 +278,23 @@ def run_engine(
     def save_checkpoint() -> None:
         if checkpoint is None:
             return
-        CampaignCheckpoint(
+        elapsed = elapsed_prior + time.perf_counter() - start
+        campaign = CampaignCheckpoint(
             algorithm=algorithm, alpha=alpha, beta=beta, b1=b1, b2=b2,
-            options=options_dict, graph_fingerprint=fingerprint or "",
+            options=options_dict, graph_fingerprint=fingerprint,
             anchors=list(anchors), upper_used=upper_used,
             iterations=list(iterations), exhausted=exhausted,
-            elapsed=elapsed_prior + time.perf_counter() - start,
-        ).save(checkpoint)
+            elapsed=elapsed)
+        if shards is None:
+            campaign.save(checkpoint)
+            return
+        ShardedCampaignCheckpoint(
+            campaign=campaign, shards=len(shard_list),
+            shard_fingerprints=[shard.fingerprint() for shard in shard_list],
+        ).save(checkpoint, [
+            shard.checkpoint_payload(algorithm, alpha, beta, b1, b2,
+                                     options_dict, exhausted, elapsed)
+            for shard in shard_list])
 
     termination = TerminationFlag().install() if handle_sigterm else None
     try:
@@ -279,19 +317,28 @@ def run_engine(
                 break
             iter_start = time.perf_counter()
 
-            if kernel is not None:
-                kernel.begin_iteration(state.upper.position,
-                                       state.lower.position, state.core)
+            # One filter pass per iteration, even though only shards an
+            # anchor touched actually refilter.
             fault_site("engine.filter")
-            scored, candidates_total = _filter_stage(
-                graph, state, upper_left, lower_left, options,
-                cache=cache, kernel=kernel)
+            candidates_total = 0
+            per_shard: List[List["MergedCandidate"]] = []
+            for shard in shard_list:
+                entries, shard_total = shard.ranked(upper_left, lower_left,
+                                                    options)
+                candidates_total += shard_total
+                per_shard.append(entries)
+            merged = _merge_ranked(per_shard)
             maintainer = AnchorSetMaintainer(graph,
                                              min(t, upper_left + lower_left),
                                              upper_left, lower_left)
-            verifications, timed_out = _verification_stage(
-                graph, state, scored, maintainer, t, deadline,
-                cache=cache, kernel=kernel, evaluator=evaluator)
+            fault_site("engine.verify")
+            if evaluator is not None:
+                verifications, timed_out = _parallel_verification_stage(
+                    merged, maintainer, t, deadline, evaluator,
+                    [shard.state for shard in shard_list], dirty_shards)
+            else:
+                verifications, timed_out = _verification_stage(
+                    merged, maintainer, t, alpha, beta, deadline)
 
             chosen = [x for x in maintainer.anchors
                       if maintainer.followers_of(x)]
@@ -303,13 +350,13 @@ def run_engine(
                 # cumulative effect of Section V).  Mirror that by falling
                 # back to the top-ranked candidates within the remaining
                 # budgets.
-                chosen = _fallback_anchors(graph, scored, maintainer.t,
+                chosen = _fallback_anchors(graph, merged, maintainer.t,
                                            upper_left, lower_left)
             if not chosen:
                 record = IterationRecord(
                     anchors=[], marginal_followers=0,
                     candidates_total=candidates_total,
-                    candidates_after_filter=len(scored),
+                    candidates_after_filter=len(merged),
                     verifications=verifications,
                     elapsed=time.perf_counter() - iter_start)
                 iterations.append(record)
@@ -319,17 +366,19 @@ def run_engine(
                     on_iteration(record)
                 break
 
-            core_before = len(state.core)
-            dirty = state.apply_anchors(chosen)
-            if cache is not None:
-                cache.invalidate(dirty)
+            core_before = sum(len(shard.state.core) for shard in shard_list)
+            for index, batch in split_by_shard(chosen, route):
+                shard = shard_list[index]
+                shard.apply(shard.view.localize(batch))
+                dirty_shards.add(index)
+            core_after = sum(len(shard.state.core) for shard in shard_list)
             anchors.extend(chosen)
             upper_used += sum(1 for x in chosen if is_upper(x))
             record = IterationRecord(
                 anchors=list(chosen),
-                marginal_followers=len(state.core) - core_before - len(chosen),
+                marginal_followers=core_after - core_before - len(chosen),
                 candidates_total=candidates_total,
-                candidates_after_filter=len(scored),
+                candidates_after_filter=len(merged),
                 verifications=verifications,
                 elapsed=time.perf_counter() - iter_start)
             iterations.append(record)
@@ -350,15 +399,21 @@ def run_engine(
             termination.restore()
         if evaluator is not None:
             if shared_evaluator and context is not None:
-                context.release_evaluator(workers, kernel is not None,
-                                          evaluator)
+                context.release_evaluator(workers, use_kernel, evaluator)
             else:
                 evaluator.shutdown()
-        if leased_kernel and context is not None:
-            context.release_kernel(kernel)
+        if context is not None:
+            context.release_kernel(shard_list[0].kernel)
 
-    # Authoritative objective: recompute the anchored core globally once.
-    final_core = anchored_abcore(graph, alpha, beta, anchors)
+    # Authoritative objective, recomputed once per shard from the global
+    # anchor list: the anchored core of a disjoint union is the union of
+    # the parts' anchored cores.
+    anchors_of = dict(split_by_shard(anchors, route))
+    final_core: Set[int] = set()
+    for shard in shard_list:
+        local_anchors = shard.view.localize(anchors_of.get(shard.index, []))
+        final_core |= shard.view.globalize(anchored_abcore(
+            shard.graph, alpha, beta, local_anchors))
     follower_set = final_core - base_core - set(anchors)
     return AnchoredCoreResult(
         algorithm=algorithm, alpha=alpha, beta=beta, b1=b1, b2=b2,
@@ -368,55 +423,59 @@ def run_engine(
         iterations=iterations, timed_out=timed_out, interrupted=interrupted)
 
 
-def _fallback_anchors(
-    graph: BipartiteGraph,
-    scored: List[ScoredCandidate],
-    t: int,
-    upper_left: int,
-    lower_left: int,
-) -> List[int]:
-    """Top-bound candidates within budget, for zero-follower iterations."""
-    chosen: List[int] = []
-    for _bound, x, _order, _rf in scored:
-        if len(chosen) >= t:
-            break
-        if graph.is_upper(x):
-            if upper_left <= 0:
-                continue
-            upper_left -= 1
-        else:
-            if lower_left <= 0:
-                continue
-            lower_left -= 1
-        chosen.append(x)
-    return chosen
+def _load_resume(source: CheckpointSource, shards: Optional[int],
+                 ) -> Tuple[CampaignCheckpoint, Optional[str]]:
+    """The campaign progress to resume, and the envelope path if sharded.
+
+    Unsharded runs resume from schema-1 checkpoints, sharded runs from
+    sharded envelopes; a loaded checkpoint of the other format is refused
+    with :class:`CheckpointError`, exactly as the file loaders refuse a
+    file of the other format.
+    """
+    if shards is None:
+        if isinstance(source, ShardedCampaignCheckpoint):
+            raise CheckpointError(
+                "cannot resume an unsharded campaign from a sharded "
+                "checkpoint envelope; pass shards= to resume it")
+        if isinstance(source, CampaignCheckpoint):
+            return source, None
+        return load_checkpoint(source), None
+    if isinstance(source, CampaignCheckpoint):
+        raise CheckpointError(
+            "cannot resume a sharded campaign from a plain campaign "
+            "checkpoint; resume it without shards=")
+    if isinstance(source, ShardedCampaignCheckpoint):
+        return source.campaign, None
+    path = os.fspath(source)
+    return load_sharded_checkpoint(path).campaign, path
 
 
 def _filter_stage(
-    graph: BipartiteGraph,
-    state: OrderState,
+    shard: "CampaignShard",
     upper_left: int,
     lower_left: int,
     options: EngineOptions,
-    cache: Optional[VerificationCache] = None,
-    kernel: Optional[FollowerKernel] = None,
-) -> Tuple[List[ScoredCandidate], int]:
-    """Build the ranked candidate list ``[(bound, x, order, rf), ...]``.
+) -> Tuple[List["MergedCandidate"], int]:
+    """Build one shard's ranked candidate list, in merged form.
 
-    Returns the list sorted by non-increasing bound (ties by vertex id) and
-    the pre-filter pool size.  With a ``cache``, signatures, two-hop
-    verdicts, ``rf(x)`` bounds, and r-score tables are reused for every
-    candidate the last apply's affected regions did not touch; with a
-    ``kernel``, fresh ``rf(x)`` sets come from the flat-array DFS.  The
-    survivor set, the bounds, and hence the ranked list are identical on
-    every path (``docs/PERF.md``).
+    Entries are ``((-bound, global_x), shard, x, order, rf)``; returns the
+    list sorted by non-increasing bound (ties by vertex id) and the
+    pre-filter pool size.  Monotone renumbering makes the order by global
+    id the order by local id, and global ids are unique, so the plain
+    tuple sort never compares past the leading key.  With the shard's
+    cache, signatures, two-hop verdicts, ``rf(x)`` bounds, and r-score
+    tables are reused for every candidate the last apply's affected
+    regions did not touch; with its kernel, fresh ``rf(x)`` sets come from
+    the flat-array DFS.  The survivor set, the bounds, and hence the ranked
+    list are identical on every path (``docs/PERF.md``).
 
     The ``engine.filter`` fault site fires in the caller, once per
-    iteration — the sharded substrate runs this stage once per dirty shard
-    and must hit the site at the same per-iteration cadence as the serial
-    engine.
+    iteration, however many shards refilter.
     """
-    scored: List[ScoredCandidate] = []
+    graph, state = shard.graph, shard.state
+    cache, kernel = shard.cache, shard.kernel
+    to_global = shard.view.to_global
+    scored: List["MergedCandidate"] = []
     candidates_total = 0
     sides: List[Tuple[DeletionOrder, int]] = []
     if upper_left > 0:
@@ -454,7 +513,8 @@ def _filter_stage(
                     if cache is not None:
                         cache.store_rf(side, x, rf)
                 if bound > 0:
-                    scored.append((bound, x, order, rf))
+                    scored.append(((-bound, to_global[x]), shard, x, order,
+                                   rf))
         else:
             scores = cache.r_scores_for(side) if cache is not None else None
             if scores is None:
@@ -464,22 +524,66 @@ def _filter_stage(
             for x in survivors:
                 bound = scores.get(x, 0)
                 if bound > 0:
-                    scored.append((bound, x, order, None))
+                    scored.append(((-bound, to_global[x]), shard, x, order,
+                                   None))
 
-    scored.sort(key=lambda item: (-item[0], item[1]))
+    scored.sort()
     return scored, candidates_total
 
 
-def _verification_stage(
+def _merge_ranked(per_shard: List[List["MergedCandidate"]],
+                  ) -> List["MergedCandidate"]:
+    """Merge shard rankings into the unsharded engine's sort order.
+
+    Each shard's entries are already sorted by their leading
+    ``(-bound, global_x)`` key (:func:`_filter_stage`), so merging under
+    that key reproduces the single sorted list an unsharded filter pass
+    builds.  ``global_x`` is unique across shards — the order never ties,
+    so any sort yields exactly what a streaming ``heapq.merge`` would, and
+    the key-function-free ``list.sort`` gallops over the pre-sorted runs
+    in C.  One shard's list is already merged and is returned as-is
+    (callers never mutate it).
+    """
+    if len(per_shard) == 1:
+        return per_shard[0]
+    merged: List["MergedCandidate"] = []
+    for entries in per_shard:
+        merged += entries
+    merged.sort()
+    return merged
+
+
+def _fallback_anchors(
     graph: BipartiteGraph,
-    state: OrderState,
-    scored: List[ScoredCandidate],
+    merged: List["MergedCandidate"],
+    t: int,
+    upper_left: int,
+    lower_left: int,
+) -> List[int]:
+    """Top-bound candidates within budget, for zero-follower iterations."""
+    chosen: List[int] = []
+    for (_neg_bound, x), _shard, _lx, _order, _rf in merged:
+        if len(chosen) >= t:
+            break
+        if graph.is_upper(x):
+            if upper_left <= 0:
+                continue
+            upper_left -= 1
+        else:
+            if lower_left <= 0:
+                continue
+            lower_left -= 1
+        chosen.append(x)
+    return chosen
+
+
+def _verification_stage(
+    merged: List["MergedCandidate"],
     maintainer: AnchorSetMaintainer,
     t: int,
+    alpha: int,
+    beta: int,
     deadline: Optional[float],
-    cache: Optional[VerificationCache] = None,
-    kernel: Optional[FollowerKernel] = None,
-    evaluator: Optional["Evaluator"] = None,
 ) -> Tuple[int, bool]:
     """Scan ranked candidates, computing followers and updating ``T``.
 
@@ -492,110 +596,111 @@ def _verification_stage(
       outright (the threshold ``|F(x*)|`` only ever grows), while for
       ``t > 1`` it continues because replacements may lower the threshold.
 
-    With a ``cache``, a candidate whose follower set survived invalidation
-    skips Algorithm 1 entirely; ``verifications`` still counts it, because
-    the memo-off scan would have evaluated it — the cache changes where
-    the set comes from, never whether the scan wanted it.  Fresh sets are
-    computed by the ``kernel`` when one is selected, seeded with the filter
-    stage's ``rf(x)`` so the reachability DFS is never repeated.
-
-    With an ``evaluator`` (a :class:`repro.parallel.ParallelEvaluator`),
-    follower sets are precomputed speculatively on the pool and this scan
-    consumes them in the same ranked order, applying the same skip rules —
-    sets for skipped candidates are simply discarded, so the anchors chosen
-    and the ``verifications`` count are identical to the serial scan's.
+    Follower sets are computed in the candidate's shard (local ids) and
+    globalized for coverage and the maintainer — follower sets never leave
+    their component, so the globalized union equals the unsharded set
+    exactly.  With a shard cache, a candidate whose follower set survived
+    invalidation skips Algorithm 1 entirely; ``verifications`` still counts
+    it, because the memo-off scan would have evaluated it — the cache
+    changes where the set comes from, never whether the scan wanted it.
+    Fresh sets are computed by the shard's kernel when one is selected,
+    seeded with the filter stage's ``rf(x)`` so the reachability DFS is
+    never repeated.
     """
-    fault_site("engine.verify")
-    if evaluator is not None:
-        return _parallel_verification_stage(state, scored, maintainer, t,
-                                            deadline, evaluator, cache)
     covered: Set[int] = set()
     verifications = 0
-    core = state.core
-    alpha, beta = state.alpha, state.beta
-    for bound, x, order, rf in scored:
+    for (neg_bound, x), shard, lx, order, rf in merged:
         if deadline is not None and time.perf_counter() > deadline:
             return verifications, True
         if x in covered:
             continue
-        if bound <= maintainer.skip_threshold():
+        if -neg_bound <= maintainer.skip_threshold():
             if t == 1:
                 break
             continue
         side = order.side
-        follower_set = (cache.followers_for(side, x)
+        cache = shard.cache
+        follower_set = (cache.followers_for(side, lx)
                         if cache is not None else None)
         if follower_set is None:
-            if kernel is not None:
-                follower_set = kernel.followers(side, x, alpha, beta,
-                                                candidates=rf)
+            if shard.kernel is not None:
+                follower_set = shard.kernel.followers(side, lx, alpha, beta,
+                                                      candidates=rf)
             else:
-                follower_set = compute_followers(graph, order, x, core=core,
+                follower_set = compute_followers(shard.graph, order, lx,
+                                                 core=shard.state.core,
                                                  candidates=rf)
             if cache is not None:
-                cache.store_followers(side, x, follower_set)
+                cache.store_followers(side, lx, follower_set)
         verifications += 1
-        covered |= follower_set
-        if follower_set:
-            maintainer.offer(x, follower_set)
+        follower_global = shard.view.globalize(follower_set)
+        covered |= follower_global
+        if follower_global:
+            maintainer.offer(x, follower_global)
     return verifications, False
 
 
 def _parallel_verification_stage(
-    state: OrderState,
-    scored: List[ScoredCandidate],
+    merged: List["MergedCandidate"],
     maintainer: AnchorSetMaintainer,
     t: int,
     deadline: Optional[float],
     evaluator: "Evaluator",
-    cache: Optional[VerificationCache] = None,
+    shard_states: List[OrderState],
+    dirty_shards: Set[int],
 ) -> Tuple[int, bool]:
     """The verification scan over pool-precomputed follower sets.
 
-    ``verifications`` still counts only the candidates the serial scan
-    would have evaluated — the speculative extras the pool computed are
-    discarded, not counted — so iteration records match serially exactly.
-    Closing the stream on early exit (the ``t = 1`` break) cancels the
+    Follower sets are precomputed speculatively on the pool and this scan
+    consumes them in the same ranked order, applying the same skip rules
+    as :func:`_verification_stage` — sets for skipped candidates are simply
+    discarded, not counted, so the anchors chosen and the
+    ``verifications`` count are identical to the serial scan's.  Closing
+    the stream on early exit (the ``t = 1`` break) cancels the
     not-yet-dispatched remainder.
 
-    With a ``cache``, only cache *misses* are dispatched to the pool; the
-    scan walks the full ranked list, splicing cached sets in where they
-    survived invalidation and consuming one streamed set per miss (pulled
-    even for skipped candidates, exactly as the memo-off zip would, so the
-    stream stays aligned with the ranked order).
+    Only cache *misses* are dispatched, as ``(shard, side, local_x)``
+    items; the state broadcast carries only the shards anchored since the
+    previous broadcast (``dirty_shards``, cleared here).  The scan walks
+    the full ranked list, splicing cached sets in where they survived
+    invalidation and consuming one streamed set per miss (pulled even for
+    skipped candidates, so the stream stays aligned with the ranked order).
     """
     from repro.parallel import EvaluationStopped
 
     covered: Set[int] = set()
     verifications = 0
     cached_sets: List[Optional[Set[int]]] = []
-    items: List[Tuple[str, int]] = []
-    for _bound, x, order, _rf in scored:
-        follower_set = (cache.followers_for(order.side, x)
-                        if cache is not None else None)
+    items: List[Tuple[int, str, int]] = []
+    for _key, shard, lx, order, _rf in merged:
+        follower_set = (shard.cache.followers_for(order.side, lx)
+                        if shard.cache is not None else None)
         cached_sets.append(follower_set)
         if follower_set is None:
-            items.append((order.side, x))
-    evaluator.begin_iteration(state, deadline)
+            items.append((shard.index, order.side, lx))
+    evaluator.begin_iteration(shard_states, dirty_shards, deadline)
+    dirty_shards.clear()
     stream = evaluator.evaluate(items)
     try:
-        for (bound, x, order, _rf), follower_set in zip(scored, cached_sets):
+        for ((neg_bound, x), shard, lx, order, _rf), follower_set in zip(
+                merged, cached_sets):
             if follower_set is None:
                 follower_set = next(stream)
-                if cache is not None:
-                    cache.store_followers(order.side, x, follower_set)
+                if shard.cache is not None:
+                    shard.cache.store_followers(order.side, lx, follower_set)
             if deadline is not None and time.perf_counter() > deadline:
                 return verifications, True
             if x in covered:
                 continue
-            if bound <= maintainer.skip_threshold():
+            if -neg_bound <= maintainer.skip_threshold():
                 if t == 1:
                     break
                 continue
             verifications += 1
-            covered |= follower_set
-            if follower_set:
-                maintainer.offer(x, follower_set)
+            follower_global = shard.view.globalize(follower_set)
+            covered |= follower_global
+            if follower_global:
+                maintainer.offer(x, follower_global)
     except EvaluationStopped:
         # A worker observed the deadline before the parent did: same
         # outcome as the serial per-candidate deadline check.

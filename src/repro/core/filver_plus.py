@@ -56,32 +56,21 @@ def run_filver_plus(
     ``flat_kernel`` control the cross-iteration verification cache and the
     flat-array CSR follower kernel — both byte-identity-preserving
     accelerations (see :func:`repro.core.engine.run_engine`).  ``shards``
-    (an int ≥ 1) runs the campaign on the component-sharded substrate
-    (:func:`repro.core.sharded.run_sharded_engine`, sharded checkpoint
-    format) — results are byte-identical to the unsharded path.
+    (an int ≥ 1) splits the campaign's state across connected-component
+    shards (sharded checkpoint format); ``None`` runs the same loop on one
+    shard over the whole graph — results are byte-identical either way.
     ``on_iteration`` streams each finished
     :class:`repro.core.result.IterationRecord` to an observer, and
     ``handle_sigterm`` converts ``SIGTERM`` at an iteration boundary into
     the graceful ``interrupted=True`` best-so-far result (see
     :func:`repro.core.engine.run_engine`).  ``context`` shares a
-    batch's (α,β) substrate (:mod:`repro.core.batch`); the sharded
-    substrate builds per-shard state, so sharded campaigns ignore
-    it.
+    batch's (α,β) substrate (:mod:`repro.core.batch`); ``shards=k``
+    campaigns build per-shard state and ignore it.
     """
-    if shards is not None:
-        from repro.core.sharded import run_sharded_engine
-
-        return run_sharded_engine(graph, alpha, beta, b1, b2,
-                                  FILVER_PLUS_OPTIONS,
-                                  algorithm="filver+", shards=shards,
-                                  deadline=deadline, checkpoint=checkpoint,
-                                  resume_from=resume_from, workers=workers,
-                                  memoize=memoize, flat_kernel=flat_kernel,
-                                  on_iteration=on_iteration,
-                                  handle_sigterm=handle_sigterm)
     return run_engine(graph, alpha, beta, b1, b2, FILVER_PLUS_OPTIONS,
                       algorithm="filver+", deadline=deadline,
                       checkpoint=checkpoint, resume_from=resume_from,
                       workers=workers, memoize=memoize,
                       flat_kernel=flat_kernel, on_iteration=on_iteration,
-                      handle_sigterm=handle_sigterm, context=context)
+                      handle_sigterm=handle_sigterm, context=context,
+                      shards=shards)

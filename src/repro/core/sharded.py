@@ -1,94 +1,97 @@
-"""Component-sharded campaigns with a byte-identical global merge.
+"""Campaign shards: the per-component state the greedy loop drives.
 
 Followers never cross connected components (Lemma 1: every follower of an
 anchor is order-reachable from it, and reachability walks edges), so the
-greedy filter–verification loop factorizes: each component can maintain its
-own deletion orders, verification cache, and ranked candidate list, and the
-global iteration only needs to merge per-shard rankings and route the
-chosen anchors back to their shards.  This module implements that substrate
-on top of the unsharded engine's stages:
+greedy filter–verification loop factorizes: each group of components can
+keep its own deletion orders, verification cache, and ranked candidate
+list, and a global iteration only merges per-shard rankings and routes the
+chosen anchors back to their shards.  :func:`repro.core.engine.run_engine`
+is that loop; this module provides the shards it drives:
 
-* :func:`plan_shards` groups components into ``shards`` balanced groups;
-* :class:`CampaignShard` owns one group's local state — an
-  :class:`~repro.core.order_maintenance.OrderState` and
-  :class:`~repro.core.incremental.VerificationCache` over the
-  component-local subgraph — plus its ranked-candidate memo;
-* :func:`run_sharded_engine` runs the global greedy loop, merging shard
-  rankings with :func:`heapq.merge` and replaying the serial engine's exact
-  decision sequence over the merged stream.
+* :func:`build_shards` with ``shards=None`` — one :class:`CampaignShard`
+  over an :class:`IdentityView` of the input graph: the same graph object,
+  no component decomposition, no id maps, no copy (a memmap graph stays
+  memmap).  With a :class:`~repro.core.batch.SharedCampaignContext` it
+  takes its order state, seed tables, and kernel lease from the context;
+* :func:`build_shards` with ``shards=k`` — :func:`plan_shards` groups the
+  components into at most ``k`` balanced groups, one shard per group over
+  a component-local :class:`~repro.bigraph.components.SubgraphView`;
+* :func:`replay_shards` — the resume path's per-shard state rebuild.
 
 Why the merge is byte-identical (``docs/PERF.md`` carries the full
 argument): local ids are assigned monotonically (ascending global order,
 uppers first — :class:`~repro.bigraph.components.SubgraphView`), so every
 id-ordered tie-break inside a shard resolves exactly as it would globally;
 each shard's ranked list is sorted by ``(-bound, local id)`` which is
-therefore also ``(-bound, global id)`` order, and a k-way merge under that
-key reproduces the serial engine's globally sorted candidate list element
-for element.  Candidate ``x`` ids are unique, so the sort key never ties
-deeper.  The verification scan, the anchor-set maintainer, the fallback
-rule, budget accounting, and the ``engine.filter`` / ``engine.verify``
-fault cadence all run once per *global* iteration, exactly as unsharded.
+therefore also ``(-bound, global id)`` order, and a merge under that key
+reproduces the unsharded globally sorted candidate list element for
+element.  Candidate ``x`` ids are unique, so the sort key never ties
+deeper.
 
 What sharding buys: after an iteration anchors only components in the
 winning shards, so every other shard's ranked list, cache, and deletion
-orders are reused untouched next iteration — the serial engine re-filters
-the whole graph.  Shards also bound peak memory (one component's working
-set at a time) and give the parallel evaluator (:mod:`repro.parallel`)
-shard-granular work units.
+orders are reused untouched next iteration.  Shards also bound peak memory
+(one component's working set at a time) and give the parallel evaluator
+(:mod:`repro.parallel`) shard-granular work units.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 import warnings
-from dataclasses import asdict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.abcore.decomposition import abcore, anchored_abcore
+# abcore, anchored_abcore: unused here, kept for perfbench's tracer.
+from repro.abcore.decomposition import abcore, anchored_abcore  # noqa: F401
 from repro.bigraph.components import ComponentDecomposition, SubgraphView
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.kernel import FollowerKernel, kernel_for
-from repro.bigraph.validation import validate_problem
-from repro.core.anchor_set import AnchorSetMaintainer
-from repro.core.engine import EngineOptions, ProgressCallback, _filter_stage
-from repro.core.followers import compute_followers
+from repro.core.deletion_order import DeletionOrder
+from repro.core.engine import EngineOptions, _filter_stage
+# compute_followers: unused here, kept for perfbench's tracer.
+from repro.core.followers import compute_followers  # noqa: F401
 from repro.core.incremental import VerificationCache
 from repro.core.order_maintenance import OrderState
-from repro.core.result import AnchoredCoreResult, IterationRecord
-from repro.exceptions import AbortCampaign, CheckpointError, InvalidParameterError
+from repro.core.result import IterationRecord
+from repro.exceptions import CheckpointError, InvalidParameterError
 from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     graph_fingerprint,
     load_checkpoint,
 )
-from repro.resilience.faults import active_plan, fault_site
-from repro.resilience.signals import TerminationFlag
-from repro.resilience.sharded import (
-    ShardedCampaignCheckpoint,
-    load_sharded_checkpoint,
-    shard_checkpoint_path,
-)
+from repro.resilience.sharded import shard_checkpoint_path
 
 if TYPE_CHECKING:
-    import os
+    from repro.core.batch import SharedCampaignContext
 
-    from repro.parallel.shards import ShardedEvaluator
+__all__ = ["CampaignShard", "IdentityView", "build_shards", "plan_shards",
+           "replay_shards", "split_by_shard"]
 
-__all__ = ["CampaignShard", "plan_shards", "run_sharded_engine"]
-
-#: One merged ranked candidate:
+#: One ranked candidate:
 #: ``((-bound, global_x), shard, local_x, order, rf_local)``.  The leading
-#: pair is the serial engine's sort key, pre-negated so plain tuple
-#: comparison orders candidates without a key function (``global_x`` is
-#: unique, so the shard objects behind it are never compared); the rest
-#: lets the verification scan evaluate the candidate inside its shard.
-MergedCandidate = Tuple[Tuple[int, int], "CampaignShard", int, object,
-                        Optional[Set[int]]]
+#: pair is the engine's sort key, pre-negated so plain tuple comparison
+#: orders candidates without a key function (``global_x`` is unique, so the
+#: shard objects behind it are never compared); the rest lets the
+#: verification scan evaluate the candidate inside its shard.  ``rf_local``
+#: is the cached or freshly computed ``rf(x)`` when the rf bound produced
+#: it (plumbed through to Algorithm 1 so the follower peel never
+#: recollects it), ``None`` on the r-score path.
+MergedCandidate = Tuple[Tuple[int, int], "CampaignShard", int,
+                        DeletionOrder, Optional[Set[int]]]
 
-#: A sharded-checkpoint source: envelope path or loaded envelope.
-ShardedCheckpointSource = Union[
-    str, "os.PathLike[str]", ShardedCampaignCheckpoint]
+#: Maps a global vertex id to the index of the shard that owns it.
+Router = Callable[[int], int]
 
 
 def plan_shards(sizes: Sequence[Tuple[int, int, int]],
@@ -124,13 +127,35 @@ def plan_shards(sizes: Sequence[Tuple[int, int, int]],
     return members
 
 
-class CampaignShard:
-    """One shard's component-local campaign state.
+class IdentityView:
+    """The one-shard view of a whole graph: local ids are global ids.
 
-    Owns the subgraph view, the local :class:`OrderState`, the optional
-    local :class:`VerificationCache` and follower kernel, the ranked
-    candidate memo, and the local-id bookkeeping (anchors, budget use,
-    per-iteration batches) that per-shard checkpoints are built from.
+    ``graph`` is the input graph object itself — nothing is decomposed,
+    renumbered, or copied.  ``to_global`` is a ``range``, so indexing it is
+    the identity, and :meth:`globalize` hands its argument back unchanged.
+    """
+
+    __slots__ = ("graph", "to_global")
+
+    def __init__(self, graph: BipartiteGraph) -> None:
+        self.graph = graph
+        self.to_global = range(graph.n_vertices)
+
+    def localize(self, global_ids: Iterable[int]) -> List[int]:
+        return list(global_ids)
+
+    def globalize(self, local_ids: Set[int]) -> Set[int]:
+        return local_ids
+
+
+class CampaignShard:
+    """One shard's campaign state.
+
+    Owns the view (identity or component-local), the local
+    :class:`OrderState`, the optional local :class:`VerificationCache` and
+    follower kernel, the ranked candidate memo, and the local-id
+    bookkeeping (anchors, budget use, per-iteration batches) that
+    per-shard checkpoints are built from.
 
     The ranked memo is the substrate's core saving: :meth:`ranked` reruns
     the filter stage only when an anchor batch touched this shard (or the
@@ -143,27 +168,22 @@ class CampaignShard:
                  "local_anchors", "local_upper_used", "local_iterations",
                  "_ranked", "_fingerprint")
 
-    def __init__(self, index: int, view: SubgraphView, alpha: int, beta: int,
-                 options: EngineOptions, memoize: bool,
-                 flat_kernel: Optional[bool]) -> None:
+    def __init__(self, index: int, view: Union[SubgraphView, IdentityView],
+                 state: OrderState, cache: Optional[VerificationCache],
+                 kernel: Optional[FollowerKernel]) -> None:
         self.index = index
         self.view = view
         self.graph = view.graph
-        self.state = OrderState(self.graph, alpha, beta,
-                                maintain=options.maintain_orders)
-        self.cache = VerificationCache(self.graph) if memoize else None
-        if flat_kernel is None:
-            self.kernel: Optional[FollowerKernel] = kernel_for(self.graph)
-        elif flat_kernel:
-            self.kernel = FollowerKernel(self.graph)
-        else:
-            self.kernel = None
+        self.state = state
+        self.cache = cache
+        self.kernel = kernel
         self.local_anchors: List[int] = []
         self.local_upper_used = 0
         self.local_iterations: List[IterationRecord] = []
         # sides-key -> (entries, candidates_total); entries are merged-form
         # MergedCandidate tuples sorted by their (-bound, global_x) head.
-        self._ranked: Dict[Tuple[bool, bool], Tuple[List, int]] = {}
+        self._ranked: Dict[Tuple[bool, bool],
+                           Tuple[List[MergedCandidate], int]] = {}
         self._fingerprint: Optional[str] = None
 
     def fingerprint(self) -> str:
@@ -173,7 +193,7 @@ class CampaignShard:
         return self._fingerprint
 
     def ranked(self, upper_left: int, lower_left: int,
-               options: EngineOptions) -> Tuple[List, int]:
+               options: EngineOptions) -> Tuple[List[MergedCandidate], int]:
         """This shard's ranked candidates for the current budget situation.
 
         The memo key is only which *sides* still have budget — the filter
@@ -192,23 +212,17 @@ class CampaignShard:
             self.kernel.begin_iteration(self.state.upper.position,
                                         self.state.lower.position,
                                         self.state.core)
-        scored, candidates_total = _filter_stage(
-            self.graph, self.state, upper_left, lower_left, options,
-            cache=self.cache, kernel=self.kernel)
-        to_global = self.view.to_global
-        # Stored directly in merged form so the per-iteration global merge
-        # is a C-level concatenate-and-sort over memoized lists, with no
+        # Stored in merged form, so the per-iteration global merge is a
+        # C-level concatenate-and-sort over memoized lists, with no
         # per-candidate Python work for clean shards.
-        entries = [((-bound, to_global[x]), self, x, order, rf)
-                   for bound, x, order, rf in scored]
-        self._ranked[key] = (entries, candidates_total)
+        self._ranked[key] = _filter_stage(self, upper_left, lower_left,
+                                          options)
         return self._ranked[key]
 
     def apply(self, batch: Sequence[int]) -> None:
         """Anchor a local-id batch, invalidating caches and bookkeeping.
 
-        Mirrors the serial engine's apply step on the shard's local state;
-        the appended local record carries only the batch (per-shard
+        The appended local record carries only the batch (per-shard
         checkpoints compare batches, nothing else), with the remaining
         fields fixed at zero so replayed and original bookkeeping are
         identical.
@@ -241,460 +255,133 @@ class CampaignShard:
             exhausted=exhausted, elapsed=elapsed)
 
 
-def _merged_stream(per_shard: List[List[MergedCandidate]],
-                   ) -> List[MergedCandidate]:
-    """K-way merge of shard rankings in the serial engine's sort order.
+def _select_kernel(graph: BipartiteGraph, flat_kernel: Optional[bool],
+                   context: Optional["SharedCampaignContext"] = None,
+                   ) -> Optional[FollowerKernel]:
+    """The follower kernel for one shard graph, leased when possible.
 
-    Each shard's entries are sorted by ``(-bound, local_x)``; monotone
-    renumbering makes that ``(-bound, global_x)`` order too, so merging
-    under the global key reproduces the serial engine's single sorted
-    list.  ``global_x`` is unique across shards — the order never ties, so
-    any sort yields exactly what a streaming ``heapq.merge`` would.
-    Entries carry their negated key as the leading tuple element, making
-    this a key-function-free ``list.sort`` whose Timsort galloping mode
-    merges the pre-sorted per-shard runs in C.
+    ``None`` auto-enables the kernel on CSR-backed graphs, ``True``
+    requires a CSR backend (construction raises otherwise), ``False``
+    forces the generic dict/set path.
     """
-    merged: List[MergedCandidate] = []
-    for entries in per_shard:
-        merged += entries
-    merged.sort()
-    return merged
+    if flat_kernel is not None and not flat_kernel:
+        return None
+    kernel = context.acquire_kernel() if context is not None else None
+    if kernel is None:
+        kernel = kernel_for(graph) if flat_kernel is None \
+            else FollowerKernel(graph)
+    return kernel
 
 
-def _merged_verification(
+def build_shards(
     graph: BipartiteGraph,
-    merged: List[MergedCandidate],
-    maintainer: AnchorSetMaintainer,
-    t: int,
     alpha: int,
     beta: int,
-    deadline: Optional[float],
-) -> Tuple[int, bool]:
-    """The serial verification scan over the merged candidate stream.
+    options: EngineOptions,
+    memoize: bool,
+    flat_kernel: Optional[bool],
+    shards: Optional[int],
+    context: Optional["SharedCampaignContext"] = None,
+    seeded: bool = True,
+) -> Tuple[List[CampaignShard], Router]:
+    """The shards a campaign runs on, and the router for global anchor ids.
 
-    Identical decision sequence to the unsharded ``_verification_stage``:
-    deadline, coverage, threshold (with the ``t = 1`` early stop), then
-    evaluate-or-reuse.  Follower sets are computed in the candidate's shard
-    (local ids) and globalized for coverage and the maintainer — follower
-    sets never leave their component, so the globalized union equals the
-    serial scan's global set exactly.
+    ``shards=None`` yields one identity shard; with a ``context`` that
+    shard clones the context's pristine order state, leases its kernel
+    (callers hand it back via ``context.release_kernel``), and — when
+    ``memoize`` and ``seeded`` — consults the frozen epoch-0 seed tables.
+    ``shards=k`` decomposes the graph into connected components and builds
+    at most ``k`` component-group shards (``context`` is not consulted).
     """
-    covered: Set[int] = set()
-    verifications = 0
-    for (neg_bound, gx), shard, lx, order, rf in merged:
-        if deadline is not None and time.perf_counter() > deadline:
-            return verifications, True
-        if gx in covered:
-            continue
-        if -neg_bound <= maintainer.skip_threshold():
-            if t == 1:
-                break
-            continue
-        side = order.side
-        cache = shard.cache
-        follower_set = (cache.followers_for(side, lx)
-                        if cache is not None else None)
-        if follower_set is None:
-            if shard.kernel is not None:
-                follower_set = shard.kernel.followers(side, lx, alpha, beta,
-                                                      candidates=rf)
-            else:
-                follower_set = compute_followers(shard.graph, order, lx,
-                                                 core=shard.state.core,
-                                                 candidates=rf)
-            if cache is not None:
-                cache.store_followers(side, lx, follower_set)
-        verifications += 1
-        follower_global = shard.view.globalize(follower_set)
-        covered |= follower_global
-        if follower_global:
-            maintainer.offer(gx, follower_global)
-    return verifications, False
-
-
-def _parallel_merged_verification(
-    merged: List[MergedCandidate],
-    maintainer: AnchorSetMaintainer,
-    t: int,
-    deadline: Optional[float],
-    evaluator: "ShardedEvaluator",
-    shard_states: Sequence[OrderState],
-    dirty_shards: Set[int],
-) -> Tuple[int, bool]:
-    """The merged scan over pool-precomputed follower sets.
-
-    The sharded analogue of the engine's parallel stage: cache misses are
-    dispatched as ``(shard, side, local_x)`` items, the state broadcast
-    carries only the shards anchored since the previous broadcast, and the
-    scan splices cached sets with streamed ones in merged order.  Decision
-    points and counting match :func:`_merged_verification` exactly.
-    """
-    from repro.parallel import EvaluationStopped
-
-    covered: Set[int] = set()
-    verifications = 0
-    cached_sets: List[Optional[Set[int]]] = []
-    items: List[Tuple[int, str, int]] = []
-    for _key, shard, lx, order, _rf in merged:
-        follower_set = (shard.cache.followers_for(order.side, lx)
-                        if shard.cache is not None else None)
-        cached_sets.append(follower_set)
-        if follower_set is None:
-            items.append((shard.index, order.side, lx))
-    evaluator.begin_iteration(shard_states, dirty_shards, deadline)
-    dirty_shards.clear()
-    stream = evaluator.evaluate(items)
-    try:
-        for ((neg_bound, gx), shard, lx, order, _rf), follower_set in zip(
-                merged, cached_sets):
-            if follower_set is None:
-                follower_set = next(stream)
-                if shard.cache is not None:
-                    shard.cache.store_followers(order.side, lx, follower_set)
-            if deadline is not None and time.perf_counter() > deadline:
-                return verifications, True
-            if gx in covered:
-                continue
-            if -neg_bound <= maintainer.skip_threshold():
-                if t == 1:
-                    break
-                continue
-            verifications += 1
-            follower_global = shard.view.globalize(follower_set)
-            covered |= follower_global
-            if follower_global:
-                maintainer.offer(gx, follower_global)
-    except EvaluationStopped:
-        return verifications, True
-    finally:
-        stream.close()
-    return verifications, False
-
-
-def _merged_fallback(graph: BipartiteGraph, merged: List[MergedCandidate],
-                     t: int, upper_left: int, lower_left: int) -> List[int]:
-    """Top-bound candidates within budget — the zero-follower fallback.
-
-    Same rule as the engine's ``_fallback_anchors``, walking the merged
-    (= serial sorted) order with global ids.
-    """
-    chosen: List[int] = []
-    for (_neg_bound, gx), _shard, _lx, _order, _rf in merged:
-        if len(chosen) >= t:
-            break
-        if graph.is_upper(gx):
-            if upper_left <= 0:
-                continue
-            upper_left -= 1
+    maintain = options.maintain_orders
+    if shards is None:
+        if context is not None:
+            seed = context.seed_tables() if memoize and seeded else None
+            kernel = _select_kernel(graph, flat_kernel, context)
+            state = context.order_state(maintain=maintain)
         else:
-            if lower_left <= 0:
-                continue
-            lower_left -= 1
-        chosen.append(gx)
-    return chosen
+            seed = None
+            kernel = _select_kernel(graph, flat_kernel)
+            state = OrderState(graph, alpha, beta, maintain=maintain)
+        cache = VerificationCache(graph, seed=seed) if memoize else None
+        shard = CampaignShard(0, IdentityView(graph), state, cache, kernel)
+        return [shard], lambda gx: 0
+
+    decomposition = ComponentDecomposition(graph)
+    plan = plan_shards(decomposition.sizes, shards)
+    shard_list: List[CampaignShard] = []
+    # component label -> owning shard index, for routing chosen anchors.
+    shard_of: Dict[int, int] = {}
+    for index, components in enumerate(plan):
+        view = decomposition.subgraph_view(components)
+        local = view.graph
+        shard_list.append(CampaignShard(
+            index, view, OrderState(local, alpha, beta, maintain=maintain),
+            VerificationCache(local) if memoize else None,
+            _select_kernel(local, flat_kernel)))
+        for component in components:
+            shard_of[component] = index
+    labels = decomposition.labels
+    return shard_list, lambda gx: shard_of[labels[gx]]
 
 
-def _expected_local_batches(
-    campaign: CampaignCheckpoint,
-    shard_list: List[CampaignShard],
-    shard_of: Dict[int, int],
-    labels: Sequence[int],
-) -> List[List[List[int]]]:
-    """Per-shard local anchor batches implied by global iteration records.
+def split_by_shard(global_ids: Iterable[int],
+                   route: Router) -> List[Tuple[int, List[int]]]:
+    """``(shard_index, ids)`` pairs in ascending shard order.
 
-    Exactly the batches :func:`run_sharded_engine` would have handed each
-    shard while producing those records — the envelope is therefore always
-    sufficient to rebuild every shard's state, which is what makes a
-    missing or stale per-shard file survivable.
+    Each sub-list keeps the input order — the order a global apply would
+    process the ids in.
     """
-    expected: List[List[List[int]]] = [[] for _ in shard_list]
-    for record in campaign.iterations:
-        if not record.anchors:
-            continue
-        per_shard: Dict[int, List[int]] = {}
-        for gx in record.anchors:
-            per_shard.setdefault(shard_of[labels[gx]], []).append(gx)
-        for sid in sorted(per_shard):
-            expected[sid].append(
-                shard_list[sid].view.localize(per_shard[sid]))
-    return expected
+    by_shard: Dict[int, List[int]] = {}
+    for gx in global_ids:
+        by_shard.setdefault(route(gx), []).append(gx)
+    return sorted(by_shard.items())
 
 
-def _replay_shard(shard: CampaignShard, batches: List[List[int]],
+def replay_shards(shard_list: List[CampaignShard], route: Router,
+                  campaign: CampaignCheckpoint,
                   envelope_path: Optional[str], alpha: int, beta: int,
-                  b1: int, b2: int,
-                  options_dict: Dict[str, object]) -> None:
-    """Restore one shard's state, preferring its own checkpoint file.
+                  b1: int, b2: int, options_dict: Dict[str, object]) -> None:
+    """Rebuild every shard's state from a campaign's iteration records.
 
-    The shard file is loaded and validated (fingerprint, parameters, and
-    recorded batches against the envelope-derived ``batches``); when it is
-    missing, corrupt, or disagrees — a *dead shard*, e.g. its file was lost
-    with a failed node — the shard degrades to replaying the envelope's
-    batches with a warning, mirroring how the parallel evaluator buries a
-    dead worker and recomputes its chunk.  Both paths replay the same
-    batches, so the rebuilt state is identical either way; the file adds
-    integrity checking, not information.
+    Replays each shard's local batches — exactly the batches the loop
+    handed each shard while producing those records, which is why the
+    global record is always sufficient and a missing or stale per-shard
+    file is survivable.  With an ``envelope_path`` (a sharded resume from
+    a file) each shard's own checkpoint file is loaded and validated first
+    (fingerprint, parameters, recorded batches against the global
+    record); when it is missing, corrupt, or disagrees — a *dead shard*,
+    e.g. its file was lost with a failed node — the shard degrades to
+    replaying from the global record with a warning, mirroring how the
+    parallel evaluator buries a dead worker and recomputes its chunk.  Both
+    paths replay the same batches, so the rebuilt state is identical
+    either way; the file adds integrity checking, not information.
 
     A shard file recorded one iteration *ahead* of the envelope (crash
     after the shard write, before the envelope write) is expected and
     accepted silently — the extra batch is simply not replayed.
     """
-    if envelope_path is not None:
-        path = shard_checkpoint_path(envelope_path, shard.index)
-        try:
-            restored = load_checkpoint(path)
-            restored.validate_for(shard.graph, alpha, beta, b1, b2,
-                                  options_dict)
-            recorded = [record.anchors for record in restored.iterations
-                        if record.anchors]
-            if recorded[:len(batches)] != batches:
-                raise CheckpointError(
-                    "shard %d checkpoint disagrees with the campaign "
-                    "envelope" % shard.index)
-        except CheckpointError as error:
-            warnings.warn(
-                "shard %d checkpoint unusable (%s); replaying this shard "
-                "from the campaign envelope" % (shard.index, error),
-                RuntimeWarning, stacklevel=3)
-    for batch in batches:
-        shard.apply(batch)
-
-
-def run_sharded_engine(
-    graph: BipartiteGraph,
-    alpha: int,
-    beta: int,
-    b1: int,
-    b2: int,
-    options: EngineOptions,
-    algorithm: str,
-    shards: int,
-    deadline: Optional[float] = None,
-    on_iteration: Optional[ProgressCallback] = None,
-    checkpoint: Optional[Union[str, "os.PathLike[str]"]] = None,
-    resume_from: Optional[ShardedCheckpointSource] = None,
-    workers: int = 1,
-    memoize: bool = True,
-    flat_kernel: Optional[bool] = None,
-    handle_sigterm: bool = False,
-) -> AnchoredCoreResult:
-    """Run the greedy loop on a component-sharded substrate.
-
-    Produces a result byte-identical (canonical form, ``elapsed``
-    excluded) to :func:`~repro.core.engine.run_engine` with the same
-    problem and options, for every ``shards``/``workers`` combination and
-    every adjacency backend — the differential suite in
-    ``tests/test_sharded_differential.py`` enforces exactly that.
-
-    ``checkpoint``/``resume_from`` use the sharded envelope format
-    (:mod:`repro.resilience.sharded`): one global envelope plus one file
-    per shard, written shard-files-first.  ``workers > 1`` schedules
-    verification chunks shard-by-shard on a process pool
-    (:class:`repro.parallel.shards.ShardedEvaluator`), sharing each
-    shard's CSR segment once.
-
-    Parameters mirror ``run_engine`` — including ``handle_sigterm``,
-    which converts ``SIGTERM`` at an iteration boundary into the graceful
-    ``interrupted=True`` best-so-far path; ``shards`` is the maximum shard
-    count (capped at the number of connected components).
-    """
-    validate_problem(graph, alpha, beta, b1, b2)
-    t = options.anchors_per_iteration
-    if t < 1:
-        raise ValueError("anchors_per_iteration must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1, got %d" % workers)
-
-    decomposition = ComponentDecomposition(graph)
-    plan = plan_shards(decomposition.sizes, shards)
-    shard_list = [
-        CampaignShard(index, decomposition.subgraph_view(components),
-                      alpha, beta, options, memoize, flat_kernel)
-        for index, components in enumerate(plan)]
-    # component label -> owning shard index, for routing chosen anchors.
-    shard_of: Dict[int, int] = {}
-    for shard_index, components in enumerate(plan):
-        for component in components:
-            shard_of[component] = shard_index
-    labels = decomposition.labels
-
-    evaluator: Optional["ShardedEvaluator"] = None
-    if workers > 1 and shard_list:
-        from repro.parallel.shards import create_sharded_evaluator
-
-        fault_plan = active_plan()
-        fault_specs = tuple(
-            spec for spec in (fault_plan.specs if fault_plan is not None
-                              else ())
-            if spec.site.startswith("parallel."))
-        evaluator = create_sharded_evaluator(
-            [shard.graph for shard in shard_list], workers,
-            fault_specs=fault_specs,
-            use_flat_kernel=any(shard.kernel is not None
-                                for shard in shard_list))
-    # Shards anchored since the last evaluator broadcast; starts at "all"
-    # so the first broadcast seeds every worker-side shard state.
-    dirty_shards: Set[int] = set(range(len(shard_list)))
-
-    start = time.perf_counter()
-    base_core: Set[int] = set()
-    for shard in shard_list:
-        base_core |= shard.view.globalize(abcore(shard.graph, alpha, beta))
-
-    anchors: List[int] = []
-    upper_used = 0
-    is_upper = graph.is_upper
-    iterations: List[IterationRecord] = []
-    timed_out = False
-    interrupted = False
-    exhausted = False
-    elapsed_prior = 0.0
-    options_dict = asdict(options)
-    fingerprint = graph_fingerprint(graph) if checkpoint is not None else None
-
-    if resume_from is not None:
-        if isinstance(resume_from, ShardedCampaignCheckpoint):
-            envelope, envelope_path = resume_from, None
-        else:
-            import os as _os
-
-            envelope_path = _os.fspath(resume_from)
-            envelope = load_sharded_checkpoint(envelope_path)
-        envelope.validate_for(graph, alpha, beta, b1, b2, options_dict)
-        expected = _expected_local_batches(envelope.campaign, shard_list,
-                                           shard_of, labels)
-        for shard in shard_list:
-            _replay_shard(shard, expected[shard.index], envelope_path,
-                          alpha, beta, b1, b2, options_dict)
-        anchors = list(envelope.campaign.anchors)
-        upper_used = envelope.campaign.upper_used
-        iterations = list(envelope.campaign.iterations)
-        exhausted = envelope.campaign.exhausted
-        elapsed_prior = envelope.campaign.elapsed
-
-    def save_checkpoint() -> None:
-        if checkpoint is None:
-            return
-        elapsed = elapsed_prior + time.perf_counter() - start
-        global_checkpoint = CampaignCheckpoint(
-            algorithm=algorithm, alpha=alpha, beta=beta, b1=b1, b2=b2,
-            options=options_dict, graph_fingerprint=fingerprint or "",
-            anchors=list(anchors), upper_used=upper_used,
-            iterations=list(iterations), exhausted=exhausted,
-            elapsed=elapsed)
-        ShardedCampaignCheckpoint(
-            campaign=global_checkpoint, shards=len(shard_list),
-            shard_fingerprints=[shard.fingerprint()
-                                for shard in shard_list],
-        ).save(checkpoint, [
-            shard.checkpoint_payload(algorithm, alpha, beta, b1, b2,
-                                     options_dict, exhausted, elapsed)
-            for shard in shard_list])
-
-    termination = TerminationFlag().install() if handle_sigterm else None
-    try:
-        while not (timed_out or exhausted):
-            if termination is not None and termination.is_set():
-                interrupted = True
-                break
-            if deadline is not None and time.perf_counter() > deadline:
-                timed_out = True
-                break
-            upper_left = b1 - upper_used
-            lower_left = b2 - (len(anchors) - upper_used)
-            if upper_left <= 0 and lower_left <= 0:
-                break
-            iter_start = time.perf_counter()
-
-            # One filter pass per *global* iteration (the serial fault
-            # cadence), even though only dirty shards actually refilter.
-            fault_site("engine.filter")
-            candidates_total = 0
-            per_shard: List[List[MergedCandidate]] = []
-            for shard in shard_list:
-                entries, shard_total = shard.ranked(upper_left, lower_left,
-                                                    options)
-                candidates_total += shard_total
-                per_shard.append(entries)
-            merged = _merged_stream(per_shard)
-
-            maintainer = AnchorSetMaintainer(graph,
-                                             min(t, upper_left + lower_left),
-                                             upper_left, lower_left)
-            fault_site("engine.verify")
-            if evaluator is not None:
-                verifications, timed_out = _parallel_merged_verification(
-                    merged, maintainer, t, deadline, evaluator,
-                    [shard.state for shard in shard_list], dirty_shards)
-            else:
-                verifications, timed_out = _merged_verification(
-                    graph, merged, maintainer, t, alpha, beta, deadline)
-
-            chosen = [x for x in maintainer.anchors
-                      if maintainer.followers_of(x)]
-            if not chosen:
-                chosen = _merged_fallback(graph, merged, maintainer.t,
-                                          upper_left, lower_left)
-            if not chosen:
-                record = IterationRecord(
-                    anchors=[], marginal_followers=0,
-                    candidates_total=candidates_total,
-                    candidates_after_filter=len(merged),
-                    verifications=verifications,
-                    elapsed=time.perf_counter() - iter_start)
-                iterations.append(record)
-                exhausted = True
-                save_checkpoint()
-                if on_iteration is not None:
-                    on_iteration(record)
-                break
-
-            core_before = sum(len(shard.state.core) for shard in shard_list)
-            # Route the chosen batch to its shards; ascending shard order,
-            # each sub-batch preserving the chosen order (which is what the
-            # global apply would process).
-            batch_of: Dict[int, List[int]] = {}
-            for gx in chosen:
-                batch_of.setdefault(shard_of[labels[gx]], []).append(gx)
-            for shard_index in sorted(batch_of):
-                shard = shard_list[shard_index]
-                shard.apply(shard.view.localize(batch_of[shard_index]))
-                dirty_shards.add(shard_index)
-            core_after = sum(len(shard.state.core) for shard in shard_list)
-
-            anchors.extend(chosen)
-            upper_used += sum(1 for x in chosen if is_upper(x))
-            record = IterationRecord(
-                anchors=list(chosen),
-                marginal_followers=core_after - core_before - len(chosen),
-                candidates_total=candidates_total,
-                candidates_after_filter=len(merged),
-                verifications=verifications,
-                elapsed=time.perf_counter() - iter_start)
-            iterations.append(record)
-            save_checkpoint()
-            if on_iteration is not None:
-                on_iteration(record)
-    except AbortCampaign:
-        interrupted = True
-    except (KeyboardInterrupt, MemoryError):
-        interrupted = True
-    finally:
-        if termination is not None:
-            termination.restore()
-        if evaluator is not None:
-            evaluator.shutdown()
-
-    # Authoritative objective, shard by shard: the anchored (α,β)-core of a
-    # disjoint union is the disjoint union of anchored cores.
-    final_core: Set[int] = set()
-    for shard in shard_list:
-        final_core |= shard.view.globalize(
-            anchored_abcore(shard.graph, alpha, beta, shard.local_anchors))
-    follower_set = final_core - base_core - set(anchors)
-    return AnchoredCoreResult(
-        algorithm=algorithm, alpha=alpha, beta=beta, b1=b1, b2=b2,
-        anchors=anchors, followers=follower_set,
-        base_core_size=len(base_core), final_core_size=len(final_core),
-        elapsed=elapsed_prior + time.perf_counter() - start,
-        iterations=iterations, timed_out=timed_out, interrupted=interrupted)
+    expected: List[List[List[int]]] = [[] for _ in shard_list]
+    for record in campaign.iterations:
+        for index, batch in split_by_shard(record.anchors, route):
+            expected[index].append(shard_list[index].view.localize(batch))
+    for shard, batches in zip(shard_list, expected):
+        if envelope_path is not None:
+            path = shard_checkpoint_path(envelope_path, shard.index)
+            try:
+                restored = load_checkpoint(path)
+                restored.validate_for(shard.graph, alpha, beta, b1, b2,
+                                      options_dict)
+                recorded = [record.anchors for record in restored.iterations
+                            if record.anchors]
+                if recorded[:len(batches)] != batches:
+                    raise CheckpointError(
+                        "shard %d checkpoint disagrees with the campaign "
+                        "envelope" % shard.index)
+            except CheckpointError as error:
+                warnings.warn(
+                    "shard %d checkpoint unusable (%s); replaying this "
+                    "shard from the campaign envelope" % (shard.index, error),
+                    RuntimeWarning, stacklevel=3)
+        for batch in batches:
+            shard.apply(batch)

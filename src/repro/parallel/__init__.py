@@ -1,33 +1,26 @@
 """Parallel candidate evaluation for the FILVER engine.
 
 The verification stage evaluates ``F(x)`` for many independent candidate
-anchors; :class:`~repro.parallel.evaluator.ParallelEvaluator` fans those
-evaluations out to a pool of worker processes that share the CSR graph
-zero-copy (:mod:`repro.bigraph.shm`) and reduces the results in the exact
-serial tie-breaking order, so a parallel campaign is byte-identical to a
-serial one.  See ``docs/PARALLEL.md`` for the architecture and the
-determinism contract.
+anchors; :class:`~repro.parallel.evaluator.ShardedEvaluator` fans those
+evaluations out to a pool of worker processes that share each campaign
+shard's CSR graph zero-copy (:mod:`repro.bigraph.shm`) and reduces the
+results in the exact serial tie-breaking order, so a parallel campaign is
+byte-identical to a serial one.  The same pool serves unsharded campaigns
+(one shard over the whole graph) and ``shards=k`` campaigns.  See
+``docs/PARALLEL.md`` for the architecture and the determinism contract.
 """
 
 from repro.parallel.evaluator import (
     EvaluationStopped,
-    ParallelEvaluator,
-    create_evaluator,
-)
-from repro.parallel.protocol import Candidate, Evaluator
-from repro.parallel.shards import (
-    ShardCandidate,
     ShardedEvaluator,
     create_sharded_evaluator,
 )
+from repro.parallel.protocol import Evaluator, ShardCandidate
 
 __all__ = [
-    "Candidate",
     "EvaluationStopped",
     "Evaluator",
-    "ParallelEvaluator",
     "ShardCandidate",
     "ShardedEvaluator",
-    "create_evaluator",
     "create_sharded_evaluator",
 ]

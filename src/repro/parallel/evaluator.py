@@ -16,17 +16,24 @@ have skipped are computed and discarded.
 
 Topology
 --------
-One duplex pipe per worker; the shared stop flag is a
-``multiprocessing.Event``.  Per iteration the parent broadcasts one
-``state`` message (deletion-order positions, anchored core, deadline), then
-streams candidate chunks round-robin to idle workers and yields follower
-sets back in candidate order.  Messages are processed FIFO per worker, so a
-chunk can never be interpreted under the wrong iteration's state.
+The engine drives a list of campaign shards (one identity shard for an
+unsharded campaign, one per component group for ``shards=k``), and this
+pool mirrors that list:
 
-The pipe/chunk/burial machinery lives in :class:`_EvaluatorPool`, shared
-with the component-sharded evaluator (:mod:`repro.parallel.shards`); this
-module's :class:`ParallelEvaluator` adds the single-graph export and the
-one-``OrderState`` broadcast protocol on top.
+* **one shared segment per shard** — every worker attaches every shard's
+  CSR graph at spawn; a chunk names its shard, so no per-iteration graph
+  traffic ever happens;
+* **incremental state broadcasts** — one duplex pipe per worker; per
+  iteration the parent broadcasts one epoch-tagged ``state`` message
+  carrying deletion-order positions and cores only for the shards anchored
+  since the previous broadcast (a clean shard's worker-side state is still
+  exact because nothing that defines it changed);
+* **whole-shard chunks** — candidate chunks are split at shard boundaries,
+  so each dispatched unit touches one shard's graph and state, while chunk
+  *order* still follows the merged ranking.  Chunks stream round-robin to
+  idle workers and follower sets are yielded back in candidate order.
+  Messages are processed FIFO per worker, so a chunk can never be
+  interpreted under the wrong iteration's state.
 
 Failure semantics (see ``docs/PARALLEL.md``):
 
@@ -50,7 +57,6 @@ index, not arrival order.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import time
 import traceback
@@ -60,6 +66,7 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Generator,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -69,11 +76,16 @@ from typing import (
 
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.kernel import FollowerKernel, kernel_for
-from repro.bigraph.shm import SharedGraphMeta, attach_shared_graph, export_shared_graph
+from repro.bigraph.shm import (
+    SharedGraphExport,
+    SharedGraphMeta,
+    attach_shared_graph,
+    export_shared_graph,
+)
 from repro.core.deletion_order import DeletionOrder
 from repro.core.followers import compute_followers
 from repro.exceptions import AbortCampaign, InvalidParameterError
-from repro.parallel.protocol import Candidate
+from repro.parallel.protocol import ShardCandidate
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
@@ -84,7 +96,8 @@ from repro.resilience.faults import (
 if TYPE_CHECKING:  # runtime import would be circular via repro.core.engine
     from repro.core.order_maintenance import OrderState
 
-__all__ = ["Candidate", "EvaluationStopped", "ParallelEvaluator", "create_evaluator"]
+__all__ = ["EvaluationStopped", "ShardCandidate", "ShardedEvaluator",
+           "create_sharded_evaluator"]
 
 #: Upper bound on auto-sized chunks: small enough that the drain after an
 #: early break wastes little work, large enough to amortize IPC.
@@ -114,95 +127,88 @@ class _WorkerHandle:
         self.process = process
         self.conn = conn
         #: ``(epoch, chunk_id, items)`` of the dispatched, unanswered chunk.
-        self.inflight: Optional[Tuple[int, int, Sequence[Candidate]]] = None
+        self.inflight: Optional[
+            Tuple[int, int, Sequence[ShardCandidate]]] = None
         self.dead = False
 
 
-class _EvaluatorPool:
-    """Generic chunk-streaming process pool with burial-based degradation.
+class ShardedEvaluator:
+    """Evaluate ``F(x)`` for merged candidate batches on a process pool.
 
-    Everything protocol-shaped lives here — spawning, round-robin chunk
-    dispatch, epoch-tagged replies, dead-worker burial with in-parent
-    recomputation, the drain invariant, and shutdown.  Subclasses provide
-    what varies between pool flavors:
-
-    * :meth:`_worker_target` / :meth:`_spawn_args` — the worker entry point
-      and its arguments (the shared-graph metadata travels here);
-    * :meth:`_local_chunk` — the in-parent serial fallback used for burial
-      and pool-exhaustion degradation;
-    * :meth:`release` — drop the shared segments at shutdown;
-    * a ``begin_iteration`` broadcast appropriate to its state shape.
-
-    Chunk item types are opaque to this class; only the worker entry point
-    and ``_local_chunk`` interpret them.
+    Parameters
+    ----------
+    shard_graphs:
+        The shards' graphs, indexed by shard — ``[graph]`` for an unsharded
+        campaign.  Each is exported (CSR, shared memory) once at
+        construction; list-backed graphs are converted for the export only.
+    workers:
+        Number of worker processes, ≥ 2 (``workers=1`` means "don't build
+        an evaluator" — the engine keeps its serial scan).
+    chunk_size:
+        Candidates per dispatched chunk; ``None`` auto-sizes per iteration.
+    start_method:
+        ``multiprocessing`` start method; default prefers ``fork`` (cheap,
+        Linux) and falls back to ``spawn``.
+    fault_specs:
+        :class:`~repro.resilience.faults.FaultSpec` entries replayed inside
+        each worker (sites ``parallel.*``) — the deterministic handle the
+        fault tests use to crash or abort a worker mid-chunk.
+    use_flat_kernel:
+        Let workers evaluate ``F(x)`` with one flat-array
+        :class:`~repro.bigraph.FollowerKernel` per shard (the shared-memory
+        graphs are always CSR, so the kernel is always constructible
+        worker-side).  Kernel results are set-identical to
+        ``compute_followers``, so this is purely a speed switch; the engine
+        passes its own kernel selection through so "generic path"
+        benchmark configurations stay generic end to end.
     """
-
-    @classmethod
-    def _check_pool_params(cls, workers: int,
-                           chunk_size: Optional[int]) -> None:
-        """Parameter validation, callable *before* acquiring any resource.
-
-        Subclass constructors that allocate shared memory ahead of the base
-        ``__init__`` call this first so a bad parameter cannot leak the
-        allocation.
-        """
-        if workers < 2:
-            raise InvalidParameterError(
-                "%s needs workers >= 2, got %d" % (cls.__name__, workers))
-        if chunk_size is not None and chunk_size < 1:
-            raise InvalidParameterError(
-                "chunk_size must be >= 1, got %d" % chunk_size)
 
     def __init__(
         self,
+        shard_graphs: Sequence[BipartiteGraph],
         workers: int,
         chunk_size: Optional[int] = None,
         start_method: Optional[str] = None,
+        fault_specs: Sequence[FaultSpec] = (),
+        use_flat_kernel: bool = True,
     ) -> None:
-        self._check_pool_params(workers, chunk_size)
+        # Validate before acquiring any resource, so a bad parameter cannot
+        # leak a shared segment.
+        if workers < 2:
+            raise InvalidParameterError(
+                "%s needs workers >= 2, got %d"
+                % (type(self).__name__, workers))
+        if chunk_size is not None and chunk_size < 1:
+            raise InvalidParameterError(
+                "chunk_size must be >= 1, got %d" % chunk_size)
+        self._graphs = list(shard_graphs)
+        self._orders: Dict[int, Dict[str, DeletionOrder]] = {}
+        self._cores: Dict[int, Set[int]] = {}
         self._chunk_size = chunk_size
         self._epoch = 0
         self._closed = False
-
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        ctx = multiprocessing.get_context(start_method)
-        self._stop = ctx.Event()
         self._workers: List[_WorkerHandle] = []
+        self._exports: List[SharedGraphExport] = []
         try:
+            for shard_graph in self._graphs:
+                self._exports.append(export_shared_graph(shard_graph))
+            if start_method is None:
+                methods = multiprocessing.get_all_start_methods()
+                start_method = "fork" if "fork" in methods else "spawn"
+            ctx = multiprocessing.get_context(start_method)
+            self._stop = ctx.Event()
+            args = (tuple(export.meta for export in self._exports),
+                    self._stop, tuple(fault_specs), use_flat_kernel)
             for _ in range(workers):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
-                process = ctx.Process(
-                    target=self._worker_target(),
-                    args=self._spawn_args(child_conn),
-                    daemon=True,
-                )
+                process = ctx.Process(target=_sharded_worker_main,
+                                      args=(child_conn,) + args, daemon=True)
                 process.start()
                 child_conn.close()
                 self._workers.append(_WorkerHandle(process, parent_conn))
-        except (OSError, ValueError):
+        except BaseException:  # repro: boundary - release, then re-raise
             self.shutdown()
             raise
-
-    # ------------------------------------------------------------------
-    # Subclass hooks
-    # ------------------------------------------------------------------
-
-    def _worker_target(self):
-        """The worker process entry point (a module-level function)."""
-        raise NotImplementedError
-
-    def _spawn_args(self, child_conn: mp_connection.Connection) -> Tuple:
-        """Full argument tuple for one worker process."""
-        raise NotImplementedError
-
-    def _local_chunk(self, items: Sequence) -> List[Set[int]]:
-        """The serial fallback: evaluate one chunk in the parent process."""
-        raise NotImplementedError
-
-    def release(self) -> None:
-        """Release shared-memory resources at shutdown (idempotent)."""
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and the engine)
@@ -227,14 +233,37 @@ class _EvaluatorPool:
     # Per-iteration protocol
     # ------------------------------------------------------------------
 
-    def _broadcast_state(self, payload: Dict[str, object]) -> None:
-        """Bump the epoch and send ``("state", epoch, payload)`` to the pool.
+    def begin_iteration(self, shard_states: Sequence["OrderState"],
+                        dirty_shards: Iterable[int],
+                        deadline: Optional[float]) -> None:
+        """Broadcast this iteration's deadline and *changed* shard states.
 
-        The epoch is what lets stale results from an abandoned stream be
-        recognized and dropped.
+        Must be called before :meth:`evaluate` each iteration.
+        ``dirty_shards`` must contain every shard anchored since the last
+        broadcast (all shards on the first call); clean shards keep their
+        previous worker-side state, which is still exact.  The epoch bump
+        is what lets stale results from an abandoned stream be recognized
+        and dropped.
         """
+        payload_shards: Dict[int, Dict[str, object]] = {}
+        for shard_index in sorted(dirty_shards):
+            state = shard_states[shard_index]
+            self._orders[shard_index] = {"upper": state.upper,
+                                         "lower": state.lower}
+            self._cores[shard_index] = state.core
+            payload_shards[shard_index] = {
+                "core": state.core,
+                "positions": {"upper": state.upper.position,
+                              "lower": state.lower.position},
+            }
+        reference = shard_states[0]
         self._epoch += 1
-        message = ("state", self._epoch, payload)
+        message = ("state", self._epoch, {
+            "alpha": reference.alpha,
+            "beta": reference.beta,
+            "deadline": deadline,
+            "shards": payload_shards,
+        })
         for worker in self._workers:
             if worker.dead:
                 continue
@@ -243,7 +272,7 @@ class _EvaluatorPool:
             except (OSError, BrokenPipeError):
                 self._bury(worker, results=None)
 
-    def evaluate(self, items: Sequence,
+    def evaluate(self, items: Sequence[ShardCandidate],
                  ) -> Generator[Set[int], None, None]:
         """Yield ``F(x)`` for every candidate, in the given (serial) order.
 
@@ -268,7 +297,7 @@ class _EvaluatorPool:
                 cursor = self._fill_idle(chunks, cursor)
                 if any(w.inflight is not None for w in self._workers
                        if not w.dead):
-                    self._pump(results, blocking=True)
+                    self._pump(results)
                 elif next_yield >= cursor:
                     # Pool unavailable (all workers dead, or buried during
                     # dispatch): evaluate the next chunk in-process.  Same
@@ -284,15 +313,40 @@ class _EvaluatorPool:
     # Scheduling internals
     # ------------------------------------------------------------------
 
-    def _make_chunks(self, items: Sequence) -> List[Sequence]:
-        """Split ``items`` (order-preserving) into dispatchable chunks."""
+    def _make_chunks(self, items: Sequence[ShardCandidate],
+                     ) -> List[List[ShardCandidate]]:
+        """Order-preserving chunks, additionally split at shard boundaries.
+
+        Every chunk is single-shard — the shard-granular scheduling unit —
+        but chunk order still follows ``items`` (the merged ranking), so
+        the in-order reduction is untouched.
+        """
         size = self._chunk_size
         if size is None:
             per_pipeline = max(1, self.alive_workers) * _CHUNKS_PER_WORKER
             size = max(1, min(_MAX_CHUNK, -(-len(items) // per_pipeline)))
-        return [items[i:i + size] for i in range(0, len(items), size)]
+        chunks: List[List[ShardCandidate]] = []
+        current: List[ShardCandidate] = []
+        for item in items:
+            if current and (len(current) >= size or item[0] != current[-1][0]):
+                chunks.append(current)
+                current = []
+            current.append(item)
+        if current:
+            chunks.append(current)
+        return chunks
 
-    def _fill_idle(self, chunks: List[Sequence],
+    def _local_chunk(self, items: Sequence[ShardCandidate]) -> List[Set[int]]:
+        """The serial fallback: evaluate one chunk in the parent process."""
+        out: List[Set[int]] = []
+        for shard_index, side, x in items:
+            out.append(compute_followers(
+                self._graphs[shard_index],
+                self._orders[shard_index][side], x,
+                core=self._cores[shard_index]))
+        return out
+
+    def _fill_idle(self, chunks: List[List[ShardCandidate]],
                    cursor: int) -> int:
         """Dispatch pending chunks to idle workers; return the new cursor."""
         for worker in self._workers:
@@ -313,16 +367,13 @@ class _EvaluatorPool:
             cursor += 1
         return cursor
 
-    def _pump(self, results: Dict[int, List[Set[int]]],
-              blocking: bool) -> None:
-        """Receive at least one message (when blocking) and apply it."""
+    def _pump(self, results: Dict[int, List[Set[int]]]) -> None:
+        """Receive at least one message and apply it."""
         conns = {w.conn: w for w in self._workers
                  if not w.dead and w.inflight is not None}
         if not conns:
             return
-        ready = mp_connection.wait(list(conns),
-                                   timeout=None if blocking else 0)
-        for conn in ready:
+        for conn in mp_connection.wait(list(conns)):
             worker = conns[conn]
             try:
                 message = conn.recv()
@@ -332,10 +383,10 @@ class _EvaluatorPool:
             self._apply_message(worker, message, results)
 
     def _apply_message(self, worker: _WorkerHandle, message: Tuple,
-                       results: Optional[Dict[int, List[Set[int]]]]) -> None:
+                       results: Dict[int, List[Set[int]]]) -> None:
         kind, epoch, chunk_id = message[0], message[1], message[2]
         worker.inflight = None
-        if epoch != self._epoch or results is None:
+        if epoch != self._epoch:
             return  # stale reply from an abandoned stream
         if kind == "result":
             results[chunk_id] = message[3]
@@ -349,19 +400,11 @@ class _EvaluatorPool:
             # evaluation re-raises here with a clean parent traceback (the
             # worker's formatted traceback is chained for context).
             try:
-                results[chunk_id] = self._local_chunk(
-                    self._chunk_items(chunk_id, message))
+                results[chunk_id] = self._local_chunk(message[4])
             except Exception as exc:  # repro: boundary
                 raise RuntimeError(
                     "candidate evaluation failed in worker and parent; "
                     "worker traceback:\n%s" % message[3]) from exc
-
-    def _chunk_items(self, chunk_id: int,
-                     message: Tuple) -> Sequence:
-        items = message[4] if len(message) > 4 else None
-        if items is None:
-            raise RuntimeError("worker error reply carried no chunk items")
-        return items
 
     def _bury(self, worker: _WorkerHandle,
               results: Optional[Dict[int, List[Set[int]]]]) -> None:
@@ -398,12 +441,11 @@ class _EvaluatorPool:
             for conn in mp_connection.wait(list(conns)):
                 worker = conns[conn]
                 try:
-                    message = conn.recv()
+                    conn.recv()
                 except (EOFError, OSError):
                     self._bury(worker, results=None)
                     continue
-                worker.inflight = None
-                del message  # stale by construction
+                worker.inflight = None  # the reply is stale by construction
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -425,7 +467,8 @@ class _EvaluatorPool:
         if self._closed:
             return
         self._closed = True
-        self._stop.set()
+        if self._workers:
+            self._stop.set()
         for worker in self._workers:
             if worker.dead:
                 continue
@@ -456,119 +499,37 @@ class _EvaluatorPool:
             worker.dead = True
         self.release()
 
-    def __enter__(self) -> "_EvaluatorPool":
+    def release(self) -> None:
+        """Release the shared-memory exports (idempotent)."""
+        for export in self._exports:
+            export.close()
+
+    def __enter__(self) -> "ShardedEvaluator":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.shutdown()
 
 
-class ParallelEvaluator(_EvaluatorPool):
-    """Evaluate ``F(x)`` for candidate batches on a process pool.
-
-    Parameters
-    ----------
-    graph:
-        The problem graph.  Exported once (CSR, shared memory) at
-        construction; list-backed graphs are converted for the export only.
-    workers:
-        Number of worker processes, ≥ 2 (``workers=1`` means "don't build
-        an evaluator" — the engine keeps its serial path).
-    chunk_size:
-        Candidates per dispatched chunk; ``None`` auto-sizes per iteration.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork`` (cheap,
-        Linux) and falls back to ``spawn``.
-    fault_specs:
-        :class:`~repro.resilience.faults.FaultSpec` entries replayed inside
-        each worker (sites ``parallel.*``) — the deterministic handle the
-        fault tests use to crash or abort a worker mid-chunk.
-    use_flat_kernel:
-        Let workers evaluate ``F(x)`` with the flat-array
-        :class:`~repro.bigraph.FollowerKernel` (the shared-memory graph is
-        always CSR, so the kernel is always constructible worker-side).
-        Kernel results are set-identical to ``compute_followers``, so this
-        is purely a speed switch; the engine passes its own kernel
-        selection through so "generic path" benchmark configurations stay
-        generic end to end.
-    """
-
-    def __init__(
-        self,
-        graph: BipartiteGraph,
-        workers: int,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-        fault_specs: Sequence[FaultSpec] = (),
-        use_flat_kernel: bool = True,
-    ) -> None:
-        self._check_pool_params(workers, chunk_size)
-        self._graph = graph
-        self._orders: Dict[str, DeletionOrder] = {}
-        self._core: Set[int] = set()
-        self._fault_specs = tuple(fault_specs)
-        self._use_flat_kernel = use_flat_kernel
-        self._export = export_shared_graph(graph)
-        try:
-            super().__init__(workers, chunk_size=chunk_size,
-                             start_method=start_method)
-        except BaseException:  # repro: boundary - release, then re-raise
-            self._export.close()
-            raise
-
-    def _worker_target(self):
-        return _worker_main
-
-    def _spawn_args(self, child_conn: mp_connection.Connection) -> Tuple:
-        return (child_conn, self._export.meta, self._stop,
-                self._fault_specs, self._use_flat_kernel)
-
-    def begin_iteration(self, state: "OrderState",
-                        deadline: Optional[float]) -> None:
-        """Broadcast this iteration's frozen evaluation state to the pool.
-
-        Must be called before :meth:`evaluate` each iteration.
-        """
-        self._orders = {"upper": state.upper, "lower": state.lower}
-        self._core = state.core
-        self._broadcast_state({
-            "alpha": state.alpha,
-            "beta": state.beta,
-            "deadline": deadline,
-            "core": state.core,
-            "positions": {"upper": state.upper.position,
-                          "lower": state.lower.position},
-        })
-
-    def _local_chunk(self, items: Sequence[Candidate]) -> List[Set[int]]:
-        out: List[Set[int]] = []
-        for side, x in items:
-            out.append(compute_followers(self._graph, self._orders[side], x,
-                                         core=self._core))
-        return out
-
-    def release(self) -> None:
-        self._export.close()
-
-
-def create_evaluator(
-    graph: BipartiteGraph,
+def create_sharded_evaluator(
+    shard_graphs: Sequence[BipartiteGraph],
     workers: int,
     chunk_size: Optional[int] = None,
     fault_specs: Sequence[FaultSpec] = (),
     use_flat_kernel: bool = True,
-) -> Optional[ParallelEvaluator]:
-    """Build an evaluator for ``workers > 1``; ``None`` keeps the serial path.
+) -> Optional[ShardedEvaluator]:
+    """Build the pool for ``workers > 1``; ``None`` keeps the serial scan.
 
-    Pool construction failure (fork refused, resource limits) also returns
-    ``None`` — campaigns degrade to serial instead of failing.
+    ``workers <= 1``, an empty shard list, or pool-construction failure
+    (fork refused, resource limits) all return ``None`` — campaigns degrade
+    to serial instead of failing.
     """
-    if workers <= 1:
+    if workers <= 1 or not shard_graphs:
         return None
     try:
-        return ParallelEvaluator(graph, workers, chunk_size=chunk_size,
-                                 fault_specs=fault_specs,
-                                 use_flat_kernel=use_flat_kernel)
+        return ShardedEvaluator(shard_graphs, workers, chunk_size=chunk_size,
+                                fault_specs=fault_specs,
+                                use_flat_kernel=use_flat_kernel)
     except (OSError, ValueError):  # repro: boundary
         return None
 
@@ -578,10 +539,11 @@ def create_evaluator(
 # ----------------------------------------------------------------------
 
 
-def _worker_main(conn: mp_connection.Connection, meta: SharedGraphMeta,
-                 stop_event: object, fault_specs: Tuple[FaultSpec, ...],
-                 use_flat_kernel: bool = True) -> None:
-    """Worker loop: attach the shared graph, evaluate chunks until stopped."""
+def _sharded_worker_main(conn: mp_connection.Connection,
+                         metas: Sequence[SharedGraphMeta], stop_event: object,
+                         fault_specs: Tuple[FaultSpec, ...],
+                         use_flat_kernel: bool = True) -> None:
+    """Worker loop: attach every shard graph, evaluate chunks until stopped."""
     # Ctrl-C belongs to the parent: it finalizes the best-so-far result and
     # asks the pool to stop; a KeyboardInterrupt racing inside a worker
     # would only turn that clean path into a broken pipe.
@@ -589,36 +551,45 @@ def _worker_main(conn: mp_connection.Connection, meta: SharedGraphMeta,
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (OSError, ValueError):  # pragma: no cover - non-main thread
         pass
-    handle = attach_shared_graph(meta)
-    # Under the fork start method the parent's active FaultPlan global is
-    # inherited; its counters belong to the parent, so drop it before
-    # activating this worker's own (parallel.*-filtered) plan.
-    deactivate_inherited_plan()
-    plan = FaultPlan(specs=list(fault_specs)) if fault_specs else None
-    state: Dict[str, object] = {}
-    # The attached graph is always CSR-backed, so this never falls back;
-    # the flag exists so generic-path configurations stay generic.
-    kernel = kernel_for(handle.graph) if use_flat_kernel else None
+    handles = []
+    kernels: List[Optional[FollowerKernel]] = []
     try:
+        for meta in metas:
+            handles.append(attach_shared_graph(meta))
+        # Under the fork start method the parent's active FaultPlan global
+        # is inherited; its counters belong to the parent, so drop it
+        # before activating this worker's own (parallel.*-filtered) plan.
+        deactivate_inherited_plan()
+        plan = FaultPlan(specs=list(fault_specs)) if fault_specs else None
+        # The attached graphs are always CSR-backed, so this never falls
+        # back; the flag exists so generic-path configurations stay generic.
+        kernels = [kernel_for(handle.graph) if use_flat_kernel else None
+                   for handle in handles]
+        state: Dict[str, object] = {"shards": {}}
         with (plan.active() if plan is not None else nullcontext()):
-            _worker_loop(conn, handle.graph, stop_event, state, kernel)
+            _sharded_worker_loop(conn, [h.graph for h in handles],
+                                 stop_event, state, kernels)
     except (KeyboardInterrupt, SystemExit):
         raise
     finally:
-        state.clear()
-        if kernel is not None:
-            # The kernel's views pin the shared segments; drop them first.
-            kernel.release()
-        handle.close()
+        for kernel in kernels:
+            if kernel is not None:
+                # The kernel's views pin the shared segments; drop them
+                # first.
+                kernel.release()
+        for handle in handles:
+            handle.close()
         try:
             conn.close()
         except OSError:
             pass
 
 
-def _worker_loop(conn: mp_connection.Connection, graph: BipartiteGraph,
-                 stop_event: object, state: Dict[str, object],
-                 kernel: Optional[FollowerKernel] = None) -> None:
+def _sharded_worker_loop(conn: mp_connection.Connection,
+                         graphs: List[BipartiteGraph], stop_event: object,
+                         state: Dict[str, object],
+                         kernels: List[Optional[FollowerKernel]]) -> None:
+    shards: Dict[int, Dict[str, object]] = state["shards"]  # type: ignore[assignment]
     while True:
         try:
             message = conn.recv()
@@ -629,33 +600,38 @@ def _worker_loop(conn: mp_connection.Connection, graph: BipartiteGraph,
             return
         if kind == "state":
             _, epoch, payload = message
-            orders = {}
-            for side in ("upper", "lower"):
-                orders[side] = DeletionOrder(
-                    side=side,
-                    position=payload["positions"][side],
-                    core=payload["core"],
-                    relaxed_core=set(),
-                    alpha=payload["alpha"],
-                    beta=payload["beta"],
-                )
             state["epoch"] = epoch
-            state["orders"] = orders
-            state["core"] = payload["core"]
             state["deadline"] = payload["deadline"]
             state["alpha"] = payload["alpha"]
             state["beta"] = payload["beta"]
-            if kernel is not None:
-                kernel.begin_iteration(payload["positions"]["upper"],
-                                       payload["positions"]["lower"],
-                                       payload["core"])
+            # Only dirty shards travel; the rest keep their prior state,
+            # which is exact because nothing anchored them since.
+            for shard_index, shard_payload in payload["shards"].items():
+                orders = {}
+                for side in ("upper", "lower"):
+                    orders[side] = DeletionOrder(
+                        side=side,
+                        position=shard_payload["positions"][side],
+                        core=shard_payload["core"],
+                        relaxed_core=set(),
+                        alpha=payload["alpha"],
+                        beta=payload["beta"],
+                    )
+                shards[shard_index] = {"orders": orders,
+                                       "core": shard_payload["core"]}
+                kernel = kernels[shard_index]
+                if kernel is not None:
+                    kernel.begin_iteration(
+                        shard_payload["positions"]["upper"],
+                        shard_payload["positions"]["lower"],
+                        shard_payload["core"])
             continue
         # ("chunk", epoch, chunk_id, items) — FIFO pipes guarantee the
         # state message for this epoch was already processed.
         _, epoch, chunk_id, items = message
         try:
-            follower_sets = _evaluate_chunk(graph, state, items, stop_event,
-                                            kernel)
+            follower_sets = _evaluate_sharded_chunk(graphs, state, items,
+                                                    stop_event, kernels)
         except AbortCampaign as exc:
             conn.send(("abort", epoch, chunk_id, str(exc)))
             continue
@@ -671,35 +647,41 @@ def _worker_loop(conn: mp_connection.Connection, graph: BipartiteGraph,
             conn.send(("result", epoch, chunk_id, follower_sets))
 
 
-def _evaluate_chunk(graph: BipartiteGraph, state: Dict[str, object],
-                    items: Sequence[Candidate], stop_event: object,
-                    kernel: Optional[FollowerKernel] = None,
-                    ) -> Optional[List[Set[int]]]:
-    """Follower sets for one chunk; ``None`` when deadline/stop fired.
+def _evaluate_sharded_chunk(graphs: List[BipartiteGraph],
+                            state: Dict[str, object],
+                            items: Sequence[ShardCandidate],
+                            stop_event: object,
+                            kernels: List[Optional[FollowerKernel]],
+                            ) -> Optional[List[Set[int]]]:
+    """Follower sets for one single-shard chunk; ``None`` on deadline/stop.
 
-    The flat-array ``kernel`` (stamped by this epoch's state message) and
-    ``compute_followers`` return set-identical values, so which path runs
-    is invisible to the parent's reduction.
+    The flat-array kernel (stamped by the shard's latest state message)
+    and ``compute_followers`` return set-identical values, so which path
+    runs is invisible to the parent's reduction.
     """
     fault_site("parallel.chunk")
-    orders = state["orders"]
-    core = state["core"]
+    shards: Dict[int, Dict[str, object]] = state["shards"]  # type: ignore[assignment]
     deadline = state["deadline"]
     alpha = state["alpha"]
     beta = state["beta"]
     is_stopped = stop_event.is_set  # type: ignore[attr-defined]
     now = time.perf_counter
     out: List[Set[int]] = []
-    for side, x in items:
+    for shard_index, side, x in items:
         # The stop flag is the campaign-wide budget guard; the deadline
         # check mirrors the serial scan (perf_counter is CLOCK_MONOTONIC,
         # comparable across processes on the supported platforms).
         if is_stopped():
             return None
-        if deadline is not None and now() > deadline:
+        if deadline is not None and now() > deadline:  # type: ignore[operator]
             return None
+        kernel = kernels[shard_index]
         if kernel is not None:
             out.append(kernel.followers(side, x, alpha, beta))  # type: ignore[arg-type]
         else:
-            out.append(compute_followers(graph, orders[side], x, core=core))  # type: ignore[index]
+            shard_state = shards[shard_index]
+            out.append(compute_followers(
+                graphs[shard_index],
+                shard_state["orders"][side],  # type: ignore[index]
+                x, core=shard_state["core"]))  # type: ignore[arg-type]
     return out

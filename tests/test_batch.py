@@ -201,6 +201,29 @@ class TestBatchEquivalence:
                                 context=ctx)
         assert canonical(resumed) == standalone
 
+    def test_checkpointed_campaigns_hash_the_graph_once(self, tmp_path,
+                                                        monkeypatch):
+        """Checkpoints take the fingerprint the context caches."""
+        from repro.core import engine
+        from repro.resilience import checkpoint
+
+        graph = batch_graph().to_csr()
+        hashed = []
+        real = checkpoint.graph_fingerprint
+
+        def counting(g):
+            hashed.append(g)
+            return real(g)
+
+        monkeypatch.setattr(checkpoint, "graph_fingerprint", counting)
+        monkeypatch.setattr(engine, "graph_fingerprint", counting)
+        with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
+            for index, method in enumerate(("filver", "filver+", "filver++")):
+                reinforce(graph, ALPHA, BETA, 2, 2, method=method, t=2,
+                          checkpoint=str(tmp_path / ("c%d.json" % index)),
+                          context=ctx)
+        assert hashed == [graph]
+
 
 class TestServiceBatching:
     """The service-level integration: grouped dispatch + persisted cache."""

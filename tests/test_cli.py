@@ -62,6 +62,17 @@ class TestReinforce:
         assert main(["stats", "--dataset", "NOPE"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_anchors_per_iteration_is_a_usage_error(self, tmp_path,
+                                                          capsys):
+        graph_path = tmp_path / "g.txt"
+        main(["generate", "--model", "planted", "--alpha", "4", "--beta", "3",
+              "--out", str(graph_path)])
+        capsys.readouterr()
+        assert main(["reinforce", "--input", str(graph_path),
+                     "--alpha", "4", "--beta", "3", "--t", "0"]) == 2
+        assert "anchors_per_iteration (t) must be >= 1" \
+            in capsys.readouterr().err
+
 
 class TestCheckpointResume:
     def test_checkpoint_then_resume_reproduces_the_run(self, tmp_path,

@@ -24,7 +24,7 @@ from repro.core.followers import compute_followers
 from repro.core.order_maintenance import OrderState
 from repro.exceptions import FaultInjected, InvalidParameterError
 from repro.experiments.export import canonical_result_dict
-from repro.parallel import ParallelEvaluator, create_evaluator
+from repro.parallel import ShardedEvaluator, create_sharded_evaluator
 from repro.resilience.checkpoint import load_checkpoint
 from repro.resilience.faults import FaultPlan
 
@@ -143,50 +143,50 @@ class TestEvaluatorUnit:
     def test_follower_sets_match_in_process_computation(self):
         graph = campaign_graph()
         state = OrderState(graph, 3, 3, maintain=False)
-        items = ([("upper", x) for x in sorted(state.upper.position)]
-                 + [("lower", x) for x in sorted(state.lower.position)])
+        items = ([(0, "upper", x) for x in sorted(state.upper.position)]
+                 + [(0, "lower", x) for x in sorted(state.lower.position)])
         assert items, "fixture must provide at least one candidate"
         expected = [compute_followers(
             graph, state.upper if side == "upper" else state.lower, x,
-            core=state.core) for side, x in items]
-        with ParallelEvaluator(graph, workers=2) as evaluator:
-            evaluator.begin_iteration(state, deadline=None)
+            core=state.core) for _shard, side, x in items]
+        with ShardedEvaluator([graph], workers=2) as evaluator:
+            evaluator.begin_iteration([state], {0}, deadline=None)
             assert list(evaluator.evaluate(items)) == expected
             # A second iteration over the same pool must also be exact.
-            evaluator.begin_iteration(state, deadline=None)
+            evaluator.begin_iteration([state], {0}, deadline=None)
             assert list(evaluator.evaluate(items)) == expected
 
     def test_early_close_then_reuse(self):
         graph = campaign_graph()
         state = OrderState(graph, 3, 3, maintain=False)
-        items = ([("upper", x) for x in sorted(state.upper.position)]
-                 + [("lower", x) for x in sorted(state.lower.position)])
+        items = ([(0, "upper", x) for x in sorted(state.upper.position)]
+                 + [(0, "lower", x) for x in sorted(state.lower.position)])
         assert items, "fixture must provide at least one candidate"
         expected = [compute_followers(
             graph, state.upper if side == "upper" else state.lower, x,
-            core=state.core) for side, x in items]
-        with ParallelEvaluator(graph, workers=2, chunk_size=1) as evaluator:
-            evaluator.begin_iteration(state, deadline=None)
+            core=state.core) for _shard, side, x in items]
+        with ShardedEvaluator([graph], workers=2, chunk_size=1) as evaluator:
+            evaluator.begin_iteration([state], {0}, deadline=None)
             stream = evaluator.evaluate(items)
             assert next(stream) == expected[0]
             stream.close()  # abandon mid-iteration, like the t=1 break
-            evaluator.begin_iteration(state, deadline=None)
+            evaluator.begin_iteration([state], {0}, deadline=None)
             assert list(evaluator.evaluate(items)) == expected
 
     def test_create_evaluator_serial_is_none(self):
         graph = campaign_graph()
-        assert create_evaluator(graph, workers=1) is None
+        assert create_sharded_evaluator([graph], workers=1) is None
 
     def test_rejects_bad_parameters(self):
         graph = campaign_graph()
         with pytest.raises(InvalidParameterError):
-            ParallelEvaluator(graph, workers=1)
+            ShardedEvaluator([graph], workers=1)
         with pytest.raises(InvalidParameterError):
-            ParallelEvaluator(graph, workers=2, chunk_size=0)
+            ShardedEvaluator([graph], workers=2, chunk_size=0)
 
     def test_shutdown_is_idempotent(self):
         graph = campaign_graph()
-        evaluator = ParallelEvaluator(graph, workers=2)
+        evaluator = ShardedEvaluator([graph], workers=2)
         assert evaluator.alive_workers == 2
         assert len(evaluator.worker_pids()) == 2
         evaluator.shutdown()

@@ -23,8 +23,9 @@ from repro.core.engine import _parallel_verification_stage
 from repro.core.filver_plus_plus import run_filver_plus_plus
 from repro.core.followers import compute_followers
 from repro.core.order_maintenance import OrderState
+from repro.core.sharded import CampaignShard, IdentityView
 from repro.exceptions import AbortCampaign, FaultInjected
-from repro.parallel import EvaluationStopped, ParallelEvaluator
+from repro.parallel import EvaluationStopped, ShardedEvaluator
 from repro.resilience.faults import (
     FaultPlan,
     active_plan,
@@ -37,12 +38,12 @@ from test_parallel_differential import assert_identical, campaign_graph
 def state_and_items(graph):
     """A frozen iteration state plus every shell candidate from both sides."""
     state = OrderState(graph, 3, 3, maintain=False)
-    items = ([("upper", x) for x in sorted(state.upper.position)]
-             + [("lower", x) for x in sorted(state.lower.position)])
+    items = ([(0, "upper", x) for x in sorted(state.upper.position)]
+             + [(0, "lower", x) for x in sorted(state.lower.position)])
     assert items, "fixture must provide at least one candidate"
     expected = [compute_followers(
         graph, state.upper if side == "upper" else state.lower, x,
-        core=state.core) for side, x in items]
+        core=state.core) for _shard, side, x in items]
     return state, items, expected
 
 
@@ -95,8 +96,8 @@ class TestDeadlineAndStopFlag:
         and the consuming stream raises the internal stop signal."""
         graph = campaign_graph()
         state, items, _expected = state_and_items(graph)
-        with ParallelEvaluator(graph, workers=2) as evaluator:
-            evaluator.begin_iteration(state, deadline=None)
+        with ShardedEvaluator([graph], workers=2) as evaluator:
+            evaluator.begin_iteration([state], {0}, deadline=None)
             evaluator.request_stop()
             with pytest.raises(EvaluationStopped):
                 list(evaluator.evaluate(items))
@@ -106,14 +107,14 @@ class TestDeadlineAndStopFlag:
         candidate and reply ``stopped`` instead of raising."""
         graph = campaign_graph()
         state, items, expected = state_and_items(graph)
-        with ParallelEvaluator(graph, workers=2) as evaluator:
-            evaluator.begin_iteration(state,
+        with ShardedEvaluator([graph], workers=2) as evaluator:
+            evaluator.begin_iteration([state], {0},
                                       deadline=time.perf_counter() - 1.0)
             with pytest.raises(EvaluationStopped):
                 list(evaluator.evaluate(items))
             # The pool survives a stopped iteration: a fresh epoch without
             # a deadline evaluates exactly.
-            evaluator.begin_iteration(state, deadline=None)
+            evaluator.begin_iteration([state], {0}, deadline=None)
             assert list(evaluator.evaluate(items)) == expected
 
     def test_engine_translates_stop_into_timed_out(self):
@@ -123,14 +124,15 @@ class TestDeadlineAndStopFlag:
         state = OrderState(graph, 3, 3, maintain=False)
 
         class StoppedEvaluator:
-            def begin_iteration(self, state, deadline):
+            def begin_iteration(self, shard_states, dirty_shards, deadline):
                 pass
 
             def evaluate(self, items):
                 raise EvaluationStopped()
                 yield  # pragma: no cover - makes this a generator
 
-        scored = [(1, x, state.upper, None)
+        shard = CampaignShard(0, IdentityView(graph), state, None, None)
+        scored = [((-1, x), shard, x, state.upper, None)
                   for x in sorted(state.upper.position)]
         assert scored, "fixture must provide at least one candidate"
 
@@ -142,7 +144,8 @@ class TestDeadlineAndStopFlag:
                 raise AssertionError("no candidate should be offered")
 
         verifications, timed_out = _parallel_verification_stage(
-            state, scored, NullMaintainer(), 2, None, StoppedEvaluator())
+            scored, NullMaintainer(), 2, None, StoppedEvaluator(), [state],
+            {0})
         assert (verifications, timed_out) == (0, True)
 
 
@@ -182,20 +185,20 @@ class TestWorkerDeath:
         recomputes whatever was in flight."""
         graph = campaign_graph()
         state, items, expected = state_and_items(graph)
-        with ParallelEvaluator(graph, workers=2, chunk_size=1) as evaluator:
-            evaluator.begin_iteration(state, deadline=None)
+        with ShardedEvaluator([graph], workers=2, chunk_size=1) as evaluator:
+            evaluator.begin_iteration([state], {0}, deadline=None)
             os.kill(evaluator.worker_pids()[0], signal.SIGKILL)
             assert list(evaluator.evaluate(items)) == expected
             assert evaluator.alive_workers == 1
             # The survivor keeps serving subsequent iterations.
-            evaluator.begin_iteration(state, deadline=None)
+            evaluator.begin_iteration([state], {0}, deadline=None)
             assert list(evaluator.evaluate(items)) == expected
 
     def test_all_workers_dead_falls_back_to_in_process_evaluation(self):
         graph = campaign_graph()
         state, items, expected = state_and_items(graph)
-        with ParallelEvaluator(graph, workers=2, chunk_size=1) as evaluator:
-            evaluator.begin_iteration(state, deadline=None)
+        with ShardedEvaluator([graph], workers=2, chunk_size=1) as evaluator:
+            evaluator.begin_iteration([state], {0}, deadline=None)
             for pid in evaluator.worker_pids():
                 os.kill(pid, signal.SIGKILL)
             assert list(evaluator.evaluate(items)) == expected

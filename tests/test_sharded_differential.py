@@ -21,7 +21,8 @@ import pytest
 from repro.bigraph import disjoint_union, from_edge_list, write_edge_list
 from repro.core.api import reinforce
 from repro.core.filver_plus_plus import run_filver_plus_plus
-from repro.core.sharded import plan_shards
+from repro.bigraph.components import ComponentDecomposition
+from repro.core.sharded import CampaignShard, plan_shards
 from repro.exceptions import (
     CheckpointError,
     FaultInjected,
@@ -84,8 +85,13 @@ class TestShardedEqualsSerial:
         assert serial.n_followers > 0
         assert_identical(sharded, serial)
 
-    @pytest.mark.parametrize("backend", ["list", "csr", "memmap"])
-    def test_all_backends(self, backend, tmp_path):
+    @pytest.mark.parametrize("backend,shards", [
+        pytest.param(backend, shards, id=backend + suffix)
+        for shards, suffix in ((3, ""), (None, "-unsharded"))
+        for backend in ("list", "csr", "memmap")])
+    def test_all_backends(self, backend, shards, tmp_path, monkeypatch):
+        """``shards=None`` is one identity shard: the input graph object
+        itself (a memmap graph stays memmap), and no decomposition."""
         graph = multi_component_graph(seed=5)
         if backend == "csr":
             graph = graph.to_csr()
@@ -95,8 +101,30 @@ class TestShardedEqualsSerial:
                                    n_lower=graph.n_lower, backend="memmap",
                                    memmap_dir=str(tmp_path / "g"))
         serial = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2)
+        shard_graphs, decompositions = [], []
+        real_ranked = CampaignShard.ranked
+        real_decompose = ComponentDecomposition.__init__
+
+        def ranked(shard, *args, **kwargs):
+            shard_graphs.append(shard.graph)
+            return real_ranked(shard, *args, **kwargs)
+
+        def decompose(self, *args, **kwargs):
+            decompositions.append(self)
+            real_decompose(self, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignShard, "ranked", ranked)
+        monkeypatch.setattr(ComponentDecomposition, "__init__", decompose)
         sharded = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
-                            shards=3)
+                            shards=shards)
+        monkeypatch.undo()
+        assert shard_graphs
+        if shards is None:
+            assert all(g is graph for g in shard_graphs)
+            assert decompositions == []
+        else:
+            assert all(g is not graph for g in shard_graphs)
+            assert len(decompositions) == 1
         assert serial.n_followers > 0
         assert_identical(sharded, serial)
         if backend == "memmap":
@@ -240,6 +268,21 @@ class TestShardedCheckpointAndResume:
         ckpt = self.interrupted_checkpoint(tmp_path)
         with pytest.raises(CheckpointError, match="schema"):
             self.campaign(resume_from=str(ckpt))
+
+    def test_loaded_checkpoint_of_the_other_format_is_refused(self,
+                                                              tmp_path):
+        """Loaded checkpoints get the same typed refusal as files."""
+        plain = tmp_path / "plain.json"
+        plan = FaultPlan().add("engine.filter", call=2)
+        with plan.active():
+            with pytest.raises(FaultInjected):
+                self.campaign(checkpoint=str(plain))
+        with pytest.raises(CheckpointError, match="plain campaign"):
+            self.campaign(resume_from=load_checkpoint(plain), shards=2)
+        envelope = load_sharded_checkpoint(self.interrupted_checkpoint(
+            tmp_path, name="sharded.json"))
+        with pytest.raises(CheckpointError, match="sharded checkpoint"):
+            self.campaign(resume_from=envelope)
 
 
 class TestShardedEnvelopeErrors:

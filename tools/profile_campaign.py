@@ -13,9 +13,10 @@ command away::
     PYTHONPATH=src python tools/profile_campaign.py --method filver+ --top 30
     PYTHONPATH=src python tools/profile_campaign.py --shards 30 --peak-rss
 
-``--shards`` routes the campaign through the component-sharded engine and
-prints a per-shard wall-clock breakdown (ranking vs apply) next to the
-profile, so an unbalanced shard plan shows up as one long row.
+Every campaign runs on campaign shards, so a per-shard wall-clock
+breakdown (ranking vs apply) prints next to the profile: one row (shard 0,
+the whole graph) for an unsharded run, one row per component group with
+``--shards``, where an unbalanced shard plan shows up as one long row.
 ``--peak-rss`` appends the process peak resident set size — the number to
 watch when comparing ``backend="memmap"`` against the in-RAM CSR.
 
@@ -122,8 +123,8 @@ def main(argv=None) -> int:
     parser.add_argument("--no-kernel", action="store_true",
                         help="profile with the flat CSR kernel off")
     parser.add_argument("--shards", type=int, default=None,
-                        help="run component-sharded and print per-shard "
-                             "ranking/apply timings")
+                        help="split the campaign into at most this many "
+                             "component shards")
     parser.add_argument("--peak-rss", action="store_true",
                         help="print the process peak RSS after the run")
     args = parser.parse_args(argv)
