@@ -14,10 +14,11 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Deterministic resilience gate: fault injection, checkpoint/resume
-# replay-equivalence, crash isolation.  No sleeps, no randomness.
+# replay-equivalence, crash isolation, and seeded fuzzing of every
+# persisted artifact.  No sleeps; all randomness is seeded.
 test-faults:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py \
-		tests/test_resilience.py -q
+		tests/test_resilience.py tests/test_artifact_fuzz.py -q
 
 # Campaign-service gate: functional + deterministic chaos + differential
 # byte-identity tests for repro.service (docs/SERVICE.md).

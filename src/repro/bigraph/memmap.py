@@ -215,22 +215,49 @@ class MemmapCSRAdjacency(CSRAdjacency):
 
 
 def _read_header(path: str) -> dict:
+    """The parsed, type-checked ``header.json`` of graph directory ``path``.
+
+    Anything unusable — unreadable or non-UTF-8 bytes, bad JSON, a
+    non-object, another schema, a count that is missing or not a
+    non-negative JSON integer, labels that are neither null nor one per
+    vertex of their layer —
+    raises :class:`GraphConstructionError`.
+    """
     header_path = os.path.join(path, _HEADER)
     try:
-        with open(header_path, "r", encoding="utf-8") as handle:
-            header = json.load(handle)
+        with open(header_path, "rb") as handle:
+            data = handle.read()
     except OSError as error:
         raise GraphConstructionError(
             "cannot read memmap graph header %s: %s"
             % (header_path, error)) from error
-    except json.JSONDecodeError as error:
+    try:
+        header = json.loads(data.decode("utf-8"))
+    except ValueError as error:  # UnicodeDecodeError or JSONDecodeError
         raise GraphConstructionError(
             "memmap graph header %s is not valid JSON: %s"
             % (header_path, error)) from error
+    if not isinstance(header, dict):
+        raise GraphConstructionError(
+            "memmap graph header %s is not a JSON object" % header_path)
     if header.get("schema") != MEMMAP_SCHEMA:
         raise GraphConstructionError(
             "memmap graph %s has schema %r; this build reads version %d"
             % (path, header.get("schema"), MEMMAP_SCHEMA))
+    for name in ("n_upper", "n_lower", "n_entries"):
+        value = header.get(name)
+        if type(value) is not int or value < 0:
+            raise GraphConstructionError(
+                "memmap graph header %s has %s=%r; expected a non-negative "
+                "integer" % (header_path, name, value))
+    for name, size in (("upper_labels", header["n_upper"]),
+                       ("lower_labels", header["n_lower"])):
+        labels = header.get(name)
+        if labels is not None and (not isinstance(labels, list)
+                                   or len(labels) != size):
+            raise GraphConstructionError(
+                "memmap graph header %s has malformed %s; expected null or "
+                "a list of %d labels" % (header_path, name, size))
     return header
 
 

@@ -108,9 +108,10 @@ def reinforce(
         Split the campaign's state across at most this many
         connected-component shards (engine family only).  ``None`` (the
         default) runs the same greedy loop on one shard over the whole
-        graph.  Results are byte-identical either way; ``shards=k``
-        checkpoints use the sharded envelope format, unsharded ones the
-        schema-1 file (``docs/RESILIENCE.md``).
+        graph.  Results are byte-identical either way, and so are
+        checkpoints: every campaign writes the same one-file format, and
+        a checkpoint written under any ``shards`` (and ``workers``) value
+        resumes under any other (``docs/RESILIENCE.md``).
     on_iteration / handle_sigterm:
         Engine-family observability and lifecycle hooks (ignored by the
         baselines): ``on_iteration`` streams each finished iteration

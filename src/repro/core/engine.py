@@ -22,7 +22,7 @@ an unsharded campaign is one shard over the input graph itself, and
 ``shards=k`` splits the state across connected-component groups (followers
 never leave their anchor's component, Lemma 1).  Either way there is one
 loop, one verification scan, one fallback rule, one resume path, and one
-checkpoint writer.
+checkpoint writer, which writes the same format for every ``shards`` value.
 """
 
 from __future__ import annotations
@@ -41,17 +41,13 @@ from repro.core.followers import compute_followers
 from repro.core.order_maintenance import OrderState
 from repro.core.result import AnchoredCoreResult, IterationRecord
 from repro.core.signatures import two_hop_filter, two_hop_filter_cached
-from repro.exceptions import AbortCampaign, CheckpointError, InvalidParameterError
+from repro.exceptions import AbortCampaign, InvalidParameterError
 from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     graph_fingerprint,
     load_checkpoint,
 )
 from repro.resilience.faults import active_plan, fault_site
-from repro.resilience.sharded import (
-    ShardedCampaignCheckpoint,
-    load_sharded_checkpoint,
-)
 from repro.resilience.signals import TerminationFlag
 
 if TYPE_CHECKING:
@@ -81,10 +77,9 @@ class EngineOptions:
 ProgressCallback = Callable[[IterationRecord], None]
 
 #: A checkpoint source: a path to a checkpoint file, or an already-loaded
-#: checkpoint — a :class:`CampaignCheckpoint` for unsharded campaigns, a
-#: :class:`ShardedCampaignCheckpoint` envelope for ``shards=k``.
-CheckpointSource = Union[str, "os.PathLike[str]", CampaignCheckpoint,
-                         ShardedCampaignCheckpoint]
+#: :class:`CampaignCheckpoint`.  Every campaign, sharded or not, writes and
+#: reads the same format.
+CheckpointSource = Union[str, "os.PathLike[str]", CampaignCheckpoint]
 
 
 def run_engine(
@@ -151,17 +146,17 @@ def run_engine(
     Resilience hooks (see ``docs/RESILIENCE.md``):
 
     * ``checkpoint`` — path to which progress is atomically written after
-      every iteration: a schema-1 :class:`CampaignCheckpoint` when
-      ``shards`` is ``None``, a sharded envelope plus one file per shard
-      (:mod:`repro.resilience.sharded`) when it is set;
-    * ``resume_from`` — checkpoint path (or loaded checkpoint) of the same
-      format, whose progress is replayed before the loop continues; the
-      checkpoint must match this graph, (α, β), budgets, and engine
-      options, and the resumed campaign produces the same
-      anchors/followers/iteration records as an uninterrupted run.  A
-      checkpoint of the other format is refused with
-      :class:`~repro.exceptions.CheckpointError`; a sharded resume may use
-      a different shard count than the run that wrote the envelope;
+      every iteration: one schema-1 :class:`CampaignCheckpoint` file in
+      global vertex ids, whatever ``shards`` is;
+    * ``resume_from`` — checkpoint path (or loaded checkpoint) whose
+      progress is replayed before the loop continues; the checkpoint must
+      match this graph, (α, β), budgets, and engine options, and the
+      resumed campaign produces the same anchors/followers/iteration
+      records as an uninterrupted run.  Neither ``shards`` nor ``workers``
+      is recorded, so a checkpoint written under any plan resumes under
+      any other (``None`` or any ``k``, any worker count).  An unreadable,
+      corrupt, foreign-format, or self-contradictory checkpoint is refused
+      with :class:`~repro.exceptions.CheckpointError`;
     * ``KeyboardInterrupt`` / ``MemoryError`` at an iteration boundary
       degrade gracefully into a verified best-so-far result flagged
       ``interrupted=True`` instead of losing the campaign;
@@ -203,9 +198,9 @@ def run_engine(
     options_dict = asdict(options)
 
     restored: Optional[CampaignCheckpoint] = None
-    envelope_path: Optional[str] = None
     if resume_from is not None:
-        restored, envelope_path = _load_resume(resume_from, shards)
+        restored = (resume_from if isinstance(resume_from, CampaignCheckpoint)
+                    else load_checkpoint(resume_from))
         restored.validate_for(graph, alpha, beta, b1, b2, options_dict)
 
     # Runtime import: repro.core.sharded builds on this module's stages.
@@ -267,8 +262,7 @@ def run_engine(
         # exact call sequence the original run made — so the incremental
         # order-maintenance state (and every later candidate ranking) is
         # identical to the uninterrupted run's.
-        replay_shards(shard_list, route, restored, envelope_path,
-                      alpha, beta, b1, b2, options_dict)
+        replay_shards(shard_list, route, restored)
         anchors = list(restored.anchors)
         upper_used = restored.upper_used
         iterations = list(restored.iterations)
@@ -278,23 +272,13 @@ def run_engine(
     def save_checkpoint() -> None:
         if checkpoint is None:
             return
-        elapsed = elapsed_prior + time.perf_counter() - start
-        campaign = CampaignCheckpoint(
+        CampaignCheckpoint(
             algorithm=algorithm, alpha=alpha, beta=beta, b1=b1, b2=b2,
             options=options_dict, graph_fingerprint=fingerprint,
             anchors=list(anchors), upper_used=upper_used,
             iterations=list(iterations), exhausted=exhausted,
-            elapsed=elapsed)
-        if shards is None:
-            campaign.save(checkpoint)
-            return
-        ShardedCampaignCheckpoint(
-            campaign=campaign, shards=len(shard_list),
-            shard_fingerprints=[shard.fingerprint() for shard in shard_list],
-        ).save(checkpoint, [
-            shard.checkpoint_payload(algorithm, alpha, beta, b1, b2,
-                                     options_dict, exhausted, elapsed)
-            for shard in shard_list])
+            elapsed=elapsed_prior + time.perf_counter() - start,
+        ).save(checkpoint)
 
     termination = TerminationFlag().install() if handle_sigterm else None
     try:
@@ -421,33 +405,6 @@ def run_engine(
         base_core_size=len(base_core), final_core_size=len(final_core),
         elapsed=elapsed_prior + time.perf_counter() - start,
         iterations=iterations, timed_out=timed_out, interrupted=interrupted)
-
-
-def _load_resume(source: CheckpointSource, shards: Optional[int],
-                 ) -> Tuple[CampaignCheckpoint, Optional[str]]:
-    """The campaign progress to resume, and the envelope path if sharded.
-
-    Unsharded runs resume from schema-1 checkpoints, sharded runs from
-    sharded envelopes; a loaded checkpoint of the other format is refused
-    with :class:`CheckpointError`, exactly as the file loaders refuse a
-    file of the other format.
-    """
-    if shards is None:
-        if isinstance(source, ShardedCampaignCheckpoint):
-            raise CheckpointError(
-                "cannot resume an unsharded campaign from a sharded "
-                "checkpoint envelope; pass shards= to resume it")
-        if isinstance(source, CampaignCheckpoint):
-            return source, None
-        return load_checkpoint(source), None
-    if isinstance(source, CampaignCheckpoint):
-        raise CheckpointError(
-            "cannot resume a sharded campaign from a plain campaign "
-            "checkpoint; resume it without shards=")
-    if isinstance(source, ShardedCampaignCheckpoint):
-        return source.campaign, None
-    path = os.fspath(source)
-    return load_sharded_checkpoint(path).campaign, path
 
 
 def _filter_stage(

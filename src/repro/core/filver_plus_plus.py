@@ -62,8 +62,9 @@ def run_filver_plus_plus(
     flat-array CSR follower kernel — both byte-identity-preserving
     accelerations (see :func:`repro.core.engine.run_engine`).  ``shards``
     (an int ≥ 1) splits the campaign's state across connected-component
-    shards (sharded checkpoint format); ``None`` runs the same loop on one
-    shard over the whole graph — results are byte-identical either way.
+    shards; ``None`` runs the same loop on one shard over the whole graph —
+    results and checkpoints are the same either way, so a checkpoint
+    resumes under any ``shards`` value.
     ``on_iteration`` streams each finished
     :class:`repro.core.result.IterationRecord` to an observer, and
     ``handle_sigterm`` converts ``SIGTERM`` at an iteration boundary into

@@ -16,7 +16,8 @@ is that loop; this module provides the shards it drives:
 * :func:`build_shards` with ``shards=k`` — :func:`plan_shards` groups the
   components into at most ``k`` balanced groups, one shard per group over
   a component-local :class:`~repro.bigraph.components.SubgraphView`;
-* :func:`replay_shards` — the resume path's per-shard state rebuild.
+* :func:`replay_shards` — the resume path's per-shard state rebuild from
+  the global iteration records of a checkpoint.
 
 Why the merge is byte-identical (``docs/PERF.md`` carries the full
 argument): local ids are assigned monotonically (ascending global order,
@@ -38,7 +39,6 @@ orders are reused untouched next iteration.  Shards also bound peak memory
 from __future__ import annotations
 
 import heapq
-import warnings
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -63,14 +63,8 @@ from repro.core.engine import EngineOptions, _filter_stage
 from repro.core.followers import compute_followers  # noqa: F401
 from repro.core.incremental import VerificationCache
 from repro.core.order_maintenance import OrderState
-from repro.core.result import IterationRecord
-from repro.exceptions import CheckpointError, InvalidParameterError
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    graph_fingerprint,
-    load_checkpoint,
-)
-from repro.resilience.sharded import shard_checkpoint_path
+from repro.exceptions import InvalidParameterError
+from repro.resilience.checkpoint import CampaignCheckpoint
 
 if TYPE_CHECKING:
     from repro.core.batch import SharedCampaignContext
@@ -153,9 +147,10 @@ class CampaignShard:
 
     Owns the view (identity or component-local), the local
     :class:`OrderState`, the optional local :class:`VerificationCache` and
-    follower kernel, the ranked candidate memo, and the local-id
-    bookkeeping (anchors, budget use, per-iteration batches) that
-    per-shard checkpoints are built from.
+    follower kernel, and the ranked candidate memo.  Everything else — the
+    anchors placed, budget use, per-iteration records — is global and
+    lives in the loop; a shard's state is a function of the global batches
+    routed to it, which is why checkpoints need not record it.
 
     The ranked memo is the substrate's core saving: :meth:`ranked` reruns
     the filter stage only when an anchor batch touched this shard (or the
@@ -165,8 +160,7 @@ class CampaignShard:
     """
 
     __slots__ = ("index", "view", "graph", "state", "cache", "kernel",
-                 "local_anchors", "local_upper_used", "local_iterations",
-                 "_ranked", "_fingerprint")
+                 "_ranked")
 
     def __init__(self, index: int, view: Union[SubgraphView, IdentityView],
                  state: OrderState, cache: Optional[VerificationCache],
@@ -177,20 +171,10 @@ class CampaignShard:
         self.state = state
         self.cache = cache
         self.kernel = kernel
-        self.local_anchors: List[int] = []
-        self.local_upper_used = 0
-        self.local_iterations: List[IterationRecord] = []
         # sides-key -> (entries, candidates_total); entries are merged-form
         # MergedCandidate tuples sorted by their (-bound, global_x) head.
         self._ranked: Dict[Tuple[bool, bool],
                            Tuple[List[MergedCandidate], int]] = {}
-        self._fingerprint: Optional[str] = None
-
-    def fingerprint(self) -> str:
-        """Structure fingerprint of the local graph (memoized)."""
-        if self._fingerprint is None:
-            self._fingerprint = graph_fingerprint(self.graph)
-        return self._fingerprint
 
     def ranked(self, upper_left: int, lower_left: int,
                options: EngineOptions) -> Tuple[List[MergedCandidate], int]:
@@ -220,39 +204,11 @@ class CampaignShard:
         return self._ranked[key]
 
     def apply(self, batch: Sequence[int]) -> None:
-        """Anchor a local-id batch, invalidating caches and bookkeeping.
-
-        The appended local record carries only the batch (per-shard
-        checkpoints compare batches, nothing else), with the remaining
-        fields fixed at zero so replayed and original bookkeeping are
-        identical.
-        """
-        before = len(self.state.core)
+        """Anchor a local-id batch, invalidating the caches it touched."""
         dirty = self.state.apply_anchors(list(batch))
         if self.cache is not None:
             self.cache.invalidate(dirty)
         self._ranked.clear()
-        self.local_anchors.extend(batch)
-        is_upper = self.graph.is_upper
-        self.local_upper_used += sum(1 for x in batch if is_upper(x))
-        self.local_iterations.append(IterationRecord(
-            anchors=list(batch),
-            marginal_followers=len(self.state.core) - before - len(batch),
-            candidates_total=0, candidates_after_filter=0,
-            verifications=0, elapsed=0.0))
-
-    def checkpoint_payload(self, algorithm: str, alpha: int, beta: int,
-                           b1: int, b2: int, options_dict: Dict[str, object],
-                           exhausted: bool,
-                           elapsed: float) -> CampaignCheckpoint:
-        """A standard schema-1 checkpoint over the shard's local graph."""
-        return CampaignCheckpoint(
-            algorithm=algorithm, alpha=alpha, beta=beta, b1=b1, b2=b2,
-            options=options_dict, graph_fingerprint=self.fingerprint(),
-            anchors=list(self.local_anchors),
-            upper_used=self.local_upper_used,
-            iterations=list(self.local_iterations),
-            exhausted=exhausted, elapsed=elapsed)
 
 
 def _select_kernel(graph: BipartiteGraph, flat_kernel: Optional[bool],
@@ -339,49 +295,16 @@ def split_by_shard(global_ids: Iterable[int],
 
 
 def replay_shards(shard_list: List[CampaignShard], route: Router,
-                  campaign: CampaignCheckpoint,
-                  envelope_path: Optional[str], alpha: int, beta: int,
-                  b1: int, b2: int, options_dict: Dict[str, object]) -> None:
+                  campaign: CampaignCheckpoint) -> None:
     """Rebuild every shard's state from a campaign's iteration records.
 
-    Replays each shard's local batches — exactly the batches the loop
-    handed each shard while producing those records, which is why the
-    global record is always sufficient and a missing or stale per-shard
-    file is survivable.  With an ``envelope_path`` (a sharded resume from
-    a file) each shard's own checkpoint file is loaded and validated first
-    (fingerprint, parameters, recorded batches against the global
-    record); when it is missing, corrupt, or disagrees — a *dead shard*,
-    e.g. its file was lost with a failed node — the shard degrades to
-    replaying from the global record with a warning, mirroring how the
-    parallel evaluator buries a dead worker and recomputes its chunk.  Both
-    paths replay the same batches, so the rebuilt state is identical
-    either way; the file adds integrity checking, not information.
-
-    A shard file recorded one iteration *ahead* of the envelope (crash
-    after the shard write, before the envelope write) is expected and
-    accepted silently — the extra batch is simply not replayed.
+    Each record's global batch is split by shard and applied, in record
+    order — exactly the batches the loop handed each shard while producing
+    those records, so the rebuilt state equals the uninterrupted run's
+    under any shard plan, including the one the checkpoint was written
+    under and ``shards=None``.
     """
-    expected: List[List[List[int]]] = [[] for _ in shard_list]
     for record in campaign.iterations:
         for index, batch in split_by_shard(record.anchors, route):
-            expected[index].append(shard_list[index].view.localize(batch))
-    for shard, batches in zip(shard_list, expected):
-        if envelope_path is not None:
-            path = shard_checkpoint_path(envelope_path, shard.index)
-            try:
-                restored = load_checkpoint(path)
-                restored.validate_for(shard.graph, alpha, beta, b1, b2,
-                                      options_dict)
-                recorded = [record.anchors for record in restored.iterations
-                            if record.anchors]
-                if recorded[:len(batches)] != batches:
-                    raise CheckpointError(
-                        "shard %d checkpoint disagrees with the campaign "
-                        "envelope" % shard.index)
-            except CheckpointError as error:
-                warnings.warn(
-                    "shard %d checkpoint unusable (%s); replaying this "
-                    "shard from the campaign envelope" % (shard.index, error),
-                    RuntimeWarning, stacklevel=3)
-        for batch in batches:
-            shard.apply(batch)
+            shard = shard_list[index]
+            shard.apply(shard.view.localize(batch))

@@ -5,8 +5,15 @@ crashes, OOM, and Ctrl-C without losing verified progress.  This package
 holds the pieces, each usable on its own:
 
 * :mod:`repro.resilience.atomic` — write-temp/fsync/rename file writes;
+* :mod:`repro.resilience.envelope` — the one persisted envelope
+  (``{schema, checksum, payload}``, atomic retried write, strict read with
+  a single typed ``EnvelopeError``) behind checkpoints and the
+  campaign service's queue file and disk cache;
 * :mod:`repro.resilience.checkpoint` — :class:`CampaignCheckpoint` with a
-  graph fingerprint, checksummed persistence, and resume validation;
+  graph fingerprint, checksummed persistence, and resume validation.  One
+  format for every campaign: a ``shards=k`` run writes the same file, in
+  global vertex ids, as an unsharded one, and any checkpoint resumes under
+  any ``shards`` and ``workers`` values;
 * :mod:`repro.resilience.faults` — deterministic seeded fault injection
   (:class:`FaultPlan` + instrumented ``fault_site`` calls);
 * :mod:`repro.resilience.retry` — bounded deterministic backoff for
@@ -32,24 +39,14 @@ from repro.resilience.checkpoint import (
 from repro.resilience.faults import FaultPlan, FaultSpec, active_plan, fault_site
 from repro.resilience.retry import Backoff, retry
 from repro.resilience.signals import TerminationFlag
-from repro.resilience.sharded import (
-    SHARDED_CHECKPOINT_SCHEMA,
-    ShardedCampaignCheckpoint,
-    load_sharded_checkpoint,
-    shard_checkpoint_path,
-)
 
 __all__ = [
     "atomic_write_text",
     "atomic_writer",
     "CHECKPOINT_SCHEMA",
-    "SHARDED_CHECKPOINT_SCHEMA",
     "CampaignCheckpoint",
-    "ShardedCampaignCheckpoint",
     "graph_fingerprint",
     "load_checkpoint",
-    "load_sharded_checkpoint",
-    "shard_checkpoint_path",
     "FaultPlan",
     "FaultSpec",
     "active_plan",

@@ -18,43 +18,52 @@ uninterrupted run's.  Replay equivalence is asserted in
 ``tests/test_faults.py`` for a fault injected at every iteration boundary,
 on both adjacency backends.
 
-The file format is a checksummed JSON envelope (see ``docs/RESILIENCE.md``
-for the schema); writes are atomic via :mod:`repro.resilience.atomic`.  A
-checkpoint refuses to resume against a different graph, constraints,
-budgets, or engine configuration.
+The file format is the checksummed JSON envelope of
+:mod:`repro.resilience.envelope` (see ``docs/RESILIENCE.md`` for the
+schema).  A checkpoint refuses to resume against a different graph,
+constraints, budgets, or engine configuration, and refuses progress that
+contradicts itself.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Type,
+    TypeVar,
+    Union,
+)
 
 from repro.bigraph.graph import BipartiteGraph
-from repro.exceptions import CheckpointError
+from repro.bigraph.validation import check_anchor_layers, check_vertex
+from repro.exceptions import CheckpointError, InvalidParameterError
 
 if TYPE_CHECKING:
     # Runtime import would cycle: repro.bigraph.io → repro.resilience →
     # here → repro.core → ... → repro.resilience.checkpoint.
     from repro.core.result import IterationRecord
-from repro.resilience.atomic import atomic_write_text
+from repro.resilience.envelope import (
+    CHECKPOINT_WRITE_BACKOFF,
+    EnvelopeError,
+    read_envelope,
+    write_envelope,
+)
 from repro.resilience.faults import fault_site
-from repro.resilience.retry import Backoff, retry
+from repro.resilience.retry import Backoff
 
 __all__ = ["CHECKPOINT_SCHEMA", "CHECKPOINT_WRITE_BACKOFF",
            "CampaignCheckpoint", "graph_fingerprint", "load_checkpoint"]
 
 #: Bump when the payload layout changes; loaders reject other versions.
 CHECKPOINT_SCHEMA = 1
-
-#: Default retry policy for checkpoint persistence.  Checkpoints are the
-#: one artifact whose loss costs hours (a failed report write loses a
-#: file; a failed checkpoint write loses the crash-recovery story), so
-#: every save absorbs up to two transient ``OSError``\ s before giving up.
-CHECKPOINT_WRITE_BACKOFF = Backoff(attempts=3, base=0.05)
 
 
 def graph_fingerprint(graph: BipartiteGraph) -> str:
@@ -78,12 +87,21 @@ def graph_fingerprint(graph: BipartiteGraph) -> str:
     return "sha256:%s" % digest.hexdigest()
 
 
-def _canonical(payload: Dict[str, object]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+_T = TypeVar("_T")
 
 
-def _checksum(payload: Dict[str, object]) -> str:
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+def _field(payload: Dict[str, object], name: str, kind: Type[_T]) -> _T:
+    """``payload[name]``, refused unless its JSON type is exactly ``kind``.
+
+    ``bool`` is not accepted as ``int`` (nor ``int`` as ``bool``): a
+    checkpoint whose counters or flags changed type is malformed, not
+    coerced.
+    """
+    value = payload[name]
+    if type(value) is not kind:
+        raise TypeError("%s must be a JSON %s, got %r"
+                        % (name, kind.__name__, value))
+    return value  # type: ignore[return-value]
 
 
 @dataclass
@@ -126,26 +144,37 @@ class CampaignCheckpoint:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "CampaignCheckpoint":
-        """Rebuild a checkpoint from a parsed payload dict."""
+        """Rebuild a checkpoint from a parsed payload dict.
+
+        Types are checked, not coerced: integer fields must be JSON
+        integers, ``exhausted`` a JSON boolean.
+        """
         from repro.core.result import IterationRecord
 
         try:
+            anchors = _field(payload, "anchors", list)
+            for anchor in anchors:
+                if type(anchor) is not int:
+                    raise TypeError("anchor %r is not an integer" % anchor)
+            elapsed = payload["elapsed"]
+            if type(elapsed) not in (int, float):
+                raise TypeError("elapsed must be a number, got %r" % elapsed)
             return cls(
-                algorithm=str(payload["algorithm"]),
-                alpha=int(payload["alpha"]),  # type: ignore[arg-type]
-                beta=int(payload["beta"]),  # type: ignore[arg-type]
-                b1=int(payload["b1"]),  # type: ignore[arg-type]
-                b2=int(payload["b2"]),  # type: ignore[arg-type]
-                options=dict(payload["options"]),  # type: ignore[arg-type]
-                graph_fingerprint=str(payload["graph_fingerprint"]),
-                anchors=[int(a) for a in payload["anchors"]],  # type: ignore[union-attr]
-                upper_used=int(payload["upper_used"]),  # type: ignore[arg-type]
+                algorithm=_field(payload, "algorithm", str),
+                alpha=_field(payload, "alpha", int),
+                beta=_field(payload, "beta", int),
+                b1=_field(payload, "b1", int),
+                b2=_field(payload, "b2", int),
+                options=dict(_field(payload, "options", dict)),
+                graph_fingerprint=_field(payload, "graph_fingerprint", str),
+                anchors=list(anchors),
+                upper_used=_field(payload, "upper_used", int),
                 iterations=[IterationRecord.from_dict(d)
-                            for d in payload["iterations"]],  # type: ignore[union-attr]
-                exhausted=bool(payload["exhausted"]),
-                elapsed=float(payload["elapsed"]),  # type: ignore[arg-type]
+                            for d in _field(payload, "iterations", list)],
+                exhausted=_field(payload, "exhausted", bool),
+                elapsed=float(elapsed),  # type: ignore[arg-type]
             )
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
             raise CheckpointError(
                 "malformed checkpoint payload: %s" % error) from error
 
@@ -154,28 +183,15 @@ class CampaignCheckpoint:
              sleep: Callable[[float], None] = time.sleep) -> None:
         """Atomically persist this checkpoint (checksummed JSON envelope).
 
-        The write is wrapped in :func:`repro.resilience.retry.retry`
-        (:data:`CHECKPOINT_WRITE_BACKOFF` unless ``backoff`` overrides it):
-        a transient ``OSError`` — flaky NFS, a busy volume — is retried
-        with deterministic backoff instead of killing the campaign, and the
+        The write is retried on transient ``OSError`` with deterministic
+        backoff (:data:`CHECKPOINT_WRITE_BACKOFF` unless ``backoff``
+        overrides it) instead of killing the campaign, and the
         ``checkpoint.write`` fault site fires once per *attempt* so the
         fault-injection suite can exercise both the absorbed-transient and
         the exhausted-retries path.  ``sleep`` is injectable for tests.
         """
-        payload = self.to_payload()
-        envelope = {
-            "schema": CHECKPOINT_SCHEMA,
-            "checksum": _checksum(payload),
-            "payload": payload,
-        }
-        text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-
-        def _write() -> None:
-            fault_site("checkpoint.write")
-            atomic_write_text(path, text)
-
-        retry(_write, backoff=backoff or CHECKPOINT_WRITE_BACKOFF,
-              retry_on=(OSError,), sleep=sleep)
+        write_envelope(path, CHECKPOINT_SCHEMA, self.to_payload(),
+                       site="checkpoint.write", backoff=backoff, sleep=sleep)
 
     # ------------------------------------------------------------------
     # Resume-time validation
@@ -186,7 +202,8 @@ class CampaignCheckpoint:
         """Refuse to resume against a different graph or problem.
 
         Raises :class:`CheckpointError` naming the first mismatch: graph
-        fingerprint, (α, β), budgets, or engine options.
+        fingerprint, (α, β), budgets, or engine options — or the first
+        contradiction inside the recorded progress.
         """
         fingerprint = graph_fingerprint(graph)
         if fingerprint != self.graph_fingerprint:
@@ -205,6 +222,38 @@ class CampaignCheckpoint:
             raise CheckpointError(
                 "checkpoint engine options %s do not match the resumed "
                 "configuration %s" % (dict(self.options), dict(options)))
+        self._check_progress(graph)
+
+    def _check_progress(self, graph: BipartiteGraph) -> None:
+        """Refuse progress fields that contradict each other.
+
+        Resume replays the iteration records, so ``anchors`` must be their
+        concatenation, ``upper_used`` must count its upper-layer anchors,
+        and every anchor must be a distinct vertex of ``graph`` within the
+        budgets; otherwise the resumed run would silently differ from any
+        uninterrupted one.
+        """
+        placed = [x for record in self.iterations for x in record.anchors]
+        if placed != self.anchors:
+            raise CheckpointError(
+                "inconsistent checkpoint: anchors %s are not the "
+                "concatenated iteration anchors %s" % (self.anchors, placed))
+        try:
+            for x in placed:
+                check_vertex(graph, x)
+            check_anchor_layers(graph, placed, self.b1, self.b2)
+        except InvalidParameterError as error:
+            raise CheckpointError(
+                "inconsistent checkpoint: %s" % error) from error
+        if len(set(placed)) != len(placed):
+            raise CheckpointError(
+                "inconsistent checkpoint: anchors %s repeat a vertex"
+                % placed)
+        upper = sum(1 for x in placed if graph.is_upper(x))
+        if upper != self.upper_used:
+            raise CheckpointError(
+                "inconsistent checkpoint: upper_used is %d but %d upper-layer "
+                "anchors were placed" % (self.upper_used, upper))
 
 
 def load_checkpoint(
@@ -212,24 +261,7 @@ def load_checkpoint(
     """Read and verify a checkpoint file (schema + checksum)."""
     fault_site("checkpoint.load")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            envelope = json.load(handle)
-    except OSError as error:
-        raise CheckpointError(
-            "cannot read checkpoint %s: %s" % (path, error)) from error
-    except json.JSONDecodeError as error:
-        raise CheckpointError(
-            "checkpoint %s is not valid JSON (truncated write?): %s"
-            % (path, error)) from error
-    if not isinstance(envelope, dict) or "payload" not in envelope:
-        raise CheckpointError("checkpoint %s has no payload envelope" % path)
-    schema = envelope.get("schema")
-    if schema != CHECKPOINT_SCHEMA:
-        raise CheckpointError(
-            "checkpoint %s has schema version %r; this build reads version %d"
-            % (path, schema, CHECKPOINT_SCHEMA))
-    payload = envelope["payload"]
-    if envelope.get("checksum") != _checksum(payload):
-        raise CheckpointError(
-            "checkpoint %s failed its checksum; the file is corrupt" % path)
+        payload = read_envelope(path, CHECKPOINT_SCHEMA, "checkpoint")
+    except EnvelopeError as error:
+        raise CheckpointError(str(error)) from error
     return CampaignCheckpoint.from_payload(payload)

@@ -28,7 +28,6 @@ its own lock for its counters.  No method calls back into service code.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -36,10 +35,13 @@ import time
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.result import AnchoredCoreResult
-from repro.resilience.atomic import atomic_write_text
-from repro.resilience.faults import fault_site
-from repro.resilience.checkpoint import CHECKPOINT_WRITE_BACKOFF
-from repro.resilience.retry import retry
+from repro.resilience.envelope import (
+    EnvelopeError,
+    canonical,
+    checksum,
+    read_envelope,
+    write_envelope,
+)
 from repro.service.jobs import Job
 
 __all__ = ["ResultCache", "DiskCacheTier", "CACHE_SCHEMA"]
@@ -49,22 +51,14 @@ __all__ = ["ResultCache", "DiskCacheTier", "CACHE_SCHEMA"]
 CACHE_SCHEMA = "service-cache-1"
 
 
-def _canonical(payload: object) -> str:
-    """Deterministic JSON serialization (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 class DiskCacheTier:
     """Checksummed on-disk key/value store for cache entries.
 
     Entries live under ``root`` as ``<kind>-<sha256(key)>.json`` files,
-    each a ``{schema, checksum, payload}`` envelope whose payload embeds
-    the full key.  The filename hash routes lookups; the embedded key is
-    what is *trusted* — a hash collision or a file copied between state
+    each a ``{schema, checksum, payload}`` envelope
+    (:mod:`repro.resilience.envelope`) whose payload embeds the full key.
+    The filename hash routes lookups; the embedded key is what is
+    *trusted* — a hash collision or a file copied between state
     directories reads as a miss, never as another key's value.
     """
 
@@ -82,7 +76,7 @@ class DiskCacheTier:
     # -- paths -----------------------------------------------------------
 
     def _path(self, kind: str, key: object) -> str:
-        digest = _checksum(_canonical(key))
+        digest = checksum(key)
         return os.path.join(self.root, "%s-%s.json" % (kind, digest))
 
     # -- write path ------------------------------------------------------
@@ -94,20 +88,10 @@ class DiskCacheTier:
         reason — the caller's in-memory copy stays authoritative and the
         service keeps running on a memory-only cache.
         """
-        envelope_payload = {"kind": kind, "key": key, "value": payload}
-        body = _canonical(envelope_payload)
-        envelope = _canonical({"schema": CACHE_SCHEMA,
-                               "checksum": _checksum(body),
-                               "payload": envelope_payload})
-        path = self._path(kind, key)
-
-        def _write() -> None:
-            fault_site("service.cache_persist")
-            atomic_write_text(path, envelope + "\n")
-
         try:
-            retry(_write, CHECKPOINT_WRITE_BACKOFF, retry_on=(OSError,),
-                  sleep=self._sleep)
+            write_envelope(self._path(kind, key), CACHE_SCHEMA,
+                           {"kind": kind, "key": key, "value": payload},
+                           site="service.cache_persist", sleep=self._sleep)
         # repro: boundary — FaultInjected, exhausted OSError retries, unserializable payloads all degrade to "not persisted"
         except Exception:
             with self._lock:
@@ -122,33 +106,24 @@ class DiskCacheTier:
     def load(self, kind: str, key: object) -> Optional[object]:
         """The persisted payload for ``(kind, key)``, or None.
 
-        Any validation failure — unreadable file, wrong schema, checksum
-        mismatch (torn write), embedded-key mismatch — counts as corrupt
-        and returns None: cold cache, never a wrong result.
+        Any validation failure — unreadable or non-UTF-8 file, bad JSON,
+        wrong schema, checksum mismatch (torn write), embedded-key
+        mismatch — counts as corrupt and returns None: cold cache, never a
+        wrong result.  A missing file is a plain, uncounted miss.
         """
-        path = self._path(kind, key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                envelope = json.load(handle)
-        except FileNotFoundError:
+            payload = read_envelope(self._path(kind, key), CACHE_SCHEMA,
+                                    "cache entry")
+            if payload.get("kind") != kind \
+                    or payload.get("key") != _round_trip(key) \
+                    or "value" not in payload:
+                raise EnvelopeError("cache entry key mismatch")
+        except EnvelopeError as error:
+            if not isinstance(error.__cause__, FileNotFoundError):
+                with self._lock:
+                    self._corrupt += 1
             return None
-        except (OSError, ValueError):
-            with self._lock:
-                self._corrupt += 1
-            return None
-        try:
-            if envelope["schema"] != CACHE_SCHEMA:
-                raise ValueError("schema mismatch")
-            payload = envelope["payload"]
-            if envelope["checksum"] != _checksum(_canonical(payload)):
-                raise ValueError("checksum mismatch")
-            if payload["kind"] != kind or payload["key"] != _round_trip(key):
-                raise ValueError("key mismatch")
-            value = payload["value"]
-        except (KeyError, TypeError, ValueError):
-            with self._lock:
-                self._corrupt += 1
-            return None
+        value = payload["value"]
         with self._lock:
             self._loads += 1
         return value
@@ -163,7 +138,7 @@ class DiskCacheTier:
 
 def _round_trip(key: object) -> object:
     """``key`` as JSON would give it back (tuples become lists)."""
-    return json.loads(_canonical(key))
+    return json.loads(canonical(key))
 
 
 class ResultCache:

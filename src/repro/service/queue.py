@@ -19,16 +19,14 @@ Two cooperating pieces:
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import AdmissionError, InvalidParameterError, ServiceError
-from repro.resilience.atomic import atomic_write_text
-from repro.resilience.retry import Backoff, retry
+from repro.resilience.envelope import EnvelopeError, read_envelope, write_envelope
+from repro.resilience.retry import Backoff
 from repro.service.jobs import Job, JobState
 
 __all__ = ["AdmissionController", "JobQueue", "QUEUE_SCHEMA",
@@ -215,44 +213,24 @@ class JobQueue:
             return [job for _, _, job in entries]
 
 
-def _canonical(payload: Dict[str, object]) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _checksum(payload: Dict[str, object]) -> str:
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-
-
 def save_queue_state(path: str, fingerprint: str, next_job_id: int,
                      jobs: List[Job],
                      backoff: Optional[Backoff] = None,
                      sleep: Callable[[float], None] = time.sleep) -> None:
     """Persist the pending backlog for restart recovery.
 
-    Same envelope discipline as campaign checkpoints: checksummed sorted
-    JSON, atomic replace, transient ``OSError`` retried with deterministic
-    backoff.  ``jobs`` should be the pending queue plus any
-    drain-interrupted running jobs (their checkpoints make them resumable).
+    The same envelope as campaign checkpoints
+    (:mod:`repro.resilience.envelope`): checksummed sorted JSON, atomic
+    replace, transient ``OSError`` retried with deterministic backoff.
+    ``jobs`` should be the pending queue plus any drain-interrupted
+    running jobs (their checkpoints make them resumable).
     """
     payload: Dict[str, object] = {
         "graph_fingerprint": fingerprint,
         "next_job_id": next_job_id,
         "pending": [job.to_payload() for job in jobs],
     }
-    envelope = {
-        "schema": QUEUE_SCHEMA,
-        "checksum": _checksum(payload),
-        "payload": payload,
-    }
-    text = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
-
-    def _write() -> None:
-        atomic_write_text(path, text)
-
-    from repro.resilience.checkpoint import CHECKPOINT_WRITE_BACKOFF
-
-    retry(_write, backoff=backoff or CHECKPOINT_WRITE_BACKOFF,
-          retry_on=(OSError,), sleep=sleep)
+    write_envelope(path, QUEUE_SCHEMA, payload, backoff=backoff, sleep=sleep)
 
 
 def load_queue_state(
@@ -263,32 +241,13 @@ def load_queue_state(
     wrong-schema files — a service refuses to guess at its backlog.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            envelope = json.load(handle)
-    except OSError as error:
-        raise ServiceError(
-            "cannot read service queue state %s: %s" % (path, error)
-        ) from error
-    except json.JSONDecodeError as error:
-        raise ServiceError(
-            "service queue state %s is not valid JSON (truncated write?): %s"
-            % (path, error)) from error
-    if not isinstance(envelope, dict) or "payload" not in envelope:
-        raise ServiceError(
-            "service queue state %s has no payload envelope" % path)
-    if envelope.get("schema") != QUEUE_SCHEMA:
-        raise ServiceError(
-            "service queue state %s has schema %r; this build reads %r"
-            % (path, envelope.get("schema"), QUEUE_SCHEMA))
-    payload = envelope["payload"]
-    if envelope.get("checksum") != _checksum(payload):
-        raise ServiceError(
-            "service queue state %s failed its checksum; the file is corrupt"
-            % path)
+        payload = read_envelope(path, QUEUE_SCHEMA, "service queue state")
+    except EnvelopeError as error:
+        raise ServiceError(str(error)) from error
     try:
         return (str(payload["graph_fingerprint"]),
-                int(payload["next_job_id"]),
-                list(payload["pending"]))
-    except (KeyError, TypeError, ValueError) as error:
+                int(payload["next_job_id"]),  # type: ignore[call-overload]
+                list(payload["pending"]))  # type: ignore[call-overload]
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise ServiceError(
             "malformed service queue payload: %s" % error) from error

@@ -256,6 +256,46 @@ class TestResumeValidation:
             ckpt.validate_for(graph, 2, 2, 2, 2, changed)
 
 
+    @pytest.mark.parametrize("field,value,match", [
+        ("anchors", [], "inconsistent"),
+        ("exhausted", "x", "malformed"),
+        ("upper_used", -1, "inconsistent"),
+        ("alpha", float("inf"), "malformed"),
+        ("b1", True, "malformed"),
+        ("anchors", [10 ** 6], "inconsistent"),
+    ])
+    def test_refuses_checksum_valid_but_inconsistent_progress(
+            self, tmp_path, field, value, match):
+        """A well-formed envelope whose payload contradicts itself (or
+        changed a field's type) is refused, never resumed wrongly."""
+        import hashlib
+
+        from repro.bigraph import disjoint_union
+        from repro.core.filver_plus_plus import run_filver_plus_plus
+        from repro.exceptions import FaultInjected
+        from repro.generators.planted import planted_core_graph
+        from repro.resilience import FaultPlan
+
+        graph = disjoint_union([
+            planted_core_graph(alpha=3, beta=3, core_upper=6, core_lower=6,
+                               n_chains=6, max_chain_length=4, seed=100 + i)
+            for i in range(3)])
+        path = tmp_path / "c.json"
+        with FaultPlan().add("engine.filter", call=3).active():
+            with pytest.raises(FaultInjected):
+                run_filver_plus_plus(graph, 3, 3, 3, 3, t=2,
+                                     checkpoint=str(path))
+        envelope = json.loads(path.read_text())
+        envelope["payload"][field] = value
+        envelope["checksum"] = hashlib.sha256(json.dumps(
+            envelope["payload"], sort_keys=True, separators=(",", ":"),
+        ).encode("utf-8")).hexdigest()
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError, match=match):
+            run_filver_plus_plus(graph, 3, 3, 3, 3, t=2,
+                                 resume_from=str(path))
+
+
 class TestTerminationFlag:
     def test_sigterm_sets_flag_and_restore_reinstates_handler(self):
         import os

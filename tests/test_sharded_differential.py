@@ -8,13 +8,15 @@ and asserts equality of everything the engine reports: anchors in
 placement order, follower sets, per-iteration records including
 ``verifications`` counts, and the canonical JSON export.
 
-Also covered: the LPT shard planner, sharded-checkpoint envelopes (schema
-cross-rejection against plain checkpoints, checksum, resume), dead-shard
-degradation, and the ``shards=`` thread through the API and CLI.
+Also covered: the LPT shard planner, checkpoint/resume across shard plans
+and worker counts (one checkpoint format for every ``shards`` value; the
+retired ``"sharded-1"`` envelope is refused), and the ``shards=`` thread
+through the API and CLI.
 """
 
+import hashlib
 import json
-import warnings
+import os
 
 import pytest
 
@@ -30,7 +32,6 @@ from repro.exceptions import (
 )
 from repro.experiments.export import canonical_result_dict
 from repro.generators.planted import planted_core_graph
-from repro.resilience import load_sharded_checkpoint, shard_checkpoint_path
 from repro.resilience.checkpoint import load_checkpoint
 from repro.resilience.faults import FaultPlan
 
@@ -188,24 +189,21 @@ class TestShardedCheckpointAndResume:
         return run_filver_plus_plus(multi_component_graph(), 3, 3, 3, 3,
                                     t=2, **kwargs)
 
-    def interrupted_checkpoint(self, tmp_path, name="ckpt.json"):
-        """Kill at iteration 2's filter stage; returns the envelope path."""
+    def interrupted_checkpoint(self, tmp_path, name="ckpt.json", shards=3,
+                               workers=1):
+        """Kill at iteration 2's filter stage; returns the checkpoint path."""
         ckpt = tmp_path / name
         plan = FaultPlan().add("engine.filter", call=2)
         with plan.active():
             with pytest.raises(FaultInjected):
-                self.campaign(checkpoint=str(ckpt), shards=3)
+                self.campaign(checkpoint=str(ckpt), shards=shards,
+                              workers=workers)
         return ckpt
 
-    def test_envelope_and_shard_files_exist(self, tmp_path):
+    def test_sharded_run_leaves_one_checkpoint_file(self, tmp_path):
         ckpt = self.interrupted_checkpoint(tmp_path)
-        envelope = load_sharded_checkpoint(ckpt)
-        assert len(envelope.campaign.iterations) == 1
-        assert envelope.shards == 3
-        for index in range(envelope.shards):
-            shard_file = shard_checkpoint_path(ckpt, index)
-            local = load_checkpoint(shard_file)
-            assert len(local.iterations) <= 1
+        assert os.listdir(tmp_path) == [ckpt.name]
+        assert len(load_checkpoint(ckpt).iterations) == 1
 
     def test_resume_is_byte_identical(self, tmp_path):
         full = self.campaign()
@@ -213,104 +211,50 @@ class TestShardedCheckpointAndResume:
         resumed = self.campaign(resume_from=str(ckpt), shards=3)
         assert_identical(resumed, full)
 
-    def test_resume_under_different_plan_and_workers(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("resumer", [None, 1, 3, 8])
+    @pytest.mark.parametrize("writer", [None, 1, 3, 8])
+    def test_resume_under_different_plan_and_workers(self, tmp_path, writer,
+                                                     resumer, workers):
+        """Neither shard plan nor worker count is part of the checkpoint.
+
+        ``workers`` is the resumer's pool size; the writer uses the other
+        one, so both serial-to-parallel and parallel-to-serial resumes
+        are covered.
+        """
         full = self.campaign()
-        ckpt = self.interrupted_checkpoint(tmp_path)
-        # Neither shard count nor worker count is part of the checkpoint.
-        resumed = self.campaign(resume_from=str(ckpt), shards=8, workers=2)
+        ckpt = self.interrupted_checkpoint(tmp_path, shards=writer,
+                                           workers=3 - workers)
+        resumed = self.campaign(resume_from=str(ckpt), shards=resumer,
+                                workers=workers)
+        assert canonical_json(resumed) == canonical_json(full)
         assert_identical(resumed, full)
-
-    def test_dead_shard_degrades_with_a_warning(self, tmp_path):
-        full = self.campaign()
-        ckpt = self.interrupted_checkpoint(tmp_path)
-        import os
-        os.unlink(shard_checkpoint_path(ckpt, 1))
-        with pytest.warns(RuntimeWarning, match="shard 1"):
-            resumed = self.campaign(resume_from=str(ckpt), shards=3)
-        assert_identical(resumed, full)
-
-    def test_corrupt_shard_file_degrades_with_a_warning(self, tmp_path):
-        full = self.campaign()
-        ckpt = self.interrupted_checkpoint(tmp_path)
-        with open(shard_checkpoint_path(ckpt, 0), "w") as fh:
-            fh.write("{not json")
-        with pytest.warns(RuntimeWarning, match="shard 0"):
-            resumed = self.campaign(resume_from=str(ckpt), shards=3)
-        assert_identical(resumed, full)
-
-    def test_intact_shard_files_resume_without_warning(self, tmp_path):
-        ckpt = self.interrupted_checkpoint(tmp_path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            self.campaign(resume_from=str(ckpt), shards=3)
-
-    def test_plain_loader_rejects_envelope_and_vice_versa(self, tmp_path):
-        ckpt = self.interrupted_checkpoint(tmp_path)
-        with pytest.raises(CheckpointError, match="schema"):
-            load_checkpoint(ckpt)
-        plain = tmp_path / "plain.json"
-        plan = FaultPlan().add("engine.filter", call=2)
-        with plan.active():
-            with pytest.raises(FaultInjected):
-                self.campaign(checkpoint=str(plain))
-        with pytest.raises(CheckpointError, match="schema"):
-            load_sharded_checkpoint(plain)
 
     def test_checksum_tamper_is_rejected(self, tmp_path):
         ckpt = self.interrupted_checkpoint(tmp_path)
         envelope = json.loads(ckpt.read_text())
-        envelope["payload"]["shards"] = 99
+        envelope["payload"]["elapsed"] = 99.0
         ckpt.write_text(json.dumps(envelope))
         with pytest.raises(CheckpointError, match="checksum"):
-            load_sharded_checkpoint(ckpt)
+            self.campaign(resume_from=str(ckpt), shards=3)
 
-    def test_unsharded_resume_from_envelope_is_refused(self, tmp_path):
-        ckpt = self.interrupted_checkpoint(tmp_path)
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_unsharded_resume_from_envelope_is_refused(self, tmp_path,
+                                                       shards):
+        """A ``"sharded-1"`` envelope (the retired per-shard format) is a
+        typed refusal under every plan, never a wrong resume."""
+        campaign = load_checkpoint(
+            self.interrupted_checkpoint(tmp_path)).to_payload()
+        payload = {"campaign": campaign, "shards": 3,
+                   "shard_fingerprints": ["sha256:0"] * 3}
+        envelope = tmp_path / "sharded.json"
+        envelope.write_text(json.dumps({
+            "schema": "sharded-1", "payload": payload,
+            "checksum": hashlib.sha256(json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")).hexdigest()}))
         with pytest.raises(CheckpointError, match="schema"):
-            self.campaign(resume_from=str(ckpt))
-
-    def test_loaded_checkpoint_of_the_other_format_is_refused(self,
-                                                              tmp_path):
-        """Loaded checkpoints get the same typed refusal as files."""
-        plain = tmp_path / "plain.json"
-        plan = FaultPlan().add("engine.filter", call=2)
-        with plan.active():
-            with pytest.raises(FaultInjected):
-                self.campaign(checkpoint=str(plain))
-        with pytest.raises(CheckpointError, match="plain campaign"):
-            self.campaign(resume_from=load_checkpoint(plain), shards=2)
-        envelope = load_sharded_checkpoint(self.interrupted_checkpoint(
-            tmp_path, name="sharded.json"))
-        with pytest.raises(CheckpointError, match="sharded checkpoint"):
-            self.campaign(resume_from=envelope)
-
-
-class TestShardedEnvelopeErrors:
-    def test_malformed_payload_is_refused(self):
-        from repro.resilience import ShardedCampaignCheckpoint
-
-        with pytest.raises(CheckpointError, match="malformed sharded"):
-            ShardedCampaignCheckpoint.from_payload({"shards": 2})
-
-    def test_shard_count_mismatch_refused_at_save(self, tmp_path):
-        from repro.resilience import ShardedCampaignCheckpoint
-
-        envelope = ShardedCampaignCheckpoint(
-            campaign=None, shards=2, shard_fingerprints=["a", "b"])
-        with pytest.raises(CheckpointError,
-                           match="0 shard checkpoints for 2"):
-            envelope.save(tmp_path / "e.json", shard_checkpoints=[])
-
-    def test_unreadable_or_malformed_envelopes_are_refused(self, tmp_path):
-        with pytest.raises(CheckpointError, match="cannot read"):
-            load_sharded_checkpoint(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{truncated")
-        with pytest.raises(CheckpointError, match="not valid JSON"):
-            load_sharded_checkpoint(bad)
-        bad.write_text(json.dumps([1, 2]))
-        with pytest.raises(CheckpointError, match="no payload envelope"):
-            load_sharded_checkpoint(bad)
+            self.campaign(resume_from=str(envelope), shards=shards)
 
 
 class TestApiAndCliThreading:
