@@ -21,10 +21,12 @@ test-faults:
 		tests/test_resilience.py tests/test_artifact_fuzz.py -q
 
 # Campaign-service gate: functional + deterministic chaos + differential
-# byte-identity tests for repro.service (docs/SERVICE.md).
+# byte-identity tests for repro.service (docs/SERVICE.md), then the engine
+# SIGTERM test, which fails if a service test left its signal handlers.
 test-service-faults:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_service.py \
-		tests/test_service_faults.py tests/test_service_differential.py -q
+		tests/test_service_faults.py tests/test_service_differential.py \
+		"tests/test_resilience.py::TestEngineGracefulSigterm" -q
 
 # ~30s soak of the campaign service: repeated submit / drain-kill /
 # restart-resume cycles, asserting zero lost jobs and a stable RSS.

@@ -6,8 +6,8 @@ two ways on the same composite planted-core graph:
 * ``cold``    — each job alone, exactly as 8 separate CLI invocations
   would run them: every job rebuilds the deletion orders, re-verifies the
   whole first-iteration candidate pool, and builds its own kernel;
-* ``batched`` — :func:`repro.core.batch.run_batch` over one
-  :class:`~repro.core.batch.SharedCampaignContext`: the pristine order
+* ``batched`` — one :func:`repro.core.api.reinforce` call per job against
+  one :class:`~repro.core.batch.SharedCampaignContext`: the pristine order
   state, the frozen verification seed, and the CSR follower kernel are
   computed once and served copy-on-write to every job.
 
@@ -37,7 +37,7 @@ import os
 import time
 
 from repro.bigraph import disjoint_union
-from repro.core import CampaignSpec, SharedCampaignContext, run_batch
+from repro.core import SharedCampaignContext
 from repro.core.api import reinforce
 from repro.experiments.export import canonical_result_dict
 from repro.generators.planted import planted_core_graph
@@ -80,20 +80,19 @@ def _canonical_json(result):
 
 def test_batch_identity_and_speedup(benchmark, capsys, tmp_path):
     graph = _campaign_graph()
-    specs = [CampaignSpec(**job) for job in JOBS]
 
     def measure():
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
-        cold = [reinforce(graph, ALPHA, BETA, s.b1, s.b2, method=s.method,
-                          t=s.t) for s in specs]
+        cold = [reinforce(graph, ALPHA, BETA, **job) for job in JOBS]
         cold_cpu = time.process_time() - cpu_start
         cold_wall = time.perf_counter() - wall_start
 
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
         with SharedCampaignContext(graph, ALPHA, BETA) as context:
-            batched = run_batch(graph, ALPHA, BETA, specs, context=context)
+            batched = [reinforce(graph, ALPHA, BETA, context=context, **job)
+                       for job in JOBS]
             sharing = context.stats()
         batch_cpu = time.process_time() - cpu_start
         batch_wall = time.perf_counter() - wall_start

@@ -8,7 +8,7 @@ the FILVER-chosen vertices reduces the damage.
 import random
 
 from repro.abcore import abcore
-from repro.core import run_filver
+from repro.core import reinforce
 from repro.dynamics import simulate_cascade
 from repro.experiments.runner import default_constraints
 from repro.generators import load_dataset
@@ -46,7 +46,7 @@ def test_anchoring_blunts_the_cascade(benchmark, capsys):
     shock = rng.sample(sorted(core), max(1, len(core) // 10))
 
     def measure():
-        plan = run_filver(graph, alpha, beta, 3, 3)
+        plan = reinforce(graph, alpha, beta, 3, 3, method="filver")
         bare = simulate_cascade(graph, alpha, beta, shock)
         guarded = simulate_cascade(graph, alpha, beta, shock,
                                    anchors=plan.anchors)

@@ -37,7 +37,7 @@ import os
 import time
 
 from repro.bigraph import disjoint_union
-from repro.core.filver_plus_plus import run_filver_plus_plus
+from repro.core import reinforce
 from repro.experiments.export import canonical_result_dict
 from repro.generators.planted import planted_core_graph
 
@@ -73,8 +73,8 @@ def test_engine_campaign_identity_and_speedup(benchmark, capsys):
         followers = 0
         for name, kwargs in CONFIGS:
             start = time.perf_counter()
-            result = run_filver_plus_plus(graph, 4, 4, 24, 24, t=2,
-                                          **kwargs)
+            result = reinforce(graph, 4, 4, 24, 24, method="filver++", t=2,
+                               **kwargs)
             timings[name] = time.perf_counter() - start
             exports[name] = _canonical_json(result)
             followers = result.n_followers

@@ -9,7 +9,7 @@ import pytest
 
 from repro.abcore import abcore, anchored_abcore
 from repro.abcore import accel
-from repro.core import run_edge_greedy, run_filver, critical_vertices
+from repro.core import critical_vertices, reinforce, run_edge_greedy
 from repro.experiments.runner import default_constraints
 from repro.generators import load_dataset
 
@@ -21,7 +21,7 @@ def test_edge_reinforcement_vs_anchoring(benchmark, capsys):
     alpha, beta = default_constraints(graph)
 
     def measure():
-        anchored = run_filver(graph, alpha, beta, 2, 2)
+        anchored = reinforce(graph, alpha, beta, 2, 2, method="filver")
         edged = run_edge_greedy(graph, alpha, beta, edge_budget=8)
         return anchored, edged
 

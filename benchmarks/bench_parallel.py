@@ -20,7 +20,7 @@ import json
 import os
 import time
 
-from repro.core.filver_plus_plus import run_filver_plus_plus
+from repro.core import reinforce
 from repro.experiments.export import canonical_result_dict
 from repro.generators import erdos_renyi_bipartite
 
@@ -43,8 +43,8 @@ def test_parallel_campaign_identity_and_speedup(benchmark, capsys):
 
     def campaign(workers):
         start = time.perf_counter()
-        result = run_filver_plus_plus(graph, alpha, beta, 5, 5, t=5,
-                                      workers=workers)
+        result = reinforce(graph, alpha, beta, 5, 5, method="filver++", t=5,
+                           workers=workers)
         return time.perf_counter() - start, result
 
     def measure():

@@ -27,7 +27,7 @@ import pytest
 from repro.abcore.decomposition import abcore
 from repro.bigraph.builder import from_edge_list
 from repro.bigraph.stats import memory_footprint
-from repro.core import run_filver_plus_plus
+from repro.core import reinforce
 from repro.experiments.runner import default_constraints
 from repro.generators import erdos_renyi_bipartite
 
@@ -67,7 +67,8 @@ def test_near_linear_scaling_on_er(benchmark, capsys):
             graph = erdos_renyi_bipartite(n, n, n_edges=m, seed=42)
             alpha, beta = default_constraints(graph)
             start = time.perf_counter()
-            result = run_filver_plus_plus(graph, alpha, beta, 5, 5, t=5)
+            result = reinforce(graph, alpha, beta, 5, 5, method="filver++",
+                               t=5)
             results[m] = (time.perf_counter() - start, result.n_followers)
         return results
 

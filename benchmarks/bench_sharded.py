@@ -47,7 +47,7 @@ import time
 
 from repro.bigraph import disjoint_union, from_edge_list
 from repro.bigraph.stats import memory_footprint
-from repro.core.filver_plus_plus import run_filver_plus_plus
+from repro.core import reinforce
 from repro.experiments.export import canonical_result_dict
 from repro.generators.planted import planted_core_graph
 
@@ -138,7 +138,8 @@ def test_sharded_campaign_identity_and_speedup(benchmark, capsys, tmp_path):
 
     def campaign(graph, **kwargs):
         start = time.perf_counter()
-        result = run_filver_plus_plus(graph, 4, 4, 24, 24, t=2, **kwargs)
+        result = reinforce(graph, 4, 4, 24, 24, method="filver++", t=2,
+                           **kwargs)
         return time.perf_counter() - start, result
 
     def measure():

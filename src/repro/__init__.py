@@ -34,9 +34,6 @@ from repro.core import (
     METHODS,
     reinforce,
     run_exact,
-    run_filver,
-    run_filver_plus,
-    run_filver_plus_plus,
     run_naive,
     verify_result,
 )
@@ -67,9 +64,6 @@ __all__ = [
     "read_edge_list",
     "reinforce",
     "run_exact",
-    "run_filver",
-    "run_filver_plus",
-    "run_filver_plus_plus",
     "run_naive",
     "verify_result",
     "write_edge_list",

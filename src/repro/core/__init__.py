@@ -1,13 +1,8 @@
 """The paper's contribution: the anchored (α,β)-core algorithm family."""
 
 from repro.core.anchor_set import AnchorSetMaintainer
-from repro.core.api import METHODS, reinforce
-from repro.core.batch import (
-    CampaignSpec,
-    SharedCampaignContext,
-    context_key,
-    run_batch,
-)
+from repro.core.api import ENGINE_METHODS, METHODS, engine_options, reinforce
+from repro.core.batch import SharedCampaignContext, context_key
 from repro.core.budget_min import (
     minimize_anchors_for_growth,
     minimize_anchors_for_targets,
@@ -35,9 +30,6 @@ from repro.core.edge_anchoring import (
 )
 from repro.core.engine import EngineOptions, run_engine
 from repro.core.exact import run_exact
-from repro.core.filver import run_filver
-from repro.core.filver_plus import run_filver_plus
-from repro.core.filver_plus_plus import run_filver_plus_plus
 from repro.core.followers import compute_followers, follower_count
 from repro.core.incremental import (
     SeedTables,
@@ -58,11 +50,11 @@ from repro.core.signatures import two_hop_filter, two_hop_filter_cached
 from repro.core.verify import VerificationReport, verify_result
 
 __all__ = [
+    "ENGINE_METHODS",
     "METHODS",
     "AnchorSetMaintainer",
     "AnchoredCoreResult",
     "CampaignShard",
-    "CampaignSpec",
     "CollapseResult",
     "EdgePlan",
     "EdgeReinforcementResult",
@@ -81,13 +73,13 @@ __all__ = [
     "critical_edges",
     "critical_vertices",
     "edges_to_secure",
+    "engine_options",
     "minimize_anchors_for_growth",
     "minimize_anchors_for_targets",
     "compute_order",
     "compute_orders",
     "context_key",
     "follower_count",
-    "run_batch",
     "plan_shards",
     "r_scores",
     "reachable_from",
@@ -97,9 +89,6 @@ __all__ = [
     "run_edge_greedy",
     "run_engine",
     "run_exact",
-    "run_filver",
-    "run_filver_plus",
-    "run_filver_plus_plus",
     "run_naive",
     "run_random",
     "run_top_degree",

@@ -30,15 +30,19 @@ objects exactly as in a standalone run, which is why batched results are
 byte-identical to running each job alone (asserted differentially in
 ``tests/test_batch.py`` and gated by ``make bench-batch-smoke``).
 
-:func:`run_batch` is the driver: N campaigns against one context, one order
-build plus N incremental campaigns instead of N cold starts.
+A batch is one context plus one :func:`repro.core.api.reinforce` call per
+campaign — one order build plus N incremental campaigns instead of N cold
+starts::
+
+    with SharedCampaignContext(graph, alpha, beta) as ctx:
+        results = [reinforce(graph, alpha, beta, b1, b2, context=ctx)
+                   for b1, b2 in budgets]
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.abcore.decomposition import abcore
 from repro.bigraph.graph import BipartiteGraph
@@ -47,44 +51,19 @@ from repro.bigraph.validation import validate_problem
 from repro.core.deletion_order import r_scores, reachable_from
 from repro.core.incremental import SeedTables, VerificationCache
 from repro.core.order_maintenance import OrderState
-from repro.core.result import AnchoredCoreResult
 from repro.core.signatures import two_hop_filter_cached
 from repro.exceptions import InvalidParameterError
 
 if TYPE_CHECKING:
     from repro.parallel import ShardedEvaluator
 
-__all__ = ["CampaignSpec", "SharedCampaignContext", "context_key",
-           "run_batch"]
+__all__ = ["SharedCampaignContext", "context_key"]
 
 
 def context_key(fingerprint: str, alpha: int, beta: int,
                 backend: str) -> Tuple[str, int, int, str]:
     """The identity a shared context is keyed on, as a hashable tuple."""
     return (fingerprint, int(alpha), int(beta), backend)
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """One campaign of a batch: everything that may vary across jobs.
-
-    Mirrors the campaign-variant parameters of
-    :func:`repro.core.api.reinforce`; the problem instance
-    ``(graph, α, β)`` is fixed by the batch's shared context.
-    """
-
-    b1: int
-    b2: int
-    method: str = "filver++"
-    t: int = 5
-    seed: Optional[int] = None
-    time_limit: Optional[float] = None
-    workers: int = 1
-    memoize: bool = True
-    flat_kernel: Optional[bool] = None
-    shards: Optional[int] = None
-    checkpoint: Optional[str] = None
-    resume_from: Optional[str] = None
 
 
 class SharedCampaignContext:
@@ -382,44 +361,3 @@ class SharedCampaignContext:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def run_batch(
-    graph: BipartiteGraph,
-    alpha: int,
-    beta: int,
-    specs: Sequence[CampaignSpec],
-    context: Optional[SharedCampaignContext] = None,
-) -> List[AnchoredCoreResult]:
-    """Execute ``specs`` as one batch against a shared (α, β) context.
-
-    Campaigns run sequentially in the order given, each against its own
-    private state cloned/seeded from the context, so every result is
-    byte-identical to running that spec alone via
-    :func:`repro.core.api.reinforce`.  Engine-family methods share the
-    substrate; baseline methods and sharded campaigns run exactly as
-    standalone (the context has nothing their paths consume), so mixed
-    batches are fine.
-
-    Passing an existing ``context`` lets callers keep it warm across
-    batches (the service does); otherwise one is created and closed here.
-    """
-    from repro.core.api import reinforce
-
-    owns = context is None
-    ctx = SharedCampaignContext(graph, alpha, beta) if owns else context
-    assert ctx is not None
-    try:
-        results: List[AnchoredCoreResult] = []
-        for spec in specs:
-            results.append(reinforce(
-                graph, alpha, beta, spec.b1, spec.b2, method=spec.method,
-                t=spec.t, seed=spec.seed, time_limit=spec.time_limit,
-                checkpoint=spec.checkpoint, resume_from=spec.resume_from,
-                workers=spec.workers, memoize=spec.memoize,
-                flat_kernel=spec.flat_kernel, shards=spec.shards,
-                context=ctx))
-        return results
-    finally:
-        if owns:
-            ctx.close()

@@ -14,8 +14,11 @@ candidate bound     r-score     ``|rf(x)|`` ``|rf(x)|``
 anchors/iteration   1           1           ``t``
 ==================  ==========  ==========  ===========
 
-Keeping one engine also gives the ablation benchmarks intermediate
-configurations (e.g. the two-hop filter without order maintenance) for free.
+The three presets live in :func:`repro.core.api.engine_options`, and
+:func:`repro.core.api.reinforce` — where every campaign starts — calls
+:func:`run_engine` with them.  Keeping one engine also gives the ablation
+benchmarks intermediate configurations (e.g. the two-hop filter without
+order maintenance) for free.
 
 The loop drives a list of :class:`~repro.core.sharded.CampaignShard`\\ s:
 an unsharded campaign is one shard over the input graph itself, and
@@ -102,6 +105,12 @@ def run_engine(
     shards: Optional[int] = None,
 ) -> AnchoredCoreResult:
     """Run the greedy filter–verification loop to completion.
+
+    Campaigns start at :func:`repro.core.api.reinforce`, which checks its
+    arguments and calls this with ``engine_options(method, t)``; call it
+    directly for an option mix no method names (the ablation benchmarks)
+    or an absolute ``deadline``.  ``algorithm`` is the label recorded in
+    the result and its checkpoints.
 
     The loop ends when both budgets are exhausted or no remaining candidate
     can produce a follower (placing further anchors would not change the

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.abcore.decomposition import delta
 from repro.bigraph.graph import BipartiteGraph
-from repro.core.api import reinforce
+from repro.core.api import ENGINE_METHODS, reinforce
 from repro.core.result import AnchoredCoreResult
 from repro.exceptions import InvalidParameterError
 from repro.generators.datasets import load_dataset
@@ -122,10 +122,8 @@ def run_method(
     if on_error not in ("raise", "record"):
         raise InvalidParameterError(
             "on_error must be 'raise' or 'record', got %r" % (on_error,))
-    from repro.core.api import CHECKPOINTABLE_METHODS, PARALLEL_METHODS
-
-    method_workers = workers if method in PARALLEL_METHODS else 1
-    method_shards = shards if method in CHECKPOINTABLE_METHODS else None
+    method_workers = workers if method in ENGINE_METHODS else 1
+    method_shards = shards if method in ENGINE_METHODS else None
     started = time.perf_counter()
     try:
         fault_site("runner.run_method")

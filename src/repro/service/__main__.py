@@ -120,31 +120,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         specs = _load_specs(args.jobs)
         graph = _load_graph(args)
-        service = CampaignService(
-            graph, workers=args.workers,
-            budget_bytes=args.memory_budget,
-            max_pending=args.max_pending,
-            max_retries=args.max_retries,
-            state_dir=args.state_dir,
-            supervise_interval=(args.supervise_interval
-                                if args.workers else None),
-            batching=not args.no_batching)
-        installed = service.install_signal_handlers()
-        if installed:
-            print("drain on SIGTERM/SIGINT: enabled")
-        handles = [service.submit(spec) for spec in specs]
-        print("submitted %d job(s); %d restored from state dir"
-              % (len(handles), len(service.job_ids()) - len(handles)))
-        if args.workers == 0:
-            while service.run_until_idle():
-                pass
-        else:
-            remaining = list(service.job_ids())
-            while remaining and not service.draining:
-                remaining = [job_id for job_id in remaining
-                             if not service.handle(job_id).wait(0.1)]
-        report = _job_report(service)
-        service.shutdown()
+        # Leaving the block shuts the service down — also when a job is
+        # refused — which restores the signal handlers installed here.
+        with CampaignService(
+                graph, workers=args.workers,
+                budget_bytes=args.memory_budget,
+                max_pending=args.max_pending,
+                max_retries=args.max_retries,
+                state_dir=args.state_dir,
+                supervise_interval=(args.supervise_interval
+                                    if args.workers else None),
+                batching=not args.no_batching) as service:
+            installed = service.install_signal_handlers()
+            if installed:
+                print("drain on SIGTERM/SIGINT: enabled")
+            handles = [service.submit(spec) for spec in specs]
+            print("submitted %d job(s); %d restored from state dir"
+                  % (len(handles), len(service.job_ids()) - len(handles)))
+            if args.workers == 0:
+                while service.run_until_idle():
+                    pass
+            else:
+                remaining = list(service.job_ids())
+                while remaining and not service.draining:
+                    remaining = [job_id for job_id in remaining
+                                 if not service.handle(job_id).wait(0.1)]
+            report = _job_report(service)
         states = {}
         for row in report:
             states[row["state"]] = states.get(row["state"], 0) + 1

@@ -38,7 +38,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bigraph.graph import BipartiteGraph
-from repro.core.api import CHECKPOINTABLE_METHODS
+from repro.core.api import ENGINE_METHODS
 from repro.core.batch import SharedCampaignContext
 from repro.service.cache import DiskCacheTier
 from repro.service.jobs import Job, JobSpec
@@ -91,7 +91,7 @@ class BatchScheduler:
         share), and unsharded only (the sharded substrate builds
         per-shard state and ignores contexts).
         """
-        return spec.method in CHECKPOINTABLE_METHODS and spec.shards is None
+        return spec.method in ENGINE_METHODS and spec.shards is None
 
     def acquire(self, spec: JobSpec) -> Optional[SharedCampaignContext]:
         """Check out the shared context for ``spec``, or None if ineligible.

@@ -35,7 +35,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.api import METHODS, PARALLEL_METHODS
+from repro.core.api import _check_arguments
 from repro.core.result import AnchoredCoreResult
 from repro.exceptions import (
     InvalidParameterError,
@@ -88,28 +88,18 @@ class JobSpec:
     def validate(self) -> None:
         """Reject specs that could never be dispatched.
 
-        Full problem validation against the graph
+        The campaign arguments go through the same check as
+        :func:`repro.core.api.reinforce`, so a spec ``reinforce`` would
+        refuse is refused here, before it is queued; only ``deadline`` is
+        the service's own.  Full problem validation against the graph
         (:func:`repro.bigraph.validation.validate_problem`) happens at
-        submission; this checks only graph-independent fields.
+        submission.
         """
-        if self.method not in METHODS:
-            raise InvalidParameterError(
-                "unknown method %r; expected one of %s"
-                % (self.method, ", ".join(METHODS)))
-        if self.workers < 1:
-            raise InvalidParameterError(
-                "workers must be >= 1, got %d" % self.workers)
-        if self.workers > 1 and self.method not in PARALLEL_METHODS:
-            raise InvalidParameterError(
-                "workers > 1 is only supported by %s, not %r"
-                % (", ".join(PARALLEL_METHODS), self.method))
+        _check_arguments(self.method, t=self.t, time_limit=self.time_limit,
+                         workers=self.workers, shards=self.shards)
         if self.deadline is not None and self.deadline <= 0:
             raise InvalidParameterError(
                 "deadline must be positive seconds, got %r" % self.deadline)
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise InvalidParameterError(
-                "time_limit must be positive seconds, got %r"
-                % self.time_limit)
 
     def to_payload(self) -> Dict[str, object]:
         """JSON-safe dict for queue persistence."""

@@ -131,6 +131,7 @@ class CampaignService:
         self._n_running = 0
         self._interrupted: List[Job] = []
         self._events: List[Dict[str, object]] = []
+        self._saved_handlers: Dict[int, object] = {}
         self._own_state_dir = state_dir is None
         self._state_dir = (tempfile.mkdtemp(prefix="repro-service-")
                            if state_dir is None else os.fspath(state_dir))
@@ -399,7 +400,9 @@ class CampaignService:
         """Route ``signals`` to :meth:`request_drain`; main thread only.
 
         Returns False (without installing anything) off the main thread,
-        where CPython forbids ``signal.signal``.
+        where CPython forbids ``signal.signal``.  The handlers replaced
+        here are put back by :meth:`shutdown`, so a process embedding the
+        service gets its own SIGTERM/SIGINT handling back afterwards.
         """
         if threading.current_thread() is not threading.main_thread():
             return False
@@ -409,34 +412,50 @@ class CampaignService:
 
         try:
             for signum in signals:
-                signal_module.signal(signum, _handler)
+                previous = signal_module.signal(signum, _handler)
+                self._saved_handlers.setdefault(signum, previous)
         except ValueError:
             return False
         return True
+
+    def _restore_signal_handlers(self) -> None:
+        # Main thread only, like installation; a handler installed from C
+        # (reported as None) cannot be reinstated and becomes SIG_DFL.
+        if threading.current_thread() is not threading.main_thread():
+            return
+        saved, self._saved_handlers = self._saved_handlers, {}
+        for signum, previous in saved.items():
+            signal_module.signal(signum, previous if previous is not None
+                                 else signal_module.SIG_DFL)
 
     def shutdown(self, timeout: Optional[float] = None) -> None:
         """Graceful stop: drain, join workers, persist the backlog.
 
         Pending jobs and drain-interrupted running jobs (which hold
         checkpoints) are written to ``<state_dir>/queue.json`` so a
-        service restarted on the same directory resumes them.  Safe to
-        call twice.
+        service restarted on the same directory resumes them.  Signal
+        handlers installed by :meth:`install_signal_handlers` stay in
+        place until the drain is done, then the ones they replaced are
+        restored.  Safe to call twice.
         """
         self.request_drain()
-        if self._stopping:
-            return
-        self._stopping = True
-        self._monitor_wake.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout)
-        for thread in self._threads:
-            if thread is not None:
-                thread.join(timeout)
-        if self._scheduler is not None:
-            self._scheduler.close()
-        self._persist_backlog()
-        if self._own_state_dir:
-            shutil.rmtree(self._state_dir, ignore_errors=True)
+        try:
+            if self._stopping:
+                return
+            self._stopping = True
+            self._monitor_wake.set()
+            if self._monitor is not None:
+                self._monitor.join(timeout)
+            for thread in self._threads:
+                if thread is not None:
+                    thread.join(timeout)
+            if self._scheduler is not None:
+                self._scheduler.close()
+            self._persist_backlog()
+            if self._own_state_dir:
+                shutil.rmtree(self._state_dir, ignore_errors=True)
+        finally:
+            self._restore_signal_handlers()
 
     def __enter__(self) -> "CampaignService":
         return self

@@ -40,7 +40,7 @@ import traceback
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.bigraph.graph import BipartiteGraph
-from repro.core.api import CHECKPOINTABLE_METHODS, reinforce
+from repro.core.api import ENGINE_METHODS, reinforce
 from repro.core.result import AnchoredCoreResult, IterationRecord
 from repro.exceptions import (
     AbortCampaign,
@@ -166,7 +166,7 @@ class JobSupervisor:
                  ) -> AnchoredCoreResult:
         """One engine run: resume from the job checkpoint when it exists."""
         spec = job.spec
-        checkpointable = spec.method in CHECKPOINTABLE_METHODS
+        checkpointable = spec.method in ENGINE_METHODS
         checkpoint = job.checkpoint_path if checkpointable else None
         resume = (checkpoint if checkpoint is not None
                   and os.path.exists(checkpoint) else None)

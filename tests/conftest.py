@@ -3,12 +3,37 @@
 from __future__ import annotations
 
 import random
+import signal
 from typing import List, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
 from repro.bigraph import BipartiteGraph, from_biadjacency, from_edge_list
+
+#: Process-global signal state a test must leave as it found it.
+_GUARDED_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+
+@pytest.fixture(autouse=True)
+def _signal_handlers_unchanged():
+    """Fail the test that changes a SIGTERM/SIGINT handler and keeps it.
+
+    A leaked handler outlives its test and breaks whichever later test
+    relies on the default behaviour, so the failure would otherwise show
+    up far from its cause, and only in some test orders.
+    """
+    before = {signum: signal.getsignal(signum) for signum in _GUARDED_SIGNALS}
+    yield
+    leaked = [signal.Signals(signum).name for signum in _GUARDED_SIGNALS
+              if signal.getsignal(signum) != before[signum]]
+    if leaked:
+        # Put them back, so one leak fails one test rather than every
+        # later test that relies on the defaults.
+        for signum, handler in before.items():
+            signal.signal(signum, handler)
+        pytest.fail("test left its %s handler(s) installed"
+                    % " and ".join(leaked))
 
 
 @st.composite

@@ -34,6 +34,12 @@ class TestReinforceDispatch:
                            method="filver", time_limit=30.0)
         assert not result.timed_out
 
+    @pytest.mark.parametrize("time_limit", [0, -1.0])
+    def test_non_positive_time_limit_rejected(self, k34_with_periphery,
+                                              time_limit):
+        with pytest.raises(InvalidParameterError, match="time_limit"):
+            reinforce(k34_with_periphery, 4, 3, 1, 1, time_limit=time_limit)
+
     def test_greedy_methods_agree_on_fixture(self, k34_with_periphery):
         g = k34_with_periphery
         counts = {m: reinforce(g, 4, 3, 1, 1, method=m).n_followers

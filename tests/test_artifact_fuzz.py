@@ -27,8 +27,8 @@ import pytest
 
 from repro.bigraph import disjoint_union, save_graph_memmap
 from repro.bigraph.memmap import load_graph_memmap
+from repro.core import reinforce
 from repro.core.batch import SharedCampaignContext
-from repro.core.filver_plus_plus import run_filver_plus_plus
 from repro.exceptions import (
     CheckpointError,
     FaultInjected,
@@ -106,7 +106,8 @@ def artifacts(tmp_path_factory):
     plan = FaultPlan().add("engine.filter", call=3)
     with plan.active():
         with pytest.raises(FaultInjected):
-            run_filver_plus_plus(graph, 2, 2, 2, 2, t=2, checkpoint=ckpt)
+            reinforce(graph, 2, 2, 2, 2, method="filver++", t=2,
+                      checkpoint=ckpt)
 
     queue = str(root / "queue.json")
     job = Job(7, JobSpec(alpha=2, beta=2, b1=1, b2=1, priority=3,
@@ -116,7 +117,7 @@ def artifacts(tmp_path_factory):
     tier = DiskCacheTier(str(root / "cache"), sleep=lambda s: None)
     result_key = ["sha256:fp", 2, 2, 2, 2, "filver++"]
     result = json.loads(json.dumps(result_to_dict(
-        run_filver_plus_plus(graph, 2, 2, 2, 2, t=2))))
+        reinforce(graph, 2, 2, 2, 2, method="filver++", t=2))))
     assert tier.store("result", result_key, result)
     seed_key = ["sha256:fp", 2, 2]
     with SharedCampaignContext(graph.to_csr(), 2, 2) as context:

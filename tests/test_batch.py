@@ -13,7 +13,7 @@ import pytest
 
 from repro.bigraph.memmap import load_graph_memmap, save_graph_memmap
 from repro.bigraph.mutation import disjoint_union
-from repro.core import CampaignSpec, SharedCampaignContext, run_batch
+from repro.core import SharedCampaignContext
 from repro.core.api import reinforce
 from repro.core.incremental import SeedTables
 from repro.core.order_maintenance import OrderState
@@ -37,21 +37,23 @@ def batch_graph(seed=3):
 
 
 #: A mixed-method batch: different budgets, methods, and t values, all
-#: sharing one (α, β).
+#: sharing one (α, β).  Each spec is the campaign's ``reinforce`` keywords.
 MIXED_SPECS = (
-    CampaignSpec(b1=2, b2=2, method="filver++", t=2),
-    CampaignSpec(b1=1, b2=2, method="filver+"),
-    CampaignSpec(b1=2, b2=1, method="filver"),
-    CampaignSpec(b1=1, b2=1, method="filver++", t=3),
+    dict(b1=2, b2=2, method="filver++", t=2),
+    dict(b1=1, b2=2, method="filver+"),
+    dict(b1=2, b2=1, method="filver"),
+    dict(b1=1, b2=1, method="filver++", t=3),
 )
 
 
 def run_standalone(graph, spec):
-    return reinforce(graph, ALPHA, BETA, spec.b1, spec.b2,
-                     method=spec.method, t=spec.t, seed=spec.seed,
-                     time_limit=spec.time_limit, workers=spec.workers,
-                     memoize=spec.memoize, flat_kernel=spec.flat_kernel,
-                     shards=spec.shards)
+    return reinforce(graph, ALPHA, BETA, **spec)
+
+
+def run_in_context(graph, specs, ctx):
+    """A batch: one ``reinforce`` call per campaign against one context."""
+    return [reinforce(graph, ALPHA, BETA, context=ctx, **spec)
+            for spec in specs]
 
 
 class TestPristineClone:
@@ -132,12 +134,11 @@ class TestBatchEquivalence:
         elif backend == "memmap":
             graph = load_graph_memmap(save_graph_memmap(graph,
                                                         tmp_path / "g"))
-        specs = [CampaignSpec(b1=s.b1, b2=s.b2, method=s.method, t=s.t,
-                              workers=workers) for s in MIXED_SPECS]
+        specs = [dict(spec, workers=workers) for spec in MIXED_SPECS]
         standalone = [canonical(run_standalone(graph, spec))
                       for spec in specs]
         with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
-            batched = run_batch(graph, ALPHA, BETA, specs, context=ctx)
+            batched = run_in_context(graph, specs, ctx)
             stats = ctx.stats()
         assert [canonical(r) for r in batched] == standalone
         assert stats["warm"]
@@ -146,22 +147,22 @@ class TestBatchEquivalence:
     def test_sharded_and_baseline_jobs_ride_along_unchanged(self):
         graph = batch_graph().to_csr()
         specs = [
-            CampaignSpec(b1=2, b2=2, method="filver++", t=2),
-            CampaignSpec(b1=1, b2=1, method="filver++", t=2, shards=2),
-            CampaignSpec(b1=1, b2=1, method="degree-greedy"),
+            dict(b1=2, b2=2, method="filver++", t=2),
+            dict(b1=1, b2=1, method="filver++", t=2, shards=2),
+            dict(b1=1, b2=1, method="degree-greedy"),
         ]
         standalone = [canonical(run_standalone(graph, spec))
                       for spec in specs]
-        batched = run_batch(graph, ALPHA, BETA, specs)
+        with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
+            batched = run_in_context(graph, specs, ctx)
         assert [canonical(r) for r in batched] == standalone
 
     def test_memoize_off_jobs_share_state_but_not_the_seed(self):
         graph = batch_graph().to_csr()
-        spec = CampaignSpec(b1=2, b2=2, method="filver++", t=2,
-                            memoize=False)
+        spec = dict(b1=2, b2=2, method="filver++", t=2, memoize=False)
         standalone = canonical(run_standalone(graph, spec))
         with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
-            [result] = run_batch(graph, ALPHA, BETA, [spec], context=ctx)
+            [result] = run_in_context(graph, [spec], ctx)
             stats = ctx.stats()
         assert canonical(result) == standalone
         assert not stats["warm"]  # nothing warmed the seed
@@ -172,7 +173,7 @@ class TestBatchEquivalence:
         specs = list(MIXED_SPECS)
         with SharedCampaignContext(graph, ALPHA, BETA) as warm:
             reference = [canonical(r) for r in
-                         run_batch(graph, ALPHA, BETA, specs, context=warm)]
+                         run_in_context(graph, specs, warm)]
             payload = warm.seed_payload()
         assert payload is not None
         restored_payload = json.loads(json.dumps(payload))  # disk round trip
@@ -180,7 +181,7 @@ class TestBatchEquivalence:
             assert cold.install_seed_payload(restored_payload)
             assert cold.stats()["seed_restored"]
             replayed = [canonical(r) for r in
-                        run_batch(graph, ALPHA, BETA, specs, context=cold)]
+                        run_in_context(graph, specs, cold)]
         assert replayed == reference
 
     def test_kill_and_resume_mid_batch_inside_one_context(self, tmp_path):

@@ -73,6 +73,11 @@ class TestReinforce:
         assert "anchors_per_iteration (t) must be >= 1" \
             in capsys.readouterr().err
 
+    def test_zero_time_limit_is_a_usage_error(self, capsys):
+        assert main(["reinforce", "--dataset", "AC", "--scale", "0.2",
+                     "--b1", "1", "--b2", "1", "--time-limit", "0"]) == 2
+        assert "time_limit must be positive" in capsys.readouterr().err
+
 
 class TestCheckpointResume:
     def test_checkpoint_then_resume_reproduces_the_run(self, tmp_path,

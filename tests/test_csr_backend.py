@@ -25,7 +25,7 @@ from repro.bigraph import (
 )
 from repro.bigraph.builder import GraphBuilder
 from repro.bigraph.csr import csr_from_indexed_edges
-from repro.core import run_filver_plus_plus
+from repro.core import reinforce
 from repro.core.deletion_order import compute_orders
 from repro.core.followers import compute_followers
 from repro.dynamics.cascade import simulate_cascade
@@ -133,8 +133,8 @@ class TestAlgorithmEquivalence:
 
     def test_full_filver_plus_plus_campaign_is_byte_identical(self, pair):
         graph, csr, alpha, beta = pair
-        res_l = run_filver_plus_plus(graph, alpha, beta, 5, 5, t=5)
-        res_c = run_filver_plus_plus(csr, alpha, beta, 5, 5, t=5)
+        res_l = reinforce(graph, alpha, beta, 5, 5, method="filver++", t=5)
+        res_c = reinforce(csr, alpha, beta, 5, 5, method="filver++", t=5)
         assert res_l.anchors == res_c.anchors  # same anchors, same order
         assert res_l.followers == res_c.followers
         assert res_l.base_core_size == res_c.base_core_size

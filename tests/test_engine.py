@@ -6,10 +6,7 @@ import time
 import pytest
 from hypothesis import assume, given, settings
 
-from repro.core import EngineOptions, run_engine
-from repro.core.filver import FILVER_OPTIONS
-from repro.core.filver_plus import FILVER_PLUS_OPTIONS
-from repro.core.filver_plus_plus import filver_plus_plus_options
+from repro.core import EngineOptions, engine_options, run_engine
 from repro.exceptions import AbortCampaign
 from repro.resilience.checkpoint import load_checkpoint
 
@@ -25,9 +22,9 @@ ABLATIONS = {
 
 class TestOptionPresets:
     def test_preset_wiring(self):
-        assert FILVER_OPTIONS == ABLATIONS["base"]
-        assert FILVER_PLUS_OPTIONS == ABLATIONS["both"]
-        opts = filver_plus_plus_options(7)
+        assert engine_options("filver") == ABLATIONS["base"]
+        assert engine_options("filver+") == ABLATIONS["both"]
+        opts = engine_options("filver++", 7)
         assert opts.anchors_per_iteration == 7
         assert opts.use_two_hop_filter and opts.maintain_orders
 
@@ -101,8 +98,10 @@ class TestEngineAccounting:
 
     def test_multi_anchor_iterations_shrink_iteration_count(self):
         g = random_bigraph(4, n1_range=(12, 18), n2_range=(12, 18))
-        single = run_engine(g, 2, 2, 3, 3, filver_plus_plus_options(1), "t1")
-        multi = run_engine(g, 2, 2, 3, 3, filver_plus_plus_options(6), "t6")
+        single = run_engine(g, 2, 2, 3, 3, engine_options("filver++", 1),
+                            "t1")
+        multi = run_engine(g, 2, 2, 3, 3, engine_options("filver++", 6),
+                           "t6")
         assert len(multi.iterations) <= len(single.iterations)
 
 

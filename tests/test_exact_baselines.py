@@ -4,9 +4,9 @@ import pytest
 
 from repro.abcore import abcore
 from repro.core import (
+    reinforce,
     run_degree_greedy,
     run_exact,
-    run_filver,
     run_random,
     run_top_degree,
 )
@@ -27,7 +27,7 @@ class TestExact:
         for seed in range(6):
             g = random_bigraph(seed, n1_range=(5, 9), n2_range=(5, 9))
             exact = run_exact(g, 2, 2, 1, 1)
-            greedy = run_filver(g, 2, 2, 1, 1)
+            greedy = reinforce(g, 2, 2, 1, 1, method="filver")
             assert exact.n_followers >= greedy.n_followers, seed
 
     def test_combination_guard(self):
@@ -58,7 +58,7 @@ class TestExact:
             [1, 0, 1],
         ])
         result = run_exact(g, 2, 2, 1, 1)
-        greedy = run_filver(g, 2, 2, 1, 1)
+        greedy = reinforce(g, 2, 2, 1, 1, method="filver")
         assert result.n_followers >= greedy.n_followers
 
     def test_exact_on_planted_chains_matches_prediction(self):
@@ -115,7 +115,7 @@ class TestBaselines:
 
     def test_filver_dominates_baselines_on_fixture(self, k34_with_periphery):
         g = k34_with_periphery
-        best = run_filver(g, 4, 3, 1, 1).n_followers
+        best = reinforce(g, 4, 3, 1, 1, method="filver").n_followers
         assert best >= run_top_degree(g, 4, 3, 1, 1).n_followers
         assert best >= run_random(g, 4, 3, 1, 1, seed=3).n_followers
         assert best >= run_degree_greedy(g, 4, 3, 1, 1).n_followers

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.core import EngineOptions, run_engine, run_filver
+from repro.core import EngineOptions, reinforce, run_engine
 from repro.experiments.export import (
     result_to_dict,
     runs_to_rows,
@@ -32,7 +32,7 @@ def make_runs():
 
 class TestResultToDict:
     def test_round_trips_through_json(self, k34_with_periphery):
-        result = run_filver(k34_with_periphery, 4, 3, 1, 1)
+        result = reinforce(k34_with_periphery, 4, 3, 1, 1, method="filver")
         data = result_to_dict(result)
         text = json.dumps(data)
         back = json.loads(text)

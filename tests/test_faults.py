@@ -6,8 +6,7 @@ call of a named site."""
 import pytest
 
 from repro.bigraph.io import read_edge_list, write_edge_list
-from repro.core.filver import run_filver
-from repro.core.filver_plus_plus import run_filver_plus_plus
+from repro.core import reinforce
 from repro.exceptions import FaultInjected, InvalidParameterError
 from repro.experiments.runner import run_method
 from repro.experiments.suite import run_full_suite
@@ -93,16 +92,16 @@ class TestReplayEquivalence:
     backends."""
 
     @pytest.mark.parametrize("backend", ["list", "csr"])
-    @pytest.mark.parametrize("runner,kwargs", [
-        (run_filver, {}),
-        (run_filver_plus_plus, {"t": 2}),
+    @pytest.mark.parametrize("method,kwargs", [
+        ("filver", {}),
+        ("filver++", {"t": 2}),
     ])
     def test_resume_matches_fault_free_run_at_every_boundary(
-            self, tmp_path, backend, runner, kwargs):
+            self, tmp_path, backend, method, kwargs):
         graph = campaign_graph()
         if backend == "csr":
             graph = graph.to_csr()
-        full = runner(graph, 3, 3, 3, 3, **kwargs)
+        full = reinforce(graph, 3, 3, 3, 3, method=method, **kwargs)
         n_iters = len(full.iterations)
         assert n_iters >= 2, "fixture must produce a multi-iteration campaign"
 
@@ -113,12 +112,13 @@ class TestReplayEquivalence:
             plan = FaultPlan().add("engine.filter", call=k + 1)
             with plan.active():
                 with pytest.raises(FaultInjected):
-                    runner(graph, 3, 3, 3, 3, checkpoint=str(ckpt), **kwargs)
+                    reinforce(graph, 3, 3, 3, 3, method=method,
+                              checkpoint=str(ckpt), **kwargs)
             restored = load_checkpoint(ckpt)
             assert len(restored.iterations) == k
 
-            resumed = runner(graph, 3, 3, 3, 3, resume_from=str(ckpt),
-                             **kwargs)
+            resumed = reinforce(graph, 3, 3, 3, 3, method=method,
+                                resume_from=str(ckpt), **kwargs)
             assert resumed.anchors == full.anchors, (k,)
             assert resumed.followers == full.followers, (k,)
             assert resumed.n_followers == full.n_followers
@@ -129,8 +129,10 @@ class TestReplayEquivalence:
     def test_resuming_a_completed_campaign_is_stable(self, tmp_path):
         graph = campaign_graph()
         ckpt = tmp_path / "done.json"
-        full = run_filver(graph, 3, 3, 2, 2, checkpoint=str(ckpt))
-        again = run_filver(graph, 3, 3, 2, 2, resume_from=str(ckpt))
+        full = reinforce(graph, 3, 3, 2, 2, method="filver",
+                         checkpoint=str(ckpt))
+        again = reinforce(graph, 3, 3, 2, 2, method="filver",
+                          resume_from=str(ckpt))
         assert again.anchors == full.anchors
         assert again.followers == full.followers
         assert ([structural(r) for r in again.iterations]
@@ -140,11 +142,11 @@ class TestReplayEquivalence:
 class TestGracefulDegradation:
     def test_memory_error_mid_campaign_returns_best_so_far(self):
         graph = campaign_graph()
-        full = run_filver(graph, 3, 3, 3, 3)
+        full = reinforce(graph, 3, 3, 3, 3, method="filver")
         assert len(full.iterations) >= 2
         plan = FaultPlan().add("engine.verify", call=2, exc=MemoryError)
         with plan.active():
-            partial = run_filver(graph, 3, 3, 3, 3)
+            partial = reinforce(graph, 3, 3, 3, 3, method="filver")
         assert partial.interrupted
         assert len(partial.iterations) == 1
         assert partial.anchors == full.iterations[0].anchors
@@ -166,24 +168,27 @@ class TestGracefulDegradation:
             plan.add("checkpoint.write", call=call, exc=OSError)
         with plan.active():
             with pytest.raises(OSError):
-                run_filver(graph, 3, 3, 3, 3, checkpoint=str(ckpt))
+                reinforce(graph, 3, 3, 3, 3, method="filver",
+                          checkpoint=str(ckpt))
         assert plan.call_count("checkpoint.write") == 4
         # The first iteration's checkpoint survives intact and resumable.
         restored = load_checkpoint(ckpt)
         assert len(restored.iterations) == 1
-        resumed = run_filver(graph, 3, 3, 3, 3, resume_from=str(ckpt))
-        full = run_filver(graph, 3, 3, 3, 3)
+        resumed = reinforce(graph, 3, 3, 3, 3, method="filver",
+                            resume_from=str(ckpt))
+        full = reinforce(graph, 3, 3, 3, 3, method="filver")
         assert resumed.anchors == full.anchors
 
     def test_transient_checkpoint_write_fault_is_absorbed(self, tmp_path):
         graph = campaign_graph()
         ckpt = tmp_path / "c.json"
-        baseline = run_filver(graph, 3, 3, 3, 3)
+        baseline = reinforce(graph, 3, 3, 3, 3, method="filver")
         # One transient OSError on the second iteration's first write
         # attempt: the retry wrapper absorbs it and the campaign finishes.
         plan = FaultPlan().add("checkpoint.write", call=2, exc=OSError)
         with plan.active():
-            result = run_filver(graph, 3, 3, 3, 3, checkpoint=str(ckpt))
+            result = reinforce(graph, 3, 3, 3, 3, method="filver",
+                               checkpoint=str(ckpt))
         assert result.anchors == baseline.anchors
         restored = load_checkpoint(ckpt)
         assert restored.anchors == list(baseline.anchors)

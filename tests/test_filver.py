@@ -6,12 +6,7 @@ from hypothesis import given, settings
 
 from repro.abcore import abcore
 from repro.abcore.decomposition import followers as global_followers
-from repro.core import (
-    run_filver,
-    run_filver_plus,
-    run_filver_plus_plus,
-    run_naive,
-)
+from repro.core import engine_options, reinforce, run_engine, run_naive
 
 from conftest import K34, graphs_with_constraints, random_bigraph
 
@@ -19,29 +14,29 @@ from conftest import K34, graphs_with_constraints, random_bigraph
 class TestOnFixture:
     def test_filver_finds_the_optimum_pair(self, k34_with_periphery):
         g = k34_with_periphery
-        result = run_filver(g, 4, 3, b1=1, b2=1)
+        result = reinforce(g, 4, 3, b1=1, b2=1, method="filver")
         # greedy: l4 first (3 followers), then u4 (+1) = 4 followers total
         assert result.n_followers == 4
         assert set(result.anchors) == {K34["u4"], K34["l4"]}
 
     def test_upper_only_budget(self, k34_with_periphery):
         g = k34_with_periphery
-        result = run_filver(g, 4, 3, b1=1, b2=0)
+        result = reinforce(g, 4, 3, b1=1, b2=0, method="filver")
         assert result.anchors == [K34["u3"]]
         assert result.followers == {K34["l5"], K34["u7"]}
 
     def test_lower_only_budget(self, k34_with_periphery):
         g = k34_with_periphery
-        result = run_filver(g, 4, 3, b1=0, b2=1)
+        result = reinforce(g, 4, 3, b1=0, b2=1, method="filver")
         assert result.anchors == [K34["l4"]]
         assert result.n_followers == 3
 
     def test_zero_budget_returns_nothing(self, k34_with_periphery):
-        result = run_filver(k34_with_periphery, 4, 3, 0, 0)
+        result = reinforce(k34_with_periphery, 4, 3, 0, 0, method="filver")
         assert result.anchors == [] and result.n_followers == 0
 
     def test_iteration_trace_is_recorded(self, k34_with_periphery):
-        result = run_filver(k34_with_periphery, 4, 3, 1, 1)
+        result = reinforce(k34_with_periphery, 4, 3, 1, 1, method="filver")
         assert len(result.iterations) == 2
         assert result.iterations[0].marginal_followers == 3
         assert result.iterations[1].marginal_followers == 1
@@ -51,9 +46,10 @@ class TestOnFixture:
         g = k34_with_periphery
         counts = {
             "naive": run_naive(g, 4, 3, 1, 1).n_followers,
-            "filver": run_filver(g, 4, 3, 1, 1).n_followers,
-            "filver+": run_filver_plus(g, 4, 3, 1, 1).n_followers,
-            "filver++": run_filver_plus_plus(g, 4, 3, 1, 1, t=2).n_followers,
+            "filver": reinforce(g, 4, 3, 1, 1, method="filver").n_followers,
+            "filver+": reinforce(g, 4, 3, 1, 1, method="filver+").n_followers,
+            "filver++": reinforce(g, 4, 3, 1, 1, method="filver++",
+                                  t=2).n_followers,
         }
         assert set(counts.values()) == {4}, counts
 
@@ -64,8 +60,9 @@ class TestGreedyStepOptimality:
     def test_first_anchor_is_single_step_optimal(self, data):
         """FILVER's first placed anchor maximizes |F(x)| over all vertices."""
         g, alpha, beta = data
-        result = run_filver(g, alpha, beta,
-                            b1=min(1, g.n_upper), b2=min(1, g.n_lower))
+        result = reinforce(g, alpha, beta,
+                           b1=min(1, g.n_upper), b2=min(1, g.n_lower),
+                           method="filver")
         if not result.iterations or not result.iterations[0].anchors:
             # no promising anchors at all: then nobody has followers
             core = abcore(g, alpha, beta)
@@ -92,7 +89,7 @@ class TestVariantAgreement:
             g = random_bigraph(seed)
             for alpha, beta, b1, b2 in ((2, 2, 1, 1), (3, 2, 2, 1)):
                 naive = run_naive(g, alpha, beta, b1, b2)
-                filver = run_filver(g, alpha, beta, b1, b2)
+                filver = reinforce(g, alpha, beta, b1, b2, method="filver")
                 strictly_greedy = all(
                     it.marginal_followers > 0
                     for r in (naive, filver) for it in r.iterations
@@ -106,16 +103,19 @@ class TestVariantAgreement:
     def test_plus_variants_match_filver_totals(self):
         for seed in range(8):
             g = random_bigraph(seed)
-            base = run_filver(g, 2, 2, 2, 2).n_followers
-            assert run_filver_plus(g, 2, 2, 2, 2).n_followers == base
+            base = reinforce(g, 2, 2, 2, 2, method="filver").n_followers
+            assert reinforce(g, 2, 2, 2, 2,
+                             method="filver+").n_followers == base
             # t=1 FILVER++ is exactly FILVER+ semantics
-            assert run_filver_plus_plus(g, 2, 2, 2, 2, t=1).n_followers == base
+            assert reinforce(g, 2, 2, 2, 2, method="filver++",
+                             t=1).n_followers == base
 
     def test_filver_plus_plus_with_larger_t_stays_close(self):
         for seed in range(6):
             g = random_bigraph(seed, n1_range=(10, 20), n2_range=(10, 20))
-            one = run_filver_plus(g, 2, 2, 3, 3).n_followers
-            multi = run_filver_plus_plus(g, 2, 2, 3, 3, t=3).n_followers
+            one = reinforce(g, 2, 2, 3, 3, method="filver+").n_followers
+            multi = reinforce(g, 2, 2, 3, 3, method="filver++",
+                              t=3).n_followers
             # the paper reports near-parity for small t; allow modest slack
             assert multi >= 0
             if one:
@@ -125,7 +125,7 @@ class TestVariantAgreement:
 class TestDeadline:
     def test_deadline_flags_timeout(self, k34_with_periphery):
         g = k34_with_periphery
-        result = run_filver(g, 4, 3, 1, 1,
+        result = run_engine(g, 4, 3, 1, 1, engine_options("filver"), "filver",
                             deadline=time.perf_counter() - 1.0)
         assert result.timed_out
 
@@ -150,7 +150,7 @@ class TestBudgetFilling:
             [1, 1, 0, 1, 0],
             [1, 1, 0, 0, 1],
         ])
-        result = run_filver(g, 3, 3, 1, 0)
+        result = reinforce(g, 3, 3, 1, 0, method="filver")
         # whatever happens, the run terminates and reports a valid count
         assert result.n_followers >= 0
         assert len(result.anchors) <= 1

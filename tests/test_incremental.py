@@ -18,6 +18,7 @@ Layers of evidence, cheapest first:
   leaves the cache indistinguishable from a cold one.
 """
 
+import functools
 import json
 import os
 import random
@@ -26,10 +27,9 @@ import pytest
 
 from repro.bigraph import disjoint_union, from_edge_list
 from repro.bigraph.kernel import FollowerKernel, kernel_for
-from repro.core import run_filver, run_filver_plus, run_filver_plus_plus
+from repro.core import engine_options, reinforce
 from repro.core.deletion_order import reachable_from
 from repro.core.engine import run_engine
-from repro.core.filver_plus_plus import filver_plus_plus_options
 from repro.core.followers import compute_followers
 from repro.core.incremental import VerificationCache
 from repro.core.order_maintenance import OrderState
@@ -65,10 +65,9 @@ def planted_composite(n_parts=5, seed_base=900):
 
 
 RUNNERS = {
-    "filver": run_filver,
-    "filver+": run_filver_plus,
-    "filver++": lambda g, a, b, b1, b2, **kw: run_filver_plus_plus(
-        g, a, b, b1, b2, t=3, **kw),
+    "filver": functools.partial(reinforce, method="filver"),
+    "filver+": functools.partial(reinforce, method="filver+"),
+    "filver++": functools.partial(reinforce, method="filver++", t=3),
 }
 
 
@@ -338,19 +337,19 @@ class TestEngineByteIdentity:
         g = planted_composite()
         if backend == "csr":
             g = g.to_csr()
-        base = canon(run_filver_plus_plus(g, 3, 3, 8, 8, t=3,
-                                          memoize=False, flat_kernel=False))
+        base = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3,
+                               memoize=False, flat_kernel=False))
         for memoize in (False, True):
             for flat_kernel in (False, None):
-                got = canon(run_filver_plus_plus(
-                    g, 3, 3, 8, 8, t=3, memoize=memoize,
+                got = canon(reinforce(
+                    g, 3, 3, 8, 8, method="filver++", t=3, memoize=memoize,
                     flat_kernel=flat_kernel))
                 assert got == base, (backend, memoize, flat_kernel)
 
     def test_explicit_flat_kernel_on_list_backend_raises(self):
         g = er_graph(0, backend="list")
         with pytest.raises(GraphConstructionError):
-            run_filver_plus_plus(g, 2, 2, 2, 2, t=2, flat_kernel=True)
+            reinforce(g, 2, 2, 2, 2, method="filver++", t=2, flat_kernel=True)
 
 
 class TestParallelAndResume:
@@ -362,12 +361,12 @@ class TestParallelAndResume:
         run rebuilds its cache from the replayed state, which must not
         show through in the output."""
         g = planted_composite().to_csr()
-        base = canon(run_filver_plus_plus(g, 3, 3, 8, 8, t=3,
-                                          memoize=False, flat_kernel=False))
-        assert canon(run_filver_plus_plus(
-            g, 3, 3, 8, 8, t=3, workers=4)) == base
-        assert canon(run_filver_plus_plus(
-            g, 3, 3, 8, 8, t=3, workers=4,
+        base = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3,
+                               memoize=False, flat_kernel=False))
+        assert canon(reinforce(
+            g, 3, 3, 8, 8, method="filver++", t=3, workers=4)) == base
+        assert canon(reinforce(
+            g, 3, 3, 8, 8, method="filver++", t=3, workers=4,
             memoize=False, flat_kernel=False)) == base
 
         cp = os.path.join(str(tmp_path), "cp.json")
@@ -378,13 +377,13 @@ class TestParallelAndResume:
             if len(seen) == 2:
                 raise AbortCampaign("mid-campaign stop")
 
-        partial = run_engine(g, 3, 3, 8, 8, filver_plus_plus_options(3),
+        partial = run_engine(g, 3, 3, 8, 8, engine_options("filver++", 3),
                              algorithm="filver++(t=3)", checkpoint=cp,
                              on_iteration=abort_after_two)
         assert partial.interrupted and len(partial.iterations) == 2
 
         for kwargs in ({}, {"memoize": False, "flat_kernel": False},
                        {"workers": 4}):
-            got = canon(run_filver_plus_plus(g, 3, 3, 8, 8, t=3,
-                                             resume_from=cp, **kwargs))
+            got = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3,
+                                  resume_from=cp, **kwargs))
             assert got == base, kwargs

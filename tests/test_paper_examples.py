@@ -13,7 +13,7 @@ from repro.core import (
     compute_order,
     compute_orders,
     r_scores,
-    run_filver,
+    reinforce,
     signature,
     two_hop_filter,
 )
@@ -102,7 +102,7 @@ class TestFig1Story:
 
     def test_best_pair_leaves_one_vertex_out(self, k34_with_periphery):
         g = k34_with_periphery
-        result = run_filver(g, 4, 3, 1, 1)
+        result = reinforce(g, 4, 3, 1, 1, method="filver")
         final = abcore(g, 4, 3) | set(result.anchors) | result.followers
         outside = set(g.vertices()) - final
         # u5 (core-only attachment), u6 (isolated) and l4 (the chain head,

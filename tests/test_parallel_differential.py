@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.api import reinforce
 from repro.core.engine import EngineOptions, run_engine
-from repro.core.filver_plus_plus import run_filver_plus_plus
 from repro.core.followers import compute_followers
 from repro.core.order_maintenance import OrderState
 from repro.exceptions import FaultInjected, InvalidParameterError
@@ -107,7 +106,7 @@ class TestResumeAcrossWorkerCounts:
     def test_kill_then_resume_with_different_workers(self, tmp_path, first,
                                                      second):
         graph = campaign_graph()
-        full = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2)
+        full = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2)
         assert len(full.iterations) >= 2
         ckpt = tmp_path / ("w%d_to_w%d.json" % (first, second))
         # Kill at the start of iteration 2's filter stage: the checkpoint
@@ -115,22 +114,22 @@ class TestResumeAcrossWorkerCounts:
         plan = FaultPlan().add("engine.filter", call=2)
         with plan.active():
             with pytest.raises(FaultInjected):
-                run_filver_plus_plus(graph, 3, 3, 3, 3, t=2,
-                                     checkpoint=str(ckpt), workers=first)
+                reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                          checkpoint=str(ckpt), workers=first)
         assert len(load_checkpoint(ckpt).iterations) == 1
-        resumed = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2,
-                                       resume_from=str(ckpt), workers=second)
+        resumed = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                            resume_from=str(ckpt), workers=second)
         assert_identical(resumed, full)
 
     def test_parallel_checkpoint_stream_matches_serial(self, tmp_path):
         graph = campaign_graph(seed=7)
         serial_ckpt = tmp_path / "serial.json"
         parallel_ckpt = tmp_path / "parallel.json"
-        serial = run_filver_plus_plus(graph, 3, 3, 2, 2, t=2,
-                                      checkpoint=str(serial_ckpt))
-        parallel = run_filver_plus_plus(graph, 3, 3, 2, 2, t=2,
-                                        checkpoint=str(parallel_ckpt),
-                                        workers=2)
+        serial = reinforce(graph, 3, 3, 2, 2, method="filver++", t=2,
+                           checkpoint=str(serial_ckpt))
+        parallel = reinforce(graph, 3, 3, 2, 2, method="filver++", t=2,
+                             checkpoint=str(parallel_ckpt),
+                             workers=2)
         assert_identical(parallel, serial)
         a = load_checkpoint(serial_ckpt)
         b = load_checkpoint(parallel_ckpt)

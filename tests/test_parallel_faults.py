@@ -19,8 +19,8 @@ import time
 
 import pytest
 
-from repro.core.engine import _parallel_verification_stage
-from repro.core.filver_plus_plus import run_filver_plus_plus
+from repro.core.api import engine_options, reinforce
+from repro.core.engine import _parallel_verification_stage, run_engine
 from repro.core.followers import compute_followers
 from repro.core.order_maintenance import OrderState
 from repro.core.sharded import CampaignShard, IdentityView
@@ -55,7 +55,8 @@ class TestWorkerAbort:
         plan = FaultPlan().add("parallel.chunk",
                                exc=AbortCampaign("observer said stop"))
         with plan.active():
-            result = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2, workers=2)
+            result = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                               workers=2)
         assert result.interrupted
         assert not result.timed_out
         # The abort fired during iteration one's verification, so nothing
@@ -66,7 +67,7 @@ class TestWorkerAbort:
     def test_abort_after_one_iteration_keeps_verified_prefix(self):
         """Aborting in a later iteration keeps the placed prefix verified."""
         graph = campaign_graph()
-        serial = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2)
+        serial = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2)
         assert len(serial.iterations) >= 2
         first = serial.iterations[0].anchors
         # Workers count their own parallel.chunk calls; a high call index is
@@ -74,7 +75,8 @@ class TestWorkerAbort:
         plan = FaultPlan().add("parallel.chunk", call=4,
                                exc=AbortCampaign("late abort"))
         with plan.active():
-            result = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2, workers=2)
+            result = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                               workers=2)
         assert result.interrupted
         if result.anchors:  # whatever prefix completed matches serial
             assert result.anchors[:len(first)] == first[:len(result.anchors)]
@@ -85,8 +87,9 @@ class TestDeadlineAndStopFlag:
         """A pool is built and torn down, but the pre-loop deadline check
         still wins: partial result, no worker traceback."""
         graph = campaign_graph()
-        result = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2, workers=2,
-                                      deadline=time.perf_counter() - 1.0)
+        result = run_engine(graph, 3, 3, 3, 3, engine_options("filver++", 2),
+                            "filver++(t=2)", workers=2,
+                            deadline=time.perf_counter() - 1.0)
         assert result.timed_out
         assert not result.interrupted
         assert result.anchors == []
@@ -156,11 +159,11 @@ class TestWorkerDeath:
         buries them, recomputes their chunks, and the campaign's output is
         byte-identical to serial — the acceptance bar for degradation."""
         graph = campaign_graph()
-        serial = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2)
+        serial = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2)
         plan = FaultPlan().add("parallel.chunk", call=call, exc=SystemExit)
         with plan.active():
-            parallel = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2,
-                                            workers=2)
+            parallel = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                                 workers=2)
         assert not parallel.interrupted
         assert not parallel.timed_out
         assert_identical(parallel, serial)
@@ -170,12 +173,12 @@ class TestWorkerDeath:
         parent recomputes the chunk, where the injected fault does not
         exist, and the campaign completes identically to serial."""
         graph = campaign_graph()
-        serial = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2)
+        serial = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2)
         plan = FaultPlan().add("parallel.chunk",
                                exc=ValueError("worker-only glitch"))
         with plan.active():
-            parallel = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2,
-                                            workers=2)
+            parallel = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                                 workers=2)
         assert not parallel.interrupted
         assert_identical(parallel, serial)
 
@@ -212,7 +215,8 @@ class TestParentDispatchSite:
         graph = campaign_graph()
         plan = FaultPlan().add("parallel.dispatch", exc=MemoryError)
         with plan.active():
-            result = run_filver_plus_plus(graph, 3, 3, 3, 3, t=2, workers=2)
+            result = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                               workers=2)
         assert result.interrupted
         assert plan.fired == [("parallel.dispatch", 1)]
 
@@ -223,7 +227,8 @@ class TestParentDispatchSite:
         plan = FaultPlan().add("parallel.dispatch")
         with plan.active():
             with pytest.raises(FaultInjected):
-                run_filver_plus_plus(graph, 3, 3, 3, 3, t=2, workers=2)
+                reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                          workers=2)
 
 
 class TestInheritedPlanHygiene:
@@ -244,6 +249,6 @@ class TestInheritedPlanHygiene:
         graph = campaign_graph()
         plan = FaultPlan().add("parallel.chunk", call=1000)  # never fires
         with plan.active():
-            run_filver_plus_plus(graph, 3, 3, 2, 2, t=2, workers=2)
+            reinforce(graph, 3, 3, 2, 2, method="filver++", t=2, workers=2)
             assert plan.call_count("parallel.chunk") == 0
             assert plan.call_count("parallel.dispatch") > 0

@@ -271,7 +271,7 @@ class TestResumeValidation:
         import hashlib
 
         from repro.bigraph import disjoint_union
-        from repro.core.filver_plus_plus import run_filver_plus_plus
+        from repro.core import reinforce
         from repro.exceptions import FaultInjected
         from repro.generators.planted import planted_core_graph
         from repro.resilience import FaultPlan
@@ -283,8 +283,8 @@ class TestResumeValidation:
         path = tmp_path / "c.json"
         with FaultPlan().add("engine.filter", call=3).active():
             with pytest.raises(FaultInjected):
-                run_filver_plus_plus(graph, 3, 3, 3, 3, t=2,
-                                     checkpoint=str(path))
+                reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                          checkpoint=str(path))
         envelope = json.loads(path.read_text())
         envelope["payload"][field] = value
         envelope["checksum"] = hashlib.sha256(json.dumps(
@@ -292,8 +292,8 @@ class TestResumeValidation:
         ).encode("utf-8")).hexdigest()
         path.write_text(json.dumps(envelope))
         with pytest.raises(CheckpointError, match=match):
-            run_filver_plus_plus(graph, 3, 3, 3, 3, t=2,
-                                 resume_from=str(path))
+            reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                      resume_from=str(path))
 
 
 class TestTerminationFlag:
@@ -384,12 +384,12 @@ class TestEngineGracefulSigterm:
         import os
         import signal
 
-        from repro.core.filver import run_filver
+        from repro.core import reinforce
         from conftest import random_bigraph
 
         graph = random_bigraph(1, n1_range=(12, 16), n2_range=(12, 16),
                                density=0.2)
-        full = run_filver(graph, 3, 3, 3, 3)
+        full = reinforce(graph, 3, 3, 3, 3, method="filver")
         assert len(full.iterations) >= 2
 
         fired = {"n": 0}
@@ -400,13 +400,15 @@ class TestEngineGracefulSigterm:
                 os.kill(os.getpid(), signal.SIGTERM)
 
         ckpt = tmp_path / "c.json"
-        partial = run_filver(graph, 3, 3, 3, 3, checkpoint=str(ckpt),
-                             on_iteration=terminate_after_first,
-                             handle_sigterm=True)
+        partial = reinforce(graph, 3, 3, 3, 3, method="filver",
+                            checkpoint=str(ckpt),
+                            on_iteration=terminate_after_first,
+                            handle_sigterm=True)
         assert partial.interrupted
         assert len(partial.iterations) < len(full.iterations)
         # The flushed checkpoint resumes to the byte-identical full result.
-        resumed = run_filver(graph, 3, 3, 3, 3, resume_from=str(ckpt))
+        resumed = reinforce(graph, 3, 3, 3, 3, method="filver",
+                            resume_from=str(ckpt))
         assert resumed.anchors == full.anchors
         assert not resumed.interrupted
         # The process-level handler was restored on the way out.
@@ -415,12 +417,12 @@ class TestEngineGracefulSigterm:
     def test_without_flag_sigterm_is_not_intercepted(self):
         import signal
 
-        from repro.core.filver import run_filver
+        from repro.core import reinforce
         from conftest import random_bigraph
 
         graph = random_bigraph(2, n1_range=(8, 10), n2_range=(8, 10),
                                density=0.25)
         previous = signal.getsignal(signal.SIGTERM)
-        result = run_filver(graph, 2, 2, 2, 2)
+        result = reinforce(graph, 2, 2, 2, 2, method="filver")
         assert signal.getsignal(signal.SIGTERM) is previous
         assert not result.interrupted

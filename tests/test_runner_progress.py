@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.api import engine_options
 from repro.core.engine import EngineOptions, run_engine
-from repro.core.filver import FILVER_OPTIONS
 from repro.experiments.runner import (
     DEFAULTS,
     ExperimentDefaults,
@@ -43,8 +43,9 @@ class TestDefaults:
 class TestProgressCallback:
     def test_callback_sees_every_iteration(self, k34_with_periphery):
         seen = []
-        result = run_engine(k34_with_periphery, 4, 3, 1, 1, FILVER_OPTIONS,
-                            "x", on_iteration=seen.append)
+        result = run_engine(k34_with_periphery, 4, 3, 1, 1,
+                            engine_options("filver"), "x",
+                            on_iteration=seen.append)
         assert len(seen) == len(result.iterations)
         assert [r.anchors for r in seen] == \
             [r.anchors for r in result.iterations]
@@ -57,8 +58,8 @@ class TestProgressCallback:
             raise Abort()
 
         with pytest.raises(Abort):
-            run_engine(k34_with_periphery, 4, 3, 1, 1, FILVER_OPTIONS, "x",
-                       on_iteration=boom)
+            run_engine(k34_with_periphery, 4, 3, 1, 1,
+                       engine_options("filver"), "x", on_iteration=boom)
 
     def test_callback_fires_on_terminal_empty_iteration(self):
         from repro.bigraph import from_biadjacency
@@ -66,6 +67,6 @@ class TestProgressCallback:
         # core covers everything useful; first iteration finds no candidates
         g = from_biadjacency([[1, 1], [1, 1], [0, 0]])
         seen = []
-        run_engine(g, 2, 2, 1, 0, FILVER_OPTIONS, "x",
+        run_engine(g, 2, 2, 1, 0, engine_options("filver"), "x",
                    on_iteration=seen.append)
         assert len(seen) <= 1  # either nothing (no candidates) or one empty

@@ -5,6 +5,7 @@ chaos suite (fault injection, worker deaths) lives in
 ``test_service_differential.py``."""
 
 import json
+import signal
 import threading
 import time
 
@@ -74,6 +75,16 @@ class TestJobSpec:
     def test_non_positive_time_limit_rejected(self):
         with pytest.raises(InvalidParameterError, match="time_limit"):
             JobSpec(alpha=2, beta=2, b1=1, b2=1, time_limit=-1.0).validate()
+
+    @pytest.mark.parametrize("spec,match", [
+        (JobSpec(alpha=2, beta=2, b1=1, b2=1, t=0), "anchors_per_iteration"),
+        (JobSpec(alpha=2, beta=2, b1=1, b2=1, shards=0), "shards"),
+        (JobSpec(alpha=2, beta=2, b1=1, b2=1, method="degree-greedy",
+                 shards=2), "only supported by"),
+    ], ids=["t0", "shards0", "shards-on-baseline"])
+    def test_specs_reinforce_refuses_are_rejected(self, spec, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            spec.validate()
 
     def test_missing_payload_field_rejected(self):
         with pytest.raises(ServiceError, match="missing field"):
@@ -332,6 +343,20 @@ class TestServiceInline:
                                        b1=graph.n_upper + 1, b2=0))
             assert service.job_ids() == []
 
+    def test_valid_request_after_a_refused_twin_completes(self):
+        # The twin differs only in ``shards``, which the cache key ignores:
+        # refused at the door, it never claims the in-flight slot the
+        # valid request would otherwise be coalesced onto.
+        graph = service_graph()
+        with CampaignService(graph) as service:
+            with pytest.raises(InvalidParameterError, match="shards"):
+                service.submit(JobSpec(alpha=2, beta=2, b1=1, b2=1,
+                                       shards=0))
+            handle = service.submit(JobSpec(alpha=2, beta=2, b1=1, b2=1))
+            assert service.run_until_idle() == 1
+            assert canonical(handle.result()) == canonical(
+                reinforce(graph, 2, 2, 1, 1))
+
     def test_cancel_pending_job(self):
         graph = service_graph()
         with CampaignService(graph) as service:
@@ -582,6 +607,16 @@ class TestServiceCLI:
             tmp_path, ["--workers", "0"],
             jobs=[{"alpha": 2, "beta": 2, "b1": 10_000, "b2": 0}])
         assert code == 2
+
+    @pytest.mark.parametrize("jobs", [
+        None, [{"alpha": 2, "beta": 2, "b1": 1, "b2": 1, "t": 0}],
+    ], ids=["completed", "refused"])
+    def test_signal_handlers_restored_after_main(self, tmp_path, jobs):
+        guarded = (signal.SIGTERM, signal.SIGINT)
+        before = [signal.getsignal(signum) for signum in guarded]
+        code, _ = self.run_cli(tmp_path, ["--workers", "0"], jobs=jobs)
+        assert code == (0 if jobs is None else 2)
+        assert [signal.getsignal(signum) for signum in guarded] == before
 
     def test_missing_jobs_file_is_a_clean_error(self, tmp_path, capsys):
         from repro.bigraph import write_edge_list

@@ -22,7 +22,6 @@ import pytest
 
 from repro.bigraph import disjoint_union, from_edge_list, write_edge_list
 from repro.core.api import reinforce
-from repro.core.filver_plus_plus import run_filver_plus_plus
 from repro.bigraph.components import ComponentDecomposition
 from repro.core.sharded import CampaignShard, plan_shards
 from repro.exceptions import (
@@ -186,8 +185,8 @@ class TestPlanShards:
 
 class TestShardedCheckpointAndResume:
     def campaign(self, **kwargs):
-        return run_filver_plus_plus(multi_component_graph(), 3, 3, 3, 3,
-                                    t=2, **kwargs)
+        return reinforce(multi_component_graph(), 3, 3, 3, 3,
+                         method="filver++", t=2, **kwargs)
 
     def interrupted_checkpoint(self, tmp_path, name="ckpt.json", shards=3,
                                workers=1):

@@ -1,6 +1,6 @@
 """Tests for the independent result verifier."""
 
-from repro.core import run_filver, run_filver_plus_plus, run_naive
+from repro.core import reinforce
 from repro.core.verify import verify_result
 
 from conftest import K34, random_bigraph
@@ -9,27 +9,28 @@ from conftest import K34, random_bigraph
 class TestVerifyCleanResults:
     def test_every_algorithm_passes_verification(self, k34_with_periphery):
         g = k34_with_periphery
-        for runner in (run_filver, run_naive):
-            report = verify_result(g, runner(g, 4, 3, 1, 1))
+        for method in ("filver", "naive"):
+            report = verify_result(g, reinforce(g, 4, 3, 1, 1, method=method))
             assert report.ok, str(report)
-        report = verify_result(g, run_filver_plus_plus(g, 4, 3, 1, 1, t=2))
+        report = verify_result(g, reinforce(g, 4, 3, 1, 1, method="filver++",
+                                            t=2))
         assert report.ok, str(report)
 
     def test_random_graphs_pass(self):
         for seed in range(5):
             g = random_bigraph(seed)
-            result = run_filver(g, 2, 2, 2, 2)
+            result = reinforce(g, 2, 2, 2, 2, method="filver")
             assert verify_result(g, result).ok
 
     def test_str_of_clean_report(self, k34_with_periphery):
-        result = run_filver(k34_with_periphery, 4, 3, 1, 1)
+        result = reinforce(k34_with_periphery, 4, 3, 1, 1, method="filver")
         assert "no discrepancies" in str(verify_result(k34_with_periphery,
                                                        result))
 
 
 class TestVerifyCatchesTampering:
     def result(self, g):
-        return run_filver(g, 4, 3, 1, 1)
+        return reinforce(g, 4, 3, 1, 1, method="filver")
 
     def test_detects_invalid_anchor(self, k34_with_periphery):
         g = k34_with_periphery
