@@ -15,10 +15,12 @@ test:
 
 # Deterministic resilience gate: fault injection, checkpoint/resume
 # replay-equivalence, crash isolation, and seeded fuzzing of every
-# persisted artifact.  No sleeps; all randomness is seeded.
+# persisted artifact and of the edge-list loaders.  No sleeps; all
+# randomness is seeded.
 test-faults:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py \
-		tests/test_resilience.py tests/test_artifact_fuzz.py -q
+		tests/test_resilience.py tests/test_artifact_fuzz.py \
+		tests/test_io_fuzz.py -q
 
 # Campaign-service gate: functional + deterministic chaos + differential
 # byte-identity tests for repro.service (docs/SERVICE.md), then the engine

@@ -17,9 +17,19 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import zlib
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from repro.bigraph.builder import GraphBuilder
 from repro.bigraph.csr import csr_from_indexed_edges
@@ -87,6 +97,31 @@ def _open_text(path, mode: str):
     return open(path, mode, encoding="utf-8")
 
 
+#: What a damaged file raises while it is read: bytes that are not UTF-8,
+#: and a truncated (``EOFError``) or corrupted ``.gz`` stream.
+_DAMAGED = (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error)
+
+
+def _source_lines(source: PathOrFile) -> Iterator[str]:
+    """The text lines of a path (``.gz`` decompressed) or an open file.
+
+    A damaged file raises :class:`GraphConstructionError` naming it, so
+    callers see the library's own error instead of a decoder's.
+    """
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with _open_text(source, "r") as handle:
+                yield from handle
+        else:
+            yield from source
+    except _DAMAGED as error:
+        name = (os.fspath(source) if isinstance(source, (str, os.PathLike))
+                else getattr(source, "name", "<stream>"))
+        raise GraphConstructionError(
+            "%s: unreadable edge list (%s: %s)"
+            % (name, type(error).__name__, error)) from error
+
+
 def read_edge_list(source: PathOrFile, dedupe: bool = True,
                    backend: str = "list", on_error: str = "raise",
                    stats: Optional[LoadStats] = None,
@@ -108,7 +143,10 @@ def read_edge_list(source: PathOrFile, dedupe: bool = True,
 
     ``on_error="skip"`` tolerates malformed data lines instead of raising,
     recording how many were dropped in ``stats`` (see
-    :func:`parse_edge_lines`); all backends honour it identically.
+    :func:`parse_edge_lines`); all backends honour it identically.  A
+    damaged file — bytes that are not UTF-8, a truncated or corrupted
+    ``.gz`` stream — raises :class:`GraphConstructionError` naming the
+    path under every ``on_error`` setting and backend.
     """
     fault_site("io.read_edge_list")
     if backend in ("csr", "memmap"):
@@ -122,11 +160,7 @@ def read_edge_list(source: PathOrFile, dedupe: bool = True,
         raise GraphConstructionError(
             "memmap_dir only applies to backend='memmap'")
     builder = GraphBuilder()
-    if isinstance(source, (str, os.PathLike)):
-        with _open_text(source, "r") as handle:
-            builder.add_edges(parse_edge_lines(handle, on_error, stats))
-    else:
-        builder.add_edges(parse_edge_lines(source, on_error, stats))
+    builder.add_edges(parse_edge_lines(_source_lines(source), on_error, stats))
     return builder.build(dedupe=dedupe)
 
 
@@ -170,11 +204,7 @@ def _read_edge_list_csr(source: PathOrFile, dedupe: bool,
             us.append(ui)
             vs.append(vi)
 
-    if isinstance(source, (str, os.PathLike)):
-        with _open_text(source, "r") as handle:
-            _consume(handle)
-    else:
-        _consume(source)
+    _consume(_source_lines(source))
 
     n_upper = len(upper_labels)
     n_lower = len(lower_labels)

@@ -2,12 +2,11 @@
 
 The service sees *streams* of campaigns against one graph, and most of a
 cold start is (α, β)-invariant: the base (α,β)-core, the pristine deletion
-orders (plus capped core numbers), the CSR follower-kernel arrays, the
-r-score tables, and the first filter pass's signatures / two-hop verdicts /
-``rf(x)`` sets are all pure functions of ``(graph, α, β)`` — no campaign
-parameter (budgets, method, ``t``, seed, deadline) enters them.
-:class:`SharedCampaignContext` computes each of those exactly once and
-serves them copy-on-write to every campaign:
+orders (plus capped core numbers), the r-score tables, and the first
+filter pass's signatures / two-hop verdicts / ``rf(x)`` sets are all pure
+functions of ``(graph, α, β)`` — no campaign parameter (budgets, method,
+``t``, seed, deadline) enters them.  :class:`SharedCampaignContext`
+computes each of those exactly once and serves them to every campaign:
 
 * the pristine :class:`~repro.core.order_maintenance.OrderState` is built
   once and *cloned* per campaign (`OrderState.clone_pristine`) — each
@@ -18,11 +17,12 @@ serves them copy-on-write to every campaign:
   each campaign's private :class:`~repro.core.incremental.VerificationCache`
   (promotion + tombstones; see the seeding section of
   :mod:`repro.core.incremental`);
-* :class:`~repro.bigraph.kernel.FollowerKernel` instances and parallel
-  evaluators (the shared-memory pool of :mod:`repro.parallel`) are leased
-  from small free-pools — the kernel reloads per iteration and the
-  evaluator re-broadcasts state per iteration, so neither carries campaign
-  state across a lease.
+* parallel evaluators (the shared-memory pool of :mod:`repro.parallel`)
+  are leased from a small free-pool — an evaluator re-broadcasts state per
+  iteration, so it carries no campaign state across a lease.  Follower
+  kernels are not pooled: each campaign builds its own with
+  :func:`~repro.bigraph.kernel.kernel_for`, as a standalone run does,
+  because building one costs a fraction of a millisecond.
 
 Everything campaign-*variant* — anchors, order repairs, dirty regions,
 follower sets, checkpoints, budgets, deadlines — lives in per-campaign
@@ -46,18 +46,28 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.abcore.decomposition import abcore
 from repro.bigraph.graph import BipartiteGraph
-from repro.bigraph.kernel import FollowerKernel, kernel_for
+from repro.bigraph.kernel import kernel_for
 from repro.bigraph.validation import validate_problem
-from repro.core.deletion_order import r_scores, reachable_from
+# reachable_from, r_scores: unused here, kept for perfbench's tracer.
+from repro.core.deletion_order import r_scores, reachable_from  # noqa: F401
+from repro.core.engine import EngineOptions, _filter_stage
 from repro.core.incremental import SeedTables, VerificationCache
 from repro.core.order_maintenance import OrderState
-from repro.core.signatures import two_hop_filter_cached
+from repro.core.sharded import CampaignShard, IdentityView
+# two_hop_filter_cached: unused here, kept for perfbench's tracer.
+from repro.core.signatures import two_hop_filter_cached  # noqa: F401
 from repro.exceptions import InvalidParameterError
 
 if TYPE_CHECKING:
     from repro.parallel import ShardedEvaluator
 
 __all__ = ["SharedCampaignContext", "context_key"]
+
+#: The warm-up's two filter passes: the first stores signatures, two-hop
+#: verdicts and ``rf(x)`` for every survivor; the second stores the
+#: r-score tables (r-score bounds skip the two-hop filter and ``rf(x)``).
+_RF_PASS = EngineOptions(use_two_hop_filter=True, use_rf_bound=True)
+_R_SCORE_PASS = EngineOptions()
 
 
 def context_key(fingerprint: str, alpha: int, beta: int,
@@ -72,10 +82,10 @@ class SharedCampaignContext:
     Keyed on ``(graph_fingerprint, α, β, backend)`` (:func:`context_key`,
     exposed as :attr:`key`); every served value is either frozen (base
     core, seed tables), cloned (order state), or leased with no
-    cross-campaign state (kernels, evaluators).  All accessors are
-    thread-safe — the service's worker threads share one instance — but
-    any single leased kernel/evaluator must be used by one campaign at a
-    time, which the lease pools guarantee.
+    cross-campaign state (evaluators).  All accessors are thread-safe —
+    the service's worker threads share one instance — but any single
+    leased evaluator must be used by one campaign at a time, which the
+    lease pool guarantees.
 
     The context never validates budgets: each campaign's own entry point
     does.  It does pin the problem instance — :meth:`check_compatible`
@@ -95,18 +105,14 @@ class SharedCampaignContext:
         self._base_core: Optional[Set[int]] = None
         self._seed_state: Optional[OrderState] = None
         self._seed_tables: Optional[SeedTables] = None
-        self._kernel_pool: List[FollowerKernel] = []
-        self._kernel_capable = True
         self._eval_free: Dict[Tuple[int, bool],
                               List["ShardedEvaluator"]] = {}
         self._eval_all: List["ShardedEvaluator"] = []
         # Diagnostics (batch scheduler stats / benchmarks).
         self.state_clones = 0
-        self.kernel_leases = 0
-        self.kernels_built = 0
+        self.kernels_built = 0  # the warm-up's scratch kernel
         self.evaluator_leases = 0
         self.evaluators_built = 0
-        self.seed_restored = False
 
     # ------------------------------------------------------------------
     # Identity
@@ -165,12 +171,13 @@ class SharedCampaignContext:
     def seed_tables(self) -> SeedTables:
         """The frozen epoch-0 verification tables, warmed on first use.
 
-        Warm-up runs the pristine filter pass once — two-hop signatures and
-        survivor verdicts over each side's candidates, ``rf(x)`` for every
-        survivor, and both r-score tables — into a throwaway
-        :class:`VerificationCache`, then freezes it.  Every stored value is
-        exactly what iteration one of a cold campaign would compute, which
-        is the whole soundness story (see :mod:`repro.core.incremental`).
+        Warm-up runs the engine's own filter stage over the pristine state
+        twice, into a throwaway :class:`VerificationCache` — once with the
+        two-hop filter and ``rf(x)`` bounds (signatures, survivor verdicts,
+        ``rf(x)`` for every survivor), once with r-score bounds (both
+        r-score tables) — then freezes it.  Every stored value is exactly
+        what iteration one of a cold campaign would compute, which is the
+        whole soundness story (see :mod:`repro.core.incremental`).
         """
         with self._lock:
             if self._seed_tables is None:
@@ -186,64 +193,27 @@ class SharedCampaignContext:
         return self._seed_state
 
     def _warm_seed_tables(self) -> SeedTables:
-        state = self._pristine_state()
         scratch = VerificationCache(self.graph)
-        kernel = self.acquire_kernel()
+        kernel = kernel_for(self.graph)
+        if kernel is not None:
+            self.kernels_built += 1
+        state = self._pristine_state()
+        shard = CampaignShard(0, IdentityView(self.graph), state, scratch,
+                              kernel)
         try:
             if kernel is not None:
                 kernel.begin_iteration(state.upper.position,
                                        state.lower.position, state.core)
-            for order in (state.upper, state.lower):
-                side = order.side
-                candidates = order.candidates(self.graph)
-                if candidates:
-                    survivors, _sigs = two_hop_filter_cached(
-                        self.graph, order, candidates, scratch)
-                    for x in survivors:
-                        if kernel is not None:
-                            rf = kernel.reachable(side, x)
-                        else:
-                            rf = reachable_from(self.graph, order, x)
-                        scratch.store_rf(side, x, rf)
-                scratch.store_r_scores(side, r_scores(self.graph, order))
+            for options in (_RF_PASS, _R_SCORE_PASS):
+                _filter_stage(shard, 1, 1, options)
         finally:
-            self.release_kernel(kernel)
+            if kernel is not None:
+                kernel.release()
         return scratch.freeze_seed()
 
     # ------------------------------------------------------------------
-    # Leases: follower kernels and parallel evaluators
+    # Leases: parallel evaluators
     # ------------------------------------------------------------------
-
-    def acquire_kernel(self) -> Optional[FollowerKernel]:
-        """Lease a follower kernel (``None`` on non-CSR backends).
-
-        The kernel reloads its position/core buffers in
-        ``begin_iteration``, so a returned lease carries no campaign state.
-        """
-        with self._lock:
-            if self._kernel_pool:
-                self.kernel_leases += 1
-                return self._kernel_pool.pop()
-            if not self._kernel_capable:
-                return None
-        kernel = kernel_for(self.graph)
-        with self._lock:
-            if kernel is None:
-                self._kernel_capable = False
-            else:
-                self.kernel_leases += 1
-                self.kernels_built += 1
-        return kernel
-
-    def release_kernel(self, kernel: Optional[FollowerKernel]) -> None:
-        """Return a leased kernel to the pool (accepts ``None``)."""
-        if kernel is None:
-            return
-        with self._lock:
-            if self._closed:
-                kernel.release()
-            else:
-                self._kernel_pool.append(kernel)
 
     def acquire_evaluator(self, workers: int, use_flat_kernel: bool,
                           ) -> Optional["ShardedEvaluator"]:
@@ -289,37 +259,6 @@ class SharedCampaignContext:
                 self._eval_free.setdefault(key, []).append(evaluator)
 
     # ------------------------------------------------------------------
-    # Persistence (the service's on-disk tier)
-    # ------------------------------------------------------------------
-
-    def seed_payload(self) -> Optional[Dict[str, Any]]:
-        """A JSON-safe envelope of the warm seed, or ``None`` if cold."""
-        with self._lock:
-            if self._seed_tables is None:
-                return None
-            return {"alpha": self.alpha, "beta": self.beta,
-                    "backend": self.backend,
-                    "tables": self._seed_tables.to_payload()}
-
-    def install_seed_payload(self, payload: Dict[str, Any]) -> bool:
-        """Adopt a persisted seed (from :meth:`seed_payload`).
-
-        Returns ``False`` — leaving the context cold — when the payload is
-        for a different ``(α, β)`` or a seed is already warm; raises on a
-        malformed payload (callers degrade to cold).
-        """
-        if payload.get("alpha") != self.alpha \
-                or payload.get("beta") != self.beta:
-            return False
-        tables = SeedTables.from_payload(payload["tables"])
-        with self._lock:
-            if self._seed_tables is not None:
-                return False
-            self._seed_tables = tables
-            self.seed_restored = True
-        return True
-
-    # ------------------------------------------------------------------
     # Lifecycle / diagnostics
     # ------------------------------------------------------------------
 
@@ -333,25 +272,20 @@ class SharedCampaignContext:
                 "warm": self._seed_tables is not None,
                 "seed_entries": (self._seed_tables.entries()
                                  if self._seed_tables is not None else 0),
-                "seed_restored": self.seed_restored,
                 "state_clones": self.state_clones,
-                "kernel_leases": self.kernel_leases,
                 "kernels_built": self.kernels_built,
                 "evaluator_leases": self.evaluator_leases,
                 "evaluators_built": self.evaluators_built,
             }
 
     def close(self) -> None:
-        """Release pooled kernels and shut pooled evaluators down."""
+        """Shut pooled evaluators down."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            kernels, self._kernel_pool = self._kernel_pool, []
             evaluators, self._eval_free = self._eval_free, {}
             self._eval_all = []
-        for kernel in kernels:
-            kernel.release()
         for pool in evaluators.values():
             for evaluator in pool:
                 evaluator.shutdown()

@@ -182,7 +182,7 @@ def run_engine(
     batch of same-``(graph, α, β)`` unsharded campaigns share the
     (α, β)-invariant substrate: the base core, a pristine order-state
     clone, the frozen epoch-0 verification seed, the graph fingerprint,
-    and leased kernels/evaluators.  Every shared value equals what this
+    and leased parallel evaluators.  Every shared value equals what this
     run would have computed cold, so results remain byte-identical
     (``docs/PERF.md``).  The seed is skipped on resume, so a resumed
     campaign's cache starts cold, like a standalone resume's.  Sharded
@@ -395,8 +395,6 @@ def run_engine(
                 context.release_evaluator(workers, use_kernel, evaluator)
             else:
                 evaluator.shutdown()
-        if context is not None:
-            context.release_kernel(shard_list[0].kernel)
 
     # Authoritative objective, recomputed once per shard from the global
     # anchor list: the anchored core of a disjoint union is the union of

@@ -121,7 +121,7 @@ them feed decisions, so byte-identity is unaffected.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.order_maintenance import DirtyRegions
@@ -141,37 +141,24 @@ class SeedTables:
     entries out of the seed but never write into it, which is what makes one
     instance safe to share (including across service worker threads).
 
-    ``rf_index`` is the static inverted index ``v → {x : v ∈ {x} ∪ rf(x)}``
-    that lets a campaign's invalidation tombstone seed entries with the same
+    ``rf_index`` is the warm-up cache's inverted index
+    ``v → {x : v ∈ {x} ∪ rf(x)}``, static once frozen, that lets a
+    campaign's invalidation tombstone seed entries with the same
     ``O(|D1|)`` scan it uses for its private entries.
     """
 
     __slots__ = ("rf", "rf_index", "sigs", "survivors", "r_scores")
 
     def __init__(self, rf: Dict[str, Dict[int, Set[int]]],
+                 rf_index: Dict[str, Dict[int, Set[int]]],
                  sigs: Dict[str, Dict[int, Set[int]]],
                  survivors: Dict[str, Dict[int, bool]],
                  r_scores: Dict[str, Optional[Dict[int, int]]]) -> None:
         self.rf = rf
+        self.rf_index = rf_index
         self.sigs = sigs
         self.survivors = survivors
         self.r_scores = r_scores
-        self.rf_index: Dict[str, Dict[int, Set[int]]] = {}
-        for side in _SIDES:
-            index: Dict[int, Set[int]] = {}
-            for x, rf_set in rf[side].items():
-                for v in rf_set:
-                    ids = index.get(v)
-                    if ids is None:
-                        index[v] = {x}
-                    else:
-                        ids.add(x)
-                ids = index.get(x)
-                if ids is None:
-                    index[x] = {x}
-                else:
-                    ids.add(x)
-            self.rf_index[side] = index
 
     def entries(self) -> int:
         """Total table entries across both sides (diagnostics only)."""
@@ -182,43 +169,6 @@ class SeedTables:
             if self.r_scores[side] is not None:
                 total += 1
         return total
-
-    def to_payload(self) -> Dict[str, Any]:
-        """A JSON-safe encoding (sorted pair lists; sets become lists)."""
-
-        def enc_sets(table: Dict[int, Set[int]]) -> List[List[object]]:
-            return [[x, sorted(s)] for x, s in sorted(table.items())]
-
-        return {
-            "rf": {side: enc_sets(self.rf[side]) for side in _SIDES},
-            "sigs": {side: enc_sets(self.sigs[side]) for side in _SIDES},
-            "survivors": {
-                side: [[x, bool(v)]
-                       for x, v in sorted(self.survivors[side].items())]
-                for side in _SIDES},
-            "r_scores": {
-                side: (sorted(self.r_scores[side].items())
-                       if self.r_scores[side] is not None else None)
-                for side in _SIDES},
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "SeedTables":
-        """Rebuild from :meth:`to_payload` output (raises on bad shape)."""
-        rf = {side: {int(x): set(s) for x, s in payload["rf"][side]}
-              for side in _SIDES}
-        sigs = {side: {int(x): set(s) for x, s in payload["sigs"][side]}
-                for side in _SIDES}
-        survivors = {
-            side: {int(x): bool(v) for x, v in payload["survivors"][side]}
-            for side in _SIDES}
-        r_scores: Dict[str, Optional[Dict[int, int]]] = {}
-        for side in _SIDES:
-            table = payload["r_scores"][side]
-            r_scores[side] = (
-                {int(x): int(s) for x, s in table} if table is not None
-                else None)
-        return cls(rf, sigs, survivors, r_scores)
 
 
 class VerificationEntry:
@@ -464,11 +414,12 @@ class VerificationCache:
         Intended for a throwaway warm-up cache populated from the pristine
         state (:class:`repro.core.batch.SharedCampaignContext`); the caller
         must not keep using this cache afterwards, since the seed shares its
-        value objects.
+        value objects and its ``rf`` index.
         """
         return SeedTables(
             rf={side: {x: e.rf for x, e in self._entries[side].items()}
                 for side in _SIDES},
+            rf_index=self._rf_index,
             sigs={side: dict(self._sigs[side]) for side in _SIDES},
             survivors={side: dict(self._survivors[side]) for side in _SIDES},
             r_scores={side: self._r_scores[side] for side in _SIDES})

@@ -13,9 +13,9 @@ accordingly).
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Set
+from typing import Collection, List, Optional, Set
 
-from repro.abcore.decomposition import abcore, anchored_abcore
+from repro.abcore.decomposition import anchored_abcore, peel_with_order
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.validation import validate_problem
 from repro.core.result import AnchoredCoreResult, IterationRecord
@@ -23,12 +23,22 @@ from repro.core.result import AnchoredCoreResult, IterationRecord
 __all__ = ["run_naive"]
 
 
+def _scalar_peel(graph: BipartiteGraph, alpha: int, beta: int,
+                 anchors: Collection[int]) -> Set[int]:
+    """The pure-Python global peel.
+
+    Not :func:`anchored_abcore`, which routes full-graph peels on CSR
+    graphs through the vectorized peel.
+    """
+    return peel_with_order(graph, alpha, beta, anchors)[0]
+
+
 def _select_peel(graph: BipartiteGraph, accel: str):
     """Pick the global-peel backend for this run."""
     if accel not in ("auto", "on", "off"):
         raise ValueError("accel must be 'auto', 'on' or 'off', got %r" % accel)
     if accel == "off":
-        return anchored_abcore
+        return _scalar_peel
     from repro.abcore import accel as accel_mod
 
     if accel == "on":
@@ -54,14 +64,16 @@ def run_naive(
     ``accel`` selects the global-peel backend: ``"auto"`` uses the numpy
     round-synchronous peel (:mod:`repro.abcore.accel`) when numpy is
     installed and the graph is non-trivial, ``"on"`` forces it, ``"off"``
-    sticks to the pure-Python peel.  Both compute identical cores; Naive's
-    cost is one global peel per candidate per iteration, so this is where
-    vectorization pays the most.
+    sticks to the pure-Python peel on every backend, CSR included.  The
+    base core, every trial, and the final core all go through the chosen
+    peel.  Both compute identical cores; Naive's cost is one global peel
+    per candidate per iteration, so this is where vectorization pays the
+    most.
     """
     validate_problem(graph, alpha, beta, b1, b2)
     peel = _select_peel(graph, accel)
     start = time.perf_counter()
-    base_core = abcore(graph, alpha, beta)
+    base_core = peel(graph, alpha, beta, [])
 
     anchors: List[int] = []
     iterations: List[IterationRecord] = []
@@ -119,7 +131,7 @@ def run_naive(
             verifications=verifications,
             elapsed=time.perf_counter() - iter_start))
 
-    final_core = anchored_abcore(graph, alpha, beta, anchors)
+    final_core = peel(graph, alpha, beta, anchors)
     follower_set = final_core - base_core - set(anchors)
     return AnchoredCoreResult(
         algorithm="naive", alpha=alpha, beta=beta, b1=b1, b2=b2,

@@ -12,7 +12,7 @@ is that loop; this module provides the shards it drives:
   over an :class:`IdentityView` of the input graph: the same graph object,
   no component decomposition, no id maps, no copy (a memmap graph stays
   memmap).  With a :class:`~repro.core.batch.SharedCampaignContext` it
-  takes its order state, seed tables, and kernel lease from the context;
+  takes its order state and seed tables from the context;
 * :func:`build_shards` with ``shards=k`` — :func:`plan_shards` groups the
   components into at most ``k`` balanced groups, one shard per group over
   a component-local :class:`~repro.bigraph.components.SubgraphView`;
@@ -212,9 +212,8 @@ class CampaignShard:
 
 
 def _select_kernel(graph: BipartiteGraph, flat_kernel: Optional[bool],
-                   context: Optional["SharedCampaignContext"] = None,
                    ) -> Optional[FollowerKernel]:
-    """The follower kernel for one shard graph, leased when possible.
+    """The follower kernel for one shard graph.
 
     ``None`` auto-enables the kernel on CSR-backed graphs, ``True``
     requires a CSR backend (construction raises otherwise), ``False``
@@ -222,11 +221,8 @@ def _select_kernel(graph: BipartiteGraph, flat_kernel: Optional[bool],
     """
     if flat_kernel is not None and not flat_kernel:
         return None
-    kernel = context.acquire_kernel() if context is not None else None
-    if kernel is None:
-        kernel = kernel_for(graph) if flat_kernel is None \
-            else FollowerKernel(graph)
-    return kernel
+    return kernel_for(graph) if flat_kernel is None \
+        else FollowerKernel(graph)
 
 
 def build_shards(
@@ -243,8 +239,7 @@ def build_shards(
     """The shards a campaign runs on, and the router for global anchor ids.
 
     ``shards=None`` yields one identity shard; with a ``context`` that
-    shard clones the context's pristine order state, leases its kernel
-    (callers hand it back via ``context.release_kernel``), and — when
+    shard clones the context's pristine order state and — when
     ``memoize`` and ``seeded`` — consults the frozen epoch-0 seed tables.
     ``shards=k`` decomposes the graph into connected components and builds
     at most ``k`` component-group shards (``context`` is not consulted).
@@ -253,14 +248,13 @@ def build_shards(
     if shards is None:
         if context is not None:
             seed = context.seed_tables() if memoize and seeded else None
-            kernel = _select_kernel(graph, flat_kernel, context)
             state = context.order_state(maintain=maintain)
         else:
             seed = None
-            kernel = _select_kernel(graph, flat_kernel)
             state = OrderState(graph, alpha, beta, maintain=maintain)
         cache = VerificationCache(graph, seed=seed) if memoize else None
-        shard = CampaignShard(0, IdentityView(graph), state, cache, kernel)
+        shard = CampaignShard(0, IdentityView(graph), state, cache,
+                              _select_kernel(graph, flat_kernel))
         return [shard], lambda gx: 0
 
     decomposition = ComponentDecomposition(graph)

@@ -3,8 +3,8 @@
 Loads one graph, submits a batch of jobs from a JSON file, serves them on
 a worker pool with graceful SIGTERM/SIGINT drain, and writes one sorted
 JSON report of every job's outcome.  A killed run can be restarted with
-the same ``--state-dir`` and resumes its backlog from checkpoints (and,
-with batching enabled, from the persisted result/seed cache).
+the same ``--state-dir`` and resumes its backlog from checkpoints (and
+serves finished jobs from the persisted result cache).
 
 Same-``(α, β)`` engine-family jobs of equal priority are grouped at
 dispatch onto one shared warm substrate (the default; disable with

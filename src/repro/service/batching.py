@@ -2,8 +2,8 @@
 
 The campaign service runs every job against the *same* graph, so any two
 queued engine-family jobs with the same ``(α, β)`` can share the whole
-(α, β)-invariant substrate — deletion-order seed, base core, CSR follower
-kernel, warm verification tables — through one
+(α, β)-invariant substrate — deletion-order seed, base core, warm
+verification tables — through one
 :class:`repro.core.batch.SharedCampaignContext`.  :class:`BatchScheduler`
 is the service-side registry of those contexts:
 
@@ -17,11 +17,11 @@ is the service-side registry of those contexts:
   job is never chosen over a higher-priority one; within a class the
   regrouping only changes FIFO order among jobs that were already equally
   eligible.
-* **persistence** — warm seeds are written through the service's
-  :class:`~repro.service.cache.DiskCacheTier` on release/close and
-  restored on the next build, so a restarted service starts with warm
-  verification tables (validated by checksum; corruption degrades to a
-  cold context).
+
+Contexts live in memory only.  A restarted service rebuilds each
+``(α, β)``'s context on first use — one filter pass, tens of milliseconds
+on the benchmark graphs — while finished jobs come back from the result
+cache's disk tier.
 
 Soundness: sharing is *transparent* — the context serves only values an
 engine run would have computed identically itself (see
@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.api import ENGINE_METHODS
 from repro.core.batch import SharedCampaignContext
-from repro.service.cache import DiskCacheTier
 from repro.service.jobs import Job, JobSpec
 
 __all__ = ["BatchScheduler", "DEFAULT_MAX_CONTEXTS"]
@@ -52,23 +51,19 @@ DEFAULT_MAX_CONTEXTS = 4
 class _Entry:
     """One registered context plus its checkout bookkeeping."""
 
-    __slots__ = ("context", "refs", "persisted")
+    __slots__ = ("context", "refs")
 
     def __init__(self, context: SharedCampaignContext) -> None:
         self.context = context
         self.refs = 0
-        self.persisted = False
 
 
 class BatchScheduler:
     """Refcounted ``(α, β)`` → shared-context registry for one service."""
 
-    def __init__(self, graph: BipartiteGraph, fingerprint: str,
-                 persist: Optional[DiskCacheTier] = None,
+    def __init__(self, graph: BipartiteGraph,
                  max_contexts: int = DEFAULT_MAX_CONTEXTS) -> None:
         self._graph = graph
-        self._fingerprint = fingerprint
-        self._persist = persist
         self._max_contexts = max(1, max_contexts)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[int, int], _Entry]" = OrderedDict()
@@ -76,7 +71,6 @@ class BatchScheduler:
         self._hits = 0
         self._builds = 0
         self._evictions = 0
-        self._seed_restores = 0
         self._grouped = 0
 
     # ------------------------------------------------------------------
@@ -96,8 +90,7 @@ class BatchScheduler:
     def acquire(self, spec: JobSpec) -> Optional[SharedCampaignContext]:
         """Check out the shared context for ``spec``, or None if ineligible.
 
-        Builds the context on first use for its ``(α, β)`` — restoring a
-        persisted seed when the disk tier has a valid one — and bumps its
+        Builds the context on first use for its ``(α, β)`` and bumps its
         refcount; the caller must :meth:`release` it in a ``finally``.
         """
         if not self.eligible(spec):
@@ -108,11 +101,8 @@ class BatchScheduler:
                 return None
             entry = self._entries.get(key)
             if entry is None:
-                context = SharedCampaignContext(
-                    self._graph, spec.alpha, spec.beta)
-                if self._restore_seed(context):
-                    self._seed_restores += 1
-                entry = _Entry(context)
+                entry = _Entry(SharedCampaignContext(
+                    self._graph, spec.alpha, spec.beta))
                 self._entries[key] = entry
                 self._builds += 1
                 self._evict_idle()
@@ -124,11 +114,10 @@ class BatchScheduler:
 
     def release(self, spec: JobSpec,
                 context: Optional[SharedCampaignContext]) -> None:
-        """Return a checked-out context; persists its seed once warm."""
+        """Return a checked-out context."""
         if context is None:
             return
         key = (spec.alpha, spec.beta)
-        persist_entry: Optional[_Entry] = None
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry.context is not context:
@@ -137,10 +126,6 @@ class BatchScheduler:
                 context.close()
                 return
             entry.refs = max(0, entry.refs - 1)
-            if not entry.persisted and self._persist is not None:
-                persist_entry = entry
-        if persist_entry is not None:
-            self._persist_seed(persist_entry)
 
     # ------------------------------------------------------------------
     # Dispatch grouping
@@ -173,38 +158,6 @@ class BatchScheduler:
         return head
 
     # ------------------------------------------------------------------
-    # Seed persistence
-    # ------------------------------------------------------------------
-
-    def _seed_key(self, alpha: int, beta: int) -> List[object]:
-        return [self._fingerprint, alpha, beta]
-
-    def _restore_seed(self, context: SharedCampaignContext) -> bool:
-        """Install a persisted seed into a freshly built context."""
-        if self._persist is None:
-            return False
-        payload = self._persist.load(
-            "seed", self._seed_key(context.alpha, context.beta))
-        if payload is None:
-            return False
-        try:
-            return context.install_seed_payload(payload)  # type: ignore[arg-type]
-        # repro: boundary — a malformed persisted seed degrades to a cold context, never an error
-        except Exception:
-            return False
-
-    def _persist_seed(self, entry: _Entry) -> None:
-        """Write-through a warm seed; no-op while the context is cold."""
-        if self._persist is None or entry.persisted:
-            return
-        payload = entry.context.seed_payload()
-        if payload is None:
-            return
-        key = self._seed_key(entry.context.alpha, entry.context.beta)
-        if self._persist.store("seed", key, payload):
-            entry.persisted = True
-
-    # ------------------------------------------------------------------
     # Lifecycle / diagnostics
     # ------------------------------------------------------------------
 
@@ -220,14 +173,10 @@ class BatchScheduler:
                 return
             entry = self._entries.pop(victim_key)
             self._evictions += 1
-            # Persist outside the lock is nicer, but eviction only
-            # happens under registry pressure and the payload build is
-            # pure in-memory work; keep the invariant simple.
-            self._persist_seed(entry)
             entry.context.close()
 
     def close(self) -> None:
-        """Persist every warm seed and close all registered contexts."""
+        """Close all registered contexts."""
         with self._lock:
             if self._closed:
                 return
@@ -235,7 +184,6 @@ class BatchScheduler:
             entries = list(self._entries.values())
             self._entries.clear()
         for entry in entries:
-            self._persist_seed(entry)
             entry.context.close()
 
     def stats(self) -> Dict[str, object]:
@@ -246,8 +194,7 @@ class BatchScheduler:
                 "hits": self._hits,
                 "builds": self._builds,
                 "evictions": self._evictions,
-                "seed_restores": self._seed_restores,
                 "grouped": self._grouped,
                 "warm": sorted(key for key, entry in self._entries.items()
-                               if entry.context.seed_payload() is not None),
+                               if entry.context.stats()["warm"]),
             }

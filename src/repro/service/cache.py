@@ -13,9 +13,8 @@ path) either would have used.  The cache therefore has three layers:
   instead of a duplicate campaign (request coalescing); the entry is
   released when the job reaches a terminal state.
 * **disk** (optional) — a :class:`DiskCacheTier` under the service state
-  directory.  Results (and the batch scheduler's warm verification seeds)
-  are written through as checksummed JSON envelopes so cache hits survive
-  a service restart.  Every read validates schema, key, and checksum; any
+  directory.  Results are written through as checksummed JSON envelopes
+  so cache hits survive a service restart.  Every read validates schema, key, and checksum; any
   mismatch — a torn write, a flipped bit, a stale schema — degrades to a
   cache *miss*, never a wrong result.  Writes go through the atomic
   writer from :mod:`repro.resilience` with bounded retry, and carry the

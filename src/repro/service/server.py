@@ -91,9 +91,10 @@ class CampaignService:
     engine-family jobs of equal priority are grouped at dispatch and share
     one warm :class:`~repro.core.batch.SharedCampaignContext` — results
     stay byte-identical to cold runs (``docs/SERVICE.md``).
-    ``persistent_cache`` (default on) backs the result cache and the batch
-    seeds with a checksummed on-disk tier under ``<state_dir>/cache`` so
-    hits survive restarts; corruption degrades to a cold cache.
+    ``persistent_cache`` (default on) backs the result cache with a
+    checksummed on-disk tier under ``<state_dir>/cache`` so hits survive
+    restarts; corruption degrades to a cold cache.  Shared contexts stay
+    in memory: a restarted service rebuilds them on first use.
     """
 
     def __init__(self, graph: BipartiteGraph, workers: int = 0,
@@ -143,9 +144,7 @@ class CampaignService:
             os.path.join(self._state_dir, "cache"), sleep=self._sleep)
             if persistent_cache else None)
         self._cache = ResultCache(persist=self._disk_cache)
-        self._scheduler = (BatchScheduler(
-            graph, self._fingerprint, persist=self._disk_cache)
-            if batching else None)
+        self._scheduler = BatchScheduler(graph) if batching else None
         self._restore_backlog()
         self._workers = workers
         self._threads: List[Optional[threading.Thread]] = []

@@ -72,6 +72,28 @@ class TestMechanics:
         auto = run_naive(g, 4, 3, 1, 1, accel="auto")
         assert on.n_followers == off.n_followers == auto.n_followers == 4
 
+    def test_naive_accel_off_never_vectorizes(self, monkeypatch):
+        """``anchored_abcore`` vectorizes full peels on CSR graphs, so
+        ``accel="off"`` must not go through it."""
+        from repro.core.naive import run_naive
+        from repro.generators import planted_core_graph
+
+        graph = planted_core_graph(3, 3, n_chains=4, max_chain_length=3,
+                                   seed=5).to_csr()
+        on = run_naive(graph, 3, 3, 2, 2, accel="on")
+        calls = []
+        real = accel.fast_anchored_abcore
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(accel, "fast_anchored_abcore", spy)
+        off = run_naive(graph, 3, 3, 2, 2, accel="off")
+        assert calls == []
+        assert off.anchors == on.anchors
+        assert off.followers == on.followers
+
     def test_invalid_accel_value(self, k34_with_periphery):
         from repro.core.naive import run_naive
 

@@ -1,7 +1,7 @@
 """Fuzzing the persisted artifacts: every damaged file loads, or is refused.
 
 Each format this repository persists — campaign checkpoints, the campaign
-service's queue file, result and seed cache entries, and the memmap graph
+service's queue file, result cache entries, and the memmap graph
 header — is damaged in every way a crash or a bad disk produces:
 
 * truncation at every byte offset (a torn write);
@@ -28,7 +28,6 @@ import pytest
 from repro.bigraph import disjoint_union, save_graph_memmap
 from repro.bigraph.memmap import load_graph_memmap
 from repro.core import reinforce
-from repro.core.batch import SharedCampaignContext
 from repro.exceptions import (
     CheckpointError,
     FaultInjected,
@@ -119,11 +118,6 @@ def artifacts(tmp_path_factory):
     result = json.loads(json.dumps(result_to_dict(
         reinforce(graph, 2, 2, 2, 2, method="filver++", t=2))))
     assert tier.store("result", result_key, result)
-    seed_key = ["sha256:fp", 2, 2]
-    with SharedCampaignContext(graph.to_csr(), 2, 2) as context:
-        context.seed_tables()
-        seed = json.loads(json.dumps(context.seed_payload()))
-    assert tier.store("seed", seed_key, seed)
 
     memmap_dir = save_graph_memmap(graph, str(root / "graph"))
 
@@ -141,8 +135,6 @@ def artifacts(tmp_path_factory):
         "result": Artifact(tier._path("result", result_key),
                            lambda: tier.load("result", result_key),
                            result, ()),
-        "seed": Artifact(tier._path("seed", seed_key),
-                         lambda: tier.load("seed", seed_key), seed, ()),
         "header": Artifact(os.path.join(memmap_dir, "header.json"),
                            load_memmap, (graph.n_upper, graph.n_lower,
                                          sorted(graph.edges())),
@@ -151,7 +143,7 @@ def artifacts(tmp_path_factory):
     return built
 
 
-ENVELOPED = ("checkpoint", "queue", "result", "seed")
+ENVELOPED = ("checkpoint", "queue", "result")
 
 
 @pytest.mark.parametrize("name", ENVELOPED + ("header",))
@@ -207,7 +199,7 @@ def test_entry_under_another_key_is_a_miss(artifacts):
     assert tier.stats()["corrupt"] == 1
 
 
-@pytest.mark.parametrize("name", ("result", "seed"))
+@pytest.mark.parametrize("name", ("result",))
 def test_compact_layout_cache_entry_loads(artifacts, name):
     """Entries written compact (the older cache layout) still load."""
     artifact = artifacts[name]

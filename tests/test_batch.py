@@ -2,7 +2,7 @@
 
 The contract under test throughout: a campaign run against a
 :class:`~repro.core.batch.SharedCampaignContext` — shared pristine order
-state, warm verification seed, leased kernels/evaluators — produces
+state, warm verification seed, leased evaluators — produces
 canonical JSON byte-identical to the same campaign run alone, across
 backends, worker counts, methods, sharding, kill/resume, and service
 restarts over the persisted cache."""
@@ -101,16 +101,6 @@ class TestSeedTables:
             assert seed.entries() > 0
             assert ctx.seed_tables() is seed  # warmed exactly once
 
-    def test_payload_round_trip_preserves_every_entry(self):
-        graph = batch_graph().to_csr()
-        with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
-            seed = ctx.seed_tables()
-            rebuilt = SeedTables.from_payload(seed.to_payload())
-            assert rebuilt.rf == seed.rf
-            assert rebuilt.sigs == seed.sigs
-            assert rebuilt.survivors == seed.survivors
-            assert rebuilt.r_scores == seed.r_scores
-
     def test_incompatible_problems_are_rejected(self):
         graph = batch_graph().to_csr()
         other = batch_graph(seed=9).to_csr()
@@ -167,22 +157,6 @@ class TestBatchEquivalence:
         assert canonical(result) == standalone
         assert not stats["warm"]  # nothing warmed the seed
         assert stats["state_clones"] == 1
-
-    def test_seed_payload_moves_between_contexts_byte_identically(self):
-        graph = batch_graph().to_csr()
-        specs = list(MIXED_SPECS)
-        with SharedCampaignContext(graph, ALPHA, BETA) as warm:
-            reference = [canonical(r) for r in
-                         run_in_context(graph, specs, warm)]
-            payload = warm.seed_payload()
-        assert payload is not None
-        restored_payload = json.loads(json.dumps(payload))  # disk round trip
-        with SharedCampaignContext(graph, ALPHA, BETA) as cold:
-            assert cold.install_seed_payload(restored_payload)
-            assert cold.stats()["seed_restored"]
-            replayed = [canonical(r) for r in
-                        run_in_context(graph, specs, cold)]
-        assert replayed == reference
 
     def test_kill_and_resume_mid_batch_inside_one_context(self, tmp_path):
         graph = batch_graph().to_csr()
@@ -265,14 +239,13 @@ class TestServiceBatching:
         state = str(tmp_path / "state")
         first, _ = self.run_service(graph, state, self.specs())
         # Restart: the original jobs hit the disk tier; a new job runs
-        # against the seed restored from it.
+        # against a context rebuilt in memory.
         extra = JobSpec(alpha=ALPHA, beta=BETA, b1=2, b2=2,
                         method="filver++", t=2)
         second, stats = self.run_service(graph, state,
                                          self.specs() + [extra])
         assert second[:len(first)] == first
         assert stats["cache"]["disk_hits"] == len(self.PROBLEMS)
-        assert stats["batch"]["seed_restores"] == 1
         assert second[-1] == canonical(reinforce(
             graph, ALPHA, BETA, 2, 2, method="filver++", t=2))
 

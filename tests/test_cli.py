@@ -73,6 +73,25 @@ class TestReinforce:
         assert "anchors_per_iteration (t) must be >= 1" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,damage", [
+        ("g.txt.gz", lambda data: data[:len(data) // 2]),
+        ("g.txt", lambda data: data + b"\xff\xfe 9\n"),
+    ], ids=["truncated-gz", "non-utf8"])
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_damaged_input_file_is_a_usage_error(self, tmp_path, capsys,
+                                                 name, damage, backend):
+        graph_path = tmp_path / name
+        main(["generate", "--model", "planted", "--alpha", "2", "--beta", "2",
+              "--out", str(graph_path)])
+        capsys.readouterr()
+        graph_path.write_bytes(damage(graph_path.read_bytes()))
+        assert main(["reinforce", "--input", str(graph_path),
+                     "--backend", backend, "--alpha", "2", "--beta", "2",
+                     "--b1", "1", "--b2", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(graph_path) in err
+
     def test_zero_time_limit_is_a_usage_error(self, capsys):
         assert main(["reinforce", "--dataset", "AC", "--scale", "0.2",
                      "--b1", "1", "--b2", "1", "--time-limit", "0"]) == 2

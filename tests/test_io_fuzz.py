@@ -1,12 +1,20 @@
-"""Hypothesis fuzzing of the edge-list parser and serializer."""
+"""Fuzzing of the edge-list parser, serializer, and file loaders.
 
+The parser and serializer are fuzzed with hypothesis; the path loaders
+with damaged files (truncation at every offset, seeded bit flips) of a
+plain and a gzip-compressed edge list, which must load — the same edges
+on the list and CSR backends — or raise :class:`GraphConstructionError`.
+"""
+
+import gzip
+import random
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bigraph.io import LoadStats, dumps, loads
+from repro.bigraph.io import LoadStats, dumps, loads, read_edge_list
 from repro.exceptions import GraphConstructionError, InvalidParameterError
 
 token = st.text(alphabet=string.ascii_letters + string.digits + "._-",
@@ -90,3 +98,59 @@ def test_labels_survive_round_trip(pairs):
     original = sorted(str(graph.label_of(u))
                       for u in graph.upper_vertices())
     assert upper_labels == original
+
+
+# ----------------------------------------------------------------------
+# Damaged files: the path loaders either load or refuse, on every backend
+# ----------------------------------------------------------------------
+
+# Labels are arbitrary UTF-8 tokens; the multi-byte ones make some plain
+# truncations cut a character in half.
+EDGE_LIST = (b"% bip test graph\n"
+             + b"".join(b"u%d l%d\n" % (i % 5, (i * 3) % 7)
+                        for i in range(12))
+             + "\u00fc2 l\u00e9\n".encode("utf-8"))
+FLIPS = 200
+
+
+def edge_list_files():
+    return {"g.txt": EDGE_LIST, "g.txt.gz": gzip.compress(EDGE_LIST, mtime=0)}
+
+
+def loaded_edges(path, backend):
+    """The labeled edges read from ``path``, or None for a typed refusal."""
+    try:
+        graph = read_edge_list(str(path), backend=backend)
+    except GraphConstructionError:
+        return None
+    return labeled_edges(graph)
+
+
+def assert_loads_or_refuses(path, data):
+    path.write_bytes(data)
+    outcomes = [loaded_edges(path, backend) for backend in ("list", "csr")]
+    assert outcomes[0] == outcomes[1], "backends disagree on %r" % (data,)
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("name", sorted(edge_list_files()))
+def test_edge_list_truncated_at_every_offset(tmp_path, name):
+    data = edge_list_files()[name]
+    path = tmp_path / name
+    assert assert_loads_or_refuses(path, data) is not None
+    refused = [offset for offset in range(len(data))
+               if assert_loads_or_refuses(path, data[:offset]) is None]
+    if name.endswith(".gz"):
+        # An empty file is a .gz of nothing; any other torn .gz is refused.
+        assert refused == list(range(1, len(data)))
+
+
+@pytest.mark.parametrize("name", sorted(edge_list_files()))
+def test_edge_list_bit_flips(tmp_path, name):
+    data = edge_list_files()[name]
+    path = tmp_path / name
+    rng = random.Random(17)
+    for _ in range(FLIPS):
+        damaged = bytearray(data)
+        damaged[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        assert_loads_or_refuses(path, bytes(damaged))
