@@ -14,13 +14,13 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # Deterministic resilience gate: fault injection, checkpoint/resume
-# replay-equivalence, crash isolation, and seeded fuzzing of every
-# persisted artifact and of the edge-list loaders.  No sleeps; all
-# randomness is seeded.
+# replay-equivalence, crash isolation, seeded fuzzing of every persisted
+# artifact and of the edge-list loaders, and the worker-death, abort and
+# deadline suite of the process pool.  No sleeps; all randomness is seeded.
 test-faults:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py \
 		tests/test_resilience.py tests/test_artifact_fuzz.py \
-		tests/test_io_fuzz.py -q
+		tests/test_io_fuzz.py tests/test_parallel_faults.py -q
 
 # Campaign-service gate: functional + deterministic chaos + differential
 # byte-identity tests for repro.service (docs/SERVICE.md), then the engine

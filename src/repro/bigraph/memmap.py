@@ -10,14 +10,17 @@ attach path uses — so every algorithm layer works unchanged.
 
 On-disk layout (one directory per graph)::
 
-    header.json     {"schema", "n_upper", "n_lower", "n_entries",
-                     "upper_labels", "lower_labels"}
+    header.json     the persisted envelope (repro.resilience.envelope) of
+                    {"n_upper", "n_lower", "n_entries",
+                     "upper_labels", "lower_labels"}, schema 2
     offsets.bin     int64[n_vertices + 1]
     neighbors.bin   int32[>= n_entries]   (file may be longer after dedupe)
     degrees.bin     int32[n_vertices]
 
 The header is written last (atomically), so a directory with a readable
-header is always complete.
+header is always complete.  Its checksum means a damaged header is
+refused rather than read as different counts; schema-1 headers (the
+bare, unchecksummed object) are refused too.
 
 Lifecycle: :class:`MemmapStore` owns the maps and releases them in
 :meth:`MemmapStore.close`; :class:`MemmapCSRAdjacency` holds the store and
@@ -31,18 +34,20 @@ imports.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import tempfile
 import weakref
-from array import array
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bigraph.csr import CSRAdjacency
 from repro.bigraph.graph import BipartiteGraph
 from repro.exceptions import GraphConstructionError
-from repro.resilience.atomic import atomic_write_text
+from repro.resilience.envelope import (
+    EnvelopeError,
+    read_envelope,
+    write_envelope,
+)
 
 __all__ = [
     "MEMMAP_SCHEMA",
@@ -54,7 +59,8 @@ __all__ = [
 ]
 
 #: Bump when the on-disk layout changes; loaders reject other versions.
-MEMMAP_SCHEMA = 1
+#: Version 2 wraps the header in the checksummed persisted envelope.
+MEMMAP_SCHEMA = 2
 
 _HEADER = "header.json"
 _FILES = (("offsets", "offsets.bin"), ("neighbors", "neighbors.bin"),
@@ -215,35 +221,20 @@ class MemmapCSRAdjacency(CSRAdjacency):
 
 
 def _read_header(path: str) -> dict:
-    """The parsed, type-checked ``header.json`` of graph directory ``path``.
+    """The verified, type-checked ``header.json`` of graph directory ``path``.
 
-    Anything unusable — unreadable or non-UTF-8 bytes, bad JSON, a
-    non-object, another schema, a count that is missing or not a
-    non-negative JSON integer, labels that are neither null nor one per
-    vertex of their layer —
-    raises :class:`GraphConstructionError`.
+    Anything unusable — an envelope that does not load (unreadable,
+    non-UTF-8, bad JSON, another schema, a failed checksum), a count that
+    is missing or not a non-negative JSON integer, labels that are neither
+    null nor one per vertex of their layer — raises
+    :class:`GraphConstructionError`.
     """
     header_path = os.path.join(path, _HEADER)
     try:
-        with open(header_path, "rb") as handle:
-            data = handle.read()
-    except OSError as error:
-        raise GraphConstructionError(
-            "cannot read memmap graph header %s: %s"
-            % (header_path, error)) from error
-    try:
-        header = json.loads(data.decode("utf-8"))
-    except ValueError as error:  # UnicodeDecodeError or JSONDecodeError
-        raise GraphConstructionError(
-            "memmap graph header %s is not valid JSON: %s"
-            % (header_path, error)) from error
-    if not isinstance(header, dict):
-        raise GraphConstructionError(
-            "memmap graph header %s is not a JSON object" % header_path)
-    if header.get("schema") != MEMMAP_SCHEMA:
-        raise GraphConstructionError(
-            "memmap graph %s has schema %r; this build reads version %d"
-            % (path, header.get("schema"), MEMMAP_SCHEMA))
+        header = read_envelope(header_path, MEMMAP_SCHEMA,
+                               "memmap graph header")
+    except EnvelopeError as error:
+        raise GraphConstructionError(str(error)) from error
     for name in ("n_upper", "n_lower", "n_entries"):
         value = header.get(name)
         if type(value) is not int or value < 0:
@@ -265,7 +256,6 @@ def _write_header(path: str, n_upper: int, n_lower: int, n_entries: int,
                   upper_labels: Optional[Sequence[object]],
                   lower_labels: Optional[Sequence[object]]) -> None:
     header = {
-        "schema": MEMMAP_SCHEMA,
         "n_upper": n_upper,
         "n_lower": n_lower,
         "n_entries": n_entries,
@@ -274,8 +264,7 @@ def _write_header(path: str, n_upper: int, n_lower: int, n_entries: int,
         "upper_labels": list(upper_labels) if upper_labels is not None else None,
         "lower_labels": list(lower_labels) if lower_labels is not None else None,
     }
-    atomic_write_text(os.path.join(path, _HEADER),
-                      json.dumps(header, sort_keys=True) + "\n")
+    write_envelope(os.path.join(path, _HEADER), MEMMAP_SCHEMA, header)
 
 
 def save_graph_memmap(graph: BipartiteGraph,

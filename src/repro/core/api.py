@@ -202,16 +202,18 @@ def reinforce(
     context:
         A :class:`repro.core.batch.SharedCampaignContext` sharing the
         (α,β)-invariant substrate — base core, pristine order state,
-        warm verification seed, kernel/evaluator leases — across a batch
-        of same-``(graph, α, β)`` campaigns: open one context and call
-        ``reinforce(..., context=ctx)`` once per campaign.  Engine family
-        only (the baselines and ``shards=k`` campaigns have nothing it
-        serves and ignore it); results stay byte-identical to a
-        context-free run (``docs/PERF.md``).
+        warm verification seed, evaluator leases — across a batch of
+        same-``(graph, α, β)`` campaigns: open one context and call
+        ``reinforce(..., context=ctx)`` once per campaign.  Only unsharded
+        engine-family campaigns draw on it (the baselines and ``shards=k``
+        campaigns have nothing it serves and leave it unused); results
+        stay byte-identical to a context-free run (``docs/PERF.md``).
 
-    An unknown method, an option the method does not support, or an
-    out-of-range ``workers``, ``shards``, ``t`` or ``time_limit`` raises
-    :class:`~repro.exceptions.InvalidParameterError` before any work.
+    An unknown method, an option the method does not support, an
+    out-of-range ``workers``, ``shards``, ``t`` or ``time_limit``, or a
+    ``context`` built for another graph or (α, β) — for any method and
+    any ``shards`` — raises :class:`~repro.exceptions.InvalidParameterError`
+    before any work.
 
     Returns
     -------
@@ -233,6 +235,8 @@ def reinforce(
             workers=workers, memoize=memoize, flat_kernel=flat_kernel,
             shards=shards, on_iteration=on_iteration,
             handle_sigterm=handle_sigterm, context=context)
+    if context is not None:  # run_engine checks it for the engine family
+        context.check_compatible(graph, alpha, beta)
     if method == "random":
         return run_random(graph, alpha, beta, b1, b2, seed=seed)
     if method == "top-degree":

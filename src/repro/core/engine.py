@@ -33,7 +33,17 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple, Union
+from itertools import repeat
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Generator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.abcore.decomposition import abcore, anchored_abcore
 from repro.bigraph.graph import BipartiteGraph
@@ -44,7 +54,11 @@ from repro.core.followers import compute_followers
 from repro.core.order_maintenance import OrderState
 from repro.core.result import AnchoredCoreResult, IterationRecord
 from repro.core.signatures import two_hop_filter, two_hop_filter_cached
-from repro.exceptions import AbortCampaign, InvalidParameterError
+from repro.exceptions import (
+    AbortCampaign,
+    EvaluationStopped,
+    InvalidParameterError,
+)
 from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     graph_fingerprint,
@@ -56,8 +70,7 @@ from repro.resilience.signals import TerminationFlag
 if TYPE_CHECKING:
     from repro.core.batch import SharedCampaignContext
     from repro.core.sharded import CampaignShard, MergedCandidate
-    from repro.parallel import ShardedEvaluator
-    from repro.parallel.protocol import Evaluator
+    from repro.parallel import ShardCandidate, ShardedEvaluator
 
 __all__ = ["EngineOptions", "run_engine"]
 
@@ -186,10 +199,13 @@ def run_engine(
     run would have computed cold, so results remain byte-identical
     (``docs/PERF.md``).  The seed is skipped on resume, so a resumed
     campaign's cache starts cold, like a standalone resume's.  Sharded
-    campaigns build per-shard state and ignore ``context``.
+    campaigns build per-shard state and leave a matching ``context``
+    unused.
 
     Invalid ``t`` (``options.anchors_per_iteration``), ``workers`` or
-    ``shards`` values raise :class:`~repro.exceptions.InvalidParameterError`.
+    ``shards`` values, and a ``context`` built for another graph or
+    (α, β) — whatever ``shards`` is — raise
+    :class:`~repro.exceptions.InvalidParameterError`.
     """
     validate_problem(graph, alpha, beta, b1, b2)
     t = options.anchors_per_iteration
@@ -200,10 +216,10 @@ def run_engine(
         raise InvalidParameterError("workers must be >= 1, got %d" % workers)
     if shards is not None and shards < 1:
         raise InvalidParameterError("shards must be >= 1, got %d" % shards)
+    if context is not None:
+        context.check_compatible(graph, alpha, beta)
     if shards is not None:
         context = None  # sharded campaigns build their own per-shard state
-    elif context is not None:
-        context.check_compatible(graph, alpha, beta)
     options_dict = asdict(options)
 
     restored: Optional[CampaignCheckpoint] = None
@@ -325,13 +341,13 @@ def run_engine(
                                              min(t, upper_left + lower_left),
                                              upper_left, lower_left)
             fault_site("engine.verify")
+            pooled = None
             if evaluator is not None:
-                verifications, timed_out = _parallel_verification_stage(
-                    merged, maintainer, t, deadline, evaluator,
-                    [shard.state for shard in shard_list], dirty_shards)
-            else:
-                verifications, timed_out = _verification_stage(
-                    merged, maintainer, t, alpha, beta, deadline)
+                pooled = _pooled_follower_sets(
+                    merged, evaluator, [shard.state for shard in shard_list],
+                    dirty_shards, deadline)
+            verifications, timed_out = _verification_stage(
+                merged, maintainer, t, alpha, beta, deadline, pooled)
 
             chosen = [x for x in maintainer.anchors
                       if maintainer.followers_of(x)]
@@ -548,6 +564,7 @@ def _verification_stage(
     alpha: int,
     beta: int,
     deadline: Optional[float],
+    pooled: Optional[Generator[Set[int], None, None]] = None,
 ) -> Tuple[int, bool]:
     """Scan ranked candidates, computing followers and updating ``T``.
 
@@ -570,72 +587,73 @@ def _verification_stage(
     Fresh sets are computed by the shard's kernel when one is selected,
     seeded with the filter stage's ``rf(x)`` so the reachability DFS is
     never repeated.
+
+    ``pooled`` (from :func:`_pooled_follower_sets`) supplies one set per
+    ranked candidate instead, skipped candidates included; the skip rules
+    and the count are unchanged, so the result is the serial scan's.  A
+    worker seeing the deadline first ends the scan like the deadline check
+    here, and closing the stream on any exit cancels the pool's remainder.
     """
     covered: Set[int] = set()
     verifications = 0
-    for (neg_bound, x), shard, lx, order, rf in merged:
-        if deadline is not None and time.perf_counter() > deadline:
-            return verifications, True
-        if x in covered:
-            continue
-        if -neg_bound <= maintainer.skip_threshold():
-            if t == 1:
-                break
-            continue
-        side = order.side
-        cache = shard.cache
-        follower_set = (cache.followers_for(side, lx)
-                        if cache is not None else None)
-        if follower_set is None:
-            if shard.kernel is not None:
-                follower_set = shard.kernel.followers(side, lx, alpha, beta,
-                                                      candidates=rf)
-            else:
-                follower_set = compute_followers(shard.graph, order, lx,
-                                                 core=shard.state.core,
-                                                 candidates=rf)
-            if cache is not None:
-                cache.store_followers(side, lx, follower_set)
-        verifications += 1
-        follower_global = shard.view.globalize(follower_set)
-        covered |= follower_global
-        if follower_global:
-            maintainer.offer(x, follower_global)
+    supplied = pooled if pooled is not None else repeat(None)
+    try:
+        for ((neg_bound, x), shard, lx, order, rf), follower_set in zip(
+                merged, supplied):
+            if deadline is not None and time.perf_counter() > deadline:
+                return verifications, True
+            if x in covered:
+                continue
+            if -neg_bound <= maintainer.skip_threshold():
+                if t == 1:
+                    break
+                continue
+            if follower_set is None:
+                side = order.side
+                cache = shard.cache
+                follower_set = (cache.followers_for(side, lx)
+                                if cache is not None else None)
+                if follower_set is None:
+                    if shard.kernel is not None:
+                        follower_set = shard.kernel.followers(
+                            side, lx, alpha, beta, candidates=rf)
+                    else:
+                        follower_set = compute_followers(
+                            shard.graph, order, lx, core=shard.state.core,
+                            candidates=rf)
+                    if cache is not None:
+                        cache.store_followers(side, lx, follower_set)
+            verifications += 1
+            follower_global = shard.view.globalize(follower_set)
+            covered |= follower_global
+            if follower_global:
+                maintainer.offer(x, follower_global)
+    except EvaluationStopped:
+        return verifications, True
+    finally:
+        if pooled is not None:
+            pooled.close()
     return verifications, False
 
 
-def _parallel_verification_stage(
+def _pooled_follower_sets(
     merged: List["MergedCandidate"],
-    maintainer: AnchorSetMaintainer,
-    t: int,
-    deadline: Optional[float],
-    evaluator: "Evaluator",
+    evaluator: "ShardedEvaluator",
     shard_states: List[OrderState],
     dirty_shards: Set[int],
-) -> Tuple[int, bool]:
-    """The verification scan over pool-precomputed follower sets.
+    deadline: Optional[float],
+) -> Generator[Set[int], None, None]:
+    """One follower set per ranked candidate: a cache hit, or the pool's.
 
-    Follower sets are precomputed speculatively on the pool and this scan
-    consumes them in the same ranked order, applying the same skip rules
-    as :func:`_verification_stage` — sets for skipped candidates are simply
-    discarded, not counted, so the anchors chosen and the
-    ``verifications`` count are identical to the serial scan's.  Closing
-    the stream on early exit (the ``t = 1`` break) cancels the
+    Only cache misses are dispatched, as ``(shard, side, local_x)`` items,
+    and the state broadcast carries only the shards anchored since the
+    previous one (``dirty_shards``, cleared here).  Every streamed set is
+    stored in its shard's cache, including the sets of candidates the scan
+    skips.  Closing this generator closes the stream, which cancels the
     not-yet-dispatched remainder.
-
-    Only cache *misses* are dispatched, as ``(shard, side, local_x)``
-    items; the state broadcast carries only the shards anchored since the
-    previous broadcast (``dirty_shards``, cleared here).  The scan walks
-    the full ranked list, splicing cached sets in where they survived
-    invalidation and consuming one streamed set per miss (pulled even for
-    skipped candidates, so the stream stays aligned with the ranked order).
     """
-    from repro.parallel import EvaluationStopped
-
-    covered: Set[int] = set()
-    verifications = 0
     cached_sets: List[Optional[Set[int]]] = []
-    items: List[Tuple[int, str, int]] = []
+    items: List["ShardCandidate"] = []
     for _key, shard, lx, order, _rf in merged:
         follower_set = (shard.cache.followers_for(order.side, lx)
                         if shard.cache is not None else None)
@@ -646,29 +664,12 @@ def _parallel_verification_stage(
     dirty_shards.clear()
     stream = evaluator.evaluate(items)
     try:
-        for ((neg_bound, x), shard, lx, order, _rf), follower_set in zip(
-                merged, cached_sets):
+        for (_key, shard, lx, order, _rf), follower_set in zip(merged,
+                                                                cached_sets):
             if follower_set is None:
                 follower_set = next(stream)
                 if shard.cache is not None:
                     shard.cache.store_followers(order.side, lx, follower_set)
-            if deadline is not None and time.perf_counter() > deadline:
-                return verifications, True
-            if x in covered:
-                continue
-            if -neg_bound <= maintainer.skip_threshold():
-                if t == 1:
-                    break
-                continue
-            verifications += 1
-            follower_global = shard.view.globalize(follower_set)
-            covered |= follower_global
-            if follower_global:
-                maintainer.offer(x, follower_global)
-    except EvaluationStopped:
-        # A worker observed the deadline before the parent did: same
-        # outcome as the serial per-candidate deadline check.
-        return verifications, True
+            yield follower_set
     finally:
         stream.close()
-    return verifications, False

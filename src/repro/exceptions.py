@@ -15,6 +15,7 @@ __all__ = [
     "ExperimentError",
     "CheckpointError",
     "AbortCampaign",
+    "EvaluationStopped",
     "FaultInjected",
     "ServiceError",
     "AdmissionError",
@@ -53,6 +54,16 @@ class AbortCampaign(ReproError):
     The engine treats it as a controlled stop: the best-so-far result is
     finalized and returned with ``interrupted=True`` instead of the
     exception propagating (see ``docs/RESILIENCE.md``).
+    """
+
+
+class EvaluationStopped(Exception):
+    """Internal signal: a pool worker observed the deadline or stop flag.
+
+    Raised by :meth:`repro.parallel.ShardedEvaluator.evaluate`.
+    Deliberately *not* a :class:`ReproError`: it never escapes the engine,
+    whose verification scan translates it into ``timed_out=True`` exactly
+    like its own deadline check.
     """
 
 

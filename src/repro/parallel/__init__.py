@@ -12,14 +12,13 @@ byte-identical to a serial one.  The same pool serves unsharded campaigns
 
 from repro.parallel.evaluator import (
     EvaluationStopped,
+    ShardCandidate,
     ShardedEvaluator,
     create_sharded_evaluator,
 )
-from repro.parallel.protocol import Evaluator, ShardCandidate
 
 __all__ = [
     "EvaluationStopped",
-    "Evaluator",
     "ShardCandidate",
     "ShardedEvaluator",
     "create_sharded_evaluator",

@@ -8,11 +8,12 @@ is a pure function of them and ``x``.  The serial verification stage's skip
 rules (coverage by an earlier follower set, the ``T``-threshold bound) only
 decide *whether* a candidate is evaluated — never *what* its follower set
 would be.  So workers may evaluate candidates speculatively, in any order,
-and the parent replays the serial scan over the precomputed sets: the
+and the engine's one verification scan pulls the precomputed sets in ranked
+order, applying its skip rules exactly as it does on the serial path: the
 chosen anchors, the follower sets, and even the per-iteration
 ``verifications`` counter come out exactly as a serial run's.  The price of
-that contract is bounded wasted work — follower sets the serial scan would
-have skipped are computed and discarded.
+that contract is bounded wasted work — follower sets the scan skips are
+computed anyway (and cached for later iterations).
 
 Topology
 --------
@@ -41,8 +42,8 @@ Failure semantics (see ``docs/PARALLEL.md``):
   injected faults) surfaces in the parent as ``AbortCampaign`` — the engine
   finalizes the usual clean ``interrupted=True`` result;
 * a worker hitting the deadline or the stop flag replies ``stopped`` and
-  the parent raises :class:`EvaluationStopped` — the engine returns the
-  usual partial ``timed_out=True`` result;
+  the parent raises :class:`~repro.exceptions.EvaluationStopped` — the
+  engine returns the usual partial ``timed_out=True`` result;
 * a worker that *dies* mid-chunk (killed, OOM, ``SystemExit``) is buried
   and its chunk is recomputed serially in the parent; with every worker
   gone the evaluator degrades to fully serial evaluation.  Results are
@@ -84,8 +85,11 @@ from repro.bigraph.shm import (
 )
 from repro.core.deletion_order import DeletionOrder
 from repro.core.followers import compute_followers
-from repro.exceptions import AbortCampaign, InvalidParameterError
-from repro.parallel.protocol import ShardCandidate
+from repro.exceptions import (
+    AbortCampaign,
+    EvaluationStopped,
+    InvalidParameterError,
+)
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
@@ -99,6 +103,10 @@ if TYPE_CHECKING:  # runtime import would be circular via repro.core.engine
 __all__ = ["EvaluationStopped", "ShardCandidate", "ShardedEvaluator",
            "create_sharded_evaluator"]
 
+#: One unit of verification work: ``(shard_index, side, local_x)``, where
+#: side selects the shard's O_U or O_L.  Unsharded campaigns use shard 0.
+ShardCandidate = Tuple[int, str, int]
+
 #: Upper bound on auto-sized chunks: small enough that the drain after an
 #: early break wastes little work, large enough to amortize IPC.
 _MAX_CHUNK = 64
@@ -106,15 +114,6 @@ _MAX_CHUNK = 64
 #: How many chunks each worker should receive over an average iteration
 #: under auto-sizing; > 1 keeps the pipeline busy when chunk costs vary.
 _CHUNKS_PER_WORKER = 4
-
-
-class EvaluationStopped(Exception):
-    """Internal signal: a worker observed the deadline / stop flag.
-
-    Deliberately *not* a :class:`~repro.exceptions.ReproError`: it never
-    escapes the engine, which translates it into ``timed_out=True`` exactly
-    like the serial deadline check.
-    """
 
 
 class _WorkerHandle:
@@ -146,9 +145,6 @@ class ShardedEvaluator:
         an evaluator" — the engine keeps its serial scan).
     chunk_size:
         Candidates per dispatched chunk; ``None`` auto-sizes per iteration.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork`` (cheap,
-        Linux) and falls back to ``spawn``.
     fault_specs:
         :class:`~repro.resilience.faults.FaultSpec` entries replayed inside
         each worker (sites ``parallel.*``) — the deterministic handle the
@@ -168,7 +164,6 @@ class ShardedEvaluator:
         shard_graphs: Sequence[BipartiteGraph],
         workers: int,
         chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
         fault_specs: Sequence[FaultSpec] = (),
         use_flat_kernel: bool = True,
     ) -> None:
@@ -181,21 +176,21 @@ class ShardedEvaluator:
         if chunk_size is not None and chunk_size < 1:
             raise InvalidParameterError(
                 "chunk_size must be >= 1, got %d" % chunk_size)
-        self._graphs = list(shard_graphs)
-        self._orders: Dict[int, Dict[str, DeletionOrder]] = {}
-        self._cores: Dict[int, Set[int]] = {}
+        # The latest begin_iteration states: what the in-parent recompute
+        # of a dead or failing worker's chunk evaluates against.
+        self._states: Sequence["OrderState"] = ()
         self._chunk_size = chunk_size
         self._epoch = 0
         self._closed = False
         self._workers: List[_WorkerHandle] = []
         self._exports: List[SharedGraphExport] = []
         try:
-            for shard_graph in self._graphs:
+            for shard_graph in shard_graphs:
                 self._exports.append(export_shared_graph(shard_graph))
-            if start_method is None:
-                methods = multiprocessing.get_all_start_methods()
-                start_method = "fork" if "fork" in methods else "spawn"
-            ctx = multiprocessing.get_context(start_method)
+            # fork is cheap (Linux); spawn is the portable fallback.
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn")
             self._stop = ctx.Event()
             args = (tuple(export.meta for export in self._exports),
                     self._stop, tuple(fault_specs), use_flat_kernel)
@@ -213,11 +208,6 @@ class ShardedEvaluator:
     # ------------------------------------------------------------------
     # Introspection (used by tests and the engine)
     # ------------------------------------------------------------------
-
-    @property
-    def n_workers(self) -> int:
-        """Workers originally spawned (dead ones included)."""
-        return len(self._workers)
 
     @property
     def alive_workers(self) -> int:
@@ -245,12 +235,10 @@ class ShardedEvaluator:
         is what lets stale results from an abandoned stream be recognized
         and dropped.
         """
+        self._states = shard_states
         payload_shards: Dict[int, Dict[str, object]] = {}
         for shard_index in sorted(dirty_shards):
             state = shard_states[shard_index]
-            self._orders[shard_index] = {"upper": state.upper,
-                                         "lower": state.lower}
-            self._cores[shard_index] = state.core
             payload_shards[shard_index] = {
                 "core": state.core,
                 "positions": {"upper": state.upper.position,
@@ -340,10 +328,10 @@ class ShardedEvaluator:
         """The serial fallback: evaluate one chunk in the parent process."""
         out: List[Set[int]] = []
         for shard_index, side, x in items:
-            out.append(compute_followers(
-                self._graphs[shard_index],
-                self._orders[shard_index][side], x,
-                core=self._cores[shard_index]))
+            state = self._states[shard_index]
+            order = state.upper if side == "upper" else state.lower
+            out.append(compute_followers(state.graph, order, x,
+                                         core=state.core))
         return out
 
     def _fill_idle(self, chunks: List[List[ShardCandidate]],

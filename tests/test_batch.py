@@ -110,6 +110,30 @@ class TestSeedTables:
             with pytest.raises(InvalidParameterError):
                 ctx.check_compatible(other, ALPHA, BETA)
 
+    @pytest.mark.parametrize("spec", [
+        dict(method="filver++", t=2),
+        dict(method="filver++", t=2, shards=2),
+        dict(method="filver", shards=1),
+        dict(method="degree-greedy"),
+        dict(method="top-degree"),
+    ], ids=["unsharded", "sharded", "one-shard", "degree-greedy",
+            "top-degree"])
+    @pytest.mark.parametrize("foreign", ["graph", "alpha"])
+    def test_foreign_context_is_refused_for_every_campaign(self, spec,
+                                                           foreign):
+        """A context for another graph or (α, β) is refused whether or not
+        the campaign would draw on it."""
+        graph = batch_graph().to_csr()
+        if foreign == "graph":
+            ctx = SharedCampaignContext(batch_graph(seed=9).to_csr(), ALPHA,
+                                        BETA)
+        else:
+            ctx = SharedCampaignContext(graph, ALPHA + 1, BETA)
+        with ctx:
+            with pytest.raises(InvalidParameterError,
+                               match="shared context"):
+                reinforce(graph, ALPHA, BETA, 2, 2, context=ctx, **spec)
+
 
 class TestBatchEquivalence:
     """batch ≡ sequential, byte for byte, across the execution matrix."""

@@ -10,6 +10,7 @@ built from the same edge stream.
 """
 
 import json
+import re
 
 import pytest
 
@@ -122,6 +123,36 @@ class TestHeaderValidation:
         target = self.make_dir(tmp_path)
         (tmp_path / "g" / "header.json").write_text("{truncated")
         with pytest.raises(GraphConstructionError, match="JSON"):
+            load_graph_memmap(target)
+
+    @pytest.mark.parametrize("field", ["n_entries", "upper_labels"])
+    def test_changed_digit_in_well_formed_header_is_rejected(self, tmp_path,
+                                                             field):
+        """One digit of ``n_entries`` (or of a label) changes and the JSON
+        stays well formed: the checksum refuses the load, instead of a
+        shorter neighbor table or another label ever being read."""
+        target = save_graph_memmap(
+            from_edge_list(EDGES, n_upper=4, n_lower=3,
+                           upper_labels=[10, 11, 12, 13]), tmp_path / "g")
+        header_path = tmp_path / "g" / "header.json"
+        text = header_path.read_text()
+        match = re.search(r'"%s": \[?\s*(\d+)' % field, text)
+        assert match.group(1) in (str(2 * len(EDGES)), "10")
+        end = match.end(1)
+        changed = text[:end - 1] + "1" + text[end:]  # 12 -> 11, 10 -> 11
+        header_path.write_text(changed)
+        json.loads(changed)  # still well formed
+        with pytest.raises(GraphConstructionError, match="checksum"):
+            load_graph_memmap(target)
+
+    def test_schema_one_header_is_rejected(self, tmp_path):
+        """The bare, unchecksummed header of schema 1 is refused."""
+        target = self.make_dir(tmp_path)
+        (tmp_path / "g" / "header.json").write_text(json.dumps({
+            "schema": 1, "n_upper": 4, "n_lower": 3,
+            "n_entries": 2 * len(EDGES), "upper_labels": None,
+            "lower_labels": None}))
+        with pytest.raises(GraphConstructionError, match="header"):
             load_graph_memmap(target)
 
 

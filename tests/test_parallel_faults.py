@@ -19,11 +19,16 @@ import time
 
 import pytest
 
+from repro.core.anchor_set import AnchorSetMaintainer
 from repro.core.api import engine_options, reinforce
-from repro.core.engine import _parallel_verification_stage, run_engine
+from repro.core.engine import (
+    _pooled_follower_sets,
+    _verification_stage,
+    run_engine,
+)
 from repro.core.followers import compute_followers
 from repro.core.order_maintenance import OrderState
-from repro.core.sharded import CampaignShard, IdentityView
+from repro.core.sharded import CampaignShard, IdentityView, build_shards
 from repro.exceptions import AbortCampaign, FaultInjected
 from repro.parallel import EvaluationStopped, ShardedEvaluator
 from repro.resilience.faults import (
@@ -146,10 +151,136 @@ class TestDeadlineAndStopFlag:
             def offer(self, x, followers):  # pragma: no cover
                 raise AssertionError("no candidate should be offered")
 
-        verifications, timed_out = _parallel_verification_stage(
-            scored, NullMaintainer(), 2, None, StoppedEvaluator(), [state],
-            {0})
+        pooled = _pooled_follower_sets(scored, StoppedEvaluator(), [state],
+                                       {0}, None)
+        verifications, timed_out = _verification_stage(
+            scored, NullMaintainer(), 2, 3, 3, None, pooled)
         assert (verifications, timed_out) == (0, True)
+
+
+class RecordingEvaluator:
+    """An in-process stand-in for the pool that records its traffic.
+
+    Follower sets are computed lazily, one per ``next``, so ``streamed``
+    is exactly what the scan consumed, in consumption order.
+    """
+
+    def __init__(self):
+        self.items = []
+        self.streamed = []
+
+    def begin_iteration(self, shard_states, dirty_shards, deadline):
+        self.states = list(shard_states)
+
+    def evaluate(self, items):
+        self.items = list(items)
+        for shard_index, side, x in items:
+            state = self.states[shard_index]
+            order = state.upper if side == "upper" else state.lower
+            follower_set = compute_followers(state.graph, order, x,
+                                             core=state.core)
+            self.streamed.append(((shard_index, side, x), follower_set))
+            yield follower_set
+
+
+class RecordingMaintainer(AnchorSetMaintainer):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.offers = []
+
+    def offer(self, x, followers):
+        self.offers.append((x, set(followers)))
+        return super().offer(x, followers)
+
+
+class TestOneScan:
+    """The pooled scan is the serial scan fed by the pool: same counts,
+    same offers, the stream consumed in rank order and cached."""
+
+    def ranked(self, shard, real):
+        """Real candidates under crafted bounds: the top candidate, then
+        candidates inside its follower set (coverage skips), then the
+        rest, then a zero-bound tail (threshold skips, for any ``T``)."""
+        top = max(real, key=lambda key: (len(real[key]), key))
+        covered = [key for key in sorted(real)
+                   if key != top and key[1] in real[top]]
+        rest = [key for key in sorted(real)
+                if key != top and key not in covered]
+        head, tail = rest[:-3], rest[-3:]
+        assert covered and head, "fixture must exercise both skip rules"
+        keys = [top] + covered + head
+        bounds = [1000 - rank for rank in range(len(keys))] + [0] * len(tail)
+        entries = []
+        for bound, (side, x) in zip(bounds, keys + tail):
+            order = shard.state.upper if side == "upper" else shard.state.lower
+            entries.append(((-bound, x), shard, x, order, None))
+        return entries
+
+    def make_shard(self, graph, memoize, real=None):
+        """An unsharded campaign's shard after its first filter pass; with
+        ``memoize``, every third follower set in ``real`` is pre-cached."""
+        options = engine_options("filver++", 3)
+        [shard], _route = build_shards(graph, 3, 3, options, memoize, False,
+                                       None)
+        ranked, _total = shard.ranked(3, 3, options)
+        if memoize and real is not None:
+            for key in self.precached(real):
+                shard.cache.store_followers(*key, real[key])
+        return shard, ranked
+
+    @staticmethod
+    def precached(real):
+        return {key for index, key in enumerate(sorted(real))
+                if index % 3 == 0}
+
+    @pytest.mark.parametrize("memoize", [False, True])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_pooled_scan_equals_serial_scan(self, t, memoize):
+        graph = campaign_graph(seed=6)
+        _shard, filtered = self.make_shard(graph, False)
+        real = {(order.side, x): compute_followers(graph, order, x,
+                                                   core=shard.state.core)
+                for _key, shard, x, order, _rf in filtered}
+
+        serial_shard, _ranked = self.make_shard(graph, memoize, real)
+        serial_maintainer = RecordingMaintainer(graph, t, 3, 3)
+        serial = _verification_stage(
+            self.ranked(serial_shard, real), serial_maintainer, t,
+            3, 3, None)
+
+        pooled_shard, _ranked = self.make_shard(graph, memoize, real)
+        pooled_maintainer = RecordingMaintainer(graph, t, 3, 3)
+        ranked = self.ranked(pooled_shard, real)
+        evaluator = RecordingEvaluator()
+        dirty = {0}
+        pooled = _verification_stage(
+            ranked, pooled_maintainer, t, 3, 3, None,
+            _pooled_follower_sets(ranked, evaluator, [pooled_shard.state],
+                                  dirty, None))
+
+        assert pooled == serial
+        assert not serial[1]
+        assert serial[0] < len(ranked)  # something was skipped
+        assert pooled_maintainer.offers == serial_maintainer.offers
+        assert pooled_maintainer.anchors == serial_maintainer.anchors
+        assert dirty == set()
+        # Only cache misses are dispatched, in rank order, and the scan
+        # consumes a prefix of them in that order (t = 1 stops early).
+        hits = self.precached(real) if memoize else set()
+        misses = [(0, order.side, x) for _key, _shard, x, order, _rf in ranked
+                  if (order.side, x) not in hits]
+        assert evaluator.items == misses
+        consumed = [item for item, _set in evaluator.streamed]
+        assert consumed == misses[:len(consumed)]
+        if t == 1:
+            assert len(consumed) < len(misses)
+        else:
+            assert consumed == misses
+        for (_index, side, x), follower_set in evaluator.streamed:
+            assert follower_set == real[(side, x)]
+            if memoize:
+                assert pooled_shard.cache.followers_for(side, x) \
+                    == follower_set
 
 
 class TestWorkerDeath:
