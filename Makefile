@@ -66,26 +66,26 @@ typecheck:
 		|| echo "mypy not installed (pip install -e '.[dev]'); skipping"
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Quick CI gate: scaling shape + CSR-vs-list backend comparison only.
 # Timings land in bench_scalability.json ($$REPRO_BENCH_JSON to override).
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_scalability.py --benchmark-only -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_scalability.py --benchmark-only -q
 
 # Parallel determinism gate: serial vs workers=2,4 FILVER++ must export
 # byte-identical canonical JSON on every host; the 2x workers=4 speedup is
 # asserted only on hosts with >= 4 cores.  Timings land in
 # bench_parallel.json ($$REPRO_BENCH_PARALLEL_JSON to override).
 bench-parallel-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_parallel.py --benchmark-only -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_parallel.py --benchmark-only -q
 
 # Memoization + flat-kernel gate: all four engine configurations must
 # export byte-identical canonical JSON, and memo+kernel must run the
 # FILVER++ campaign >= 2x faster than the memo-off engine.  Timings land
 # in BENCH_engine.json ($$REPRO_BENCH_ENGINE_JSON to override).
 bench-engine-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_engine.py --benchmark-only -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_engine.py --benchmark-only -q
 
 # Component-sharding gate: sharded and memmap-backed campaigns must export
 # byte-identical canonical JSON, the sharded run must beat serial >= 1.5x,
@@ -93,7 +93,7 @@ bench-engine-smoke:
 # Numbers land in bench_sharded.json ($$REPRO_BENCH_SHARDED_JSON to
 # override).
 bench-sharded-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_sharded.py --benchmark-only -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_sharded.py --benchmark-only -q
 
 # Batched-execution gate: an 8-job same-(α,β) batch over one shared
 # context must export byte-identical canonical JSON per job vs running
@@ -101,12 +101,12 @@ bench-sharded-smoke:
 # must serve finished jobs from the persisted on-disk cache.  Numbers
 # land in bench_batch.json ($$REPRO_BENCH_BATCH_JSON to override).
 bench-batch-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_batch.py --benchmark-only -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_batch.py --benchmark-only -q
 
 # perfbench's own tests at tiny sizes: every workload runs, traced and
 # untraced, so a refactor that drops a name the tracer patches fails here.
 perfbench-smoke:
-	$(PYTHON) -m pytest perfbench -q
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench -q
 
 report:
 	$(PYTHON) -m repro.experiments report --scale 0.25 --out report.md

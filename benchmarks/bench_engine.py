@@ -1,7 +1,8 @@
 """End-to-end engine acceleration: the memoization + flat-kernel gate.
 
 One FILVER++ campaign on a multi-component planted-core composite, run
-under four engine configurations:
+on one shard over the whole graph (``shards=1``) under four engine
+configurations:
 
 * ``baseline`` — ``memoize=False, flat_kernel=False``: the engine exactly
   as it stood before cross-iteration memoization landed;
@@ -74,7 +75,7 @@ def test_engine_campaign_identity_and_speedup(benchmark, capsys):
         for name, kwargs in CONFIGS:
             start = time.perf_counter()
             result = reinforce(graph, 4, 4, 24, 24, method="filver++", t=2,
-                               **kwargs)
+                               shards=1, **kwargs)
             timings[name] = time.perf_counter() - start
             exports[name] = _canonical_json(result)
             followers = result.n_followers

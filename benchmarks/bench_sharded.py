@@ -3,7 +3,7 @@
 Phase one runs the FILVER++ campaign from ``bench_engine`` (30 planted-core
 components, deep chains, ``t=2``) three ways:
 
-* ``serial``   — the unsharded engine on the in-RAM CSR composite;
+* ``serial``   — one shard over the in-RAM CSR composite (``shards=1``);
 * ``sharded``  — ``shards=N_PARTS`` on the same graph: one sub-campaign per
   component, merged through the global ranked stream;
 * ``memmap``   — the sharded run again, on the same edge stream rebuilt
@@ -145,7 +145,7 @@ def test_sharded_campaign_identity_and_speedup(benchmark, capsys, tmp_path):
     def measure():
         timings = {}
         exports = {}
-        serial_s, serial = campaign(csr)
+        serial_s, serial = campaign(csr, shards=1)
         timings["serial"] = serial_s
         exports["serial"] = _canonical_json(serial)
         sharded_s, sharded = campaign(csr, shards=N_PARTS)

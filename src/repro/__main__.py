@@ -86,9 +86,12 @@ def _parser() -> argparse.ArgumentParser:
                         "(filver/filver+/filver++ only; results are "
                         "identical to --workers 1)")
     r.add_argument("--shards", type=int, default=None,
-                   help="run on the component-sharded substrate with at "
-                        "most this many shards (filver/filver+/filver++ "
-                        "only; results are identical to unsharded)")
+                   help="split the campaign into at most this many "
+                        "connected-component shards (filver/filver+/"
+                        "filver++ only; default: one per component with "
+                        "edges, up to 32; 1 keeps a memmap graph "
+                        "zero-copy; results are identical for every "
+                        "value)")
     r.add_argument("--json", metavar="PATH", default=None,
                    help="write the full result as JSON")
     r.add_argument("--checkpoint", metavar="PATH", default=None,

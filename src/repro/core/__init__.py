@@ -2,7 +2,7 @@
 
 from repro.core.anchor_set import AnchorSetMaintainer
 from repro.core.api import ENGINE_METHODS, METHODS, engine_options, reinforce
-from repro.core.batch import SharedCampaignContext, context_key
+from repro.core.batch import SharedCampaignContext
 from repro.core.budget_min import (
     minimize_anchors_for_growth,
     minimize_anchors_for_targets,
@@ -78,7 +78,6 @@ __all__ = [
     "minimize_anchors_for_targets",
     "compute_order",
     "compute_orders",
-    "context_key",
     "follower_count",
     "plan_shards",
     "r_scores",

@@ -185,13 +185,17 @@ def reinforce(
         CSR-backed graphs).  Both preserve byte-identical results — see
         ``docs/PERF.md``.
     shards:
-        Split the campaign's state across at most this many (>= 1)
-        connected-component shards (engine family only).  ``None`` (the
-        default) runs the same greedy loop on one shard over the whole
-        graph.  Results are byte-identical either way, and so are
-        checkpoints: every campaign writes the same one-file format, and
-        a checkpoint written under any ``shards`` (and ``workers``) value
-        resumes under any other (``docs/RESILIENCE.md``).
+        The shard plan over the graph's connected components (engine
+        family only).  ``None`` (the default) gives each component with
+        edges its own shard, up to
+        :data:`repro.core.sharded.AUTO_SHARD_CAP`; an int ``k >= 1`` asks
+        for at most ``k`` balanced shards.  A one-shard plan runs on the
+        input graph itself; ``shards=1`` also skips the decomposition, so
+        it is the zero-copy choice for memmap graphs.  Results are
+        byte-identical for every value, and so are checkpoints: every
+        campaign writes the same one-file format, and a checkpoint written
+        under any ``shards`` (and ``workers``) value resumes under any
+        other (``docs/RESILIENCE.md``).
     on_iteration / handle_sigterm:
         Engine-family observability and lifecycle hooks (ignored by the
         baselines): ``on_iteration`` streams each finished iteration
@@ -204,9 +208,10 @@ def reinforce(
         (α,β)-invariant substrate — base core, pristine order state,
         warm verification seed, evaluator leases — across a batch of
         same-``(graph, α, β)`` campaigns: open one context and call
-        ``reinforce(..., context=ctx)`` once per campaign.  Only unsharded
-        engine-family campaigns draw on it (the baselines and ``shards=k``
-        campaigns have nothing it serves and leave it unused); results
+        ``reinforce(..., context=ctx)`` once per campaign.  Engine-family
+        campaigns draw on it under every ``shards`` value (it keeps one
+        set of shard views, pristine states and seeds per value); the
+        baselines have nothing it serves and leave it unused.  Results
         stay byte-identical to a context-free run (``docs/PERF.md``).
 
     An unknown method, an option the method does not support, an

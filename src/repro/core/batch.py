@@ -8,21 +8,20 @@ functions of ``(graph, α, β)`` — no campaign parameter (budgets, method,
 ``t``, seed, deadline) enters them.  :class:`SharedCampaignContext`
 computes each of those exactly once and serves them to every campaign:
 
-* the pristine :class:`~repro.core.order_maintenance.OrderState` is built
-  once and *cloned* per campaign (`OrderState.clone_pristine`) — each
-  campaign repairs its private clone, so per-iteration dirty regions stay
-  campaign-private;
-* the epoch-0 verification tables are frozen into a
+* per ``shards`` value, the shard plan's views
+  (:func:`repro.core.sharded.shard_views`) and each view's pristine
+  :class:`~repro.core.order_maintenance.OrderState` are built once; each
+  campaign repairs private clones (`OrderState.clone_pristine`), so
+  per-iteration dirty regions stay campaign-private;
+* each view's epoch-0 verification tables are frozen into a
   :class:`~repro.core.incremental.SeedTables` and consulted read-only by
-  each campaign's private :class:`~repro.core.incremental.VerificationCache`
-  (promotion + tombstones; see the seeding section of
-  :mod:`repro.core.incremental`);
+  its shard's private :class:`~repro.core.incremental.VerificationCache`
+  (promotion + tombstones; see :mod:`repro.core.incremental`);
 * parallel evaluators (the shared-memory pool of :mod:`repro.parallel`)
   are leased from a small free-pool — an evaluator re-broadcasts state per
   iteration, so it carries no campaign state across a lease.  Follower
-  kernels are not pooled: each campaign builds its own with
-  :func:`~repro.bigraph.kernel.kernel_for`, as a standalone run does,
-  because building one costs a fraction of a millisecond.
+  kernels are built per campaign, as standalone: one costs a fraction of
+  a millisecond.
 
 Everything campaign-*variant* — anchors, order repairs, dirty regions,
 follower sets, checkpoints, budgets, deadlines — lives in per-campaign
@@ -53,7 +52,7 @@ from repro.core.deletion_order import r_scores, reachable_from  # noqa: F401
 from repro.core.engine import EngineOptions, _filter_stage
 from repro.core.incremental import SeedTables, VerificationCache
 from repro.core.order_maintenance import OrderState
-from repro.core.sharded import CampaignShard, IdentityView
+from repro.core.sharded import CampaignShard, Router, View, shard_views
 # two_hop_filter_cached: unused here, kept for perfbench's tracer.
 from repro.core.signatures import two_hop_filter_cached  # noqa: F401
 from repro.exceptions import InvalidParameterError
@@ -61,7 +60,7 @@ from repro.exceptions import InvalidParameterError
 if TYPE_CHECKING:
     from repro.parallel import ShardedEvaluator
 
-__all__ = ["SharedCampaignContext", "context_key"]
+__all__ = ["SharedCampaignContext"]
 
 #: The warm-up's two filter passes: the first stores signatures, two-hop
 #: verdicts and ``rf(x)`` for every survivor; the second stores the
@@ -70,22 +69,14 @@ _RF_PASS = EngineOptions(use_two_hop_filter=True, use_rf_bound=True)
 _R_SCORE_PASS = EngineOptions()
 
 
-def context_key(fingerprint: str, alpha: int, beta: int,
-                backend: str) -> Tuple[str, int, int, str]:
-    """The identity a shared context is keyed on, as a hashable tuple."""
-    return (fingerprint, int(alpha), int(beta), backend)
-
-
 class SharedCampaignContext:
     """The (α, β)-invariant substrate shared by a batch of campaigns.
 
-    Keyed on ``(graph_fingerprint, α, β, backend)`` (:func:`context_key`,
-    exposed as :attr:`key`); every served value is either frozen (base
-    core, seed tables), cloned (order state), or leased with no
-    cross-campaign state (evaluators).  All accessors are thread-safe —
-    the service's worker threads share one instance — but any single
-    leased evaluator must be used by one campaign at a time, which the
-    lease pool guarantees.
+    Every served value is either frozen (base core, shard views, seed
+    tables), cloned (order states), or leased with no cross-campaign state
+    (evaluators).  All accessors are thread-safe — the service's worker
+    threads share one instance — but any single leased evaluator must be
+    used by one campaign at a time, which the lease pool guarantees.
 
     The context never validates budgets: each campaign's own entry point
     does.  It does pin the problem instance — :meth:`check_compatible`
@@ -103,14 +94,15 @@ class SharedCampaignContext:
         self._closed = False
         self._fingerprint: Optional[str] = None
         self._base_core: Optional[Set[int]] = None
-        self._seed_state: Optional[OrderState] = None
-        self._seed_tables: Optional[SeedTables] = None
-        self._eval_free: Dict[Tuple[int, bool],
+        # Per ``shards`` value: (views, router, pristine states); seeds.
+        self._plans: Dict[Optional[int],
+                          Tuple[List[View], Router, List[OrderState]]] = {}
+        self._seeds: Dict[Optional[int], Tuple[SeedTables, ...]] = {}
+        self._eval_free: Dict[Tuple[int, bool, Optional[int]],
                               List["ShardedEvaluator"]] = {}
-        self._eval_all: List["ShardedEvaluator"] = []
         # Diagnostics (batch scheduler stats / benchmarks).
         self.state_clones = 0
-        self.kernels_built = 0  # the warm-up's scratch kernel
+        self.kernels_built = 0  # the warm-up's scratch kernels
         self.evaluator_leases = 0
         self.evaluators_built = 0
 
@@ -127,12 +119,6 @@ class SharedCampaignContext:
 
                 self._fingerprint = graph_fingerprint(self.graph)
             return self._fingerprint
-
-    @property
-    def key(self) -> Tuple[str, int, int, str]:
-        """``context_key(fingerprint, α, β, backend)`` for this context."""
-        return context_key(self.fingerprint, self.alpha, self.beta,
-                           self.backend)
 
     def check_compatible(self, graph: BipartiteGraph, alpha: int,
                          beta: int) -> None:
@@ -161,49 +147,58 @@ class SharedCampaignContext:
                 self._base_core = abcore(self.graph, self.alpha, self.beta)
             return self._base_core
 
-    def order_state(self, maintain: bool = True) -> OrderState:
-        """A private pristine :class:`OrderState` clone for one campaign."""
+    def shard_views(self, shards: Optional[int]) -> Tuple[List[View], Router]:
+        """The ``shards`` plan's views and router, built once."""
         with self._lock:
-            state = self._pristine_state()
+            views, route, _states = self._plan(shards)
+            return views, route
+
+    def order_state(self, maintain: bool = True,
+                    shards: Optional[int] = None) -> List[OrderState]:
+        """One campaign's private pristine :class:`OrderState` clones, one
+        per view of the ``shards`` plan."""
+        with self._lock:
+            _views, _route, states = self._plan(shards)
             self.state_clones += 1
-        return state.clone_pristine(maintain=maintain)
+        return [state.clone_pristine(maintain=maintain) for state in states]
 
-    def seed_tables(self) -> SeedTables:
-        """The frozen epoch-0 verification tables, warmed on first use.
+    def seed_tables(self, shards: Optional[int] = None,
+                    ) -> Tuple[SeedTables, ...]:
+        """The frozen epoch-0 verification tables, one per view of the
+        ``shards`` plan, warmed on first use.
 
-        Warm-up runs the engine's own filter stage over the pristine state
-        twice, into a throwaway :class:`VerificationCache` — once with the
-        two-hop filter and ``rf(x)`` bounds (signatures, survivor verdicts,
-        ``rf(x)`` for every survivor), once with r-score bounds (both
-        r-score tables) — then freezes it.  Every stored value is exactly
-        what iteration one of a cold campaign would compute, which is the
-        whole soundness story (see :mod:`repro.core.incremental`).
+        Warm-up runs the engine's own filter stage over each view's
+        pristine state into a throwaway :class:`VerificationCache` — with
+        two-hop filter and ``rf(x)`` bounds, then with r-score bounds —
+        and freezes it: every value is exactly what iteration one of a
+        cold campaign computes (see :mod:`repro.core.incremental`).
         """
         with self._lock:
-            if self._seed_tables is None:
-                self._seed_tables = self._warm_seed_tables()
-            return self._seed_tables
+            if shards not in self._seeds:
+                views, _route, states = self._plan(shards)
+                self._seeds[shards] = tuple(map(self._warm_seed_tables,
+                                                views, states))
+            return self._seeds[shards]
 
-    def _pristine_state(self) -> OrderState:
-        # Callers hold the lock.  maintain=True so the seed can serve both
-        # maintain settings (a maintain=False clone just drops the numbers).
-        if self._seed_state is None:
-            self._seed_state = OrderState(self.graph, self.alpha, self.beta,
-                                          maintain=True)
-        return self._seed_state
+    def _plan(self, shards: Optional[int],
+              ) -> Tuple[List[View], Router, List[OrderState]]:
+        # Callers hold the lock.  maintain=True states serve both settings.
+        if shards not in self._plans:
+            views, route = shard_views(self.graph, shards)
+            self._plans[shards] = (views, route, [
+                OrderState(view.graph, self.alpha, self.beta, maintain=True)
+                for view in views])
+        return self._plans[shards]
 
-    def _warm_seed_tables(self) -> SeedTables:
-        scratch = VerificationCache(self.graph)
-        kernel = kernel_for(self.graph)
+    def _warm_seed_tables(self, view: View, state: OrderState) -> SeedTables:
+        scratch = VerificationCache(view.graph)
+        kernel = kernel_for(view.graph)
         if kernel is not None:
             self.kernels_built += 1
-        state = self._pristine_state()
-        shard = CampaignShard(0, IdentityView(self.graph), state, scratch,
-                              kernel)
+            kernel.begin_iteration(state.upper.position,
+                                   state.lower.position, state.core)
+        shard = CampaignShard(0, view, state, scratch, kernel)
         try:
-            if kernel is not None:
-                kernel.begin_iteration(state.upper.position,
-                                       state.lower.position, state.core)
             for options in (_RF_PASS, _R_SCORE_PASS):
                 _filter_stage(shard, 1, 1, options)
         finally:
@@ -216,42 +211,43 @@ class SharedCampaignContext:
     # ------------------------------------------------------------------
 
     def acquire_evaluator(self, workers: int, use_flat_kernel: bool,
+                          shards: Optional[int] = None,
                           ) -> Optional["ShardedEvaluator"]:
-        """Lease a parallel evaluator over the shared-memory graph pool.
+        """Lease the engine's worker pool over the ``shards`` plan's graphs.
 
-        The pool is the engine's one worker pool over ``[graph]`` — an
-        unsharded campaign's single identity shard.  ``None`` when
-        ``workers <= 1`` or the pool cannot be created (the campaign
-        degrades to the serial path exactly as standalone runs do).  Each
-        campaign's first broadcast carries its full state and every reply
-        stream drains all in-flight work before it ends, so a returned
-        lease carries no campaign state.
+        ``None`` when ``workers <= 1`` or the pool cannot be created (the
+        campaign degrades to the serial path exactly as standalone runs
+        do).  Each campaign's first broadcast carries its full state and
+        every reply stream drains all in-flight work before it ends, so a
+        returned lease carries no campaign state.
         """
         if workers <= 1:
             return None
-        key = (workers, bool(use_flat_kernel))
+        key = (workers, bool(use_flat_kernel), shards)
         with self._lock:
             pool = self._eval_free.get(key)
             if pool:
                 self.evaluator_leases += 1
                 return pool.pop()
+            views = self._plan(shards)[0]
         from repro.parallel import create_sharded_evaluator
 
-        evaluator = create_sharded_evaluator([self.graph], workers,
+        evaluator = create_sharded_evaluator([view.graph for view in views],
+                                             workers,
                                              use_flat_kernel=use_flat_kernel)
         if evaluator is not None:
             with self._lock:
-                self._eval_all.append(evaluator)
                 self.evaluator_leases += 1
                 self.evaluators_built += 1
         return evaluator
 
     def release_evaluator(self, workers: int, use_flat_kernel: bool,
-                          evaluator: Optional["ShardedEvaluator"]) -> None:
+                          evaluator: Optional["ShardedEvaluator"],
+                          shards: Optional[int] = None) -> None:
         """Return a leased evaluator to the pool (accepts ``None``)."""
         if evaluator is None:
             return
-        key = (workers, bool(use_flat_kernel))
+        key = (workers, bool(use_flat_kernel), shards)
         with self._lock:
             if self._closed:
                 evaluator.shutdown()
@@ -269,9 +265,10 @@ class SharedCampaignContext:
                 "alpha": self.alpha,
                 "beta": self.beta,
                 "backend": self.backend,
-                "warm": self._seed_tables is not None,
-                "seed_entries": (self._seed_tables.entries()
-                                 if self._seed_tables is not None else 0),
+                "warm": bool(self._seeds),
+                "seed_entries": sum(seed.entries()
+                                    for seeds in self._seeds.values()
+                                    for seed in seeds),
                 "state_clones": self.state_clones,
                 "kernels_built": self.kernels_built,
                 "evaluator_leases": self.evaluator_leases,
@@ -285,7 +282,6 @@ class SharedCampaignContext:
                 return
             self._closed = True
             evaluators, self._eval_free = self._eval_free, {}
-            self._eval_all = []
         for pool in evaluators.values():
             for evaluator in pool:
                 evaluator.shutdown()

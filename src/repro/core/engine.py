@@ -20,12 +20,12 @@ The three presets live in :func:`repro.core.api.engine_options`, and
 benchmarks intermediate configurations (e.g. the two-hop filter without
 order maintenance) for free.
 
-The loop drives a list of :class:`~repro.core.sharded.CampaignShard`\\ s:
-an unsharded campaign is one shard over the input graph itself, and
-``shards=k`` splits the state across connected-component groups (followers
-never leave their anchor's component, Lemma 1).  Either way there is one
-loop, one verification scan, one fallback rule, one resume path, and one
-checkpoint writer, which writes the same format for every ``shards`` value.
+The loop drives a list of :class:`~repro.core.sharded.CampaignShard`\\ s,
+one per group of connected components (followers never leave their
+anchor's component, Lemma 1); a plan of one group is one shard over the
+input graph itself.  Every plan runs the same loop, verification scan,
+fallback rule, resume path, and checkpoint writer, which writes the same
+format for every ``shards`` value.
 """
 
 from __future__ import annotations
@@ -133,14 +133,13 @@ def run_engine(
     finished :class:`IterationRecord` — long runs can stream progress to a
     UI or log.
 
-    ``shards`` selects the substrate.  ``None`` (the default) runs the loop
-    on one shard over the input graph itself — no decomposition, no id
-    maps, no copy.  An int ``k >= 1`` decomposes the graph into connected
-    components and runs the same loop over at most ``k`` component-group
-    shards (:func:`repro.core.sharded.plan_shards`): per iteration each
-    shard reranks only if an anchor touched it, and the shard rankings are
-    merged in the unsharded sort order.  Results are byte-identical for
-    every ``shards`` value (``docs/PERF.md``).
+    ``shards`` picks the shard plan over the graph's connected components
+    (:func:`repro.core.sharded.plan_shards`): ``None`` gives each
+    component with edges a shard, up to ``AUTO_SHARD_CAP``; ``k`` asks for
+    at most ``k``.  Each shard reranks only when an anchor touched it.  A
+    one-shard plan runs on the input graph itself, and ``shards=1`` also
+    skips the decomposition — the zero-copy choice for memmap graphs.
+    Results are byte-identical for every value (``docs/PERF.md``).
 
     ``workers > 1`` fans candidate verification out to a process pool
     (:mod:`repro.parallel`) sharing each shard's CSR graph zero-copy;
@@ -192,15 +191,12 @@ def run_engine(
       campaign service (:mod:`repro.service`) manages signals itself.
 
     ``context`` (a :class:`repro.core.batch.SharedCampaignContext`) lets a
-    batch of same-``(graph, α, β)`` unsharded campaigns share the
-    (α, β)-invariant substrate: the base core, a pristine order-state
-    clone, the frozen epoch-0 verification seed, the graph fingerprint,
-    and leased parallel evaluators.  Every shared value equals what this
-    run would have computed cold, so results remain byte-identical
-    (``docs/PERF.md``).  The seed is skipped on resume, so a resumed
-    campaign's cache starts cold, like a standalone resume's.  Sharded
-    campaigns build per-shard state and leave a matching ``context``
-    unused.
+    batch of same-``(graph, α, β)`` campaigns share the (α, β)-invariant
+    substrate: base core, fingerprint and, per ``shards`` value, shard
+    views, pristine order states, epoch-0 verification seeds and parallel
+    evaluators.  Every shared value equals what this run would compute
+    cold, so results stay byte-identical (``docs/PERF.md``).  A resume
+    skips the seeds, so its caches start cold, like a standalone resume's.
 
     Invalid ``t`` (``options.anchors_per_iteration``), ``workers`` or
     ``shards`` values, and a ``context`` built for another graph or
@@ -218,8 +214,6 @@ def run_engine(
         raise InvalidParameterError("shards must be >= 1, got %d" % shards)
     if context is not None:
         context.check_compatible(graph, alpha, beta)
-    if shards is not None:
-        context = None  # sharded campaigns build their own per-shard state
     options_dict = asdict(options)
 
     restored: Optional[CampaignCheckpoint] = None
@@ -248,7 +242,8 @@ def run_engine(
             # Fault-injected pools stay private: specs are baked into the
             # workers at spawn, so a pooled evaluator would leak them
             # across campaigns.
-            evaluator = context.acquire_evaluator(workers, use_kernel)
+            evaluator = context.acquire_evaluator(workers, use_kernel,
+                                                  shards)
             shared_evaluator = evaluator is not None
         if evaluator is None:
             evaluator = create_sharded_evaluator(
@@ -408,9 +403,12 @@ def run_engine(
             termination.restore()
         if evaluator is not None:
             if shared_evaluator and context is not None:
-                context.release_evaluator(workers, use_kernel, evaluator)
+                context.release_evaluator(workers, use_kernel, evaluator,
+                                          shards)
             else:
                 evaluator.shutdown()
+        for shard in shard_list:  # refcounting then frees shard state
+            shard.release()
 
     # Authoritative objective, recomputed once per shard from the global
     # anchor list: the anchored core of a disjoint union is the union of
@@ -513,11 +511,11 @@ def _filter_stage(
 
 def _merge_ranked(per_shard: List[List["MergedCandidate"]],
                   ) -> List["MergedCandidate"]:
-    """Merge shard rankings into the unsharded engine's sort order.
+    """Merge shard rankings into the one-shard engine's sort order.
 
     Each shard's entries are already sorted by their leading
     ``(-bound, global_x)`` key (:func:`_filter_stage`), so merging under
-    that key reproduces the single sorted list an unsharded filter pass
+    that key reproduces the single sorted list a one-shard filter pass
     builds.  ``global_x`` is unique across shards — the order never ties,
     so any sort yields exactly what a streaming ``heapq.merge`` would, and
     the key-function-free ``list.sort`` gallops over the pre-sorted runs
@@ -579,7 +577,7 @@ def _verification_stage(
 
     Follower sets are computed in the candidate's shard (local ids) and
     globalized for coverage and the maintainer — follower sets never leave
-    their component, so the globalized union equals the unsharded set
+    their component, so the globalized union equals the one-shard set
     exactly.  With a shard cache, a candidate whose follower set survived
     invalidation skips Algorithm 1 entirely; ``verifications`` still counts
     it, because the memo-off scan would have evaluated it — the cache

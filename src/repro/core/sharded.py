@@ -2,22 +2,16 @@
 
 Followers never cross connected components (Lemma 1: every follower of an
 anchor is order-reachable from it, and reachability walks edges), so the
-greedy filter–verification loop factorizes: each group of components can
-keep its own deletion orders, verification cache, and ranked candidate
+greedy filter–verification loop factorizes: each group of components
+keeps its own deletion orders, verification cache, and ranked candidate
 list, and a global iteration only merges per-shard rankings and routes the
 chosen anchors back to their shards.  :func:`repro.core.engine.run_engine`
-is that loop; this module provides the shards it drives:
-
-* :func:`build_shards` with ``shards=None`` — one :class:`CampaignShard`
-  over an :class:`IdentityView` of the input graph: the same graph object,
-  no component decomposition, no id maps, no copy (a memmap graph stays
-  memmap).  With a :class:`~repro.core.batch.SharedCampaignContext` it
-  takes its order state and seed tables from the context;
-* :func:`build_shards` with ``shards=k`` — :func:`plan_shards` groups the
-  components into at most ``k`` balanced groups, one shard per group over
-  a component-local :class:`~repro.bigraph.components.SubgraphView`;
-* :func:`replay_shards` — the resume path's per-shard state rebuild from
-  the global iteration records of a checkpoint.
+is that loop; this module provides the shards it drives.  The shard plan
+(:func:`plan_shards`, :func:`shard_views`) is a pure function of the graph
+and ``shards``, and a plan of one group is an :class:`IdentityView` of the
+input graph itself — no id maps, no copy, so a memmap graph stays memmap.
+:func:`build_shards` puts a :class:`CampaignShard` on each view, and
+:func:`replay_shards` rebuilds their state from a checkpoint's records.
 
 Why the merge is byte-identical (``docs/PERF.md`` carries the full
 argument): local ids are assigned monotonically (ascending global order,
@@ -25,7 +19,7 @@ uppers first — :class:`~repro.bigraph.components.SubgraphView`), so every
 id-ordered tie-break inside a shard resolves exactly as it would globally;
 each shard's ranked list is sorted by ``(-bound, local id)`` which is
 therefore also ``(-bound, global id)`` order, and a merge under that key
-reproduces the unsharded globally sorted candidate list element for
+reproduces the one-shard globally sorted candidate list element for
 element.  Candidate ``x`` ids are unique, so the sort key never ties
 deeper.
 
@@ -39,6 +33,7 @@ orders are reused untouched next iteration.  Shards also bound peak memory
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -61,7 +56,7 @@ from repro.core.deletion_order import DeletionOrder
 from repro.core.engine import EngineOptions, _filter_stage
 # compute_followers: unused here, kept for perfbench's tracer.
 from repro.core.followers import compute_followers  # noqa: F401
-from repro.core.incremental import VerificationCache
+from repro.core.incremental import SeedTables, VerificationCache
 from repro.core.order_maintenance import OrderState
 from repro.exceptions import InvalidParameterError
 from repro.resilience.checkpoint import CampaignCheckpoint
@@ -69,8 +64,12 @@ from repro.resilience.checkpoint import CampaignCheckpoint
 if TYPE_CHECKING:
     from repro.core.batch import SharedCampaignContext
 
-__all__ = ["CampaignShard", "IdentityView", "build_shards", "plan_shards",
-           "replay_shards", "split_by_shard"]
+__all__ = ["AUTO_SHARD_CAP", "CampaignShard", "IdentityView", "build_shards",
+           "plan_shards", "replay_shards", "shard_views", "split_by_shard"]
+
+#: The most shards ``shards=None`` plans: every shard has a fixed cost per
+#: iteration, which thousands of tiny components would pay over and over.
+AUTO_SHARD_CAP = 32
 
 #: One ranked candidate:
 #: ``((-bound, global_x), shard, local_x, order, rf_local)``.  The leading
@@ -87,21 +86,28 @@ MergedCandidate = Tuple[Tuple[int, int], "CampaignShard", int,
 #: Maps a global vertex id to the index of the shard that owns it.
 Router = Callable[[int], int]
 
+#: A shard's id space: the whole graph, or a component-local subgraph.
+View = Union[SubgraphView, "IdentityView"]
+
 
 def plan_shards(sizes: Sequence[Tuple[int, int, int]],
-                shards: int) -> List[Tuple[int, ...]]:
+                shards: Optional[int]) -> List[Tuple[int, ...]]:
     """Group components into at most ``shards`` balanced groups.
 
-    Greedy longest-processing-time assignment on edge counts: components in
-    decreasing ``n_edges`` order (ties by component id) each go to the
-    currently lightest group (ties by group index).  Deterministic by
-    construction, and — like every planning choice here — irrelevant to
-    results: grouping affects locality and schedule only, never values.
+    ``None`` means one group per component with at least one edge, capped
+    at :data:`AUTO_SHARD_CAP`.  Greedy longest-processing-time assignment
+    on edge counts: components in decreasing ``n_edges`` order (ties by id)
+    each go to the currently lightest group (ties by group index), so
+    edge-less components join the lightest group.  Deterministic, and
+    irrelevant to results: grouping affects locality, never values.
 
     Returns each group's component ids sorted ascending; groups are ordered
     by their first component id so shard numbering is itself canonical.
     """
-    if shards < 1:
+    if shards is None:
+        with_edges = sum(1 for size in sizes if size[2] > 0)
+        shards = max(1, min(with_edges, AUTO_SHARD_CAP))
+    elif shards < 1:
         raise InvalidParameterError("shards must be >= 1, got %d" % shards)
     n_components = len(sizes)
     n_groups = min(shards, n_components)
@@ -162,7 +168,7 @@ class CampaignShard:
     __slots__ = ("index", "view", "graph", "state", "cache", "kernel",
                  "_ranked")
 
-    def __init__(self, index: int, view: Union[SubgraphView, IdentityView],
+    def __init__(self, index: int, view: View,
                  state: OrderState, cache: Optional[VerificationCache],
                  kernel: Optional[FollowerKernel]) -> None:
         self.index = index
@@ -210,19 +216,30 @@ class CampaignShard:
             self.cache.invalidate(dirty)
         self._ranked.clear()
 
+    def release(self) -> None:
+        """Drop the ranked memo, whose entries point back at this shard."""
+        self._ranked.clear()
 
-def _select_kernel(graph: BipartiteGraph, flat_kernel: Optional[bool],
-                   ) -> Optional[FollowerKernel]:
-    """The follower kernel for one shard graph.
 
-    ``None`` auto-enables the kernel on CSR-backed graphs, ``True``
-    requires a CSR backend (construction raises otherwise), ``False``
-    forces the generic dict/set path.
+def shard_views(graph: BipartiteGraph, shards: Optional[int],
+                ) -> Tuple[List[View], Router]:
+    """The views of ``graph``'s shard plan, and the router for global ids.
+
+    A plan of one group — always for ``shards=1``, which skips the
+    decomposition — is the :class:`IdentityView` of ``graph`` itself.
     """
-    if flat_kernel is not None and not flat_kernel:
-        return None
-    return kernel_for(graph) if flat_kernel is None \
-        else FollowerKernel(graph)
+    if shards != 1:
+        decomposition = ComponentDecomposition(graph)
+        plan = plan_shards(decomposition.sizes, shards)
+        if len(plan) > 1:
+            # component label -> owning shard index, for routing anchors.
+            shard_of = {component: index for index, components
+                        in enumerate(plan) for component in components}
+            labels = decomposition.labels
+            return ([decomposition.subgraph_view(components)
+                     for components in plan],
+                    lambda gx: shard_of[labels[gx]])
+    return [IdentityView(graph)], lambda gx: 0
 
 
 def build_shards(
@@ -238,41 +255,35 @@ def build_shards(
 ) -> Tuple[List[CampaignShard], Router]:
     """The shards a campaign runs on, and the router for global anchor ids.
 
-    ``shards=None`` yields one identity shard; with a ``context`` that
-    shard clones the context's pristine order state and — when
-    ``memoize`` and ``seeded`` — consults the frozen epoch-0 seed tables.
-    ``shards=k`` decomposes the graph into connected components and builds
-    at most ``k`` component-group shards (``context`` is not consulted).
+    The views come from :func:`shard_views`; a ``context`` memoizes them
+    and supplies the pristine state clones and — when ``memoize`` and
+    ``seeded`` — the frozen epoch-0 seed tables.
+    ``flat_kernel=None`` auto-enables the follower kernel on CSR-backed
+    views, ``True`` requires CSR (construction raises otherwise), ``False``
+    forces the generic dict/set path.
     """
     maintain = options.maintain_orders
-    if shards is None:
-        if context is not None:
-            seed = context.seed_tables() if memoize and seeded else None
-            state = context.order_state(maintain=maintain)
-        else:
-            seed = None
-            state = OrderState(graph, alpha, beta, maintain=maintain)
-        cache = VerificationCache(graph, seed=seed) if memoize else None
-        shard = CampaignShard(0, IdentityView(graph), state, cache,
-                              _select_kernel(graph, flat_kernel))
-        return [shard], lambda gx: 0
-
-    decomposition = ComponentDecomposition(graph)
-    plan = plan_shards(decomposition.sizes, shards)
-    shard_list: List[CampaignShard] = []
-    # component label -> owning shard index, for routing chosen anchors.
-    shard_of: Dict[int, int] = {}
-    for index, components in enumerate(plan):
-        view = decomposition.subgraph_view(components)
+    seeds: Iterable[Optional[SeedTables]] = repeat(None)
+    if context is not None:
+        views, route = context.shard_views(shards)
+        states = context.order_state(maintain=maintain, shards=shards)
+        if memoize and seeded:
+            seeds = context.seed_tables(shards)
+    else:
+        views, route = shard_views(graph, shards)
+        states = [OrderState(view.graph, alpha, beta, maintain=maintain)
+                  for view in views]
+    shard_list = []
+    # seed_tables() is a tuple in view order, so this zip is ordered.
+    planned = enumerate(zip(views, states, seeds))
+    for index, (view, state, seed) in planned:  # repro: ignore[ordering-flow]
         local = view.graph
+        kernel = (kernel_for(local) if flat_kernel is None
+                  else FollowerKernel(local) if flat_kernel else None)
         shard_list.append(CampaignShard(
-            index, view, OrderState(local, alpha, beta, maintain=maintain),
-            VerificationCache(local) if memoize else None,
-            _select_kernel(local, flat_kernel)))
-        for component in components:
-            shard_of[component] = index
-    labels = decomposition.labels
-    return shard_list, lambda gx: shard_of[labels[gx]]
+            index, view, state,
+            VerificationCache(local, seed=seed) if memoize else None, kernel))
+    return shard_list, route
 
 
 def split_by_shard(global_ids: Iterable[int],
@@ -296,7 +307,7 @@ def replay_shards(shard_list: List[CampaignShard], route: Router,
     order — exactly the batches the loop handed each shard while producing
     those records, so the rebuilt state equals the uninterrupted run's
     under any shard plan, including the one the checkpoint was written
-    under and ``shards=None``.
+    under.
     """
     for record in campaign.iterations:
         for index, batch in split_by_shard(record.anchors, route):

@@ -44,7 +44,8 @@ class ExperimentDefaults:
     #: Worker processes for engine-method candidate verification, and
     #: section-level threads for the full suite; 1 = fully serial.
     workers: int = 1
-    #: Component shards for engine-method campaigns (``None`` = unsharded);
+    #: Component shard plan for engine-method campaigns (``None`` = one
+    #: shard per component with edges, capped; ``1`` = one shard);
     #: byte-identity-preserving, like ``workers``.
     shards: Optional[int] = None
 

@@ -5,8 +5,8 @@ anchors; :class:`~repro.parallel.evaluator.ShardedEvaluator` fans those
 evaluations out to a pool of worker processes that share each campaign
 shard's CSR graph zero-copy (:mod:`repro.bigraph.shm`) and reduces the
 results in the exact serial tie-breaking order, so a parallel campaign is
-byte-identical to a serial one.  The same pool serves unsharded campaigns
-(one shard over the whole graph) and ``shards=k`` campaigns.  See
+byte-identical to a serial one.  The same pool serves every shard plan,
+from one shard over the whole graph to one per component group.  See
 ``docs/PARALLEL.md`` for the architecture and the determinism contract.
 """
 

@@ -17,9 +17,9 @@ computed anyway (and cached for later iterations).
 
 Topology
 --------
-The engine drives a list of campaign shards (one identity shard for an
-unsharded campaign, one per component group for ``shards=k``), and this
-pool mirrors that list:
+The engine drives a list of campaign shards (one per component group of
+its shard plan; a one-group plan is one identity shard over the input
+graph), and this pool mirrors that list:
 
 * **one shared segment per shard** — every worker attaches every shard's
   CSR graph at spawn; a chunk names its shard, so no per-iteration graph
@@ -104,7 +104,7 @@ __all__ = ["EvaluationStopped", "ShardCandidate", "ShardedEvaluator",
            "create_sharded_evaluator"]
 
 #: One unit of verification work: ``(shard_index, side, local_x)``, where
-#: side selects the shard's O_U or O_L.  Unsharded campaigns use shard 0.
+#: side selects the shard's O_U or O_L.  One-shard plans use shard 0.
 ShardCandidate = Tuple[int, str, int]
 
 #: Upper bound on auto-sized chunks: small enough that the drain after an
@@ -137,8 +137,8 @@ class ShardedEvaluator:
     Parameters
     ----------
     shard_graphs:
-        The shards' graphs, indexed by shard — ``[graph]`` for an unsharded
-        campaign.  Each is exported (CSR, shared memory) once at
+        The shards' graphs, indexed by shard — ``[graph]`` for a
+        one-shard plan.  Each is exported (CSR, shared memory) once at
         construction; list-backed graphs are converted for the export only.
     workers:
         Number of worker processes, ≥ 2 (``workers=1`` means "don't build

@@ -11,9 +11,9 @@ holds the pieces, each usable on its own:
   campaign service's queue file and disk cache;
 * :mod:`repro.resilience.checkpoint` — :class:`CampaignCheckpoint` with a
   graph fingerprint, checksummed persistence, and resume validation.  One
-  format for every campaign: a ``shards=k`` run writes the same file, in
-  global vertex ids, as an unsharded one, and any checkpoint resumes under
-  any ``shards`` and ``workers`` values;
+  format for every campaign: every shard plan writes the same file, in
+  global vertex ids, and any checkpoint resumes under any ``shards`` and
+  ``workers`` values;
 * :mod:`repro.resilience.faults` — deterministic seeded fault injection
   (:class:`FaultPlan` + instrumented ``fault_site`` calls);
 * :mod:`repro.resilience.retry` — bounded deterministic backoff for

@@ -24,11 +24,10 @@ on the benchmark graphs — while finished jobs come back from the result
 cache's disk tier.
 
 Soundness: sharing is *transparent* — the context serves only values an
-engine run would have computed identically itself (see
-``docs/PERF.md``), so batching never changes result bytes, and admission
-control / quarantine semantics are untouched (a job whose context
-acquisition fails simply runs cold).  Jobs outside the engine family, or
-sharded jobs (per-shard state), are ineligible and run exactly as before.
+engine run would have computed identically itself (``docs/PERF.md``), so
+batching never changes result bytes; a job whose context acquisition
+fails simply runs cold.  Every engine-family job is eligible, whatever its
+``shards``; the baselines run exactly as before.
 """
 
 from __future__ import annotations
@@ -79,13 +78,9 @@ class BatchScheduler:
 
     @staticmethod
     def eligible(spec: JobSpec) -> bool:
-        """Whether a spec can run against a shared context.
-
-        Engine-family methods only (the baselines have no substrate to
-        share), and unsharded only (the sharded substrate builds
-        per-shard state and ignores contexts).
-        """
-        return spec.method in ENGINE_METHODS and spec.shards is None
+        """Whether a spec can run against a shared context: engine-family
+        methods only (the baselines have no substrate to share)."""
+        return spec.method in ENGINE_METHODS
 
     def acquire(self, spec: JobSpec) -> Optional[SharedCampaignContext]:
         """Check out the shared context for ``spec``, or None if ineligible.

@@ -96,10 +96,10 @@ class TestSeedTables:
     def test_context_warms_once_and_serves_a_frozen_seed(self):
         graph = batch_graph().to_csr()
         with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
-            seed = ctx.seed_tables()
+            [seed] = ctx.seed_tables(shards=1)
             assert isinstance(seed, SeedTables)
             assert seed.entries() > 0
-            assert ctx.seed_tables() is seed  # warmed exactly once
+            assert ctx.seed_tables(shards=1)[0] is seed  # warmed once
 
     def test_incompatible_problems_are_rejected(self):
         graph = batch_graph().to_csr()
@@ -272,6 +272,18 @@ class TestServiceBatching:
         assert stats["cache"]["disk_hits"] == len(self.PROBLEMS)
         assert second[-1] == canonical(reinforce(
             graph, ALPHA, BETA, 2, 2, method="filver++", t=2))
+
+    def test_sharded_job_draws_the_shared_context(self, tmp_path):
+        graph = batch_graph().to_csr()
+        spec = JobSpec(alpha=ALPHA, beta=BETA, b1=2, b2=2,
+                       method="filver++", t=2, shards=2)
+        standalone = canonical(reinforce(graph, ALPHA, BETA, 2, 2,
+                                         method="filver++", t=2, shards=2))
+        [result], stats = self.run_service(graph, str(tmp_path / "s"),
+                                           [spec])
+        assert result == standalone
+        assert stats["batch"]["builds"] == 1
+        assert stats["batch"]["warm"] == [(ALPHA, BETA)]
 
     def test_grouped_dispatch_regroups_fifo_within_a_priority(self):
         """A warm-context job jumps ahead of an equal-priority cold one."""

@@ -217,11 +217,11 @@ class TestOneScan:
         return entries
 
     def make_shard(self, graph, memoize, real=None):
-        """An unsharded campaign's shard after its first filter pass; with
+        """A one-shard campaign's shard after its first filter pass; with
         ``memoize``, every third follower set in ``real`` is pre-cached."""
         options = engine_options("filver++", 3)
         [shard], _route = build_shards(graph, 3, 3, options, memoize, False,
-                                       None)
+                                       1)
         ranked, _total = shard.ranked(3, 3, options)
         if memoize and real is not None:
             for key in self.precached(real):

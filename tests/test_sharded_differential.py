@@ -14,6 +14,7 @@ retired ``"sharded-1"`` envelope is refused), and the ``shards=`` thread
 through the API and CLI.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -23,7 +24,13 @@ import pytest
 from repro.bigraph import disjoint_union, from_edge_list, write_edge_list
 from repro.core.api import reinforce
 from repro.bigraph.components import ComponentDecomposition
-from repro.core.sharded import CampaignShard, plan_shards
+from repro.core.batch import SharedCampaignContext
+from repro.core.sharded import (
+    AUTO_SHARD_CAP,
+    CampaignShard,
+    plan_shards,
+    shard_views,
+)
 from repro.exceptions import (
     CheckpointError,
     FaultInjected,
@@ -78,7 +85,8 @@ class TestShardedEqualsSerial:
     @pytest.mark.parametrize("method", METHODS)
     def test_all_methods_and_shard_counts(self, method, shards):
         graph = multi_component_graph()
-        serial = reinforce(graph, 3, 3, 3, 3, method=method, t=2)
+        serial = reinforce(graph, 3, 3, 3, 3, method=method, t=2,
+                           shards=1)
         sharded = reinforce(graph, 3, 3, 3, 3, method=method, t=2,
                             shards=shards)
         assert len(serial.iterations) >= 2
@@ -87,10 +95,10 @@ class TestShardedEqualsSerial:
 
     @pytest.mark.parametrize("backend,shards", [
         pytest.param(backend, shards, id=backend + suffix)
-        for shards, suffix in ((3, ""), (None, "-unsharded"))
+        for shards, suffix in ((3, ""), (1, "-unsharded"))
         for backend in ("list", "csr", "memmap")])
     def test_all_backends(self, backend, shards, tmp_path, monkeypatch):
-        """``shards=None`` is one identity shard: the input graph object
+        """``shards=1`` is one identity shard: the input graph object
         itself (a memmap graph stays memmap), and no decomposition."""
         graph = multi_component_graph(seed=5)
         if backend == "csr":
@@ -100,7 +108,8 @@ class TestShardedEqualsSerial:
             graph = from_edge_list(edges, n_upper=graph.n_upper,
                                    n_lower=graph.n_lower, backend="memmap",
                                    memmap_dir=str(tmp_path / "g"))
-        serial = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2)
+        serial = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                           shards=1)
         shard_graphs, decompositions = [], []
         real_ranked = CampaignShard.ranked
         real_decompose = ComponentDecomposition.__init__
@@ -119,7 +128,7 @@ class TestShardedEqualsSerial:
                             shards=shards)
         monkeypatch.undo()
         assert shard_graphs
-        if shards is None:
+        if shards == 1:
             assert all(g is graph for g in shard_graphs)
             assert decompositions == []
         else:
@@ -133,7 +142,8 @@ class TestShardedEqualsSerial:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sharded_workers_equal_serial(self, workers):
         graph = multi_component_graph(seed=9)
-        serial = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2)
+        serial = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
+                           shards=1)
         sharded = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2,
                             shards=2, workers=workers)
         assert_identical(sharded, serial)
@@ -141,7 +151,7 @@ class TestShardedEqualsSerial:
     def test_memoize_off_matches_too(self):
         graph = multi_component_graph(seed=13)
         serial = reinforce(graph, 3, 3, 2, 2, method="filver++", t=2,
-                           memoize=False)
+                           memoize=False, shards=1)
         sharded = reinforce(graph, 3, 3, 2, 2, method="filver++", t=2,
                             memoize=False, shards=4)
         assert_identical(sharded, serial)
@@ -149,7 +159,8 @@ class TestShardedEqualsSerial:
     def test_single_component_graph_still_works(self):
         graph = random_bigraph(2, n1_range=(12, 16), n2_range=(12, 16),
                                density=0.25)
-        serial = reinforce(graph, 3, 3, 2, 2, method="filver++", t=2)
+        serial = reinforce(graph, 3, 3, 2, 2, method="filver++", t=2,
+                           shards=1)
         sharded = reinforce(graph, 3, 3, 2, 2, method="filver++", t=2,
                             shards=8)
         assert_identical(sharded, serial)
@@ -181,6 +192,116 @@ class TestPlanShards:
         groups = plan_shards(sizes, 3)
         assert sorted(c for group in groups for c in group) \
             == list(range(len(sizes)))
+
+    def test_default_plan_gives_each_component_with_edges_a_group(self):
+        sizes = [(2, 2, 4), (1, 1, 1), (3, 3, 9)]
+        assert plan_shards(sizes, None) == [(0,), (1,), (2,)]
+
+    def test_default_plan_puts_edgeless_components_in_existing_groups(self):
+        sizes = [(1, 0, 0), (2, 2, 4), (0, 1, 0), (3, 3, 9), (1, 0, 0)]
+        # Two components have edges, so two groups; the edge-less ones
+        # join the lighter group (component 1's 4 edges against 9).
+        assert plan_shards(sizes, None) == [(0, 1, 2, 4), (3,)]
+        assert plan_shards([(1, 0, 0), (0, 1, 0)], None) == [(0, 1)]
+        assert plan_shards([], None) == []
+
+    def test_default_plan_is_capped(self):
+        sizes = [(1, 1, 1 + c % 3) for c in range(AUTO_SHARD_CAP + 8)]
+        groups = plan_shards(sizes, None)
+        assert len(groups) == AUTO_SHARD_CAP
+        assert sorted(c for group in groups for c in group) \
+            == list(range(len(sizes)))
+
+
+def one_edge_component_graph(backend="list", memmap_dir=None):
+    """One planted component plus isolated vertices on both sides."""
+    graph = planted_core_graph(alpha=3, beta=3, core_upper=6, core_lower=6,
+                               n_chains=6, max_chain_length=4, seed=21)
+    edges = [(u, v - graph.n_upper) for u, v in graph.edges()]
+    return from_edge_list(edges, n_upper=graph.n_upper + 2,
+                          n_lower=graph.n_lower + 1, backend=backend,
+                          memmap_dir=memmap_dir)
+
+
+def tiny_components_graph(parts=40):
+    return disjoint_union([
+        planted_core_graph(alpha=3, beta=3, n_chains=2, max_chain_length=2,
+                           seed=300 + i)
+        for i in range(parts)])
+
+
+#: Graphs whose default plan is one identity shard, the capped one shard
+#: per component, and a handful of planted components.
+PLAN_GRAPHS = {
+    "one-edge-component": one_edge_component_graph,
+    "tiny-components": tiny_components_graph,
+    "planted": lambda: multi_component_graph(seed=17, parts=4),
+}
+
+
+class TestDefaultPlan:
+    """``shards=None`` plans from the components and matches ``shards=1``."""
+
+    @pytest.mark.parametrize("context", [False, True],
+                             ids=["standalone", "context"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", sorted(PLAN_GRAPHS))
+    def test_default_plan_equals_one_shard(self, name, method, workers,
+                                           context):
+        graph = PLAN_GRAPHS[name]()
+        one = reinforce(graph, 3, 3, 3, 3, method=method, t=2, shards=1)
+        if context:
+            with SharedCampaignContext(graph, 3, 3) as ctx:
+                planned = reinforce(graph, 3, 3, 3, 3, method=method, t=2,
+                                    workers=workers, context=ctx)
+        else:
+            planned = reinforce(graph, 3, 3, 3, 3, method=method, t=2,
+                                workers=workers)
+        assert one.n_followers > 0
+        assert_identical(planned, one)
+
+    def test_campaign_leaves_no_reference_cycles(self):
+        """Shard state is freed by reference counting when the campaign
+        returns, not left to the cyclic collector (which let a service's
+        peak RSS climb by the garbage of many campaigns)."""
+        graph = PLAN_GRAPHS["planted"]()
+        gc.collect()
+        gc.disable()
+        try:
+            reinforce(graph, 3, 3, 3, 3, method="filver++", t=2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_plan_sizes(self):
+        assert len(shard_views(one_edge_component_graph(), None)[0]) == 1
+        assert len(shard_views(tiny_components_graph(), None)[0]) \
+            == AUTO_SHARD_CAP
+        assert len(shard_views(PLAN_GRAPHS["planted"](), None)[0]) == 4
+
+    @pytest.mark.parametrize("backend", ["csr", "memmap"])
+    def test_one_edge_component_runs_on_the_input_graph(self, backend,
+                                                         tmp_path,
+                                                         monkeypatch):
+        graph = one_edge_component_graph(
+            backend, str(tmp_path / "g") if backend == "memmap" else None)
+        shards = []
+        real_ranked = CampaignShard.ranked
+
+        def ranked(shard, *args, **kwargs):
+            shards.append(shard)
+            return real_ranked(shard, *args, **kwargs)
+
+        monkeypatch.setattr(CampaignShard, "ranked", ranked)
+        result = reinforce(graph, 3, 3, 3, 3, method="filver++", t=2)
+        monkeypatch.undo()
+        assert result.n_followers > 0
+        assert shards
+        assert all(shard.index == 0 and shard.graph is graph
+                   for shard in shards)
+        if backend == "memmap":
+            graph.adjacency.close()
 
 
 class TestShardedCheckpointAndResume:
