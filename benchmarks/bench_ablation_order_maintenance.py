@@ -58,7 +58,7 @@ def test_affected_graph_is_local_for_shell_anchors(benchmark, capsys):
             if x in state.core:
                 continue
             level = state.core_u.get(x, 0)
-            region = state._affected_graph("upper", x, level)
+            region, _ = state._affected_graph("upper", x, level)
             ratios.append(len(region) / graph.n_vertices)
             state.apply_anchor(x)
         return ratios

@@ -26,6 +26,7 @@ __all__ = [
     "DeletionOrder",
     "compute_order",
     "compute_orders",
+    "order_from_peel",
     "r_scores",
     "reachable_from",
     "signature",
@@ -125,16 +126,15 @@ def compute_order(
     beta: int,
     side: str,
     anchors: Collection[int] = (),
-    start_position: int = 1,
     subset: Optional[Collection[int]] = None,
     relaxed_core: Optional[Set[int]] = None,
-    include_zero_anchors: bool = True,
 ) -> DeletionOrder:
     """Compute one side's deletion order (Algorithm 2, ``OrderComputation``).
 
-    ``start_position`` and ``subset`` support the order-maintenance
-    optimization: maintenance recomputes only the affected region and numbers
-    it with fresh positions above everything already assigned.
+    ``subset`` restricts the peel to an induced subgraph and
+    ``relaxed_core`` skips the relaxed-core peel when it is already known.
+    Order maintenance takes the same sequence from
+    :func:`repro.abcore.core_numbers.core_sweep` instead.
     """
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower', got %r" % (side,))
@@ -147,13 +147,28 @@ def compute_order(
         relaxed_core = anchored_abcore(graph, relaxed_alpha, relaxed_beta,
                                        anchors, subset)
     core, sequence = peel_with_order(graph, alpha, beta, anchors, relaxed_core)
+    return order_from_peel(graph, alpha, beta, side, anchors, sequence, core,
+                           relaxed_core)
 
-    position: Dict[int, int] = {}
-    for offset, v in enumerate(sequence):
-        position[v] = start_position + offset
-    if include_zero_anchors:
-        for z in _zero_order_anchors(graph, side, sequence, relaxed_core, anchors):
-            position[z] = 0
+
+def order_from_peel(
+    graph: BipartiteGraph,
+    alpha: int,
+    beta: int,
+    side: str,
+    anchors: Collection[int],
+    sequence: List[int],
+    core: Set[int],
+    relaxed_core: Set[int],
+) -> DeletionOrder:
+    """The deletion order of a peel from ``relaxed_core`` down to ``core``.
+
+    ``sequence`` is the peel's removal order; it is numbered ``1, 2, ...``
+    and the promising anchors outside the relaxed core get position 0.
+    """
+    position = dict(zip(sequence, range(1, len(sequence) + 1)))
+    for z in _zero_order_anchors(graph, side, sequence, relaxed_core, anchors):
+        position[z] = 0
     return DeletionOrder(side=side, position=position, core=core,
                          relaxed_core=relaxed_core, alpha=alpha, beta=beta)
 

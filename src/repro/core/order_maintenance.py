@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.abcore.core_numbers import lower_core_numbers, upper_core_numbers
+from repro.abcore.core_numbers import core_sweep
 from repro.abcore.decomposition import anchored_abcore
+from repro.bigraph.csr import adjacency_arrays
 from repro.bigraph.graph import BipartiteGraph
-from repro.core.deletion_order import DeletionOrder, compute_order
+from repro.core.deletion_order import DeletionOrder, compute_order, order_from_peel
 
 __all__ = ["OrderState"]
 
@@ -68,7 +69,7 @@ class OrderState:
         self.core_l: Dict[int, int]
         self._counter_u = 0
         self._counter_l = 0
-        self._level0_core: Optional[Set[int]] = None
+        self._level0_core: Optional[Dict[int, int]] = None
         self.rebuild()
 
     # ------------------------------------------------------------------
@@ -76,18 +77,36 @@ class OrderState:
     # ------------------------------------------------------------------
 
     def rebuild(self) -> None:
-        """Recompute everything from the graph and the current anchor set."""
+        """Recompute everything from the graph and the current anchor set.
+
+        With ``maintain`` one :func:`core_sweep` per side over the whole
+        graph yields the core numbers and the order together; without it
+        the core numbers are never read, so plain order peels suffice.
+        """
         g, a, b = self.graph, self.alpha, self.beta
-        self.upper = compute_order(g, a, b, "upper", self.anchors)
-        self.lower = compute_order(g, a, b, "lower", self.anchors)
         if self.maintain:
-            self.core_u = upper_core_numbers(g, a, b, self.anchors)
-            self.core_l = lower_core_numbers(g, a, b, self.anchors)
+            self.upper, self.core_u = self._swept_order("upper")
+            self.lower, self.core_l = self._swept_order("lower")
         else:
+            self.upper = compute_order(g, a, b, "upper", self.anchors)
+            self.lower = compute_order(g, a, b, "lower", self.anchors)
             self.core_u = {}
             self.core_l = {}
         self._counter_u = self.upper.max_position()
         self._counter_l = self.lower.max_position()
+
+    def _swept_order(self, side: str) -> Tuple[DeletionOrder, Dict[int, int]]:
+        """One side's full order and core numbers from a whole-graph sweep.
+
+        The sweep's cap-level sequence is ``compute_order``'s peel of the
+        relaxed core, so the order is the one ``compute_order`` builds.
+        """
+        sweep = core_sweep(self.graph, self.alpha, self.beta, side,
+                           self.anchors)
+        order = order_from_peel(self.graph, self.alpha, self.beta, side,
+                                self.anchors, sweep.sequence, sweep.core,
+                                sweep.relaxed_core)
+        return order, sweep.numbers
 
     def clone_pristine(self, maintain: Optional[bool] = None) -> "OrderState":
         """An independent copy of this *pristine* state (no anchors applied).
@@ -213,17 +232,21 @@ class OrderState:
         for x in ordered:
             if x in covered:
                 continue
-            level = max(1, start_levels[x])
-            region = self._affected_graph(side, x, start_levels[x])
-            core, changed = self._repair_region(side, region, core,
-                                                level=level)
+            region, degrees = self._affected_graph(side, x, start_levels[x])
+            core, changed = self._repair_region(
+                side, region, degrees, core, level=max(1, start_levels[x]))
             covered |= region
             dirty |= changed
         self._level0_core = None
         return core, dirty
 
-    def _affected_graph(self, side: str, x: int, level: int) -> Set[int]:
+    def _affected_graph(self, side: str, x: int, level: int,
+                        ) -> Tuple[Set[int], List[int]]:
         """BFS from ``x`` restricted to core numbers ≥ ``level`` (Line 2).
+
+        Returns the region and, as an ``n_vertices``-long list, each
+        member's degree inside it: the walk tests every edge of the region
+        anyway, so it counts them for :func:`core_sweep`.
 
         For ``level = 0`` the stored core numbers are vacuous, so the walk is
         instead confined to the (α,1)-core (upper side) / (1,β)-core (lower
@@ -235,48 +258,74 @@ class OrderState:
         component" to a small neighborhood.
         """
         graph = self.graph
-        row_of = graph.adjacency.__getitem__  # hoisted: list and CSR rows
-
         if level >= 1:
             numbers = self.core_u if side == "upper" else self.core_l
-
-            def member(w: int) -> bool:
-                return numbers.get(w, 0) >= level
         else:
             # The anchored graph is fixed for the whole batch, so the level-0
-            # core peel is shared across the batch's anchors.
+            # core peel is shared across the batch's anchors; its members
+            # get "core number" 1 so one membership test serves both cases.
             if self._level0_core is None:
                 if side == "upper":
-                    self._level0_core = anchored_abcore(
-                        graph, self.alpha, 1, self.anchors)
+                    core = anchored_abcore(graph, self.alpha, 1, self.anchors)
                 else:
-                    self._level0_core = anchored_abcore(
-                        graph, 1, self.beta, self.anchors)
-            member = self._level0_core.__contains__
+                    core = anchored_abcore(graph, 1, self.beta, self.anchors)
+                self._level0_core = dict.fromkeys(core, 1)
+            numbers = self._level0_core
+            level = 1
+        get = numbers.get
 
+        # A neighbor counts toward a member's degree when it is already in
+        # the region (``x`` is, whatever its number) or passes the
+        # membership test and joins it.
+        degrees = [0] * graph.n_vertices
         region = {x}
         stack = [x]
         pop = stack.pop
         push = stack.append
         mark = region.add
-        while stack:  # hot-loop
-            v = pop()
-            for w in row_of(v):
-                if w in region or not member(w):
-                    continue
-                mark(w)
-                push(w)
-        return region
+        arrays = adjacency_arrays(graph)
+        if arrays is None:
+            row_of = graph.adjacency.__getitem__
+            while stack:  # hot-loop
+                v = pop()
+                d = 0
+                for w in row_of(v):
+                    if w in region:
+                        d += 1
+                    elif get(w, 0) >= level:
+                        d += 1
+                        mark(w)
+                        push(w)
+                degrees[v] = d
+            return region, degrees
+        # CSR: slice the flat buffers directly, as FollowerKernel does,
+        # instead of one CSRAdjacency.__getitem__ call per row.
+        offsets = arrays[0]
+        with memoryview(arrays[1]) as rows:
+            while stack:  # hot-loop
+                v = pop()
+                d = 0
+                for w in rows[offsets[v]:offsets[v + 1]]:
+                    if w in region:
+                        d += 1
+                    elif get(w, 0) >= level:
+                        d += 1
+                        mark(w)
+                        push(w)
+                degrees[v] = d
+        return region, degrees
 
     def _repair_region(self, side: str, region: Set[int],
-                       core: Set[int], level: int = 0,
+                       degrees: List[int], core: Set[int], level: int,
                        ) -> Tuple[Set[int], Set[int]]:
         """Recompute core numbers and order positions inside one region.
 
-        ``level`` is the placed anchor's old core number: every region member
-        has a core number ≥ ``level``, so the core-number sweep starts there
-        (Algorithm 4, Line 4) and the relaxed core falls out of the sweep for
-        free instead of needing another peel.
+        ``level`` is the placed anchor's old core number (at least 1): every
+        region member has a core number ≥ ``level``, so one
+        :func:`core_sweep` from there (Algorithm 4, Line 4) yields the
+        region's core numbers, relaxed core, core and — as its cap-level
+        removal sequence — the region's deletion order, numbered from the
+        side's counter upward.
 
         Returns ``(new_core, changed)``.  ``changed`` is the subset of the
         region whose position entry or core membership actually differs
@@ -287,51 +336,28 @@ class OrderState:
         region positions are ever deleted or (re)assigned here, so vertices
         outside the region cannot change.
         """
-        g, a, b = self.graph, self.alpha, self.beta
-        order = self.upper if side == "upper" else self.lower
-
-        # Core numbers within the region (capped; anchors get the cap).
+        sweep = core_sweep(self.graph, self.alpha, self.beta, side,
+                           self.anchors, region, level, degrees)
+        sequence = sweep.sequence
         if side == "upper":
-            local_numbers = upper_core_numbers(g, a, b, self.anchors, region,
-                                               start_level=level)
-            self.core_u.update(local_numbers)
-            relaxed_level = b - 1
+            order = self.upper
+            self.core_u.update(sweep.numbers)
+            start = self._counter_u + 1
+            self._counter_u += len(sequence)
         else:
-            local_numbers = lower_core_numbers(g, a, b, self.anchors, region,
-                                               start_level=level)
-            self.core_l.update(local_numbers)
-            relaxed_level = a - 1
-        if relaxed_level >= 1:
-            local_relaxed = {v for v, k in local_numbers.items()
-                             if k >= relaxed_level}
-        else:
-            # β = 1 (resp. α = 1): the relaxed core is the (α,0)-core, which
-            # core numbers cannot express; fall back to a direct peel.
-            local_relaxed = None
+            order = self.lower
+            self.core_l.update(sweep.numbers)
+            start = self._counter_l + 1
+            self._counter_l += len(sequence)
 
         # Fresh order positions for the region, numbered above everything.
-        if side == "upper":
-            start = self._counter_u + 1
-        else:
-            start = self._counter_l + 1
-        local = compute_order(g, a, b, side, self.anchors,
-                              start_position=start, subset=region,
-                              relaxed_core=local_relaxed,
-                              include_zero_anchors=False)
-
         position = order.position
-        old_entries = {v: position.get(v) for v in region}
-        for v in list(position):
-            if v in region:
-                del position[v]
-        position.update(local.position)
-        if side == "upper":
-            self._counter_u = max(self._counter_u, local.max_position())
-        else:
-            self._counter_l = max(self._counter_l, local.max_position())
+        pop = position.pop
+        old_entries = {v: pop(v, None) for v in region}
+        position.update(zip(sequence, range(start, start + len(sequence))))
 
-        order.relaxed_core = (order.relaxed_core - region) | local.relaxed_core
-        new_core = (core - region) | local.core
+        order.relaxed_core = (order.relaxed_core - region) | sweep.relaxed_core
+        new_core = (core - region) | sweep.core
         order.core = new_core
 
         changed: Set[int] = set()

@@ -1,0 +1,189 @@
+"""The one-pass core sweep against the level-by-level peel it replaced.
+
+``core_sweep`` keeps its degree counters across levels.  The oracle below is
+the former implementation: one full anchored (α,β)-core peel of the previous
+level's survivors per level.  Its numbers, plus ``compute_order`` on the
+region's relaxed core (what order repair used to run), must equal the
+sweep's numbers, relaxed core, cap-level removal sequence and core.
+"""
+
+import random
+
+import pytest
+
+from repro.abcore import anchored_abcore
+from repro.abcore.core_numbers import core_sweep
+from repro.bigraph import from_edge_list
+from repro.core import OrderState, compute_order
+
+from conftest import random_bigraph
+
+
+def level_by_level_core_numbers(graph, fixed, cap, anchors, vary_upper_side,
+                                subset=None, start_level=0):
+    """The former ``_capped_core_numbers``: one anchored peel per level."""
+    members = None if subset is None else list(subset)
+    numbers = {v: start_level
+               for v in (graph.vertices() if members is None else members)}
+    survivors = members
+    for k in range(start_level + 1, cap + 1):
+        if vary_upper_side:
+            alpha, beta = fixed, k
+        else:
+            alpha, beta = k, fixed
+        core = anchored_abcore(graph, alpha, beta, anchors, survivors)
+        for v in core:
+            numbers[v] = k
+        if not core:
+            break
+        survivors = core
+    return numbers
+
+
+def oracle(graph, alpha, beta, side, anchors, subset, start_level):
+    """Numbers from the old loop; order and cores as order repair built them."""
+    upper = side == "upper"
+    fixed, cap = (alpha, beta) if upper else (beta, alpha)
+    numbers = level_by_level_core_numbers(graph, fixed, cap, anchors, upper,
+                                          subset, start_level)
+    relaxed = None
+    if cap - 1 >= 1:
+        relaxed = {v for v, k in numbers.items() if k >= cap - 1}
+    order = compute_order(graph, alpha, beta, side, anchors, subset=subset,
+                          relaxed_core=relaxed)
+    return numbers, order
+
+
+def assert_sweep_matches_oracle(graph, alpha, beta, side, anchors,
+                                subset=None, start_level=0, degrees=None):
+    sweep = core_sweep(graph, alpha, beta, side, anchors, subset,
+                       start_level, degrees)
+    numbers, order = oracle(graph, alpha, beta, side, anchors, subset,
+                            start_level)
+    assert sweep.numbers == numbers
+    assert sweep.relaxed_core == order.relaxed_core
+    assert sweep.sequence == order.deleted_in_order()
+    assert sweep.core == order.core
+    return sweep
+
+
+def induced_degrees(graph, region):
+    degrees = [0] * graph.n_vertices
+    for v in region:
+        degrees[v] = sum(1 for w in graph.neighbors(v) if w in region)
+    return degrees
+
+
+def level_core(graph, alpha, beta, side, anchors, level):
+    """The (α, level)-core (upper side) / (level, β)-core (lower side)."""
+    if side == "upper":
+        return anchored_abcore(graph, alpha, level, anchors)
+    return anchored_abcore(graph, level, beta, anchors)
+
+
+def two_components(seed):
+    """Two disjoint random graphs: repairs in one never reach the other."""
+    parts = [random_bigraph(seed + i, n1_range=(8, 16), n2_range=(8, 16),
+                            density=0.2) for i in (0, 1000)]
+    first = parts[0]
+    edges = [(u, v - first.n_upper) for u, v in first.edges()]
+    edges += [(u + first.n_upper, v - parts[1].n_upper + first.n_lower)
+              for u, v in parts[1].edges()]
+    return from_edge_list(edges, n_upper=first.n_upper + parts[1].n_upper,
+                          n_lower=first.n_lower + parts[1].n_lower)
+
+
+CASES = [(seed, alpha, beta)
+         for seed in range(8)
+         for alpha, beta in ((1, 1), (1, 3), (3, 1), (2, 2), (3, 4), (4, 2))]
+
+
+@pytest.mark.parametrize("backend", ["list", "csr"])
+@pytest.mark.parametrize("seed,alpha,beta", CASES)
+def test_whole_vertex_set(seed, alpha, beta, backend):
+    g = random_bigraph(seed, density=0.3 + 0.05 * (seed % 4))
+    if backend == "csr":
+        g = g.to_csr()
+    rng = random.Random(seed)
+    anchor_sets = [[], rng.sample(list(g.vertices()), 2)]
+    for anchors in anchor_sets:
+        for side in ("upper", "lower"):
+            assert_sweep_matches_oracle(g, alpha, beta, side, anchors)
+            assert_sweep_matches_oracle(g, alpha, beta, side, anchors,
+                                        subset=list(g.vertices()))
+
+
+@pytest.mark.parametrize("seed,alpha,beta", CASES)
+def test_every_start_level_up_to_the_cap(seed, alpha, beta):
+    """Regions that are their own level-``s`` core, anchors inside, s = 0..cap.
+
+    ``start_level = s`` promises exactly that: every member is in the
+    region's varied-``s`` core.  Whole components of the (anchored)
+    level-``s`` core qualify.
+    """
+    g = random_bigraph(100 + seed, density=0.4)
+    rng = random.Random(seed)
+    anchors = rng.sample(list(g.vertices()), 2)
+    for side in ("upper", "lower"):
+        cap = beta if side == "upper" else alpha
+        for s in range(cap + 1):
+            region = (set(g.vertices()) if s == 0
+                      else level_core(g, alpha, beta, side, anchors, s))
+            assert set(anchors) <= region
+            assert_sweep_matches_oracle(g, alpha, beta, side, anchors,
+                                        subset=region, start_level=s)
+
+
+@pytest.mark.parametrize("backend", ["list", "csr"])
+@pytest.mark.parametrize("seed", range(12))
+def test_regions_from_order_repair(seed, backend):
+    """Affected graphs exactly as ``OrderState`` walks them, with its degrees."""
+    rng = random.Random(seed)
+    alpha, beta = rng.choice([(1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+    g = two_components(200 + seed)
+    if backend == "csr":
+        g = g.to_csr()
+    state = OrderState(g, alpha, beta)
+    pool = [v for v in g.vertices() if v not in state.core]
+    rng.shuffle(pool)
+    checked = 0
+    for x in pool[:8]:
+        if x in state.anchors:
+            continue
+        start = {"upper": state.core_u.get(x, 0),
+                 "lower": state.core_l.get(x, 0)}
+        state.anchors.add(x)
+        for side in ("upper", "lower"):
+            region, degrees = state._affected_graph(side, x, start[side])
+            state._level0_core = None
+            assert x in region
+            assert degrees == induced_degrees(g, region)
+            level = max(1, start[side])
+            assert_sweep_matches_oracle(g, alpha, beta, side, state.anchors,
+                                        subset=region, start_level=level,
+                                        degrees=list(degrees))
+            checked += 1
+        state.anchors.discard(x)
+        state.apply_anchor(x)
+        # Repairs number their regions above every position in use.
+        for order in (state.upper, state.lower):
+            shell = [p for p in order.position.values() if p >= 1]
+            assert len(shell) == len(set(shell))
+    assert checked
+
+
+def test_region_that_empties_before_the_cap():
+    """A star: everything drops out at level 2, so the cap level (3) is empty."""
+    g = from_edge_list([(0, j) for j in range(5)], n_upper=1, n_lower=5)
+    sweep = assert_sweep_matches_oracle(g, 3, 3, "upper", (),
+                                        subset=list(g.vertices()))
+    assert sweep.numbers == {v: 1 for v in g.vertices()}
+    assert sweep.relaxed_core == set()
+    assert sweep.sequence == []
+    assert sweep.core == set()
+
+
+def test_rejects_unknown_side():
+    g = random_bigraph(0)
+    with pytest.raises(ValueError):
+        core_sweep(g, 2, 2, "diagonal")

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.abcore import anchored_abcore
+from repro.abcore import anchored_abcore, lower_core_numbers, upper_core_numbers
 from repro.core import OrderState, compute_order
 from repro.core.followers import compute_followers
 
@@ -23,6 +23,11 @@ def assert_state_matches_fresh(g, alpha, beta, state, anchors):
             == {v for v, p in fresh_upper.position.items() if p == 0})
     assert ({v for v, p in state.lower.position.items() if p == 0}
             == {v for v, p in fresh_lower.position.items() if p == 0})
+    assert state.upper.relaxed_core == fresh_upper.relaxed_core
+    assert state.lower.relaxed_core == fresh_lower.relaxed_core
+    if state.maintain:
+        assert state.core_u == upper_core_numbers(g, alpha, beta, anchors)
+        assert state.core_l == lower_core_numbers(g, alpha, beta, anchors)
 
 
 class TestOrderStateBasics:
