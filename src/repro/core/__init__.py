@@ -34,7 +34,6 @@ from repro.core.followers import compute_followers, follower_count
 from repro.core.incremental import (
     SeedTables,
     VerificationCache,
-    VerificationEntry,
 )
 from repro.core.naive import run_naive
 from repro.core.order_maintenance import OrderState
@@ -67,7 +66,6 @@ __all__ = [
     "SeedTables",
     "SharedCampaignContext",
     "VerificationCache",
-    "VerificationEntry",
     "collapse_size",
     "compute_followers",
     "critical_edges",

@@ -14,9 +14,9 @@ computes each of those exactly once and serves them to every campaign:
   campaign repairs private clones (`OrderState.clone_pristine`), so
   per-iteration dirty regions stay campaign-private;
 * each view's epoch-0 verification tables are frozen into a
-  :class:`~repro.core.incremental.SeedTables` and consulted read-only by
-  its shard's private :class:`~repro.core.incremental.VerificationCache`
-  (promotion + tombstones; see :mod:`repro.core.incremental`);
+  :class:`~repro.core.incremental.SeedTables`, which each campaign's
+  private :class:`~repro.core.incremental.VerificationCache` starts from
+  as copies (see :mod:`repro.core.incremental`);
 * parallel evaluators (the shared-memory pool of :mod:`repro.parallel`)
   are leased from a small free-pool — an evaluator re-broadcasts state per
   iteration, so it carries no campaign state across a lease.  Follower

@@ -477,19 +477,16 @@ def _filter_stage(
             survivors = candidates
         if options.use_rf_bound:
             for x in survivors:  # hot-loop
-                entry = cache.rf_entry(side, x) if cache is not None else None
-                if entry is not None:
-                    rf = entry.rf
-                    bound = entry.bound
-                else:
+                rf = cache.rf_for(side, x) if cache is not None else None
+                if rf is None:
                     if kernel is not None:
                         rf = kernel.reachable(side, x)
                     else:  # once per cache miss, stored below
                         rf = reachable_from(  # repro: ignore[recompute]
                             graph, order, x)
-                    bound = len(rf)
                     if cache is not None:
                         cache.store_rf(side, x, rf)
+                bound = len(rf)
                 if bound > 0:
                     scored.append(((-bound, to_global[x]), shard, x, order,
                                    rf))

@@ -96,27 +96,8 @@ still count — they replace the computation, not the decision), and the
 canonical JSON are identical.  ``tests/test_incremental.py`` asserts this
 differentially across variants, backends, worker counts, and resume.
 
-Cross-campaign seeding
-----------------------
-
-A cache may additionally be constructed around a frozen :class:`SeedTables`
-— the epoch-0 tables of the *pristine* (no anchors) state, computed once per
-``(graph, α, β)`` by :class:`repro.core.batch.SharedCampaignContext` and
-shared read-only by every campaign in a batch.  Soundness reduces to the
-single-campaign argument: a seed entry is exactly the value iteration one of
-a cold campaign would compute and store (the pristine orders are a pure
-function of ``(graph, α, β)``), so serving it is indistinguishable from an
-intra-campaign hit on an entry stored one iteration earlier.  Seeded lookups
-*promote* the entry into the campaign's private tables, after which the
-normal eviction rules above apply; because promotion shares the frozen value
-objects, the seed itself must never be mutated — and nothing downstream
-mutates cached sets (the frozen-values contract above).  Invalidation
-additionally records per-side *tombstones* against the seed (the same D1/D3
-rules, applied to the seed's static ``rf`` index and key sets) so an entry
-the campaign's dirt has invalidated — promoted or not — can never be served
-again.  The full-invalidation path (``dirty is None``) detaches the seed
-outright.  Hit/miss counters naturally differ from an unseeded run; none of
-them feed decisions, so byte-identity is unaffected.
+A cache seeded with :class:`SeedTables` is a cache whose entries were
+stored at epoch 0: it starts from copies of the seed's tables.
 """
 
 from __future__ import annotations
@@ -126,7 +107,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.order_maintenance import DirtyRegions
 
-__all__ = ["SeedTables", "VerificationCache", "VerificationEntry"]
+__all__ = ["SeedTables", "VerificationCache"]
 
 _SIDES = ("upper", "lower")
 
@@ -137,25 +118,19 @@ class SeedTables:
     Holds, per side, the pristine-state ``rf(x)`` sets (bound = ``len``),
     follower signatures, two-hop survivor verdicts, and the r-score table —
     everything iteration one of a cold campaign computes from the pristine
-    deletion orders.  Instances are frozen by contract: campaigns promote
-    entries out of the seed but never write into it, which is what makes one
-    instance safe to share (including across service worker threads).
-
-    ``rf_index`` is the warm-up cache's inverted index
-    ``v → {x : v ∈ {x} ∪ rf(x)}``, static once frozen, that lets a
-    campaign's invalidation tombstone seed entries with the same
-    ``O(|D1|)`` scan it uses for its private entries.
+    deletion orders.  Instances are frozen by contract: each campaign's
+    cache copies the tables and shares their values, which nothing mutates,
+    so one instance is safe to share (including across service worker
+    threads).
     """
 
-    __slots__ = ("rf", "rf_index", "sigs", "survivors", "r_scores")
+    __slots__ = ("rf", "sigs", "survivors", "r_scores")
 
     def __init__(self, rf: Dict[str, Dict[int, Set[int]]],
-                 rf_index: Dict[str, Dict[int, Set[int]]],
                  sigs: Dict[str, Dict[int, Set[int]]],
                  survivors: Dict[str, Dict[int, bool]],
                  r_scores: Dict[str, Optional[Dict[int, int]]]) -> None:
         self.rf = rf
-        self.rf_index = rf_index
         self.sigs = sigs
         self.survivors = survivors
         self.r_scores = r_scores
@@ -171,23 +146,10 @@ class SeedTables:
         return total
 
 
-class VerificationEntry:
-    """One candidate's cached verification state: ``rf(x)``, bound, ``F(x)``.
-
-    ``followers`` stays ``None`` until the verification stage actually
-    evaluates the candidate — a candidate can sit in the filter stage's
-    bound cache for many iterations without ever being verified.
-    ``epoch`` records the invalidation epoch the entry was stored under
-    (diagnostics only; eviction is eager, not epoch-compared).
-    """
-
-    __slots__ = ("rf", "bound", "followers", "epoch")
-
-    def __init__(self, rf: Set[int], bound: int, epoch: int) -> None:
-        self.rf = rf
-        self.bound = bound
-        self.followers: Optional[Set[int]] = None
-        self.epoch = epoch
+_EMPTY_SEED = SeedTables(rf={side: {} for side in _SIDES},
+                         sigs={side: {} for side in _SIDES},
+                         survivors={side: {} for side in _SIDES},
+                         r_scores={side: None for side in _SIDES})
 
 
 class VerificationCache:
@@ -195,7 +157,7 @@ class VerificationCache:
 
     Lifecycle per engine iteration::
 
-        entry = cache.rf_entry(side, x)          # filter: bound reuse
+        rf = cache.rf_for(side, x)               # filter: bound reuse
         ...
         cached = cache.followers_for(side, x)    # verify: Algorithm-1 reuse
         ...
@@ -203,38 +165,27 @@ class VerificationCache:
         cache.invalidate(dirty)                  # once, right after apply
 
     All hit/miss/eviction counters are plain attributes, exposed for the
-    differential tests and the engine benchmark.
+    differential tests and the engine benchmark.  ``seed_hits`` counts the
+    hits that returned the seed's own ``rf`` set, signature or r-score
+    table.
     """
 
     def __init__(self, graph: BipartiteGraph,
                  seed: Optional[SeedTables] = None) -> None:
         self._row_of = graph.adjacency.__getitem__
-        # Frozen cross-campaign seed (module docstring, "Cross-campaign
-        # seeding"): consulted on private misses, never written; per-side
-        # tombstones block entries the campaign's own dirt has killed.
-        self._seed = seed
-        self._seed_dead_rf: Dict[str, Set[int]] = {
-            side: set() for side in _SIDES}
-        self._seed_dead_sigs: Dict[str, Set[int]] = {
-            side: set() for side in _SIDES}
-        self._seed_dead_survivors: Dict[str, Set[int]] = {
-            side: set() for side in _SIDES}
-        self._seed_r_valid: Dict[str, bool] = {side: True for side in _SIDES}
-        self.seed_hits = 0
-        self._entries: Dict[str, Dict[int, VerificationEntry]] = {
-            side: {} for side in _SIDES}
-        # Inverted index per side: vertex v -> ids of cached candidates x
-        # with v ∈ {x} ∪ rf(x).  Makes invalidation O(|D1| + evicted work)
-        # instead of a scan over every cached entry.
-        self._rf_index: Dict[str, Dict[int, Set[int]]] = {
+        self._seed = _EMPTY_SEED if seed is None else seed
+        self._rf: Dict[str, Dict[int, Set[int]]] = {
+            side: dict(self._seed.rf[side]) for side in _SIDES}
+        self._followers: Dict[str, Dict[int, Set[int]]] = {
             side: {} for side in _SIDES}
         self._sigs: Dict[str, Dict[int, Set[int]]] = {
-            side: {} for side in _SIDES}
+            side: dict(self._seed.sigs[side]) for side in _SIDES}
         self._survivors: Dict[str, Dict[int, bool]] = {
-            side: {} for side in _SIDES}
-        self._r_scores: Dict[str, Optional[Dict[int, int]]] = {
-            side: None for side in _SIDES}
+            side: dict(self._seed.survivors[side]) for side in _SIDES}
+        self._r_scores: Dict[str, Optional[Dict[int, int]]] = dict(
+            self._seed.r_scores)
         self.epoch = 0
+        self.seed_hits = 0
         self.rf_hits = 0
         self.rf_misses = 0
         self.follower_hits = 0
@@ -252,49 +203,24 @@ class VerificationCache:
     # rf / bound / followers
     # ------------------------------------------------------------------
 
-    def rf_entry(self, side: str, x: int) -> Optional[VerificationEntry]:
-        """The cached ``(rf, bound, followers)`` entry for ``x``, if valid."""
-        entry = self._entries[side].get(x)
-        if (entry is None and self._seed is not None
-                and x not in self._seed_dead_rf[side]):
-            rf = self._seed.rf[side].get(x)
-            if rf is not None:
-                # Promote: the frozen set is shared, the entry is private, so
-                # from here on the normal eviction rules govern it.
-                entry = self.store_rf(side, x, rf)
-                self.seed_hits += 1
-        if entry is None:
+    def rf_for(self, side: str, x: int) -> Optional[Set[int]]:
+        """The cached ``rf(x)`` (its bound is ``len``), if still valid."""
+        rf = self._rf[side].get(x)
+        if rf is None:
             self.rf_misses += 1
         else:
             self.rf_hits += 1
-        return entry
+            if rf is self._seed.rf[side].get(x):
+                self.seed_hits += 1
+        return rf
 
-    def store_rf(self, side: str, x: int, rf: Set[int]) -> VerificationEntry:
-        """Record a freshly computed ``rf(x)``; the bound is ``len(rf)``."""
-        entries = self._entries[side]
-        old = entries.get(x)
-        if old is not None:  # pragma: no cover - engine stores once per miss
-            self._unindex(side, x, old)
-        entry = VerificationEntry(rf, len(rf), self.epoch)
-        entries[x] = entry
-        index = self._rf_index[side]
-        for v in rf:
-            ids = index.get(v)
-            if ids is None:
-                index[v] = {x}
-            else:
-                ids.add(x)
-        ids = index.get(x)
-        if ids is None:
-            index[x] = {x}
-        else:
-            ids.add(x)
-        return entry
+    def store_rf(self, side: str, x: int, rf: Set[int]) -> None:
+        """Record a freshly computed ``rf(x)``."""
+        self._rf[side][x] = rf
 
     def followers_for(self, side: str, x: int) -> Optional[Set[int]]:
         """The cached ``F(x)``, or ``None`` when it must be computed."""
-        entry = self._entries[side].get(x)
-        followers = entry.followers if entry is not None else None
+        followers = self._followers[side].get(x)
         if followers is None:
             self.follower_misses += 1
         else:
@@ -302,10 +228,10 @@ class VerificationCache:
         return followers
 
     def store_followers(self, side: str, x: int, followers: Set[int]) -> None:
-        """Attach a freshly computed ``F(x)`` to ``x``'s entry, if cached."""
-        entry = self._entries[side].get(x)
-        if entry is not None:
-            entry.followers = followers
+        """Record a freshly computed ``F(x)``, if ``rf(x)`` is cached (an
+        ``rf`` eviction drops the follower set with it)."""
+        if x in self._rf[side]:
+            self._followers[side][x] = followers
 
     # ------------------------------------------------------------------
     # Signatures and two-hop verdicts
@@ -313,16 +239,12 @@ class VerificationCache:
 
     def signature_for(self, side: str, x: int) -> Optional[Set[int]]:
         sig = self._sigs[side].get(x)
-        if (sig is None and self._seed is not None
-                and x not in self._seed_dead_sigs[side]):
-            sig = self._seed.sigs[side].get(x)
-            if sig is not None:
-                self._sigs[side][x] = sig
-                self.seed_hits += 1
         if sig is None:
             self.sig_misses += 1
         else:
             self.sig_hits += 1
+            if sig is self._seed.sigs[side].get(x):
+                self.seed_hits += 1
         return sig
 
     def store_signature(self, side: str, x: int, sig: Set[int]) -> None:
@@ -330,12 +252,6 @@ class VerificationCache:
 
     def survivor_verdict(self, side: str, x: int) -> Optional[bool]:
         verdict = self._survivors[side].get(x)
-        if (verdict is None and self._seed is not None
-                and x not in self._seed_dead_survivors[side]):
-            verdict = self._seed.survivors[side].get(x)
-            if verdict is not None:
-                self._survivors[side][x] = verdict
-                self.seed_hits += 1
         if verdict is None:
             self.survivor_misses += 1
         else:
@@ -351,16 +267,12 @@ class VerificationCache:
 
     def r_scores_for(self, side: str) -> Optional[Dict[int, int]]:
         table = self._r_scores[side]
-        if (table is None and self._seed is not None
-                and self._seed_r_valid[side]):
-            table = self._seed.r_scores[side]
-            if table is not None:
-                self._r_scores[side] = table
-                self.seed_hits += 1
         if table is None:
             self.r_score_misses += 1
         else:
             self.r_score_hits += 1
+            if table is self._seed.r_scores[side]:
+                self.seed_hits += 1
         return table
 
     def store_r_scores(self, side: str, table: Dict[int, int]) -> None:
@@ -388,58 +300,44 @@ class VerificationCache:
             if not dirty_seed:
                 continue
             d1, d3 = self._dilate(dirty_seed)
-            self._evict_rf(side, d1)
+            rf_table = self._rf[side]
+            followers = self._followers[side]
+            doomed = [x for x, rf in rf_table.items()
+                      if x in d1 or not rf.isdisjoint(d1)]
+            for x in doomed:
+                del rf_table[x]
+                followers.pop(x, None)
+            self.evictions += len(doomed)
             self.evictions += _evict_keys(self._sigs[side], d1)
             self.evictions += _evict_keys(self._survivors[side], d3)
             if self._r_scores[side] is not None:
                 self._r_scores[side] = None
                 self.evictions += 1
-            if self._seed is not None:
-                # Tombstone seed entries by the same D1/D3 rules, via the
-                # seed's static rf index — an entry killed here can never be
-                # served (or re-promoted) again.
-                index = self._seed.rf_index[side]
-                dead = self._seed_dead_rf[side]
-                for v in d1:
-                    ids = index.get(v)
-                    if ids:
-                        dead |= ids
-                self._seed_dead_sigs[side] |= d1
-                self._seed_dead_survivors[side] |= d3
-                self._seed_r_valid[side] = False
 
     def freeze_seed(self) -> SeedTables:
-        """Detach this cache's tables as a frozen, shareable seed.
+        """Copy this cache's tables into a frozen, shareable seed.
 
         Intended for a throwaway warm-up cache populated from the pristine
-        state (:class:`repro.core.batch.SharedCampaignContext`); the caller
-        must not keep using this cache afterwards, since the seed shares its
-        value objects and its ``rf`` index.
+        state (:class:`repro.core.batch.SharedCampaignContext`); the seed
+        shares this cache's value objects, so the caller must not keep
+        using this cache afterwards.
         """
         return SeedTables(
-            rf={side: {x: e.rf for x, e in self._entries[side].items()}
-                for side in _SIDES},
-            rf_index=self._rf_index,
+            rf={side: dict(self._rf[side]) for side in _SIDES},
             sigs={side: dict(self._sigs[side]) for side in _SIDES},
             survivors={side: dict(self._survivors[side]) for side in _SIDES},
-            r_scores={side: self._r_scores[side] for side in _SIDES})
+            r_scores=dict(self._r_scores))
 
     def clear_entries(self) -> None:
-        """Drop all cached state (does not reset counters or the epoch).
-
-        Also detaches any cross-campaign seed: callers clearing the cache
-        assert nothing about what moved, and a detached seed is the only
-        universally safe answer.
-        """
-        self._seed = None
+        """Drop all cached state (does not reset counters or the epoch)."""
         for side in _SIDES:
-            self.evictions += (len(self._entries[side])
+            self.evictions += (len(self._rf[side])
                                + len(self._sigs[side])
                                + len(self._survivors[side]))
             if self._r_scores[side] is not None:
                 self.evictions += 1
-            self._entries[side].clear()
-            self._rf_index[side].clear()
+            self._rf[side].clear()
+            self._followers[side].clear()
             self._sigs[side].clear()
             self._survivors[side].clear()
             self._r_scores[side] = None
@@ -471,33 +369,6 @@ class VerificationCache:
                 break
             frontier = grown
         return d1, current
-
-    def _evict_rf(self, side: str, d1: Set[int]) -> None:
-        index = self._rf_index[side]
-        doomed: Set[int] = set()
-        for v in d1:
-            ids = index.get(v)
-            if ids:
-                doomed |= ids
-        entries = self._entries[side]
-        for x in sorted(doomed):
-            entry = entries.pop(x)
-            self._unindex(side, x, entry)
-            self.evictions += 1
-
-    def _unindex(self, side: str, x: int, entry: VerificationEntry) -> None:
-        index = self._rf_index[side]
-        for v in entry.rf:
-            ids = index.get(v)
-            if ids is not None:
-                ids.discard(x)
-                if not ids:
-                    del index[v]
-        ids = index.get(x)
-        if ids is not None:
-            ids.discard(x)
-            if not ids:
-                del index[x]
 
 
 def _evict_keys(table: Dict[int, object], dead: Set[int]) -> int:

@@ -15,7 +15,7 @@ from repro.bigraph.memmap import load_graph_memmap, save_graph_memmap
 from repro.bigraph.mutation import disjoint_union
 from repro.core import SharedCampaignContext
 from repro.core.api import reinforce
-from repro.core.incremental import SeedTables
+from repro.core.incremental import SeedTables, VerificationCache
 from repro.core.order_maintenance import OrderState
 from repro.exceptions import FaultInjected, InvalidParameterError
 from repro.experiments.export import canonical_result_dict
@@ -100,6 +100,50 @@ class TestSeedTables:
             assert isinstance(seed, SeedTables)
             assert seed.entries() > 0
             assert ctx.seed_tables(shards=1)[0] is seed  # warmed once
+
+    def test_caches_on_one_seed_are_isolated(self):
+        """Invalidating one cache with a partial region leaves the shared
+        seed and a second cache on it untouched: each cache starts from
+        its own copies of the seed's tables."""
+        graph = batch_graph().to_csr()
+        with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
+            [seed] = ctx.seed_tables(shards=1)
+        sides = ("upper", "lower")
+
+        def keys():
+            return [(set(seed.rf[side]), set(seed.sigs[side]),
+                     set(seed.survivors[side])) for side in sides]
+
+        def reads(cache):
+            return [lookup(side, x) for side in sides
+                    for table, lookup in ((seed.rf, cache.rf_for),
+                                          (seed.sigs, cache.signature_for),
+                                          (seed.survivors,
+                                           cache.survivor_verdict))
+                    for x in sorted(table[side])]
+
+        entries, seed_keys = seed.entries(), keys()
+        dirtied = VerificationCache(graph, seed=seed)
+        bystander = VerificationCache(graph, seed=seed)
+        before = reads(bystander)
+        hits = (bystander.rf_hits, bystander.sig_hits,
+                bystander.survivor_hits, bystander.seed_hits)
+
+        state = OrderState(graph, ALPHA, BETA, maintain=True)
+        dirty = state.apply_anchors([min(state.upper.candidates(graph))])
+        assert 0 < sum(map(len, dirty.values())) < graph.n_vertices
+        dirtied.invalidate(dirty)
+        assert dirtied.evictions > 0
+        assert None in reads(dirtied)
+
+        after = reads(bystander)
+        assert all(a is b for a, b in zip(before, after))
+        assert None not in after
+        assert (bystander.rf_hits, bystander.sig_hits,
+                bystander.survivor_hits, bystander.seed_hits) == tuple(
+                    2 * n for n in hits)
+        assert seed.entries() == entries
+        assert keys() == seed_keys
 
     def test_incompatible_problems_are_rejected(self):
         graph = batch_graph().to_csr()

@@ -198,16 +198,32 @@ class TestFollowerKernel:
 # Stale-entry differential: every cache read vs a fresh recomputation
 # ----------------------------------------------------------------------
 
+def warm_seed(g, state):
+    """Epoch-0 tables of the pristine ``state``: the two-hop filter plus
+    ``rf(x)`` of every survivor, frozen from a scratch cache."""
+    scratch = VerificationCache(g)
+    for order in (state.upper, state.lower):
+        survivors, _ = two_hop_filter_cached(g, order, order.candidates(g),
+                                             scratch)
+        for x in survivors:
+            scratch.store_rf(order.side, x, reachable_from(g, order, x))
+    return scratch.freeze_seed()
+
+
 class TestCacheDifferential:
-    def test_campaign_replay_never_serves_stale_entries(self):
+    @pytest.mark.parametrize("seeded", [False, True],
+                             ids=["cold", "seeded"])
+    def test_campaign_replay_never_serves_stale_entries(self, seeded):
         """Replays a random anchoring campaign; at every step, every
         cached signature, survivor verdict, rf set, bound, and follower
         set must equal a from-scratch recomputation.  Also asserts the
         cache actually got hits — a hit rate of zero would make this test
-        pass vacuously."""
+        pass vacuously.  The seeded run starts from the pristine state's
+        frozen tables and must both serve and evict seeded entries."""
         g = planted_composite(6, seed_base=500).to_csr()
         state = OrderState(g, 3, 3, maintain=True)
-        cache = VerificationCache(g)
+        seed = warm_seed(g, state) if seeded else None
+        cache = VerificationCache(g, seed=seed)
         rng = random.Random(7)
         checked = 0
         for step in range(10):
@@ -224,12 +240,13 @@ class TestCacheDifferential:
                 for x in ref_surv:
                     checked += 1
                     rf_ref = reachable_from(g, order, x)
-                    entry = cache.rf_entry(side, x)
-                    if entry is None:
-                        entry = cache.store_rf(side, x, rf_ref)
+                    rf = cache.rf_for(side, x)
+                    if rf is None:
+                        cache.store_rf(side, x, rf_ref)
+                        rf = rf_ref
                     else:
-                        assert entry.rf == rf_ref, (step, side, x)
-                    assert entry.bound == len(rf_ref)
+                        assert rf == rf_ref, (step, side, x)
+                    assert len(rf) == len(rf_ref)
                     f_ref = compute_followers(g, order, x, core=state.core)
                     cached = cache.followers_for(side, x)
                     if cached is None:
@@ -249,6 +266,60 @@ class TestCacheDifferential:
         assert cache.survivor_hits > 0
         assert cache.follower_hits > 0
         assert cache.evictions > 0  # invalidation actually fired
+        if seeded:
+            assert cache.seed_hits > 0
+            evicted = [(side, x) for side, table in seed.rf.items()
+                       for x, rf in table.items()
+                       if cache.rf_for(side, x) is not rf]
+            assert evicted
+
+
+# ----------------------------------------------------------------------
+# Eviction boundary: the one-hop dilation of the dirty set
+# ----------------------------------------------------------------------
+
+class TestEvictionBoundary:
+    def test_rf_entries_are_evicted_exactly_on_the_dilated_region(self):
+        """Upper-side dirt ``{d}`` dilates to ``D1 = {d} ∪ N(d)``.  An
+        entry survives iff ``{x} ∪ rf(x)`` misses ``D1``: touching it
+        only through ``rf(x)``'s neighbor of ``d``, or only through
+        ``x ∈ N(d)``, is enough to evict.  The lower side's tables are
+        untouched."""
+        # Upper 0..3, lower 4..7; d = 0 with N(d) = {4, 5}.
+        g = from_edge_list([(0, 0), (0, 1), (1, 2), (2, 3), (3, 3)])
+        d = 0
+        assert set(g.adjacency[d]) == {4, 5}
+        cache = VerificationCache(g)
+        entries = {
+            2: {3, 7},    # {x} ∪ rf(x) disjoint from D1: survives
+            1: {4},       # rf(x) holds only a vertex of N(d): evicted
+            5: set(),     # x ∈ N(d), empty rf(x): evicted
+        }
+        for side in ("upper", "lower"):
+            for x, rf in entries.items():
+                cache.store_rf(side, x, rf)
+                cache.store_followers(side, x, {x})
+                cache.store_signature(side, x, {x})
+                cache.store_survivor(side, x, True)
+        lower = {x: (cache.rf_for("lower", x),
+                     cache.followers_for("lower", x),
+                     cache.signature_for("lower", x),
+                     cache.survivor_verdict("lower", x))
+                 for x in entries}
+
+        cache.invalidate({"upper": {d}, "lower": set()})
+
+        assert cache.rf_for("upper", 2) is entries[2]
+        assert cache.followers_for("upper", 2) == {2}
+        for x in (1, 5):
+            assert cache.rf_for("upper", x) is None, x
+            assert cache.followers_for("upper", x) is None, x
+        assert cache.evictions >= 2
+        for x, (rf, followers, sig, verdict) in lower.items():
+            assert cache.rf_for("lower", x) is rf is entries[x]
+            assert cache.followers_for("lower", x) is followers
+            assert cache.signature_for("lower", x) is sig
+            assert cache.survivor_verdict("lower", x) is verdict is True
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +356,7 @@ class TestMetamorphicInvalidation:
             cold_out = two_hop_filter_cached(g, order, cands, cold)
             assert warm_out == cold_out
             for x in warm_out[0]:
-                assert warm.rf_entry(order.side, x) is None
+                assert warm.rf_for(order.side, x) is None
         assert warm.rf_hits == cold.rf_hits == 0
         assert (warm.sig_hits, warm.sig_misses) == \
             (cold.sig_hits, cold.sig_misses)
@@ -305,7 +376,7 @@ class TestMetamorphicInvalidation:
         cache.invalidate(None)
         assert cache.full_invalidations == 1
         for x in surv:
-            assert cache.rf_entry(order.side, x) is None
+            assert cache.rf_for(order.side, x) is None
             assert cache.signature_for(order.side, x) is None
             assert cache.survivor_verdict(order.side, x) is None
 

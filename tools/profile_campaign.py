@@ -14,9 +14,12 @@ command away::
     PYTHONPATH=src python tools/profile_campaign.py --shards 30 --peak-rss
 
 Every campaign runs on campaign shards, so a per-shard wall-clock
-breakdown (ranking vs apply) prints next to the profile: one row (shard 0,
-the whole graph) for an unsharded run, one row per component group with
-``--shards``, where an unbalanced shard plan shows up as one long row.
+breakdown (ranking vs apply) prints next to the profile, one row per
+shard; an unbalanced shard plan shows up as one long row.  By default the
+plan gives each component with edges its own shard, up to
+``AUTO_SHARD_CAP`` (32) shards; ``--shards 1`` is one shard over the whole
+graph (the campaign ``benchmarks/bench_engine.py`` times), and
+``--shards k`` groups the components into at most ``k`` shards.
 ``--peak-rss`` appends the process peak resident set size — the number to
 watch when comparing ``backend="memmap"`` against the in-RAM CSR.
 
@@ -123,8 +126,9 @@ def main(argv=None) -> int:
     parser.add_argument("--no-kernel", action="store_true",
                         help="profile with the flat CSR kernel off")
     parser.add_argument("--shards", type=int, default=None,
-                        help="split the campaign into at most this many "
-                             "component shards")
+                        help="group the components into at most this "
+                             "many shards; 1 is the whole graph (default: "
+                             "one shard per component, at most 32)")
     parser.add_argument("--peak-rss", action="store_true",
                         help="print the process peak RSS after the run")
     args = parser.parse_args(argv)
