@@ -1,17 +1,19 @@
 """No per-candidate whole-order recomputation inside ``# hot-loop`` loops.
 
-``reachable_from`` and ``r_scores`` each walk a whole deletion order: the
-first runs the order-respecting DFS behind ``rf(x)``, the second fills the
-r-score DP table for every shell vertex.  Calling either *per iteration of
-a hot loop* multiplies an order-sized cost by the loop's trip count — the
-exact pattern the cross-iteration :class:`repro.core.incremental.
-VerificationCache` and the per-side r-score table exist to remove.
+``reachable_from``, ``reachable_sets`` and ``r_scores`` each walk a whole
+deletion order: the first runs the order-respecting DFS behind ``rf(x)``,
+the second sweeps the order DAG once for a whole batch of sources, the
+third fills the r-score DP table for every shell vertex.  Calling any of
+them *per iteration of a hot loop* multiplies an order-sized cost by the
+loop's trip count — the exact pattern the cross-iteration
+:class:`repro.core.incremental.VerificationCache`, the batched sweep and
+the per-side r-score table exist to remove.  Collect the cache misses in
+the loop and make one ``reachable_sets`` call after it.
 
-This rule flags calls to either function (by name, bare or attribute)
-whose call site sits inside a loop marked ``# hot-loop``.  Legitimate call
-sites — the cache-*miss* fallback that recomputes exactly once and stores
-the result, or a loop whose trip count is provably tiny — opt out with
-``# repro: ignore[recompute]`` on the call line, which doubles as an
+This rule flags calls to any of these functions (by name, bare or
+attribute) whose call site sits inside a loop marked ``# hot-loop``.
+Legitimate call sites — a loop whose trip count is provably tiny — opt out
+with ``# repro: ignore[recompute]`` on the call line, which doubles as an
 in-source marker that someone thought about the cost.
 
 Like the hot-path rule, this is an opt-in contract: loops without the
@@ -30,7 +32,7 @@ from repro.analysis.violations import Violation
 __all__ = ["RecomputeRule"]
 
 #: Whole-order functions: each call costs O(|order|) or worse.
-_EXPENSIVE = ("reachable_from", "r_scores")
+_EXPENSIVE = ("reachable_from", "reachable_sets", "r_scores")
 
 
 def _callee_name(node: ast.Call) -> str:
@@ -48,8 +50,9 @@ class RecomputeRule(AnalysisRule):
     """Flag whole-order recomputation inside ``# hot-loop`` marked loops."""
 
     name = "recompute"
-    description = ("no reachable_from / r_scores calls inside # hot-loop "
-                   "loops; reuse the verification cache or hoist the table")
+    description = ("no reachable_from / reachable_sets / r_scores calls "
+                   "inside # hot-loop loops; reuse the verification cache, "
+                   "batch the misses or hoist the table")
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
         if not ctx.hot_loop_spans:
@@ -66,8 +69,9 @@ class RecomputeRule(AnalysisRule):
             out.append(self.violation(
                 ctx, node.lineno, node.col_offset,
                 "%s() walks a whole deletion order and is called inside a "
-                "# hot-loop; reuse the VerificationCache entry (or a "
-                "hoisted table) and mark a sanctioned once-per-miss "
-                "fallback with '# repro: ignore[recompute]'" % name))
+                "# hot-loop; reuse the VerificationCache entry, batch the "
+                "misses into one reachable_sets call after the loop (or "
+                "hoist the table), and mark a sanctioned call with "
+                "'# repro: ignore[recompute]'" % name))
         for v in sorted(out):
             yield v

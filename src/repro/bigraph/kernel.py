@@ -1,12 +1,13 @@
 """Flat-array follower/reachability kernel over a CSR-backed graph.
 
-The verification stage's inner loops — the order-respecting DFS behind
-``rf(x)`` and the local support peel behind ``F(x)`` — are pure functions of
-(positions, core, adjacency, x).  The generic implementations in
-:mod:`repro.core` walk Python dicts and sets and allocate a ``(vertex,
-position)`` tuple per DFS push and a fresh support dict per candidate.  At
-thousands of candidates per iteration those constant factors dominate the
-campaign profile.
+The filter and verification stages' inner loops — the order-respecting
+walk behind ``rf(x)`` and the local support peel behind ``F(x)`` — are pure
+functions of (positions, core, adjacency, x).  The generic implementations
+in :mod:`repro.core` walk Python dicts and sets and allocate a fresh
+support dict per candidate.  At thousands of candidates per iteration
+those constant factors dominate the campaign profile.  :meth:`reachable`
+answers a whole filter pass's ``rf(x)`` misses in one sweep of the order
+DAG (``docs/PERF.md``, "rf in one sweep").
 
 :class:`FollowerKernel` replaces the per-candidate churn with flat
 ``array`` buffers sized once per graph and *epoch-stamped* instead of
@@ -19,20 +20,23 @@ cleared:
   never a buffer clear;
 * an iteration-stamped core-membership buffer;
 * call-stamped ``visited`` / candidate-membership / support buffers shared
-  by every DFS and peel — a new call bumps the stamp, implicitly resetting
-  ``O(n)`` state in ``O(1)``;
-* a preallocated ``int32`` vertex stack, so the DFS pushes plain ids
-  (positions are re-read from the flat buffer on pop) and never allocates
-  a tuple;
+  by every walk and peel — a new call bumps the stamp, implicitly resetting
+  ``O(n)`` state in ``O(1)`` (the ``rf`` sweep counts each closure
+  vertex's readers in the support buffer);
+* a preallocated ``int32`` vertex stack for the follower peel's
+  single-source DFS, so it pushes plain ids (positions are re-read from
+  the flat buffer on pop) and never allocates a tuple — each vertex is
+  pushed at most once per call, so ``n`` slots always suffice;
 * neighbor rows iterated as ``memoryview`` slices of the CSR neighbor
   buffer — C-level iteration, no index arithmetic per edge.
 
 The stamp/position/support buffers are dense Python lists rather than
 ``array`` objects: CPython re-boxes an ``array`` element on every read,
 while a list slot hands back its cached int object — measured ~35% faster
-on the DFS inner loop, at 8 bytes per vertex per buffer.  The stack stays
-``array('i')``: it is written/read once per visited vertex, not once per
-edge.
+on the walk's inner loop, at 8 bytes per vertex per buffer.  The DFS stack
+stays ``array('i')``: it is written/read once per visited vertex, not once
+per edge.  The ``rf`` sweep keeps its own list stack (``append``/``pop``),
+which measured faster than indexing the array.
 
 The kernel lives in :mod:`repro.bigraph` because it is pure graph
 machinery: it knows nothing about deletion orders or engines — callers feed
@@ -45,12 +49,21 @@ automatically on CSR-backed graphs.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Set
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    MutableMapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.bigraph.csr import adjacency_arrays
 from repro.exceptions import GraphConstructionError
 
-__all__ = ["FollowerKernel", "kernel_for"]
+__all__ = ["FollowerKernel", "closure_sets", "kernel_for"]
 
 _STACK_TYPECODE = "i"  # vertex ids fit the CSR neighbor width
 
@@ -65,8 +78,10 @@ class FollowerKernel:
     Usage per engine iteration::
 
         kernel.begin_iteration(upper_position, lower_position, core)
-        rf = kernel.reachable("upper", x)
-        followers = kernel.followers("upper", x, alpha, beta, candidates=rf)
+        rf = kernel.reachable("upper", survivors)   # one sweep, x -> rf(x)
+        for x in survivors:
+            followers = kernel.followers("upper", x, alpha, beta,
+                                         candidates=rf[x])
     """
 
     def __init__(self, graph: object) -> None:
@@ -136,37 +151,60 @@ class FollowerKernel:
     # Kernels
     # ------------------------------------------------------------------
 
-    def reachable(self, side: str, x: int) -> Set[int]:
-        """``rf(x)`` under the stamped order — set-identical to
-        :func:`repro.core.deletion_order.reachable_from`."""
+    def reachable(self, side: str,
+                  sources: Iterable[int]) -> Dict[int, Set[int]]:
+        """``rf(x)`` of every source under the stamped order, in one sweep.
+
+        Each set is identical to
+        :func:`repro.core.deletion_order.reachable_from`; an unstamped
+        source raises ``KeyError``.  Reachability only follows strictly
+        increasing positions, so the order graph is a DAG and ``rf(v)`` is
+        the union of ``{w} ∪ rf(w)`` over the successors ``w`` of ``v``.
+        The walk from all sources records, for each visited vertex, its
+        successors and, in the support buffer, how many visited vertices
+        read its set; :func:`closure_sets` then builds the sets.
+        """
         pos = self._pos[side]
         stamp = self._pos_stamp[side]
         epoch = self._epoch
-        if stamp[x] != epoch:
-            raise KeyError(x)
         self._call += 1
         call = self._call
         offsets = self._offsets
         rows = self._rows
         visited = self._visited
-        stack = self._stack
-        reached: Set[int] = set()
-        mark = reached.add
-        visited[x] = call  # x can never re-qualify (pw == px <= pv)
-        stack[0] = x
-        top = 1
-        while top:  # hot-loop
-            top -= 1
-            v = stack[top]
+        readers = self._support
+        roots = list(sources)
+        stack: List[int] = []
+        push = stack.append
+        pop = stack.pop
+        for x in roots:
+            if stamp[x] != epoch:
+                raise KeyError(x)
+            if visited[x] != call:
+                visited[x] = call
+                readers[x] = 1
+                push(x)
+        succ: Dict[int, Tuple[int, ...]] = {}
+        found: List[int] = []
+        keep = found.append
+        clear = found.clear
+        while stack:  # hot-loop
+            v = pop()
             pv = pos[v]
             for w in rows[offsets[v]:offsets[v + 1]]:
-                if visited[w] == call or stamp[w] != epoch or pos[w] <= pv:
+                if stamp[w] != epoch or pos[w] <= pv:
                     continue
-                visited[w] = call
-                mark(w)
-                stack[top] = w
-                top += 1
-        return reached
+                keep(w)
+                if visited[w] != call:
+                    visited[w] = call
+                    readers[w] = 1
+                    push(w)
+                else:
+                    readers[w] += 1
+            if found:
+                succ[v] = tuple(found)
+                clear()
+        return closure_sets(succ, pos.__getitem__, readers, roots)
 
     def followers(self, side: str, x: int, alpha: int, beta: int,
                   candidates: Optional[Set[int]] = None) -> Set[int]:
@@ -175,7 +213,7 @@ class FollowerKernel:
 
         ``candidates`` is a precomputed ``rf(x)`` when the caller already
         has it (the filter stage does); otherwise it is derived here with
-        the same DFS as :meth:`reachable`.
+        a single-source order-respecting DFS.
         """
         offsets = self._offsets
         rows = self._rows
@@ -264,6 +302,47 @@ class FollowerKernel:
                 stack[top] = w
                 top += 1
         return out
+
+
+def closure_sets(succ: Dict[int, Tuple[int, ...]],
+                 position: Callable[[int], int],
+                 readers: MutableMapping[int, int],
+                 roots: List[int]) -> Dict[int, Set[int]]:
+    """Second pass of an ``rf`` sweep: ``{x: rf(x)}`` for every root.
+
+    ``succ`` maps each vertex of the roots' closure that has order
+    successors to them; a vertex left out has none, so its ``rf`` is
+    empty.  ``readers`` counts, per closure vertex, the closure vertices
+    whose set reads its set, plus one for each root, whose set is
+    returned.  Visiting in decreasing position completes every successor's
+    set before its predecessors read it.  A set whose last reader is the
+    current vertex is taken over instead of copied, so on chains the pass
+    costs one insert per returned element.  Shared by
+    :meth:`FollowerKernel.reachable` and
+    :func:`repro.core.deletion_order.reachable_sets`.
+    """
+    rf: Dict[int, Set[int]] = {}
+    take = rf.pop
+    get = rf.get
+    for v in sorted(succ, key=position, reverse=True):  # hot-loop
+        out = succ[v]
+        merged: Optional[Set[int]] = None
+        for w in out:
+            left = readers[w] - 1
+            readers[w] = left
+            part = get(w) if left else take(w, None)
+            if part is None:  # w has no successors
+                continue
+            if merged is None:
+                merged = set(part) if left else part
+            else:
+                merged |= part
+        if merged is None:
+            merged = set(out)
+        else:
+            merged.update(out)
+        rf[v] = merged
+    return {x: rf[x] if x in rf else set() for x in roots}
 
 
 def kernel_for(graph: object) -> Optional[FollowerKernel]:

@@ -202,6 +202,7 @@ class SharedCampaignContext:
             for options in (_RF_PASS, _R_SCORE_PASS):
                 _filter_stage(shard, 1, 1, options)
         finally:
+            shard.release()
             if kernel is not None:
                 kernel.release()
         return scratch.freeze_seed()

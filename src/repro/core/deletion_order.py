@@ -8,7 +8,8 @@ to the shell join the order with position 0.  These orders drive everything in
 the FILVER family:
 
 * ``rf(x)`` — the order-reachable set from ``x`` (Definition 7), a superset of
-  ``F(x)`` by Lemma 1;
+  ``F(x)`` by Lemma 1; :func:`reachable_sets` computes it for many sources
+  in one sweep, :func:`reachable_from` for one;
 * ``r-score(x)`` — a one-pass dynamic-programming upper bound on ``|rf(x)|``;
 * ``sig(x)`` — the follower signature (Definition 8) used by two-hop
   domination filtering.
@@ -17,10 +18,11 @@ the FILVER family:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Dict, List, Optional, Set
+from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.abcore.decomposition import anchored_abcore, peel_with_order
 from repro.bigraph.graph import BipartiteGraph
+from repro.bigraph.kernel import closure_sets
 
 __all__ = [
     "DeletionOrder",
@@ -29,6 +31,7 @@ __all__ = [
     "order_from_peel",
     "r_scores",
     "reachable_from",
+    "reachable_sets",
     "signature",
 ]
 
@@ -245,6 +248,56 @@ def reachable_from(graph: BipartiteGraph, order: DeletionOrder,
             mark(w)
             push((w, pw))
     return reached
+
+
+def reachable_sets(graph: BipartiteGraph, order: DeletionOrder,
+                   sources: Iterable[int]) -> Dict[int, Set[int]]:
+    """``{x: rf(x)}`` for every source, in one sweep of the order DAG.
+
+    Each set is identical to :func:`reachable_from`, the single-source
+    oracle; a source outside the order raises ``KeyError``.  Reachability
+    only follows strictly increasing positions, so
+    ``rf(v) = ⋃_{w ∈ N(v), pos(w) > pos(v)} ({w} ∪ rf(w))``.  One walk from
+    all sources records each visited vertex's successors and how many
+    visited vertices read its set;
+    :func:`repro.bigraph.kernel.closure_sets` then visits the closure in
+    decreasing position.  The flat-array twin on CSR graphs is
+    :meth:`repro.bigraph.kernel.FollowerKernel.reachable`.
+    """
+    position = order.position
+    neighbors = graph.neighbors
+    get = position.get
+    roots = list(sources)
+    readers: Dict[int, int] = {}
+    stack: List[int] = []
+    push = stack.append
+    pop = stack.pop
+    for x in roots:
+        if x not in position:
+            raise KeyError(x)
+        if x not in readers:
+            readers[x] = 1
+            push(x)
+    succ: Dict[int, Tuple[int, ...]] = {}
+    found: List[int] = []
+    keep = found.append
+    clear = found.clear
+    while stack:  # hot-loop
+        v = pop()
+        pv = position[v]
+        for w in neighbors(v):
+            if get(w, -1) <= pv:
+                continue
+            keep(w)
+            if w in readers:
+                readers[w] += 1
+            else:
+                readers[w] = 1
+                push(w)
+        if found:
+            succ[v] = tuple(found)
+            clear()
+    return closure_sets(succ, position.__getitem__, readers, roots)
 
 
 def signature(graph: BipartiteGraph, order: DeletionOrder, x: int) -> Set[int]:

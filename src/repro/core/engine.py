@@ -37,6 +37,7 @@ from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Dict,
     Generator,
     List,
     Optional,
@@ -49,7 +50,9 @@ from repro.abcore.decomposition import abcore, anchored_abcore
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.validation import validate_problem
 from repro.core.anchor_set import AnchorSetMaintainer
-from repro.core.deletion_order import DeletionOrder, r_scores, reachable_from
+from repro.core.deletion_order import DeletionOrder, r_scores, reachable_sets
+# reachable_from: unused here, kept for perfbench's tracer.
+from repro.core.deletion_order import reachable_from  # noqa: F401
 from repro.core.followers import compute_followers
 from repro.core.order_maintenance import OrderState
 from repro.core.result import AnchoredCoreResult, IterationRecord
@@ -436,16 +439,19 @@ def _filter_stage(
 ) -> Tuple[List["MergedCandidate"], int]:
     """Build one shard's ranked candidate list, in merged form.
 
-    Entries are ``((-bound, global_x), shard, x, order, rf)``; returns the
+    Entries are ``(-bound, global_x, shard, x, order, rf)``; returns the
     list sorted by non-increasing bound (ties by vertex id) and the
     pre-filter pool size.  Monotone renumbering makes the order by global
     id the order by local id, and global ids are unique, so the plain
-    tuple sort never compares past the leading key.  With the shard's
+    tuple sort never compares past the two leading ints.  With the shard's
     cache, signatures, two-hop verdicts, ``rf(x)`` bounds, and r-score
     tables are reused for every candidate the last apply's affected
-    regions did not touch; with its kernel, fresh ``rf(x)`` sets come from
-    the flat-array DFS.  The survivor set, the bounds, and hence the ranked
-    list are identical on every path (``docs/PERF.md``).
+    regions did not touch.  Each side's cache misses get their ``rf(x)``
+    sets from one sweep of the order DAG: the kernel's flat-array
+    :meth:`~repro.bigraph.kernel.FollowerKernel.reachable` on CSR,
+    :func:`~repro.core.deletion_order.reachable_sets` otherwise.  The
+    survivor set, the bounds, and hence the ranked list are identical on
+    every path (``docs/PERF.md``).
 
     The ``engine.filter`` fault site fires in the caller, once per
     iteration, however many shards refilter.
@@ -476,20 +482,38 @@ def _filter_stage(
         else:
             survivors = candidates
         if options.use_rf_bound:
+            # Cache hits are scored at once; the misses get their rf(x)
+            # from one sweep afterwards.  The sort below orders entries
+            # by their unique leading ints, so the append order is free.
+            # A hit whose rf set and order are the objects the shard's
+            # previous pass ranked it with gets that entry back: every
+            # field is equal, and keeping the tuple spares the allocation
+            # and the cyclic collector's work on a fresh one.
+            previous = shard.entries.get(side, {})
+            entries: Dict[int, "MergedCandidate"] = {}
+            misses: List[int] = []
             for x in survivors:  # hot-loop
                 rf = cache.rf_for(side, x) if cache is not None else None
                 if rf is None:
-                    if kernel is not None:
-                        rf = kernel.reachable(side, x)
-                    else:  # once per cache miss, stored below
-                        rf = reachable_from(  # repro: ignore[recompute]
-                            graph, order, x)
+                    misses.append(x)
+                elif rf:
+                    entry = previous.get(x)
+                    if (entry is None or entry[5] is not rf
+                            or entry[4] is not order):
+                        entry = (-len(rf), to_global[x], shard, x, order, rf)
+                    entries[x] = entry
+                    scored.append(entry)
+            if misses:
+                fresh = (kernel.reachable(side, misses) if kernel is not None
+                         else reachable_sets(graph, order, misses))
+                for x, rf in fresh.items():  # hot-loop
                     if cache is not None:
                         cache.store_rf(side, x, rf)
-                bound = len(rf)
-                if bound > 0:
-                    scored.append(((-bound, to_global[x]), shard, x, order,
-                                   rf))
+                    if rf:
+                        entry = (-len(rf), to_global[x], shard, x, order, rf)
+                        entries[x] = entry
+                        scored.append(entry)
+            shard.entries[side] = entries
         else:
             scores = cache.r_scores_for(side) if cache is not None else None
             if scores is None:
@@ -499,7 +523,7 @@ def _filter_stage(
             for x in survivors:
                 bound = scores.get(x, 0)
                 if bound > 0:
-                    scored.append(((-bound, to_global[x]), shard, x, order,
+                    scored.append((-bound, to_global[x], shard, x, order,
                                    None))
 
     scored.sort()
@@ -510,8 +534,8 @@ def _merge_ranked(per_shard: List[List["MergedCandidate"]],
                   ) -> List["MergedCandidate"]:
     """Merge shard rankings into the one-shard engine's sort order.
 
-    Each shard's entries are already sorted by their leading
-    ``(-bound, global_x)`` key (:func:`_filter_stage`), so merging under
+    Each shard's entries are already sorted by their two leading ints,
+    ``-bound, global_x`` (:func:`_filter_stage`), so merging under
     that key reproduces the single sorted list a one-shard filter pass
     builds.  ``global_x`` is unique across shards — the order never ties,
     so any sort yields exactly what a streaming ``heapq.merge`` would, and
@@ -537,7 +561,7 @@ def _fallback_anchors(
 ) -> List[int]:
     """Top-bound candidates within budget, for zero-follower iterations."""
     chosen: List[int] = []
-    for (_neg_bound, x), _shard, _lx, _order, _rf in merged:
+    for _neg_bound, x, _shard, _lx, _order, _rf in merged:
         if len(chosen) >= t:
             break
         if graph.is_upper(x):
@@ -593,7 +617,7 @@ def _verification_stage(
     verifications = 0
     supplied = pooled if pooled is not None else repeat(None)
     try:
-        for ((neg_bound, x), shard, lx, order, rf), follower_set in zip(
+        for (neg_bound, x, shard, lx, order, rf), follower_set in zip(
                 merged, supplied):
             if deadline is not None and time.perf_counter() > deadline:
                 return verifications, True
@@ -649,7 +673,7 @@ def _pooled_follower_sets(
     """
     cached_sets: List[Optional[Set[int]]] = []
     items: List["ShardCandidate"] = []
-    for _key, shard, lx, order, _rf in merged:
+    for _neg_bound, _x, shard, lx, order, _rf in merged:
         follower_set = (shard.cache.followers_for(order.side, lx)
                         if shard.cache is not None else None)
         cached_sets.append(follower_set)
@@ -659,8 +683,8 @@ def _pooled_follower_sets(
     dirty_shards.clear()
     stream = evaluator.evaluate(items)
     try:
-        for (_key, shard, lx, order, _rf), follower_set in zip(merged,
-                                                                cached_sets):
+        for (_neg_bound, _x, shard, lx, order, _rf), follower_set in zip(
+                merged, cached_sets):
             if follower_set is None:
                 follower_set = next(stream)
                 if shard.cache is not None:

@@ -72,15 +72,17 @@ __all__ = ["AUTO_SHARD_CAP", "CampaignShard", "IdentityView", "build_shards",
 AUTO_SHARD_CAP = 32
 
 #: One ranked candidate:
-#: ``((-bound, global_x), shard, local_x, order, rf_local)``.  The leading
-#: pair is the engine's sort key, pre-negated so plain tuple comparison
-#: orders candidates without a key function (``global_x`` is unique, so the
-#: shard objects behind it are never compared); the rest lets the
+#: ``(-bound, global_x, shard, local_x, order, rf_local)``.  The two
+#: leading ints are the engine's sort key, pre-negated so plain tuple
+#: comparison orders candidates without a key function (``global_x`` is
+#: unique, so the shard objects behind it are never compared).  They are
+#: flat rather than a nested pair: one tuple per candidate instead of two,
+#: and the sort compares ints directly.  The rest lets the
 #: verification scan evaluate the candidate inside its shard.  ``rf_local``
 #: is the cached or freshly computed ``rf(x)`` when the rf bound produced
 #: it (plumbed through to Algorithm 1 so the follower peel never
 #: recollects it), ``None`` on the r-score path.
-MergedCandidate = Tuple[Tuple[int, int], "CampaignShard", int,
+MergedCandidate = Tuple[int, int, "CampaignShard", int,
                         DeletionOrder, Optional[Set[int]]]
 
 #: Maps a global vertex id to the index of the shard that owns it.
@@ -166,7 +168,7 @@ class CampaignShard:
     """
 
     __slots__ = ("index", "view", "graph", "state", "cache", "kernel",
-                 "_ranked")
+                 "entries", "_ranked")
 
     def __init__(self, index: int, view: View,
                  state: OrderState, cache: Optional[VerificationCache],
@@ -177,8 +179,12 @@ class CampaignShard:
         self.state = state
         self.cache = cache
         self.kernel = kernel
+        # side -> {local x: the entry the last rf-bound filter pass ranked
+        # x with}; the next pass reuses an entry whose rf set and order
+        # are unchanged (see _filter_stage).
+        self.entries: Dict[str, Dict[int, MergedCandidate]] = {}
         # sides-key -> (entries, candidates_total); entries are merged-form
-        # MergedCandidate tuples sorted by their (-bound, global_x) head.
+        # MergedCandidate tuples sorted by their -bound, global_x head.
         self._ranked: Dict[Tuple[bool, bool],
                            Tuple[List[MergedCandidate], int]] = {}
 
@@ -217,8 +223,10 @@ class CampaignShard:
         self._ranked.clear()
 
     def release(self) -> None:
-        """Drop the ranked memo, whose entries point back at this shard."""
+        """Drop the ranked memo and the entry table, whose entries point
+        back at this shard."""
         self._ranked.clear()
+        self.entries.clear()
 
 
 def shard_views(graph: BipartiteGraph, shards: Optional[int],

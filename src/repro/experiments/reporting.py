@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.api import reinforce
-from repro.core.deletion_order import compute_orders, r_scores, reachable_from
+from repro.core.deletion_order import compute_orders, r_scores, reachable_sets
 from repro.core.followers import compute_followers
 from repro.core.signatures import two_hop_filter
 from repro.experiments.runner import DEFAULTS, default_constraints
@@ -54,10 +54,13 @@ def bound_tightness_report(
     stats: Dict[str, List[int]] = {"r-score": [], "|rf|": [], "|F|": []}
     for order in (upper, lower):
         scores = r_scores(graph, order)
-        for x in order.candidates(graph)[:max_candidates]:
-            f = len(compute_followers(graph, order, x))
+        candidates = order.candidates(graph)[:max_candidates]
+        rfs = reachable_sets(graph, order, candidates)
+        for x in candidates:
+            rf = rfs[x]
+            f = len(compute_followers(graph, order, x, candidates=rf))
             stats["r-score"].append(scores.get(x, 0))
-            stats["|rf|"].append(len(reachable_from(graph, order, x)))
+            stats["|rf|"].append(len(rf))
             stats["|F|"].append(f)
 
     n = len(stats["|F|"])

@@ -1,9 +1,9 @@
 """Fixture: whole-order recomputation inside # hot-loop marked loops."""
 
-from repro.core.deletion_order import r_scores, reachable_from
+from repro.core.deletion_order import r_scores, reachable_from, reachable_sets
 
 __all__ = ["rf_per_candidate", "table_per_candidate", "method_call",
-           "nested_in_hot_loop"]
+           "nested_in_hot_loop", "batch_per_candidate"]
 
 
 def rf_per_candidate(graph, order, survivors):
@@ -38,4 +38,13 @@ def nested_in_hot_loop(graph, orders, survivors):
     for order in orders:  # hot-loop
         for x in survivors:
             scored.append(reachable_from(graph, order, x))  # violation
+    return scored
+
+
+def batch_per_candidate(graph, order, survivors):
+    """The one-sweep batch called once per candidate is a DFS again."""
+    scored = []
+    for x in survivors:  # hot-loop
+        rf = reachable_sets(graph, order, [x])[x]  # violation: batch of one
+        scored.append((len(rf), x))
     return scored

@@ -1,8 +1,9 @@
 """Fixture: sanctioned recompute patterns the rule must not flag."""
 
-from repro.core.deletion_order import r_scores, reachable_from
+from repro.core.deletion_order import r_scores, reachable_from, reachable_sets
 
-__all__ = ["hoisted_table", "unmarked_loop", "sanctioned_miss_fallback"]
+__all__ = ["hoisted_table", "unmarked_loop", "sanctioned_miss_fallback",
+           "batched_misses"]
 
 
 def hoisted_table(graph, order, survivors):
@@ -30,3 +31,13 @@ def sanctioned_miss_fallback(graph, order, survivors, cache):
             cache[x] = entry
         scored.append((len(entry), x))
     return scored
+
+
+def batched_misses(graph, order, survivors, cache):
+    """Misses are collected in the loop and answered by one sweep after."""
+    misses = []
+    for x in survivors:  # hot-loop
+        if x not in cache:
+            misses.append(x)
+    cache.update(reachable_sets(graph, order, misses))
+    return [(len(cache[x]), x) for x in survivors]

@@ -28,7 +28,7 @@ import pytest
 from repro.bigraph import disjoint_union, from_edge_list
 from repro.bigraph.kernel import FollowerKernel, kernel_for
 from repro.core import engine_options, reinforce
-from repro.core.deletion_order import reachable_from
+from repro.core.deletion_order import reachable_from, reachable_sets
 from repro.core.engine import run_engine
 from repro.core.followers import compute_followers
 from repro.core.incremental import VerificationCache
@@ -176,7 +176,7 @@ class TestFollowerKernel:
                 side = order.side
                 for x in sorted(order.candidates(g)):
                     rf_ref = reachable_from(g, order, x)
-                    assert kernel.reachable(side, x) == rf_ref, (side, x)
+                    assert kernel.reachable(side, [x])[x] == rf_ref, (side, x)
                     f_ref = compute_followers(g, order, x, core=state.core)
                     assert kernel.followers(side, x, 3, 3) == f_ref, (side, x)
                     assert kernel.followers(
@@ -187,6 +187,56 @@ class TestFollowerKernel:
             if not pool:
                 break
             state.apply_anchors([rng.choice(pool)])
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    @pytest.mark.parametrize("family", ["planted", "er"])
+    def test_batched_reachable_matches_dfs(self, family, backend):
+        """One sweep over a batch of sources returns exactly the per-source
+        DFS ``rf(x)`` on both paths, for every batch shape, across
+        maintained applies (fresh positions on every renumbered region)."""
+        if family == "planted":
+            g, alpha, beta = planted_composite(3, seed_base=760), 3, 3
+        else:
+            g, alpha, beta = er_graph(5, nu=40, nl=40, p=0.08), 3, 3
+        if backend == "csr":
+            g = g.to_csr()
+        state = OrderState(g, alpha, beta, maintain=True)
+        kernel = kernel_for(g)
+        rng = random.Random(11)
+        checked = 0
+        for _step in range(4):
+            if kernel is not None:
+                kernel.begin_iteration(state.upper.position,
+                                       state.lower.position, state.core)
+            for order in (state.upper, state.lower):
+                side = order.side
+                candidates = sorted(order.candidates(g))
+                if not candidates:
+                    continue
+                checked += len(candidates)
+                zeros = sorted(v for v, p in order.position.items() if p == 0)
+                batches = [candidates,
+                           rng.sample(candidates, len(candidates) // 2),
+                           [rng.choice(candidates)], zeros, []]
+                for sources in batches:
+                    ref = {x: reachable_from(g, order, x) for x in sources}
+                    assert reachable_sets(g, order, sources) == ref, side
+                    if kernel is not None:
+                        assert kernel.reachable(side, sources) == ref, side
+                outside = next(v for v in g.vertices()
+                               if v not in order.position)
+                with pytest.raises(KeyError):
+                    reachable_sets(g, order, [candidates[0], outside])
+                if kernel is not None:
+                    with pytest.raises(KeyError):
+                        kernel.reachable(side, [candidates[0], outside])
+            pool = sorted(set(state.upper.position)
+                          | set(state.lower.position))
+            pool = [v for v in pool if v not in state.anchors]
+            if not pool:
+                break
+            state.apply_anchors([rng.choice(pool)])
+        assert checked > 0
 
     def test_release_is_idempotent(self):
         kernel = FollowerKernel(er_graph(0, backend="csr"))
