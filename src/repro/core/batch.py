@@ -2,11 +2,11 @@
 
 The service sees *streams* of campaigns against one graph, and most of a
 cold start is (α, β)-invariant: the base (α,β)-core, the pristine deletion
-orders (plus capped core numbers), the r-score tables, and the first
-filter pass's signatures / two-hop verdicts / ``rf(x)`` sets are all pure
-functions of ``(graph, α, β)`` — no campaign parameter (budgets, method,
-``t``, seed, deadline) enters them.  :class:`SharedCampaignContext`
-computes each of those exactly once and serves them to every campaign:
+orders (plus capped core numbers), and the first filter pass's two-hop
+verdicts and ``rf(x)`` sets are all pure functions of ``(graph, α, β)`` —
+no campaign parameter (budgets, method, ``t``, seed, deadline) enters
+them.  :class:`SharedCampaignContext` computes each of those exactly once
+and serves them to every campaign:
 
 * per ``shards`` value, the shard plan's views
   (:func:`repro.core.sharded.shard_views`) and each view's pristine
@@ -62,11 +62,9 @@ if TYPE_CHECKING:
 
 __all__ = ["SharedCampaignContext"]
 
-#: The warm-up's two filter passes: the first stores signatures, two-hop
-#: verdicts and ``rf(x)`` for every survivor; the second stores the
-#: r-score tables (r-score bounds skip the two-hop filter and ``rf(x)``).
+#: The warm-up's one filter pass: it stores the two-hop verdict of every
+#: candidate and ``rf(x)`` for every survivor.
 _RF_PASS = EngineOptions(use_two_hop_filter=True, use_rf_bound=True)
-_R_SCORE_PASS = EngineOptions()
 
 
 class SharedCampaignContext:
@@ -167,11 +165,11 @@ class SharedCampaignContext:
         """The frozen epoch-0 verification tables, one per view of the
         ``shards`` plan, warmed on first use.
 
-        Warm-up runs the engine's own filter stage over each view's
-        pristine state into a throwaway :class:`VerificationCache` — with
-        two-hop filter and ``rf(x)`` bounds, then with r-score bounds —
-        and freezes it: every value is exactly what iteration one of a
-        cold campaign computes (see :mod:`repro.core.incremental`).
+        Warm-up runs the engine's own filter stage once over each view's
+        pristine state, with two-hop filter and ``rf(x)`` bounds, into a
+        throwaway :class:`VerificationCache` and freezes it: every value
+        is exactly what iteration one of a cold campaign computes (see
+        :mod:`repro.core.incremental`).
         """
         with self._lock:
             if shards not in self._seeds:
@@ -191,6 +189,8 @@ class SharedCampaignContext:
         return self._plans[shards]
 
     def _warm_seed_tables(self, view: View, state: OrderState) -> SeedTables:
+        """One view's seed: a single ``_RF_PASS`` filter stage over its
+        pristine ``state``, frozen (the ``rf`` and verdict tables)."""
         scratch = VerificationCache(view.graph)
         kernel = kernel_for(view.graph)
         if kernel is not None:
@@ -199,8 +199,7 @@ class SharedCampaignContext:
                                    state.lower.position, state.core)
         shard = CampaignShard(0, view, state, scratch, kernel)
         try:
-            for options in (_RF_PASS, _R_SCORE_PASS):
-                _filter_stage(shard, 1, 1, options)
+            _filter_stage(shard, 1, 1, _RF_PASS)
         finally:
             shard.release()
             if kernel is not None:

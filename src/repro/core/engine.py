@@ -154,9 +154,9 @@ def run_engine(
     pool cannot be created the engine silently degrades to the serial scan.
 
     ``memoize`` (default on) carries verification work — ``rf(x)`` sets,
-    bounds, follower signatures, two-hop verdicts, follower sets, r-score
-    tables — across iterations in a :class:`VerificationCache`, invalidated
-    by the affected regions order maintenance reports (``docs/PERF.md``).
+    bounds, two-hop verdicts, follower sets — across iterations in a
+    :class:`VerificationCache`, invalidated by the affected regions order
+    maintenance reports (``docs/PERF.md``).
     ``flat_kernel`` selects the flat-array follower kernel
     (:class:`repro.bigraph.FollowerKernel`): ``None`` auto-enables it on
     CSR-backed graphs, ``True`` requires a CSR backend, ``False`` forces
@@ -443,11 +443,13 @@ def _filter_stage(
     list sorted by non-increasing bound (ties by vertex id) and the
     pre-filter pool size.  Monotone renumbering makes the order by global
     id the order by local id, and global ids are unique, so the plain
-    tuple sort never compares past the two leading ints.  With the shard's
-    cache, signatures, two-hop verdicts, ``rf(x)`` bounds, and r-score
-    tables are reused for every candidate the last apply's affected
-    regions did not touch.  Each side's cache misses get their ``rf(x)``
-    sets from one sweep of the order DAG: the kernel's flat-array
+    tuple sort never compares past the two leading ints and the order the
+    survivors arrive in does not matter.  With the shard's cache, two-hop
+    verdicts and ``rf(x)`` bounds are reused for every candidate the last
+    apply's affected regions did not touch; r-score bounds come from one
+    :func:`~repro.core.deletion_order.r_scores` table per side per pass.
+    Each side's cache misses get their ``rf(x)`` sets from one sweep of
+    the order DAG: the kernel's flat-array
     :meth:`~repro.bigraph.kernel.FollowerKernel.reachable` on CSR,
     :func:`~repro.core.deletion_order.reachable_sets` otherwise.  The
     survivor set, the bounds, and hence the ranked list are identical on
@@ -475,8 +477,8 @@ def _filter_stage(
             continue
         if options.use_two_hop_filter:
             if cache is not None:
-                survivors, _sigs = two_hop_filter_cached(graph, order,
-                                                         candidates, cache)
+                survivors = two_hop_filter_cached(graph, order, candidates,
+                                                  cache)
             else:
                 survivors, _sigs = two_hop_filter(graph, order, candidates)
         else:
@@ -515,11 +517,7 @@ def _filter_stage(
                         scored.append(entry)
             shard.entries[side] = entries
         else:
-            scores = cache.r_scores_for(side) if cache is not None else None
-            if scores is None:
-                scores = r_scores(graph, order)
-                if cache is not None:
-                    cache.store_r_scores(side, scores)
+            scores = r_scores(graph, order)
             for x in survivors:
                 bound = scores.get(x, 0)
                 if bound > 0:

@@ -2,14 +2,16 @@
 
 The engine's filter/verification stages recompute, for every candidate and
 every iteration: the order-reachable set ``rf(x)``, the bound ``|rf(x)|``,
-the follower signature ``sig(x)``, the two-hop domination verdict, and —
-for the candidates that reach Algorithm 1 — the follower set ``F(x)``.
-Yet Algorithm 4 confines each anchor's effect to its *affected graph*:
-outside the repaired regions, both deletion orders are bit-identical from
-one iteration to the next.  :class:`VerificationCache` carries all five
-quantities across iterations and drops only what the repairs could have
-changed, using the per-side dirty regions that
+the two-hop domination verdict, and — for the candidates that reach
+Algorithm 1 — the follower set ``F(x)``.  Yet Algorithm 4 confines each
+anchor's effect to its *affected graph*: outside the repaired regions,
+both deletion orders are bit-identical from one iteration to the next.
+:class:`VerificationCache` carries those quantities across iterations in
+three tables (``rf``, follower sets, survivor verdicts) and drops only
+what the repairs could have changed, using the per-side dirty regions that
 :meth:`repro.core.order_maintenance.OrderState.apply_anchors` reports.
+Signatures ``sig(x)`` are not cached: the two-hop filter needs them only
+to decide a verdict miss, and reads them fresh then.
 
 Correctness argument
 --------------------
@@ -50,11 +52,6 @@ sufficient:
     of the *old* ``{x} ∪ rf(x)`` being dirty.  ``w ∈ D`` puts such entries
     in ``N(D)``, which is exactly what the dilation catches.
 
-``sig(x)`` — *evict iff* ``x ∈ D1``.
-    ``sig(x)`` is a function of the position entries of ``{x} ∪ N(x)``.
-    If ``x ∉ D1`` then ``x ∉ D`` and no neighbor of ``x`` is in ``D``,
-    so all those entries are unchanged.
-
 two-hop survivor verdict — *evict iff* ``x ∈ D3``.
     Algorithm 3 visits candidates in increasing ``(|sig|, id)`` and keeps
     ``x`` iff ``sig(x) ≠ ∅`` and no *unvisited* candidate dominates it.
@@ -70,13 +67,6 @@ two-hop survivor verdict — *evict iff* ``x ∈ D3``.
     ≤ 2 hops); and ``|sig(w)|`` needs positions of ``N(w)`` (≤ 3 hops).
     If ``x ∉ D3`` none of those entries changed.  (Candidacy itself is a
     predicate of a vertex's own position entry, so it is covered.)
-
-r-score table — *reuse iff* ``D = ∅`` for that side.
-    ``r_scores`` is a DP over the entire order, so any dirty entry on the
-    side invalidates the whole table.  Both sides repair on almost every
-    apply, so this cache rarely survives — it exists for ablation
-    configurations that pair the r-score bound with order maintenance,
-    and costs one dict reference when it misses.
 
 When ``apply_anchors`` reports ``None`` (the ``maintain=False`` full
 recompute path — plain FILVER), nothing can be said about what moved and
@@ -115,41 +105,29 @@ _SIDES = ("upper", "lower")
 class SeedTables:
     """Frozen epoch-0 verification tables, shareable across campaigns.
 
-    Holds, per side, the pristine-state ``rf(x)`` sets (bound = ``len``),
-    follower signatures, two-hop survivor verdicts, and the r-score table —
-    everything iteration one of a cold campaign computes from the pristine
-    deletion orders.  Instances are frozen by contract: each campaign's
-    cache copies the tables and shares their values, which nothing mutates,
-    so one instance is safe to share (including across service worker
-    threads).
+    Holds, per side, the pristine-state ``rf(x)`` sets (bound = ``len``)
+    and two-hop survivor verdicts — what iteration one of a cold campaign
+    computes from the pristine deletion orders.  Instances are frozen by
+    contract: each campaign's cache copies the tables and shares their
+    values, which nothing mutates, so one instance is safe to share
+    (including across service worker threads).
     """
 
-    __slots__ = ("rf", "sigs", "survivors", "r_scores")
+    __slots__ = ("rf", "survivors")
 
     def __init__(self, rf: Dict[str, Dict[int, Set[int]]],
-                 sigs: Dict[str, Dict[int, Set[int]]],
-                 survivors: Dict[str, Dict[int, bool]],
-                 r_scores: Dict[str, Optional[Dict[int, int]]]) -> None:
+                 survivors: Dict[str, Dict[int, bool]]) -> None:
         self.rf = rf
-        self.sigs = sigs
         self.survivors = survivors
-        self.r_scores = r_scores
 
     def entries(self) -> int:
         """Total table entries across both sides (diagnostics only)."""
-        total = 0
-        for side in _SIDES:
-            total += (len(self.rf[side]) + len(self.sigs[side])
-                      + len(self.survivors[side]))
-            if self.r_scores[side] is not None:
-                total += 1
-        return total
+        return sum(len(self.rf[side]) + len(self.survivors[side])
+                   for side in _SIDES)
 
 
 _EMPTY_SEED = SeedTables(rf={side: {} for side in _SIDES},
-                         sigs={side: {} for side in _SIDES},
-                         survivors={side: {} for side in _SIDES},
-                         r_scores={side: None for side in _SIDES})
+                         survivors={side: {} for side in _SIDES})
 
 
 class VerificationCache:
@@ -166,8 +144,7 @@ class VerificationCache:
 
     All hit/miss/eviction counters are plain attributes, exposed for the
     differential tests and the engine benchmark.  ``seed_hits`` counts the
-    hits that returned the seed's own ``rf`` set, signature or r-score
-    table.
+    hits that returned the seed's own ``rf`` set.
     """
 
     def __init__(self, graph: BipartiteGraph,
@@ -178,24 +155,16 @@ class VerificationCache:
             side: dict(self._seed.rf[side]) for side in _SIDES}
         self._followers: Dict[str, Dict[int, Set[int]]] = {
             side: {} for side in _SIDES}
-        self._sigs: Dict[str, Dict[int, Set[int]]] = {
-            side: dict(self._seed.sigs[side]) for side in _SIDES}
         self._survivors: Dict[str, Dict[int, bool]] = {
             side: dict(self._seed.survivors[side]) for side in _SIDES}
-        self._r_scores: Dict[str, Optional[Dict[int, int]]] = dict(
-            self._seed.r_scores)
         self.epoch = 0
         self.seed_hits = 0
         self.rf_hits = 0
         self.rf_misses = 0
         self.follower_hits = 0
         self.follower_misses = 0
-        self.sig_hits = 0
-        self.sig_misses = 0
         self.survivor_hits = 0
         self.survivor_misses = 0
-        self.r_score_hits = 0
-        self.r_score_misses = 0
         self.evictions = 0
         self.full_invalidations = 0
 
@@ -234,21 +203,8 @@ class VerificationCache:
             self._followers[side][x] = followers
 
     # ------------------------------------------------------------------
-    # Signatures and two-hop verdicts
+    # Two-hop verdicts
     # ------------------------------------------------------------------
-
-    def signature_for(self, side: str, x: int) -> Optional[Set[int]]:
-        sig = self._sigs[side].get(x)
-        if sig is None:
-            self.sig_misses += 1
-        else:
-            self.sig_hits += 1
-            if sig is self._seed.sigs[side].get(x):
-                self.seed_hits += 1
-        return sig
-
-    def store_signature(self, side: str, x: int, sig: Set[int]) -> None:
-        self._sigs[side][x] = sig
 
     def survivor_verdict(self, side: str, x: int) -> Optional[bool]:
         verdict = self._survivors[side].get(x)
@@ -260,23 +216,6 @@ class VerificationCache:
 
     def store_survivor(self, side: str, x: int, survived: bool) -> None:
         self._survivors[side][x] = survived
-
-    # ------------------------------------------------------------------
-    # r-score tables
-    # ------------------------------------------------------------------
-
-    def r_scores_for(self, side: str) -> Optional[Dict[int, int]]:
-        table = self._r_scores[side]
-        if table is None:
-            self.r_score_misses += 1
-        else:
-            self.r_score_hits += 1
-            if table is self._seed.r_scores[side]:
-                self.seed_hits += 1
-        return table
-
-    def store_r_scores(self, side: str, table: Dict[int, int]) -> None:
-        self._r_scores[side] = table
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -308,11 +247,7 @@ class VerificationCache:
                 del rf_table[x]
                 followers.pop(x, None)
             self.evictions += len(doomed)
-            self.evictions += _evict_keys(self._sigs[side], d1)
             self.evictions += _evict_keys(self._survivors[side], d3)
-            if self._r_scores[side] is not None:
-                self._r_scores[side] = None
-                self.evictions += 1
 
     def freeze_seed(self) -> SeedTables:
         """Copy this cache's tables into a frozen, shareable seed.
@@ -324,23 +259,16 @@ class VerificationCache:
         """
         return SeedTables(
             rf={side: dict(self._rf[side]) for side in _SIDES},
-            sigs={side: dict(self._sigs[side]) for side in _SIDES},
-            survivors={side: dict(self._survivors[side]) for side in _SIDES},
-            r_scores=dict(self._r_scores))
+            survivors={side: dict(self._survivors[side]) for side in _SIDES})
 
     def clear_entries(self) -> None:
         """Drop all cached state (does not reset counters or the epoch)."""
         for side in _SIDES:
             self.evictions += (len(self._rf[side])
-                               + len(self._sigs[side])
                                + len(self._survivors[side]))
-            if self._r_scores[side] is not None:
-                self.evictions += 1
             self._rf[side].clear()
             self._followers[side].clear()
-            self._sigs[side].clear()
             self._survivors[side].clear()
-            self._r_scores[side] = None
 
     # ------------------------------------------------------------------
 

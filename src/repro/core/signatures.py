@@ -18,7 +18,8 @@ equal-signature ties by keeping exactly one representative (Lemma 3).
 from __future__ import annotations
 
 from math import log2
-from typing import TYPE_CHECKING, AbstractSet, Dict, Iterable, List, Set, Tuple
+from typing import (TYPE_CHECKING, AbstractSet, Dict, Iterable, List,
+                    Sequence, Set, Tuple)
 
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.deletion_order import DeletionOrder, signature
@@ -87,16 +88,12 @@ def two_hop_filter(
 def two_hop_filter_cached(
     graph: BipartiteGraph,
     order: DeletionOrder,
-    candidates: Iterable[int],
+    candidates: Sequence[int],
     cache: "VerificationCache",
-) -> Tuple[List[int], Dict[int, Set[int]]]:
-    """:func:`two_hop_filter` with per-candidate memoization.
-
-    Produces the identical ``(survivors, signatures)`` pair while reusing
-    two things from ``cache``: follower signatures (valid until the order
-    changes within one hop of the vertex) and per-candidate *survivor
-    verdicts* (valid until it changes within three hops — see
-    :mod:`repro.core.incremental` for both proofs).
+) -> List[int]:
+    """:func:`two_hop_filter`'s survivors, in ``candidates`` order, with
+    per-candidate memoization of the *survivor verdict* (valid until the
+    order changes within three hops — see :mod:`repro.core.incremental`).
 
     Caching the verdict per candidate is sound because Algorithm 3's
     "visited" bookkeeping is secretly pairwise: when ``x`` is processed,
@@ -105,27 +102,27 @@ def two_hop_filter_cached(
     ``sig(x) ≠ ∅`` and no candidate ``w`` with a strictly larger
     ``(|sig|, id)`` key sits in ``x``'s order-obeying two-hop pool — a
     predicate of ``x`` alone, independent of the order candidates are
-    visited in.  This function evaluates that predicate directly for
-    cache misses (full pool first, key filter after; the pool is tiny
-    once the neighbor-list intersection has run) and replays cached
-    verdicts for hits.
+    visited in.  This function replays cached verdicts for hits and
+    evaluates that predicate directly for misses (full pool first, key
+    filter after; the pool is tiny once the neighbor-list intersection
+    has run).  Signatures are computed only for the misses and their pool
+    members, each at most once per call.
     """
     side = order.side
+    candidate_set = set(candidates)
     sigs: Dict[int, Set[int]] = {}
-    for x in candidates:
-        sig = cache.signature_for(side, x)
-        if sig is None:
-            sig = signature(graph, order, x)
-            cache.store_signature(side, x, sig)
-        sigs[x] = sig
-    candidate_set = set(sigs)
 
-    ordered = sorted(candidate_set, key=lambda x: (len(sigs[x]), x))
+    def sig_of(v: int) -> Set[int]:
+        sig = sigs.get(v)
+        if sig is None:
+            sig = sigs[v] = signature(graph, order, v)
+        return sig
+
     survivors: List[int] = []
-    for x in ordered:
+    for x in candidates:
         verdict = cache.survivor_verdict(side, x)
         if verdict is None:
-            sig_x = sigs[x]
+            sig_x = sig_of(x)
             if not sig_x:
                 verdict = False
             else:
@@ -134,11 +131,11 @@ def two_hop_filter_cached(
                                        candidate_set, _NO_VISITED)
                 # Order-free: an existence test over the pool.
                 verdict = not any(
-                    (len(sigs[w]), w) > key for w in pool)
+                    (len(sig_of(w)), w) > key for w in pool)
             cache.store_survivor(side, x, verdict)
         if verdict:
             survivors.append(x)
-    return survivors, sigs
+    return survivors
 
 
 def _dominator_pool(

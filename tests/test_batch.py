@@ -111,13 +111,12 @@ class TestSeedTables:
         sides = ("upper", "lower")
 
         def keys():
-            return [(set(seed.rf[side]), set(seed.sigs[side]),
-                     set(seed.survivors[side])) for side in sides]
+            return [(set(seed.rf[side]), set(seed.survivors[side]))
+                    for side in sides]
 
         def reads(cache):
             return [lookup(side, x) for side in sides
                     for table, lookup in ((seed.rf, cache.rf_for),
-                                          (seed.sigs, cache.signature_for),
                                           (seed.survivors,
                                            cache.survivor_verdict))
                     for x in sorted(table[side])]
@@ -126,8 +125,8 @@ class TestSeedTables:
         dirtied = VerificationCache(graph, seed=seed)
         bystander = VerificationCache(graph, seed=seed)
         before = reads(bystander)
-        hits = (bystander.rf_hits, bystander.sig_hits,
-                bystander.survivor_hits, bystander.seed_hits)
+        hits = (bystander.rf_hits, bystander.survivor_hits,
+                bystander.seed_hits)
 
         state = OrderState(graph, ALPHA, BETA, maintain=True)
         dirty = state.apply_anchors([min(state.upper.candidates(graph))])
@@ -139,8 +138,8 @@ class TestSeedTables:
         after = reads(bystander)
         assert all(a is b for a, b in zip(before, after))
         assert None not in after
-        assert (bystander.rf_hits, bystander.sig_hits,
-                bystander.survivor_hits, bystander.seed_hits) == tuple(
+        assert (bystander.rf_hits, bystander.survivor_hits,
+                bystander.seed_hits) == tuple(
                     2 * n for n in hits)
         assert seed.entries() == entries
         assert keys() == seed_keys

@@ -33,6 +33,7 @@ from repro.core.engine import run_engine
 from repro.core.followers import compute_followers
 from repro.core.incremental import VerificationCache
 from repro.core.order_maintenance import OrderState
+from repro.core import signatures as signatures_module
 from repro.core.signatures import two_hop_filter, two_hop_filter_cached
 from repro.exceptions import AbortCampaign, GraphConstructionError
 from repro.experiments.export import canonical_result_dict
@@ -253,8 +254,8 @@ def warm_seed(g, state):
     ``rf(x)`` of every survivor, frozen from a scratch cache."""
     scratch = VerificationCache(g)
     for order in (state.upper, state.lower):
-        survivors, _ = two_hop_filter_cached(g, order, order.candidates(g),
-                                             scratch)
+        survivors = two_hop_filter_cached(g, order, order.candidates(g),
+                                          scratch)
         for x in survivors:
             scratch.store_rf(order.side, x, reachable_from(g, order, x))
     return scratch.freeze_seed()
@@ -265,7 +266,7 @@ class TestCacheDifferential:
                              ids=["cold", "seeded"])
     def test_campaign_replay_never_serves_stale_entries(self, seeded):
         """Replays a random anchoring campaign; at every step, every
-        cached signature, survivor verdict, rf set, bound, and follower
+        cached survivor verdict, rf set, bound, and follower
         set must equal a from-scratch recomputation.  Also asserts the
         cache actually got hits — a hit rate of zero would make this test
         pass vacuously.  The seeded run starts from the pristine state's
@@ -282,11 +283,9 @@ class TestCacheDifferential:
                 cands = order.candidates(g)
                 if not cands:
                     continue
-                ref_surv, ref_sigs = two_hop_filter(g, order, cands)
-                got_surv, got_sigs = two_hop_filter_cached(
-                    g, order, cands, cache)
-                assert got_surv == ref_surv, (step, side)
-                assert got_sigs == ref_sigs, (step, side)
+                ref_surv, _ = two_hop_filter(g, order, cands)
+                got_surv = two_hop_filter_cached(g, order, cands, cache)
+                assert sorted(got_surv) == sorted(ref_surv), (step, side)
                 for x in ref_surv:
                     checked += 1
                     rf_ref = reachable_from(g, order, x)
@@ -312,7 +311,6 @@ class TestCacheDifferential:
             cache.invalidate(dirty)
         assert checked > 100
         assert cache.rf_hits > 0
-        assert cache.sig_hits > 0
         assert cache.survivor_hits > 0
         assert cache.follower_hits > 0
         assert cache.evictions > 0  # invalidation actually fired
@@ -322,6 +320,81 @@ class TestCacheDifferential:
                        for x, rf in table.items()
                        if cache.rf_for(side, x) is not rf]
             assert evicted
+
+
+# ----------------------------------------------------------------------
+# Signatures on demand: only verdict misses and their pools read sig(x)
+# ----------------------------------------------------------------------
+
+class TestSignaturesOnDemand:
+    def test_signatures_are_computed_only_for_verdict_misses(
+            self, monkeypatch):
+        """``two_hop_filter_cached`` computes ``sig(v)`` only for a
+        candidate whose verdict missed and for the members of that
+        candidate's order-obeying two-hop pool (Definition 9), each at
+        most once per call: a repeated pass with no invalidation computes
+        none, and survivors equal the oracle's as a set throughout."""
+        g = planted_composite(6, seed_base=500).to_csr()
+        state = OrderState(g, 3, 3, maintain=True)
+        cache = VerificationCache(g)
+        real = signatures_module.signature
+        calls = []
+
+        def counting(graph, order, v):
+            calls.append(v)
+            return real(graph, order, v)
+
+        monkeypatch.setattr(signatures_module, "signature", counting)
+
+        def two_hop_pool(order, x, cands):
+            sig_x = real(g, order, x)
+            position = order.position
+            return {w for w in cands if w != x and all(
+                g.has_edge(w, v) and position[w] < position[v]
+                for v in sig_x)}
+
+        def filter_pass():
+            """One pass over both sides; returns, per side, the verdict
+            misses, the candidates whose signature may be computed, the
+            vertices it was computed for, and the candidate count."""
+            seen = {}
+            for order in (state.upper, state.lower):
+                side = order.side
+                cands = order.candidates(g)
+                if not cands:
+                    continue
+                misses = {x for x in cands
+                          if cache.survivor_verdict(side, x) is None}
+                allowed = set(misses)
+                for x in misses:
+                    allowed |= two_hop_pool(order, x, cands)
+                ref, _ = two_hop_filter(g, order, cands)
+                del calls[:]
+                got = two_hop_filter_cached(g, order, cands, cache)
+                assert sorted(got) == sorted(ref), side
+                assert len(calls) == len(set(calls)), side
+                seen[side] = (misses, allowed, set(calls), len(cands))
+            return seen
+
+        cold = filter_pass()
+        assert cold
+        for misses, allowed, computed, _n in cold.values():
+            assert misses <= computed <= allowed
+        for misses, _allowed, computed, _n in filter_pass().values():
+            assert not misses and not computed
+
+        rng = random.Random(11)
+        partial = 0
+        for _step in range(3):
+            pool = sorted(v for v in state.upper.position
+                          if v not in state.anchors)
+            cache.invalidate(state.apply_anchors([rng.choice(pool)]))
+            for side, (misses, allowed, computed, n_cands) in \
+                    filter_pass().items():
+                assert misses <= computed <= allowed, side
+                if misses and len(computed) < n_cands:
+                    partial += 1
+        assert partial > 0  # some pass recomputed only part of a side
 
 
 # ----------------------------------------------------------------------
@@ -349,11 +422,9 @@ class TestEvictionBoundary:
             for x, rf in entries.items():
                 cache.store_rf(side, x, rf)
                 cache.store_followers(side, x, {x})
-                cache.store_signature(side, x, {x})
                 cache.store_survivor(side, x, True)
         lower = {x: (cache.rf_for("lower", x),
                      cache.followers_for("lower", x),
-                     cache.signature_for("lower", x),
                      cache.survivor_verdict("lower", x))
                  for x in entries}
 
@@ -365,10 +436,9 @@ class TestEvictionBoundary:
             assert cache.rf_for("upper", x) is None, x
             assert cache.followers_for("upper", x) is None, x
         assert cache.evictions >= 2
-        for x, (rf, followers, sig, verdict) in lower.items():
+        for x, (rf, followers, verdict) in lower.items():
             assert cache.rf_for("lower", x) is rf is entries[x]
             assert cache.followers_for("lower", x) is followers
-            assert cache.signature_for("lower", x) is sig
             assert cache.survivor_verdict("lower", x) is verdict is True
 
 
@@ -385,12 +455,12 @@ class TestMetamorphicInvalidation:
         state = OrderState(g, 3, 3, maintain=True)
         warm = VerificationCache(g)
         for order in (state.upper, state.lower):
-            surv, _ = two_hop_filter_cached(g, order,
-                                            order.candidates(g), warm)
+            surv = two_hop_filter_cached(g, order, order.candidates(g),
+                                         warm)
             for x in surv:
                 warm.store_rf(side=order.side, x=x,
                               rf=reachable_from(g, order, x))
-        assert warm.sig_misses > 0
+        assert warm.survivor_misses > 0
 
         everything = set(range(g.n_upper + g.n_lower))
         warm.invalidate({"upper": everything, "lower": everything})
@@ -398,18 +468,15 @@ class TestMetamorphicInvalidation:
         cold = VerificationCache(g)
         for cache in (warm, cold):
             cache.rf_hits = cache.rf_misses = 0
-            cache.sig_hits = cache.sig_misses = 0
             cache.survivor_hits = cache.survivor_misses = 0
         for order in (state.upper, state.lower):
             cands = order.candidates(g)
             warm_out = two_hop_filter_cached(g, order, cands, warm)
             cold_out = two_hop_filter_cached(g, order, cands, cold)
             assert warm_out == cold_out
-            for x in warm_out[0]:
+            for x in warm_out:
                 assert warm.rf_for(order.side, x) is None
         assert warm.rf_hits == cold.rf_hits == 0
-        assert (warm.sig_hits, warm.sig_misses) == \
-            (cold.sig_hits, cold.sig_misses)
         assert (warm.survivor_hits, warm.survivor_misses) == \
             (cold.survivor_hits, cold.survivor_misses)
 
@@ -420,14 +487,13 @@ class TestMetamorphicInvalidation:
         state = OrderState(g, 3, 3, maintain=True)
         cache = VerificationCache(g)
         order = state.upper
-        surv, _ = two_hop_filter_cached(g, order, order.candidates(g), cache)
+        surv = two_hop_filter_cached(g, order, order.candidates(g), cache)
         for x in surv:
             cache.store_rf(order.side, x, reachable_from(g, order, x))
         cache.invalidate(None)
         assert cache.full_invalidations == 1
         for x in surv:
             assert cache.rf_for(order.side, x) is None
-            assert cache.signature_for(order.side, x) is None
             assert cache.survivor_verdict(order.side, x) is None
 
 
