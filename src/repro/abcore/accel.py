@@ -13,8 +13,12 @@ numpy is optional: :func:`available` reports whether the fast path can be
 used, and the Naive greedy — whose cost is one global peel per candidate —
 takes an ``accel="auto"`` knob that picks it up automatically.
 
-The FILVER family does not use this path: its peels run over small subsets
-(orders, affected graphs) where numpy's per-call overhead dominates.
+The FILVER family's region peels do not use this path: ``core_sweep`` runs
+one affected graph at a time and keeps its degree counters across levels.
+Affected graphs are not small, though: on a connected random graph each
+anchor's covers most of the graph, so the walk that finds one (and the
+verification cache's dilations) run as numpy frontier passes on CSR
+graphs (:mod:`repro.bigraph.frontier`).
 """
 
 from __future__ import annotations

@@ -94,6 +94,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.order_maintenance import DirtyRegions
 
@@ -149,7 +150,7 @@ class VerificationCache:
 
     def __init__(self, graph: BipartiteGraph,
                  seed: Optional[SeedTables] = None) -> None:
-        self._row_of = graph.adjacency.__getitem__
+        self._graph = graph
         self._seed = _EMPTY_SEED if seed is None else seed
         self._rf: Dict[str, Dict[int, Set[int]]] = {
             side: dict(self._seed.rf[side]) for side in _SIDES}
@@ -236,10 +237,13 @@ class VerificationCache:
             return
         for side in _SIDES:
             dirty_seed = dirty[side]
-            if not dirty_seed:
-                continue
-            d1, d3 = self._dilate(dirty_seed)
             rf_table = self._rf[side]
+            survivors = self._survivors[side]
+            # An empty table evicts nothing, so its dilation is skipped:
+            # D3 serves only the verdicts.
+            if not dirty_seed or not (rf_table or survivors):
+                continue
+            d1, d3 = self._dilate(dirty_seed, 3 if survivors else 1)
             followers = self._followers[side]
             doomed = [x for x, rf in rf_table.items()
                       if x in d1 or not rf.isdisjoint(d1)]
@@ -247,7 +251,7 @@ class VerificationCache:
                 del rf_table[x]
                 followers.pop(x, None)
             self.evictions += len(doomed)
-            self.evictions += _evict_keys(self._survivors[side], d3)
+            self.evictions += _evict_keys(survivors, d3)
 
     def freeze_seed(self) -> SeedTables:
         """Copy this cache's tables into a frozen, shareable seed.
@@ -272,18 +276,24 @@ class VerificationCache:
 
     # ------------------------------------------------------------------
 
-    def _dilate(self, seed: Set[int]) -> Tuple[Set[int], Set[int]]:
-        """``(D1, D3)``: the one- and three-hop dilations of ``seed``.
+    def _dilate(self, seed: Set[int], hops: int = 3,
+                ) -> Tuple[Set[int], Set[int]]:
+        """``(D1, D_hops)``: the one- and ``hops``-hop dilations of ``seed``.
 
         Rounds expand frontiers only — ``N(D_k) ⊆ D_k ∪ N(frontier_k)`` —
-        so the cost is the volume of the 3-hop neighborhood, not three
-        full neighborhood scans of ever-larger sets.
+        so the cost is the volume of the ``hops``-hop neighborhood, not
+        repeated full neighborhood scans of ever-larger sets.  On CSR
+        graphs each round is one :class:`repro.bigraph.frontier.Frontier`
+        pass.
         """
-        row_of = self._row_of
+        walk = frontier_for(self._graph)
+        if walk is not None:
+            return walk.dilate(seed, hops)
+        row_of = self._graph.adjacency.__getitem__
         current = set(seed)
         frontier: Iterable[int] = seed
-        d1: Set[int] = set()
-        for round_no in range(3):
+        d1: Set[int] = current
+        for round_no in range(hops):
             grown: Set[int] = set()
             add = grown.add
             for v in frontier:
@@ -291,7 +301,7 @@ class VerificationCache:
                     if w not in current:
                         add(w)
             current |= grown
-            if round_no == 0:
+            if round_no == 0 and hops > 1:
                 d1 = set(current)
             elif not grown:
                 break

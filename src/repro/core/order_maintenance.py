@@ -29,7 +29,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tu
 
 from repro.abcore.core_numbers import core_sweep
 from repro.abcore.decomposition import anchored_abcore
-from repro.bigraph.csr import adjacency_arrays
+from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.deletion_order import DeletionOrder, compute_order, order_from_peel
 
@@ -246,7 +246,10 @@ class OrderState:
 
         Returns the region and, as an ``n_vertices``-long list, each
         member's degree inside it: the walk tests every edge of the region
-        anyway, so it counts them for :func:`core_sweep`.
+        anyway, so it counts them for :func:`core_sweep`.  On CSR graphs
+        (with numpy) the walk is one level-synchronous
+        :class:`repro.bigraph.frontier.Frontier` pass per BFS level; on
+        list graphs it is a row loop.
 
         For ``level = 0`` the stored core numbers are vacuous, so the walk is
         instead confined to the (α,1)-core (upper side) / (1,β)-core (lower
@@ -272,47 +275,32 @@ class OrderState:
                 self._level0_core = dict.fromkeys(core, 1)
             numbers = self._level0_core
             level = 1
-        get = numbers.get
+        walk = frontier_for(graph)
+        if walk is not None:
+            return walk.component(x, walk.at_least(numbers, level))
 
         # A neighbor counts toward a member's degree when it is already in
         # the region (``x`` is, whatever its number) or passes the
         # membership test and joins it.
+        get = numbers.get
+        row_of = graph.adjacency.__getitem__
         degrees = [0] * graph.n_vertices
         region = {x}
         stack = [x]
         pop = stack.pop
         push = stack.append
         mark = region.add
-        arrays = adjacency_arrays(graph)
-        if arrays is None:
-            row_of = graph.adjacency.__getitem__
-            while stack:  # hot-loop
-                v = pop()
-                d = 0
-                for w in row_of(v):
-                    if w in region:
-                        d += 1
-                    elif get(w, 0) >= level:
-                        d += 1
-                        mark(w)
-                        push(w)
-                degrees[v] = d
-            return region, degrees
-        # CSR: slice the flat buffers directly, as FollowerKernel does,
-        # instead of one CSRAdjacency.__getitem__ call per row.
-        offsets = arrays[0]
-        with memoryview(arrays[1]) as rows:
-            while stack:  # hot-loop
-                v = pop()
-                d = 0
-                for w in rows[offsets[v]:offsets[v + 1]]:
-                    if w in region:
-                        d += 1
-                    elif get(w, 0) >= level:
-                        d += 1
-                        mark(w)
-                        push(w)
-                degrees[v] = d
+        while stack:  # hot-loop
+            v = pop()
+            d = 0
+            for w in row_of(v):
+                if w in region:
+                    d += 1
+                elif get(w, 0) >= level:
+                    d += 1
+                    mark(w)
+                    push(w)
+            degrees[v] = d
         return region, degrees
 
     def _repair_region(self, side: str, region: Set[int],

@@ -7,6 +7,7 @@ region's relaxed core (what order repair used to run), must equal the
 sweep's numbers, relaxed core, cap-level removal sequence and core.
 """
 
+import copy
 import random
 
 import pytest
@@ -158,6 +159,9 @@ def test_regions_from_order_repair(seed, backend):
             state._level0_core = None
             assert x in region
             assert degrees == induced_degrees(g, region)
+            if backend == "csr":
+                assert row_walk(state, side, x, start[side]) == \
+                    (region, degrees)
             level = max(1, start[side])
             assert_sweep_matches_oracle(g, alpha, beta, side, state.anchors,
                                         subset=region, start_level=level,
@@ -170,6 +174,34 @@ def test_regions_from_order_repair(seed, backend):
             shell = [p for p in order.position.values() if p >= 1]
             assert len(shell) == len(set(shell))
     assert checked
+
+
+def row_walk(state, side, x, level):
+    """The same walk on a list-backed twin of ``state`` (the row loop)."""
+    twin = copy.copy(state)
+    twin.graph = state.graph.to_list()
+    twin._level0_core = None
+    return twin._affected_graph(side, x, level)
+
+
+@pytest.mark.parametrize("backend", ["list", "csr"])
+def test_walk_from_an_anchor_with_an_empty_row(backend):
+    """An isolated anchor's affected graph is the anchor alone, at any
+    level, and every degree inside it is 0."""
+    g = from_edge_list([(0, 0), (0, 1), (1, 0), (1, 1)], n_upper=3,
+                       n_lower=2, backend=backend)
+    x = 2
+    assert len(g.adjacency[x]) == 0
+    state = OrderState(g, 2, 2)
+    state.anchors.add(x)
+    for side in ("upper", "lower"):
+        for level in (0, 1, 2):
+            state._level0_core = None
+            region, degrees = state._affected_graph(side, x, level)
+            assert region == {x}
+            assert degrees == [0] * g.n_vertices
+            if backend == "csr":
+                assert row_walk(state, side, x, level) == (region, degrees)
 
 
 def test_region_that_empties_before_the_cap():

@@ -398,6 +398,73 @@ class TestSignaturesOnDemand:
 
 
 # ----------------------------------------------------------------------
+# Dilations: D1 and D3 against a brute-force hop count
+# ----------------------------------------------------------------------
+
+def hop_ball(graph, seed, hops):
+    """Every vertex within ``hops`` hops of ``seed``: whole neighborhoods
+    of the whole ball, round after round."""
+    ball = set(seed)
+    for _ in range(hops):
+        ball = ball.union(*(graph.neighbors(v) for v in ball))
+    return ball
+
+
+def dilation_graph(backend):
+    """An ER part, a path 0-20-1 whose centre's dilation stops growing
+    after one round, and vertices of degree 0 in both layers (uppers 2,
+    19; lowers 21, 22, 39)."""
+    rng = random.Random(5)
+    edges = [(0, 0), (1, 0)]
+    edges += [(u, v) for u in range(3, 19) for v in range(3, 19)
+              if rng.random() < 0.15]
+    return from_edge_list(edges, n_upper=20, n_lower=20, backend=backend)
+
+
+class TestDilation:
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_dilations_match_hop_counts(self, backend):
+        g = dilation_graph(backend)
+        isolated = [v for v in g.vertices() if g.degree(v) == 0]
+        assert {2, 19, 21, 22, 39} <= set(isolated)
+        # The path centre's growth stops in round 2, before round 3.
+        assert hop_ball(g, {20}, 1) == hop_ball(g, {20}, 3) == {0, 1, 20}
+        rng = random.Random(11)
+        seeds = [set(), {20}, {0}, {2}, set(isolated), {20, 39},
+                 set(g.vertices())]
+        seeds += [set(rng.sample(list(g.vertices()), k)) for k in (1, 3, 8)]
+        cache = VerificationCache(g)
+        for seed in seeds:
+            d1, d3 = cache._dilate(seed)
+            assert d1 == hop_ball(g, seed, 1), seed
+            assert d3 == hop_ball(g, seed, 3), seed
+            assert cache._dilate(seed, 1) == (d1, d1), seed
+
+    def test_idle_tables_skip_their_dilation(self, monkeypatch):
+        """A side whose rf and verdict tables are both empty is not
+        dilated; rf entries alone need only D1, verdicts need D3."""
+        g = dilation_graph("csr")
+        cache = VerificationCache(g)
+        calls = []
+        real = cache._dilate
+
+        def spy(seed, hops=3):
+            calls.append(hops)
+            return real(seed, hops)
+
+        monkeypatch.setattr(cache, "_dilate", spy)
+        cache.invalidate({"upper": {20}, "lower": {20}})
+        assert calls == []
+        cache.store_rf("upper", 3, {4})
+        cache.store_survivor("lower", 0, True)
+        cache.invalidate({"upper": {20}, "lower": {20}})
+        assert calls == [1, 3]
+        assert cache.rf_for("upper", 3) == {4}
+        assert cache.survivor_verdict("lower", 0) is None
+        assert cache.evictions == 1
+
+
+# ----------------------------------------------------------------------
 # Eviction boundary: the one-hop dilation of the dirty set
 # ----------------------------------------------------------------------
 
