@@ -80,7 +80,12 @@ def core_sweep(
 
     ``degrees`` spares the count when the caller's own traversal already
     made it: an ``n_vertices``-long list holding each member's degree
-    inside the subset.  The sweep decrements it in place.
+    inside the subset.  The sweep decrements it in place.  It may also
+    count neighbors outside ``subset`` that the caller guarantees never
+    peel (order repair counts the current core's members and sweeps only
+    the rest of the affected graph): those neighbors are not alive,
+    so their edges are never decremented, exactly as for a neighbor that
+    is alive and survives every level.
     """
     validate_degree_constraints(alpha, beta)
     if side not in ("upper", "lower"):

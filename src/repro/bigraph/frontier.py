@@ -19,7 +19,9 @@ vectors, and each level is a pass over its whole frontier.
 * :meth:`Frontier.component` is the affected-graph walk: the allowed
   vertices connected to ``x``, with each member's degree inside that set.
   Every allowed neighbor of a member is a member, so a member's degree is
-  how often the walk reached it: one ``bincount``.
+  how often the walk reached it: one ``bincount``.  The walk hands back
+  only the members outside a ``closed`` mask (order repair's current
+  core), so the caller never filters the whole set in Python.
 * :meth:`Frontier.dilate` is the cache's dilation: every vertex within
   ``hops`` hops of a seed set.
 
@@ -81,19 +83,18 @@ class Frontier:
                        else _np.int64)
 
     # ------------------------------------------------------------------
-    # Masks
+    # Tables
     # ------------------------------------------------------------------
 
-    def at_least(self, numbers: Dict[int, int], level: int) -> Any:
-        """A per-vertex bool array: ``numbers.get(v, 0) >= level`` for a
-        ``level >= 1``."""
-        out = _np.zeros(self.n, dtype=bool)
+    def values(self, numbers: Dict[int, int]) -> Any:
+        """``numbers`` as an ``n``-long int array, 0 where a vertex has no
+        entry: one pass serves every threshold mask of a walk."""
+        out = _np.zeros(self.n, dtype=_np.int64)
         if numbers:
             count = len(numbers)
             keys = _np.fromiter(numbers.keys(), dtype=_np.int64, count=count)
-            values = _np.fromiter(numbers.values(), dtype=_np.int64,
-                                  count=count)
-            out[keys[values >= level]] = True
+            out[keys] = _np.fromiter(numbers.values(), dtype=_np.int64,
+                                     count=count)
         return out
 
     # ------------------------------------------------------------------
@@ -140,14 +141,18 @@ class Frontier:
     # Walks
     # ------------------------------------------------------------------
 
-    def component(self, x: int, allowed: Any) -> Tuple[Set[int], List[int]]:
+    def component(self, x: int, allowed: Any, closed: Any,
+                  ) -> Tuple[Set[int], List[int]]:
         """The allowed vertices connected to ``x`` (``x`` itself always
-        counts as allowed), and as an ``n``-long list each member's degree
-        inside that set.  Sets ``allowed[x]``.
+        counts as allowed) that are not ``closed``, and as an ``n``-long
+        list each member's degree inside the whole connected set, closed
+        members included.  Sets ``allowed[x]``.
 
-        Every allowed neighbor of a member is a member, and each member's
-        row is gathered once, so a member's degree is the number of times
-        it was reached.
+        Closed vertices are walked through like any other member: they
+        connect the open ones and count toward their degrees, but only the
+        open members are handed back.  Every allowed neighbor of a member
+        is a member, and each member's row is gathered once, so a member's
+        degree is the number of times it was reached.
         """
         allowed[x] = True
         frontier = _np.array([x], dtype=_np.intp)
@@ -160,7 +165,8 @@ class Frontier:
             reached.append(entries)
         region = _np.concatenate(levels)
         degrees = _np.bincount(_np.concatenate(reached), minlength=self.n)
-        return set(region.tolist()), degrees.tolist()
+        return (set(region[~closed.take(region)].tolist()),
+                degrees.tolist())
 
     def dilate(self, seed: Collection[int], hops: int) -> Tuple[Set[int],
                                                                 Set[int]]:

@@ -16,6 +16,15 @@ valid deletion order: an order-increasing path never crosses between the old
 and new regions, because adjacent shell vertices always share an
 ``(α,β-1)``-core component.
 
+A repair sweeps only the affected graph's *open part* ``R° = AG ∖ C``,
+where ``C`` is the current anchored ``(α,β)``-core.  Anchors are only ever
+added, so ``C`` only grows, and ``C ∩ AG`` supports itself inside ``AG``
+(every ``C``-neighbor of a member has the cap number and lies in the same
+component).  A sweep of the whole affected graph would therefore never
+remove, renumber or re-label a ``C`` member, which holds no position
+entry; the core is never peeled, renumbered or re-scanned, and a repair
+costs ``O(|E(R°)| + cap·|R°|)`` plus the walk.
+
 :class:`OrderState` bundles both orders, the capped upper/lower core numbers
 (Definition 10), and the current anchored core, and keeps them all consistent
 as anchors are placed one at a time (FILVER+) or in batches (FILVER++).
@@ -176,7 +185,7 @@ class OrderState:
         Per Section V-B, each side processes the batch in non-decreasing core
         number; an anchor that falls inside an earlier anchor's affected
         graph is skipped because its own affected graph is contained in the
-        already-repaired region.
+        already-repaired region, and so is an anchor already in the core.
 
         Returns the per-side *dirty regions*: for each order, the exact set
         of vertices whose position entry (zero entries included) or anchored
@@ -184,10 +193,11 @@ class OrderState:
         incremental verification cache (:mod:`repro.core.incremental`)
         builds on is the converse: **every position entry and every core
         membership outside the returned sets is bit-identical to its value
-        before the call**.  Algorithm 4 renumbers whole affected regions
-        with fresh positions, so the dirty sets are the repaired regions'
-        shells plus core-membership flips plus zero-entry churn — not just
-        the placed anchors.  ``None`` is returned on the full-recompute path
+        before the call**.  Algorithm 4 renumbers the open part of each
+        affected region (the part outside the core) with fresh positions,
+        so the dirty sets are the repaired regions' shells plus
+        core-membership flips plus zero-entry churn — not just the placed
+        anchors.  ``None`` is returned on the full-recompute path
         (``maintain=False``), where nothing can be said about what moved.
         """
         fresh = [x for x in new_anchors if x not in self.anchors]
@@ -202,10 +212,11 @@ class OrderState:
         start_core_l = {x: self.core_l.get(x, 0) for x in fresh}
         self.anchors.update(fresh)
 
-        new_core, dirty_u = self._repair_side("upper", fresh, start_core_u)
-        lower_core, dirty_l = self._repair_side("lower", fresh, start_core_l)
+        joined, dirty_u = self._repair_side("upper", fresh, start_core_u)
+        _, dirty_l = self._repair_side("lower", fresh, start_core_l)
         # Both repairs independently arrive at the anchored (α,β)-core; share
         # one set object so the two orders can never drift apart.
+        new_core = self.upper.core | joined
         self.upper.core = new_core
         self.lower.core = new_core
         dirty_u |= self._rebuild_zero_entries("upper")
@@ -221,35 +232,53 @@ class OrderState:
                      ) -> Tuple[Set[int], Set[int]]:
         """Repair one side's order and core numbers.
 
-        Returns ``(new_core, dirty)`` where ``dirty`` collects every vertex
-        whose position entry or core membership this side's repairs changed.
+        Returns ``(joined, dirty)``: the vertices that joined the anchored
+        core, and every vertex whose position entry or core membership
+        this side's repairs changed.
+
+        Anchors are only ever added, so the anchored core ``C`` only grows,
+        within a batch as across batches.  An anchor already in ``C`` when
+        the batch starts (the side's ``order.core``, untouched until
+        :meth:`apply_anchors` publishes the new core) changes nothing.  An
+        anchor inside an earlier region of the batch is repaired already,
+        since its own affected graph lies in that region; it sits in that
+        region's open part, which ``covered`` collects, or in ``C`` (a
+        vertex that joined the core during the batch was in an open part).
+        Either way it is skipped.
         """
+        order = self.upper if side == "upper" else self.lower
+        core = order.core
         covered: Set[int] = set()
+        joined: Set[int] = set()
         dirty: Set[int] = set()
         ordered = sorted(fresh, key=lambda x: (start_levels[x], x))
-        core = self.upper.core if side == "upper" else self.lower.core
         self._level0_core = None  # per-batch cache for _affected_graph
         for x in ordered:
-            if x in covered:
+            if x in covered or x in core:
                 continue
             region, degrees = self._affected_graph(side, x, start_levels[x])
-            core, changed = self._repair_region(
-                side, region, degrees, core, level=max(1, start_levels[x]))
+            grown, changed = self._repair_region(
+                side, region, degrees, level=max(1, start_levels[x]))
             covered |= region
+            joined |= grown
             dirty |= changed
         self._level0_core = None
-        return core, dirty
+        return joined, dirty
 
     def _affected_graph(self, side: str, x: int, level: int,
                         ) -> Tuple[Set[int], List[int]]:
         """BFS from ``x`` restricted to core numbers ≥ ``level`` (Line 2).
 
-        Returns the region and, as an ``n_vertices``-long list, each
-        member's degree inside it: the walk tests every edge of the region
-        anyway, so it counts them for :func:`core_sweep`.  On CSR graphs
-        (with numpy) the walk is one level-synchronous
-        :class:`repro.bigraph.frontier.Frontier` pass per BFS level; on
-        list graphs it is a row loop.
+        Returns the region's *open part* ``R° = region ∖ C``, where ``C``
+        is the side's current anchored core (the vertices whose capped
+        core number is the cap), and, as an ``n_vertices``-long list, each
+        region member's degree inside the whole region, ``C`` members
+        included: the walk tests every edge of the region anyway, so it
+        counts them for :func:`core_sweep`.  The walk runs through ``C``,
+        which connects the open vertices.  On CSR graphs (with numpy) the walk is one level-synchronous
+        :class:`repro.bigraph.frontier.Frontier` pass per BFS level and
+        the frontier hands back ``R°`` itself; on list graphs it is a row
+        loop that collects ``R°`` as it marks members.
 
         For ``level = 0`` the stored core numbers are vacuous, so the walk is
         instead confined to the (α,1)-core (upper side) / (1,β)-core (lower
@@ -261,9 +290,12 @@ class OrderState:
         component" to a small neighborhood.
         """
         graph = self.graph
-        if level >= 1:
-            numbers = self.core_u if side == "upper" else self.core_l
+        if side == "upper":
+            numbers, cap = self.core_u, self.beta
         else:
+            numbers, cap = self.core_l, self.alpha
+        reach = numbers
+        if level < 1:
             # The anchored graph is fixed for the whole batch, so the level-0
             # core peel is shared across the batch's anchors; its members
             # get "core number" 1 so one membership test serves both cases.
@@ -273,19 +305,25 @@ class OrderState:
                 else:
                     core = anchored_abcore(graph, 1, self.beta, self.anchors)
                 self._level0_core = dict.fromkeys(core, 1)
-            numbers = self._level0_core
+            reach = self._level0_core
             level = 1
         walk = frontier_for(graph)
         if walk is not None:
-            return walk.component(x, walk.at_least(numbers, level))
+            values = walk.values(numbers)
+            allowed = values if reach is numbers else walk.values(reach)
+            return walk.component(x, allowed >= level, values >= cap)
 
         # A neighbor counts toward a member's degree when it is already in
         # the region (``x`` is, whatever its number) or passes the
-        # membership test and joins it.
-        get = numbers.get
+        # membership test and joins it; a joining vertex below the cap is
+        # open.
+        get = reach.get
+        number = numbers.get
         row_of = graph.adjacency.__getitem__
         degrees = [0] * graph.n_vertices
         region = {x}
+        open_part = {x} if number(x, 0) < cap else set()
+        keep = open_part.add
         stack = [x]
         pop = stack.pop
         push = stack.append
@@ -300,13 +338,16 @@ class OrderState:
                     d += 1
                     mark(w)
                     push(w)
+                    if number(w, 0) < cap:
+                        keep(w)
             degrees[v] = d
-        return region, degrees
+        return open_part, degrees
 
     def _repair_region(self, side: str, region: Set[int],
-                       degrees: List[int], core: Set[int], level: int,
+                       degrees: List[int], level: int,
                        ) -> Tuple[Set[int], Set[int]]:
-        """Recompute core numbers and order positions inside one region.
+        """Recompute core numbers and order positions in one region's open
+        part ``region = R°`` (the affected graph less the current core).
 
         ``level`` is the placed anchor's old core number (at least 1): every
         region member has a core number ≥ ``level``, so one
@@ -315,14 +356,25 @@ class OrderState:
         removal sequence — the region's deletion order, numbered from the
         side's counter upward.
 
-        Returns ``(new_core, changed)``.  ``changed`` is the subset of the
-        region whose position entry or core membership actually differs
-        after the repair: renumbering assigns fresh positions above every
-        existing one, so in practice it is the region's shell plus any
-        membership flips, while region vertices that sit in the core both
-        before and after (no position entry either way) stay clean.  Only
-        region positions are ever deleted or (re)assigned here, so vertices
-        outside the region cannot change.
+        Sweeping ``R°`` alone gives what a sweep of the whole affected
+        graph gives, restricted to ``R°``.  The current core ``C`` only
+        grows, and ``C ∩ region`` supports itself inside the region: every
+        ``C``-neighbor of a member has the cap number and is connected to
+        it, so it lies in the region too.  So the whole-region sweep never
+        removes a ``C`` member, and those members keep the cap number, stay
+        out of the removal sequence and hold no position entry.  ``degrees``
+        counts their edges toward ``R°`` members; they sit outside the
+        sweep's ``alive`` set, so the sweep never decrements them, exactly
+        as if they were alive and never peeled.
+
+        Returns ``(joined, changed)``.  ``joined`` is the part of ``R°``
+        that is now in the core.  ``changed`` is the subset of ``R°``
+        whose position entry or core membership actually differs after the
+        repair.  Renumbering assigns fresh positions above every existing
+        one, so that is the new relaxed core of ``R°`` (each member is
+        renumbered or joined the core) plus every member that lost an
+        entry.  Only ``R°`` positions are ever deleted or (re)assigned
+        here, so vertices outside it cannot change.
         """
         sweep = core_sweep(self.graph, self.alpha, self.beta, side,
                            self.anchors, region, level, degrees)
@@ -338,24 +390,16 @@ class OrderState:
             start = self._counter_l + 1
             self._counter_l += len(sequence)
 
-        # Fresh order positions for the region, numbered above everything.
+        # Fresh order positions for the open part, numbered above everything.
         position = order.position
         pop = position.pop
-        old_entries = {v: pop(v, None) for v in region}
+        changed = {v for v in region if pop(v, None) is not None}
         position.update(zip(sequence, range(start, start + len(sequence))))
-
-        order.relaxed_core = (order.relaxed_core - region) | sweep.relaxed_core
-        new_core = (core - region) | sweep.core
-        order.core = new_core
-
-        changed: Set[int] = set()
-        get = position.get
-        for v in region:
-            if get(v) != old_entries[v]:
-                changed.add(v)
-            elif (v in core) != (v in new_core):
-                changed.add(v)
-        return new_core, changed
+        relaxed = order.relaxed_core
+        relaxed -= region
+        relaxed |= sweep.relaxed_core
+        changed |= sweep.relaxed_core
+        return sweep.core, changed
 
     def _rebuild_zero_entries(self, side: str) -> Set[int]:
         """Refresh the position-0 promising-anchor entries globally.

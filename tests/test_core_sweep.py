@@ -15,9 +15,10 @@ import pytest
 from repro.abcore import anchored_abcore
 from repro.abcore.core_numbers import core_sweep
 from repro.bigraph import from_edge_list
-from repro.core import OrderState, compute_order
+from repro.core import OrderState, compute_order, order_maintenance
 
 from conftest import random_bigraph
+from test_order_maintenance import assert_state_matches_fresh
 
 
 def level_by_level_core_numbers(graph, fixed, cap, anchors, vary_upper_side,
@@ -73,6 +74,47 @@ def induced_degrees(graph, region):
     for v in region:
         degrees[v] = sum(1 for w in graph.neighbors(v) if w in region)
     return degrees
+
+
+def affected_region(state, side, x, level):
+    """The whole affected graph of ``x``, walked apart from ``OrderState``:
+    ``x``'s component of the vertices whose capped core number reaches
+    ``level`` (``level = 0``: of the anchored level-1 core)."""
+    g = state.graph
+    if level >= 1:
+        numbers = state.core_u if side == "upper" else state.core_l
+        inside = {v for v, k in numbers.items() if k >= level}
+    else:
+        inside = level_core(g, state.alpha, state.beta, side, state.anchors, 1)
+    region = {x}
+    stack = [x]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w in inside and w not in region:
+                region.add(w)
+                stack.append(w)
+    return region
+
+
+def assert_open_sweep_matches_whole(graph, alpha, beta, side, anchors,
+                                    whole, closed, level, degrees):
+    """Sweeping the open part ``whole ∖ closed`` with the whole region's
+    degrees gives the whole region's sweep restricted to the open part,
+    and the whole sweep never removes a closed vertex."""
+    cap = beta if side == "upper" else alpha
+    open_part = whole - closed
+    part = core_sweep(graph, alpha, beta, side, anchors, open_part, level,
+                      list(degrees))
+    full = core_sweep(graph, alpha, beta, side, anchors, whole, level,
+                      list(degrees))
+    assert closed <= full.core
+    assert all(full.numbers[v] == cap for v in closed)
+    assert part.sequence == full.sequence
+    assert part.numbers == {v: k for v, k in full.numbers.items()
+                            if v in open_part}
+    assert part.core == full.core - closed
+    assert part.relaxed_core == full.relaxed_core - closed
+    return part
 
 
 def level_core(graph, alpha, beta, side, anchors, level):
@@ -138,7 +180,9 @@ def test_every_start_level_up_to_the_cap(seed, alpha, beta):
 @pytest.mark.parametrize("backend", ["list", "csr"])
 @pytest.mark.parametrize("seed", range(12))
 def test_regions_from_order_repair(seed, backend):
-    """Affected graphs exactly as ``OrderState`` walks them, with its degrees."""
+    """Affected graphs exactly as ``OrderState`` walks them, with its degrees:
+    the walk hands back the open part (the region less the current core)
+    and every region member's degree inside the whole region."""
     rng = random.Random(seed)
     alpha, beta = rng.choice([(1, 2), (2, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
     g = two_components(200 + seed)
@@ -155,17 +199,26 @@ def test_regions_from_order_repair(seed, backend):
                  "lower": state.core_l.get(x, 0)}
         state.anchors.add(x)
         for side in ("upper", "lower"):
-            region, degrees = state._affected_graph(side, x, start[side])
+            cap = beta if side == "upper" else alpha
+            numbers = state.core_u if side == "upper" else state.core_l
+            whole = affected_region(state, side, x, start[side])
+            open_part, degrees = state._affected_graph(side, x, start[side])
             state._level0_core = None
-            assert x in region
-            assert degrees == induced_degrees(g, region)
+            assert x in whole
+            closed = whole & state.core
+            assert closed == {v for v in whole if numbers.get(v, 0) == cap}
+            assert open_part == whole - closed
+            assert degrees == induced_degrees(g, whole)
             if backend == "csr":
                 assert row_walk(state, side, x, start[side]) == \
-                    (region, degrees)
+                    (open_part, degrees)
             level = max(1, start[side])
             assert_sweep_matches_oracle(g, alpha, beta, side, state.anchors,
-                                        subset=region, start_level=level,
+                                        subset=whole, start_level=level,
                                         degrees=list(degrees))
+            assert_open_sweep_matches_whole(g, alpha, beta, side,
+                                            state.anchors, whole, closed,
+                                            level, degrees)
             checked += 1
         state.anchors.discard(x)
         state.apply_anchor(x)
@@ -174,6 +227,82 @@ def test_regions_from_order_repair(seed, backend):
             shell = [p for p in order.position.values() if p >= 1]
             assert len(shell) == len(set(shell))
     assert checked
+
+
+@pytest.mark.parametrize("backend", ["list", "csr"])
+@pytest.mark.parametrize("seed", range(10))
+def test_repairs_sweep_only_the_open_part(seed, backend, monkeypatch):
+    """Every repair sweep of ``apply_anchor`` and of FILVER++ batches of
+    2-3 anchors runs over the open part of its affected graph: disjoint
+    from the core before that repair, and equal to the whole region's
+    sweep with the same degrees, restricted to the open part."""
+    rng = random.Random(seed)
+    g = (two_components(300 + seed) if seed % 2 == 0
+         else random_bigraph(300 + seed, n1_range=(10, 20),
+                             n2_range=(10, 20), density=0.15))
+    if backend == "csr":
+        g = g.to_csr()
+    # The first constraints with a core to split the regions by.
+    constraints = [(2, 2), (3, 2), (2, 3), (3, 3)]
+    rng.shuffle(constraints)
+    for alpha, beta in constraints + [(2, 1), (1, 2)]:
+        state = OrderState(g, alpha, beta)
+        if state.core:
+            break
+    walks = []
+    real_walk = OrderState._affected_graph
+
+    def walk_spy(self, side, x, level):
+        walks.append((side, affected_region(self, side, x, level)))
+        return real_walk(self, side, x, level)
+
+    batch = {}
+    seen = {"sweeps": 0, "closed": 0}
+
+    def sweep_spy(graph, alpha, beta, side, anchors=(), subset=None,
+                  start_level=0, degrees=None):
+        if subset is None:  # a whole-graph rebuild, not a repair
+            return core_sweep(graph, alpha, beta, side, anchors, subset,
+                              start_level, degrees)
+        walked_side, whole = walks[-1]
+        assert walked_side == side
+        cap = beta if side == "upper" else alpha
+        numbers = state.core_u if side == "upper" else state.core_l
+        pre_core = batch["core"] | batch[side]
+        assert pre_core == {v for v, k in numbers.items() if k == cap}
+        assert not set(subset) & pre_core
+        closed = whole & pre_core
+        assert set(subset) == whole - closed
+        part = assert_open_sweep_matches_whole(
+            graph, alpha, beta, side, anchors, whole, closed, start_level,
+            degrees)
+        sweep = core_sweep(graph, alpha, beta, side, anchors, subset,
+                           start_level, degrees)
+        assert sweep == part
+        batch[side] |= sweep.core
+        seen["sweeps"] += 1
+        seen["closed"] += len(closed)
+        return sweep
+
+    monkeypatch.setattr(OrderState, "_affected_graph", walk_spy)
+    monkeypatch.setattr(order_maintenance, "core_sweep", sweep_spy)
+    # Vertices outside the core, and one inside it, which changes nothing.
+    pool = [v for v in g.vertices() if v not in state.core]
+    rng.shuffle(pool)
+    pool.insert(1, min(state.core))
+    while pool:
+        size = rng.choice([1, 2, 3])
+        fresh, pool = pool[:size], pool[size:]
+        batch.update(core=set(state.core), upper=set(), lower=set())
+        if size == 1:
+            state.apply_anchor(fresh[0])
+        else:
+            state.apply_anchors(fresh)
+        assert batch["upper"] == batch["lower"] == state.core - batch["core"]
+        assert_state_matches_fresh(g, alpha, beta, state, state.anchors)
+        if len(state.anchors) >= 12:
+            break
+    assert seen["sweeps"] and seen["closed"]
 
 
 def row_walk(state, side, x, level):
