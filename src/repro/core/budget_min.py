@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from typing import Collection, Iterable, List, Optional, Set
 
-from repro.abcore.decomposition import abcore, anchored_abcore
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.validation import check_vertex
 from repro.core.deletion_order import r_scores
@@ -86,8 +85,10 @@ def minimize_anchors_for_targets(
 def _greedy_until(graph, alpha, beta, goal, max_anchors, algorithm,
                   targets: Optional[Set[int]] = None) -> AnchoredCoreResult:
     start = time.perf_counter()
-    base_core = abcore(graph, alpha, beta)
+    # Without maintenance every apply rebuilds the orders, so the pristine
+    # core set is never mutated and the last one is the anchored core.
     state = OrderState(graph, alpha, beta, maintain=False)
+    base_core = state.core
     iterations: List[IterationRecord] = []
     limit = max_anchors if max_anchors is not None \
         else graph.n_vertices - len(base_core)
@@ -108,7 +109,7 @@ def _greedy_until(graph, alpha, beta, goal, max_anchors, algorithm,
             elapsed=time.perf_counter() - iter_start))
 
     anchors = sorted(state.anchors)
-    final_core = anchored_abcore(graph, alpha, beta, anchors)
+    final_core = state.core
     ordered_anchors = [a for record in iterations for a in record.anchors]
     return AnchoredCoreResult(
         algorithm=algorithm, alpha=alpha, beta=beta,

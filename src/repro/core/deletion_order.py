@@ -17,7 +17,7 @@ the FILVER family:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.abcore.decomposition import anchored_abcore, peel_with_order
@@ -33,6 +33,7 @@ __all__ = [
     "reachable_from",
     "reachable_sets",
     "signature",
+    "zero_order_anchors",
 ]
 
 
@@ -93,7 +94,7 @@ class DeletionOrder:
         return max(self.position.values(), default=0)
 
 
-def _zero_order_anchors(
+def zero_order_anchors(
     graph: BipartiteGraph,
     side: str,
     shell_sequence: Collection[int],
@@ -170,7 +171,7 @@ def order_from_peel(
     and the promising anchors outside the relaxed core get position 0.
     """
     position = dict(zip(sequence, range(1, len(sequence) + 1)))
-    for z in _zero_order_anchors(graph, side, sequence, relaxed_core, anchors):
+    for z in zero_order_anchors(graph, side, sequence, relaxed_core, anchors):
         position[z] = 0
     return DeletionOrder(side=side, position=position, core=core,
                          relaxed_core=relaxed_core, alpha=alpha, beta=beta)

@@ -181,9 +181,12 @@ def run_engine(
       any other (``None`` or any ``k``, any worker count).  An unreadable,
       corrupt, foreign-format, or self-contradictory checkpoint is refused
       with :class:`~repro.exceptions.CheckpointError`;
-    * ``KeyboardInterrupt`` / ``MemoryError`` at an iteration boundary
-      degrade gracefully into a verified best-so-far result flagged
-      ``interrupted=True`` instead of losing the campaign;
+    * ``KeyboardInterrupt`` / ``MemoryError`` degrade gracefully into a
+      verified best-so-far result flagged ``interrupted=True`` instead of
+      losing the campaign.  Such an interrupt can tear an apply, so this
+      is the one exit whose final core is re-peeled from the anchor list;
+      every other exit reads it from the shard states, which hold the
+      anchored core at every iteration boundary;
     * ``handle_sigterm=True`` additionally converts ``SIGTERM`` into the
       same path: a :class:`repro.resilience.signals.TerminationFlag` is
       installed for the duration of the run (main thread only — elsewhere
@@ -273,6 +276,7 @@ def run_engine(
     iterations: List[IterationRecord] = []
     timed_out = False
     interrupted = False
+    torn = False
     exhausted = False
     elapsed_prior = 0.0
     fingerprint = ""
@@ -400,7 +404,7 @@ def run_engine(
         # Graceful degradation: the anchor list is only extended after a
         # successful apply, so finalizing here yields a verified
         # best-so-far result rather than losing hours of campaign.
-        interrupted = True
+        interrupted = torn = True
     finally:
         if termination is not None:
             termination.restore()
@@ -413,15 +417,19 @@ def run_engine(
         for shard in shard_list:  # refcounting then frees shard state
             shard.release()
 
-    # Authoritative objective, recomputed once per shard from the global
-    # anchor list: the anchored core of a disjoint union is the union of
-    # the parts' anchored cores.
-    anchors_of = dict(split_by_shard(anchors, route))
+    # The anchored core of a disjoint union is the union of the parts'.
+    # At an iteration boundary each state's core is its shard's anchored
+    # core.  An interrupt may have torn an apply, leaving a state
+    # mid-repair or an earlier shard holding a batch ``anchors`` lacks, so
+    # then the cores are re-peeled from the anchor list.
     final_core: Set[int] = set()
     for shard in shard_list:
-        local_anchors = shard.view.localize(anchors_of.get(shard.index, []))
-        final_core |= shard.view.globalize(anchored_abcore(
-            shard.graph, alpha, beta, local_anchors))
+        core = shard.state.core
+        if torn:
+            local_anchors = shard.view.localize(
+                x for x in anchors if route(x) == shard.index)
+            core = anchored_abcore(shard.graph, alpha, beta, local_anchors)
+        final_core |= shard.view.globalize(core)
     follower_set = final_core - base_core - set(anchors)
     return AnchoredCoreResult(
         algorithm=algorithm, alpha=alpha, beta=beta, b1=b1, b2=b2,

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.bigraph.graph import BipartiteGraph
-from repro.core.deletion_order import DeletionOrder
+from repro.core.deletion_order import DeletionOrder, reachable_from
 
 __all__ = ["compute_followers", "follower_count"]
 
@@ -67,17 +67,16 @@ def compute_followers(
         peel.
     candidates:
         Pre-computed ``rf(x)`` if the caller already has it (the FILVER+
-        filter stage computes ``|rf(x)|`` anyway); otherwise it is derived
-        here.
+        filter stage computes ``|rf(x)|`` anyway); otherwise
+        :func:`~repro.core.deletion_order.reachable_from` derives it.
     """
     if core is None:
         core = order.core
-    position = order.position
     adjacency = graph.adjacency
     n_upper = graph.n_upper
 
     if candidates is None:
-        candidates = _collect_reachable(adjacency, position, x)
+        candidates = reachable_from(graph, order, x)
     if not candidates:
         return set()
 
@@ -132,27 +131,3 @@ def follower_count(
     """``|F(x)|`` without materializing the follower set for the caller."""
     return len(compute_followers(graph, order, x, core))
 
-
-def _collect_reachable(adjacency, position: Dict[int, int], x: int) -> Set[int]:
-    """Inline order-respecting DFS (mirrors ``deletion_order.reachable_from``).
-
-    Duplicated here (rather than imported) because this is the hottest loop
-    of the verification stage and the local version avoids attribute lookups.
-    """
-    px = position[x]
-    reached: Set[int] = set()
-    stack = [(x, px)]
-    pop = stack.pop
-    push = stack.append
-    get = position.get
-    mark = reached.add
-    row_of = adjacency.__getitem__
-    while stack:  # hot-loop
-        v, pv = pop()
-        for w in row_of(v):
-            pw = get(w)
-            if pw is None or pw <= pv or w in reached:
-                continue
-            mark(w)
-            push((w, pw))
-    return reached

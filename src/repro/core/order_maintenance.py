@@ -34,13 +34,14 @@ Equivalence with full recomputation is property-tested in
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.abcore.core_numbers import core_sweep
 from repro.abcore.decomposition import anchored_abcore
 from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
-from repro.core.deletion_order import DeletionOrder, compute_order, order_from_peel
+from repro.core.deletion_order import (DeletionOrder, compute_order,
+                                       order_from_peel, zero_order_anchors)
 
 __all__ = ["OrderState"]
 
@@ -406,34 +407,21 @@ class OrderState:
 
         Zero entries are cheap to rebuild (one pass over the shell's
         adjacency) and doing it globally sidesteps the bookkeeping of which
-        old zero entries became stale when the shell moved.
+        old zero entries became stale when the shell moved.  Once the old
+        zeros are deleted, every entry left is a shell vertex, so
+        :func:`~repro.core.deletion_order.zero_order_anchors` applies as
+        it does to a fresh peel.
 
         Returns the churn — vertices whose zero entry appeared or vanished;
         a vertex deleted here and re-assigned 0 has an unchanged entry and
         is not reported.
         """
         order = self.upper if side == "upper" else self.lower
-        graph = self.graph
         position = order.position
         old_zeros = {v for v, p in position.items() if p == 0}
         for v in old_zeros:  # repro: ignore[determinism] - deletions commute
             del position[v]
-        want_upper = side == "upper"
-        relaxed = order.relaxed_core
-        anchors = self.anchors
-        is_upper = graph.is_upper
-        neighbors = graph.neighbors  # hoisted: one row fetch per shell vertex
-        # Bipartite: every neighbor of a want-side vertex is on the other
-        # side, so only rows of opposite-side shell vertices can contribute
-        # want-side zero entries — the same-side rows are skipped wholesale
-        # instead of filtering their edges one by one.
-        shell = [v for v, p in position.items()
-                 if p >= 1 and is_upper(v) != want_upper]
-        new_zeros: Set[int] = set()
-        for v in shell:
-            for w in neighbors(v):
-                if w in relaxed or w in anchors or w in position:
-                    continue
-                position[w] = 0
-                new_zeros.add(w)
+        new_zeros = zero_order_anchors(self.graph, side, position,
+                                       order.relaxed_core, self.anchors)
+        position.update(dict.fromkeys(new_zeros, 0))
         return old_zeros ^ new_zeros

@@ -2,11 +2,13 @@
 
 import pytest
 
+import repro.core.budget_min as budget_min_mod
 from repro.abcore import abcore, anchored_abcore
 from repro.core.budget_min import (
     minimize_anchors_for_growth,
     minimize_anchors_for_targets,
 )
+from repro.core.verify import verify_result
 from repro.exceptions import InvalidParameterError
 
 from conftest import K34, random_bigraph
@@ -92,3 +94,27 @@ class TestTargetGoal:
     def test_out_of_range_target_rejected(self, k34_with_periphery):
         with pytest.raises(InvalidParameterError):
             minimize_anchors_for_targets(k34_with_periphery, 4, 3, [999])
+
+
+
+class TestCoresFromTheState:
+    def test_base_and_final_core_come_from_the_order_state(
+            self, monkeypatch, k34_with_periphery):
+        """The rebuilt ``OrderState`` already holds both cores, so neither
+        goal peels the graph for them, and both results still verify."""
+        peels = []
+        for name, real in (("abcore", abcore),
+                           ("anchored_abcore", anchored_abcore)):
+            def counting(*args, real=real):
+                peels.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(budget_min_mod, name, counting,
+                                raising=False)
+        g = k34_with_periphery
+        growth = minimize_anchors_for_growth(g, 4, 3, 4)
+        targets = minimize_anchors_for_targets(g, 4, 3, [K34["u7"]])
+        assert len(growth.anchors) == 2 and len(targets.anchors) == 1
+        assert peels == []
+        assert verify_result(g, growth).ok
+        assert verify_result(g, targets).ok

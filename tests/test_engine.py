@@ -6,9 +6,15 @@ import time
 import pytest
 from hypothesis import assume, given, settings
 
-from repro.core import EngineOptions, engine_options, run_engine
-from repro.exceptions import AbortCampaign
+import repro.core.engine as engine_mod
+from repro.bigraph import disjoint_union
+from repro.core import EngineOptions, engine_options, reinforce, run_engine
+from repro.core.batch import SharedCampaignContext
+from repro.core.verify import verify_result
+from repro.exceptions import AbortCampaign, FaultInjected
+from repro.generators.planted import planted_core_graph
 from repro.resilience.checkpoint import load_checkpoint
+from repro.resilience.faults import FaultPlan
 
 from conftest import graphs_with_constraints, random_bigraph
 
@@ -202,3 +208,94 @@ class TestObservers:
         result = run_engine(g, 3, 3, 3, 3, ABLATIONS["both"], "x",
                             on_iteration=seen.append)
         assert seen == result.iterations
+
+
+def three_component_graph():
+    """Three planted-core components: ``shards=2`` makes a two-shard plan."""
+    return disjoint_union([
+        planted_core_graph(alpha=3, beta=3, core_upper=6, core_lower=6,
+                           n_chains=6, max_chain_length=4, seed=100 + i)
+        for i in range(3)
+    ])
+
+
+@pytest.fixture
+def final_peels(monkeypatch):
+    """The calls ``run_engine`` makes to ``anchored_abcore``."""
+    calls = []
+    real = engine_mod.anchored_abcore
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "anchored_abcore", counting)
+    return calls
+
+
+class TestFinalCoreFromStates:
+    """Every exit at an iteration boundary reads the final anchored core
+    from the shard states: no closing re-peel, and the result still
+    verifies against an independent recompute."""
+
+    @pytest.mark.parametrize("method,t", [
+        ("filver", 1), ("filver+", 1), ("filver++", 2)])
+    @pytest.mark.parametrize("shards", [None, 1, 2])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_completed_campaign_peels_nothing(self, final_peels, method, t,
+                                              shards, shared):
+        g = three_component_graph()
+        if shared:
+            with SharedCampaignContext(g, 3, 3) as ctx:
+                result = reinforce(g, 3, 3, 3, 3, method=method, t=t,
+                                   shards=shards, context=ctx)
+        else:
+            result = reinforce(g, 3, 3, 3, 3, method=method, t=t,
+                               shards=shards)
+        assert result.n_followers > 0
+        assert not (result.timed_out or result.interrupted)
+        assert final_peels == []
+        assert verify_result(g, result).ok
+
+    @pytest.mark.parametrize("shards", [None, 1])
+    def test_timed_out_and_aborted_campaigns_peel_nothing(
+            self, monkeypatch, final_peels, shards):
+        g = three_component_graph()
+        real = time.perf_counter
+        clock = {"offset": 0.0}
+        monkeypatch.setattr(time, "perf_counter",
+                            lambda: real() + clock["offset"])
+
+        def expire(_record):
+            clock["offset"] += 100.0
+
+        timed = run_engine(g, 3, 3, 3, 3, engine_options("filver++", 2), "x",
+                           deadline=real() + 50.0, on_iteration=expire,
+                           shards=shards)
+        assert timed.timed_out and len(timed.iterations) == 1
+
+        def abort(_record):
+            raise AbortCampaign("stop")
+
+        aborted = reinforce(g, 3, 3, 3, 3, method="filver+", shards=shards,
+                            on_iteration=abort)
+        assert aborted.interrupted and len(aborted.iterations) == 1
+        assert final_peels == []
+        assert verify_result(g, timed).ok
+        assert verify_result(g, aborted).ok
+
+    def test_resumed_campaign_peels_nothing(self, tmp_path, final_peels):
+        g = three_component_graph()
+        full = reinforce(g, 3, 3, 3, 3, method="filver++", t=2, shards=2)
+        assert len(full.iterations) >= 2
+        ckpt = tmp_path / "c.json"
+        with FaultPlan().add("engine.filter", call=2).active():
+            with pytest.raises(FaultInjected):
+                reinforce(g, 3, 3, 3, 3, method="filver++", t=2, shards=2,
+                          checkpoint=str(ckpt))
+        resumed = reinforce(g, 3, 3, 3, 3, method="filver++", t=2,
+                            resume_from=str(ckpt))
+        assert final_peels == []
+        assert verify_result(g, resumed).ok
+        assert resumed.anchors == full.anchors
+        assert resumed.followers == full.followers

@@ -156,6 +156,55 @@ class TestGracefulDegradation:
         anchored = anchored_abcore(graph, 3, 3, partial.anchors)
         assert partial.followers == anchored - base - set(partial.anchors)
 
+    def test_interrupt_between_shards_repeels_the_final_core(
+            self, monkeypatch):
+        """A ``KeyboardInterrupt`` on the second shard of a batch leaves the
+        first shard holding anchors the result does not list, so the final
+        core must come from a re-peel of the listed anchors, not from the
+        shard states."""
+        import repro.core.engine as engine_mod
+        from repro.bigraph import disjoint_union
+        from repro.core.sharded import CampaignShard, shard_views
+        from repro.core.verify import verify_result
+        from repro.generators.planted import planted_core_graph
+
+        graph = disjoint_union([
+            planted_core_graph(alpha=3, beta=3, core_upper=6, core_lower=6,
+                               n_chains=6, max_chain_length=4, seed=100 + i)
+            for i in range(3)])
+        full = reinforce(graph, 3, 3, 4, 4, method="filver++", t=4)
+        _views, route = shard_views(graph, None)
+        spans = [len({route(x) for x in record.anchors})
+                 for record in full.iterations]
+        torn = next((k for k, span in enumerate(spans) if span >= 2), None)
+        assert torn is not None, "fixture needs a batch spanning two shards"
+
+        target = sum(spans[:torn]) + 2  # the batch's second shard apply
+        applies = []
+        real_apply = CampaignShard.apply
+
+        def tearing_apply(shard, batch):
+            applies.append(shard.index)
+            if len(applies) == target:
+                raise KeyboardInterrupt
+            real_apply(shard, batch)
+
+        peels = []
+        real_peel = engine_mod.anchored_abcore
+
+        def counting_peel(*args):
+            peels.append(args)
+            return real_peel(*args)
+
+        monkeypatch.setattr(CampaignShard, "apply", tearing_apply)
+        monkeypatch.setattr(engine_mod, "anchored_abcore", counting_peel)
+        partial = reinforce(graph, 3, 3, 4, 4, method="filver++", t=4)
+        assert partial.interrupted and not partial.timed_out
+        assert partial.anchors == [x for record in full.iterations[:torn]
+                                   for x in record.anchors]
+        assert verify_result(graph, partial).ok
+        assert len(peels) == len(_views)  # every shard was re-peeled
+
     def test_checkpoint_write_fault_preserves_previous_checkpoint(
             self, tmp_path):
         graph = campaign_graph()
