@@ -25,6 +25,14 @@ vectors, and each level is a pass over its whole frontier.
 * :meth:`Frontier.dilate` is the cache's dilation: every vertex within
   ``hops`` hops of a seed set.
 
+The two-hop domination filter (Algorithm 3) uses the same gathers for
+its cache misses.  :meth:`Frontier.undominated` decides every miss's
+survivor verdict together: each signature is a masked gather of the
+miss's row, the dominator pool is a masked gather of one signature
+vertex's row, and ``sig(x) ⊆ sig(w)`` is a sorted search of encoded
+``(w, v)`` signature entries, instead of one neighbor-list intersection
+per candidate in Python.
+
 Scratch arrays are allocated per call, so threads that share one graph
 (the service's workers) never share them.  numpy is optional:
 :func:`frontier_for` returns ``None`` for list-backed graphs or when numpy
@@ -33,7 +41,8 @@ is not installed, and callers keep their per-row loops for that case.
 
 from __future__ import annotations
 
-from typing import Any, Collection, Dict, List, Optional, Set, Tuple
+from typing import (Any, Collection, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.bigraph.csr import adjacency_arrays
 
@@ -101,19 +110,27 @@ class Frontier:
     # The primitive
     # ------------------------------------------------------------------
 
-    def _gather(self, rows: Any) -> Any:
-        """The neighbors of ``rows``, row after row, as one ``intp`` array
-        (numpy converts narrower index arrays on every fancy-index use)."""
+    @staticmethod
+    def _spans(starts: Any, counts: Any) -> Any:
+        """The flat indices of the spans ``[starts[i], starts[i] +
+        counts[i])``, span after span."""
+        ends = _np.cumsum(counts)
+        total = int(ends[-1]) if ends.size else 0
+        # The j-th index of span i is starts[i] + j, and j is the entry's
+        # place minus the number of entries before span i.
+        at = _np.repeat(starts - (ends - counts), counts)
+        at += _np.arange(total, dtype=at.dtype)
+        return at
+
+    def _gather(self, rows: Any) -> Tuple[Any, Any]:
+        """``(reached, counts)``: the neighbors of ``rows``, row after row,
+        as one ``intp`` array (numpy converts narrower index arrays on
+        every fancy-index use), and each row's length."""
         offsets = self.offsets
         starts = offsets.take(rows)
         counts = offsets.take(rows + 1) - starts
-        ends = _np.cumsum(counts)
-        total = int(ends[-1]) if ends.size else 0
-        # The j-th neighbor of row i sits at starts[i] + j, and j is the
-        # entry's position minus the number of entries before row i.
-        at = _np.repeat(starts - (ends - counts), counts)
-        at += _np.arange(total, dtype=at.dtype)
-        return self.neighbors.take(at).astype(_np.intp)
+        at = self._spans(starts, counts)
+        return self.neighbors.take(at).astype(_np.intp), counts
 
     def expand(self, frontier: Any, stamp: Any,
                allowed: Any = None) -> Tuple[Any, Any]:
@@ -124,7 +141,7 @@ class Frontier:
         reached)``: ``fresh`` holds each newly seen vertex once (they are
         marked seen), ``reached`` every allowed neighbor entry gathered.
         """
-        reached = self._gather(frontier)
+        reached = self._gather(frontier)[0]
         if allowed is not None:
             reached = reached[allowed.take(reached)]
         fresh = reached[stamp.take(reached) < 0]
@@ -184,3 +201,113 @@ class Frontier:
             if not frontier.size:
                 break
         return d1, reached
+
+    # ------------------------------------------------------------------
+    # Two-hop domination (Algorithm 3)
+    # ------------------------------------------------------------------
+
+    def _signatures(self, rows: Any, position: Any) -> Tuple[Any, Any, Any]:
+        """``(entries, owner, sizes)``: ``sig(x)`` of every ``x`` in
+        ``rows`` — the neighbors with a larger ``position`` — row after
+        row, the index into ``rows`` each entry belongs to, and each
+        signature's size."""
+        reached, counts = self._gather(rows)
+        owner = _np.repeat(_np.arange(rows.size, dtype=self._index), counts)
+        keep = position.take(reached) > _np.repeat(position.take(rows),
+                                                   counts)
+        owner = owner[keep]
+        return (reached[keep], owner,
+                _np.bincount(owner, minlength=rows.size))
+
+    def undominated(self, misses: Sequence[int], position: Dict[int, int],
+                    candidates: Collection[int]) -> List[bool]:
+        """Algorithm 3's verdict for each of ``misses``, in their order.
+
+        ``x`` survives iff ``sig(x) ≠ ∅`` and no candidate ``w ≠ x`` with
+        a larger ``(|sig(w)|, w)`` key has ``sig(x) ⊆ sig(w)``, where
+        ``sig(v)`` is the neighbors of ``v`` with a larger ``position``
+        (Definition 8).  ``misses`` must be candidates, and every
+        candidate must hold a ``position`` entry.  Five passes over the
+        CSR buffers decide every miss together:
+
+        1. gather the misses' rows and keep the entries above each
+           miss's position: every ``sig(x)``, and a ``bincount`` of sizes;
+        2. pick one signature vertex ``v1`` per miss, the least degree;
+        3. gather the ``v1`` rows and keep each candidate ``w ≠ x`` below
+           ``v1``: the pairs ``(x, w)`` with ``v1 ∈ sig(w)``, a superset
+           of ``x``'s dominator pool, whichever ``v1`` was picked;
+        4. gather the distinct ``w``'s rows for ``sig(w)`` and drop each
+           pair whose ``w`` key is not larger than ``x``'s;
+        5. test ``sig(x) ⊆ sig(w)`` for the pairs left: every ``(w, v)``
+           signature entry encoded as one int, searched in sorted order
+           for each ``v ∈ sig(x)`` of each pair.
+
+        Two ids encode as ``a * n + b`` in an int64, which holds for
+        graphs below three billion vertices.
+        """
+        n = self.n
+        pos = _np.full(n, -1, dtype=_np.int64)
+        count = len(position)
+        pos[_np.fromiter(position.keys(), dtype=_np.intp, count=count)] = \
+            _np.fromiter(position.values(), dtype=_np.int64, count=count)
+        is_candidate = _np.zeros(n, dtype=bool)
+        is_candidate[_np.fromiter(candidates, dtype=_np.intp,
+                                  count=len(candidates))] = True
+        xs = _np.fromiter(misses, dtype=_np.intp, count=len(misses))
+
+        # 1. Every sig(x), grouped by miss.
+        sig_x, _, size_x = self._signatures(xs, pos)
+        live = _np.flatnonzero(size_x).astype(self._index)
+        verdict = size_x > 0
+        if not live.size:
+            return verdict.tolist()
+        starts_x = _np.cumsum(size_x) - size_x
+
+        # 2. The least-degree signature vertex of each live miss (ties by
+        #    id): the smallest degree * n + v of its group.
+        offsets = self.offsets
+        key = (offsets.take(sig_x + 1) - offsets.take(sig_x)) * n + sig_x
+        v1 = _np.minimum.reduceat(key, starts_x.take(live)) % n
+
+        # 3. Pairs (x, w): candidates w != x adjacent to v1 below it.
+        reached, counts = self._gather(v1)
+        pair_x = _np.repeat(live, counts)
+        keep = (is_candidate.take(reached)
+                & (pos.take(reached) < _np.repeat(pos.take(v1), counts))
+                & (reached != xs.take(pair_x)))
+        pair_w = reached[keep]
+        pair_x = pair_x[keep]
+        if not pair_w.size:
+            return verdict.tolist()
+
+        # 4. sig(w) of the distinct w; keep the pairs whose w key is larger.
+        mark = _np.zeros(n, dtype=bool)
+        mark[pair_w] = True
+        ws = _np.flatnonzero(mark)
+        sig_w, owner_w, size_w = self._signatures(ws, pos)
+        size_of = _np.zeros(n, dtype=_np.int64)
+        size_of[ws] = size_w
+        sw = size_of.take(pair_w)
+        sx = size_x.take(pair_x)
+        larger = (sw > sx) | ((sw == sx) & (pair_w > xs.take(pair_x)))
+        pair_w = pair_w[larger]
+        pair_x = pair_x[larger]
+        if not pair_w.size:
+            return verdict.tolist()
+
+        # 5. sig(x) ⊆ sig(w) for each pair: a pair fails on any v of
+        #    sig(x) whose (w, v) is no signature entry of w.
+        entries = ws.take(owner_w) * n + sig_w
+        entries.sort()
+        counts = size_x.take(pair_x)
+        queries = (_np.repeat(pair_w * n, counts)
+                   + sig_x.take(self._spans(starts_x.take(pair_x), counts)))
+        at = _np.searchsorted(entries, queries)
+        at[at == entries.size] = 0
+        missing = entries.take(at) != queries
+        pair_of = _np.repeat(_np.arange(pair_w.size, dtype=self._index),
+                             counts)
+        failed = _np.zeros(pair_w.size, dtype=bool)
+        failed[pair_of[missing]] = True
+        verdict[pair_x[~failed]] = False
+        return verdict.tolist()

@@ -92,7 +92,7 @@ stored at epoch 0: it starts from copies of the seed's tables.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
@@ -208,12 +208,18 @@ class VerificationCache:
     # ------------------------------------------------------------------
 
     def survivor_verdict(self, side: str, x: int) -> Optional[bool]:
-        verdict = self._survivors[side].get(x)
-        if verdict is None:
-            self.survivor_misses += 1
-        else:
-            self.survivor_hits += 1
-        return verdict
+        """The cached two-hop verdict of ``x``, or ``None`` on a miss."""
+        return self.survivor_verdicts(side, (x,))[0]
+
+    def survivor_verdicts(self, side: str,
+                          xs: Sequence[int]) -> List[Optional[bool]]:
+        """:meth:`survivor_verdict` of each of ``xs``, in their order: one
+        read per filter pass."""
+        verdicts = list(map(self._survivors[side].get, xs))
+        misses = verdicts.count(None)
+        self.survivor_misses += misses
+        self.survivor_hits += len(verdicts) - misses
+        return verdicts
 
     def store_survivor(self, side: str, x: int, survived: bool) -> None:
         self._survivors[side][x] = survived

@@ -41,7 +41,7 @@ from repro.abcore.decomposition import anchored_abcore
 from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.deletion_order import (DeletionOrder, compute_order,
-                                       order_from_peel, zero_order_anchors)
+                                       order_from_peel)
 
 __all__ = ["OrderState"]
 
@@ -220,8 +220,6 @@ class OrderState:
         new_core = self.upper.core | joined
         self.upper.core = new_core
         self.lower.core = new_core
-        dirty_u |= self._rebuild_zero_entries("upper")
-        dirty_l |= self._rebuild_zero_entries("lower")
         return {"upper": dirty_u, "lower": dirty_l}
 
     # ------------------------------------------------------------------
@@ -234,8 +232,10 @@ class OrderState:
         """Repair one side's order and core numbers.
 
         Returns ``(joined, dirty)``: the vertices that joined the anchored
-        core, and every vertex whose position entry or core membership
-        this side's repairs changed.
+        core, and every vertex whose position entry (zero entries
+        included) or core membership this side's repairs changed.  The
+        zero entries are refreshed last, around the open parts and the
+        fresh anchors only.
 
         Anchors are only ever added, so the anchored core ``C`` only grows,
         within a batch as across batches.  An anchor already in ``C`` when
@@ -252,18 +252,22 @@ class OrderState:
         covered: Set[int] = set()
         joined: Set[int] = set()
         dirty: Set[int] = set()
+        flipped: Set[int] = set()
         ordered = sorted(fresh, key=lambda x: (start_levels[x], x))
         self._level0_core = None  # per-batch cache for _affected_graph
         for x in ordered:
             if x in covered or x in core:
                 continue
             region, degrees = self._affected_graph(side, x, start_levels[x])
-            grown, changed = self._repair_region(
+            grown, changed, shell_flips = self._repair_region(
                 side, region, degrees, level=max(1, start_levels[x]))
             covered |= region
             joined |= grown
             dirty |= changed
+            flipped |= shell_flips
         self._level0_core = None
+        covered.update(fresh)
+        dirty |= self._refresh_zero_entries(side, covered, flipped)
         return joined, dirty
 
     def _affected_graph(self, side: str, x: int, level: int,
@@ -346,7 +350,7 @@ class OrderState:
 
     def _repair_region(self, side: str, region: Set[int],
                        degrees: List[int], level: int,
-                       ) -> Tuple[Set[int], Set[int]]:
+                       ) -> Tuple[Set[int], Set[int], Set[int]]:
         """Recompute core numbers and order positions in one region's open
         part ``region = R°`` (the affected graph less the current core).
 
@@ -368,14 +372,19 @@ class OrderState:
         sweep's ``alive`` set, so the sweep never decrements them, exactly
         as if they were alive and never peeled.
 
-        Returns ``(joined, changed)``.  ``joined`` is the part of ``R°``
-        that is now in the core.  ``changed`` is the subset of ``R°``
-        whose position entry or core membership actually differs after the
-        repair.  Renumbering assigns fresh positions above every existing
-        one, so that is the new relaxed core of ``R°`` (each member is
-        renumbered or joined the core) plus every member that lost an
-        entry.  Only ``R°`` positions are ever deleted or (re)assigned
-        here, so vertices outside it cannot change.
+        Returns ``(joined, changed, flipped)``.  ``joined`` is the part of
+        ``R°`` that is now in the core.  ``changed`` is the subset of
+        ``R°`` whose position entry or core membership actually differs
+        after the repair.  Renumbering assigns fresh positions above every
+        existing one, so that is the new relaxed core of ``R°`` (each
+        member is renumbered or joined the core) plus every member that
+        lost an entry.  ``flipped`` holds the members of ``R°`` with an
+        entry before or after the repair but not both; on the layer
+        opposite the side's zero entries that is exactly the members that
+        gained or lost a positive entry, the shell vertices whose
+        neighbors' zero entries may change.  Only ``R°`` positions are
+        ever deleted or (re)assigned here, so vertices outside it cannot
+        change.
         """
         sweep = core_sweep(self.graph, self.alpha, self.beta, side,
                            self.anchors, region, level, degrees)
@@ -396,32 +405,62 @@ class OrderState:
         pop = position.pop
         changed = {v for v in region if pop(v, None) is not None}
         position.update(zip(sequence, range(start, start + len(sequence))))
+        flipped = changed.symmetric_difference(sequence)
         relaxed = order.relaxed_core
         relaxed -= region
         relaxed |= sweep.relaxed_core
         changed |= sweep.relaxed_core
-        return sweep.core, changed
+        return sweep.core, changed, flipped
 
-    def _rebuild_zero_entries(self, side: str) -> Set[int]:
-        """Refresh the position-0 promising-anchor entries globally.
+    def _refresh_zero_entries(self, side: str, touched: Set[int],
+                              flipped: Set[int]) -> Set[int]:
+        """Refresh the position-0 promising-anchor entries a repair can
+        change.
 
-        Zero entries are cheap to rebuild (one pass over the shell's
-        adjacency) and doing it globally sidesteps the bookkeeping of which
-        old zero entries became stale when the shell moved.  Once the old
-        zeros are deleted, every entry left is a shell vertex, so
-        :func:`~repro.core.deletion_order.zero_order_anchors` applies as
-        it does to a fresh peel.
+        ``w`` holds a zero entry iff it is on the side's layer, outside
+        the relaxed core, not an anchor, and adjacent to a shell vertex
+        (one with a positive entry): the rule
+        :func:`~repro.core.deletion_order.zero_order_anchors` applies to a
+        fresh peel.  A repair changes position entries and relaxed-core
+        membership only inside its open parts, and the anchor set only at
+        the batch's fresh anchors; ``touched`` holds both.  So ``w``'s
+        status can change only if ``w`` is touched, or adjacent to a
+        vertex that gained or lost a positive entry: an other-layer vertex
+        in ``flipped``.  Only those vertices are refreshed.
 
-        Returns the churn — vertices whose zero entry appeared or vanished;
-        a vertex deleted here and re-assigned 0 has an unchanged entry and
-        is not reported.
+        Returns the churn — vertices whose zero entry appeared or
+        vanished, the set a global rebuild's ``old ^ new`` would give.
         """
         order = self.upper if side == "upper" else self.lower
         position = order.position
-        old_zeros = {v for v, p in position.items() if p == 0}
-        for v in old_zeros:  # repro: ignore[determinism] - deletions commute
-            del position[v]
-        new_zeros = zero_order_anchors(self.graph, side, position,
-                                       order.relaxed_core, self.anchors)
-        position.update(dict.fromkeys(new_zeros, 0))
-        return old_zeros ^ new_zeros
+        get = position.get
+        relaxed = order.relaxed_core
+        anchors = self.anchors
+        graph = self.graph
+        row_of = graph.adjacency.__getitem__
+        own, other = ((graph.is_upper, graph.is_lower) if side == "upper"
+                      else (graph.is_lower, graph.is_upper))
+        # A touched vertex holds no zero entry after the repair (an open
+        # part loses every entry but the fresh positive ones, and a core
+        # member holds none), so inside the relaxed core it stays
+        # non-zero.  A bipartite row holds only the other layer.
+        around = set(filter(own, touched - relaxed))
+        for v in filter(other, flipped):
+            around.update(row_of(v))
+        churn: Set[int] = set()
+        # Order-free: each test reads other-layer entries only, and every
+        # write is an own-layer entry.
+        for w in around:  # repro: ignore[determinism]
+            zero = False
+            if w not in relaxed and w not in anchors:
+                for v in row_of(w):
+                    if get(v, 0) > 0:
+                        zero = True
+                        break
+            if zero != (get(w) == 0):
+                churn.add(w)
+                if zero:
+                    position[w] = 0
+                else:
+                    del position[w]
+        return churn

@@ -17,10 +17,12 @@ equal-signature ties by keeping exactly one representative (Lemma 3).
 
 from __future__ import annotations
 
+from itertools import compress
 from math import log2
 from typing import (TYPE_CHECKING, AbstractSet, Dict, Iterable, List,
                     Sequence, Set, Tuple)
 
+from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.deletion_order import DeletionOrder, signature
 
@@ -103,39 +105,63 @@ def two_hop_filter_cached(
     ``(|sig|, id)`` key sits in ``x``'s order-obeying two-hop pool — a
     predicate of ``x`` alone, independent of the order candidates are
     visited in.  This function replays cached verdicts for hits and
-    evaluates that predicate directly for misses (full pool first, key
-    filter after; the pool is tiny once the neighbor-list intersection
-    has run).  Signatures are computed only for the misses and their pool
-    members, each at most once per call.
+    evaluates that predicate for all misses together: on CSR graphs (with
+    numpy) in whole-array passes,
+    :meth:`repro.bigraph.frontier.Frontier.undominated`; otherwise per
+    miss, full pool first and key filter after (the pool is tiny once the
+    neighbor-list intersection has run), computing signatures only for
+    the misses and their pool members, each at most once per call.
     """
     side = order.side
+    verdicts = cache.survivor_verdicts(side, candidates)
+    if None in verdicts:
+        misses = [x for x, verdict in zip(candidates, verdicts)
+                  if verdict is None]
+        walk = frontier_for(graph)
+        if walk is not None:
+            decided = walk.undominated(misses, order.position, candidates)
+        else:
+            decided = _row_verdicts(graph, order, misses, candidates)
+        for x, verdict in zip(misses, decided):
+            cache.store_survivor(side, x, verdict)
+        fresh = iter(decided)
+        verdicts = [next(fresh) if verdict is None else verdict
+                    for verdict in verdicts]
+    return list(compress(candidates, verdicts))
+
+
+def _row_verdicts(
+    graph: BipartiteGraph,
+    order: DeletionOrder,
+    misses: Sequence[int],
+    candidates: Sequence[int],
+) -> List[bool]:
+    """The survivor verdict of each miss, one dominator pool at a time."""
     candidate_set = set(candidates)
     sigs: Dict[int, Set[int]] = {}
+    decided: List[bool] = []
+    for x in misses:
+        sig_x = _memo_signature(graph, order, sigs, x)
+        if not sig_x:
+            decided.append(False)
+            continue
+        key = (len(sig_x), x)
+        pool = _dominator_pool(graph, order, x, sig_x,
+                               candidate_set, _NO_VISITED)
+        # Order-free: an existence test over the pool.
+        decided.append(not any(
+            (len(_memo_signature(graph, order, sigs, w)), w) > key
+            for w in pool))
+    return decided
 
-    def sig_of(v: int) -> Set[int]:
-        sig = sigs.get(v)
-        if sig is None:
-            sig = sigs[v] = signature(graph, order, v)
-        return sig
 
-    survivors: List[int] = []
-    for x in candidates:
-        verdict = cache.survivor_verdict(side, x)
-        if verdict is None:
-            sig_x = sig_of(x)
-            if not sig_x:
-                verdict = False
-            else:
-                key = (len(sig_x), x)
-                pool = _dominator_pool(graph, order, x, sig_x,
-                                       candidate_set, _NO_VISITED)
-                # Order-free: an existence test over the pool.
-                verdict = not any(
-                    (len(sig_of(w)), w) > key for w in pool)
-            cache.store_survivor(side, x, verdict)
-        if verdict:
-            survivors.append(x)
-    return survivors
+def _memo_signature(graph: BipartiteGraph, order: DeletionOrder,
+                    sigs: Dict[int, Set[int]], v: int) -> Set[int]:
+    """``sig(v)``, computed at most once per ``sigs`` table."""
+    sig = sigs.get(v)
+    if sig is None:
+        sig = sigs[v] = signature(graph, order, v)
+    return sig
 
 
 def _dominator_pool(

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.bigraph import frontier, from_edge_list
+from repro.bigraph import frontier, from_biadjacency, from_edge_list
 from repro.core import reinforce
 from repro.experiments.export import canonical_result_dict
 from repro.generators.planted import planted_core_graph
@@ -62,3 +62,25 @@ def test_frontier_only_for_csr_graphs():
     assert frontier.frontier_for(g) is None
     walk = frontier.frontier_for(g.to_csr())
     assert walk is not None and walk.n == g.n_vertices
+
+
+def test_undominated_on_a_hand_built_graph():
+    """Uppers 0-4 over lowers 5-7 with hand-set positions: sig(0) = {5, 6},
+    sig(1) = {5, 6, 7}, sig(2) = sig(3) = {7} at position 0, and sig(4)
+    is empty.  Only 1 survives all five; among 2 and 3 alone the tie goes
+    to the larger id; with 1 gone, 0 survives."""
+    g = from_biadjacency([
+        [1, 1, 0],
+        [1, 1, 1],
+        [0, 0, 1],
+        [0, 0, 1],
+        [1, 0, 0],
+    ]).to_csr()
+    position = {0: 1, 1: 2, 2: 0, 3: 0, 4: 9, 5: 5, 6: 6, 7: 4}
+    walk = frontier.frontier_for(g)
+    everyone = [0, 1, 2, 3, 4]
+    assert walk.undominated(everyone, position, everyone) == [
+        False, True, False, False, False]
+    assert walk.undominated([3, 2], position, [2, 3]) == [True, False]
+    assert walk.undominated([0, 4], position, [0, 2, 3, 4]) == [True, False]
+    assert walk.undominated([], position, everyone) == []

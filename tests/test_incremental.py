@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.bigraph import disjoint_union, from_edge_list
+from repro.bigraph import disjoint_union, frontier, from_edge_list
 from repro.bigraph.kernel import FollowerKernel, kernel_for
 from repro.core import engine_options, reinforce
 from repro.core.deletion_order import reachable_from, reachable_sets
@@ -329,12 +329,13 @@ class TestCacheDifferential:
 class TestSignaturesOnDemand:
     def test_signatures_are_computed_only_for_verdict_misses(
             self, monkeypatch):
-        """``two_hop_filter_cached`` computes ``sig(v)`` only for a
-        candidate whose verdict missed and for the members of that
-        candidate's order-obeying two-hop pool (Definition 9), each at
-        most once per call: a repeated pass with no invalidation computes
-        none, and survivors equal the oracle's as a set throughout."""
-        g = planted_composite(6, seed_base=500).to_csr()
+        """On the row path (a list-backed graph), ``two_hop_filter_cached``
+        computes ``sig(v)`` only for a candidate whose verdict missed and
+        for the members of that candidate's order-obeying two-hop pool
+        (Definition 9), each at most once per call: a repeated pass with
+        no invalidation computes none, and survivors equal the oracle's as
+        a set throughout."""
+        g = planted_composite(6, seed_base=500)
         state = OrderState(g, 3, 3, maintain=True)
         cache = VerificationCache(g)
         real = signatures_module.signature
@@ -390,6 +391,85 @@ class TestSignaturesOnDemand:
                           if v not in state.anchors)
             cache.invalidate(state.apply_anchors([rng.choice(pool)]))
             for side, (misses, allowed, computed, n_cands) in \
+                    filter_pass().items():
+                assert misses <= computed <= allowed, side
+                if misses and len(computed) < n_cands:
+                    partial += 1
+        assert partial > 0  # some pass recomputed only part of a side
+
+    @pytest.mark.skipif(frontier._np is None, reason="numpy not installed")
+    def test_array_pass_gathers_only_misses_and_their_two_hop_pools(
+            self, monkeypatch):
+        """On CSR, the array pass computes signatures only for the verdict
+        misses and for candidates in their order-obeying two-hop pools
+        (``w`` adjacent to some ``v ∈ sig(x)`` below it, Definition 9);
+        every other row it gathers is a miss's signature vertex.  A pass
+        with only verdict hits gathers no row at all, and survivors equal
+        the oracle's as a set throughout."""
+        g = planted_composite(6, seed_base=500).to_csr()
+        state = OrderState(g, 3, 3, maintain=True)
+        cache = VerificationCache(g)
+        gathered, signed = [], []
+        real_gather = frontier.Frontier._gather
+        real_signatures = frontier.Frontier._signatures
+
+        def spy_gather(self, rows):
+            gathered.extend(rows.tolist())
+            return real_gather(self, rows)
+
+        def spy_signatures(self, rows, position):
+            signed.extend(rows.tolist())
+            return real_signatures(self, rows, position)
+
+        monkeypatch.setattr(frontier.Frontier, "_gather", spy_gather)
+        monkeypatch.setattr(frontier.Frontier, "_signatures", spy_signatures)
+
+        def filter_pass():
+            """One pass over both sides; returns, per side, the verdict
+            misses, the candidates whose signature may be computed, the
+            vertices it was computed for, every row gathered, and the
+            candidate count."""
+            seen = {}
+            for order in (state.upper, state.lower):
+                side = order.side
+                cands = order.candidates(g)
+                if not cands:
+                    continue
+                position = order.position
+                misses = {x for x in cands
+                          if cache.survivor_verdict(side, x) is None}
+                allowed = set(misses)
+                sig_vertices = set()
+                for x in misses:
+                    sig_x = signatures_module.signature(g, order, x)
+                    sig_vertices |= sig_x
+                    allowed |= {w for v in sig_x for w in g.neighbors(v)
+                                if w in position and w != x
+                                and position[w] < position[v]}
+                allowed &= set(cands)
+                ref, _ = two_hop_filter(g, order, cands)
+                del gathered[:], signed[:]
+                got = two_hop_filter_cached(g, order, cands, cache)
+                assert sorted(got) == sorted(ref), side
+                assert set(gathered) <= allowed | sig_vertices, side
+                seen[side] = (misses, allowed, set(signed), set(gathered),
+                              len(cands))
+            return seen
+
+        cold = filter_pass()
+        assert cold
+        for misses, allowed, computed, _rows, _n in cold.values():
+            assert misses and misses <= computed <= allowed
+        for misses, _allowed, computed, rows, _n in filter_pass().values():
+            assert not misses and not computed and not rows
+
+        rng = random.Random(11)
+        partial = 0
+        for _step in range(3):
+            pool = sorted(v for v in state.upper.position
+                          if v not in state.anchors)
+            cache.invalidate(state.apply_anchors([rng.choice(pool)]))
+            for side, (misses, allowed, computed, _rows, n_cands) in \
                     filter_pass().items():
                 assert misses <= computed <= allowed, side
                 if misses and len(computed) < n_cands:

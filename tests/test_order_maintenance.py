@@ -2,12 +2,15 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.abcore import anchored_abcore, lower_core_numbers, upper_core_numbers
 from repro.core import OrderState, compute_order
+from repro.core.deletion_order import zero_order_anchors
 from repro.core.followers import compute_followers
+from repro.generators.planted import planted_core_graph
 
 from conftest import K34, graphs_with_constraints, random_bigraph
 
@@ -123,3 +126,71 @@ def test_maintained_orders_support_exact_follower_computation():
                 continue
             local = compute_followers(g, order, y, core=state.core)
             assert local == reference, (seed, y)
+
+
+def global_zero_rebuild(state, side):
+    """The position-0 entries rebuilt over the whole order: every old zero
+    deleted, the fresh-peel rule applied to all shell entries, and the
+    churn ``old ^ new`` returned."""
+    order = state.upper if side == "upper" else state.lower
+    position = order.position
+    old = {v for v, p in position.items() if p == 0}
+    for v in old:
+        del position[v]
+    new = zero_order_anchors(state.graph, side, position,
+                             order.relaxed_core, state.anchors)
+    position.update(dict.fromkeys(new, 0))
+    return old ^ new
+
+
+@pytest.mark.parametrize("backend", ["list", "csr"])
+@pytest.mark.parametrize("seed", range(8))
+def test_zero_entries_refreshed_near_the_repair_equal_a_global_rebuild(
+        seed, backend):
+    """Refreshing the zero entries around the repaired open parts and the
+    fresh anchors gives what rebuilding them over the whole order gives:
+    the same positions and the same dirty regions (whose zero churn is the
+    global ``old ^ new``) after every ``apply_anchor`` and every batch,
+    and a state equal to a fresh peel."""
+    rng = random.Random(seed)
+    if seed % 2:
+        g = planted_core_graph(alpha=3, beta=3, core_upper=8, core_lower=8,
+                               n_chains=10, max_chain_length=6,
+                               seed=700 + seed)
+        alpha, beta = 3, 3
+    else:
+        g = random_bigraph(700 + seed, n1_range=(12, 24),
+                           n2_range=(12, 24), density=0.12)
+        alpha, beta = rng.choice([(2, 2), (3, 2), (2, 3)])
+    if backend == "csr":
+        g = g.to_csr()
+    state = OrderState(g, alpha, beta)
+    ref = OrderState(g, alpha, beta)
+    ref._refresh_zero_entries = (
+        lambda side, *_near: global_zero_rebuild(ref, side))
+    pool = [v for v in g.vertices() if v not in state.core]
+    rng.shuffle(pool)
+    placed = []
+    churned = 0
+    while pool:
+        size = rng.choice([1, 1, 2, 3])
+        fresh, pool = pool[:size], pool[size:]
+        zeros = {side: {v for v, p in order.position.items() if p == 0}
+                 for side, order in (("upper", state.upper),
+                                     ("lower", state.lower))}
+        if size == 1:
+            dirty, expected = state.apply_anchor(fresh[0]), \
+                ref.apply_anchor(fresh[0])
+        else:
+            dirty, expected = state.apply_anchors(fresh), \
+                ref.apply_anchors(fresh)
+        placed.extend(x for x in fresh if x not in placed)
+        assert dirty == expected
+        for side, order, twin in (("upper", state.upper, ref.upper),
+                                  ("lower", state.lower, ref.lower)):
+            assert order.position == twin.position
+            after = {v for v, p in order.position.items() if p == 0}
+            churned += len(zeros[side] ^ after)
+            assert zeros[side] ^ after <= dirty[side]
+        assert_state_matches_fresh(g, alpha, beta, state, placed)
+    assert churned

@@ -1,11 +1,18 @@
 """Tests for follower signatures and the two-hop domination filter."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 
 from repro.abcore import abcore
 from repro.abcore.decomposition import followers as global_followers
-from repro.core import compute_orders, signature, two_hop_filter
+from repro.bigraph import disjoint_union, frontier, from_biadjacency
+from repro.core import (OrderState, compute_orders, signature,
+                        two_hop_filter, two_hop_filter_cached)
+from repro.core.incremental import VerificationCache
 from repro.core.signatures import signatures_of
+from repro.generators.planted import planted_core_graph
 
 from conftest import graphs_with_constraints, random_bigraph
 
@@ -105,3 +112,130 @@ class TestFilterMechanics:
         same_sig = {frozenset(sigs[x]) for x in twins}
         if len(same_sig) == 1 and len(twins) > 1:
             assert len(survivors) == 1
+
+
+# ----------------------------------------------------------------------
+# The verdict misses decided in array passes (CSR) and by the row loop
+# ----------------------------------------------------------------------
+
+def twins_graph():
+    """Four uppers with one signature, and two zero-position lowers beside
+    two empty-signature ones, at α = β = 3."""
+    return from_biadjacency([
+        [1, 1, 1, 0],
+        [1, 1, 1, 0],
+        [1, 1, 0, 1],
+        [1, 1, 0, 1],
+    ])
+
+
+def composite_graph(seed):
+    """Disjoint planted-core components: an anchor dirties one component,
+    so the cache is only partly invalidated."""
+    return disjoint_union([
+        planted_core_graph(alpha=3, beta=3, core_upper=6, core_lower=6,
+                           n_chains=8, max_chain_length=6,
+                           seed=seed * 10 + i)
+        for i in range(4)])
+
+
+def case_graph(kind, seed):
+    if kind == "planted":
+        return composite_graph(seed), 3, 3
+    g = random_bigraph(seed, n1_range=(15, 30), n2_range=(15, 30),
+                       density=0.12)
+
+    def n_candidates(constraint):
+        upper, lower = compute_orders(g, *constraint)
+        return len(upper.candidates(g)) + len(lower.candidates(g))
+
+    # The constraint that leaves the most candidates to filter.
+    alpha, beta = max([(3, 3), (3, 2), (2, 3), (2, 2)], key=n_candidates)
+    return g, alpha, beta
+
+
+@pytest.fixture(params=["array", "rows"])
+def path(request, monkeypatch):
+    """Which path decides the verdict misses; counts the array passes."""
+    if frontier._np is None and request.param == "array":
+        pytest.skip("numpy not installed")
+    calls = []
+    real = frontier.Frontier.undominated
+
+    def spy(self, misses, position, candidates):
+        calls.append(len(misses))
+        return real(self, misses, position, candidates)
+
+    monkeypatch.setattr(frontier.Frontier, "undominated", spy)
+    if request.param == "rows":
+        monkeypatch.setattr(frontier, "_np", None)
+    return request.param, calls
+
+
+class TestArrayTwoHop:
+    @pytest.mark.parametrize("kind,seed",
+                             [("planted", s) for s in range(3)]
+                             + [("random", s) for s in range(6)])
+    def test_survivors_equal_the_oracle(self, kind, seed, path):
+        """Both sides, pristine and after 1-3 applies, with a cold, a
+        partly invalidated and a warm cache: the survivors are the
+        oracle's, in candidate order, on either path."""
+        which, calls = path
+        g, alpha, beta = case_graph(kind, seed)
+        g = g.to_csr()
+        rng = random.Random(seed)
+        state = OrderState(g, alpha, beta)
+        cache = VerificationCache(g)
+        seen = {"zero": 0, "empty": 0, "partial": 0, "passes": 0}
+        for step in range(4):
+            for order in (state.upper, state.lower):
+                side = order.side
+                cands = order.candidates(g)
+                if not cands:
+                    continue
+                ref = set(two_hop_filter(g, order, cands)[0])
+                expected = [x for x in cands if x in ref]
+                hits = sum(cache.survivor_verdict(side, x) is not None
+                           for x in cands)
+                assert two_hop_filter_cached(
+                    g, order, cands, VerificationCache(g)) == expected
+                assert two_hop_filter_cached(
+                    g, order, cands, cache) == expected
+                assert two_hop_filter_cached(
+                    g, order, cands, cache) == expected
+                seen["passes"] += 1
+                seen["partial"] += 0 < hits < len(cands)
+                seen["zero"] += sum(order.position[x] == 0 for x in cands)
+                seen["empty"] += sum(not signature(g, order, x)
+                                     for x in cands)
+            if step == 3:
+                break
+            pool = sorted(v for v in g.vertices()
+                          if v not in state.core and v not in state.anchors)
+            if not pool:
+                break
+            fresh = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+            cache.invalidate(state.apply_anchors(fresh))
+        assert seen["passes"] and seen["zero"] and seen["empty"]
+        if kind == "planted":
+            assert seen["partial"]
+        assert bool(calls) == (which == "array")
+
+    def test_ties_zero_positions_and_empty_signatures(self, path):
+        """Equal signatures keep the largest id (Lemma 3); zero-position
+        candidates are judged like any other; empty signatures never
+        survive."""
+        which, calls = path
+        g = twins_graph().to_csr()
+        upper, lower = compute_orders(g, 3, 3)
+        sigs = signatures_of(g, upper, upper.candidates(g))
+        assert len({frozenset(s) for s in sigs.values()}) == 1
+        assert two_hop_filter_cached(g, upper, upper.candidates(g),
+                                     VerificationCache(g)) == [3]
+        zero = [x for x in lower.candidates(g) if lower.position[x] == 0]
+        empty = [x for x in lower.candidates(g)
+                 if not signature(g, lower, x)]
+        assert zero and empty
+        assert two_hop_filter_cached(g, lower, lower.candidates(g),
+                                     VerificationCache(g)) == zero
+        assert bool(calls) == (which == "array")
