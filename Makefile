@@ -68,10 +68,13 @@ typecheck:
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Quick CI gate: scaling shape + CSR-vs-list backend comparison only.
-# Timings land in bench_scalability.json ($$REPRO_BENCH_JSON to override).
+# Quick CI gate: scaling shape + CSR-vs-list backend comparison, and the
+# order-maintenance ablation (maintained and rebuilt orders give the same
+# greedy results; affected graphs stay local).  Timings land in
+# bench_scalability.json ($$REPRO_BENCH_JSON to override).
 bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_scalability.py --benchmark-only -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_scalability.py \
+		benchmarks/bench_ablation_order_maintenance.py --benchmark-only -q
 
 # Parallel determinism gate: serial vs workers=2,4 FILVER++ must export
 # byte-identical canonical JSON on every host; the 2x workers=4 speedup is

@@ -73,7 +73,7 @@ def upper_affected_graph(state, x, level):
     of the vertices with upper core number ≥ ``level``, or for ``level =
     0`` of the anchored (α,1)-core."""
     if level >= 1:
-        inside = {v for v, k in state.core_u.items() if k >= level}
+        inside = {v for v, k in enumerate(state.core_u) if k >= level}
     else:
         inside = anchored_abcore(state.graph, state.alpha, 1,
                                  state.anchors | {x})
@@ -96,15 +96,15 @@ def test_affected_graph_is_local_for_shell_anchors(benchmark, capsys):
 
     def measure():
         state = OrderState(graph, alpha, beta)
-        shell_anchors = [v for v, p in state.upper.position.items()
-                         if p >= 1 and graph.is_upper(v)]
+        shell_anchors = [v for v in state.upper.deleted_in_order()
+                         if graph.is_upper(v)]
         rng = random.Random(0)
         rng.shuffle(shell_anchors)
         ratios = []
         for x in shell_anchors[:5]:
             if x in state.core:
                 continue
-            level = state.core_u.get(x, 0)
+            level = state.core_u[x]
             whole = upper_affected_graph(state, x, level)
             state.anchors.add(x)
             open_part, _ = state._affected_graph("upper", x, level)

@@ -31,7 +31,6 @@ __all__ = [
     "core_sweep",
     "upper_core_numbers",
     "lower_core_numbers",
-    "core_number_of",
 ]
 
 
@@ -196,16 +195,3 @@ def lower_core_numbers(
     return core_sweep(graph, alpha, beta, "lower", anchors, subset,
                       start_level).numbers
 
-
-def core_number_of(
-    graph: BipartiteGraph,
-    vertex: int,
-    alpha: int,
-    beta: int,
-    upper_side: bool,
-    anchors: Collection[int] = (),
-) -> int:
-    """Capped core number of a single vertex (reference/testing helper)."""
-    table = (upper_core_numbers if upper_side else lower_core_numbers)(
-        graph, alpha, beta, anchors)
-    return table[vertex]

@@ -343,8 +343,11 @@ class _FunctionFlow:
     def _statement(self, stmt: ast.AST, env: Dict[str, _Taint],
                    report: bool) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Closures see the enclosing taint but bind their own scope.
+            # Closures see the enclosing taint but bind their own scope,
+            # and what they return is not the enclosing function's return.
+            returns_taint = self.returns_taint
             self._walk(list(stmt.body), dict(env), report)
+            self.returns_taint = returns_taint
             return
         if isinstance(stmt, ast.ClassDef):
             self._walk(list(stmt.body), dict(env), report)

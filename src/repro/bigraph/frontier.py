@@ -7,7 +7,9 @@ dirty set.  Walked row by row in Python they cost one interpreter
 iteration per edge.  :class:`Frontier` runs them breadth-first, one level
 at a time, as whole-array passes over the CSR buffers wrapped zero-copy in
 numpy, after chainer-compiler's ``policy_gt``: vertex sets are bool
-vectors, and each level is a pass over its whole frontier.
+vectors, and each level is a pass over its whole frontier.  The order
+state's ``n``-long ``array('q')`` tables (positions, core numbers) are
+wrapped the same way, so no walk converts a table first.
 
 * :meth:`Frontier.expand` gathers the frontier's rows in one call, masks
   the neighbors against per-vertex arrays (allowed, seen) and dedupes the
@@ -16,12 +18,13 @@ vectors, and each level is a pass over its whole frontier.
   copy of each repeated id does, whichever write landed last).
   ``np.unique`` sorts, and measured about ten times slower on a level of
   30,000 entries.
-* :meth:`Frontier.component` is the affected-graph walk: the allowed
-  vertices connected to ``x``, with each member's degree inside that set.
+* :meth:`Frontier.component` is the affected-graph walk: the vertices
+  connected to ``x`` whose ``reach`` number passes a level, with each
+  member's degree inside that set.
   Every allowed neighbor of a member is a member, so a member's degree is
   how often the walk reached it: one ``bincount``.  The walk hands back
-  only the members outside a ``closed`` mask (order repair's current
-  core), so the caller never filters the whole set in Python.
+  only the members below a cap (outside order repair's current core),
+  so the caller never filters the whole set in Python.
 * :meth:`Frontier.dilate` is the cache's dilation: every vertex within
   ``hops`` hops of a seed set.
 
@@ -41,8 +44,8 @@ is not installed, and callers keep their per-row loops for that case.
 
 from __future__ import annotations
 
-from typing import (Any, Collection, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from array import array
+from typing import Any, Collection, List, Optional, Sequence, Set, Tuple
 
 from repro.bigraph.csr import adjacency_arrays
 
@@ -90,21 +93,6 @@ class Frontier:
         # the graph has 2**31 neighbor entries.
         self._index = (_np.int32 if len(self.neighbors) < 2 ** 31
                        else _np.int64)
-
-    # ------------------------------------------------------------------
-    # Tables
-    # ------------------------------------------------------------------
-
-    def values(self, numbers: Dict[int, int]) -> Any:
-        """``numbers`` as an ``n``-long int array, 0 where a vertex has no
-        entry: one pass serves every threshold mask of a walk."""
-        out = _np.zeros(self.n, dtype=_np.int64)
-        if numbers:
-            count = len(numbers)
-            keys = _np.fromiter(numbers.keys(), dtype=_np.int64, count=count)
-            out[keys] = _np.fromiter(numbers.values(), dtype=_np.int64,
-                                     count=count)
-        return out
 
     # ------------------------------------------------------------------
     # The primitive
@@ -158,12 +146,12 @@ class Frontier:
     # Walks
     # ------------------------------------------------------------------
 
-    def component(self, x: int, allowed: Any, closed: Any,
-                  ) -> Tuple[Set[int], List[int]]:
-        """The allowed vertices connected to ``x`` (``x`` itself always
-        counts as allowed) that are not ``closed``, and as an ``n``-long
-        list each member's degree inside the whole connected set, closed
-        members included.  Sets ``allowed[x]``.
+    def component(self, x: int, reach: array, level: int, numbers: array,
+                  cap: int) -> Tuple[Set[int], List[int]]:
+        """The vertices ``v`` connected to ``x`` through ``reach[v] >=
+        level`` (``x`` itself always counts) that are open, ``numbers[v] <
+        cap``, and as an ``n``-long list each member's degree inside the
+        whole connected set, closed members included.
 
         Closed vertices are walked through like any other member: they
         connect the open ones and count toward their degrees, but only the
@@ -171,6 +159,7 @@ class Frontier:
         is a member, and each member's row is gathered once, so a member's
         degree is the number of times it was reached.
         """
+        allowed = _table(reach) >= level
         allowed[x] = True
         frontier = _np.array([x], dtype=_np.intp)
         stamp = self._stamp(frontier)
@@ -182,8 +171,8 @@ class Frontier:
             reached.append(entries)
         region = _np.concatenate(levels)
         degrees = _np.bincount(_np.concatenate(reached), minlength=self.n)
-        return (set(region[~closed.take(region)].tolist()),
-                degrees.tolist())
+        open_part = region[_table(numbers).take(region) < cap]
+        return set(open_part.tolist()), degrees.tolist()
 
     def dilate(self, seed: Collection[int], hops: int) -> Tuple[Set[int],
                                                                 Set[int]]:
@@ -219,16 +208,17 @@ class Frontier:
         return (reached[keep], owner,
                 _np.bincount(owner, minlength=rows.size))
 
-    def undominated(self, misses: Sequence[int], position: Dict[int, int],
+    def undominated(self, misses: Sequence[int], position: array,
                     candidates: Collection[int]) -> List[bool]:
         """Algorithm 3's verdict for each of ``misses``, in their order.
 
         ``x`` survives iff ``sig(x) ≠ ∅`` and no candidate ``w ≠ x`` with
         a larger ``(|sig(w)|, w)`` key has ``sig(x) ⊆ sig(w)``, where
         ``sig(v)`` is the neighbors of ``v`` with a larger ``position``
-        (Definition 8).  ``misses`` must be candidates, and every
-        candidate must hold a ``position`` entry.  Five passes over the
-        CSR buffers decide every miss together:
+        (Definition 8) in the order's ``array('q')`` table, where ``-1``
+        means no entry.  ``misses`` must be candidates, and every
+        candidate must hold an entry.  Five passes over the CSR buffers
+        decide every miss together:
 
         1. gather the misses' rows and keep the entries above each
            miss's position: every ``sig(x)``, and a ``bincount`` of sizes;
@@ -246,10 +236,7 @@ class Frontier:
         graphs below three billion vertices.
         """
         n = self.n
-        pos = _np.full(n, -1, dtype=_np.int64)
-        count = len(position)
-        pos[_np.fromiter(position.keys(), dtype=_np.intp, count=count)] = \
-            _np.fromiter(position.values(), dtype=_np.int64, count=count)
+        pos = _table(position)
         is_candidate = _np.zeros(n, dtype=bool)
         is_candidate[_np.fromiter(candidates, dtype=_np.intp,
                                   count=len(candidates))] = True
@@ -311,3 +298,8 @@ class Frontier:
         failed[pair_of[missing]] = True
         verdict[pair_x[~failed]] = False
         return verdict.tolist()
+
+
+def _table(values: array) -> Any:
+    """An order-state ``array('q')`` table as an int64 view, no copy."""
+    return _np.frombuffer(values, dtype=_np.int64)

@@ -10,14 +10,13 @@ answers a whole filter pass's ``rf(x)`` misses in one sweep of the order
 DAG (``docs/PERF.md``, "rf in one sweep").
 
 :class:`FollowerKernel` replaces the per-candidate churn with flat
-``array`` buffers sized once per graph and *epoch-stamped* instead of
-cleared:
+buffers sized once per graph and *epoch-stamped* instead of cleared:
 
-* per-side position values (maintained orders renumber regions with
-  ever-growing fresh positions) plus an iteration-stamp buffer — a position
-  entry is valid iff its stamp equals the current iteration epoch, so
-  loading a new iteration's order is one pass over the position dict and
-  never a buffer clear;
+* the order state's own per-side position tables (``n``-long
+  ``array('q')``, ``-1`` for "no entry"), held by reference — loading an
+  iteration's order copies nothing, and since a walk's source holds a
+  position ``≥ 0``, the test ``pos[w] <= pv`` also skips every vertex
+  without an entry;
 * an iteration-stamped core-membership buffer;
 * call-stamped ``visited`` / candidate-membership / support buffers shared
   by every walk and peel — a new call bumps the stamp, implicitly resetting
@@ -25,22 +24,25 @@ cleared:
   vertex's readers in the support buffer);
 * a preallocated ``int32`` vertex stack for the follower peel's
   single-source DFS, so it pushes plain ids (positions are re-read from
-  the flat buffer on pop) and never allocates a tuple — each vertex is
+  the flat table on pop) and never allocates a tuple — each vertex is
   pushed at most once per call, so ``n`` slots always suffice;
 * neighbor rows iterated as ``memoryview`` slices of the CSR neighbor
   buffer — C-level iteration, no index arithmetic per edge.
 
-The stamp/position/support buffers are dense Python lists rather than
+The stamp and support buffers are dense Python lists rather than
 ``array`` objects: CPython re-boxes an ``array`` element on every read,
 while a list slot hands back its cached int object — measured ~35% faster
-on the walk's inner loop, at 8 bytes per vertex per buffer.  The DFS stack
-stays ``array('i')``: it is written/read once per visited vertex, not once
-per edge.  The ``rf`` sweep keeps its own list stack (``append``/``pop``),
-which measured faster than indexing the array.
+on the walk's inner loop, at 8 bytes per vertex per buffer.  The position
+tables are ``array('q')`` all the same: they belong to the order state,
+which numpy reads without a copy, and a per-iteration copy into a list
+would cost a pass over both tables.  The DFS stack stays ``array('i')``:
+it is written/read once per visited vertex, not once per edge.  The
+``rf`` sweep keeps its own list stack (``append``/``pop``), which measured
+faster than indexing the array.
 
 The kernel lives in :mod:`repro.bigraph` because it is pure graph
 machinery: it knows nothing about deletion orders or engines — callers feed
-it plain position dicts and vertex sets.  Results are *set-identical* to
+it plain position tables and vertex sets.  Results are *set-identical* to
 ``repro.core.followers.compute_followers`` / ``reachable_from`` (property
 checked by ``tests/test_incremental.py``); the engine selects it
 automatically on CSR-backed graphs.
@@ -49,16 +51,8 @@ automatically on CSR-backed graphs.
 from __future__ import annotations
 
 from array import array
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    MutableMapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import (Callable, Dict, Iterable, List, MutableMapping, Optional,
+                    Set, Tuple)
 
 from repro.bigraph.csr import adjacency_arrays
 from repro.exceptions import GraphConstructionError
@@ -95,10 +89,7 @@ class FollowerKernel:
         self._rows = memoryview(neighbors)
         self._n_upper = graph.n_upper  # type: ignore[attr-defined]
         n = len(offsets) - 1
-        self._pos: Dict[str, List[int]] = {"upper": [0] * n,
-                                           "lower": [0] * n}
-        self._pos_stamp: Dict[str, List[int]] = {"upper": [0] * n,
-                                                 "lower": [0] * n}
+        self._positions: Dict[str, array] = {}
         self._core_stamp: List[int] = [0] * n
         self._visited: List[int] = [0] * n
         self._cand: List[int] = [0] * n
@@ -125,24 +116,18 @@ class FollowerKernel:
     # Per-iteration state load
     # ------------------------------------------------------------------
 
-    def begin_iteration(self, upper_position: Dict[int, int],
-                        lower_position: Dict[int, int],
+    def begin_iteration(self, upper_position: array, lower_position: array,
                         core: Iterable[int]) -> None:
-        """Stamp this iteration's order positions and core membership.
+        """Hold this iteration's position tables and stamp its core.
 
-        Costs one pass over both position dicts and the core — paid once
-        per engine iteration, after which every candidate evaluation reads
-        flat buffers only.
+        The tables are referenced, not copied (the caller must not write
+        them until the iteration's last read); the core costs one pass,
+        paid once per engine iteration, after which every candidate
+        evaluation reads flat buffers only.
         """
+        self._positions = {"upper": upper_position, "lower": lower_position}
         self._epoch += 1
         epoch = self._epoch
-        for side, entries in (("upper", upper_position),
-                              ("lower", lower_position)):
-            pos = self._pos[side]
-            stamp = self._pos_stamp[side]
-            for v, p in entries.items():
-                pos[v] = p
-                stamp[v] = epoch
         core_stamp = self._core_stamp
         for v in core:
             core_stamp[v] = epoch
@@ -153,20 +138,18 @@ class FollowerKernel:
 
     def reachable(self, side: str,
                   sources: Iterable[int]) -> Dict[int, Set[int]]:
-        """``rf(x)`` of every source under the stamped order, in one sweep.
+        """``rf(x)`` of every source under the held order, in one sweep.
 
         Each set is identical to
-        :func:`repro.core.deletion_order.reachable_from`; an unstamped
-        source raises ``KeyError``.  Reachability only follows strictly
-        increasing positions, so the order graph is a DAG and ``rf(v)`` is
+        :func:`repro.core.deletion_order.reachable_from`; a source without
+        a position entry raises ``KeyError``.  Reachability only follows
+        strictly increasing positions, so the order graph is a DAG and ``rf(v)`` is
         the union of ``{w} ∪ rf(w)`` over the successors ``w`` of ``v``.
         The walk from all sources records, for each visited vertex, its
         successors and, in the support buffer, how many visited vertices
         read its set; :func:`closure_sets` then builds the sets.
         """
-        pos = self._pos[side]
-        stamp = self._pos_stamp[side]
-        epoch = self._epoch
+        pos = self._positions[side]
         self._call += 1
         call = self._call
         offsets = self._offsets
@@ -178,7 +161,7 @@ class FollowerKernel:
         push = stack.append
         pop = stack.pop
         for x in roots:
-            if stamp[x] != epoch:
+            if pos[x] < 0:
                 raise KeyError(x)
             if visited[x] != call:
                 visited[x] = call
@@ -192,7 +175,7 @@ class FollowerKernel:
             v = pop()
             pv = pos[v]
             for w in rows[offsets[v]:offsets[v + 1]]:
-                if stamp[w] != epoch or pos[w] <= pv:
+                if pos[w] <= pv:
                     continue
                 keep(w)
                 if visited[w] != call:
@@ -208,7 +191,7 @@ class FollowerKernel:
 
     def followers(self, side: str, x: int, alpha: int, beta: int,
                   candidates: Optional[Set[int]] = None) -> Set[int]:
-        """``F(x)`` under the stamped order — set-identical to
+        """``F(x)`` under the held order and stamped core — set-identical to
         :func:`repro.core.followers.compute_followers`.
 
         ``candidates`` is a precomputed ``rf(x)`` when the caller already
@@ -274,10 +257,8 @@ class FollowerKernel:
 
     def _collect_candidates(self, side: str, x: int, call: int) -> List[int]:
         """The ``rf(x)`` DFS, stamping ``cand`` instead of building a set."""
-        pos = self._pos[side]
-        stamp = self._pos_stamp[side]
-        epoch = self._epoch
-        if stamp[x] != epoch:
+        pos = self._positions[side]
+        if pos[x] < 0:
             raise KeyError(x)
         offsets = self._offsets
         rows = self._rows
@@ -294,7 +275,7 @@ class FollowerKernel:
             v = stack[top]
             pv = pos[v]
             for w in rows[offsets[v]:offsets[v + 1]]:
-                if visited[w] == call or stamp[w] != epoch or pos[w] <= pv:
+                if visited[w] == call or pos[w] <= pv:
                     continue
                 visited[w] = call
                 cand[w] = call

@@ -103,8 +103,8 @@ def _greedy_until(graph, alpha, beta, goal, max_anchors, algorithm,
         iterations.append(IterationRecord(
             anchors=[chosen],
             marginal_followers=len(state.core) - before - 1,
-            candidates_total=len(state.upper.position)
-            + len(state.lower.position),
+            candidates_total=len(state.upper.entries())
+            + len(state.lower.entries()),
             candidates_after_filter=-1, verifications=-1,
             elapsed=time.perf_counter() - iter_start))
 
@@ -123,7 +123,10 @@ def _greedy_until(graph, alpha, beta, goal, max_anchors, algorithm,
 
 def _best_anchor(graph, state: OrderState,
                  targets: Optional[Set[int]]) -> Optional[int]:
-    """One greedy step: the candidate with the most valuable follower set."""
+    """One greedy step: the candidate with the most valuable follower set.
+
+    Ties go to the first candidate met: upper candidates before lower,
+    each side in increasing id."""
     best = None
     best_key = (0, 0)
     for order in (state.upper, state.lower):

@@ -17,7 +17,9 @@ the FILVER family:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.abcore.decomposition import anchored_abcore, peel_with_order
@@ -36,6 +38,9 @@ __all__ = [
     "zero_order_anchors",
 ]
 
+#: ``position[v] > -1``: the vertex holds an entry (``-1`` marks none).
+_HOLDS_ENTRY = (-1).__lt__
+
 
 @dataclass
 class DeletionOrder:
@@ -47,29 +52,40 @@ class DeletionOrder:
         ``"upper"`` for ``O_U`` (anchoring upper vertices) or ``"lower"``
         for ``O_L``.
     position:
-        Vertex → order number.  Deleted vertices get positions ≥ 1 in
-        deletion order; promising anchors outside the relaxed core get 0.
-        Positions need not be contiguous (order maintenance renumbers
-        affected regions with fresh, larger numbers) but deleted vertices'
-        positions are unique and order-consistent.
+        Vertex → order number, as an ``array('q')`` of ``n_vertices``
+        slots (the order's graph's, a shard's local count).  Deleted
+        vertices get positions ≥ 1 in deletion order; promising anchors
+        outside the relaxed core get 0; every other slot holds ``-1``,
+        "no entry".  Positions need not be contiguous (order maintenance
+        renumbers affected regions with fresh, larger numbers) but deleted
+        vertices' positions are unique and order-consistent.  Index it
+        directly: ``in``, ``len`` and iteration see slots, not entries —
+        :meth:`entries` lists the vertices holding one.
     core:
         Vertex set of the anchored (α,β)-core the peel converged to.
     relaxed_core:
         The anchored (α,β-1)-core (upper side) or (α-1,β)-core (lower side)
-        the peel started from.  ``relaxed_core - core`` is the shell.
+        the peel started from.  ``relaxed_core - core`` is the shell:
+        exactly the vertices with a position ≥ 1.
     """
 
     side: str
-    position: Dict[int, int]
+    position: array
     core: Set[int]
     relaxed_core: Set[int]
     alpha: int
     beta: int
 
-    @property
-    def shell(self) -> Set[int]:
-        """Vertices with positions ≥ 1 — exactly the upper/lower shell."""
-        return {v for v, p in self.position.items() if p >= 1}
+    def entry(self, x: int) -> int:
+        """``x``'s position; ``KeyError`` when ``x`` holds no entry."""
+        p = self.position[x]
+        if p < 0:
+            raise KeyError(x)
+        return p
+
+    def entries(self) -> List[int]:
+        """The vertices holding a position entry, in increasing id."""
+        return list(compress(count(), map(_HOLDS_ENTRY, self.position)))
 
     def candidates(self, graph: BipartiteGraph) -> List[int]:
         """Candidate anchors: own-layer vertices present in the order.
@@ -80,18 +96,20 @@ class DeletionOrder:
         candidacy change within reach of a cached verdict implies a
         position-entry change inside the dilated dirty region.
         """
-        keep = graph.is_upper if self.side == "upper" else graph.is_lower
-        return [v for v in self.position if keep(v)]
+        layer = (graph.upper_vertices() if self.side == "upper"
+                 else graph.lower_vertices())
+        held = map(_HOLDS_ENTRY, self.position[layer.start:layer.stop])
+        return list(compress(layer, held))
 
     def deleted_in_order(self) -> List[int]:
         """Shell vertices sorted by increasing deletion position."""
-        shell = [(p, v) for v, p in self.position.items() if p >= 1]
-        shell.sort()
-        return [v for _, v in shell]
+        return sorted(self.relaxed_core - self.core,
+                      key=self.position.__getitem__)
 
     def max_position(self) -> int:
         """Largest position in use (0 when the order is empty)."""
-        return max(self.position.values(), default=0)
+        return max(map(self.position.__getitem__,
+                       self.relaxed_core - self.core), default=0)
 
 
 def zero_order_anchors(
@@ -170,7 +188,9 @@ def order_from_peel(
     ``sequence`` is the peel's removal order; it is numbered ``1, 2, ...``
     and the promising anchors outside the relaxed core get position 0.
     """
-    position = dict(zip(sequence, range(1, len(sequence) + 1)))
+    position = array("q", [-1]) * graph.n_vertices
+    for p, v in enumerate(sequence, 1):
+        position[v] = p
     for z in zero_order_anchors(graph, side, sequence, relaxed_core, anchors):
         position[z] = 0
     return DeletionOrder(side=side, position=position, core=core,
@@ -194,30 +214,30 @@ def r_scores(graph: BipartiteGraph, order: DeletionOrder) -> Dict[int, int]:
 
     ``r-score(x) = Σ_{u ∈ W(x)} (r-score(u) + 1)`` where ``W(x)`` are the
     neighbors of ``x`` directly order-reachable from it.  Computed in one
-    reverse-deletion-order pass (zero-position anchors last, since they
-    precede everything).
+    reverse-deletion-order pass over the shell; the zero-position anchors,
+    which precede everything, are the shell's neighbors at position 0 and
+    come last.
     """
     position = order.position
-    scores: Dict[int, int] = {}
-    zeros: List[int] = []
-    by_position = sorted(order.position.items(), key=lambda item: -item[1])
     neighbors = graph.neighbors
-    get = position.get
-    for v, pv in by_position:  # hot-loop
-        if pv == 0:
-            zeros.append(v)
-            continue
+    scores: Dict[int, int] = {}
+    zeros: Dict[int, None] = {}
+    shell = sorted(order.relaxed_core - order.core, key=position.__getitem__,
+                   reverse=True)
+    for v in shell:  # hot-loop
+        pv = position[v]
         total = 0
         for w in neighbors(v):
-            pw = get(w)
-            if pw is not None and pw > pv:
+            pw = position[w]
+            if pw > pv:
                 total += scores[w] + 1
+            elif pw == 0:
+                zeros[w] = None
         scores[v] = total
     for v in zeros:  # hot-loop
         total = 0
         for w in neighbors(v):
-            pw = get(w)
-            if pw is not None and pw > 0:
+            if position[w] > 0:
                 total += scores[w] + 1
         scores[v] = total
     return scores
@@ -232,19 +252,17 @@ def reachable_from(graph: BipartiteGraph, order: DeletionOrder,
     Lemma 1 this set contains every follower of ``x``.
     """
     position = order.position
-    px = position[x]
     reached: Set[int] = set()
-    stack = [(x, px)]
+    stack = [(x, order.entry(x))]
     pop = stack.pop
     push = stack.append
     neighbors = graph.neighbors
-    get = position.get
     mark = reached.add
     while stack:  # hot-loop
         v, pv = pop()
         for w in neighbors(v):
-            pw = get(w)
-            if pw is None or pw <= pv or w in reached:
+            pw = position[w]
+            if pw <= pv or w in reached:
                 continue
             mark(w)
             push((w, pw))
@@ -267,15 +285,13 @@ def reachable_sets(graph: BipartiteGraph, order: DeletionOrder,
     """
     position = order.position
     neighbors = graph.neighbors
-    get = position.get
     roots = list(sources)
     readers: Dict[int, int] = {}
     stack: List[int] = []
     push = stack.append
     pop = stack.pop
     for x in roots:
-        if x not in position:
-            raise KeyError(x)
+        order.entry(x)
         if x not in readers:
             readers[x] = 1
             push(x)
@@ -287,7 +303,7 @@ def reachable_sets(graph: BipartiteGraph, order: DeletionOrder,
         v = pop()
         pv = position[v]
         for w in neighbors(v):
-            if get(w, -1) <= pv:
+            if position[w] <= pv:
                 continue
             keep(w)
             if w in readers:
@@ -304,6 +320,5 @@ def reachable_sets(graph: BipartiteGraph, order: DeletionOrder,
 def signature(graph: BipartiteGraph, order: DeletionOrder, x: int) -> Set[int]:
     """``sig(x)``: the neighbors of ``x`` order-reachable from it (Def. 8)."""
     position = order.position
-    px = position[x]
-    return {w for w in graph.neighbors(x)
-            if position.get(w, -1) > px}
+    px = order.entry(x)
+    return {w for w in graph.neighbors(x) if position[w] > px}

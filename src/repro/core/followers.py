@@ -60,7 +60,7 @@ def compute_followers(
         The deletion order for ``x``'s layer (``O_U`` for an upper anchor,
         ``O_L`` for a lower one), computed on the current anchored graph.
     x:
-        The candidate anchor; must be present in ``order.position``.
+        The candidate anchor; must hold an entry in ``order.position``.
     core:
         The current anchored (α,β)-core vertex set; defaults to
         ``order.core``.  Vertices in it support their neighbors and never

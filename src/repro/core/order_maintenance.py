@@ -28,12 +28,15 @@ costs ``O(|E(R°)| + cap·|R°|)`` plus the walk.
 :class:`OrderState` bundles both orders, the capped upper/lower core numbers
 (Definition 10), and the current anchored core, and keeps them all consistent
 as anchors are placed one at a time (FILVER+) or in batches (FILVER++).
+Positions and core numbers are ``n_vertices``-long ``array('q')`` tables
+that every reader indexes and every repair writes in place.
 Equivalence with full recomputation is property-tested in
 ``tests/test_order_maintenance.py``.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.abcore.core_numbers import core_sweep
@@ -64,6 +67,11 @@ class OrderState:
         When ``False`` the state falls back to full recomputation on every
         :meth:`apply_anchor` call — used by plain FILVER and by the
         order-maintenance ablation benchmark.
+
+    ``core_u``/``core_l`` hold every vertex's capped upper/lower core
+    number in one ``array('q')`` slot per vertex (0 for a vertex outside
+    every level).  They are empty without ``maintain``, which never
+    reads them.
     """
 
     def __init__(self, graph: BipartiteGraph, alpha: int, beta: int,
@@ -75,11 +83,11 @@ class OrderState:
         self.anchors: Set[int] = set()
         self.upper: DeletionOrder
         self.lower: DeletionOrder
-        self.core_u: Dict[int, int]
-        self.core_l: Dict[int, int]
+        self.core_u: array
+        self.core_l: array
         self._counter_u = 0
         self._counter_l = 0
-        self._level0_core: Optional[Dict[int, int]] = None
+        self._level0_core: Optional[array] = None
         self.rebuild()
 
     # ------------------------------------------------------------------
@@ -100,12 +108,12 @@ class OrderState:
         else:
             self.upper = compute_order(g, a, b, "upper", self.anchors)
             self.lower = compute_order(g, a, b, "lower", self.anchors)
-            self.core_u = {}
-            self.core_l = {}
+            self.core_u = array("q")
+            self.core_l = array("q")
         self._counter_u = self.upper.max_position()
         self._counter_l = self.lower.max_position()
 
-    def _swept_order(self, side: str) -> Tuple[DeletionOrder, Dict[int, int]]:
+    def _swept_order(self, side: str) -> Tuple[DeletionOrder, array]:
         """One side's full order and core numbers from a whole-graph sweep.
 
         The sweep's cap-level sequence is ``compute_order``'s peel of the
@@ -116,7 +124,10 @@ class OrderState:
         order = order_from_peel(self.graph, self.alpha, self.beta, side,
                                 self.anchors, sweep.sequence, sweep.core,
                                 sweep.relaxed_core)
-        return order, sweep.numbers
+        numbers = array("q", [0]) * self.graph.n_vertices
+        for v, k in sweep.numbers.items():
+            numbers[v] = k
+        return order, numbers
 
     def clone_pristine(self, maintain: Optional[bool] = None) -> "OrderState":
         """An independent copy of this *pristine* state (no anchors applied).
@@ -151,17 +162,17 @@ class OrderState:
         clone.maintain = want
         clone.anchors = set()
         clone.upper = DeletionOrder(
-            side="upper", position=dict(self.upper.position),
+            side="upper", position=array("q", self.upper.position),
             core=set(self.upper.core),
             relaxed_core=set(self.upper.relaxed_core),
             alpha=self.alpha, beta=self.beta)
         clone.lower = DeletionOrder(
-            side="lower", position=dict(self.lower.position),
+            side="lower", position=array("q", self.lower.position),
             core=set(self.lower.core),
             relaxed_core=set(self.lower.relaxed_core),
             alpha=self.alpha, beta=self.beta)
-        clone.core_u = dict(self.core_u) if want else {}
-        clone.core_l = dict(self.core_l) if want else {}
+        clone.core_u = array("q", self.core_u if want else ())
+        clone.core_l = array("q", self.core_l if want else ())
         clone._counter_u = self._counter_u
         clone._counter_l = self._counter_l
         clone._level0_core = None
@@ -209,8 +220,8 @@ class OrderState:
             self.rebuild()
             return None
 
-        start_core_u = {x: self.core_u.get(x, 0) for x in fresh}
-        start_core_l = {x: self.core_l.get(x, 0) for x in fresh}
+        start_core_u = {x: self.core_u[x] for x in fresh}
+        start_core_l = {x: self.core_l[x] for x in fresh}
         self.anchors.update(fresh)
 
         joined, dirty_u = self._repair_side("upper", fresh, start_core_u)
@@ -280,10 +291,12 @@ class OrderState:
         region member's degree inside the whole region, ``C`` members
         included: the walk tests every edge of the region anyway, so it
         counts them for :func:`core_sweep`.  The walk runs through ``C``,
-        which connects the open vertices.  On CSR graphs (with numpy) the walk is one level-synchronous
-        :class:`repro.bigraph.frontier.Frontier` pass per BFS level and
-        the frontier hands back ``R°`` itself; on list graphs it is a row
-        loop that collects ``R°`` as it marks members.
+        which connects the open vertices.  On CSR graphs (with numpy) the
+        walk is one level-synchronous
+        :class:`repro.bigraph.frontier.Frontier` pass per BFS level over
+        the core-number tables and the frontier hands back ``R°`` itself;
+        on list graphs it is a row loop that collects ``R°`` as it marks
+        members.
 
         For ``level = 0`` the stored core numbers are vacuous, so the walk is
         instead confined to the (α,1)-core (upper side) / (1,β)-core (lower
@@ -309,25 +322,24 @@ class OrderState:
                     core = anchored_abcore(graph, self.alpha, 1, self.anchors)
                 else:
                     core = anchored_abcore(graph, 1, self.beta, self.anchors)
-                self._level0_core = dict.fromkeys(core, 1)
+                table = array("q", [0]) * graph.n_vertices
+                for v in core:
+                    table[v] = 1
+                self._level0_core = table
             reach = self._level0_core
             level = 1
         walk = frontier_for(graph)
         if walk is not None:
-            values = walk.values(numbers)
-            allowed = values if reach is numbers else walk.values(reach)
-            return walk.component(x, allowed >= level, values >= cap)
+            return walk.component(x, reach, level, numbers, cap)
 
         # A neighbor counts toward a member's degree when it is already in
         # the region (``x`` is, whatever its number) or passes the
         # membership test and joins it; a joining vertex below the cap is
         # open.
-        get = reach.get
-        number = numbers.get
         row_of = graph.adjacency.__getitem__
         degrees = [0] * graph.n_vertices
         region = {x}
-        open_part = {x} if number(x, 0) < cap else set()
+        open_part = {x} if numbers[x] < cap else set()
         keep = open_part.add
         stack = [x]
         pop = stack.pop
@@ -339,11 +351,11 @@ class OrderState:
             for w in row_of(v):
                 if w in region:
                     d += 1
-                elif get(w, 0) >= level:
+                elif reach[w] >= level:
                     d += 1
                     mark(w)
                     push(w)
-                    if number(w, 0) < cap:
+                    if numbers[w] < cap:
                         keep(w)
             degrees[v] = d
         return open_part, degrees
@@ -390,21 +402,23 @@ class OrderState:
                            self.anchors, region, level, degrees)
         sequence = sweep.sequence
         if side == "upper":
-            order = self.upper
-            self.core_u.update(sweep.numbers)
+            order, numbers = self.upper, self.core_u
             start = self._counter_u + 1
             self._counter_u += len(sequence)
         else:
-            order = self.lower
-            self.core_l.update(sweep.numbers)
+            order, numbers = self.lower, self.core_l
             start = self._counter_l + 1
             self._counter_l += len(sequence)
+        for v, k in sweep.numbers.items():
+            numbers[v] = k
 
         # Fresh order positions for the open part, numbered above everything.
         position = order.position
-        pop = position.pop
-        changed = {v for v in region if pop(v, None) is not None}
-        position.update(zip(sequence, range(start, start + len(sequence))))
+        changed = {v for v in region if position[v] >= 0}
+        for v in region:
+            position[v] = -1
+        for p, v in enumerate(sequence, start):
+            position[v] = p
         flipped = changed.symmetric_difference(sequence)
         relaxed = order.relaxed_core
         relaxed -= region
@@ -433,7 +447,6 @@ class OrderState:
         """
         order = self.upper if side == "upper" else self.lower
         position = order.position
-        get = position.get
         relaxed = order.relaxed_core
         anchors = self.anchors
         graph = self.graph
@@ -454,13 +467,10 @@ class OrderState:
             zero = False
             if w not in relaxed and w not in anchors:
                 for v in row_of(w):
-                    if get(v, 0) > 0:
+                    if position[v] > 0:
                         zero = True
                         break
-            if zero != (get(w) == 0):
+            if zero != (position[w] == 0):
                 churn.add(w)
-                if zero:
-                    position[w] = 0
-                else:
-                    del position[w]
+                position[w] = 0 if zero else -1
         return churn

@@ -55,7 +55,8 @@ def two_hop_filter(
     Parameters
     ----------
     candidates:
-        Same-layer candidate anchors, all present in ``order.position``.
+        Same-layer candidate anchors, all holding an ``order.position``
+        entry.
 
     Returns
     -------

@@ -26,9 +26,10 @@ graph), and this pool mirrors that list:
   traffic ever happens;
 * **incremental state broadcasts** — one duplex pipe per worker; per
   iteration the parent broadcasts one epoch-tagged ``state`` message
-  carrying deletion-order positions and cores only for the shards anchored
-  since the previous broadcast (a clean shard's worker-side state is still
-  exact because nothing that defines it changed);
+  carrying the ``array('q')`` position tables and cores only for the
+  shards anchored since the previous broadcast (a clean shard's
+  worker-side state is still exact because nothing that defines it
+  changed);
 * **whole-shard chunks** — candidate chunks are split at shard boundaries,
   so each dispatched unit touches one shard's graph and state, while chunk
   *order* still follows the merged ranking.  Chunks stream round-robin to

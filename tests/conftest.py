@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import signal
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 from hypothesis import strategies as st
@@ -67,6 +67,13 @@ def random_bigraph(seed: int, n1_range=(5, 15), n2_range=(5, 15),
     edges = [(u, v) for u in range(n1) for v in range(n2)
              if rng.random() < density]
     return from_edge_list(edges, n_upper=n1, n_lower=n2)
+
+
+def table_dict(table) -> Dict[int, int]:
+    """``{v: value}`` over the slots of an order-state table that hold an
+    entry (``value >= 0``): a position table's entries, or every vertex's
+    core number."""
+    return {v: value for v, value in enumerate(table) if value >= 0}
 
 
 @pytest.fixture

@@ -23,6 +23,8 @@ from repro.generators import planted_core_graph
 from repro.resilience import FaultPlan
 from repro.service import CampaignService, JobSpec
 
+from conftest import table_dict
+
 ALPHA = BETA = 3
 
 
@@ -56,6 +58,13 @@ def run_in_context(graph, specs, ctx):
             for spec in specs]
 
 
+def tables(state):
+    """A state's position and core-number tables, as entry dicts."""
+    return [table_dict(table) for table in (
+        state.upper.position, state.lower.position, state.core_u,
+        state.core_l)]
+
+
 class TestPristineClone:
     def test_clone_matches_a_fresh_state(self):
         graph = batch_graph()
@@ -63,25 +72,32 @@ class TestPristineClone:
             seed = OrderState(graph, ALPHA, BETA, maintain=True)
             clone = seed.clone_pristine(maintain=maintain)
             fresh = OrderState(graph, ALPHA, BETA, maintain=maintain)
-            assert clone.upper.position == fresh.upper.position
-            assert clone.lower.position == fresh.lower.position
+            assert tables(clone) == tables(fresh)
             assert clone.core == fresh.core
             assert clone.maintain == maintain
             assert clone.anchors == set()
 
     def test_clones_are_independent(self):
+        """An apply on one clone changes its tables and leaves the seed's
+        and a sibling clone's position and core-number tables as they
+        were: no clone shares a buffer with its seed."""
         graph = batch_graph()
         seed = OrderState(graph, ALPHA, BETA, maintain=True)
         one = seed.clone_pristine()
         two = seed.clone_pristine()
-        one.apply_anchors([next(iter(one.upper.position))])
+        before = tables(seed)
+        assert tables(one) == tables(two) == before
+        one.apply_anchors([min(table_dict(one.upper.position))])
+        assert tables(one) != before
         assert two.anchors == set()
         assert seed.anchors == set()
+        assert tables(seed) == before
+        assert tables(two) == before
 
     def test_non_pristine_state_refuses_to_clone(self):
         graph = batch_graph()
         state = OrderState(graph, ALPHA, BETA, maintain=True)
-        state.apply_anchors([next(iter(state.upper.position))])
+        state.apply_anchors([min(table_dict(state.upper.position))])
         with pytest.raises(ValueError):
             state.clone_pristine()
 

@@ -17,7 +17,7 @@ from repro.abcore.core_numbers import core_sweep
 from repro.bigraph import from_edge_list
 from repro.core import OrderState, compute_order, order_maintenance
 
-from conftest import random_bigraph
+from conftest import random_bigraph, table_dict
 from test_order_maintenance import assert_state_matches_fresh
 
 
@@ -82,7 +82,8 @@ def affected_region(state, side, x, level):
     ``level`` (``level = 0``: of the anchored level-1 core)."""
     g = state.graph
     if level >= 1:
-        numbers = state.core_u if side == "upper" else state.core_l
+        numbers = table_dict(state.core_u if side == "upper"
+                             else state.core_l)
         inside = {v for v, k in numbers.items() if k >= level}
     else:
         inside = level_core(g, state.alpha, state.beta, side, state.anchors, 1)
@@ -195,12 +196,13 @@ def test_regions_from_order_repair(seed, backend):
     for x in pool[:8]:
         if x in state.anchors:
             continue
-        start = {"upper": state.core_u.get(x, 0),
-                 "lower": state.core_l.get(x, 0)}
+        start = {"upper": table_dict(state.core_u).get(x, 0),
+                 "lower": table_dict(state.core_l).get(x, 0)}
         state.anchors.add(x)
         for side in ("upper", "lower"):
             cap = beta if side == "upper" else alpha
-            numbers = state.core_u if side == "upper" else state.core_l
+            numbers = table_dict(state.core_u if side == "upper"
+                                 else state.core_l)
             whole = affected_region(state, side, x, start[side])
             open_part, degrees = state._affected_graph(side, x, start[side])
             state._level0_core = None
@@ -224,7 +226,8 @@ def test_regions_from_order_repair(seed, backend):
         state.apply_anchor(x)
         # Repairs number their regions above every position in use.
         for order in (state.upper, state.lower):
-            shell = [p for p in order.position.values() if p >= 1]
+            shell = [p for p in table_dict(order.position).values()
+                     if p >= 1]
             assert len(shell) == len(set(shell))
     assert checked
 
@@ -267,7 +270,8 @@ def test_repairs_sweep_only_the_open_part(seed, backend, monkeypatch):
         walked_side, whole = walks[-1]
         assert walked_side == side
         cap = beta if side == "upper" else alpha
-        numbers = state.core_u if side == "upper" else state.core_l
+        numbers = table_dict(state.core_u if side == "upper"
+                             else state.core_l)
         pre_core = batch["core"] | batch[side]
         assert pre_core == {v for v, k in numbers.items() if k == cap}
         assert not set(subset) & pre_core

@@ -222,6 +222,36 @@ class TestOrderingFlow:
         assert analyze_program([prod, cons],
                                [get_rule("ordering-flow")]) == []
 
+    def test_closure_returns_stay_out_of_the_enclosing_function(self):
+        prod_src = ('"""Producers with closures."""\n\n\n'
+                    "def ranked(graph):\n"
+                    '    """Ordered return; its closure returns a set."""\n'
+                    "    def reach(v):\n"
+                    "        return {w for w in graph[v]}\n"
+                    "    return sorted(graph, key=lambda v: len(reach(v)))\n"
+                    "\n\n"
+                    "def unordered(graph):\n"
+                    '    """Unordered return; its closure returns a list."""\n'
+                    "    found = {v for v in graph}\n"
+                    "    def listed(v):\n"
+                    "        return [v]\n"
+                    "    return found\n")
+        cons_src = ('"""Consumer."""\n\n'
+                    "from repro.core.prod import ranked, unordered\n\n\n"
+                    "def ordered(graph):\n"
+                    '    """Order-sensitive consumption of both."""\n'
+                    "    out = []\n"
+                    "    for v in ranked(graph):\n"
+                    "        out.append(v)\n"
+                    "    for v in unordered(graph):\n"
+                    "        out.append(v)\n"
+                    "    return out\n")
+        prod = ctx_from(prod_src, "repro.core.prod", "prod.py")
+        cons = ctx_from(cons_src, "repro.core.cons", "cons.py")
+        found = analyze_program([prod, cons], [get_rule("ordering-flow")])
+        assert [(v.path, v.line) for v in found] == [
+            ("cons.py", line_of(cons_src, "for v in unordered"))]
+
     def test_outside_order_critical_packages_loops_are_not_flagged(self):
         # Sinks are policed everywhere, but plain iteration only matters
         # where it feeds deletion orders / exports.

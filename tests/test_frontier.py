@@ -8,6 +8,7 @@ whole campaign must not notice which path ran.
 """
 
 import json
+from array import array
 
 import pytest
 
@@ -76,7 +77,7 @@ def test_undominated_on_a_hand_built_graph():
         [0, 0, 1],
         [1, 0, 0],
     ]).to_csr()
-    position = {0: 1, 1: 2, 2: 0, 3: 0, 4: 9, 5: 5, 6: 6, 7: 4}
+    position = array("q", [1, 2, 0, 0, 9, 5, 6, 4])
     walk = frontier.frontier_for(g)
     everyone = [0, 1, 2, 3, 4]
     assert walk.undominated(everyone, position, everyone) == [

@@ -39,6 +39,8 @@ from repro.exceptions import AbortCampaign, GraphConstructionError
 from repro.experiments.export import canonical_result_dict
 from repro.generators.planted import planted_core_graph
 
+from conftest import table_dict
+
 
 def canon(result):
     return json.dumps(canonical_result_dict(result), sort_keys=True)
@@ -80,13 +82,13 @@ class TestDirtyRegions:
     def test_unmaintained_state_reports_none(self):
         g = planted_composite(2)
         state = OrderState(g, 3, 3, maintain=False)
-        x = min(state.upper.position)
+        x = min(table_dict(state.upper.position))
         assert state.apply_anchors([x]) is None
 
     def test_no_fresh_anchors_reports_empty_sides(self):
         g = planted_composite(2)
         state = OrderState(g, 3, 3, maintain=True)
-        x = min(state.upper.position)
+        x = min(table_dict(state.upper.position))
         state.apply_anchors([x])
         assert state.apply_anchors([x]) == {"upper": set(), "lower": set()}
 
@@ -99,14 +101,14 @@ class TestDirtyRegions:
         state = OrderState(g, 3, 3, maintain=True)
         rng = random.Random(11)
         for _step in range(6):
-            pool = sorted(set(state.upper.position)
-                          | set(state.lower.position))
+            pool = sorted(set(table_dict(state.upper.position))
+                          | set(table_dict(state.lower.position)))
             pool = [v for v in pool if v not in state.anchors]
             if not pool:
                 break
             before = {
-                "upper": dict(state.upper.position),
-                "lower": dict(state.lower.position),
+                "upper": table_dict(state.upper.position),
+                "lower": table_dict(state.lower.position),
             }
             core_before = set(state.core)
             dirty = state.apply_anchors(rng.sample(pool, min(2, len(pool))))
@@ -115,7 +117,7 @@ class TestDirtyRegions:
             for side, order in (("upper", state.upper),
                                 ("lower", state.lower)):
                 old = before[side]
-                new = order.position
+                new = table_dict(order.position)
                 touched = dirty[side]
                 for v in set(old) | set(new):
                     if v in touched:
@@ -133,8 +135,8 @@ class TestDirtyRegions:
         rng = random.Random(13)
         saw_partial = False
         for _step in range(6):
-            pool = sorted(set(state.upper.position)
-                          | set(state.lower.position))
+            pool = sorted(set(table_dict(state.upper.position))
+                          | set(table_dict(state.lower.position)))
             pool = [v for v in pool if v not in state.anchors]
             if not pool:
                 break
@@ -182,8 +184,8 @@ class TestFollowerKernel:
                     assert kernel.followers(side, x, 3, 3) == f_ref, (side, x)
                     assert kernel.followers(
                         side, x, 3, 3, candidates=rf_ref) == f_ref, (side, x)
-            pool = sorted(set(state.upper.position)
-                          | set(state.lower.position))
+            pool = sorted(set(table_dict(state.upper.position))
+                          | set(table_dict(state.lower.position)))
             pool = [v for v in pool if v not in state.anchors]
             if not pool:
                 break
@@ -215,7 +217,8 @@ class TestFollowerKernel:
                 if not candidates:
                     continue
                 checked += len(candidates)
-                zeros = sorted(v for v, p in order.position.items() if p == 0)
+                position = table_dict(order.position)
+                zeros = sorted(v for v, p in position.items() if p == 0)
                 batches = [candidates,
                            rng.sample(candidates, len(candidates) // 2),
                            [rng.choice(candidates)], zeros, []]
@@ -225,14 +228,14 @@ class TestFollowerKernel:
                     if kernel is not None:
                         assert kernel.reachable(side, sources) == ref, side
                 outside = next(v for v in g.vertices()
-                               if v not in order.position)
+                               if v not in position)
                 with pytest.raises(KeyError):
                     reachable_sets(g, order, [candidates[0], outside])
                 if kernel is not None:
                     with pytest.raises(KeyError):
                         kernel.reachable(side, [candidates[0], outside])
-            pool = sorted(set(state.upper.position)
-                          | set(state.lower.position))
+            pool = sorted(set(table_dict(state.upper.position))
+                          | set(table_dict(state.lower.position)))
             pool = [v for v in pool if v not in state.anchors]
             if not pool:
                 break
@@ -302,8 +305,8 @@ class TestCacheDifferential:
                         cache.store_followers(side, x, f_ref)
                     else:
                         assert cached == f_ref, (step, side, x)
-            pool = sorted(set(state.upper.position)
-                          | set(state.lower.position))
+            pool = sorted(set(table_dict(state.upper.position))
+                          | set(table_dict(state.lower.position)))
             pool = [v for v in pool if v not in state.anchors]
             if not pool:
                 break
@@ -349,7 +352,7 @@ class TestSignaturesOnDemand:
 
         def two_hop_pool(order, x, cands):
             sig_x = real(g, order, x)
-            position = order.position
+            position = table_dict(order.position)
             return {w for w in cands if w != x and all(
                 g.has_edge(w, v) and position[w] < position[v]
                 for v in sig_x)}
@@ -387,7 +390,7 @@ class TestSignaturesOnDemand:
         rng = random.Random(11)
         partial = 0
         for _step in range(3):
-            pool = sorted(v for v in state.upper.position
+            pool = sorted(v for v in table_dict(state.upper.position)
                           if v not in state.anchors)
             cache.invalidate(state.apply_anchors([rng.choice(pool)]))
             for side, (misses, allowed, computed, n_cands) in \
@@ -435,7 +438,7 @@ class TestSignaturesOnDemand:
                 cands = order.candidates(g)
                 if not cands:
                     continue
-                position = order.position
+                position = table_dict(order.position)
                 misses = {x for x in cands
                           if cache.survivor_verdict(side, x) is None}
                 allowed = set(misses)
@@ -466,7 +469,7 @@ class TestSignaturesOnDemand:
         rng = random.Random(11)
         partial = 0
         for _step in range(3):
-            pool = sorted(v for v in state.upper.position
+            pool = sorted(v for v in table_dict(state.upper.position)
                           if v not in state.anchors)
             cache.invalidate(state.apply_anchors([rng.choice(pool)]))
             for side, (misses, allowed, computed, _rows, n_cands) in \

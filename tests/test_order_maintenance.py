@@ -12,25 +12,31 @@ from repro.core.deletion_order import zero_order_anchors
 from repro.core.followers import compute_followers
 from repro.generators.planted import planted_core_graph
 
-from conftest import K34, graphs_with_constraints, random_bigraph
+from conftest import K34, graphs_with_constraints, random_bigraph, table_dict
 
 
 def assert_state_matches_fresh(g, alpha, beta, state, anchors):
     fresh_upper = compute_order(g, alpha, beta, "upper", anchors)
     fresh_lower = compute_order(g, alpha, beta, "lower", anchors)
     assert state.core == fresh_upper.core == fresh_lower.core
-    assert set(state.upper.position) == set(fresh_upper.position)
-    assert set(state.lower.position) == set(fresh_lower.position)
+    upper, lower = (table_dict(state.upper.position),
+                    table_dict(state.lower.position))
+    fresh_u, fresh_l = (table_dict(fresh_upper.position),
+                        table_dict(fresh_lower.position))
+    assert set(upper) == set(fresh_u)
+    assert set(lower) == set(fresh_l)
     # zero-position entries must agree exactly
-    assert ({v for v, p in state.upper.position.items() if p == 0}
-            == {v for v, p in fresh_upper.position.items() if p == 0})
-    assert ({v for v, p in state.lower.position.items() if p == 0}
-            == {v for v, p in fresh_lower.position.items() if p == 0})
+    assert ({v for v, p in upper.items() if p == 0}
+            == {v for v, p in fresh_u.items() if p == 0})
+    assert ({v for v, p in lower.items() if p == 0}
+            == {v for v, p in fresh_l.items() if p == 0})
     assert state.upper.relaxed_core == fresh_upper.relaxed_core
     assert state.lower.relaxed_core == fresh_lower.relaxed_core
     if state.maintain:
-        assert state.core_u == upper_core_numbers(g, alpha, beta, anchors)
-        assert state.core_l == lower_core_numbers(g, alpha, beta, anchors)
+        assert (table_dict(state.core_u)
+                == upper_core_numbers(g, alpha, beta, anchors))
+        assert (table_dict(state.core_l)
+                == lower_core_numbers(g, alpha, beta, anchors))
 
 
 class TestOrderStateBasics:
@@ -57,9 +63,9 @@ class TestOrderStateBasics:
         g = k34_with_periphery
         state = OrderState(g, 4, 3)
         state.apply_anchor(K34["u3"])
-        before = dict(state.upper.position)
+        before = table_dict(state.upper.position)
         state.apply_anchor(K34["u3"])
-        assert state.upper.position == before
+        assert table_dict(state.upper.position) == before
 
     def test_non_maintaining_state_rebuilds(self, k34_with_periphery):
         g = k34_with_periphery
@@ -121,7 +127,7 @@ def test_maintained_orders_support_exact_follower_computation():
             order = state.upper if g.is_upper(y) else state.lower
             reference = (anchored_abcore(g, alpha, beta, placed + [y])
                          - base - {y})
-            if y not in order.position:
+            if y not in table_dict(order.position):
                 assert not reference, (seed, y)
                 continue
             local = compute_followers(g, order, y, core=state.core)
@@ -134,12 +140,13 @@ def global_zero_rebuild(state, side):
     churn ``old ^ new`` returned."""
     order = state.upper if side == "upper" else state.lower
     position = order.position
-    old = {v for v, p in position.items() if p == 0}
+    old = {v for v, p in table_dict(position).items() if p == 0}
     for v in old:
-        del position[v]
-    new = zero_order_anchors(state.graph, side, position,
+        position[v] = -1
+    new = zero_order_anchors(state.graph, side, table_dict(position),
                              order.relaxed_core, state.anchors)
-    position.update(dict.fromkeys(new, 0))
+    for v in new:
+        position[v] = 0
     return old ^ new
 
 
@@ -175,7 +182,8 @@ def test_zero_entries_refreshed_near_the_repair_equal_a_global_rebuild(
     while pool:
         size = rng.choice([1, 1, 2, 3])
         fresh, pool = pool[:size], pool[size:]
-        zeros = {side: {v for v, p in order.position.items() if p == 0}
+        zeros = {side: {v for v, p in table_dict(order.position).items()
+                        if p == 0}
                  for side, order in (("upper", state.upper),
                                      ("lower", state.lower))}
         if size == 1:
@@ -188,8 +196,9 @@ def test_zero_entries_refreshed_near_the_repair_equal_a_global_rebuild(
         assert dirty == expected
         for side, order, twin in (("upper", state.upper, ref.upper),
                                   ("lower", state.lower, ref.lower)):
-            assert order.position == twin.position
-            after = {v for v, p in order.position.items() if p == 0}
+            assert table_dict(order.position) == table_dict(twin.position)
+            after = {v for v, p in table_dict(order.position).items()
+                     if p == 0}
             churned += len(zeros[side] ^ after)
             assert zeros[side] ^ after <= dirty[side]
         assert_state_matches_fresh(g, alpha, beta, state, placed)

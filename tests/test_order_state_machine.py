@@ -22,6 +22,8 @@ from hypothesis.stateful import (
 from repro.bigraph import from_edge_list
 from repro.core import OrderState, compute_order
 
+from conftest import table_dict
+
 
 def _random_graph(seed: int):
     rng = random.Random(seed)
@@ -79,12 +81,12 @@ class OrderStateMachine(RuleBasedStateMachine):
         fresh_lower = compute_order(self.graph, self.alpha, self.beta,
                                     "lower", anchors)
         assert self.state.core == fresh_upper.core == fresh_lower.core
-        assert set(self.state.upper.position) == set(fresh_upper.position)
-        assert set(self.state.lower.position) == set(fresh_lower.position)
         for side, fresh in (("upper", fresh_upper), ("lower", fresh_lower)):
-            ours = getattr(self.state, side).position
+            ours = table_dict(getattr(self.state, side).position)
+            theirs = table_dict(fresh.position)
+            assert set(ours) == set(theirs)
             assert {v for v, p in ours.items() if p == 0} \
-                == {v for v, p in fresh.position.items() if p == 0}
+                == {v for v, p in theirs.items() if p == 0}
 
 
 OrderStateMachine.TestCase.settings = settings(

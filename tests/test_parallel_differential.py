@@ -27,7 +27,7 @@ from repro.parallel import ShardedEvaluator, create_sharded_evaluator
 from repro.resilience.checkpoint import load_checkpoint
 from repro.resilience.faults import FaultPlan
 
-from conftest import random_bigraph
+from conftest import random_bigraph, table_dict
 
 METHODS = ("filver", "filver+", "filver++")
 
@@ -138,12 +138,17 @@ class TestResumeAcrossWorkerCounts:
                 == [structural(r) for r in b.iterations])
 
 
+def state_items(state):
+    """Shard-0 evaluation items for every entry of both orders."""
+    return [(0, order.side, x) for order in (state.upper, state.lower)
+            for x in sorted(table_dict(order.position))]
+
+
 class TestEvaluatorUnit:
     def test_follower_sets_match_in_process_computation(self):
         graph = campaign_graph()
         state = OrderState(graph, 3, 3, maintain=False)
-        items = ([(0, "upper", x) for x in sorted(state.upper.position)]
-                 + [(0, "lower", x) for x in sorted(state.lower.position)])
+        items = state_items(state)
         assert items, "fixture must provide at least one candidate"
         expected = [compute_followers(
             graph, state.upper if side == "upper" else state.lower, x,
@@ -158,8 +163,7 @@ class TestEvaluatorUnit:
     def test_early_close_then_reuse(self):
         graph = campaign_graph()
         state = OrderState(graph, 3, 3, maintain=False)
-        items = ([(0, "upper", x) for x in sorted(state.upper.position)]
-                 + [(0, "lower", x) for x in sorted(state.lower.position)])
+        items = state_items(state)
         assert items, "fixture must provide at least one candidate"
         expected = [compute_followers(
             graph, state.upper if side == "upper" else state.lower, x,

@@ -37,14 +37,15 @@ from repro.resilience.faults import (
     deactivate_inherited_plan,
 )
 
-from test_parallel_differential import assert_identical, campaign_graph
+from conftest import table_dict
+from test_parallel_differential import (assert_identical, campaign_graph,
+                                        state_items)
 
 
 def state_and_items(graph):
     """A frozen iteration state plus every shell candidate from both sides."""
     state = OrderState(graph, 3, 3, maintain=False)
-    items = ([(0, "upper", x) for x in sorted(state.upper.position)]
-             + [(0, "lower", x) for x in sorted(state.lower.position)])
+    items = state_items(state)
     assert items, "fixture must provide at least one candidate"
     expected = [compute_followers(
         graph, state.upper if side == "upper" else state.lower, x,
@@ -141,7 +142,7 @@ class TestDeadlineAndStopFlag:
 
         shard = CampaignShard(0, IdentityView(graph), state, None, None)
         scored = [(-1, x, shard, x, state.upper, None)
-                  for x in sorted(state.upper.position)]
+                  for x in sorted(table_dict(state.upper.position))]
         assert scored, "fixture must provide at least one candidate"
 
         class NullMaintainer:

@@ -14,7 +14,7 @@ from repro.core.incremental import VerificationCache
 from repro.core.signatures import signatures_of
 from repro.generators.planted import planted_core_graph
 
-from conftest import graphs_with_constraints, random_bigraph
+from conftest import graphs_with_constraints, random_bigraph, table_dict
 
 
 @settings(max_examples=30, deadline=None)
@@ -205,7 +205,8 @@ class TestArrayTwoHop:
                     g, order, cands, cache) == expected
                 seen["passes"] += 1
                 seen["partial"] += 0 < hits < len(cands)
-                seen["zero"] += sum(order.position[x] == 0 for x in cands)
+                position = table_dict(order.position)
+                seen["zero"] += sum(position[x] == 0 for x in cands)
                 seen["empty"] += sum(not signature(g, order, x)
                                      for x in cands)
             if step == 3:
@@ -232,7 +233,8 @@ class TestArrayTwoHop:
         assert len({frozenset(s) for s in sigs.values()}) == 1
         assert two_hop_filter_cached(g, upper, upper.candidates(g),
                                      VerificationCache(g)) == [3]
-        zero = [x for x in lower.candidates(g) if lower.position[x] == 0]
+        position = table_dict(lower.position)
+        zero = [x for x in lower.candidates(g) if position[x] == 0]
         empty = [x for x in lower.candidates(g)
                  if not signature(g, lower, x)]
         assert zero and empty
