@@ -1,14 +1,15 @@
 """No per-candidate whole-order recomputation inside ``# hot-loop`` loops.
 
-``reachable_from``, ``reachable_sets`` and ``r_scores`` each walk a whole
-deletion order: the first runs the order-respecting DFS behind ``rf(x)``,
-the second sweeps the order DAG once for a whole batch of sources, the
-third fills the r-score DP table for every shell vertex.  Calling any of
-them *per iteration of a hot loop* multiplies an order-sized cost by the
-loop's trip count — the exact pattern the cross-iteration
-:class:`repro.core.incremental.VerificationCache`, the batched sweep and
-the per-side r-score table exist to remove.  Collect the cache misses in
-the loop and make one ``reachable_sets`` call after it.
+``reachable_from``, ``reachable_counts`` and ``r_scores`` each walk a
+whole deletion order: the first runs the order-respecting DFS behind
+``rf(x)``, the second sweeps the order DAG once for a whole batch of
+sources, the third fills the r-score DP table for every shell vertex.
+Calling any of them *per iteration of a hot loop* multiplies an
+order-sized cost by the loop's trip count — the exact pattern the
+cross-iteration :class:`repro.core.incremental.VerificationCache`, the
+batched sweep and the per-side r-score table exist to remove.  Collect
+the cache misses in the loop and make one ``reachable_counts`` call after
+it.
 
 This rule flags calls to any of these functions (by name, bare or
 attribute) whose call site sits inside a loop marked ``# hot-loop``.
@@ -32,7 +33,7 @@ from repro.analysis.violations import Violation
 __all__ = ["RecomputeRule"]
 
 #: Whole-order functions: each call costs O(|order|) or worse.
-_EXPENSIVE = ("reachable_from", "reachable_sets", "r_scores")
+_EXPENSIVE = ("reachable_from", "reachable_counts", "r_scores")
 
 
 def _callee_name(node: ast.Call) -> str:
@@ -50,7 +51,7 @@ class RecomputeRule(AnalysisRule):
     """Flag whole-order recomputation inside ``# hot-loop`` marked loops."""
 
     name = "recompute"
-    description = ("no reachable_from / reachable_sets / r_scores calls "
+    description = ("no reachable_from / reachable_counts / r_scores calls "
                    "inside # hot-loop loops; reuse the verification cache, "
                    "batch the misses or hoist the table")
 
@@ -70,7 +71,7 @@ class RecomputeRule(AnalysisRule):
                 ctx, node.lineno, node.col_offset,
                 "%s() walks a whole deletion order and is called inside a "
                 "# hot-loop; reuse the VerificationCache entry, batch the "
-                "misses into one reachable_sets call after the loop (or "
+                "misses into one reachable_counts call after the loop (or "
                 "hoist the table), and mark a sanctioned call with "
                 "'# repro: ignore[recompute]'" % name))
         for v in sorted(out):

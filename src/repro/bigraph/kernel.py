@@ -6,8 +6,9 @@ functions of (positions, core, adjacency, x).  The generic implementations
 in :mod:`repro.core` walk Python dicts and sets and allocate a fresh
 support dict per candidate.  At thousands of candidates per iteration
 those constant factors dominate the campaign profile.  :meth:`reachable`
-answers a whole filter pass's ``rf(x)`` misses in one sweep of the order
-DAG (``docs/PERF.md``, "rf in one sweep").
+answers a whole filter pass's ``|rf(x)|`` misses in one sweep of the
+order DAG (``docs/PERF.md``, "rf in one sweep"); only :meth:`followers`
+reads a set ``rf(x)``, from its own single-source DFS.
 
 :class:`FollowerKernel` replaces the per-candidate churn with flat
 buffers sized once per graph and *epoch-stamped* instead of cleared:
@@ -42,10 +43,11 @@ faster than indexing the array.
 
 The kernel lives in :mod:`repro.bigraph` because it is pure graph
 machinery: it knows nothing about deletion orders or engines — callers feed
-it plain position tables and vertex sets.  Results are *set-identical* to
-``repro.core.followers.compute_followers`` / ``reachable_from`` (property
-checked by ``tests/test_incremental.py``); the engine selects it
-automatically on CSR-backed graphs.
+it plain position tables and vertex sets.  Follower sets are
+*set-identical* to ``repro.core.followers.compute_followers`` and bounds
+equal ``len(reachable_from(...))`` (property checked by
+``tests/test_incremental.py``); the engine selects it automatically on
+CSR-backed graphs.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import (Callable, Dict, Iterable, List, MutableMapping, Optional,
 from repro.bigraph.csr import adjacency_arrays
 from repro.exceptions import GraphConstructionError
 
-__all__ = ["FollowerKernel", "closure_sets", "kernel_for"]
+__all__ = ["FollowerKernel", "closure_counts", "kernel_for"]
 
 _STACK_TYPECODE = "i"  # vertex ids fit the CSR neighbor width
 
@@ -72,10 +74,9 @@ class FollowerKernel:
     Usage per engine iteration::
 
         kernel.begin_iteration(upper_position, lower_position, core)
-        rf = kernel.reachable("upper", survivors)   # one sweep, x -> rf(x)
-        for x in survivors:
-            followers = kernel.followers("upper", x, alpha, beta,
-                                         candidates=rf[x])
+        bounds = kernel.reachable("upper", survivors)  # x -> |rf(x)|
+        for x in ranked:
+            followers = kernel.followers("upper", x, alpha, beta)
     """
 
     def __init__(self, graph: object) -> None:
@@ -136,18 +137,19 @@ class FollowerKernel:
     # Kernels
     # ------------------------------------------------------------------
 
-    def reachable(self, side: str,
-                  sources: Iterable[int]) -> Dict[int, Set[int]]:
-        """``rf(x)`` of every source under the held order, in one sweep.
+    def reachable(self, side: str, sources: Iterable[int]) -> Dict[int, int]:
+        """``{x: |rf(x)|}`` for every source under the held order, in one
+        sweep.
 
-        Each set is identical to
-        :func:`repro.core.deletion_order.reachable_from`; a source without
-        a position entry raises ``KeyError``.  Reachability only follows
-        strictly increasing positions, so the order graph is a DAG and ``rf(v)`` is
-        the union of ``{w} ∪ rf(w)`` over the successors ``w`` of ``v``.
-        The walk from all sources records, for each visited vertex, its
-        successors and, in the support buffer, how many visited vertices
-        read its set; :func:`closure_sets` then builds the sets.
+        Each count is ``len`` of
+        :func:`repro.core.deletion_order.reachable_from`'s set; a source
+        without a position entry raises ``KeyError``.  Reachability only
+        follows strictly increasing positions, so the order graph is a DAG
+        and ``rf(v)`` is the union of ``{w} ∪ rf(w)`` over the successors
+        ``w`` of ``v``.  The walk from all sources records, for each
+        visited vertex, its successors and, in the support buffer, how many
+        visited vertices read its set; :func:`closure_counts` then sizes
+        the sets.
         """
         pos = self._positions[side]
         self._call += 1
@@ -165,7 +167,7 @@ class FollowerKernel:
                 raise KeyError(x)
             if visited[x] != call:
                 visited[x] = call
-                readers[x] = 1
+                readers[x] = 0
                 push(x)
         succ: Dict[int, Tuple[int, ...]] = {}
         found: List[int] = []
@@ -187,31 +189,21 @@ class FollowerKernel:
             if found:
                 succ[v] = tuple(found)
                 clear()
-        return closure_sets(succ, pos.__getitem__, readers, roots)
+        return closure_counts(succ, pos.__getitem__, readers, roots)
 
-    def followers(self, side: str, x: int, alpha: int, beta: int,
-                  candidates: Optional[Set[int]] = None) -> Set[int]:
+    def followers(self, side: str, x: int, alpha: int, beta: int) -> Set[int]:
         """``F(x)`` under the held order and stamped core — set-identical to
         :func:`repro.core.followers.compute_followers`.
 
-        ``candidates`` is a precomputed ``rf(x)`` when the caller already
-        has it (the filter stage does); otherwise it is derived here with
-        a single-source order-respecting DFS.
+        The candidate set ``rf(x)`` comes from a single-source
+        order-respecting DFS; the filter's sweep keeps only its size.
         """
         offsets = self._offsets
         rows = self._rows
         cand = self._cand
         self._call += 1
         call = self._call
-        cand_list: List[int]
-        if candidates is None:
-            cand_list = self._collect_candidates(side, x, call)
-        else:
-            cand_list = []
-            push_cand = cand_list.append
-            for u in candidates:
-                cand[u] = call
-                push_cand(u)
+        cand_list = self._collect_candidates(side, x, call)
         if not cand_list:
             return set()
 
@@ -285,24 +277,26 @@ class FollowerKernel:
         return out
 
 
-def closure_sets(succ: Dict[int, Tuple[int, ...]],
-                 position: Callable[[int], int],
-                 readers: MutableMapping[int, int],
-                 roots: List[int]) -> Dict[int, Set[int]]:
-    """Second pass of an ``rf`` sweep: ``{x: rf(x)}`` for every root.
+def closure_counts(succ: Dict[int, Tuple[int, ...]],
+                   position: Callable[[int], int],
+                   readers: MutableMapping[int, int],
+                   roots: List[int]) -> Dict[int, int]:
+    """Second pass of an ``rf`` sweep: ``{x: |rf(x)|}`` for every root.
 
     ``succ`` maps each vertex of the roots' closure that has order
     successors to them; a vertex left out has none, so its ``rf`` is
     empty.  ``readers`` counts, per closure vertex, the closure vertices
-    whose set reads its set, plus one for each root, whose set is
-    returned.  Visiting in decreasing position completes every successor's
-    set before its predecessors read it.  A set whose last reader is the
-    current vertex is taken over instead of copied, so on chains the pass
-    costs one insert per returned element.  Shared by
-    :meth:`FollowerKernel.reachable` and
-    :func:`repro.core.deletion_order.reachable_sets`.
+    whose set reads its set; a root adds no reader, because only its size
+    is returned.  Visiting in decreasing position completes every
+    successor's set before its predecessors read it, and each vertex's
+    size is recorded once its set is complete.  The last reader of a set
+    takes it over instead of copying it, and a set nobody reads is
+    dropped, so on chains the pass costs one insert per closure vertex.
+    Shared by :meth:`FollowerKernel.reachable` and
+    :func:`repro.core.deletion_order.reachable_counts`.
     """
     rf: Dict[int, Set[int]] = {}
+    size: Dict[int, int] = {}
     take = rf.pop
     get = rf.get
     for v in sorted(succ, key=position, reverse=True):  # hot-loop
@@ -322,8 +316,10 @@ def closure_sets(succ: Dict[int, Tuple[int, ...]],
             merged = set(out)
         else:
             merged.update(out)
-        rf[v] = merged
-    return {x: rf[x] if x in rf else set() for x in roots}
+        size[v] = len(merged)
+        if readers[v]:
+            rf[v] = merged
+    return {x: size.get(x, 0) for x in roots}
 
 
 def kernel_for(graph: object) -> Optional[FollowerKernel]:

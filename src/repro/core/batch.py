@@ -3,9 +3,9 @@
 The service sees *streams* of campaigns against one graph, and most of a
 cold start is (α, β)-invariant: the base (α,β)-core, the pristine deletion
 orders (plus capped core numbers), and the first filter pass's two-hop
-verdicts and ``rf(x)`` sets are all pure functions of ``(graph, α, β)`` —
-no campaign parameter (budgets, method, ``t``, seed, deadline) enters
-them.  :class:`SharedCampaignContext` computes each of those exactly once
+verdicts and ``|rf(x)|`` bounds are all pure functions of
+``(graph, α, β)`` — no campaign parameter (budgets, method, ``t``, seed,
+deadline) enters them.  :class:`SharedCampaignContext` computes each of those exactly once
 and serves them to every campaign:
 
 * per ``shards`` value, the shard plan's views
@@ -63,7 +63,7 @@ if TYPE_CHECKING:
 __all__ = ["SharedCampaignContext"]
 
 #: The warm-up's one filter pass: it stores the two-hop verdict of every
-#: candidate and ``rf(x)`` for every survivor.
+#: candidate and the bound ``|rf(x)|`` of every survivor.
 _RF_PASS = EngineOptions(use_two_hop_filter=True, use_rf_bound=True)
 
 
@@ -190,7 +190,7 @@ class SharedCampaignContext:
 
     def _warm_seed_tables(self, view: View, state: OrderState) -> SeedTables:
         """One view's seed: a single ``_RF_PASS`` filter stage over its
-        pristine ``state``, frozen (the ``rf`` and verdict tables)."""
+        pristine ``state``, frozen (the bound and verdict tables)."""
         scratch = VerificationCache(view.graph)
         kernel = kernel_for(view.graph)
         if kernel is not None:

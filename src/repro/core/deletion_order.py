@@ -8,8 +8,8 @@ to the shell join the order with position 0.  These orders drive everything in
 the FILVER family:
 
 * ``rf(x)`` — the order-reachable set from ``x`` (Definition 7), a superset of
-  ``F(x)`` by Lemma 1; :func:`reachable_sets` computes it for many sources
-  in one sweep, :func:`reachable_from` for one;
+  ``F(x)`` by Lemma 1; :func:`reachable_from` computes it for one source,
+  :func:`reachable_counts` the bound ``|rf(x)|`` for many in one sweep;
 * ``r-score(x)`` — a one-pass dynamic-programming upper bound on ``|rf(x)|``;
 * ``sig(x)`` — the follower signature (Definition 8) used by two-hop
   domination filtering.
@@ -24,7 +24,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.abcore.decomposition import anchored_abcore, peel_with_order
 from repro.bigraph.graph import BipartiteGraph
-from repro.bigraph.kernel import closure_sets
+from repro.bigraph.kernel import closure_counts
 
 __all__ = [
     "DeletionOrder",
@@ -32,8 +32,8 @@ __all__ = [
     "compute_orders",
     "order_from_peel",
     "r_scores",
+    "reachable_counts",
     "reachable_from",
-    "reachable_sets",
     "signature",
     "zero_order_anchors",
 ]
@@ -269,17 +269,17 @@ def reachable_from(graph: BipartiteGraph, order: DeletionOrder,
     return reached
 
 
-def reachable_sets(graph: BipartiteGraph, order: DeletionOrder,
-                   sources: Iterable[int]) -> Dict[int, Set[int]]:
-    """``{x: rf(x)}`` for every source, in one sweep of the order DAG.
+def reachable_counts(graph: BipartiteGraph, order: DeletionOrder,
+                     sources: Iterable[int]) -> Dict[int, int]:
+    """``{x: |rf(x)|}`` for every source, in one sweep of the order DAG.
 
-    Each set is identical to :func:`reachable_from`, the single-source
-    oracle; a source outside the order raises ``KeyError``.  Reachability
-    only follows strictly increasing positions, so
+    Each count is ``len`` of :func:`reachable_from`'s set, the
+    single-source oracle; a source outside the order raises ``KeyError``.
+    Reachability only follows strictly increasing positions, so
     ``rf(v) = ⋃_{w ∈ N(v), pos(w) > pos(v)} ({w} ∪ rf(w))``.  One walk from
     all sources records each visited vertex's successors and how many
     visited vertices read its set;
-    :func:`repro.bigraph.kernel.closure_sets` then visits the closure in
+    :func:`repro.bigraph.kernel.closure_counts` then visits the closure in
     decreasing position.  The flat-array twin on CSR graphs is
     :meth:`repro.bigraph.kernel.FollowerKernel.reachable`.
     """
@@ -293,7 +293,7 @@ def reachable_sets(graph: BipartiteGraph, order: DeletionOrder,
     for x in roots:
         order.entry(x)
         if x not in readers:
-            readers[x] = 1
+            readers[x] = 0
             push(x)
     succ: Dict[int, Tuple[int, ...]] = {}
     found: List[int] = []
@@ -314,7 +314,7 @@ def reachable_sets(graph: BipartiteGraph, order: DeletionOrder,
         if found:
             succ[v] = tuple(found)
             clear()
-    return closure_sets(succ, position.__getitem__, readers, roots)
+    return closure_counts(succ, position.__getitem__, readers, roots)
 
 
 def signature(graph: BipartiteGraph, order: DeletionOrder, x: int) -> Set[int]:

@@ -50,7 +50,7 @@ from repro.abcore.decomposition import abcore, anchored_abcore
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.validation import validate_problem
 from repro.core.anchor_set import AnchorSetMaintainer
-from repro.core.deletion_order import DeletionOrder, r_scores, reachable_sets
+from repro.core.deletion_order import DeletionOrder, r_scores, reachable_counts
 # reachable_from: unused here, kept for perfbench's tracer.
 from repro.core.deletion_order import reachable_from  # noqa: F401
 from repro.core.followers import compute_followers
@@ -153,7 +153,7 @@ def run_engine(
     written by serial and parallel campaigns are interchangeable.  When the
     pool cannot be created the engine silently degrades to the serial scan.
 
-    ``memoize`` (default on) carries verification work — ``rf(x)`` sets,
+    ``memoize`` (default on) carries verification work — ``|rf(x)|``
     bounds, two-hop verdicts, follower sets — across iterations in a
     :class:`VerificationCache`, invalidated by the affected regions order
     maintenance reports (``docs/PERF.md``).
@@ -447,21 +447,23 @@ def _filter_stage(
 ) -> Tuple[List["MergedCandidate"], int]:
     """Build one shard's ranked candidate list, in merged form.
 
-    Entries are ``(-bound, global_x, shard, x, order, rf)``; returns the
+    Entries are ``(-bound, global_x, shard, x, order)``; returns the
     list sorted by non-increasing bound (ties by vertex id) and the
     pre-filter pool size.  Monotone renumbering makes the order by global
     id the order by local id, and global ids are unique, so the plain
     tuple sort never compares past the two leading ints and the order the
     survivors arrive in does not matter.  With the shard's cache, two-hop
-    verdicts and ``rf(x)`` bounds are reused for every candidate the last
-    apply's affected regions did not touch; r-score bounds come from one
+    verdicts and ``|rf(x)|`` bounds are reused for every candidate the
+    last apply's affected regions did not touch, each side's cached bounds
+    read in one call; r-score bounds come from one
     :func:`~repro.core.deletion_order.r_scores` table per side per pass.
-    Each side's cache misses get their ``rf(x)`` sets from one sweep of
-    the order DAG: the kernel's flat-array
+    Each side's cache misses get their bounds from one sweep of the order
+    DAG, stored in one call: the kernel's flat-array
     :meth:`~repro.bigraph.kernel.FollowerKernel.reachable` on CSR,
-    :func:`~repro.core.deletion_order.reachable_sets` otherwise.  The
-    survivor set, the bounds, and hence the ranked list are identical on
-    every path (``docs/PERF.md``).
+    :func:`~repro.core.deletion_order.reachable_counts` otherwise.  No
+    ``rf(x)`` set is kept: verification derives it for the candidates it
+    reaches.  The survivor set, the bounds, and hence the ranked list are
+    identical on every path (``docs/PERF.md``).
 
     The ``engine.filter`` fault site fires in the caller, once per
     iteration, however many shards refilter.
@@ -492,35 +494,36 @@ def _filter_stage(
         else:
             survivors = candidates
         if options.use_rf_bound:
-            # Cache hits are scored at once; the misses get their rf(x)
+            # Cache hits are scored at once; the misses get their bounds
             # from one sweep afterwards.  The sort below orders entries
             # by their unique leading ints, so the append order is free.
-            # A hit whose rf set and order are the objects the shard's
-            # previous pass ranked it with gets that entry back: every
-            # field is equal, and keeping the tuple spares the allocation
-            # and the cyclic collector's work on a fresh one.
+            # A hit whose bound and order are those the shard's previous
+            # pass ranked it with gets that entry back: every field is
+            # equal, and keeping the tuple spares the allocation and the
+            # cyclic collector's work on a fresh one.
             previous = shard.entries.get(side, {})
             entries: Dict[int, "MergedCandidate"] = {}
+            known = (cache.rf_bounds(side, survivors) if cache is not None
+                     else repeat(None))
             misses: List[int] = []
-            for x in survivors:  # hot-loop
-                rf = cache.rf_for(side, x) if cache is not None else None
-                if rf is None:
+            for x, bound in zip(survivors, known):  # hot-loop
+                if bound is None:
                     misses.append(x)
-                elif rf:
+                elif bound:
                     entry = previous.get(x)
-                    if (entry is None or entry[5] is not rf
+                    if (entry is None or entry[0] != -bound
                             or entry[4] is not order):
-                        entry = (-len(rf), to_global[x], shard, x, order, rf)
+                        entry = (-bound, to_global[x], shard, x, order)
                     entries[x] = entry
                     scored.append(entry)
             if misses:
                 fresh = (kernel.reachable(side, misses) if kernel is not None
-                         else reachable_sets(graph, order, misses))
-                for x, rf in fresh.items():  # hot-loop
-                    if cache is not None:
-                        cache.store_rf(side, x, rf)
-                    if rf:
-                        entry = (-len(rf), to_global[x], shard, x, order, rf)
+                         else reachable_counts(graph, order, misses))
+                if cache is not None:
+                    cache.store_rf(side, fresh)
+                for x, bound in fresh.items():  # hot-loop
+                    if bound:
+                        entry = (-bound, to_global[x], shard, x, order)
                         entries[x] = entry
                         scored.append(entry)
             shard.entries[side] = entries
@@ -529,8 +532,7 @@ def _filter_stage(
             for x in survivors:
                 bound = scores.get(x, 0)
                 if bound > 0:
-                    scored.append((-bound, to_global[x], shard, x, order,
-                                   None))
+                    scored.append((-bound, to_global[x], shard, x, order))
 
     scored.sort()
     return scored, candidates_total
@@ -567,7 +569,7 @@ def _fallback_anchors(
 ) -> List[int]:
     """Top-bound candidates within budget, for zero-follower iterations."""
     chosen: List[int] = []
-    for _neg_bound, x, _shard, _lx, _order, _rf in merged:
+    for _neg_bound, x, _shard, _lx, _order in merged:
         if len(chosen) >= t:
             break
         if graph.is_upper(x):
@@ -598,9 +600,11 @@ def _verification_stage(
 
     * a candidate inside a verified anchor's follower set is dominated;
     * a candidate whose bound cannot beat the maintainer's threshold is
-      skipped — and since bounds are sorted, for ``t = 1`` the scan stops
-      outright (the threshold ``|F(x*)|`` only ever grows), while for
-      ``t > 1`` it continues because replacements may lower the threshold.
+      skipped.  The threshold changes only when a verified candidate is
+      offered, and bounds are sorted, so every later candidate is skipped
+      too: the scan stops there.  For ``t > 1`` with a deadline or a
+      pooled stream it goes on skipping instead, so the deadline check
+      and the stream still see every candidate.
 
     Follower sets are computed in the candidate's shard (local ids) and
     globalized for coverage and the maintainer — follower sets never leave
@@ -610,8 +614,7 @@ def _verification_stage(
     it, because the memo-off scan would have evaluated it — the cache
     changes where the set comes from, never whether the scan wanted it.
     Fresh sets are computed by the shard's kernel when one is selected,
-    seeded with the filter stage's ``rf(x)`` so the reachability DFS is
-    never repeated.
+    each from its own ``rf(x)`` DFS: the filter keeps only the bound.
 
     ``pooled`` (from :func:`_pooled_follower_sets`) supplies one set per
     ranked candidate instead, skipped candidates included; the skip rules
@@ -623,14 +626,14 @@ def _verification_stage(
     verifications = 0
     supplied = pooled if pooled is not None else repeat(None)
     try:
-        for (neg_bound, x, shard, lx, order, rf), follower_set in zip(
+        for (neg_bound, x, shard, lx, order), follower_set in zip(
                 merged, supplied):
             if deadline is not None and time.perf_counter() > deadline:
                 return verifications, True
             if x in covered:
                 continue
             if -neg_bound <= maintainer.skip_threshold():
-                if t == 1:
+                if t == 1 or (pooled is None and deadline is None):
                     break
                 continue
             if follower_set is None:
@@ -641,11 +644,10 @@ def _verification_stage(
                 if follower_set is None:
                     if shard.kernel is not None:
                         follower_set = shard.kernel.followers(
-                            side, lx, alpha, beta, candidates=rf)
+                            side, lx, alpha, beta)
                     else:
                         follower_set = compute_followers(
-                            shard.graph, order, lx, core=shard.state.core,
-                            candidates=rf)
+                            shard.graph, order, lx, core=shard.state.core)
                     if cache is not None:
                         cache.store_followers(side, lx, follower_set)
             verifications += 1
@@ -679,7 +681,7 @@ def _pooled_follower_sets(
     """
     cached_sets: List[Optional[Set[int]]] = []
     items: List["ShardCandidate"] = []
-    for _neg_bound, _x, shard, lx, order, _rf in merged:
+    for _neg_bound, _x, shard, lx, order in merged:
         follower_set = (shard.cache.followers_for(order.side, lx)
                         if shard.cache is not None else None)
         cached_sets.append(follower_set)
@@ -689,7 +691,7 @@ def _pooled_follower_sets(
     dirty_shards.clear()
     stream = evaluator.evaluate(items)
     try:
-        for (_neg_bound, _x, shard, lx, order, _rf), follower_set in zip(
+        for (_neg_bound, _x, shard, lx, order), follower_set in zip(
                 merged, cached_sets):
             if follower_set is None:
                 follower_set = next(stream)

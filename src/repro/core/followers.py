@@ -27,10 +27,9 @@ single returned set:
   follower sets across engine iterations, invalidated by the affected
   regions order maintenance reports (see ``docs/PERF.md``).
 
-Both callers rely on documented properties of this function: it never
-mutates ``candidates`` (the cache shares its stored ``rf(x)`` sets with
-call sites), and its result depends only on ``(adjacency, position, core,
-x)`` — the exact state the cache's dirty-region rule tracks.
+Both callers rely on a documented property of this function: its result
+depends only on ``(adjacency, position, core, x)`` — the exact state the
+cache's dirty-region rule tracks.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ def compute_followers(
         ``order.core``.  Vertices in it support their neighbors and never
         peel.
     candidates:
-        Pre-computed ``rf(x)`` if the caller already has it (the FILVER+
-        filter stage computes ``|rf(x)|`` anyway); otherwise
+        Pre-computed ``rf(x)`` if the caller already has it (it is never
+        mutated); otherwise
         :func:`~repro.core.deletion_order.reachable_from` derives it.
     """
     if core is None:

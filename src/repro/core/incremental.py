@@ -1,17 +1,19 @@
 """Cross-iteration verification memoization with affected-region invalidation.
 
 The engine's filter/verification stages recompute, for every candidate and
-every iteration: the order-reachable set ``rf(x)``, the bound ``|rf(x)|``,
-the two-hop domination verdict, and — for the candidates that reach
-Algorithm 1 — the follower set ``F(x)``.  Yet Algorithm 4 confines each
-anchor's effect to its *affected graph*: outside the repaired regions,
-both deletion orders are bit-identical from one iteration to the next.
-:class:`VerificationCache` carries those quantities across iterations in
-three tables (``rf``, follower sets, survivor verdicts) and drops only
-what the repairs could have changed, using the per-side dirty regions that
+every iteration: the bound ``|rf(x)|``, the two-hop domination verdict,
+and — for the candidates that reach Algorithm 1 — the follower set
+``F(x)``.  Yet Algorithm 4 confines each anchor's effect to its *affected
+graph*: outside the repaired regions, both deletion orders are
+bit-identical from one iteration to the next.  :class:`VerificationCache`
+carries those quantities across iterations in three tables (bounds,
+follower sets, survivor verdicts) and drops only what the repairs could
+have changed, using the per-side dirty regions that
 :meth:`repro.core.order_maintenance.OrderState.apply_anchors` reports.
-Signatures ``sig(x)`` are not cached: the two-hop filter needs them only
-to decide a verdict miss, and reads them fresh then.
+Neither ``rf(x)`` itself nor the signatures ``sig(x)`` are cached: the
+filter needs only the bound, verification derives ``rf(x)`` in its own
+DFS, and the two-hop filter needs signatures only to decide a verdict
+miss, and reads them fresh then.
 
 Correctness argument
 --------------------
@@ -21,10 +23,10 @@ contract of ``apply_anchors`` is that every position entry of that side's
 order and every anchored-core membership outside ``D`` is bit-identical to
 its value before the call.  Write ``N(S)`` for the graph neighbors of a
 vertex set ``S`` and ``D1 = D ∪ N(D)``, ``D3`` for the threefold dilation
-``D ∪ N(D) ∪ N²(D) ∪ N³(D)``.  The invalidation rules, and why each is
-sufficient:
+``D ∪ N(D) ∪ N²(D) ∪ N³(D)``.  Write ``rf(x)`` for the set before the
+apply.  The invalidation rules, and why each is sufficient:
 
-``rf(x)`` / bound / ``F(x)`` — *evict iff* ``({x} ∪ rf(x)) ∩ D1 ≠ ∅``.
+bound / ``F(x)`` — *evict iff* ``({x} ∪ rf(x)) ∩ D1 ≠ ∅``.
     Suppose ``({x} ∪ rf(x)) ∩ D1 = ∅``.  Then no vertex of ``{x} ∪ rf(x)``
     is in ``D``, and no *neighbor* of such a vertex is in ``D`` either
     (a vertex with a dirty neighbor lies in ``N(D) ⊆ D1``).  So the
@@ -52,6 +54,26 @@ sufficient:
     of the *old* ``{x} ∪ rf(x)`` being dirty.  ``w ∈ D`` puts such entries
     in ``N(D)``, which is exactly what the dilation catches.
 
+    *The walk that decides it.*  The cache holds bounds, not sets, so it
+    tests the rule as: ``x ∈ D1``, or some order-increasing path from
+    ``x`` under the **post-apply** positions reaches ``D1``.  The two
+    tests agree.  Take an increasing path from ``x ∉ D1``, under either
+    the old or the new positions, that reaches ``D1``, and let ``u`` be
+    its first vertex in ``D1``.  Every vertex before ``u`` lies outside
+    ``D1``, so outside ``D``; ``u``'s predecessor on the path is such a
+    vertex, so ``u ∉ D`` (else that predecessor would lie in
+    ``N(D) ⊆ D1``).  Every position from ``x`` up to ``u`` is therefore
+    unchanged, and the prefix ending at ``u`` is increasing under the
+    other positions too: ``u ∈ rf(x) ∩ D1`` exactly when the post-apply
+    walk reaches ``D1``.  The same argument says where such paths end:
+    at a vertex of ``D1 ∖ D = N(D) ∖ D`` holding a position ``≥ 1``,
+    entered from outside ``D1``.  So the walk runs backwards, once for
+    all keys: from those vertices to their neighbors outside ``D1`` with
+    a smaller position ``≥ 0``, and on from those.  Its cost is the rows
+    of ``N(D) ∖ D`` and of the vertices it reaches — neither the closure
+    of the surviving keys, which on ``shards=1`` campaigns spans every
+    untouched component, nor the rows of ``D``.
+
 two-hop survivor verdict — *evict iff* ``x ∈ D3``.
     Algorithm 3 visits candidates in increasing ``(|sig|, id)`` and keeps
     ``x`` iff ``sig(x) ≠ ∅`` and no *unvisited* candidate dominates it.
@@ -72,10 +94,9 @@ When ``apply_anchors`` reports ``None`` (the ``maintain=False`` full
 recompute path — plain FILVER), nothing can be said about what moved and
 the cache clears itself entirely; memoization degrades to a correct no-op.
 
-The cache stores **the engine's own sets** (and hands them back); callers
-must treat them as frozen.  Everything downstream already does:
-``compute_followers``/``FollowerKernel.followers`` only read ``candidates``,
-and ``AnchorSetMaintainer._insert`` defensively copies offered follower
+The cache stores **the engine's own follower sets** (and hands them
+back); callers must treat them as frozen.  Everything downstream already
+does: ``AnchorSetMaintainer._insert`` defensively copies offered follower
 sets.  Caches are ephemeral by design — checkpoints never serialize them,
 and a resumed campaign rebuilds warmth from its replayed apply calls.
 
@@ -92,10 +113,12 @@ stored at epoch 0: it starts from copies of the seed's tables.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
+from repro.core.deletion_order import DeletionOrder
 from repro.core.order_maintenance import DirtyRegions
 
 __all__ = ["SeedTables", "VerificationCache"]
@@ -106,17 +129,16 @@ _SIDES = ("upper", "lower")
 class SeedTables:
     """Frozen epoch-0 verification tables, shareable across campaigns.
 
-    Holds, per side, the pristine-state ``rf(x)`` sets (bound = ``len``)
-    and two-hop survivor verdicts — what iteration one of a cold campaign
-    computes from the pristine deletion orders.  Instances are frozen by
-    contract: each campaign's cache copies the tables and shares their
-    values, which nothing mutates, so one instance is safe to share
-    (including across service worker threads).
+    Holds, per side, the pristine-state bounds ``|rf(x)|`` and two-hop
+    survivor verdicts — what iteration one of a cold campaign computes
+    from the pristine deletion orders.  Instances are frozen by contract:
+    each campaign's cache copies the tables, so one instance is safe to
+    share (including across service worker threads).
     """
 
     __slots__ = ("rf", "survivors")
 
-    def __init__(self, rf: Dict[str, Dict[int, Set[int]]],
+    def __init__(self, rf: Dict[str, Dict[int, int]],
                  survivors: Dict[str, Dict[int, bool]]) -> None:
         self.rf = rf
         self.survivors = survivors
@@ -136,24 +158,28 @@ class VerificationCache:
 
     Lifecycle per engine iteration::
 
-        rf = cache.rf_for(side, x)               # filter: bound reuse
+        bounds = cache.rf_bounds(side, survivors)  # filter: bound reuse
+        cache.store_rf(side, fresh)              # the misses' sweep
         ...
         cached = cache.followers_for(side, x)    # verify: Algorithm-1 reuse
         ...
         dirty = state.apply_anchors(chosen)
-        cache.invalidate(dirty)                  # once, right after apply
+        cache.invalidate(dirty, (state.upper, state.lower))  # right after
 
     All hit/miss/eviction counters are plain attributes, exposed for the
     differential tests and the engine benchmark.  ``seed_hits`` counts the
-    hits that returned the seed's own ``rf`` set.
+    hits that returned a bound copied from the seed, not evicted since.
     """
 
     def __init__(self, graph: BipartiteGraph,
                  seed: Optional[SeedTables] = None) -> None:
         self._graph = graph
         self._seed = _EMPTY_SEED if seed is None else seed
-        self._rf: Dict[str, Dict[int, Set[int]]] = {
+        self._rf: Dict[str, Dict[int, int]] = {
             side: dict(self._seed.rf[side]) for side in _SIDES}
+        # side -> the keys whose bound is still the seed's copy.
+        self._seeded: Dict[str, Set[int]] = {
+            side: set(self._seed.rf[side]) for side in _SIDES}
         self._followers: Dict[str, Dict[int, Set[int]]] = {
             side: {} for side in _SIDES}
         self._survivors: Dict[str, Dict[int, bool]] = {
@@ -170,23 +196,31 @@ class VerificationCache:
         self.full_invalidations = 0
 
     # ------------------------------------------------------------------
-    # rf / bound / followers
+    # bounds / followers
     # ------------------------------------------------------------------
 
-    def rf_for(self, side: str, x: int) -> Optional[Set[int]]:
-        """The cached ``rf(x)`` (its bound is ``len``), if still valid."""
-        rf = self._rf[side].get(x)
-        if rf is None:
-            self.rf_misses += 1
-        else:
-            self.rf_hits += 1
-            if rf is self._seed.rf[side].get(x):
-                self.seed_hits += 1
-        return rf
+    def rf_for(self, side: str, x: int) -> Optional[int]:
+        """The cached bound ``|rf(x)|``, if still valid."""
+        return self.rf_bounds(side, (x,))[0]
 
-    def store_rf(self, side: str, x: int, rf: Set[int]) -> None:
-        """Record a freshly computed ``rf(x)``."""
-        self._rf[side][x] = rf
+    def rf_bounds(self, side: str, xs: Sequence[int]) -> List[Optional[int]]:
+        """:meth:`rf_for` of each of ``xs``, in their order: one read per
+        filter pass."""
+        bounds = list(map(self._rf[side].get, xs))
+        misses = bounds.count(None)
+        self.rf_misses += misses
+        self.rf_hits += len(bounds) - misses
+        seeded = self._seeded[side]
+        if seeded:
+            self.seed_hits += sum(map(seeded.__contains__, xs))
+        return bounds
+
+    def store_rf(self, side: str, bounds: Dict[int, int]) -> None:
+        """Record freshly computed bounds ``{x: |rf(x)|}``."""
+        self._rf[side].update(bounds)
+        seeded = self._seeded[side]
+        if seeded:
+            seeded.difference_update(bounds)
 
     def followers_for(self, side: str, x: int) -> Optional[Set[int]]:
         """The cached ``F(x)``, or ``None`` when it must be computed."""
@@ -198,8 +232,8 @@ class VerificationCache:
         return followers
 
     def store_followers(self, side: str, x: int, followers: Set[int]) -> None:
-        """Record a freshly computed ``F(x)``, if ``rf(x)`` is cached (an
-        ``rf`` eviction drops the follower set with it)."""
+        """Record a freshly computed ``F(x)``, if its bound is cached (a
+        bound's eviction drops the follower set with it)."""
         if x in self._rf[side]:
             self._followers[side][x] = followers
 
@@ -228,19 +262,22 @@ class VerificationCache:
     # Invalidation
     # ------------------------------------------------------------------
 
-    def invalidate(self, dirty: DirtyRegions) -> None:
+    def invalidate(self, dirty: DirtyRegions,
+                   orders: Iterable[DeletionOrder]) -> None:
         """Drop everything the just-applied anchors could have changed.
 
         Must be called exactly once per :meth:`OrderState.apply_anchors`,
-        with its return value, before the next filter stage runs.  The
-        eviction rules and their sufficiency proofs are in the module
-        docstring; ``None`` (full-recompute path) clears the cache.
+        with its return value and the state's post-apply ``orders``,
+        before the next filter stage runs.  The eviction rules and their
+        sufficiency proofs are in the module docstring; ``None``
+        (full-recompute path) clears the cache.
         """
         self.epoch += 1
         if dirty is None:
             self.clear_entries()
             self.full_invalidations += 1
             return
+        positions = {order.side: order.position for order in orders}
         for side in _SIDES:
             dirty_seed = dirty[side]
             rf_table = self._rf[side]
@@ -250,12 +287,13 @@ class VerificationCache:
             if not dirty_seed or not (rf_table or survivors):
                 continue
             d1, d3 = self._dilate(dirty_seed, 3 if survivors else 1)
+            doomed = self._reaching(rf_table, positions[side], dirty_seed,
+                                    d1)
             followers = self._followers[side]
-            doomed = [x for x, rf in rf_table.items()
-                      if x in d1 or not rf.isdisjoint(d1)]
             for x in doomed:
                 del rf_table[x]
                 followers.pop(x, None)
+            self._seeded[side].difference_update(doomed)
             self.evictions += len(doomed)
             self.evictions += _evict_keys(survivors, d3)
 
@@ -263,9 +301,7 @@ class VerificationCache:
         """Copy this cache's tables into a frozen, shareable seed.
 
         Intended for a throwaway warm-up cache populated from the pristine
-        state (:class:`repro.core.batch.SharedCampaignContext`); the seed
-        shares this cache's value objects, so the caller must not keep
-        using this cache afterwards.
+        state (:class:`repro.core.batch.SharedCampaignContext`).
         """
         return SeedTables(
             rf={side: dict(self._rf[side]) for side in _SIDES},
@@ -277,10 +313,35 @@ class VerificationCache:
             self.evictions += (len(self._rf[side])
                                + len(self._survivors[side]))
             self._rf[side].clear()
+            self._seeded[side].clear()
             self._followers[side].clear()
             self._survivors[side].clear()
 
     # ------------------------------------------------------------------
+
+    def _reaching(self, keys: Dict[int, int], position: array,
+                  dirty: Set[int], d1: Set[int]) -> List[int]:
+        """The keys in ``d1`` or with an order-increasing path into it, in
+        table order.
+
+        Walks backwards (module docstring, "The walk that decides it"):
+        from each vertex of ``d1 - dirty`` holding a position ``> 0`` to
+        its neighbors outside ``d1`` with a smaller position ``>= 0``, and
+        on from those.  The walk reaches exactly the vertices outside
+        ``d1`` with such a path.
+        """
+        row_of = self._graph.adjacency.__getitem__
+        reach: Set[int] = set()
+        stack = [u for u in d1 - dirty if position[u] > 0]
+        push, pop, mark = stack.append, stack.pop, reach.add
+        while stack:  # hot-loop
+            u = pop()
+            pu = position[u]
+            for v in row_of(u):
+                if -1 < position[v] < pu and v not in d1 and v not in reach:
+                    mark(v)
+                    push(v)
+        return [x for x in keys if x in d1 or x in reach]
 
     def _dilate(self, seed: Set[int], hops: int = 3,
                 ) -> Tuple[Set[int], Set[int]]:

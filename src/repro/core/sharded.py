@@ -71,19 +71,15 @@ __all__ = ["AUTO_SHARD_CAP", "CampaignShard", "IdentityView", "build_shards",
 #: iteration, which thousands of tiny components would pay over and over.
 AUTO_SHARD_CAP = 32
 
-#: One ranked candidate:
-#: ``(-bound, global_x, shard, local_x, order, rf_local)``.  The two
-#: leading ints are the engine's sort key, pre-negated so plain tuple
-#: comparison orders candidates without a key function (``global_x`` is
-#: unique, so the shard objects behind it are never compared).  They are
-#: flat rather than a nested pair: one tuple per candidate instead of two,
-#: and the sort compares ints directly.  The rest lets the
-#: verification scan evaluate the candidate inside its shard.  ``rf_local``
-#: is the cached or freshly computed ``rf(x)`` when the rf bound produced
-#: it (plumbed through to Algorithm 1 so the follower peel never
-#: recollects it), ``None`` on the r-score path.
-MergedCandidate = Tuple[int, int, "CampaignShard", int,
-                        DeletionOrder, Optional[Set[int]]]
+#: One ranked candidate: ``(-bound, global_x, shard, local_x, order)``.
+#: The two leading ints are the engine's sort key, pre-negated so plain
+#: tuple comparison orders candidates without a key function
+#: (``global_x`` is unique, so the shard objects behind it are never
+#: compared).  They are flat rather than a nested pair: one tuple per
+#: candidate instead of two, and the sort compares ints directly.  The
+#: rest lets the verification scan evaluate the candidate inside its
+#: shard.
+MergedCandidate = Tuple[int, int, "CampaignShard", int, DeletionOrder]
 
 #: Maps a global vertex id to the index of the shard that owns it.
 Router = Callable[[int], int]
@@ -180,7 +176,7 @@ class CampaignShard:
         self.cache = cache
         self.kernel = kernel
         # side -> {local x: the entry the last rf-bound filter pass ranked
-        # x with}; the next pass reuses an entry whose rf set and order
+        # x with}; the next pass reuses an entry whose bound and order
         # are unchanged (see _filter_stage).
         self.entries: Dict[str, Dict[int, MergedCandidate]] = {}
         # sides-key -> (entries, candidates_total); entries are merged-form
@@ -217,9 +213,10 @@ class CampaignShard:
 
     def apply(self, batch: Sequence[int]) -> None:
         """Anchor a local-id batch, invalidating the caches it touched."""
-        dirty = self.state.apply_anchors(list(batch))
+        state = self.state
+        dirty = state.apply_anchors(list(batch))
         if self.cache is not None:
-            self.cache.invalidate(dirty)
+            self.cache.invalidate(dirty, (state.upper, state.lower))
         self._ranked.clear()
 
     def release(self) -> None:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.api import reinforce
-from repro.core.deletion_order import compute_orders, r_scores, reachable_sets
+from repro.core.deletion_order import (compute_orders, r_scores,
+                                        reachable_counts)
 from repro.core.followers import compute_followers
 from repro.core.signatures import two_hop_filter
 from repro.experiments.runner import DEFAULTS, default_constraints
@@ -55,13 +56,11 @@ def bound_tightness_report(
     for order in (upper, lower):
         scores = r_scores(graph, order)
         candidates = order.candidates(graph)[:max_candidates]
-        rfs = reachable_sets(graph, order, candidates)
+        bounds = reachable_counts(graph, order, candidates)
         for x in candidates:
-            rf = rfs[x]
-            f = len(compute_followers(graph, order, x, candidates=rf))
             stats["r-score"].append(scores.get(x, 0))
-            stats["|rf|"].append(len(rf))
-            stats["|F|"].append(f)
+            stats["|rf|"].append(bounds[x])
+            stats["|F|"].append(len(compute_followers(graph, order, x)))
 
     n = len(stats["|F|"])
     if not n:

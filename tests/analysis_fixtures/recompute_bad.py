@@ -1,6 +1,7 @@
 """Fixture: whole-order recomputation inside # hot-loop marked loops."""
 
-from repro.core.deletion_order import r_scores, reachable_from, reachable_sets
+from repro.core.deletion_order import (r_scores, reachable_counts,
+                                        reachable_from)
 
 __all__ = ["rf_per_candidate", "table_per_candidate", "method_call",
            "nested_in_hot_loop", "batch_per_candidate"]
@@ -45,6 +46,6 @@ def batch_per_candidate(graph, order, survivors):
     """The one-sweep batch called once per candidate is a DFS again."""
     scored = []
     for x in survivors:  # hot-loop
-        rf = reachable_sets(graph, order, [x])[x]  # violation: batch of one
-        scored.append((len(rf), x))
+        bound = reachable_counts(graph, order, [x])[x]  # violation: one
+        scored.append((bound, x))
     return scored

@@ -1,6 +1,7 @@
 """Fixture: sanctioned recompute patterns the rule must not flag."""
 
-from repro.core.deletion_order import r_scores, reachable_from, reachable_sets
+from repro.core.deletion_order import (r_scores, reachable_counts,
+                                        reachable_from)
 
 __all__ = ["hoisted_table", "unmarked_loop", "sanctioned_miss_fallback",
            "batched_misses"]
@@ -39,5 +40,5 @@ def batched_misses(graph, order, survivors, cache):
     for x in survivors:  # hot-loop
         if x not in cache:
             misses.append(x)
-    cache.update(reachable_sets(graph, order, misses))
-    return [(len(cache[x]), x) for x in survivors]
+    cache.update(reachable_counts(graph, order, misses))
+    return [(cache[x], x) for x in survivors]

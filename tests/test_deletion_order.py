@@ -8,7 +8,7 @@ from repro.abcore import abcore
 from repro.abcore.decomposition import followers
 from repro.core import (OrderState, compute_order, compute_orders, r_scores,
                         reachable_from, signature)
-from repro.core.deletion_order import reachable_sets
+from repro.core.deletion_order import reachable_counts
 
 from conftest import K34, graphs_with_constraints, table_dict
 
@@ -44,7 +44,7 @@ class TestOrderStructure:
             with pytest.raises(KeyError):
                 reachable_from(g, order, x)
             with pytest.raises(KeyError):
-                reachable_sets(g, order, [K34["u4"], x])
+                reachable_counts(g, order, [K34["u4"], x])
             with pytest.raises(KeyError):
                 signature(g, order, x)
 

@@ -9,7 +9,9 @@ canonical JSON (:func:`repro.experiments.export.canonical_result_dict`).
 Layers of evidence, cheapest first:
 
 * unit contracts — the dirty regions :meth:`OrderState.apply_anchors`
-  reports, and the kernel's set-identity with the generic follower code;
+  reports, the kernel's set-identity with the generic follower code, the
+  ``|rf(x)|`` sweeps against ``len(reachable_from(...))``, and the eviction
+  walk against the set rule it replaces;
 * a stale-entry differential that replays a random anchoring campaign and
   cross-checks every cache read against a fresh recomputation;
 * engine-level byte-identity across all three FILVER variants, both
@@ -18,6 +20,7 @@ Layers of evidence, cheapest first:
   leaves the cache indistinguishable from a cold one.
 """
 
+from array import array
 import functools
 import json
 import os
@@ -28,7 +31,8 @@ import pytest
 from repro.bigraph import disjoint_union, frontier, from_edge_list
 from repro.bigraph.kernel import FollowerKernel, kernel_for
 from repro.core import engine_options, reinforce
-from repro.core.deletion_order import reachable_from, reachable_sets
+from repro.core.deletion_order import (DeletionOrder, reachable_counts,
+                                       reachable_from)
 from repro.core.engine import run_engine
 from repro.core.followers import compute_followers
 from repro.core.incremental import VerificationCache
@@ -164,7 +168,7 @@ class TestFollowerKernel:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_set_identity_across_iterations(self, seed):
-        """rf(x) and F(x) match the dict/set reference for every shell
+        """|rf(x)| and F(x) match the dict/set reference for every shell
         candidate, across several epochs of the same kernel instance (the
         stamp-based buffer reuse must not leak state between calls or
         iterations)."""
@@ -179,11 +183,10 @@ class TestFollowerKernel:
                 side = order.side
                 for x in sorted(order.candidates(g)):
                     rf_ref = reachable_from(g, order, x)
-                    assert kernel.reachable(side, [x])[x] == rf_ref, (side, x)
+                    assert kernel.reachable(side, [x]) == {
+                        x: len(rf_ref)}, (side, x)
                     f_ref = compute_followers(g, order, x, core=state.core)
                     assert kernel.followers(side, x, 3, 3) == f_ref, (side, x)
-                    assert kernel.followers(
-                        side, x, 3, 3, candidates=rf_ref) == f_ref, (side, x)
             pool = sorted(set(table_dict(state.upper.position))
                           | set(table_dict(state.lower.position)))
             pool = [v for v in pool if v not in state.anchors]
@@ -195,8 +198,11 @@ class TestFollowerKernel:
     @pytest.mark.parametrize("family", ["planted", "er"])
     def test_batched_reachable_matches_dfs(self, family, backend):
         """One sweep over a batch of sources returns exactly the per-source
-        DFS ``rf(x)`` on both paths, for every batch shape, across
-        maintained applies (fresh positions on every renumbered region)."""
+        DFS ``|rf(x)|`` on both paths, for every batch shape, across
+        maintained applies (fresh positions on every renumbered region).
+        The batch of every vertex holding an entry puts sources inside
+        other sources' ``rf`` sets, and ER orders give vertices several
+        order successors whose sets overlap: both shapes must occur."""
         if family == "planted":
             g, alpha, beta = planted_composite(3, seed_base=760), 3, 3
         else:
@@ -206,7 +212,7 @@ class TestFollowerKernel:
         state = OrderState(g, alpha, beta, maintain=True)
         kernel = kernel_for(g)
         rng = random.Random(11)
-        checked = 0
+        checked = nested = shared = 0
         for _step in range(4):
             if kernel is not None:
                 kernel.begin_iteration(state.upper.position,
@@ -219,18 +225,26 @@ class TestFollowerKernel:
                 checked += len(candidates)
                 position = table_dict(order.position)
                 zeros = sorted(v for v, p in position.items() if p == 0)
+                entries = sorted(position)
+                reached = set().union(
+                    *(reachable_from(g, order, x) for x in entries))
+                nested += len(reached)
+                shared += sum(1 for x in entries if sum(
+                    1 for w in g.neighbors(x)
+                    if position.get(w, -1) > position[x]) > 1)
                 batches = [candidates,
                            rng.sample(candidates, len(candidates) // 2),
-                           [rng.choice(candidates)], zeros, []]
+                           [rng.choice(candidates)], zeros, entries, []]
                 for sources in batches:
-                    ref = {x: reachable_from(g, order, x) for x in sources}
-                    assert reachable_sets(g, order, sources) == ref, side
+                    ref = {x: len(reachable_from(g, order, x))
+                           for x in sources}
+                    assert reachable_counts(g, order, sources) == ref, side
                     if kernel is not None:
                         assert kernel.reachable(side, sources) == ref, side
                 outside = next(v for v in g.vertices()
                                if v not in position)
                 with pytest.raises(KeyError):
-                    reachable_sets(g, order, [candidates[0], outside])
+                    reachable_counts(g, order, [candidates[0], outside])
                 if kernel is not None:
                     with pytest.raises(KeyError):
                         kernel.reachable(side, [candidates[0], outside])
@@ -240,7 +254,9 @@ class TestFollowerKernel:
             if not pool:
                 break
             state.apply_anchors([rng.choice(pool)])
-        assert checked > 0
+        assert checked > 0 and nested > 0
+        if family == "er":
+            assert shared > 0
 
     def test_release_is_idempotent(self):
         kernel = FollowerKernel(er_graph(0, backend="csr"))
@@ -254,14 +270,19 @@ class TestFollowerKernel:
 
 def warm_seed(g, state):
     """Epoch-0 tables of the pristine ``state``: the two-hop filter plus
-    ``rf(x)`` of every survivor, frozen from a scratch cache."""
+    ``|rf(x)|`` of every survivor, frozen from a scratch cache."""
     scratch = VerificationCache(g)
     for order in (state.upper, state.lower):
         survivors = two_hop_filter_cached(g, order, order.candidates(g),
                                           scratch)
-        for x in survivors:
-            scratch.store_rf(order.side, x, reachable_from(g, order, x))
+        scratch.store_rf(order.side, {x: len(reachable_from(g, order, x))
+                                      for x in survivors})
     return scratch.freeze_seed()
+
+
+def orders_of(state):
+    """The post-apply orders :meth:`VerificationCache.invalidate` walks."""
+    return (state.upper, state.lower)
 
 
 class TestCacheDifferential:
@@ -269,8 +290,8 @@ class TestCacheDifferential:
                              ids=["cold", "seeded"])
     def test_campaign_replay_never_serves_stale_entries(self, seeded):
         """Replays a random anchoring campaign; at every step, every
-        cached survivor verdict, rf set, bound, and follower
-        set must equal a from-scratch recomputation.  Also asserts the
+        cached survivor verdict, bound, and follower set must equal a
+        from-scratch recomputation.  Also asserts the
         cache actually got hits — a hit rate of zero would make this test
         pass vacuously.  The seeded run starts from the pristine state's
         frozen tables and must both serve and evict seeded entries."""
@@ -291,14 +312,12 @@ class TestCacheDifferential:
                 assert sorted(got_surv) == sorted(ref_surv), (step, side)
                 for x in ref_surv:
                     checked += 1
-                    rf_ref = reachable_from(g, order, x)
-                    rf = cache.rf_for(side, x)
-                    if rf is None:
-                        cache.store_rf(side, x, rf_ref)
-                        rf = rf_ref
+                    bound_ref = len(reachable_from(g, order, x))
+                    bound = cache.rf_for(side, x)
+                    if bound is None:
+                        cache.store_rf(side, {x: bound_ref})
                     else:
-                        assert rf == rf_ref, (step, side, x)
-                    assert len(rf) == len(rf_ref)
+                        assert bound == bound_ref, (step, side, x)
                     f_ref = compute_followers(g, order, x, core=state.core)
                     cached = cache.followers_for(side, x)
                     if cached is None:
@@ -311,7 +330,7 @@ class TestCacheDifferential:
             if not pool:
                 break
             dirty = state.apply_anchors(rng.sample(pool, min(2, len(pool))))
-            cache.invalidate(dirty)
+            cache.invalidate(dirty, orders_of(state))
         assert checked > 100
         assert cache.rf_hits > 0
         assert cache.survivor_hits > 0
@@ -319,10 +338,14 @@ class TestCacheDifferential:
         assert cache.evictions > 0  # invalidation actually fired
         if seeded:
             assert cache.seed_hits > 0
-            evicted = [(side, x) for side, table in seed.rf.items()
-                       for x, rf in table.items()
-                       if cache.rf_for(side, x) is not rf]
-            assert evicted
+            # Some seeded entry was evicted: re-reading every seed key
+            # scores fewer seed hits than there are keys.
+            seed_keys = [(side, x) for side, table in seed.rf.items()
+                         for x in table]
+            hits = cache.seed_hits
+            for side, x in seed_keys:
+                cache.rf_for(side, x)
+            assert cache.seed_hits - hits < len(seed_keys)
 
 
 # ----------------------------------------------------------------------
@@ -392,7 +415,8 @@ class TestSignaturesOnDemand:
         for _step in range(3):
             pool = sorted(v for v in table_dict(state.upper.position)
                           if v not in state.anchors)
-            cache.invalidate(state.apply_anchors([rng.choice(pool)]))
+            cache.invalidate(state.apply_anchors([rng.choice(pool)]),
+                             orders_of(state))
             for side, (misses, allowed, computed, n_cands) in \
                     filter_pass().items():
                 assert misses <= computed <= allowed, side
@@ -471,7 +495,8 @@ class TestSignaturesOnDemand:
         for _step in range(3):
             pool = sorted(v for v in table_dict(state.upper.position)
                           if v not in state.anchors)
-            cache.invalidate(state.apply_anchors([rng.choice(pool)]))
+            cache.invalidate(state.apply_anchors([rng.choice(pool)]),
+                             orders_of(state))
             for side, (misses, allowed, computed, _rows, n_cands) in \
                     filter_pass().items():
                 assert misses <= computed <= allowed, side
@@ -536,13 +561,14 @@ class TestDilation:
             return real(seed, hops)
 
         monkeypatch.setattr(cache, "_dilate", spy)
-        cache.invalidate({"upper": {20}, "lower": {20}})
+        orders = flat_orders(g, {3: 0, 4: 1})
+        cache.invalidate({"upper": {20}, "lower": {20}}, orders)
         assert calls == []
-        cache.store_rf("upper", 3, {4})
+        cache.store_rf("upper", {3: 1})
         cache.store_survivor("lower", 0, True)
-        cache.invalidate({"upper": {20}, "lower": {20}})
+        cache.invalidate({"upper": {20}, "lower": {20}}, orders)
         assert calls == [1, 3]
-        assert cache.rf_for("upper", 3) == {4}
+        assert cache.rf_for("upper", 3) == 1
         assert cache.survivor_verdict("lower", 0) is None
         assert cache.evictions == 1
 
@@ -551,26 +577,44 @@ class TestDilation:
 # Eviction boundary: the one-hop dilation of the dirty set
 # ----------------------------------------------------------------------
 
+def flat_orders(g, positions):
+    """Upper and lower orders over ``g`` that both hold ``positions``."""
+    table = array("q", [-1]) * g.n_vertices
+    for v, p in positions.items():
+        table[v] = p
+    return tuple(DeletionOrder(side=side, position=array("q", table),
+                               core=set(), relaxed_core=set(), alpha=1,
+                               beta=1)
+                 for side in ("upper", "lower"))
+
+
 class TestEvictionBoundary:
     def test_rf_entries_are_evicted_exactly_on_the_dilated_region(self):
         """Upper-side dirt ``{d}`` dilates to ``D1 = {d} ∪ N(d)``.  An
         entry survives iff ``{x} ∪ rf(x)`` misses ``D1``: touching it
-        only through ``rf(x)``'s neighbor of ``d``, or only through
-        ``x ∈ N(d)``, is enough to evict.  The lower side's tables are
-        untouched."""
+        only through ``rf(x)``'s neighbor of ``d``, even two steps away,
+        or only through ``x ∈ N(d)``, is enough to evict.  The lower
+        side's tables are untouched."""
         # Upper 0..3, lower 4..7; d = 0 with N(d) = {4, 5}.
-        g = from_edge_list([(0, 0), (0, 1), (1, 2), (2, 3), (3, 3)])
+        g = from_edge_list([(0, 0), (0, 1), (1, 0), (1, 2), (2, 3),
+                            (3, 3)])
         d = 0
         assert set(g.adjacency[d]) == {4, 5}
-        cache = VerificationCache(g)
+        orders = flat_orders(g, {0: 1, 5: 2, 6: 3, 1: 4, 4: 5, 2: 6, 7: 7,
+                                 3: 8})
+        upper = orders[0]
         entries = {
-            2: {3, 7},    # {x} ∪ rf(x) disjoint from D1: survives
-            1: {4},       # rf(x) holds only a vertex of N(d): evicted
-            5: set(),     # x ∈ N(d), empty rf(x): evicted
+            2: 2,    # rf(2) = {7, 3}, disjoint from D1: survives
+            1: 1,    # rf(1) = {4}, a vertex of N(d): evicted
+            6: 2,    # rf(6) = {1, 4}: reaches N(d) through 1, evicted
+            5: 0,    # x ∈ N(d), empty rf(x): evicted
         }
+        assert {x: reachable_from(g, upper, x) for x in entries} == {
+            2: {7, 3}, 1: {4}, 6: {1, 4}, 5: set()}
+        cache = VerificationCache(g)
         for side in ("upper", "lower"):
-            for x, rf in entries.items():
-                cache.store_rf(side, x, rf)
+            cache.store_rf(side, entries)
+            for x in entries:
                 cache.store_followers(side, x, {x})
                 cache.store_survivor(side, x, True)
         lower = {x: (cache.rf_for("lower", x),
@@ -578,18 +622,88 @@ class TestEvictionBoundary:
                      cache.survivor_verdict("lower", x))
                  for x in entries}
 
-        cache.invalidate({"upper": {d}, "lower": set()})
+        cache.invalidate({"upper": {d}, "lower": set()}, orders)
 
-        assert cache.rf_for("upper", 2) is entries[2]
+        assert cache.rf_for("upper", 2) == entries[2]
         assert cache.followers_for("upper", 2) == {2}
-        for x in (1, 5):
+        for x in (1, 6, 5):
             assert cache.rf_for("upper", x) is None, x
             assert cache.followers_for("upper", x) is None, x
-        assert cache.evictions >= 2
-        for x, (rf, followers, verdict) in lower.items():
-            assert cache.rf_for("lower", x) is rf is entries[x]
+        assert cache.evictions >= 3
+        for x, (bound, followers, verdict) in lower.items():
+            assert cache.rf_for("lower", x) == bound == entries[x]
             assert cache.followers_for("lower", x) is followers
             assert cache.survivor_verdict("lower", x) is verdict is True
+
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    @pytest.mark.parametrize("family", ["planted", "er"])
+    def test_walk_evicts_exactly_what_the_set_rule_evicts(
+            self, family, backend, batch):
+        """Eviction oracle: after each invalidation, the bounds the walk
+        drops are exactly the keys ``x`` with ``({x} ∪ rf(x)) ∩ D1 ≠ ∅``,
+        with ``rf(x)`` taken by ``reachable_from`` before it and ``D1`` by
+        brute-force hop count.  Each step invalidates twice: with an
+        apply's dirty regions, and with random shell vertices over the
+        unchanged orders (a dirty set may be any superset of what
+        changed).  The applies' regions hold every key whose ``rf``
+        meets their ``D1``, so only the random sets make the walk find
+        keys outside ``D1``; all three outcomes must occur.  The ER graph
+        is three components, because an apply dirties most of its own."""
+        if family == "planted":
+            g = planted_composite(4, seed_base=820)
+        else:
+            g = disjoint_union([er_graph(seed, nu=20, nl=20, p=0.15)
+                                for seed in (9, 10, 11)])
+        if backend == "csr":
+            g = g.to_csr()
+        state = OrderState(g, 3, 3, maintain=True)
+        cache = VerificationCache(g)
+        rng = random.Random(23 + batch)
+        outcomes = {"in D1": 0, "through rf": 0, "kept": 0}
+
+        def fill():
+            """Store every candidate's bound; return the rf sets."""
+            before = {}
+            for order in orders_of(state):
+                side = order.side
+                keys = order.candidates(g)
+                missing = [x for x, bound in
+                           zip(keys, cache.rf_bounds(side, keys))
+                           if bound is None]
+                cache.store_rf(side, reachable_counts(g, order, missing))
+                before[side] = {x: reachable_from(g, order, x)
+                                for x in keys}
+            return before
+
+        def invalidate_and_check(before, dirty):
+            cache.invalidate(dirty, orders_of(state))
+            for side, rf in before.items():
+                d1 = hop_ball(g, dirty[side], 1)
+                expected = {x for x, members in rf.items()
+                            if x in d1 or not members.isdisjoint(d1)}
+                evicted = {x for x in rf if cache.rf_for(side, x) is None}
+                assert evicted == expected, (side, sorted(evicted ^ expected))
+                outcomes["in D1"] += len(evicted & d1)
+                outcomes["through rf"] += len(evicted - d1)
+                outcomes["kept"] += len(rf) - len(evicted)
+
+        for _step in range(6):
+            pool = sorted(v for v in set(table_dict(state.upper.position))
+                          | set(table_dict(state.lower.position))
+                          if v not in state.anchors)
+            if not pool:
+                break
+            before = fill()
+            shell = {order.side: sorted(order.relaxed_core - order.core)
+                     for order in orders_of(state)}
+            invalidate_and_check(before, {
+                side: set(rng.sample(members, min(batch, len(members))))
+                for side, members in shell.items()})
+            before = fill()
+            invalidate_and_check(before, state.apply_anchors(
+                rng.sample(pool, min(batch, len(pool)))))
+        assert all(outcomes.values()), outcomes
 
 
 # ----------------------------------------------------------------------
@@ -607,13 +721,13 @@ class TestMetamorphicInvalidation:
         for order in (state.upper, state.lower):
             surv = two_hop_filter_cached(g, order, order.candidates(g),
                                          warm)
-            for x in surv:
-                warm.store_rf(side=order.side, x=x,
-                              rf=reachable_from(g, order, x))
+            warm.store_rf(order.side, {x: len(reachable_from(g, order, x))
+                                       for x in surv})
         assert warm.survivor_misses > 0
 
         everything = set(range(g.n_upper + g.n_lower))
-        warm.invalidate({"upper": everything, "lower": everything})
+        warm.invalidate({"upper": everything, "lower": everything},
+                        orders_of(state))
 
         cold = VerificationCache(g)
         for cache in (warm, cold):
@@ -638,9 +752,8 @@ class TestMetamorphicInvalidation:
         cache = VerificationCache(g)
         order = state.upper
         surv = two_hop_filter_cached(g, order, order.candidates(g), cache)
-        for x in surv:
-            cache.store_rf(order.side, x, reachable_from(g, order, x))
-        cache.invalidate(None)
+        cache.store_rf(order.side, reachable_counts(g, order, surv))
+        cache.invalidate(None, orders_of(state))
         assert cache.full_invalidations == 1
         for x in surv:
             assert cache.rf_for(order.side, x) is None

@@ -141,7 +141,7 @@ class TestDeadlineAndStopFlag:
                 yield  # pragma: no cover - makes this a generator
 
         shard = CampaignShard(0, IdentityView(graph), state, None, None)
-        scored = [(-1, x, shard, x, state.upper, None)
+        scored = [(-1, x, shard, x, state.upper)
                   for x in sorted(table_dict(state.upper.position))]
         assert scored, "fixture must provide at least one candidate"
 
@@ -214,7 +214,7 @@ class TestOneScan:
         entries = []
         for bound, (side, x) in zip(bounds, keys + tail):
             order = shard.state.upper if side == "upper" else shard.state.lower
-            entries.append((-bound, x, shard, x, order, None))
+            entries.append((-bound, x, shard, x, order))
         return entries
 
     def make_shard(self, graph, memoize, real=None):
@@ -241,7 +241,7 @@ class TestOneScan:
         _shard, filtered = self.make_shard(graph, False)
         real = {(order.side, x): compute_followers(graph, order, x,
                                                    core=shard.state.core)
-                for _bound, _gx, shard, x, order, _rf in filtered}
+                for _bound, _gx, shard, x, order in filtered}
 
         serial_shard, _ranked = self.make_shard(graph, memoize, real)
         serial_maintainer = RecordingMaintainer(graph, t, 3, 3)
@@ -269,7 +269,7 @@ class TestOneScan:
         # consumes a prefix of them in that order (t = 1 stops early).
         hits = self.precached(real) if memoize else set()
         misses = [(0, order.side, x)
-                  for _bound, _gx, _shard, x, order, _rf in ranked
+                  for _bound, _gx, _shard, x, order in ranked
                   if (order.side, x) not in hits]
         assert evaluator.items == misses
         consumed = [item for item, _set in evaluator.streamed]

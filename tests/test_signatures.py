@@ -216,7 +216,8 @@ class TestArrayTwoHop:
             if not pool:
                 break
             fresh = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
-            cache.invalidate(state.apply_anchors(fresh))
+            cache.invalidate(state.apply_anchors(fresh),
+                             (state.upper, state.lower))
         assert seen["passes"] and seen["zero"] and seen["empty"]
         if kind == "planted":
             assert seen["partial"]
