@@ -36,8 +36,18 @@ vertex's row, and ``sig(x) ⊆ sig(w)`` is a sorted search of encoded
 ``(w, v)`` signature entries, instead of one neighbor-list intersection
 per candidate in Python.
 
+The filter's ``|rf(x)|`` bounds come from :meth:`Frontier.order_paths`:
+level passes from the sources keep each gathered row's entries above the
+row's position, which are the order DAG's edges over the closure, and
+pointer jumping along out-degree-1 successors cuts the DAG into runs
+(:meth:`repro.bigraph.kernel.FollowerKernel.reachable` turns the runs into
+counts).
+
 Scratch arrays are allocated per call, so threads that share one graph
-(the service's workers) never share them.  numpy is optional:
+(the service's workers) never share them; the one exception is
+:meth:`Frontier.order_paths`, whose slot scratch belongs to the caller (a
+:class:`~repro.bigraph.kernel.FollowerKernel`, which is per campaign and
+never shared) because it runs once per filter pass.  numpy is optional:
 :func:`frontier_for` returns ``None`` for list-backed graphs or when numpy
 is not installed, and callers keep their per-row loops for that case.
 """
@@ -45,7 +55,8 @@ is not installed, and callers keep their per-row loops for that case.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Collection, List, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Collection, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.bigraph.csr import adjacency_arrays
 
@@ -77,7 +88,8 @@ class Frontier:
 
     Holds read-only numpy views of the graph's ``offsets`` and
     ``neighbors`` buffers and nothing else: every walk allocates its own
-    scratch arrays.
+    scratch arrays, except :meth:`order_paths`, which takes the caller's
+    (:meth:`scratch`).
     """
 
     __slots__ = ("offsets", "neighbors", "n", "_index")
@@ -137,8 +149,13 @@ class Frontier:
         stamp[fresh] = slots
         return fresh[stamp.take(fresh) == slots], reached
 
+    def scratch(self) -> Any:
+        """An ``n``-long stamp array of the index dtype, every slot unseen
+        (negative)."""
+        return _np.full(self.n, -1, dtype=self._index)
+
     def _stamp(self, sources: Any) -> Any:
-        stamp = _np.full(self.n, -1, dtype=self._index)
+        stamp = self.scratch()
         stamp[sources] = 0
         return stamp
 
@@ -190,6 +207,103 @@ class Frontier:
             if not frontier.size:
                 break
         return d1, reached
+
+    def order_paths(self, sources: Sequence[int], position: array,
+                    slot: Any) -> Tuple[List[int], List[int],
+                                        Optional[Callable[[int], List[int]]]]:
+        """The order DAG below ``sources``, cut into out-degree-1 paths.
+
+        The order DAG has an edge ``v → w`` for each neighbor ``w`` of
+        ``v`` with ``position[w] > position[v]`` (``-1`` in the
+        ``array('q')`` table means no entry); ``rf(x)`` is what ``x``
+        reaches in it.  Returns ``(lengths, ends, successors)``, the
+        first two aligned with ``sources``: for each source ``x``, walking
+        its successor path while the current vertex has exactly one
+        successor stops at the first vertex ``e(x)`` that has none or
+        several; ``lengths[i]`` is the number of steps, ``d(x)``, and
+        ``ends[i]`` is ``e(x)`` when it has several successors, else
+        ``-1``.  ``successors(v)`` lists the order successors of any
+        vertex of the closure, and is ``None`` when no end branches.
+
+        Positions strictly increase along a path, so no vertex before
+        ``e(x)`` lies in ``rf(e(x))``, and ``|rf(x)| = d(x) +
+        |rf(e(x))|`` exactly, with ``|rf(e)| = 0`` at a sink.
+
+        Level passes from the distinct sources gather each closure row
+        once and keep its entries above the row's position: the DAG's
+        edges, grouped by tail in closure order.  Pointer jumping along
+        the out-degree-1 successors then finds every ``e`` and ``d`` in
+        ``O(log L)`` passes for paths of length ``L``.  ``slot`` is the
+        caller's ``n``-long scratch of the index dtype: every entry must be
+        negative on entry and is again on return (only the closure's are
+        written).  A source without an entry raises ``KeyError``.
+        """
+        if not sources:
+            return [], [], None
+        pos = _table(position)
+        index = self._index
+        xs = _np.fromiter(sources, dtype=_np.intp, count=len(sources))
+        missing = _np.flatnonzero(pos.take(xs) < 0)
+        if missing.size:
+            raise KeyError(int(xs[missing[0]]))
+
+        # The walk.  Level 0 holds each source once (the one whose write
+        # landed last); each later level holds the fresh successors.
+        slots = _np.arange(xs.size, dtype=index)
+        slot[xs] = slots
+        frontier = xs[slot.take(xs) == slots]
+        levels = []
+        tails = []
+        heads = []
+        while frontier.size:
+            levels.append(frontier)
+            reached, counts = self._gather(frontier)
+            keep = pos.take(reached) > _np.repeat(pos.take(frontier), counts)
+            head = reached[keep]
+            tails.append(_np.repeat(frontier, counts)[keep])
+            heads.append(head)
+            fresh = head[slot.take(head) < 0]
+            slots = _np.arange(fresh.size, dtype=index)
+            slot[fresh] = slots
+            frontier = fresh[slot.take(fresh) == slots]
+
+        # Local ids: each closure vertex's place in the walk.
+        closure = _np.concatenate(levels)
+        size = closure.size
+        slot[closure] = _np.arange(size, dtype=index)
+        local = slot.take(xs)
+        targets = _np.concatenate(heads)
+        tail = slot.take(_np.concatenate(tails))
+        head = slot.take(targets)
+        slot[closure] = -1
+
+        # Pointer jumping: after each pass, nxt[v] lies dist[v] steps down
+        # v's path, or is e(v) when the path stops sooner.
+        degree = _np.bincount(tail, minlength=size)
+        single = degree == 1
+        nxt = _np.arange(size, dtype=index)
+        step = single.take(tail)
+        nxt[tail[step]] = head[step]
+        dist = single.astype(index)
+        while single.take(nxt).any():
+            dist += dist.take(nxt)
+            nxt = nxt.take(nxt)
+
+        end = nxt.take(local)
+        lengths = dist.take(local).tolist()
+        branches = degree.take(end) > 1
+        if not branches.any():
+            return lengths, [-1] * len(lengths), None
+        ends = _np.where(branches, closure.take(end), -1).tolist()
+        bounds = _np.concatenate(([0], _np.cumsum(degree))).tolist()
+        rows = targets.tolist()
+        place = dict(zip(closure.tolist(), range(size)))
+
+        def successors(v: int) -> List[int]:
+            i = place[v]
+            return rows[bounds[i]:bounds[i + 1]]
+
+        return lengths, ends, successors
 
     # ------------------------------------------------------------------
     # Two-hop domination (Algorithm 3)

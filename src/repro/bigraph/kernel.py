@@ -6,9 +6,20 @@ functions of (positions, core, adjacency, x).  The generic implementations
 in :mod:`repro.core` walk Python dicts and sets and allocate a fresh
 support dict per candidate.  At thousands of candidates per iteration
 those constant factors dominate the campaign profile.  :meth:`reachable`
-answers a whole filter pass's ``|rf(x)|`` misses in one sweep of the
-order DAG (``docs/PERF.md``, "rf in one sweep"); only :meth:`followers`
-reads a set ``rf(x)``, from its own single-source DFS.
+answers a whole filter pass's ``|rf(x)|`` misses at once
+(``docs/PERF.md``, "rf in one sweep"); only :meth:`followers` reads a set
+``rf(x)``, from its own single-source DFS.
+
+:meth:`reachable` runs as frontier passes when numpy is importable
+(:meth:`repro.bigraph.frontier.Frontier.order_paths`): level passes over
+the CSR buffers gather each closure row once and keep the order DAG's
+edges, and pointer jumping along out-degree-1 successors gives each source
+its run length ``d(x)`` and the run's end ``e(x)``.  Positions strictly
+increase along a run, so ``|rf(x)| = d(x) + |rf(e(x))|`` exactly; only an
+end with several successors needs :func:`walk_counts`, over the successor
+lists the passes gathered.  Without numpy :func:`walk_counts` walks the
+CSR rows.  It is the one Python ``rf`` walk: list graphs
+(:func:`repro.core.deletion_order.reachable_counts`) run it too.
 
 :class:`FollowerKernel` replaces the per-candidate churn with flat
 buffers sized once per graph and *epoch-stamped* instead of cleared:
@@ -20,9 +31,11 @@ buffers sized once per graph and *epoch-stamped* instead of cleared:
   without an entry;
 * an iteration-stamped core-membership buffer;
 * call-stamped ``visited`` / candidate-membership / support buffers shared
-  by every walk and peel — a new call bumps the stamp, implicitly resetting
-  ``O(n)`` state in ``O(1)`` (the ``rf`` sweep counts each closure
-  vertex's readers in the support buffer);
+  by every follower walk and peel — a new call bumps the stamp, implicitly
+  resetting ``O(n)`` state in ``O(1)``;
+* the frontier passes' ``n``-long numpy slot scratch, all negative
+  between calls: a call writes only its closure's slots and resets them
+  before it returns;
 * a preallocated ``int32`` vertex stack for the follower peel's
   single-source DFS, so it pushes plain ids (positions are re-read from
   the flat table on pop) and never allocates a tuple — each vertex is
@@ -37,9 +50,7 @@ on the walk's inner loop, at 8 bytes per vertex per buffer.  The position
 tables are ``array('q')`` all the same: they belong to the order state,
 which numpy reads without a copy, and a per-iteration copy into a list
 would cost a pass over both tables.  The DFS stack stays ``array('i')``:
-it is written/read once per visited vertex, not once per edge.  The
-``rf`` sweep keeps its own list stack (``append``/``pop``), which measured
-faster than indexing the array.
+it is written/read once per visited vertex, not once per edge.
 
 The kernel lives in :mod:`repro.bigraph` because it is pure graph
 machinery: it knows nothing about deletion orders or engines — callers feed
@@ -53,13 +64,13 @@ CSR-backed graphs.
 from __future__ import annotations
 
 from array import array
-from typing import (Callable, Dict, Iterable, List, MutableMapping, Optional,
-                    Set, Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.bigraph.csr import adjacency_arrays
+from repro.bigraph.frontier import frontier_for
 from repro.exceptions import GraphConstructionError
 
-__all__ = ["FollowerKernel", "closure_counts", "kernel_for"]
+__all__ = ["FollowerKernel", "closure_counts", "kernel_for", "walk_counts"]
 
 _STACK_TYPECODE = "i"  # vertex ids fit the CSR neighbor width
 
@@ -97,6 +108,8 @@ class FollowerKernel:
         self._support: List[int] = [0] * n
         self._stack = array(_STACK_TYPECODE, [0]) * n if n else array(
             _STACK_TYPECODE)
+        self._walk = frontier_for(graph)
+        self._slot = self._walk.scratch() if self._walk is not None else None
         self._epoch = 0
         self._call = 0
 
@@ -108,6 +121,7 @@ class FollowerKernel:
         ``AttachedGraph.close()`` and the interpreter would complain about
         exported pointers at shutdown.  Idempotent.
         """
+        self._walk = None
         rows = self._rows
         self._rows = memoryview(b"")
         rows.release()
@@ -138,58 +152,32 @@ class FollowerKernel:
     # ------------------------------------------------------------------
 
     def reachable(self, side: str, sources: Iterable[int]) -> Dict[int, int]:
-        """``{x: |rf(x)|}`` for every source under the held order, in one
-        sweep.
+        """``{x: |rf(x)|}`` for every source under the held order.
 
         Each count is ``len`` of
         :func:`repro.core.deletion_order.reachable_from`'s set; a source
-        without a position entry raises ``KeyError``.  Reachability only
-        follows strictly increasing positions, so the order graph is a DAG
-        and ``rf(v)`` is the union of ``{w} ∪ rf(w)`` over the successors
-        ``w`` of ``v``.  The walk from all sources records, for each
-        visited vertex, its successors and, in the support buffer, how many
-        visited vertices read its set; :func:`closure_counts` then sizes
-        the sets.
+        without a position entry raises ``KeyError``.  With numpy the
+        order DAG below the sources is walked in level passes over the
+        CSR buffers and cut into out-degree-1 paths
+        (:meth:`~repro.bigraph.frontier.Frontier.order_paths`): a source's
+        count is its path's length plus ``|rf(e)|`` of the path's end
+        ``e``, zero at a sink.  Only ends with several successors need a
+        set-based count, which :func:`walk_counts` takes over the walk's
+        gathered successor lists, from those ends alone.  Without numpy
+        :func:`walk_counts` walks the CSR rows, as it walks list rows for
+        :func:`repro.core.deletion_order.reachable_counts`.
         """
         pos = self._positions[side]
-        self._call += 1
-        call = self._call
-        offsets = self._offsets
-        rows = self._rows
-        visited = self._visited
-        readers = self._support
         roots = list(sources)
-        stack: List[int] = []
-        push = stack.append
-        pop = stack.pop
-        for x in roots:
-            if pos[x] < 0:
-                raise KeyError(x)
-            if visited[x] != call:
-                visited[x] = call
-                readers[x] = 0
-                push(x)
-        succ: Dict[int, Tuple[int, ...]] = {}
-        found: List[int] = []
-        keep = found.append
-        clear = found.clear
-        while stack:  # hot-loop
-            v = pop()
-            pv = pos[v]
-            for w in rows[offsets[v]:offsets[v + 1]]:
-                if pos[w] <= pv:
-                    continue
-                keep(w)
-                if visited[w] != call:
-                    visited[w] = call
-                    readers[w] = 1
-                    push(w)
-                else:
-                    readers[w] += 1
-            if found:
-                succ[v] = tuple(found)
-                clear()
-        return closure_counts(succ, pos.__getitem__, readers, roots)
+        walk = self._walk
+        if walk is None:
+            return walk_counts(self._row, pos, roots)
+        lengths, ends, successors = walk.order_paths(roots, pos, self._slot)
+        if successors is None:
+            return dict(zip(roots, lengths))
+        branched = walk_counts(successors, pos, [e for e in ends if e >= 0])
+        return {x: d + branched[e] if e >= 0 else d
+                for x, d, e in zip(roots, lengths, ends)}
 
     def followers(self, side: str, x: int, alpha: int, beta: int) -> Set[int]:
         """``F(x)`` under the held order and stamped core — set-identical to
@@ -247,6 +235,9 @@ class FollowerKernel:
 
     # ------------------------------------------------------------------
 
+    def _row(self, v: int) -> memoryview:
+        return self._rows[self._offsets[v]:self._offsets[v + 1]]
+
     def _collect_candidates(self, side: str, x: int, call: int) -> List[int]:
         """The ``rf(x)`` DFS, stamping ``cand`` instead of building a set."""
         pos = self._positions[side]
@@ -279,7 +270,7 @@ class FollowerKernel:
 
 def closure_counts(succ: Dict[int, Tuple[int, ...]],
                    position: Callable[[int], int],
-                   readers: MutableMapping[int, int],
+                   readers: Dict[int, int],
                    roots: List[int]) -> Dict[int, int]:
     """Second pass of an ``rf`` sweep: ``{x: |rf(x)|}`` for every root.
 
@@ -292,8 +283,7 @@ def closure_counts(succ: Dict[int, Tuple[int, ...]],
     size is recorded once its set is complete.  The last reader of a set
     takes it over instead of copying it, and a set nobody reads is
     dropped, so on chains the pass costs one insert per closure vertex.
-    Shared by :meth:`FollowerKernel.reachable` and
-    :func:`repro.core.deletion_order.reachable_counts`.
+    The second pass of :func:`walk_counts`.
     """
     rf: Dict[int, Set[int]] = {}
     size: Dict[int, int] = {}
@@ -320,6 +310,56 @@ def closure_counts(succ: Dict[int, Tuple[int, ...]],
         if readers[v]:
             rf[v] = merged
     return {x: size.get(x, 0) for x in roots}
+
+
+def walk_counts(rows: Callable[[int], Iterable[int]], position: array,
+                sources: Iterable[int]) -> Dict[int, int]:
+    """``{x: |rf(x)|}`` for every source, in one Python walk of the order
+    DAG.
+
+    ``rows(v)`` iterates ``v``'s neighbors (a superset of its order
+    successors will do) and ``position`` is an order's ``n``-long table,
+    ``-1`` for "no entry"; a source without an entry raises ``KeyError``.
+    Reachability only follows strictly increasing positions, so
+    ``rf(v) = ⋃_{w ∈ N(v), pos(w) > pos(v)} ({w} ∪ rf(w))``.  One walk
+    from all sources records each visited vertex's successors and how many
+    visited vertices read its set; :func:`closure_counts` then visits the
+    closure in decreasing position.  The one Python ``rf`` walk: list
+    graphs (:func:`repro.core.deletion_order.reachable_counts`), CSR graphs
+    without numpy, and the branching ends of
+    :meth:`FollowerKernel.reachable`'s frontier passes all run it.
+    """
+    roots = list(sources)
+    readers: Dict[int, int] = {}
+    stack: List[int] = []
+    push = stack.append
+    pop = stack.pop
+    for x in roots:
+        if position[x] < 0:
+            raise KeyError(x)
+        if x not in readers:
+            readers[x] = 0
+            push(x)
+    succ: Dict[int, Tuple[int, ...]] = {}
+    found: List[int] = []
+    keep = found.append
+    clear = found.clear
+    while stack:  # hot-loop
+        v = pop()
+        pv = position[v]
+        for w in rows(v):
+            if position[w] <= pv:
+                continue
+            keep(w)
+            if w in readers:
+                readers[w] += 1
+            else:
+                readers[w] = 1
+                push(w)
+        if found:
+            succ[v] = tuple(found)
+            clear()
+    return closure_counts(succ, position.__getitem__, readers, roots)
 
 
 def kernel_for(graph: object) -> Optional[FollowerKernel]:

@@ -20,11 +20,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Collection, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Set
 
 from repro.abcore.decomposition import anchored_abcore, peel_with_order
 from repro.bigraph.graph import BipartiteGraph
-from repro.bigraph.kernel import closure_counts
+from repro.bigraph.kernel import walk_counts
 
 __all__ = [
     "DeletionOrder",
@@ -275,46 +275,12 @@ def reachable_counts(graph: BipartiteGraph, order: DeletionOrder,
 
     Each count is ``len`` of :func:`reachable_from`'s set, the
     single-source oracle; a source outside the order raises ``KeyError``.
-    Reachability only follows strictly increasing positions, so
-    ``rf(v) = ⋃_{w ∈ N(v), pos(w) > pos(v)} ({w} ∪ rf(w))``.  One walk from
-    all sources records each visited vertex's successors and how many
-    visited vertices read its set;
-    :func:`repro.bigraph.kernel.closure_counts` then visits the closure in
-    decreasing position.  The flat-array twin on CSR graphs is
-    :meth:`repro.bigraph.kernel.FollowerKernel.reachable`.
+    The sweep is :func:`repro.bigraph.kernel.walk_counts` over the graph's
+    rows; on CSR graphs
+    :meth:`repro.bigraph.kernel.FollowerKernel.reachable` answers the same
+    counts with frontier passes.
     """
-    position = order.position
-    neighbors = graph.neighbors
-    roots = list(sources)
-    readers: Dict[int, int] = {}
-    stack: List[int] = []
-    push = stack.append
-    pop = stack.pop
-    for x in roots:
-        order.entry(x)
-        if x not in readers:
-            readers[x] = 0
-            push(x)
-    succ: Dict[int, Tuple[int, ...]] = {}
-    found: List[int] = []
-    keep = found.append
-    clear = found.clear
-    while stack:  # hot-loop
-        v = pop()
-        pv = position[v]
-        for w in neighbors(v):
-            if position[w] <= pv:
-                continue
-            keep(w)
-            if w in readers:
-                readers[w] += 1
-            else:
-                readers[w] = 1
-                push(w)
-        if found:
-            succ[v] = tuple(found)
-            clear()
-    return closure_counts(succ, position.__getitem__, readers, roots)
+    return walk_counts(graph.neighbors, order.position, sources)
 
 
 def signature(graph: BipartiteGraph, order: DeletionOrder, x: int) -> Set[int]:

@@ -457,12 +457,16 @@ def _filter_stage(
     last apply's affected regions did not touch, each side's cached bounds
     read in one call; r-score bounds come from one
     :func:`~repro.core.deletion_order.r_scores` table per side per pass.
-    Each side's cache misses get their bounds from one sweep of the order
-    DAG, stored in one call: the kernel's flat-array
-    :meth:`~repro.bigraph.kernel.FollowerKernel.reachable` on CSR,
-    :func:`~repro.core.deletion_order.reachable_counts` otherwise.  No
-    ``rf(x)`` set is kept: verification derives it for the candidates it
-    reaches.  The survivor set, the bounds, and hence the ranked list are
+    Each side's cache misses get their bounds from one call, stored in
+    one call: on CSR the kernel's
+    :meth:`~repro.bigraph.kernel.FollowerKernel.reachable`, which walks
+    the order DAG in frontier passes over the CSR buffers and counts its
+    out-degree-1 runs by pointer jumping (the CSR rows when numpy is
+    missing), and :func:`~repro.core.deletion_order.reachable_counts`
+    otherwise; both fall back on the one Python walk,
+    :func:`~repro.bigraph.kernel.walk_counts`, the kernel only for the
+    runs that end at a branching vertex.  No ``rf(x)`` set is kept:
+    verification derives it for the candidates it reaches.  The survivor set, the bounds, and hence the ranked list are
     identical on every path (``docs/PERF.md``).
 
     The ``engine.filter`` fault site fires in the caller, once per

@@ -29,6 +29,7 @@ import random
 import pytest
 
 from repro.bigraph import disjoint_union, frontier, from_edge_list
+from repro.bigraph import kernel as kernel_module
 from repro.bigraph.kernel import FollowerKernel, kernel_for
 from repro.core import engine_options, reinforce
 from repro.core.deletion_order import (DeletionOrder, reachable_counts,
@@ -194,21 +195,28 @@ class TestFollowerKernel:
                 break
             state.apply_anchors([rng.choice(pool)])
 
-    @pytest.mark.parametrize("backend", ["list", "csr"])
+    @pytest.mark.parametrize("backend", ["list", "csr", "csr-rows"])
     @pytest.mark.parametrize("family", ["planted", "er"])
-    def test_batched_reachable_matches_dfs(self, family, backend):
+    def test_batched_reachable_matches_dfs(self, family, backend,
+                                           monkeypatch):
         """One sweep over a batch of sources returns exactly the per-source
-        DFS ``|rf(x)|`` on both paths, for every batch shape, across
-        maintained applies (fresh positions on every renumbered region).
-        The batch of every vertex holding an entry puts sources inside
-        other sources' ``rf`` sets, and ER orders give vertices several
-        order successors whose sets overlap: both shapes must occur."""
+        DFS ``|rf(x)|`` on every path — list rows, CSR frontier passes,
+        and CSR rows with numpy hidden (``csr-rows``) — for every batch
+        shape, across maintained applies (fresh positions on every
+        renumbered region).  The batch of every vertex holding an entry
+        puts sources inside other sources' ``rf`` sets, and ER orders give
+        vertices several order successors whose sets overlap: both shapes
+        must occur."""
         if family == "planted":
             g, alpha, beta = planted_composite(3, seed_base=760), 3, 3
         else:
             g, alpha, beta = er_graph(5, nu=40, nl=40, p=0.08), 3, 3
-        if backend == "csr":
+        if backend == "csr-rows":
+            monkeypatch.setattr(frontier, "_np", None)
+        if backend != "list":
             g = g.to_csr()
+            assert (frontier.frontier_for(g) is None) == (
+                frontier._np is None)
         state = OrderState(g, alpha, beta, maintain=True)
         kernel = kernel_for(g)
         rng = random.Random(11)
@@ -257,6 +265,116 @@ class TestFollowerKernel:
         assert checked > 0 and nested > 0
         if family == "er":
             assert shared > 0
+
+    # Uppers a0 a2 b0 c f x = 0..5, lowers a1 a3 b1 d1 d2 z z2 = 6..12.
+    # Order DAG: z → a0 → a1 → a2 → a3 (a run ending at a sink) and
+    # z2 → b0 → b1 → c, c → d1 → f, c → d2 → f (a run ending at the
+    # branching c, whose successors' sets overlap in f).  z and z2 hold
+    # position 0; x holds no entry, though it is a neighbor of a1.
+    PATHS_EDGES = [(0, 0), (1, 0), (1, 1), (2, 2), (3, 2), (3, 3), (3, 4),
+                   (4, 3), (4, 4), (0, 5), (2, 6), (5, 0)]
+    PATHS_POSITIONS = {0: 1, 6: 2, 1: 3, 7: 4, 2: 5, 8: 6, 3: 7, 9: 8,
+                       10: 9, 4: 10, 11: 0, 12: 0}
+    PATHS_RF = {0: 3, 6: 2, 1: 1, 7: 0, 2: 5, 8: 4, 3: 3, 9: 1, 10: 1,
+                4: 0, 11: 4, 12: 6}
+
+    @pytest.mark.parametrize("numpy", ["on", "hidden"])
+    def test_reachable_on_hand_built_paths(self, numpy, monkeypatch):
+        """Counts for runs ending at a sink and at a branching vertex,
+        sources inside other sources' ``rf`` sets, duplicate and
+        position-0 sources, and the empty batch; a source without an
+        entry raises ``KeyError``.  Every path agrees with the hand count
+        and with ``len(reachable_from(...))``."""
+        if numpy == "hidden":
+            monkeypatch.setattr(frontier, "_np", None)
+        g = from_edge_list(self.PATHS_EDGES, n_upper=6, n_lower=7)
+        upper, _lower = flat_orders(g, self.PATHS_POSITIONS)
+        assert self.PATHS_RF == {x: len(reachable_from(g, upper, x))
+                                 for x in self.PATHS_POSITIONS}
+        csr = g.to_csr()
+        kernel = FollowerKernel(csr)
+        kernel.begin_iteration(upper.position, upper.position, set())
+        entries = sorted(self.PATHS_POSITIONS)
+        batches = [[0, 6, 0], [2, 3, 8], [11, 12], [7, 4], [3], [12, 2, 12],
+                   entries, entries[::-1], []]
+        for sources in batches:
+            ref = {x: self.PATHS_RF[x] for x in sources}
+            assert reachable_counts(g, upper, sources) == ref, sources
+            assert kernel.reachable("upper", sources) == ref, sources
+        for sources in ([0, 5], [5]):
+            with pytest.raises(KeyError):
+                reachable_counts(g, upper, sources)
+            with pytest.raises(KeyError):
+                kernel.reachable("upper", sources)
+
+    @pytest.mark.skipif(frontier._np is None, reason="numpy not installed")
+    def test_order_paths_cut_runs_at_branching_ends(self):
+        """``order_paths`` hands back each source's run length and its
+        branching end (``-1`` for a sink), and leaves its scratch as it
+        found it."""
+        g = from_edge_list(self.PATHS_EDGES, n_upper=6, n_lower=7).to_csr()
+        upper, _lower = flat_orders(g, self.PATHS_POSITIONS)
+        walk = frontier.frontier_for(g)
+        slot = walk.scratch()
+        lengths, ends, successors = walk.order_paths([12, 0, 2, 3, 4, 0],
+                                                     upper.position, slot)
+        assert lengths == [3, 3, 2, 0, 0, 3]
+        assert ends == [3, -1, 3, 3, -1, -1]
+        assert sorted(successors(3)) == [9, 10]
+        assert successors(4) == []
+        assert (slot < 0).all()
+        lengths, ends, successors = walk.order_paths([11, 7], upper.position,
+                                                     slot)
+        assert (lengths, ends, successors) == ([4, 0], [-1, -1], None)
+        assert (slot < 0).all()
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_one_reachable_call_per_side_per_pass_with_misses(
+            self, memoize, monkeypatch):
+        """Through a whole FILVER++ campaign on ER graphs, whose order
+        DAGs branch, the engine calls ``FollowerKernel.reachable`` once
+        per side per filter pass with ``rf`` misses, on exactly those
+        misses: the branching ends are counted inside the call, never by
+        calling it again (perfbench's ``filter.reachable_calls`` counts
+        these calls)."""
+        misses, calls, branched = [], [], []
+        real_bounds = VerificationCache.rf_bounds
+        real_reachable = FollowerKernel.reachable
+        real_walk = kernel_module.walk_counts
+
+        def spy_bounds(self, side, xs):
+            xs = list(xs)
+            bounds = real_bounds(self, side, xs)
+            missed = [x for x, b in zip(xs, bounds) if b is None]
+            if missed:
+                misses.append((side, missed))
+            return bounds
+
+        def spy_reachable(self, side, sources):
+            sources = list(sources)
+            calls.append((side, sources))
+            return real_reachable(self, side, sources)
+
+        def spy_walk(rows, position, sources):
+            branched.append(len(calls))
+            return real_walk(rows, position, sources)
+
+        monkeypatch.setattr(VerificationCache, "rf_bounds", spy_bounds)
+        monkeypatch.setattr(FollowerKernel, "reachable", spy_reachable)
+        monkeypatch.setattr(kernel_module, "walk_counts", spy_walk)
+        for seed in (3, 4, 5):
+            g = er_graph(seed, nu=40, nl=40, p=0.08, backend="csr")
+            reinforce(g, 3, 3, 4, 4, method="filver++", t=2,
+                      memoize=memoize)
+        assert calls
+        if memoize:
+            assert calls == misses
+        else:
+            assert not misses
+            assert all(sources for _side, sources in calls)
+        if frontier._np is not None:
+            # The fallback ran inside calls, one walk per call at most.
+            assert branched and len(set(branched)) == len(branched)
 
     def test_release_is_idempotent(self):
         kernel = FollowerKernel(er_graph(0, backend="csr"))
