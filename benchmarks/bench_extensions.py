@@ -5,10 +5,10 @@
 * the numpy-vectorized peel vs the pure-Python peel on a global recompute.
 """
 
+import importlib.util
+
 import pytest
 
-from repro.abcore import abcore, anchored_abcore
-from repro.abcore import accel
 from repro.core import critical_vertices, reinforce, run_edge_greedy
 from repro.experiments.runner import default_constraints
 from repro.generators import load_dataset
@@ -49,7 +49,8 @@ def test_collapse_attack(benchmark, capsys):
     assert result.collapsed >= len(result.removed)
 
 
-@pytest.mark.skipif(not accel.available(), reason="numpy not installed")
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
+                    reason="numpy not installed")
 def test_vectorized_peel_speedup(benchmark, capsys):
     """Naive's workload — hundreds of anchored peels on one graph — is where
     the vectorized backend pays (the per-peel Python setup cost moves to C);

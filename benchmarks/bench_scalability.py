@@ -9,7 +9,7 @@ what makes the billion-edge run feasible for the authors' C++.
 
 A second bench compares the two adjacency backends on the largest surrogate:
 the CSR backend must decompose at least 2x faster (its flat buffers feed the
-vectorized peel in ``repro.abcore.accel`` zero-copy) and build with at least
+vectorized peel, ``Frontier.peel``, zero-copy) and build with at least
 30% less peak memory than per-vertex Python lists.
 
 Both benches append their measurements to a JSON file
@@ -106,9 +106,8 @@ def test_csr_backend_speed_and_memory(benchmark, capsys):
         return [abcore(graph, k, k) for k in levels]
 
     def measure():
-        # Warm both graphs once so neither pays one-off cache construction
-        # (the accel layer caches the numpy views per graph) inside a timing,
-        # and check the backends agree level by level.
+        # Warm both graphs once so neither pays one-off costs inside a
+        # timing, and check the backends agree level by level.
         assert decompose(list_graph) == decompose(csr_graph)
         list_s = _best_of(lambda: decompose(list_graph))
         csr_s = _best_of(lambda: decompose(csr_graph))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Collection, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.bigraph.csr import adjacency_arrays
+from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
 from repro.exceptions import InvalidParameterError
 
@@ -142,18 +143,17 @@ def _fast_full_core(
     """Vectorized full-graph core for CSR-backed graphs, or ``None``.
 
     The CSR buffers wrap zero-copy into numpy (when installed), so routing
-    full-graph core queries through :mod:`repro.abcore.accel` costs no
-    conversion — this is where the CSR backend's decomposition speedup
-    comes from.  Subset peels stay scalar: they run over small regions
-    where numpy's per-call overhead dominates.
+    full-graph core queries through :meth:`Frontier.peel
+    <repro.bigraph.frontier.Frontier.peel>` costs no conversion — this is
+    where the CSR backend's decomposition speedup comes from.  Subset
+    peels stay scalar: they run over small regions where numpy's per-call
+    overhead dominates.
     """
-    if adjacency_arrays(graph) is None:
+    walk = frontier_for(graph)
+    if walk is None:
         return None
-    from repro.abcore import accel
-
-    if not accel.available():
-        return None
-    return accel.fast_anchored_abcore(graph, alpha, beta, anchors)
+    alive = walk.peel(alpha, beta, graph.n_upper, anchors)
+    return set(alive.nonzero()[0].tolist())
 
 
 def abcore(

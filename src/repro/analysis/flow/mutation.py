@@ -43,7 +43,6 @@ SHARED_SOURCES = frozenset({
     "repro.bigraph.csr.adjacency_arrays",
     "repro.bigraph.adjacency_arrays",
     "repro.bigraph.shm.attach_shared_graph",
-    "repro.abcore.accel.CsrCache.get",
 })
 
 #: ndarray / array.array / memoryview methods that mutate in place.
@@ -99,21 +98,7 @@ class _FunctionMutation:
         qualified = self._qualify(node)
         if qualified is None:
             return False
-        if qualified in SHARED_SOURCES or qualified in self.producers:
-            return True
-        # ``cache.get(graph)`` on an unresolved receiver: match the
-        # ``CsrCache.get`` shape by method name + module import of accel.
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "get" \
-                and isinstance(func.value, ast.Name) \
-                and "cache" in func.value.id.lower():
-            return self._imports_accel()
-        return False
-
-    def _imports_accel(self) -> bool:
-        aliases = self.program.symbols.aliases.get(self.info.module, {})
-        return any(target.startswith("repro.abcore.accel")
-                   for target in aliases.values())
+        return qualified in SHARED_SOURCES or qualified in self.producers
 
     # -- expression taint ----------------------------------------------
 

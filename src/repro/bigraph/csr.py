@@ -18,7 +18,7 @@ object headers and pointers are counted.  At the scales the paper targets
 Rows are exposed as ``memoryview`` slices, which support ``len``, indexing,
 iteration, ``in`` and ``bisect`` — everything the algorithm layers do with a
 neighbor list.  The buffers also speak the buffer protocol, so the optional
-numpy acceleration layer (:mod:`repro.abcore.accel`) wraps them zero-copy.
+numpy frontier passes (:mod:`repro.bigraph.frontier`) wrap them zero-copy.
 
 Code outside :mod:`repro.bigraph` should not poke at the buffers directly;
 use :func:`adjacency_arrays` to get them (or ``None`` for a list-backed

@@ -16,6 +16,7 @@ import time
 from typing import Collection, List, Optional, Set
 
 from repro.abcore.decomposition import anchored_abcore, peel_with_order
+from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.validation import validate_problem
 from repro.core.result import AnchoredCoreResult, IterationRecord
@@ -39,15 +40,23 @@ def _select_peel(graph: BipartiteGraph, accel: str):
         raise ValueError("accel must be 'auto', 'on' or 'off', got %r" % accel)
     if accel == "off":
         return _scalar_peel
-    from repro.abcore import accel as accel_mod
-
-    if accel == "on":
-        if not accel_mod.available():
+    if accel == "auto" and graph.n_edges < 2000:
+        return anchored_abcore
+    # One frontier over the CSR buffers serves every peel of the run.
+    walk = frontier_for(graph.to_csr())
+    if walk is None:
+        if accel == "on":
             raise RuntimeError("accel='on' requires numpy")
-        return accel_mod.fast_anchored_abcore
-    if accel_mod.available() and graph.n_edges >= 2000:
-        return accel_mod.fast_anchored_abcore
-    return anchored_abcore
+        return anchored_abcore
+    peel_mask = walk.peel
+    n_upper = graph.n_upper
+
+    def vectorized_peel(graph: BipartiteGraph, alpha: int, beta: int,
+                        anchors: Collection[int]) -> Set[int]:
+        return set(peel_mask(alpha, beta, n_upper, anchors)
+                   .nonzero()[0].tolist())
+
+    return vectorized_peel
 
 
 def run_naive(
@@ -62,9 +71,10 @@ def run_naive(
     """Solve the anchored (α,β)-core problem with the naive greedy.
 
     ``accel`` selects the global-peel backend: ``"auto"`` uses the numpy
-    round-synchronous peel (:mod:`repro.abcore.accel`) when numpy is
-    installed and the graph is non-trivial, ``"on"`` forces it, ``"off"``
-    sticks to the pure-Python peel on every backend, CSR included.  The
+    round-synchronous peel (:meth:`repro.bigraph.frontier.Frontier.peel`,
+    over the graph's CSR form) when numpy is installed and the graph is
+    non-trivial, ``"on"`` forces it, ``"off"`` sticks to the pure-Python
+    peel on every backend, CSR included.  The
     base core, every trial, and the final core all go through the chosen
     peel.  Both compute identical cores; Naive's cost is one global peel
     per candidate per iteration, so this is where vectorization pays the

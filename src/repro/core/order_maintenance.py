@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.abcore.core_numbers import core_sweep
 from repro.abcore.decomposition import anchored_abcore
-from repro.bigraph.frontier import frontier_for
+from repro.bigraph.frontier import Frontier, frontier_for
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.deletion_order import (DeletionOrder, compute_order,
                                        order_from_peel)
@@ -312,23 +312,16 @@ class OrderState:
             numbers, cap = self.core_u, self.beta
         else:
             numbers, cap = self.core_l, self.alpha
+        walk = frontier_for(graph)
         reach = numbers
         if level < 1:
             # The anchored graph is fixed for the whole batch, so the level-0
             # core peel is shared across the batch's anchors; its members
             # get "core number" 1 so one membership test serves both cases.
             if self._level0_core is None:
-                if side == "upper":
-                    core = anchored_abcore(graph, self.alpha, 1, self.anchors)
-                else:
-                    core = anchored_abcore(graph, 1, self.beta, self.anchors)
-                table = array("q", [0]) * graph.n_vertices
-                for v in core:
-                    table[v] = 1
-                self._level0_core = table
+                self._level0_core = self._level0_table(side, walk)
             reach = self._level0_core
             level = 1
-        walk = frontier_for(graph)
         if walk is not None:
             return walk.component(x, reach, level, numbers, cap)
 
@@ -359,6 +352,24 @@ class OrderState:
                         keep(w)
             degrees[v] = d
         return open_part, degrees
+
+    def _level0_table(self, side: str, walk: Optional[Frontier]) -> array:
+        """The anchored (α,1)-core (upper side) or (1,β)-core (lower side)
+        as an ``n_vertices``-long ``array('q')`` table: 1 for a member,
+        else 0.  On CSR graphs the table is :meth:`Frontier.peel`'s mask
+        copied into the buffer whole."""
+        graph = self.graph
+        if side == "upper":
+            alpha, beta = self.alpha, 1
+        else:
+            alpha, beta = 1, self.beta
+        if walk is not None:
+            mask = walk.peel(alpha, beta, graph.n_upper, self.anchors)
+            return array("q", mask.astype("q").tobytes())
+        table = array("q", [0]) * graph.n_vertices
+        for v in anchored_abcore(graph, alpha, beta, self.anchors):
+            table[v] = 1
+        return table
 
     def _repair_region(self, side: str, region: Set[int],
                        degrees: List[int], level: int,

@@ -1,15 +1,26 @@
-"""Tests for the numpy-accelerated peel (round-synchronous deletion)."""
+"""Tests for the numpy round-synchronous peel (``Frontier.peel``)."""
 
 import pytest
 from hypothesis import given, settings
 
-from repro.abcore import abcore, anchored_abcore, delta
-from repro.abcore import accel
+from repro.abcore import delta
+from repro.abcore.decomposition import _peel
+from repro.bigraph.frontier import Frontier, frontier_for
 
 from conftest import graphs_with_constraints, random_bigraph
 
-pytestmark = pytest.mark.skipif(not accel.available(),
-                                reason="numpy not installed")
+pytest.importorskip("numpy")
+
+
+def frontier_core(graph, alpha, beta, anchors=()):
+    """The vertex set of ``Frontier.peel``'s mask on ``graph``'s CSR form."""
+    walk = frontier_for(graph.to_csr())
+    alive = walk.peel(alpha, beta, graph.n_upper, anchors)
+    return set(alive.nonzero()[0].tolist())
+
+
+def scalar_core(graph, alpha, beta, anchors=()):
+    return _peel(graph, alpha, beta, anchors, None, record_order=False)[0]
 
 
 class TestEquivalence:
@@ -17,27 +28,30 @@ class TestEquivalence:
     @given(graphs_with_constraints())
     def test_fast_core_equals_pure_core(self, data):
         g, alpha, beta = data
-        assert accel.fast_abcore(g, alpha, beta) == abcore(g, alpha, beta)
+        assert frontier_core(g, alpha, beta) == scalar_core(g, alpha, beta)
 
     @settings(max_examples=30, deadline=None)
     @given(graphs_with_constraints())
     def test_fast_anchored_core_equals_pure(self, data):
         g, alpha, beta = data
-        anchor = g.n_vertices // 2
-        assert accel.fast_anchored_abcore(g, alpha, beta, [anchor]) \
-            == anchored_abcore(g, alpha, beta, [anchor])
+        anchors = [g.n_vertices // 2, g.n_vertices - 1]
+        assert frontier_core(g, alpha, beta, anchors) \
+            == scalar_core(g, alpha, beta, anchors)
 
     def test_fast_delta_matches(self):
         for seed in range(4):
             g = random_bigraph(seed)
-            assert accel.fast_delta(g) == delta(g)
+            assert delta(g.to_csr()) == delta(g)
 
     def test_larger_graph_equivalence(self):
         from repro.generators import chung_lu_bipartite
 
         g = chung_lu_bipartite(400, 300, 2500, seed=3)
         for alpha, beta in ((2, 2), (4, 3), (6, 2)):
-            assert accel.fast_abcore(g, alpha, beta) == abcore(g, alpha, beta)
+            assert frontier_core(g, alpha, beta) \
+                == scalar_core(g, alpha, beta)
+            assert frontier_core(g, alpha, beta, [0, 450]) \
+                == scalar_core(g, alpha, beta, [0, 450])
 
 
 class TestMechanics:
@@ -45,23 +59,7 @@ class TestMechanics:
         from repro.bigraph import from_edge_list
 
         g = from_edge_list([], n_upper=0, n_lower=0)
-        assert accel.fast_abcore(g, 1, 1) == set()
-
-    def test_cache_reuse_and_weak_lifetime(self):
-        import gc
-
-        g = random_bigraph(0)
-        first = accel.CsrCache.get(g)
-        second = accel.CsrCache.get(g)
-        assert first is second
-        # cache entries die with their graph
-        before = len(accel._csr_cache)
-        other = random_bigraph(1)
-        accel.CsrCache.get(other)
-        assert len(accel._csr_cache) == before + 1
-        del other
-        gc.collect()
-        assert len(accel._csr_cache) == before
+        assert frontier_core(g, 1, 1) == set()
 
     def test_naive_accel_knob(self, k34_with_periphery):
         from repro.core.naive import run_naive
@@ -80,15 +78,17 @@ class TestMechanics:
 
         graph = planted_core_graph(3, 3, n_chains=4, max_chain_length=3,
                                    seed=5).to_csr()
-        on = run_naive(graph, 3, 3, 2, 2, accel="on")
         calls = []
-        real = accel.fast_anchored_abcore
+        real = Frontier.peel
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(accel, "fast_anchored_abcore", spy)
+        monkeypatch.setattr(Frontier, "peel", spy)
+        on = run_naive(graph, 3, 3, 2, 2, accel="on")
+        assert calls
+        calls.clear()
         off = run_naive(graph, 3, 3, 2, 2, accel="off")
         assert calls == []
         assert off.anchors == on.anchors

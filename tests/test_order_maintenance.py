@@ -1,6 +1,7 @@
 """Order maintenance (Algorithm 4) must be indistinguishable from rebuilds."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,38 @@ def test_maintained_orders_support_exact_follower_computation():
                 continue
             local = compute_followers(g, order, y, core=state.core)
             assert local == reference, (seed, y)
+
+
+@pytest.mark.parametrize("backend", ["list", "csr"])
+def test_level0_table_is_the_anchored_one_core(backend, monkeypatch):
+    """The level-0 walk's table marks exactly the anchored (α,1)-core
+    (upper side) or (1,β)-core (lower side): the peel's mask on CSR
+    graphs, the scalar core's members on list graphs."""
+    seen = []
+    real = OrderState._level0_table
+
+    def spy(self, side, walk):
+        table = real(self, side, walk)
+        seen.append((self.graph, side, set(self.anchors), table))
+        return table
+
+    monkeypatch.setattr(OrderState, "_level0_table", spy)
+    for seed in range(6):
+        g = random_bigraph(seed, n1_range=(10, 20), n2_range=(10, 20),
+                           density=0.2)
+        if backend == "csr":
+            g = g.to_csr()
+        state = OrderState(g, 3, 3)
+        # The lowest-degree vertices sit at level 0 on both sides.
+        pool = sorted(g.vertices(), key=lambda v: (g.degree(v), v))
+        state.apply_anchors(pool[:2])
+        state.apply_anchor(pool[2])
+    assert {side for _, side, _, _ in seen} == {"upper", "lower"}
+    for g, side, anchors, table in seen:
+        alpha, beta = (3, 1) if side == "upper" else (1, 3)
+        core = anchored_abcore(g.to_list(), alpha, beta, anchors)
+        assert table == array("q", [int(v in core)
+                                    for v in range(g.n_vertices)])
 
 
 def global_zero_rebuild(state, side):
