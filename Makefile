@@ -83,9 +83,10 @@ bench-smoke:
 bench-parallel-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_parallel.py --benchmark-only -q
 
-# Memoization + flat-kernel gate: all four engine configurations must
-# export byte-identical canonical JSON, and memo+kernel must run the
-# FILVER++ campaign >= 2x faster than the memo-off engine.  Timings land
+# Flat-kernel gate: all four engine configurations (memoize x
+# flat_kernel; without a context memoize changes nothing) must export
+# byte-identical canonical JSON, and the defaults must run the FILVER++
+# campaign >= 2x faster than the generic dict/set engine.  Timings land
 # in BENCH_engine.json ($$REPRO_BENCH_ENGINE_JSON to override).
 bench-engine-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_engine.py --benchmark-only -q

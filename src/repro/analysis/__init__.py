@@ -24,7 +24,7 @@ module-scoped rules:
 ``exception-boundaries``
     broad ``except`` only at pragma-sanctioned isolation points;
 ``recompute``
-    no cached-verification bypasses in the engine packages;
+    no whole-order recomputation per candidate in ``# hot-loop`` loops;
 
 and three *program-scoped* rules built on the whole-program symbol
 table/call graph in :mod:`repro.analysis.flow`:

@@ -5,11 +5,11 @@ whole deletion order: the first runs the order-respecting DFS behind
 ``rf(x)``, the second sweeps the order DAG once for a whole batch of
 sources, the third fills the r-score DP table for every shell vertex.
 Calling any of them *per iteration of a hot loop* multiplies an
-order-sized cost by the loop's trip count — the exact pattern the
-cross-iteration :class:`repro.core.incremental.VerificationCache`, the
-batched sweep and the per-side r-score table exist to remove.  Collect
-the cache misses in the loop and make one ``reachable_counts`` call after
-it.
+order-sized cost by the loop's trip count — the exact pattern the batched
+sweep and the per-side r-score table exist to remove.  Collect the
+candidates whose bound is not already known (a pristine shard's
+:class:`repro.core.incremental.VerificationCache` holds some) in the loop
+and make one ``reachable_counts`` call after it.
 
 This rule flags calls to any of these functions (by name, bare or
 attribute) whose call site sits inside a loop marked ``# hot-loop``.
@@ -52,8 +52,8 @@ class RecomputeRule(AnalysisRule):
 
     name = "recompute"
     description = ("no reachable_from / reachable_counts / r_scores calls "
-                   "inside # hot-loop loops; reuse the verification cache, "
-                   "batch the misses or hoist the table")
+                   "inside # hot-loop loops; batch the misses or hoist the "
+                   "table")
 
     def check(self, ctx: ModuleContext) -> Iterator[Violation]:
         if not ctx.hot_loop_spans:
@@ -70,9 +70,9 @@ class RecomputeRule(AnalysisRule):
             out.append(self.violation(
                 ctx, node.lineno, node.col_offset,
                 "%s() walks a whole deletion order and is called inside a "
-                "# hot-loop; reuse the VerificationCache entry, batch the "
-                "misses into one reachable_counts call after the loop (or "
-                "hoist the table), and mark a sanctioned call with "
+                "# hot-loop; batch the VerificationCache misses into one "
+                "reachable_counts call after the loop (or hoist the "
+                "table), and mark a sanctioned call with "
                 "'# repro: ignore[recompute]'" % name))
         for v in sorted(out):
             yield v

@@ -187,16 +187,14 @@ class ComponentDecomposition:
             self._members = members
         return self._members
 
-    def subgraph_view(self, components: Sequence[int],
-                      backend: Optional[str] = None) -> SubgraphView:
+    def subgraph_view(self, components: Sequence[int]) -> SubgraphView:
         """Extract the induced subgraph of one or more whole components.
 
-        ``backend`` picks the local adjacency layout: ``"list"``, ``"csr"``,
-        or ``None`` to inherit (CSR-family parents — including memmap — get
-        an in-RAM CSR; list parents get lists).  Vertices are renumbered
-        monotonically (see :class:`SubgraphView`); because the members are
-        whole components, every neighbor of a member is a member, so the
-        rows translate without filtering.
+        The view inherits the parent's adjacency layout: CSR-family parents
+        — including memmap — get an in-RAM CSR, list parents get lists.
+        Vertices are renumbered monotonically (see :class:`SubgraphView`);
+        because the members are whole components, every neighbor of a
+        member is a member, so the rows translate without filtering.
         """
         graph = self.graph
         # Global ids put every upper before every lower, so the ascending
@@ -206,21 +204,13 @@ class ComponentDecomposition:
         local_n_lower = len(to_global) - local_n_upper
         to_local = {g: i for i, g in enumerate(to_global)}
 
-        if backend is None:
-            backend = "csr" if isinstance(graph.adjacency,
-                                          CSRAdjacency) else "list"
         adj = graph.adjacency
         rows: List[List[int]] = []
         for g in to_global:
             rows.append([to_local[w] for w in adj[g]])
-        if backend == "csr":
-            local_adj: object = CSRAdjacency.from_rows(rows)
-        elif backend == "list":
-            local_adj = rows
-        else:
-            raise InvalidParameterError(
-                "unknown subgraph backend %r (expected 'list' or 'csr')"
-                % (backend,))
+        local_adj: object = rows
+        if isinstance(adj, CSRAdjacency):
+            local_adj = CSRAdjacency.from_rows(rows)
         local = BipartiteGraph(local_n_upper, local_n_lower,
                                local_adj,  # type: ignore[arg-type]
                                _validate=False)

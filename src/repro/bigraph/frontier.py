@@ -1,15 +1,14 @@
 """Level-synchronous frontier passes over a CSR graph's flat buffers.
 
-Two walks of the campaign loop cover most of a connected graph when each
-anchor dirties most of it: order repair's affected-graph BFS (Algorithm 4,
-Line 2) and the verification cache's one- and three-hop dilations of a
-dirty set.  Walked row by row in Python they cost one interpreter
-iteration per edge.  :class:`Frontier` runs them breadth-first, one level
-at a time, as whole-array passes over the CSR buffers wrapped zero-copy in
-numpy, after chainer-compiler's ``policy_gt``: vertex sets are bool
-vectors, and each level is a pass over its whole frontier.  The order
-state's ``n``-long ``array('q')`` tables (positions, core numbers) are
-wrapped the same way, so no walk converts a table first.
+Order repair's affected-graph BFS (Algorithm 4, Line 2) covers most of a
+connected graph when each anchor dirties most of it.  Walked row by row
+in Python it costs one interpreter iteration per edge.  :class:`Frontier`
+runs it breadth-first, one level at a time, as whole-array passes over
+the CSR buffers wrapped zero-copy in numpy, after chainer-compiler's
+``policy_gt``: vertex sets are bool vectors, and each level is a pass
+over its whole frontier.  The order state's ``n``-long ``array('q')``
+tables (positions, core numbers) are wrapped the same way, so no walk
+converts a table first.
 
 * :meth:`Frontier.expand` gathers the frontier's rows in one call, masks
   the neighbors against per-vertex arrays (allowed, seen) and dedupes the
@@ -25,16 +24,14 @@ wrapped the same way, so no walk converts a table first.
   how often the walk reached it: one ``bincount``.  The walk hands back
   only the members below a cap (outside order repair's current core),
   so the caller never filters the whole set in Python.
-* :meth:`Frontier.dilate` is the cache's dilation: every vertex within
-  ``hops`` hops of a seed set.
 
-The two-hop domination filter (Algorithm 3) uses the same gathers for
-its cache misses.  :meth:`Frontier.undominated` decides every miss's
-survivor verdict together: each signature is a masked gather of the
-miss's row, the dominator pool is a masked gather of one signature
-vertex's row, and ``sig(x) ⊆ sig(w)`` is a sorted search of encoded
-``(w, v)`` signature entries, instead of one neighbor-list intersection
-per candidate in Python.
+The two-hop domination filter (Algorithm 3) uses the same gathers.
+:meth:`Frontier.undominated` decides every miss's survivor verdict
+together: each signature is a masked gather of the miss's row, the
+dominator pool is a masked gather of one signature vertex's row, and
+``sig(x) ⊆ sig(w)`` is a sorted search of encoded ``(w, v)`` signature
+entries, instead of one neighbor-list intersection per candidate in
+Python.
 
 The full-graph (anchored) (α,β)-core is :meth:`Frontier.peel`, the
 round-synchronous peel: each round removes every violating vertex at
@@ -140,8 +137,8 @@ class Frontier:
         return self.neighbors.take(at).astype(_np.intp), counts
 
     def expand(self, frontier: Any, stamp: Any,
-               allowed: Any = None) -> Tuple[Any, Any]:
-        """One level: the unseen (and allowed) neighbors of ``frontier``.
+               allowed: Any) -> Tuple[Any, Any]:
+        """One level: the unseen allowed neighbors of ``frontier``.
 
         ``stamp`` is the walk's ``n``-long scratch array of the index
         dtype: negative marks a vertex not yet seen.  Returns ``(fresh,
@@ -149,8 +146,7 @@ class Frontier:
         marked seen), ``reached`` every allowed neighbor entry gathered.
         """
         reached = self._gather(frontier)[0]
-        if allowed is not None:
-            reached = reached[allowed.take(reached)]
+        reached = reached[allowed.take(reached)]
         fresh = reached[stamp.take(reached) < 0]
         slots = _np.arange(fresh.size, dtype=self._index)
         stamp[fresh] = slots
@@ -230,23 +226,6 @@ class Frontier:
         degrees = _np.bincount(_np.concatenate(reached), minlength=self.n)
         open_part = region[_table(numbers).take(region) < cap]
         return set(open_part.tolist()), degrees.tolist()
-
-    def dilate(self, seed: Collection[int], hops: int) -> Tuple[Set[int],
-                                                                Set[int]]:
-        """``(D1, D_hops)``: the vertices within one hop and within
-        ``hops`` hops of ``seed`` (``hops >= 1``)."""
-        frontier = _np.fromiter(seed, dtype=_np.intp, count=len(seed))
-        stamp = self._stamp(frontier)
-        reached = set(seed)
-        d1 = reached
-        for hop in range(hops):
-            frontier = self.expand(frontier, stamp)[0]
-            reached.update(frontier.tolist())
-            if hop == 0 and hops > 1:
-                d1 = set(reached)
-            if not frontier.size:
-                break
-        return d1, reached
 
     def order_paths(self, sources: Sequence[int], position: array,
                     slot: Any) -> Tuple[List[int], List[int],

@@ -179,11 +179,12 @@ def reinforce(
         identical results, faster (see ``docs/PARALLEL.md``).
     memoize / flat_kernel:
         Engine-family accelerations (ignored by the baselines):
-        ``memoize`` (default on) carries verification work across
-        iterations with affected-region invalidation, and ``flat_kernel``
-        selects the flat-array CSR follower kernel (``None`` = auto on
-        CSR-backed graphs).  Both preserve byte-identical results — see
-        ``docs/PERF.md``.
+        ``memoize`` (default on) lets a campaign with a ``context`` read
+        each shard's epoch-0 bounds and two-hop verdicts from the
+        context's seed until the shard's first apply (without a context it
+        changes nothing), and ``flat_kernel`` selects the flat-array CSR
+        follower kernel (``None`` = auto on CSR-backed graphs).  Both
+        preserve byte-identical results — see ``docs/PERF.md``.
     shards:
         The shard plan over the graph's connected components (engine
         family only).  ``None`` (the default) gives each component with

@@ -15,8 +15,9 @@ and serves them to every campaign:
   per-iteration dirty regions stay campaign-private;
 * each view's epoch-0 verification tables are frozen into a
   :class:`~repro.core.incremental.SeedTables`, which each campaign's
-  private :class:`~repro.core.incremental.VerificationCache` starts from
-  as copies (see :mod:`repro.core.incremental`);
+  shards read through a private
+  :class:`~repro.core.incremental.VerificationCache` until their first
+  apply (see :mod:`repro.core.incremental`);
 * parallel evaluators (the shared-memory pool of :mod:`repro.parallel`)
   are leased from a small free-pool — an evaluator re-broadcasts state per
   iteration, so it carries no campaign state across a lease.  Follower
@@ -191,7 +192,7 @@ class SharedCampaignContext:
     def _warm_seed_tables(self, view: View, state: OrderState) -> SeedTables:
         """One view's seed: a single ``_RF_PASS`` filter stage over its
         pristine ``state``, frozen (the bound and verdict tables)."""
-        scratch = VerificationCache(view.graph)
+        scratch = VerificationCache()
         kernel = kernel_for(view.graph)
         if kernel is not None:
             self.kernels_built += 1

@@ -90,11 +90,7 @@ class DeletionOrder:
     def candidates(self, graph: BipartiteGraph) -> List[int]:
         """Candidate anchors: own-layer vertices present in the order.
 
-        Candidacy is a pure predicate of the vertex's own position entry,
-        which is what lets the verification cache reuse two-hop survivor
-        verdicts across iterations (``repro.core.incremental``): a
-        candidacy change within reach of a cached verdict implies a
-        position-entry change inside the dilated dirty region.
+        Candidacy is a pure predicate of the vertex's own position entry.
         """
         layer = (graph.upper_vertices() if self.side == "upper"
                  else graph.lower_vertices())

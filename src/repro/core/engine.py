@@ -56,7 +56,9 @@ from repro.core.deletion_order import reachable_from  # noqa: F401
 from repro.core.followers import compute_followers
 from repro.core.order_maintenance import OrderState
 from repro.core.result import AnchoredCoreResult, IterationRecord
-from repro.core.signatures import two_hop_filter, two_hop_filter_cached
+from repro.core.signatures import two_hop_filter_cached
+# two_hop_filter: unused here, kept for perfbench's tracer.
+from repro.core.signatures import two_hop_filter  # noqa: F401
 from repro.exceptions import (
     AbortCampaign,
     EvaluationStopped,
@@ -153,19 +155,19 @@ def run_engine(
     written by serial and parallel campaigns are interchangeable.  When the
     pool cannot be created the engine silently degrades to the serial scan.
 
-    ``memoize`` (default on) carries verification work — ``|rf(x)|``
-    bounds, two-hop verdicts, follower sets — across iterations in a
-    :class:`VerificationCache`, invalidated by the affected regions order
-    maintenance reports (``docs/PERF.md``).
+    ``memoize`` (default on) lets a seeded campaign — one with a
+    ``context`` that is not resuming — read each shard's epoch-0
+    ``|rf(x)|`` bounds and two-hop verdicts from the context's seed until
+    the shard's first apply (:mod:`repro.core.incremental`).  Without a
+    context it changes nothing.
     ``flat_kernel`` selects the flat-array follower kernel
     (:class:`repro.bigraph.FollowerKernel`): ``None`` auto-enables it on
     CSR-backed graphs, ``True`` requires a CSR backend, ``False`` forces
     the generic dict/set path.  Both switches are pure accelerations:
     results are byte-identical either way (anchors, follower sets,
-    per-iteration ``verifications`` counts — cache hits still count — and
-    canonical JSON), and neither is recorded in checkpoints, so campaigns
-    resumed under different settings still replay identically; caches are
-    ephemeral and rebuilt after a resume.
+    per-iteration ``verifications`` counts and canonical JSON), and
+    neither is recorded in checkpoints, so campaigns resumed under
+    different settings still replay identically.
 
     Resilience hooks (see ``docs/RESILIENCE.md``):
 
@@ -202,7 +204,7 @@ def run_engine(
     views, pristine order states, epoch-0 verification seeds and parallel
     evaluators.  Every shared value equals what this run would compute
     cold, so results stay byte-identical (``docs/PERF.md``).  A resume
-    skips the seeds, so its caches start cold, like a standalone resume's.
+    skips the seeds: its shards are not pristine.
 
     Invalid ``t`` (``options.anchors_per_iteration``), ``workers`` or
     ``shards`` values, and a ``context`` built for another graph or
@@ -349,7 +351,7 @@ def run_engine(
                     merged, evaluator, [shard.state for shard in shard_list],
                     dirty_shards, deadline)
             verifications, timed_out = _verification_stage(
-                merged, maintainer, t, alpha, beta, deadline, pooled)
+                merged, maintainer, alpha, beta, deadline, pooled)
 
             chosen = [x for x in maintainer.anchors
                       if maintainer.followers_of(x)]
@@ -452,13 +454,13 @@ def _filter_stage(
     pre-filter pool size.  Monotone renumbering makes the order by global
     id the order by local id, and global ids are unique, so the plain
     tuple sort never compares past the two leading ints and the order the
-    survivors arrive in does not matter.  With the shard's cache, two-hop
-    verdicts and ``|rf(x)|`` bounds are reused for every candidate the
-    last apply's affected regions did not touch, each side's cached bounds
-    read in one call; r-score bounds come from one
+    survivors arrive in does not matter.  A pristine shard's cache (a
+    seeded campaign's, :mod:`repro.core.incremental`) supplies two-hop
+    verdicts and ``|rf(x)|`` bounds, each side's bounds read in one call;
+    without one every candidate is a miss.  r-score bounds come from one
     :func:`~repro.core.deletion_order.r_scores` table per side per pass.
-    Each side's cache misses get their bounds from one call, stored in
-    one call: on CSR the kernel's
+    Each side's misses get their bounds from one call, stored in one
+    call: on CSR the kernel's
     :meth:`~repro.bigraph.kernel.FollowerKernel.reachable`, which walks
     the order DAG in frontier passes over the CSR buffers and counts its
     out-degree-1 runs by pointer jumping (the CSR rows when numpy is
@@ -466,8 +468,9 @@ def _filter_stage(
     otherwise; both fall back on the one Python walk,
     :func:`~repro.bigraph.kernel.walk_counts`, the kernel only for the
     runs that end at a branching vertex.  No ``rf(x)`` set is kept:
-    verification derives it for the candidates it reaches.  The survivor set, the bounds, and hence the ranked list are
-    identical on every path (``docs/PERF.md``).
+    verification derives it for the candidates it reaches.  The survivor
+    set, the bounds, and hence the ranked list are identical on every path
+    (``docs/PERF.md``).
 
     The ``engine.filter`` fault site fires in the caller, once per
     iteration, however many shards refilter.
@@ -490,11 +493,8 @@ def _filter_stage(
         if not candidates:
             continue
         if options.use_two_hop_filter:
-            if cache is not None:
-                survivors = two_hop_filter_cached(graph, order, candidates,
-                                                  cache)
-            else:
-                survivors, _sigs = two_hop_filter(graph, order, candidates)
+            survivors = two_hop_filter_cached(graph, order, candidates,
+                                              cache)
         else:
             survivors = candidates
         if options.use_rf_bound:
@@ -591,7 +591,6 @@ def _fallback_anchors(
 def _verification_stage(
     merged: List["MergedCandidate"],
     maintainer: AnchorSetMaintainer,
-    t: int,
     alpha: int,
     beta: int,
     deadline: Optional[float],
@@ -606,22 +605,17 @@ def _verification_stage(
     * a candidate whose bound cannot beat the maintainer's threshold is
       skipped.  The threshold changes only when a verified candidate is
       offered, and bounds are sorted, so every later candidate is skipped
-      too: the scan stops there.  For ``t > 1`` with a deadline or a
-      pooled stream it goes on skipping instead, so the deadline check
-      and the stream still see every candidate.
+      too: the scan stops there, on every path.
 
     Follower sets are computed in the candidate's shard (local ids) and
     globalized for coverage and the maintainer — follower sets never leave
     their component, so the globalized union equals the one-shard set
-    exactly.  With a shard cache, a candidate whose follower set survived
-    invalidation skips Algorithm 1 entirely; ``verifications`` still counts
-    it, because the memo-off scan would have evaluated it — the cache
-    changes where the set comes from, never whether the scan wanted it.
-    Fresh sets are computed by the shard's kernel when one is selected,
-    each from its own ``rf(x)`` DFS: the filter keeps only the bound.
+    exactly.  Sets are computed by the shard's kernel when one is
+    selected, each from its own ``rf(x)`` DFS: the filter keeps only the
+    bound.
 
     ``pooled`` (from :func:`_pooled_follower_sets`) supplies one set per
-    ranked candidate instead, skipped candidates included; the skip rules
+    ranked candidate instead, covered candidates included; the skip rules
     and the count are unchanged, so the result is the serial scan's.  A
     worker seeing the deadline first ends the scan like the deadline check
     here, and closing the stream on any exit cancels the pool's remainder.
@@ -637,23 +631,14 @@ def _verification_stage(
             if x in covered:
                 continue
             if -neg_bound <= maintainer.skip_threshold():
-                if t == 1 or (pooled is None and deadline is None):
-                    break
-                continue
+                break
             if follower_set is None:
-                side = order.side
-                cache = shard.cache
-                follower_set = (cache.followers_for(side, lx)
-                                if cache is not None else None)
-                if follower_set is None:
-                    if shard.kernel is not None:
-                        follower_set = shard.kernel.followers(
-                            side, lx, alpha, beta)
-                    else:
-                        follower_set = compute_followers(
-                            shard.graph, order, lx, core=shard.state.core)
-                    if cache is not None:
-                        cache.store_followers(side, lx, follower_set)
+                if shard.kernel is not None:
+                    follower_set = shard.kernel.followers(
+                        order.side, lx, alpha, beta)
+                else:
+                    follower_set = compute_followers(
+                        shard.graph, order, lx, core=shard.state.core)
             verifications += 1
             follower_global = shard.view.globalize(follower_set)
             covered |= follower_global
@@ -674,33 +659,17 @@ def _pooled_follower_sets(
     dirty_shards: Set[int],
     deadline: Optional[float],
 ) -> Generator[Set[int], None, None]:
-    """One follower set per ranked candidate: a cache hit, or the pool's.
+    """One follower set per ranked candidate, from the pool.
 
-    Only cache misses are dispatched, as ``(shard, side, local_x)`` items,
-    and the state broadcast carries only the shards anchored since the
-    previous one (``dirty_shards``, cleared here).  Every streamed set is
-    stored in its shard's cache, including the sets of candidates the scan
-    skips.  Closing this generator closes the stream, which cancels the
-    not-yet-dispatched remainder.
+    Every ranked candidate is dispatched, as a ``(shard, side, local_x)``
+    item, and the state broadcast carries only the shards anchored since
+    the previous one (``dirty_shards``, cleared here).  Closing this
+    generator closes the stream, which cancels the not-yet-dispatched
+    remainder.
     """
-    cached_sets: List[Optional[Set[int]]] = []
-    items: List["ShardCandidate"] = []
-    for _neg_bound, _x, shard, lx, order in merged:
-        follower_set = (shard.cache.followers_for(order.side, lx)
-                        if shard.cache is not None else None)
-        cached_sets.append(follower_set)
-        if follower_set is None:
-            items.append((shard.index, order.side, lx))
+    items: List["ShardCandidate"] = [
+        (shard.index, order.side, lx)
+        for _neg_bound, _x, shard, lx, order in merged]
     evaluator.begin_iteration(shard_states, dirty_shards, deadline)
     dirty_shards.clear()
-    stream = evaluator.evaluate(items)
-    try:
-        for (_neg_bound, _x, shard, lx, order), follower_set in zip(
-                merged, cached_sets):
-            if follower_set is None:
-                follower_set = next(stream)
-                if shard.cache is not None:
-                    shard.cache.store_followers(order.side, lx, follower_set)
-            yield follower_set
-    finally:
-        stream.close()
+    yield from evaluator.evaluate(items)

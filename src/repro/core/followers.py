@@ -17,19 +17,12 @@ itself — meets its layer's degree constraint.  Survivors are *exactly*
 recomputation on randomized graphs.
 
 This module is the *reference* implementation: dict/set based, readable,
-backend-agnostic.  Two layers reuse or replace it without changing a
-single returned set:
-
-* :class:`repro.bigraph.kernel.FollowerKernel` re-implements the same DFS
-  and local peel over flat epoch-stamped arrays for CSR-backed graphs —
-  set-identical, selected automatically by the engine;
-* :class:`repro.core.incremental.VerificationCache` carries the returned
-  follower sets across engine iterations, invalidated by the affected
-  regions order maintenance reports (see ``docs/PERF.md``).
-
-Both callers rely on a documented property of this function: its result
-depends only on ``(adjacency, position, core, x)`` — the exact state the
-cache's dirty-region rule tracks.
+backend-agnostic.  :class:`repro.bigraph.kernel.FollowerKernel`
+re-implements the same DFS and local peel over flat epoch-stamped arrays
+for CSR-backed graphs — set-identical, selected automatically by the
+engine.  The result depends only on ``(adjacency, position, core, x)``,
+which is what lets the parallel workers (:mod:`repro.parallel`) compute
+it from a broadcast copy of that state.
 """
 
 from __future__ import annotations

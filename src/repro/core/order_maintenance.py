@@ -201,11 +201,10 @@ class OrderState:
 
         Returns the per-side *dirty regions*: for each order, the exact set
         of vertices whose position entry (zero entries included) or anchored
-        core membership changed during this apply.  The contract the
-        incremental verification cache (:mod:`repro.core.incremental`)
-        builds on is the converse: **every position entry and every core
-        membership outside the returned sets is bit-identical to its value
-        before the call**.  Algorithm 4 renumbers the open part of each
+        core membership changed during this apply.  The converse is the
+        contract: **every position entry and every core membership outside
+        the returned sets is bit-identical to its value before the
+        call**.  Algorithm 4 renumbers the open part of each
         affected region (the part outside the core) with fresh positions,
         so the dirty sets are the repaired regions' shells plus
         core-membership flips plus zero-entry churn — not just the placed

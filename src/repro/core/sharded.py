@@ -3,9 +3,9 @@
 Followers never cross connected components (Lemma 1: every follower of an
 anchor is order-reachable from it, and reachability walks edges), so the
 greedy filter–verification loop factorizes: each group of components
-keeps its own deletion orders, verification cache, and ranked candidate
-list, and a global iteration only merges per-shard rankings and routes the
-chosen anchors back to their shards.  :func:`repro.core.engine.run_engine`
+keeps its own deletion orders and ranked candidate list, and a global
+iteration only merges per-shard rankings and routes the chosen anchors
+back to their shards.  :func:`repro.core.engine.run_engine`
 is that loop; this module provides the shards it drives.  The shard plan
 (:func:`plan_shards`, :func:`shard_views`) is a pure function of the graph
 and ``shards``, and a plan of one group is an :class:`IdentityView` of the
@@ -24,8 +24,8 @@ element.  Candidate ``x`` ids are unique, so the sort key never ties
 deeper.
 
 What sharding buys: after an iteration anchors only components in the
-winning shards, so every other shard's ranked list, cache, and deletion
-orders are reused untouched next iteration.  Shards also bound peak memory
+winning shards, so every other shard's ranked list and deletion orders
+are reused untouched next iteration.  Shards also bound peak memory
 (one component's working set at a time) and give the parallel evaluator
 (:mod:`repro.parallel`) shard-granular work units.
 """
@@ -150,10 +150,11 @@ class CampaignShard:
     """One shard's campaign state.
 
     Owns the view (identity or component-local), the local
-    :class:`OrderState`, the optional local :class:`VerificationCache` and
-    follower kernel, and the ranked candidate memo.  Everything else — the
-    anchors placed, budget use, per-iteration records — is global and
-    lives in the loop; a shard's state is a function of the global batches
+    :class:`OrderState`, the optional follower kernel, the ranked
+    candidate memo and, while the shard is pristine in a seeded campaign,
+    a :class:`VerificationCache` over its epoch-0 seed.  Everything else
+    — the anchors placed, budget use, per-iteration records — is global
+    and lives in the loop; a shard's state is a function of the global batches
     routed to it, which is why checkpoints need not record it.
 
     The ranked memo is the substrate's core saving: :meth:`ranked` reruns
@@ -212,11 +213,12 @@ class CampaignShard:
         return self._ranked[key]
 
     def apply(self, batch: Sequence[int]) -> None:
-        """Anchor a local-id batch, invalidating the caches it touched."""
-        state = self.state
-        dirty = state.apply_anchors(list(batch))
+        """Anchor a local-id batch.  The shard is no longer pristine, so
+        its cache of epoch-0 values goes (:mod:`repro.core.incremental`)."""
+        self.state.apply_anchors(list(batch))
         if self.cache is not None:
-            self.cache.invalidate(dirty, (state.upper, state.lower))
+            self.cache.invalidate()
+            self.cache = None
         self._ranked.clear()
 
     def release(self) -> None:
@@ -262,7 +264,8 @@ def build_shards(
 
     The views come from :func:`shard_views`; a ``context`` memoizes them
     and supplies the pristine state clones and — when ``memoize`` and
-    ``seeded`` — the frozen epoch-0 seed tables.
+    ``seeded`` — the frozen epoch-0 seed tables.  A shard gets a
+    :class:`VerificationCache` only over a seed.
     ``flat_kernel=None`` auto-enables the follower kernel on CSR-backed
     views, ``True`` requires CSR (construction raises otherwise), ``False``
     forces the generic dict/set path.
@@ -287,7 +290,7 @@ def build_shards(
                   else FollowerKernel(local) if flat_kernel else None)
         shard_list.append(CampaignShard(
             index, view, state,
-            VerificationCache(local, seed=seed) if memoize else None, kernel))
+            VerificationCache(seed) if seed is not None else None, kernel))
     return shard_list, route
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import compress
 from math import log2
 from typing import (TYPE_CHECKING, AbstractSet, Dict, Iterable, List,
-                    Sequence, Set, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
@@ -92,43 +92,56 @@ def two_hop_filter_cached(
     graph: BipartiteGraph,
     order: DeletionOrder,
     candidates: Sequence[int],
-    cache: "VerificationCache",
+    cache: Optional["VerificationCache"],
 ) -> List[int]:
     """:func:`two_hop_filter`'s survivors, in ``candidates`` order, with
-    per-candidate memoization of the *survivor verdict* (valid until the
-    order changes within three hops — see :mod:`repro.core.incremental`).
+    the *survivor verdicts* read from and stored in ``cache`` (a pristine
+    shard's cache, :mod:`repro.core.incremental`); with ``cache=None``
+    every candidate is a miss.
 
-    Caching the verdict per candidate is sound because Algorithm 3's
-    "visited" bookkeeping is secretly pairwise: when ``x`` is processed,
-    the unvisited candidates are exactly those with
+    The verdict is a predicate of each candidate alone, because Algorithm
+    3's "visited" bookkeeping is secretly pairwise: when ``x`` is
+    processed, the unvisited candidates are exactly those with
     ``(|sig(w)|, w) > (|sig(x)|, x)``.  So ``x`` survives iff
     ``sig(x) ≠ ∅`` and no candidate ``w`` with a strictly larger
-    ``(|sig|, id)`` key sits in ``x``'s order-obeying two-hop pool — a
-    predicate of ``x`` alone, independent of the order candidates are
-    visited in.  This function replays cached verdicts for hits and
-    evaluates that predicate for all misses together: on CSR graphs (with
-    numpy) in whole-array passes,
+    ``(|sig|, id)`` key sits in ``x``'s order-obeying two-hop pool,
+    whatever order candidates are visited in.  This function replays
+    cached verdicts for hits and evaluates that predicate for all misses
+    together: on CSR graphs (with numpy) in whole-array passes,
     :meth:`repro.bigraph.frontier.Frontier.undominated`; otherwise per
     miss, full pool first and key filter after (the pool is tiny once the
     neighbor-list intersection has run), computing signatures only for
     the misses and their pool members, each at most once per call.
     """
+    if cache is None:
+        return list(compress(candidates,
+                             _verdicts(graph, order, candidates, candidates)))
     side = order.side
     verdicts = cache.survivor_verdicts(side, candidates)
     if None in verdicts:
         misses = [x for x, verdict in zip(candidates, verdicts)
                   if verdict is None]
-        walk = frontier_for(graph)
-        if walk is not None:
-            decided = walk.undominated(misses, order.position, candidates)
-        else:
-            decided = _row_verdicts(graph, order, misses, candidates)
+        decided = _verdicts(graph, order, misses, candidates)
         for x, verdict in zip(misses, decided):
             cache.store_survivor(side, x, verdict)
         fresh = iter(decided)
         verdicts = [next(fresh) if verdict is None else verdict
                     for verdict in verdicts]
     return list(compress(candidates, verdicts))
+
+
+def _verdicts(
+    graph: BipartiteGraph,
+    order: DeletionOrder,
+    misses: Sequence[int],
+    candidates: Sequence[int],
+) -> List[bool]:
+    """The survivor verdict of each miss: array passes on CSR graphs (with
+    numpy), dominator pools row by row otherwise."""
+    walk = frontier_for(graph)
+    if walk is not None:
+        return walk.undominated(misses, order.position, candidates)
+    return _row_verdicts(graph, order, misses, candidates)
 
 
 def _row_verdicts(

@@ -12,8 +12,9 @@ and the engine's one verification scan pulls the precomputed sets in ranked
 order, applying its skip rules exactly as it does on the serial path: the
 chosen anchors, the follower sets, and even the per-iteration
 ``verifications`` counter come out exactly as a serial run's.  The price of
-that contract is bounded wasted work — follower sets the scan skips are
-computed anyway (and cached for later iterations).
+that contract is bounded wasted work: the scan stops at its first
+threshold skip, and what the workers computed past that point — at most
+the chunks in flight and the results not yet consumed — is thrown away.
 
 Topology
 --------

@@ -118,9 +118,9 @@ class TestSeedTables:
             assert ctx.seed_tables(shards=1)[0] is seed  # warmed once
 
     def test_caches_on_one_seed_are_isolated(self):
-        """Invalidating one cache with a partial region leaves the shared
-        seed and a second cache on it untouched: each cache starts from
-        its own copies of the seed's tables."""
+        """Invalidating one cache (its shard's first apply) leaves the
+        shared seed and a second cache on it untouched: each cache starts
+        from its own copies of the seed's tables."""
         graph = batch_graph().to_csr()
         with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
             [seed] = ctx.seed_tables(shards=1)
@@ -138,18 +138,15 @@ class TestSeedTables:
                     for x in sorted(table[side])]
 
         entries, seed_keys = seed.entries(), keys()
-        dirtied = VerificationCache(graph, seed=seed)
-        bystander = VerificationCache(graph, seed=seed)
+        dirtied = VerificationCache(seed)
+        bystander = VerificationCache(seed)
         before = reads(bystander)
         hits = (bystander.rf_hits, bystander.survivor_hits,
                 bystander.seed_hits)
 
-        state = OrderState(graph, ALPHA, BETA, maintain=True)
-        dirty = state.apply_anchors([min(state.upper.candidates(graph))])
-        assert 0 < sum(map(len, dirty.values())) < graph.n_vertices
-        dirtied.invalidate(dirty, (state.upper, state.lower))
-        assert dirtied.evictions > 0
-        assert None in reads(dirtied)
+        dirtied.invalidate()
+        assert dirtied.evictions == entries
+        assert set(reads(dirtied)) == {None}
 
         after = reads(bystander)
         assert after == before

@@ -117,10 +117,8 @@ class TestSubgraphView:
     def test_backend_selection_and_validation(self):
         decomposition = self.decomposition()
         assert decomposition.subgraph_view([0]).graph.backend == "csr"
-        assert decomposition.subgraph_view(
-            [0], backend="list").graph.backend == "list"
-        with pytest.raises(InvalidParameterError):
-            decomposition.subgraph_view([0], backend="parquet")
+        listed = ComponentDecomposition(path_with_isolates())
+        assert listed.subgraph_view([0]).graph.backend == "list"
         with pytest.raises(InvalidParameterError):
             decomposition.subgraph_view([99])
         with pytest.raises(InvalidParameterError):

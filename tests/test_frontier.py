@@ -1,9 +1,9 @@
 """The CSR frontier passes against the per-row loops they replace.
 
-Order repair's affected-graph walk, the verification cache's dilations and
-the filter's ``|rf(x)|`` counts run as
-:class:`repro.bigraph.frontier.Frontier` passes on CSR graphs when numpy
-is importable, and as per-row loops otherwise.  The walks themselves
+Order repair's affected-graph walk, the two-hop verdicts and the filter's
+``|rf(x)|`` counts run as :class:`repro.bigraph.frontier.Frontier`
+passes on CSR graphs when numpy is importable, and as per-row loops
+otherwise.  The walks themselves
 are checked in ``test_core_sweep.py`` and ``test_incremental.py``; here a
 whole campaign must not notice which path ran.
 """
@@ -31,7 +31,7 @@ def campaign(graph):
 
 
 def count_passes(monkeypatch):
-    calls = {"component": 0, "dilate": 0, "order_paths": 0}
+    calls = {"component": 0, "undominated": 0, "order_paths": 0}
     for name in calls:
         real = getattr(frontier.Frontier, name)
 
@@ -51,7 +51,7 @@ def test_row_path_campaign_equals_frontier_path(monkeypatch):
                            seed=31).to_csr()
     calls = count_passes(monkeypatch)
     fast = campaign(g)
-    assert calls["component"] > 0 and calls["dilate"] > 0
+    assert calls["component"] > 0 and calls["undominated"] > 0
     assert calls["order_paths"] > 0
     monkeypatch.setattr(frontier, "_np", None)
     assert frontier.frontier_for(g) is None

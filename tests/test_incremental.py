@@ -1,23 +1,24 @@
-"""Cross-iteration verification memoization: differential and unit tests.
+"""Pristine-shard verification reuse and the flat kernel: differential
+and unit tests.
 
 The acceptance bar for ``repro.core.incremental`` and the flat CSR kernel
-is *byte-identity*: a memoized campaign must equal the memo-off engine in
-anchors, follower sets, and per-iteration diagnostics (``verifications``
-counts cache hits exactly as the serial scan counts recomputations), under
+is *byte-identity*: a seeded or kernelized campaign must equal the plain
+engine in anchors, follower sets, and per-iteration diagnostics, under
 canonical JSON (:func:`repro.experiments.export.canonical_result_dict`).
 
 Layers of evidence, cheapest first:
 
 * unit contracts — the dirty regions :meth:`OrderState.apply_anchors`
-  reports, the kernel's set-identity with the generic follower code, the
-  ``|rf(x)|`` sweeps against ``len(reachable_from(...))``, and the eviction
-  walk against the set rule it replaces;
-* a stale-entry differential that replays a random anchoring campaign and
-  cross-checks every cache read against a fresh recomputation;
+  reports, the kernel's set-identity with the generic follower code, and
+  the ``|rf(x)|`` sweeps against ``len(reachable_from(...))``;
+* signatures on demand: only verdict misses and their pools read
+  ``sig(x)``;
+* a seeded campaign reads each shard's seed until the shard's first
+  apply, and holds no cache after it;
 * engine-level byte-identity across all three FILVER variants, both
   adjacency backends, ``workers`` in {1, 4}, and resume-from-checkpoint;
-* a metamorphic check: invalidating with a region covering the whole graph
-  leaves the cache indistinguishable from a cold one.
+* a metamorphic check: an invalidated cache is indistinguishable from a
+  cold one.
 """
 
 from array import array
@@ -29,15 +30,18 @@ import random
 import pytest
 
 from repro.bigraph import disjoint_union, frontier, from_edge_list
+from repro.core.batch import SharedCampaignContext
 from repro.bigraph import kernel as kernel_module
 from repro.bigraph.kernel import FollowerKernel, kernel_for
 from repro.core import engine_options, reinforce
 from repro.core.deletion_order import (DeletionOrder, reachable_counts,
                                        reachable_from)
+from repro.core import engine as engine_module
 from repro.core.engine import run_engine
 from repro.core.followers import compute_followers
 from repro.core.incremental import VerificationCache
 from repro.core.order_maintenance import OrderState
+from repro.core.sharded import CampaignShard, IdentityView
 from repro.core import signatures as signatures_module
 from repro.core.signatures import two_hop_filter, two_hop_filter_cached
 from repro.exceptions import AbortCampaign, GraphConstructionError
@@ -62,14 +66,24 @@ def er_graph(seed, nu=30, nl=30, p=0.1, backend="list"):
 
 def planted_composite(n_parts=5, seed_base=900):
     """Disjoint planted-core components: repairs stay local to one
-    component, so invalidation regions are genuinely partial and the cache
-    survives across iterations (a single planted graph invalidates
-    everything — its core numbering is global)."""
+    component, so dirty regions are genuinely partial and the default
+    shard plan leaves most shards pristine for several iterations."""
     parts = [planted_core_graph(alpha=3, beta=3, core_upper=8, core_lower=8,
                                 n_chains=10, max_chain_length=8,
                                 seed=seed_base + i)
              for i in range(n_parts)]
     return disjoint_union(parts)
+
+
+def flat_orders(g, positions):
+    """Upper and lower orders over ``g`` that both hold ``positions``."""
+    table = array("q", [-1]) * g.n_vertices
+    for v, p in positions.items():
+        table[v] = p
+    return tuple(DeletionOrder(side=side, position=array("q", table),
+                               core=set(), relaxed_core=set(), alpha=1,
+                               beta=1)
+                 for side in ("upper", "lower"))
 
 
 RUNNERS = {
@@ -98,7 +112,7 @@ class TestDirtyRegions:
         assert state.apply_anchors([x]) == {"upper": set(), "lower": set()}
 
     def test_everything_outside_the_region_is_untouched(self):
-        """The soundness half of the contract the cache builds on: a
+        """The soundness half of the dirty-region contract: a
         position entry (or core membership) that changed MUST be inside
         the reported region — equivalently, outside it both orders and
         the core are bit-identical before and after the apply."""
@@ -133,8 +147,8 @@ class TestDirtyRegions:
 
     def test_some_apply_leaves_a_clean_remainder(self):
         """The usefulness half: on a multi-component graph at least one
-        apply must leave part of the shell untouched, otherwise the cache
-        never carries anything and the differential tests are vacuous."""
+        apply must leave part of the shell untouched, otherwise the
+        regions say nothing the whole vertex set would not."""
         g = planted_composite(4).to_csr()
         state = OrderState(g, 3, 3, maintain=True)
         rng = random.Random(13)
@@ -328,17 +342,20 @@ class TestFollowerKernel:
         assert (lengths, ends, successors) == ([4, 0], [-1, -1], None)
         assert (slot < 0).all()
 
-    @pytest.mark.parametrize("memoize", [True, False])
+    @pytest.mark.parametrize("seeded", [True, False])
     def test_one_reachable_call_per_side_per_pass_with_misses(
-            self, memoize, monkeypatch):
+            self, seeded, monkeypatch):
         """Through a whole FILVER++ campaign on ER graphs, whose order
         DAGs branch, the engine calls ``FollowerKernel.reachable`` once
         per side per filter pass with ``rf`` misses, on exactly those
         misses: the branching ends are counted inside the call, never by
         calling it again (perfbench's ``filter.reachable_calls`` counts
-        these calls)."""
+        these calls).  Without a seed every two-hop survivor is a miss;
+        a seeded campaign (and the context's warm-up pass) misses what
+        its cache does not hold."""
         misses, calls, branched = [], [], []
         real_bounds = VerificationCache.rf_bounds
+        real_filter = engine_module.two_hop_filter_cached
         real_reachable = FollowerKernel.reachable
         real_walk = kernel_module.walk_counts
 
@@ -350,6 +367,12 @@ class TestFollowerKernel:
                 misses.append((side, missed))
             return bounds
 
+        def spy_filter(graph, order, candidates, cache):
+            survivors = real_filter(graph, order, candidates, cache)
+            if cache is None and survivors:
+                misses.append((order.side, list(survivors)))
+            return survivors
+
         def spy_reachable(self, side, sources):
             sources = list(sources)
             calls.append((side, sources))
@@ -360,18 +383,20 @@ class TestFollowerKernel:
             return real_walk(rows, position, sources)
 
         monkeypatch.setattr(VerificationCache, "rf_bounds", spy_bounds)
+        monkeypatch.setattr(engine_module, "two_hop_filter_cached",
+                            spy_filter)
         monkeypatch.setattr(FollowerKernel, "reachable", spy_reachable)
         monkeypatch.setattr(kernel_module, "walk_counts", spy_walk)
         for seed in (3, 4, 5):
             g = er_graph(seed, nu=40, nl=40, p=0.08, backend="csr")
-            reinforce(g, 3, 3, 4, 4, method="filver++", t=2,
-                      memoize=memoize)
-        assert calls
-        if memoize:
-            assert calls == misses
-        else:
-            assert not misses
-            assert all(sources for _side, sources in calls)
+            if seeded:
+                with SharedCampaignContext(g, 3, 3) as ctx:
+                    reinforce(g, 3, 3, 4, 4, method="filver++", t=2,
+                              context=ctx)
+            else:
+                reinforce(g, 3, 3, 4, 4, method="filver++", t=2)
+        assert calls and calls == misses
+        assert all(sources for _side, sources in calls)
         if frontier._np is not None:
             # The fallback ran inside calls, one walk per call at most.
             assert branched and len(set(branched)) == len(branched)
@@ -383,92 +408,20 @@ class TestFollowerKernel:
 
 
 # ----------------------------------------------------------------------
-# Stale-entry differential: every cache read vs a fresh recomputation
-# ----------------------------------------------------------------------
-
-def warm_seed(g, state):
-    """Epoch-0 tables of the pristine ``state``: the two-hop filter plus
-    ``|rf(x)|`` of every survivor, frozen from a scratch cache."""
-    scratch = VerificationCache(g)
-    for order in (state.upper, state.lower):
-        survivors = two_hop_filter_cached(g, order, order.candidates(g),
-                                          scratch)
-        scratch.store_rf(order.side, {x: len(reachable_from(g, order, x))
-                                      for x in survivors})
-    return scratch.freeze_seed()
-
-
-def orders_of(state):
-    """The post-apply orders :meth:`VerificationCache.invalidate` walks."""
-    return (state.upper, state.lower)
-
-
-class TestCacheDifferential:
-    @pytest.mark.parametrize("seeded", [False, True],
-                             ids=["cold", "seeded"])
-    def test_campaign_replay_never_serves_stale_entries(self, seeded):
-        """Replays a random anchoring campaign; at every step, every
-        cached survivor verdict, bound, and follower set must equal a
-        from-scratch recomputation.  Also asserts the
-        cache actually got hits — a hit rate of zero would make this test
-        pass vacuously.  The seeded run starts from the pristine state's
-        frozen tables and must both serve and evict seeded entries."""
-        g = planted_composite(6, seed_base=500).to_csr()
-        state = OrderState(g, 3, 3, maintain=True)
-        seed = warm_seed(g, state) if seeded else None
-        cache = VerificationCache(g, seed=seed)
-        rng = random.Random(7)
-        checked = 0
-        for step in range(10):
-            for order in (state.upper, state.lower):
-                side = order.side
-                cands = order.candidates(g)
-                if not cands:
-                    continue
-                ref_surv, _ = two_hop_filter(g, order, cands)
-                got_surv = two_hop_filter_cached(g, order, cands, cache)
-                assert sorted(got_surv) == sorted(ref_surv), (step, side)
-                for x in ref_surv:
-                    checked += 1
-                    bound_ref = len(reachable_from(g, order, x))
-                    bound = cache.rf_for(side, x)
-                    if bound is None:
-                        cache.store_rf(side, {x: bound_ref})
-                    else:
-                        assert bound == bound_ref, (step, side, x)
-                    f_ref = compute_followers(g, order, x, core=state.core)
-                    cached = cache.followers_for(side, x)
-                    if cached is None:
-                        cache.store_followers(side, x, f_ref)
-                    else:
-                        assert cached == f_ref, (step, side, x)
-            pool = sorted(set(table_dict(state.upper.position))
-                          | set(table_dict(state.lower.position)))
-            pool = [v for v in pool if v not in state.anchors]
-            if not pool:
-                break
-            dirty = state.apply_anchors(rng.sample(pool, min(2, len(pool))))
-            cache.invalidate(dirty, orders_of(state))
-        assert checked > 100
-        assert cache.rf_hits > 0
-        assert cache.survivor_hits > 0
-        assert cache.follower_hits > 0
-        assert cache.evictions > 0  # invalidation actually fired
-        if seeded:
-            assert cache.seed_hits > 0
-            # Some seeded entry was evicted: re-reading every seed key
-            # scores fewer seed hits than there are keys.
-            seed_keys = [(side, x) for side, table in seed.rf.items()
-                         for x in table]
-            hits = cache.seed_hits
-            for side, x in seed_keys:
-                cache.rf_for(side, x)
-            assert cache.seed_hits - hits < len(seed_keys)
-
-
-# ----------------------------------------------------------------------
 # Signatures on demand: only verdict misses and their pools read sig(x)
 # ----------------------------------------------------------------------
+
+def partly_warm(g, state, rng):
+    """A cache holding the verdicts of a random half of each side's
+    candidates, as ``two_hop_filter`` decides them."""
+    cache = VerificationCache()
+    for order in (state.upper, state.lower):
+        cands = order.candidates(g)
+        survivors = set(two_hop_filter(g, order, cands)[0])
+        for x in rng.sample(cands, len(cands) // 2):
+            cache.store_survivor(order.side, x, x in survivors)
+    return cache
+
 
 class TestSignaturesOnDemand:
     def test_signatures_are_computed_only_for_verdict_misses(
@@ -481,7 +434,7 @@ class TestSignaturesOnDemand:
         a set throughout."""
         g = planted_composite(6, seed_base=500)
         state = OrderState(g, 3, 3, maintain=True)
-        cache = VerificationCache(g)
+        cache = VerificationCache()
         real = signatures_module.signature
         calls = []
 
@@ -533,14 +486,14 @@ class TestSignaturesOnDemand:
         for _step in range(3):
             pool = sorted(v for v in table_dict(state.upper.position)
                           if v not in state.anchors)
-            cache.invalidate(state.apply_anchors([rng.choice(pool)]),
-                             orders_of(state))
+            state.apply_anchors([rng.choice(pool)])
+            cache = partly_warm(g, state, rng)
             for side, (misses, allowed, computed, n_cands) in \
                     filter_pass().items():
                 assert misses <= computed <= allowed, side
                 if misses and len(computed) < n_cands:
                     partial += 1
-        assert partial > 0  # some pass recomputed only part of a side
+        assert partial > 0  # some pass computed only part of a side
 
     @pytest.mark.skipif(frontier._np is None, reason="numpy not installed")
     def test_array_pass_gathers_only_misses_and_their_two_hop_pools(
@@ -553,7 +506,7 @@ class TestSignaturesOnDemand:
         the oracle's as a set throughout."""
         g = planted_composite(6, seed_base=500).to_csr()
         state = OrderState(g, 3, 3, maintain=True)
-        cache = VerificationCache(g)
+        cache = VerificationCache()
         gathered, signed = [], []
         real_gather = frontier.Frontier._gather
         real_signatures = frontier.Frontier._signatures
@@ -613,273 +566,149 @@ class TestSignaturesOnDemand:
         for _step in range(3):
             pool = sorted(v for v in table_dict(state.upper.position)
                           if v not in state.anchors)
-            cache.invalidate(state.apply_anchors([rng.choice(pool)]),
-                             orders_of(state))
+            state.apply_anchors([rng.choice(pool)])
+            cache = partly_warm(g, state, rng)
             for side, (misses, allowed, computed, _rows, n_cands) in \
                     filter_pass().items():
                 assert misses <= computed <= allowed, side
                 if misses and len(computed) < n_cands:
                     partial += 1
-        assert partial > 0  # some pass recomputed only part of a side
+        assert partial > 0  # some pass computed only part of a side
 
 
 # ----------------------------------------------------------------------
-# Dilations: D1 and D3 against a brute-force hop count
+# Metamorphic: an invalidated cache == a cold cache
 # ----------------------------------------------------------------------
 
-def hop_ball(graph, seed, hops):
-    """Every vertex within ``hops`` hops of ``seed``: whole neighborhoods
-    of the whole ball, round after round."""
-    ball = set(seed)
-    for _ in range(hops):
-        ball = ball.union(*(graph.neighbors(v) for v in ball))
-    return ball
+def warm_seed(g, state):
+    """Epoch-0 tables of the pristine ``state``: the two-hop filter plus
+    ``|rf(x)|`` of every survivor, frozen from a scratch cache."""
+    scratch = VerificationCache()
+    for order in (state.upper, state.lower):
+        survivors = two_hop_filter_cached(g, order, order.candidates(g),
+                                          scratch)
+        scratch.store_rf(order.side, reachable_counts(g, order, survivors))
+    return scratch.freeze_seed()
 
-
-def dilation_graph(backend):
-    """An ER part, a path 0-20-1 whose centre's dilation stops growing
-    after one round, and vertices of degree 0 in both layers (uppers 2,
-    19; lowers 21, 22, 39)."""
-    rng = random.Random(5)
-    edges = [(0, 0), (1, 0)]
-    edges += [(u, v) for u in range(3, 19) for v in range(3, 19)
-              if rng.random() < 0.15]
-    return from_edge_list(edges, n_upper=20, n_lower=20, backend=backend)
-
-
-class TestDilation:
-    @pytest.mark.parametrize("backend", ["list", "csr"])
-    def test_dilations_match_hop_counts(self, backend):
-        g = dilation_graph(backend)
-        isolated = [v for v in g.vertices() if g.degree(v) == 0]
-        assert {2, 19, 21, 22, 39} <= set(isolated)
-        # The path centre's growth stops in round 2, before round 3.
-        assert hop_ball(g, {20}, 1) == hop_ball(g, {20}, 3) == {0, 1, 20}
-        rng = random.Random(11)
-        seeds = [set(), {20}, {0}, {2}, set(isolated), {20, 39},
-                 set(g.vertices())]
-        seeds += [set(rng.sample(list(g.vertices()), k)) for k in (1, 3, 8)]
-        cache = VerificationCache(g)
-        for seed in seeds:
-            d1, d3 = cache._dilate(seed)
-            assert d1 == hop_ball(g, seed, 1), seed
-            assert d3 == hop_ball(g, seed, 3), seed
-            assert cache._dilate(seed, 1) == (d1, d1), seed
-
-    def test_idle_tables_skip_their_dilation(self, monkeypatch):
-        """A side whose rf and verdict tables are both empty is not
-        dilated; rf entries alone need only D1, verdicts need D3."""
-        g = dilation_graph("csr")
-        cache = VerificationCache(g)
-        calls = []
-        real = cache._dilate
-
-        def spy(seed, hops=3):
-            calls.append(hops)
-            return real(seed, hops)
-
-        monkeypatch.setattr(cache, "_dilate", spy)
-        orders = flat_orders(g, {3: 0, 4: 1})
-        cache.invalidate({"upper": {20}, "lower": {20}}, orders)
-        assert calls == []
-        cache.store_rf("upper", {3: 1})
-        cache.store_survivor("lower", 0, True)
-        cache.invalidate({"upper": {20}, "lower": {20}}, orders)
-        assert calls == [1, 3]
-        assert cache.rf_for("upper", 3) == 1
-        assert cache.survivor_verdict("lower", 0) is None
-        assert cache.evictions == 1
-
-
-# ----------------------------------------------------------------------
-# Eviction boundary: the one-hop dilation of the dirty set
-# ----------------------------------------------------------------------
-
-def flat_orders(g, positions):
-    """Upper and lower orders over ``g`` that both hold ``positions``."""
-    table = array("q", [-1]) * g.n_vertices
-    for v, p in positions.items():
-        table[v] = p
-    return tuple(DeletionOrder(side=side, position=array("q", table),
-                               core=set(), relaxed_core=set(), alpha=1,
-                               beta=1)
-                 for side in ("upper", "lower"))
-
-
-class TestEvictionBoundary:
-    def test_rf_entries_are_evicted_exactly_on_the_dilated_region(self):
-        """Upper-side dirt ``{d}`` dilates to ``D1 = {d} ∪ N(d)``.  An
-        entry survives iff ``{x} ∪ rf(x)`` misses ``D1``: touching it
-        only through ``rf(x)``'s neighbor of ``d``, even two steps away,
-        or only through ``x ∈ N(d)``, is enough to evict.  The lower
-        side's tables are untouched."""
-        # Upper 0..3, lower 4..7; d = 0 with N(d) = {4, 5}.
-        g = from_edge_list([(0, 0), (0, 1), (1, 0), (1, 2), (2, 3),
-                            (3, 3)])
-        d = 0
-        assert set(g.adjacency[d]) == {4, 5}
-        orders = flat_orders(g, {0: 1, 5: 2, 6: 3, 1: 4, 4: 5, 2: 6, 7: 7,
-                                 3: 8})
-        upper = orders[0]
-        entries = {
-            2: 2,    # rf(2) = {7, 3}, disjoint from D1: survives
-            1: 1,    # rf(1) = {4}, a vertex of N(d): evicted
-            6: 2,    # rf(6) = {1, 4}: reaches N(d) through 1, evicted
-            5: 0,    # x ∈ N(d), empty rf(x): evicted
-        }
-        assert {x: reachable_from(g, upper, x) for x in entries} == {
-            2: {7, 3}, 1: {4}, 6: {1, 4}, 5: set()}
-        cache = VerificationCache(g)
-        for side in ("upper", "lower"):
-            cache.store_rf(side, entries)
-            for x in entries:
-                cache.store_followers(side, x, {x})
-                cache.store_survivor(side, x, True)
-        lower = {x: (cache.rf_for("lower", x),
-                     cache.followers_for("lower", x),
-                     cache.survivor_verdict("lower", x))
-                 for x in entries}
-
-        cache.invalidate({"upper": {d}, "lower": set()}, orders)
-
-        assert cache.rf_for("upper", 2) == entries[2]
-        assert cache.followers_for("upper", 2) == {2}
-        for x in (1, 6, 5):
-            assert cache.rf_for("upper", x) is None, x
-            assert cache.followers_for("upper", x) is None, x
-        assert cache.evictions >= 3
-        for x, (bound, followers, verdict) in lower.items():
-            assert cache.rf_for("lower", x) == bound == entries[x]
-            assert cache.followers_for("lower", x) is followers
-            assert cache.survivor_verdict("lower", x) is verdict is True
-
-    @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("backend", ["list", "csr"])
-    @pytest.mark.parametrize("family", ["planted", "er"])
-    def test_walk_evicts_exactly_what_the_set_rule_evicts(
-            self, family, backend, batch):
-        """Eviction oracle: after each invalidation, the bounds the walk
-        drops are exactly the keys ``x`` with ``({x} ∪ rf(x)) ∩ D1 ≠ ∅``,
-        with ``rf(x)`` taken by ``reachable_from`` before it and ``D1`` by
-        brute-force hop count.  Each step invalidates twice: with an
-        apply's dirty regions, and with random shell vertices over the
-        unchanged orders (a dirty set may be any superset of what
-        changed).  The applies' regions hold every key whose ``rf``
-        meets their ``D1``, so only the random sets make the walk find
-        keys outside ``D1``; all three outcomes must occur.  The ER graph
-        is three components, because an apply dirties most of its own."""
-        if family == "planted":
-            g = planted_composite(4, seed_base=820)
-        else:
-            g = disjoint_union([er_graph(seed, nu=20, nl=20, p=0.15)
-                                for seed in (9, 10, 11)])
-        if backend == "csr":
-            g = g.to_csr()
-        state = OrderState(g, 3, 3, maintain=True)
-        cache = VerificationCache(g)
-        rng = random.Random(23 + batch)
-        outcomes = {"in D1": 0, "through rf": 0, "kept": 0}
-
-        def fill():
-            """Store every candidate's bound; return the rf sets."""
-            before = {}
-            for order in orders_of(state):
-                side = order.side
-                keys = order.candidates(g)
-                missing = [x for x, bound in
-                           zip(keys, cache.rf_bounds(side, keys))
-                           if bound is None]
-                cache.store_rf(side, reachable_counts(g, order, missing))
-                before[side] = {x: reachable_from(g, order, x)
-                                for x in keys}
-            return before
-
-        def invalidate_and_check(before, dirty):
-            cache.invalidate(dirty, orders_of(state))
-            for side, rf in before.items():
-                d1 = hop_ball(g, dirty[side], 1)
-                expected = {x for x, members in rf.items()
-                            if x in d1 or not members.isdisjoint(d1)}
-                evicted = {x for x in rf if cache.rf_for(side, x) is None}
-                assert evicted == expected, (side, sorted(evicted ^ expected))
-                outcomes["in D1"] += len(evicted & d1)
-                outcomes["through rf"] += len(evicted - d1)
-                outcomes["kept"] += len(rf) - len(evicted)
-
-        for _step in range(6):
-            pool = sorted(v for v in set(table_dict(state.upper.position))
-                          | set(table_dict(state.lower.position))
-                          if v not in state.anchors)
-            if not pool:
-                break
-            before = fill()
-            shell = {order.side: sorted(order.relaxed_core - order.core)
-                     for order in orders_of(state)}
-            invalidate_and_check(before, {
-                side: set(rng.sample(members, min(batch, len(members))))
-                for side, members in shell.items()})
-            before = fill()
-            invalidate_and_check(before, state.apply_anchors(
-                rng.sample(pool, min(batch, len(pool)))))
-        assert all(outcomes.values()), outcomes
-
-
-# ----------------------------------------------------------------------
-# Metamorphic: whole-graph invalidation == cold cache
-# ----------------------------------------------------------------------
 
 class TestMetamorphicInvalidation:
     def test_full_region_invalidation_equals_cold_cache(self):
-        """After invalidating with a dirty region covering every vertex,
-        the warm cache must behave exactly like a fresh one: same filter
-        output, and all reads are misses (nothing survived)."""
+        """After :meth:`VerificationCache.invalidate`, a seeded cache that
+        also stored values of its own behaves exactly like a fresh one:
+        same filter output, and all reads are misses (nothing survived,
+        the seed's entries included)."""
         g = planted_composite(3).to_csr()
         state = OrderState(g, 3, 3, maintain=True)
-        warm = VerificationCache(g)
+        seed = warm_seed(g, state)
+        entries = seed.entries()
+        warm = VerificationCache(seed)
         for order in (state.upper, state.lower):
-            surv = two_hop_filter_cached(g, order, order.candidates(g),
-                                         warm)
-            warm.store_rf(order.side, {x: len(reachable_from(g, order, x))
-                                       for x in surv})
-        assert warm.survivor_misses > 0
+            cands = order.candidates(g)
+            warm.store_rf(order.side, reachable_counts(g, order, cands))
+        assert warm.rf_for("upper", state.upper.candidates(g)[0]) is not None
 
-        everything = set(range(g.n_upper + g.n_lower))
-        warm.invalidate({"upper": everything, "lower": everything},
-                        orders_of(state))
+        warm.invalidate()
+        assert warm.evictions >= entries
+        assert seed.entries() == entries  # the shared seed is untouched
 
-        cold = VerificationCache(g)
+        cold = VerificationCache()
         for cache in (warm, cold):
-            cache.rf_hits = cache.rf_misses = 0
+            cache.rf_hits = cache.rf_misses = cache.seed_hits = 0
             cache.survivor_hits = cache.survivor_misses = 0
         for order in (state.upper, state.lower):
             cands = order.candidates(g)
             warm_out = two_hop_filter_cached(g, order, cands, warm)
             cold_out = two_hop_filter_cached(g, order, cands, cold)
             assert warm_out == cold_out
-            for x in warm_out:
+            for x in cands:
                 assert warm.rf_for(order.side, x) is None
-        assert warm.rf_hits == cold.rf_hits == 0
+        assert warm.rf_hits == cold.rf_hits == warm.seed_hits == 0
         assert (warm.survivor_hits, warm.survivor_misses) == \
             (cold.survivor_hits, cold.survivor_misses)
 
     def test_none_region_clears_everything(self):
-        """``None`` (unmaintained orders: no region information) must be
-        treated as 'anything may have changed'."""
+        """An apply that reports ``None`` (unmaintained orders: no region
+        information, plain FILVER) ends a shard's cache like any other
+        apply: every entry is dropped and the shard holds no cache."""
         g = planted_composite(2).to_csr()
-        state = OrderState(g, 3, 3, maintain=True)
-        cache = VerificationCache(g)
+        seed = warm_seed(g, OrderState(g, 3, 3, maintain=True))
+        state = OrderState(g, 3, 3, maintain=False)
+        cache = VerificationCache(seed)
+        shard = CampaignShard(0, IdentityView(g), state, cache, None)
         order = state.upper
-        surv = two_hop_filter_cached(g, order, order.candidates(g), cache)
-        cache.store_rf(order.side, reachable_counts(g, order, surv))
-        cache.invalidate(None, orders_of(state))
-        assert cache.full_invalidations == 1
+        surv = [x for x in order.candidates(g)
+                if cache.survivor_verdict(order.side, x)]
+        assert surv and None not in cache.rf_bounds(order.side, surv)
+        x = min(table_dict(state.upper.position))
+        shard.apply([x])
+        assert shard.cache is None
+        assert cache.evictions == seed.entries()
         for x in surv:
             assert cache.rf_for(order.side, x) is None
             assert cache.survivor_verdict(order.side, x) is None
 
 
 # ----------------------------------------------------------------------
-# Engine layer: byte-identity of memoized / kernelized campaigns
+# A seeded campaign reads each shard's seed until the shard's first apply
+# ----------------------------------------------------------------------
+
+class TestPristineSeed:
+    def test_seeded_shard_reads_the_seed_until_its_first_apply(
+            self, monkeypatch):
+        """In a seeded FILVER++ campaign every cache read hits the seed,
+        each shard's cache is invalidated once, by the shard's first
+        apply, and is never read again; the shard holds no cache after
+        it.  The result is byte-identical to a cold run's."""
+        g = planted_composite().to_csr()
+        cold = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3))
+        events = []
+        first_applies = []
+        real_invalidate = VerificationCache.invalidate
+        real_bounds = VerificationCache.rf_bounds
+        real_apply = CampaignShard.apply
+
+        def spy_invalidate(self):
+            events.append(("invalidate", self))
+            real_invalidate(self)
+
+        def spy_bounds(self, side, xs):
+            events.append(("read", self))
+            return real_bounds(self, side, xs)
+
+        def spy_apply(self, batch):
+            cache = self.cache
+            real_apply(self, batch)
+            assert self.cache is None
+            if cache is not None:
+                first_applies.append((self.index, cache))
+
+        monkeypatch.setattr(VerificationCache, "invalidate", spy_invalidate)
+        monkeypatch.setattr(VerificationCache, "rf_bounds", spy_bounds)
+        monkeypatch.setattr(CampaignShard, "apply", spy_apply)
+        with SharedCampaignContext(g, 3, 3) as ctx:
+            got = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3,
+                                  context=ctx))
+        assert got == cold
+
+        invalidated = []
+        for kind, cache in events:
+            assert not any(cache is seen for seen in invalidated), kind
+            if kind == "invalidate":
+                invalidated.append(cache)
+        shards = [index for index, _cache in first_applies]
+        assert len(shards) == len(set(shards)) > 1
+        assert [cache for _index, cache in first_applies] == invalidated
+        # The warm-up's scratch cache misses; every campaign read hits.
+        read = {id(cache): cache for kind, cache in events
+                if kind == "read"}
+        seeded = [cache for cache in read.values() if cache.seed_hits]
+        assert seeded and all(cache.rf_misses == cache.survivor_misses == 0
+                              for cache in seeded)
+        assert all(cache.rf_hits == cache.seed_hits for cache in seeded)
+
+
+# ----------------------------------------------------------------------
+# Engine layer: byte-identity across memoize / flat_kernel settings
 # ----------------------------------------------------------------------
 
 class TestEngineByteIdentity:
@@ -925,9 +754,7 @@ class TestParallelAndResume:
         """One end-to-end matrix on the planted campaign: workers=4 with
         memoization on and off, and resume-from-checkpoint (written by an
         aborted memoized run) serial and parallel — all byte-identical to
-        the serial memo-off baseline.  Caches are ephemeral: the resumed
-        run rebuilds its cache from the replayed state, which must not
-        show through in the output."""
+        the serial memo-off baseline."""
         g = planted_composite().to_csr()
         base = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3,
                                memoize=False, flat_kernel=False))

@@ -155,7 +155,7 @@ class TestDeadlineAndStopFlag:
         pooled = _pooled_follower_sets(scored, StoppedEvaluator(), [state],
                                        {0}, None)
         verifications, timed_out = _verification_stage(
-            scored, NullMaintainer(), 2, 3, 3, None, pooled)
+            scored, NullMaintainer(), 3, 3, None, pooled)
         assert (verifications, timed_out) == (0, True)
 
 
@@ -196,7 +196,8 @@ class RecordingMaintainer(AnchorSetMaintainer):
 
 class TestOneScan:
     """The pooled scan is the serial scan fed by the pool: same counts,
-    same offers, the stream consumed in rank order and cached."""
+    same offers, every ranked candidate dispatched in rank order, and the
+    stream consumed up to the first threshold skip."""
 
     def ranked(self, shard, real):
         """Real candidates under crafted bounds: the top candidate, then
@@ -217,47 +218,41 @@ class TestOneScan:
             entries.append((-bound, x, shard, x, order))
         return entries
 
-    def make_shard(self, graph, memoize, real=None):
-        """A one-shard campaign's shard after its first filter pass; with
-        ``memoize``, every third follower set in ``real`` is pre-cached."""
+    @staticmethod
+    def make_shard(graph):
+        """A one-shard campaign's shard after its first filter pass."""
         options = engine_options("filver++", 3)
-        [shard], _route = build_shards(graph, 3, 3, options, memoize, False,
-                                       1)
+        [shard], _route = build_shards(graph, 3, 3, options, True, False, 1)
         ranked, _total = shard.ranked(3, 3, options)
-        if memoize and real is not None:
-            for key in self.precached(real):
-                shard.cache.store_followers(*key, real[key])
         return shard, ranked
 
-    @staticmethod
-    def precached(real):
-        return {key for index, key in enumerate(sorted(real))
-                if index % 3 == 0}
-
-    @pytest.mark.parametrize("memoize", [False, True])
+    @pytest.mark.parametrize("with_deadline", [False, True])
     @pytest.mark.parametrize("t", [1, 3])
-    def test_pooled_scan_equals_serial_scan(self, t, memoize):
+    def test_pooled_scan_equals_serial_scan(self, t, with_deadline):
+        """A far deadline changes nothing: both scans stop at the first
+        threshold skip, whatever ``t`` is."""
+        deadline = time.perf_counter() + 3600 if with_deadline else None
         graph = campaign_graph(seed=6)
-        _shard, filtered = self.make_shard(graph, False)
+        _shard, filtered = self.make_shard(graph)
         real = {(order.side, x): compute_followers(graph, order, x,
                                                    core=shard.state.core)
                 for _bound, _gx, shard, x, order in filtered}
 
-        serial_shard, _ranked = self.make_shard(graph, memoize, real)
+        serial_shard, _ranked = self.make_shard(graph)
         serial_maintainer = RecordingMaintainer(graph, t, 3, 3)
         serial = _verification_stage(
-            self.ranked(serial_shard, real), serial_maintainer, t,
-            3, 3, None)
+            self.ranked(serial_shard, real), serial_maintainer, 3, 3,
+            deadline)
 
-        pooled_shard, _ranked = self.make_shard(graph, memoize, real)
+        pooled_shard, _ranked = self.make_shard(graph)
         pooled_maintainer = RecordingMaintainer(graph, t, 3, 3)
         ranked = self.ranked(pooled_shard, real)
         evaluator = RecordingEvaluator()
         dirty = {0}
         pooled = _verification_stage(
-            ranked, pooled_maintainer, t, 3, 3, None,
+            ranked, pooled_maintainer, 3, 3, deadline,
             _pooled_follower_sets(ranked, evaluator, [pooled_shard.state],
-                                  dirty, None))
+                                  dirty, deadline))
 
         assert pooled == serial
         assert not serial[1]
@@ -265,24 +260,19 @@ class TestOneScan:
         assert pooled_maintainer.offers == serial_maintainer.offers
         assert pooled_maintainer.anchors == serial_maintainer.anchors
         assert dirty == set()
-        # Only cache misses are dispatched, in rank order, and the scan
-        # consumes a prefix of them in that order (t = 1 stops early).
-        hits = self.precached(real) if memoize else set()
-        misses = [(0, order.side, x)
-                  for _bound, _gx, _shard, x, order in ranked
-                  if (order.side, x) not in hits]
-        assert evaluator.items == misses
+        # Every ranked candidate is dispatched, in rank order, and the
+        # scan consumes a prefix of them in that order, ending at the
+        # first candidate skipped by the threshold: the rest of the
+        # zero-bound tail is never consumed.
+        assert evaluator.items == [(0, order.side, x)
+                                   for _bound, _gx, _shard, x, order in ranked]
         consumed = [item for item, _set in evaluator.streamed]
-        assert consumed == misses[:len(consumed)]
-        if t == 1:
-            assert len(consumed) < len(misses)
-        else:
-            assert consumed == misses
+        assert consumed == evaluator.items[:len(consumed)]
+        assert len(consumed) < len(ranked)
+        last_bound = -ranked[len(consumed) - 1][0]
+        assert last_bound <= pooled_maintainer.skip_threshold()
         for (_index, side, x), follower_set in evaluator.streamed:
             assert follower_set == real[(side, x)]
-            if memoize:
-                assert pooled_shard.cache.followers_for(side, x) \
-                    == follower_set
 
 
 class TestWorkerDeath:

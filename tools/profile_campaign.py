@@ -2,14 +2,14 @@
 
 The engine's speed story is constant factors: where a reinforcement
 campaign actually spends its time decides which of the accelerations
-(cross-iteration memoization, the flat CSR kernel, worker pools) is worth
-reaching for.  This tool runs one campaign on the same multi-component
+(the flat CSR kernel, the shard plan, worker pools) is worth reaching
+for.  This tool runs one campaign on the same multi-component
 planted-core composite the engine benchmark uses and prints the top-N
 functions by cumulative time, so a regression or a new hot spot is one
 command away::
 
     PYTHONPATH=src python tools/profile_campaign.py
-    PYTHONPATH=src python tools/profile_campaign.py --no-memoize --parts 10
+    PYTHONPATH=src python tools/profile_campaign.py --no-kernel --parts 10
     PYTHONPATH=src python tools/profile_campaign.py --method filver+ --top 30
     PYTHONPATH=src python tools/profile_campaign.py --shards 30 --peak-rss
 
@@ -121,8 +121,6 @@ def main(argv=None) -> int:
                         help="anchors per iteration, filver++ only (2)")
     parser.add_argument("--top", type=int, default=20,
                         help="how many functions to print (20)")
-    parser.add_argument("--no-memoize", action="store_true",
-                        help="profile with the verification cache off")
     parser.add_argument("--no-kernel", action="store_true",
                         help="profile with the flat CSR kernel off")
     parser.add_argument("--shards", type=int, default=None,
@@ -134,10 +132,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     graph = build_graph(args.parts, args.chains, args.chain_length)
-    print("graph: %d vertices, %d components (method=%s, memoize=%s, "
-          "flat_kernel=%s, shards=%s)"
+    print("graph: %d vertices, %d components (method=%s, flat_kernel=%s, "
+          "shards=%s)"
           % (graph.n_upper + graph.n_lower, args.parts, args.method,
-             not args.no_memoize, not args.no_kernel, args.shards))
+             not args.no_kernel, args.shards))
 
     profiler = cProfile.Profile()
     with shard_timers() as shard_totals:
@@ -145,7 +143,6 @@ def main(argv=None) -> int:
         profiler.enable()
         result = reinforce(graph, 4, 4, args.budget, args.budget,
                            method=args.method, t=args.t,
-                           memoize=not args.no_memoize,
                            flat_kernel=False if args.no_kernel else None,
                            shards=args.shards)
         profiler.disable()
