@@ -8,8 +8,10 @@ two ways on the same composite planted-core graph:
   whole first-iteration candidate pool, and builds its own kernel;
 * ``batched`` — one :func:`repro.core.api.reinforce` call per job against
   one :class:`~repro.core.batch.SharedCampaignContext`: the pristine order
-  state and the frozen verification seed are computed once and served to
-  every job (each job still builds its own kernel, as a cold run does).
+  state and each pristine shard side's ranked list (the seed) are
+  computed once and served to every job, so a FILVER+/FILVER++ job's
+  first filter pass over a shard is the context's list (each job still
+  builds its own kernel, as a cold run does).
 
 Two claims are checked (see ``docs/PERF.md``):
 
@@ -132,7 +134,7 @@ def test_batch_identity_and_speedup(benchmark, capsys, tmp_path):
         print("  batched : %7.3fs cpu / %7.3fs wall (%.2fx cpu)"
               % (cpu["batched"], wall["batched"], speedup))
         print("  shared  : %d state clones, %d kernels built, "
-              "%d seed entries"
+              "%d seeded ranked entries"
               % (sharing["state_clones"], sharing["kernels_built"],
                  sharing["seed_entries"]))
         print("  restart : %d disk hits" % cache_stats["disk_hits"])

@@ -12,10 +12,10 @@ graph:
   ``set()``/``frozenset()`` calls, set-algebra results, filesystem
   enumeration (``os.listdir``, ``os.scandir``, ``glob.glob``/``iglob``,
   ``Path.iterdir``/``Path.glob``), and the shared-context table accessors
-  of the batch substrate (``base_core()``/``seed_tables()``/
-  ``freeze_seed()`` — their (α,β)-invariant tables hold *sets* of
-  vertices with no defined order, so a per-campaign loop over them must
-  sanitize first).  Calls to *producer* functions — any function in the
+  of the batch substrate (``base_core()``/``seed_tables()`` — the base
+  core is a *set* of vertices with no defined order, and a seed is a
+  side-keyed map, so a per-campaign loop over them must sanitize
+  first).  Calls to *producer* functions — any function in the
   program whose return value is unordered, computed to a fixpoint across
   modules — are sources too; that is what makes the analysis
   interprocedural.
@@ -98,12 +98,11 @@ _FS_SOURCES = frozenset({
 #: Unordered-returning method names (matched on any receiver).
 _FS_SOURCE_METHODS = frozenset({"iterdir", "glob", "rglob"})
 #: Shared-context table accessors (matched on any receiver): the batch
-#: substrate's (α,β)-invariant tables — base core, frozen verification
-#: seed — are sets/set-valued maps with no defined order.  A campaign
+#: substrate's (α,β)-invariant tables — base core, seeded ranked lists
+#: keyed by side — are a set and maps with no defined order.  A campaign
 #: iterating one order-sensitively must sort first, exactly like any
 #: other set (see ``repro.core.batch``).
-_CONTEXT_SOURCE_METHODS = frozenset({"base_core", "seed_tables",
-                                     "freeze_seed"})
+_CONTEXT_SOURCE_METHODS = frozenset({"base_core", "seed_tables"})
 
 #: Builtins whose result is a new set regardless of input.
 _SET_BUILTINS = frozenset({"set", "frozenset"})

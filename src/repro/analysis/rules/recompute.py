@@ -7,9 +7,8 @@ sources, the third fills the r-score DP table for every shell vertex.
 Calling any of them *per iteration of a hot loop* multiplies an
 order-sized cost by the loop's trip count — the exact pattern the batched
 sweep and the per-side r-score table exist to remove.  Collect the
-candidates whose bound is not already known (a pristine shard's
-:class:`repro.core.incremental.VerificationCache` holds some) in the loop
-and make one ``reachable_counts`` call after it.
+candidates in the loop and make one ``reachable_counts`` call for all of
+them after it.
 
 This rule flags calls to any of these functions (by name, bare or
 attribute) whose call site sits inside a loop marked ``# hot-loop``.
@@ -70,9 +69,9 @@ class RecomputeRule(AnalysisRule):
             out.append(self.violation(
                 ctx, node.lineno, node.col_offset,
                 "%s() walks a whole deletion order and is called inside a "
-                "# hot-loop; batch the VerificationCache misses into one "
-                "reachable_counts call after the loop (or hoist the "
-                "table), and mark a sanctioned call with "
+                "# hot-loop; collect the candidates and make one "
+                "reachable_counts call for all of them after the loop (or "
+                "hoist the table), and mark a sanctioned call with "
                 "'# repro: ignore[recompute]'" % name))
         for v in sorted(out):
             yield v

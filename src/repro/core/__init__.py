@@ -31,10 +31,7 @@ from repro.core.edge_anchoring import (
 from repro.core.engine import EngineOptions, run_engine
 from repro.core.exact import run_exact
 from repro.core.followers import compute_followers, follower_count
-from repro.core.incremental import (
-    SeedTables,
-    VerificationCache,
-)
+from repro.core.incremental import VerificationCache
 from repro.core.naive import run_naive
 from repro.core.order_maintenance import OrderState
 from repro.core.reduction import (
@@ -63,7 +60,6 @@ __all__ = [
     "MaxCoverageInstance",
     "OrderState",
     "ReducedInstance",
-    "SeedTables",
     "SharedCampaignContext",
     "VerificationCache",
     "collapse_size",

@@ -179,10 +179,10 @@ def reinforce(
         identical results, faster (see ``docs/PARALLEL.md``).
     memoize / flat_kernel:
         Engine-family accelerations (ignored by the baselines):
-        ``memoize`` (default on) lets a campaign with a ``context`` read
-        each shard's epoch-0 bounds and two-hop verdicts from the
-        context's seed until the shard's first apply (without a context it
-        changes nothing), and ``flat_kernel`` selects the flat-array CSR
+        ``memoize`` (default on) lets a FILVER+ or FILVER++ campaign with
+        a ``context`` take each pristine shard's ranked lists from the
+        context's seed instead of filtering, until the shard's first
+        apply (otherwise it changes nothing), and ``flat_kernel`` selects the flat-array CSR
         follower kernel (``None`` = auto on CSR-backed graphs).  Both
         preserve byte-identical results — see ``docs/PERF.md``.
     shards:
@@ -207,7 +207,7 @@ def reinforce(
     context:
         A :class:`repro.core.batch.SharedCampaignContext` sharing the
         (α,β)-invariant substrate — base core, pristine order state,
-        warm verification seed, evaluator leases — across a batch of
+        seeded ranked lists, evaluator leases — across a batch of
         same-``(graph, α, β)`` campaigns: open one context and call
         ``reinforce(..., context=ctx)`` once per campaign.  Engine-family
         campaigns draw on it under every ``shards`` value (it keeps one

@@ -2,20 +2,20 @@
 
 The service sees *streams* of campaigns against one graph, and most of a
 cold start is (α, β)-invariant: the base (α,β)-core, the pristine deletion
-orders (plus capped core numbers), and the first filter pass's two-hop
-verdicts and ``|rf(x)|`` bounds are all pure functions of
-``(graph, α, β)`` — no campaign parameter (budgets, method, ``t``, seed,
-deadline) enters them.  :class:`SharedCampaignContext` computes each of those exactly once
-and serves them to every campaign:
+orders (plus capped core numbers), and each pristine shard side's ranked
+list under the two-hop filter and ``|rf(x)|`` bounds are all pure
+functions of ``(graph, α, β)`` — no campaign parameter (budgets, method,
+``t``, seed, deadline) enters them.  :class:`SharedCampaignContext`
+computes each of those exactly once and serves them to every campaign:
 
 * per ``shards`` value, the shard plan's views
   (:func:`repro.core.sharded.shard_views`) and each view's pristine
   :class:`~repro.core.order_maintenance.OrderState` are built once; each
   campaign repairs private clones (`OrderState.clone_pristine`), so
   per-iteration dirty regions stay campaign-private;
-* each view's epoch-0 verification tables are frozen into a
-  :class:`~repro.core.incremental.SeedTables`, which each campaign's
-  shards read through a private
+* each view's pristine ranked lists, one per side, are built once by the
+  engine's own filter stage; each FILVER+/FILVER++ campaign's shards
+  serve them, shared read-only, through a
   :class:`~repro.core.incremental.VerificationCache` until their first
   apply (see :mod:`repro.core.incremental`);
 * parallel evaluators (the shared-memory pool of :mod:`repro.parallel`)
@@ -51,7 +51,7 @@ from repro.bigraph.validation import validate_problem
 # reachable_from, r_scores: unused here, kept for perfbench's tracer.
 from repro.core.deletion_order import r_scores, reachable_from  # noqa: F401
 from repro.core.engine import EngineOptions, _filter_stage
-from repro.core.incremental import SeedTables, VerificationCache
+from repro.core.incremental import Seed
 from repro.core.order_maintenance import OrderState
 from repro.core.sharded import CampaignShard, Router, View, shard_views
 # two_hop_filter_cached: unused here, kept for perfbench's tracer.
@@ -63,17 +63,17 @@ if TYPE_CHECKING:
 
 __all__ = ["SharedCampaignContext"]
 
-#: The warm-up's one filter pass: it stores the two-hop verdict of every
-#: candidate and the bound ``|rf(x)|`` of every survivor.
+#: The warm-up's filter pass, the one FILVER+ and FILVER++ run: the
+#: two-hop filter, then ``|rf(x)|`` bounds.
 _RF_PASS = EngineOptions(use_two_hop_filter=True, use_rf_bound=True)
 
 
 class SharedCampaignContext:
     """The (α, β)-invariant substrate shared by a batch of campaigns.
 
-    Every served value is either frozen (base core, shard views, seed
-    tables), cloned (order states), or leased with no cross-campaign state
-    (evaluators).  All accessors are thread-safe — the service's worker
+    Every served value is either frozen (base core, shard views, seeded
+    ranked lists), cloned (order states), or leased with no cross-campaign
+    state (evaluators).  All accessors are thread-safe — the service's worker
     threads share one instance — but any single leased evaluator must be
     used by one campaign at a time, which the lease pool guarantees.
 
@@ -96,7 +96,7 @@ class SharedCampaignContext:
         # Per ``shards`` value: (views, router, pristine states); seeds.
         self._plans: Dict[Optional[int],
                           Tuple[List[View], Router, List[OrderState]]] = {}
-        self._seeds: Dict[Optional[int], Tuple[SeedTables, ...]] = {}
+        self._seeds: Dict[Optional[int], Tuple[Seed, ...]] = {}
         self._eval_free: Dict[Tuple[int, bool, Optional[int]],
                               List["ShardedEvaluator"]] = {}
         # Diagnostics (batch scheduler stats / benchmarks).
@@ -162,21 +162,23 @@ class SharedCampaignContext:
         return [state.clone_pristine(maintain=maintain) for state in states]
 
     def seed_tables(self, shards: Optional[int] = None,
-                    ) -> Tuple[SeedTables, ...]:
-        """The frozen epoch-0 verification tables, one per view of the
-        ``shards`` plan, warmed on first use.
+                    ) -> Tuple[Seed, ...]:
+        """Each view's pristine ranked lists, one seed per view of the
+        ``shards`` plan in view order, built on first use.
 
-        Warm-up runs the engine's own filter stage once over each view's
-        pristine state, with two-hop filter and ``rf(x)`` bounds, into a
-        throwaway :class:`VerificationCache` and freezes it: every value
-        is exactly what iteration one of a cold campaign computes (see
-        :mod:`repro.core.incremental`).
+        A seed maps each side to its ``(entries, candidates_total)``:
+        the engine's own filter stage, with the two-hop filter and
+        ``|rf(x)|`` bounds, over the view's pristine state — exactly the
+        list iteration one of a cold FILVER+/FILVER++ campaign ranks (see
+        :mod:`repro.core.incremental`).  The lists are shared read-only
+        by every campaign and service thread.
         """
         with self._lock:
             if shards not in self._seeds:
                 views, _route, states = self._plan(shards)
-                self._seeds[shards] = tuple(map(self._warm_seed_tables,
-                                                views, states))
+                self._seeds[shards] = tuple(
+                    map(self._warm_seed_tables, range(len(views)), views,
+                        states))
             return self._seeds[shards]
 
     def _plan(self, shards: Optional[int],
@@ -189,23 +191,20 @@ class SharedCampaignContext:
                 for view in views])
         return self._plans[shards]
 
-    def _warm_seed_tables(self, view: View, state: OrderState) -> SeedTables:
-        """One view's seed: a single ``_RF_PASS`` filter stage over its
-        pristine ``state``, frozen (the bound and verdict tables)."""
-        scratch = VerificationCache()
+    def _warm_seed_tables(self, index: int, view: View,
+                          state: OrderState) -> Seed:
+        """View ``index``'s seed: an ``_RF_PASS`` filter stage per side
+        over its pristine ``state``, on a scratch shard and kernel."""
         kernel = kernel_for(view.graph)
         if kernel is not None:
             self.kernels_built += 1
-            kernel.begin_iteration(state.upper.position,
-                                   state.lower.position, state.core)
-        shard = CampaignShard(0, view, state, scratch, kernel)
         try:
-            _filter_stage(shard, 1, 1, _RF_PASS)
+            shard = CampaignShard(index, view, state, None, kernel)
+            return {side: _filter_stage(shard, side, _RF_PASS)
+                    for side in ("upper", "lower")}
         finally:
-            shard.release()
             if kernel is not None:
                 kernel.release()
-        return scratch.freeze_seed()
 
     # ------------------------------------------------------------------
     # Leases: parallel evaluators
@@ -267,9 +266,10 @@ class SharedCampaignContext:
                 "beta": self.beta,
                 "backend": self.backend,
                 "warm": bool(self._seeds),
-                "seed_entries": sum(seed.entries()
+                "seed_entries": sum(len(entries)
                                     for seeds in self._seeds.values()
-                                    for seed in seeds),
+                                    for seed in seeds
+                                    for entries, _total in seed.values()),
                 "state_clones": self.state_clones,
                 "kernels_built": self.kernels_built,
                 "evaluator_leases": self.evaluator_leases,

@@ -37,8 +37,8 @@ from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
-    Dict,
     Generator,
+    Iterable,
     List,
     Optional,
     Set,
@@ -50,7 +50,7 @@ from repro.abcore.decomposition import abcore, anchored_abcore
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.validation import validate_problem
 from repro.core.anchor_set import AnchorSetMaintainer
-from repro.core.deletion_order import DeletionOrder, r_scores, reachable_counts
+from repro.core.deletion_order import r_scores, reachable_counts
 # reachable_from: unused here, kept for perfbench's tracer.
 from repro.core.deletion_order import reachable_from  # noqa: F401
 from repro.core.followers import compute_followers
@@ -156,10 +156,11 @@ def run_engine(
     pool cannot be created the engine silently degrades to the serial scan.
 
     ``memoize`` (default on) lets a seeded campaign — one with a
-    ``context`` that is not resuming — read each shard's epoch-0
-    ``|rf(x)|`` bounds and two-hop verdicts from the context's seed until
-    the shard's first apply (:mod:`repro.core.incremental`).  Without a
-    context it changes nothing.
+    ``context`` that is not resuming, whose options turn on both the
+    two-hop filter and the ``|rf(x)|`` bound (FILVER+ and FILVER++) —
+    take each pristine shard's ranked lists from the context's seed
+    instead of refiltering, until the shard's first apply
+    (:mod:`repro.core.incremental`).  Otherwise it changes nothing.
     ``flat_kernel`` selects the flat-array follower kernel
     (:class:`repro.bigraph.FollowerKernel`): ``None`` auto-enables it on
     CSR-backed graphs, ``True`` requires a CSR backend, ``False`` forces
@@ -201,8 +202,8 @@ def run_engine(
     ``context`` (a :class:`repro.core.batch.SharedCampaignContext`) lets a
     batch of same-``(graph, α, β)`` campaigns share the (α, β)-invariant
     substrate: base core, fingerprint and, per ``shards`` value, shard
-    views, pristine order states, epoch-0 verification seeds and parallel
-    evaluators.  Every shared value equals what this run would compute
+    views, pristine order states, the pristine shards' ranked lists and
+    parallel evaluators.  Every shared value equals what this run would compute
     cold, so results stay byte-identical (``docs/PERF.md``).  A resume
     skips the seeds: its shards are not pristine.
 
@@ -330,16 +331,20 @@ def run_engine(
                 break
             iter_start = time.perf_counter()
 
-            # One filter pass per iteration, even though only shards an
-            # anchor touched actually refilter.
+            # One filter pass per iteration, even though only the sides an
+            # anchor touched since their last pass actually refilter.
             fault_site("engine.filter")
             candidates_total = 0
             per_shard: List[List["MergedCandidate"]] = []
+            sides = [side for side, left in (("upper", upper_left),
+                                             ("lower", lower_left))
+                     if left > 0]
             for shard in shard_list:
-                entries, shard_total = shard.ranked(upper_left, lower_left,
-                                                    options)
-                candidates_total += shard_total
-                per_shard.append(entries)
+                for side in sides:
+                    entries, side_total = shard.ranked(side, options)
+                    candidates_total += side_total
+                    if entries:
+                        per_shard.append(entries)
             merged = _merge_ranked(per_shard)
             maintainer = AnchorSetMaintainer(graph,
                                              min(t, upper_left + lower_left),
@@ -351,7 +356,8 @@ def run_engine(
                     merged, evaluator, [shard.state for shard in shard_list],
                     dirty_shards, deadline)
             verifications, timed_out = _verification_stage(
-                merged, maintainer, alpha, beta, deadline, pooled)
+                merged, shard_list, maintainer, alpha, beta, deadline,
+                pooled)
 
             chosen = [x for x in maintainer.anchors
                       if maintainer.followers_of(x)]
@@ -416,8 +422,6 @@ def run_engine(
                                           shards)
             else:
                 evaluator.shutdown()
-        for shard in shard_list:  # refcounting then frees shard state
-            shard.release()
 
     # The anchored core of a disjoint union is the union of the parts'.
     # At an iteration boundary each state's core is its shard's anchored
@@ -443,24 +447,20 @@ def run_engine(
 
 def _filter_stage(
     shard: "CampaignShard",
-    upper_left: int,
-    lower_left: int,
+    side: str,
     options: EngineOptions,
 ) -> Tuple[List["MergedCandidate"], int]:
-    """Build one shard's ranked candidate list, in merged form.
+    """Build one shard side's ranked candidate list, in merged form.
 
-    Entries are ``(-bound, global_x, shard, x, order)``; returns the
+    Entries are ``(-bound, global_x, shard_index, side, x)``; returns the
     list sorted by non-increasing bound (ties by vertex id) and the
     pre-filter pool size.  Monotone renumbering makes the order by global
     id the order by local id, and global ids are unique, so the plain
     tuple sort never compares past the two leading ints and the order the
-    survivors arrive in does not matter.  A pristine shard's cache (a
-    seeded campaign's, :mod:`repro.core.incremental`) supplies two-hop
-    verdicts and ``|rf(x)|`` bounds, each side's bounds read in one call;
-    without one every candidate is a miss.  r-score bounds come from one
-    :func:`~repro.core.deletion_order.r_scores` table per side per pass.
-    Each side's misses get their bounds from one call, stored in one
-    call: on CSR the kernel's
+    survivors arrive in does not matter.  r-score bounds come from one
+    :func:`~repro.core.deletion_order.r_scores` table per pass.
+    ``|rf(x)|`` bounds of the two-hop survivors come from one call: on
+    CSR the kernel's
     :meth:`~repro.bigraph.kernel.FollowerKernel.reachable`, which walks
     the order DAG in frontier passes over the CSR buffers and counts its
     out-degree-1 runs by pointer jumping (the CSR rows when numpy is
@@ -475,85 +475,45 @@ def _filter_stage(
     The ``engine.filter`` fault site fires in the caller, once per
     iteration, however many shards refilter.
     """
-    graph, state = shard.graph, shard.state
-    cache, kernel = shard.cache, shard.kernel
-    to_global = shard.view.to_global
-    scored: List["MergedCandidate"] = []
-    candidates_total = 0
-    sides: List[Tuple[DeletionOrder, int]] = []
-    if upper_left > 0:
-        sides.append((state.upper, upper_left))
-    if lower_left > 0:
-        sides.append((state.lower, lower_left))
-
-    for order, _budget in sides:
-        side = order.side
-        candidates = order.candidates(graph)
-        candidates_total += len(candidates)
-        if not candidates:
-            continue
-        if options.use_two_hop_filter:
-            survivors = two_hop_filter_cached(graph, order, candidates,
-                                              cache)
-        else:
-            survivors = candidates
-        if options.use_rf_bound:
-            # Cache hits are scored at once; the misses get their bounds
-            # from one sweep afterwards.  The sort below orders entries
-            # by their unique leading ints, so the append order is free.
-            # A hit whose bound and order are those the shard's previous
-            # pass ranked it with gets that entry back: every field is
-            # equal, and keeping the tuple spares the allocation and the
-            # cyclic collector's work on a fresh one.
-            previous = shard.entries.get(side, {})
-            entries: Dict[int, "MergedCandidate"] = {}
-            known = (cache.rf_bounds(side, survivors) if cache is not None
-                     else repeat(None))
-            misses: List[int] = []
-            for x, bound in zip(survivors, known):  # hot-loop
-                if bound is None:
-                    misses.append(x)
-                elif bound:
-                    entry = previous.get(x)
-                    if (entry is None or entry[0] != -bound
-                            or entry[4] is not order):
-                        entry = (-bound, to_global[x], shard, x, order)
-                    entries[x] = entry
-                    scored.append(entry)
-            if misses:
-                fresh = (kernel.reachable(side, misses) if kernel is not None
-                         else reachable_counts(graph, order, misses))
-                if cache is not None:
-                    cache.store_rf(side, fresh)
-                for x, bound in fresh.items():  # hot-loop
-                    if bound:
-                        entry = (-bound, to_global[x], shard, x, order)
-                        entries[x] = entry
-                        scored.append(entry)
-            shard.entries[side] = entries
-        else:
-            scores = r_scores(graph, order)
-            for x in survivors:
-                bound = scores.get(x, 0)
-                if bound > 0:
-                    scored.append((-bound, to_global[x], shard, x, order))
-
+    graph, state, kernel = shard.graph, shard.state, shard.kernel
+    order = state.upper if side == "upper" else state.lower
+    candidates = order.candidates(graph)
+    if not candidates:
+        return [], 0
+    if options.use_two_hop_filter:
+        survivors = two_hop_filter_cached(graph, order, candidates)
+    else:
+        survivors = candidates
+    bounds: Iterable[Tuple[int, int]]
+    if not options.use_rf_bound:
+        scores = r_scores(graph, order)
+        bounds = ((x, scores.get(x, 0)) for x in survivors)
+    elif not survivors:
+        bounds = ()
+    elif kernel is not None:
+        bounds = kernel.reachable(side, survivors).items()
+    else:
+        bounds = reachable_counts(graph, order, survivors).items()
+    index, to_global = shard.index, shard.view.to_global
+    scored = [(-bound, to_global[x], index, side, x)
+              for x, bound in bounds if bound > 0]
     scored.sort()
-    return scored, candidates_total
+    return scored, len(candidates)
 
 
 def _merge_ranked(per_shard: List[List["MergedCandidate"]],
                   ) -> List["MergedCandidate"]:
-    """Merge shard rankings into the one-shard engine's sort order.
+    """Merge the shard sides' rankings into the one-shard engine's sort
+    order.
 
-    Each shard's entries are already sorted by their two leading ints,
+    Each list's entries are already sorted by their two leading ints,
     ``-bound, global_x`` (:func:`_filter_stage`), so merging under
     that key reproduces the single sorted list a one-shard filter pass
-    builds.  ``global_x`` is unique across shards — the order never ties,
+    over both sides would build.  ``global_x`` is unique across shards — the order never ties,
     so any sort yields exactly what a streaming ``heapq.merge`` would, and
     the key-function-free ``list.sort`` gallops over the pre-sorted runs
-    in C.  One shard's list is already merged and is returned as-is
-    (callers never mutate it).
+    in C.  A single list is already merged and is returned as-is
+    (callers never mutate it: it may be a context's shared seed).
     """
     if len(per_shard) == 1:
         return per_shard[0]
@@ -573,7 +533,7 @@ def _fallback_anchors(
 ) -> List[int]:
     """Top-bound candidates within budget, for zero-follower iterations."""
     chosen: List[int] = []
-    for _neg_bound, x, _shard, _lx, _order in merged:
+    for _neg_bound, x, _index, _side, _lx in merged:
         if len(chosen) >= t:
             break
         if graph.is_upper(x):
@@ -590,6 +550,7 @@ def _fallback_anchors(
 
 def _verification_stage(
     merged: List["MergedCandidate"],
+    shard_list: List["CampaignShard"],
     maintainer: AnchorSetMaintainer,
     alpha: int,
     beta: int,
@@ -607,7 +568,8 @@ def _verification_stage(
       offered, and bounds are sorted, so every later candidate is skipped
       too: the scan stops there, on every path.
 
-    Follower sets are computed in the candidate's shard (local ids) and
+    Follower sets are computed in the candidate's shard
+    (``shard_list[shard_index]``, local ids, the order of its side) and
     globalized for coverage and the maintainer — follower sets never leave
     their component, so the globalized union equals the one-shard set
     exactly.  Sets are computed by the shard's kernel when one is
@@ -624,7 +586,7 @@ def _verification_stage(
     verifications = 0
     supplied = pooled if pooled is not None else repeat(None)
     try:
-        for (neg_bound, x, shard, lx, order), follower_set in zip(
+        for (neg_bound, x, index, side, lx), follower_set in zip(
                 merged, supplied):
             if deadline is not None and time.perf_counter() > deadline:
                 return verifications, True
@@ -632,13 +594,16 @@ def _verification_stage(
                 continue
             if -neg_bound <= maintainer.skip_threshold():
                 break
+            shard = shard_list[index]
             if follower_set is None:
                 if shard.kernel is not None:
-                    follower_set = shard.kernel.followers(
-                        order.side, lx, alpha, beta)
+                    follower_set = shard.kernel.followers(side, lx, alpha,
+                                                          beta)
                 else:
-                    follower_set = compute_followers(
-                        shard.graph, order, lx, core=shard.state.core)
+                    state = shard.state
+                    order = state.upper if side == "upper" else state.lower
+                    follower_set = compute_followers(shard.graph, order, lx,
+                                                     core=state.core)
             verifications += 1
             follower_global = shard.view.globalize(follower_set)
             covered |= follower_global
@@ -661,15 +626,13 @@ def _pooled_follower_sets(
 ) -> Generator[Set[int], None, None]:
     """One follower set per ranked candidate, from the pool.
 
-    Every ranked candidate is dispatched, as a ``(shard, side, local_x)``
-    item, and the state broadcast carries only the shards anchored since
-    the previous one (``dirty_shards``, cleared here).  Closing this
-    generator closes the stream, which cancels the not-yet-dispatched
-    remainder.
+    Every ranked candidate is dispatched as its ``entry[2:]``, the
+    ``(shard_index, side, local_x)`` item, and the state broadcast carries
+    only the shards anchored since the previous one (``dirty_shards``,
+    cleared here).  Closing this generator closes the stream, which
+    cancels the not-yet-dispatched remainder.
     """
-    items: List["ShardCandidate"] = [
-        (shard.index, order.side, lx)
-        for _neg_bound, _x, shard, lx, order in merged]
+    items: List["ShardCandidate"] = [entry[2:] for entry in merged]
     evaluator.begin_iteration(shard_states, dirty_shards, deadline)
     dirty_shards.clear()
     yield from evaluator.evaluate(items)

@@ -1,31 +1,27 @@
-"""Epoch-0 verification values, read while a shard is pristine.
+"""A pristine shard's seed: its context's ranked lists, read until its
+first apply.
 
-A filter pass over a pristine shard computes, per side, every candidate's
-two-hop survivor verdict and every survivor's bound ``|rf(x)|``.  Those
-values are functions of ``(graph, α, β)`` alone, so
-:class:`repro.core.batch.SharedCampaignContext` computes them once per
-shard plan and freezes them into :class:`SeedTables`.  Each seeded
-campaign gives a shard a private :class:`VerificationCache` over its
-seed, and the filter stage reads it instead of recomputing.  Neither
-``rf(x)`` itself, the signatures ``sig(x)`` nor any follower set ``F(x)``
-is cached: the filter needs only the bound, verification derives
-``rf(x)`` in its own DFS, and the two-hop filter reads signatures fresh
-to decide a verdict miss.
+A filter pass with the two-hop filter and ``|rf(x)|`` bounds ranks a
+side's candidates as a function of ``(graph, α, β, side)`` alone while no
+anchor has touched the shard: followers never leave their component
+(Lemma 1), so nothing outside the shard enters the ranking.
+:class:`repro.core.batch.SharedCampaignContext` therefore runs that pass
+once per view and side of a shard plan, and each seeded campaign hands
+its pristine shards those ranked lists through a
+:class:`VerificationCache`.  The shard's ranked memo
+(:meth:`repro.core.sharded.CampaignShard.ranked`) takes a side's list from
+the cache instead of refiltering.
 
-Why a read is exact: every entry is a value of the pristine state.  It
-was copied from the seed, or computed and stored by a filter pass over
-that state (a pristine shard refilters when the budgets change which
-sides are eligible).  Until an anchor is applied to the shard, its
-deletion orders and core *are* the pristine ones, so a read returns what
-a fresh computation returns.  The shard's first apply leaves that state:
-:meth:`repro.core.sharded.CampaignShard.apply` calls
-:meth:`VerificationCache.invalidate`, which drops every entry, and drops
-the cache itself, so every later value is recomputed.  No value is
-carried across an apply; the one reuse across iterations is the shard
-plan's, where a shard no anchor touched keeps its ranked list.
+Why a read is exact: the lists are values of the pristine state, computed
+by the engine's own filter stage over a pristine clone.  Until an anchor
+is applied to the shard, its deletion orders and core *are* the pristine
+ones, so the list is what a fresh pass returns.  The shard's first apply
+leaves that state: :meth:`repro.core.sharded.CampaignShard.apply` calls
+:meth:`VerificationCache.invalidate` and drops the cache, so every later
+list is refiltered.
 
-Byte-identity: a read replaces the computation at the same decision
-point with the same value, so anchors, follower sets, per-iteration
+Byte-identity: a read replaces the filter pass at the same decision point
+with the same list, so anchors, follower sets, per-iteration
 ``verifications`` counts and the canonical JSON are those of a campaign
 without a context (asserted in ``tests/test_batch.py`` and
 ``tests/test_incremental.py``).  Checkpoints never record a cache: a
@@ -34,137 +30,65 @@ resumed campaign starts without one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["SeedTables", "VerificationCache"]
+if TYPE_CHECKING:
+    from repro.core.sharded import MergedCandidate
 
-_SIDES = ("upper", "lower")
+__all__ = ["Seed", "VerificationCache"]
 
+#: One side's ranked list and pre-filter pool size, as
+#: :func:`repro.core.engine._filter_stage` returns them.
+RankedSide = Tuple[List["MergedCandidate"], int]
 
-class SeedTables:
-    """Frozen epoch-0 verification tables, shareable across campaigns.
-
-    Holds, per side, the pristine-state bounds ``|rf(x)|`` and two-hop
-    survivor verdicts — what iteration one of a cold campaign computes
-    from the pristine deletion orders.  Instances are frozen by contract:
-    each campaign's cache copies the tables, so one instance is safe to
-    share (including across service worker threads).
-    """
-
-    __slots__ = ("rf", "survivors")
-
-    def __init__(self, rf: Dict[str, Dict[int, int]],
-                 survivors: Dict[str, Dict[int, bool]]) -> None:
-        self.rf = rf
-        self.survivors = survivors
-
-    def entries(self) -> int:
-        """Total table entries across both sides (diagnostics only)."""
-        return sum(len(self.rf[side]) + len(self.survivors[side])
-                   for side in _SIDES)
-
-
-_EMPTY_SEED = SeedTables(rf={side: {} for side in _SIDES},
-                         survivors={side: {} for side in _SIDES})
+#: One view's seed: each side's pristine :data:`RankedSide`.  Shared
+#: read-only across campaigns and service threads.
+Seed = Mapping[str, RankedSide]
 
 
 class VerificationCache:
-    """One pristine shard's verification values: the seed's, and those
-    its filter passes stored before the shard's first apply.
+    """One pristine shard's seed, read until the shard's first apply.
 
     Lifecycle::
 
-        bounds = cache.rf_bounds(side, survivors)  # filter: bound reuse
-        cache.store_rf(side, fresh)              # the misses' sweep
+        entries, total = cache.ranked(side)  # the shard's memo miss
         ...
-        cache.invalidate()                       # the shard's first apply
+        cache.invalidate()                   # the shard's first apply
 
-    The hit/miss/eviction counters are plain attributes, read by the tests
-    and the benchmarks.  ``seed_hits`` counts the hits on the seed's
-    bounds.
+    ``seed_hits`` counts the ranked entries served; ``evictions`` the
+    entries the first apply dropped.  The tests and the benchmarks read
+    both.
     """
 
-    # No follower set is cached, so these stay 0; perfbench's tracer
-    # reads them.
+    # Nothing is looked up per candidate, so these stay 0; perfbench's
+    # tracer reads them by name.
+    rf_hits = 0
+    rf_misses = 0
+    survivor_hits = 0
+    survivor_misses = 0
     follower_hits = 0
     follower_misses = 0
 
-    def __init__(self, seed: Optional[SeedTables] = None) -> None:
-        self._seed = _EMPTY_SEED if seed is None else seed
-        self._rf: Dict[str, Dict[int, int]] = {
-            side: dict(self._seed.rf[side]) for side in _SIDES}
-        self._survivors: Dict[str, Dict[int, bool]] = {
-            side: dict(self._seed.survivors[side]) for side in _SIDES}
+    def __init__(self, seed: Optional[Seed] = None) -> None:
+        self._seed: Seed = {} if seed is None else seed
         self.seed_hits = 0
-        self.rf_hits = 0
-        self.rf_misses = 0
-        self.survivor_hits = 0
-        self.survivor_misses = 0
         self.evictions = 0
 
-    # ------------------------------------------------------------------
-    # Bounds
-    # ------------------------------------------------------------------
-
-    def rf_for(self, side: str, x: int) -> Optional[int]:
-        """The cached bound ``|rf(x)|``, or ``None`` on a miss."""
-        return self.rf_bounds(side, (x,))[0]
-
-    def rf_bounds(self, side: str, xs: Sequence[int]) -> List[Optional[int]]:
-        """:meth:`rf_for` of each of ``xs``, in their order: one read per
-        filter pass."""
-        bounds = list(map(self._rf[side].get, xs))
-        misses = bounds.count(None)
-        self.rf_misses += misses
-        self.rf_hits += len(bounds) - misses
-        seeded = self._seed.rf[side]
-        if seeded:
-            self.seed_hits += sum(map(seeded.__contains__, xs))
-        return bounds
+    def ranked(self, side: str) -> Optional[RankedSide]:
+        """The seed's ranked list for ``side``, or ``None`` without one.
+        The list is shared: callers never mutate it."""
+        hit = self._seed.get(side)
+        if hit is not None:
+            self.seed_hits += len(hit[0])
+        return hit
 
     def store_rf(self, side: str, bounds: Dict[int, int]) -> None:
-        """Record freshly computed bounds ``{x: |rf(x)|}``."""
-        self._rf[side].update(bounds)
-
-    # ------------------------------------------------------------------
-    # Two-hop verdicts
-    # ------------------------------------------------------------------
-
-    def survivor_verdict(self, side: str, x: int) -> Optional[bool]:
-        """The cached two-hop verdict of ``x``, or ``None`` on a miss."""
-        return self.survivor_verdicts(side, (x,))[0]
-
-    def survivor_verdicts(self, side: str,
-                          xs: Sequence[int]) -> List[Optional[bool]]:
-        """:meth:`survivor_verdict` of each of ``xs``, in their order: one
-        read per filter pass."""
-        verdicts = list(map(self._survivors[side].get, xs))
-        misses = verdicts.count(None)
-        self.survivor_misses += misses
-        self.survivor_hits += len(verdicts) - misses
-        return verdicts
-
-    def store_survivor(self, side: str, x: int, survived: bool) -> None:
-        self._survivors[side][x] = survived
-
-    # ------------------------------------------------------------------
+        """Never called: bounds are not stored per candidate.  Kept
+        because perfbench's tracer wraps it by name."""
 
     def invalidate(self) -> None:
-        """Drop every entry: the shard's first apply has left the pristine
-        state they are values of.  Counters are kept."""
-        for side in _SIDES:
-            self.evictions += (len(self._rf[side])
-                               + len(self._survivors[side]))
-            self._rf[side].clear()
-            self._survivors[side].clear()
-        self._seed = _EMPTY_SEED
-
-    def freeze_seed(self) -> SeedTables:
-        """Copy this cache's tables into a frozen, shareable seed.
-
-        Intended for a throwaway warm-up cache populated from the pristine
-        state (:class:`repro.core.batch.SharedCampaignContext`).
-        """
-        return SeedTables(
-            rf={side: dict(self._rf[side]) for side in _SIDES},
-            survivors={side: dict(self._survivors[side]) for side in _SIDES})
+        """Drop the seed: the shard's first apply has left the pristine
+        state its lists rank.  Counters are kept."""
+        self.evictions += sum(len(entries)
+                              for entries, _total in self._seed.values())
+        self._seed = {}

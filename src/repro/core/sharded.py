@@ -3,7 +3,7 @@
 Followers never cross connected components (Lemma 1: every follower of an
 anchor is order-reachable from it, and reachability walks edges), so the
 greedy filter–verification loop factorizes: each group of components
-keeps its own deletion orders and ranked candidate list, and a global
+keeps its own deletion orders and ranked candidate lists, and a global
 iteration only merges per-shard rankings and routes the chosen anchors
 back to their shards.  :func:`repro.core.engine.run_engine`
 is that loop; this module provides the shards it drives.  The shard plan
@@ -17,15 +17,17 @@ Why the merge is byte-identical (``docs/PERF.md`` carries the full
 argument): local ids are assigned monotonically (ascending global order,
 uppers first — :class:`~repro.bigraph.components.SubgraphView`), so every
 id-ordered tie-break inside a shard resolves exactly as it would globally;
-each shard's ranked list is sorted by ``(-bound, local id)`` which is
+each shard side's ranked list is sorted by ``(-bound, local id)`` which is
 therefore also ``(-bound, global id)`` order, and a merge under that key
 reproduces the one-shard globally sorted candidate list element for
 element.  Candidate ``x`` ids are unique, so the sort key never ties
 deeper.
 
 What sharding buys: after an iteration anchors only components in the
-winning shards, so every other shard's ranked list and deletion orders
-are reused untouched next iteration.  Shards also bound peak memory
+winning shards, so every other shard's ranked lists and deletion orders
+are reused untouched next iteration.  In a seeded campaign a shard no
+anchor has touched yet never filters at all: its lists are the
+context's (:mod:`repro.core.incremental`).  Shards also bound peak memory
 (one component's working set at a time) and give the parallel evaluator
 (:mod:`repro.parallel`) shard-granular work units.
 """
@@ -33,7 +35,6 @@ are reused untouched next iteration.  Shards also bound peak memory
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -52,11 +53,10 @@ from repro.abcore.decomposition import abcore, anchored_abcore  # noqa: F401
 from repro.bigraph.components import ComponentDecomposition, SubgraphView
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.kernel import FollowerKernel, kernel_for
-from repro.core.deletion_order import DeletionOrder
 from repro.core.engine import EngineOptions, _filter_stage
 # compute_followers: unused here, kept for perfbench's tracer.
 from repro.core.followers import compute_followers  # noqa: F401
-from repro.core.incremental import SeedTables, VerificationCache
+from repro.core.incremental import RankedSide, Seed, VerificationCache
 from repro.core.order_maintenance import OrderState
 from repro.exceptions import InvalidParameterError
 from repro.resilience.checkpoint import CampaignCheckpoint
@@ -71,15 +71,16 @@ __all__ = ["AUTO_SHARD_CAP", "CampaignShard", "IdentityView", "build_shards",
 #: iteration, which thousands of tiny components would pay over and over.
 AUTO_SHARD_CAP = 32
 
-#: One ranked candidate: ``(-bound, global_x, shard, local_x, order)``.
-#: The two leading ints are the engine's sort key, pre-negated so plain
-#: tuple comparison orders candidates without a key function
-#: (``global_x`` is unique, so the shard objects behind it are never
-#: compared).  They are flat rather than a nested pair: one tuple per
-#: candidate instead of two, and the sort compares ints directly.  The
-#: rest lets the verification scan evaluate the candidate inside its
-#: shard.
-MergedCandidate = Tuple[int, int, "CampaignShard", int, DeletionOrder]
+#: One ranked candidate: ``(-bound, global_x, shard_index, side,
+#: local_x)``.  The two leading ints are the engine's sort key, pre-negated
+#: so plain tuple comparison orders candidates without a key function
+#: (``global_x`` is unique, so the sort never compares further).  They
+#: are flat rather than a nested pair: one tuple per candidate instead of
+#: two, and the sort compares ints directly.  The rest, ``entry[2:]``, is
+#: the evaluator's :data:`repro.parallel.ShardCandidate`: the verification
+#: scan finds the shard by index and the order by side.  Entries are
+#: plain data, so a context's seeded lists are shared by every campaign.
+MergedCandidate = Tuple[int, int, int, str, int]
 
 #: Maps a global vertex id to the index of the shard that owns it.
 Router = Callable[[int], int]
@@ -152,20 +153,23 @@ class CampaignShard:
     Owns the view (identity or component-local), the local
     :class:`OrderState`, the optional follower kernel, the ranked
     candidate memo and, while the shard is pristine in a seeded campaign,
-    a :class:`VerificationCache` over its epoch-0 seed.  Everything else
-    — the anchors placed, budget use, per-iteration records — is global
-    and lives in the loop; a shard's state is a function of the global batches
-    routed to it, which is why checkpoints need not record it.
+    a :class:`VerificationCache` over its context's ranked lists.
+    Everything else — the anchors placed, budget use, per-iteration
+    records — is global and lives in the loop; a shard's state is a
+    function of the global batches routed to it, which is why checkpoints
+    need not record it.
 
     The ranked memo is the substrate's core saving: :meth:`ranked` reruns
-    the filter stage only when an anchor batch touched this shard (or the
-    budget situation changed which sides are eligible); otherwise the
-    previous iteration's list — provably identical to a fresh recompute,
-    because nothing it depends on changed — is returned as-is.
+    the filter stage for a side only when an anchor batch touched this
+    shard since that side's last pass; otherwise the previous list —
+    provably identical to a fresh recompute, because nothing it depends
+    on changed — is returned as-is.  The kernel is stamped whenever the
+    state changes (here and in :meth:`apply`), so a seeded shard can be
+    verified without ever filtering.
     """
 
     __slots__ = ("index", "view", "graph", "state", "cache", "kernel",
-                 "entries", "_ranked")
+                 "_ranked")
 
     def __init__(self, index: int, view: View,
                  state: OrderState, cache: Optional[VerificationCache],
@@ -176,56 +180,46 @@ class CampaignShard:
         self.state = state
         self.cache = cache
         self.kernel = kernel
-        # side -> {local x: the entry the last rf-bound filter pass ranked
-        # x with}; the next pass reuses an entry whose bound and order
-        # are unchanged (see _filter_stage).
-        self.entries: Dict[str, Dict[int, MergedCandidate]] = {}
-        # sides-key -> (entries, candidates_total); entries are merged-form
+        # side -> (entries, candidates_total); entries are merged-form
         # MergedCandidate tuples sorted by their -bound, global_x head.
-        self._ranked: Dict[Tuple[bool, bool],
-                           Tuple[List[MergedCandidate], int]] = {}
+        self._ranked: Dict[str, RankedSide] = {}
+        self._stamp()
 
-    def ranked(self, upper_left: int, lower_left: int,
-               options: EngineOptions) -> Tuple[List[MergedCandidate], int]:
-        """This shard's ranked candidates for the current budget situation.
+    def ranked(self, side: str, options: EngineOptions) -> RankedSide:
+        """This shard's ranked candidates on ``side``.
 
-        The memo key is only which *sides* still have budget — the filter
-        stage uses the budgets for side eligibility, never for values — so
-        a shard untouched since its last filter pass hits the memo even as
-        the budgets shrink.
+        A pristine seeded shard serves its context's list; any other
+        shard filters once per side per apply.  The budgets decide only
+        which sides are asked for, never the values, so a clean side hits
+        the memo however the other side's budget runs.
         """
-        key = (upper_left > 0, lower_left > 0)
-        hit = self._ranked.get(key)
-        if hit is not None:
-            return hit
-        if self.kernel is not None:
-            # Stamp lazily, only when this shard actually refilters: a
-            # clean shard's previous stamp is still valid because its
-            # positions and core are untouched since then.
-            self.kernel.begin_iteration(self.state.upper.position,
-                                        self.state.lower.position,
-                                        self.state.core)
-        # Stored in merged form, so the per-iteration global merge is a
-        # C-level concatenate-and-sort over memoized lists, with no
-        # per-candidate Python work for clean shards.
-        self._ranked[key] = _filter_stage(self, upper_left, lower_left,
-                                          options)
-        return self._ranked[key]
+        hit = self._ranked.get(side)
+        if hit is None:
+            if self.cache is not None:
+                hit = self.cache.ranked(side)
+            if hit is None:
+                # Stored in merged form, so the per-iteration global merge
+                # is a C-level concatenate-and-sort over memoized lists,
+                # with no per-candidate Python work for clean shards.
+                hit = _filter_stage(self, side, options)
+            self._ranked[side] = hit
+        return hit
 
     def apply(self, batch: Sequence[int]) -> None:
         """Anchor a local-id batch.  The shard is no longer pristine, so
-        its cache of epoch-0 values goes (:mod:`repro.core.incremental`)."""
+        its seed goes (:mod:`repro.core.incremental`)."""
         self.state.apply_anchors(list(batch))
         if self.cache is not None:
             self.cache.invalidate()
             self.cache = None
         self._ranked.clear()
+        self._stamp()
 
-    def release(self) -> None:
-        """Drop the ranked memo and the entry table, whose entries point
-        back at this shard."""
-        self._ranked.clear()
-        self.entries.clear()
+    def _stamp(self) -> None:
+        if self.kernel is not None:
+            self.kernel.begin_iteration(self.state.upper.position,
+                                        self.state.lower.position,
+                                        self.state.core)
 
 
 def shard_views(graph: BipartiteGraph, shards: Optional[int],
@@ -264,33 +258,34 @@ def build_shards(
 
     The views come from :func:`shard_views`; a ``context`` memoizes them
     and supplies the pristine state clones and — when ``memoize`` and
-    ``seeded`` — the frozen epoch-0 seed tables.  A shard gets a
-    :class:`VerificationCache` only over a seed.
+    ``seeded``, and ``options`` turn on both the two-hop filter and the
+    ``|rf(x)|`` bound (the only pass a context seeds) — each view's
+    pristine ranked lists.  A shard gets a :class:`VerificationCache`
+    only over a seed.
     ``flat_kernel=None`` auto-enables the follower kernel on CSR-backed
     views, ``True`` requires CSR (construction raises otherwise), ``False``
     forces the generic dict/set path.
     """
     maintain = options.maintain_orders
-    seeds: Iterable[Optional[SeedTables]] = repeat(None)
+    seeds: Sequence[Seed] = ()
     if context is not None:
         views, route = context.shard_views(shards)
         states = context.order_state(maintain=maintain, shards=shards)
-        if memoize and seeded:
+        if (memoize and seeded and options.use_two_hop_filter
+                and options.use_rf_bound):
             seeds = context.seed_tables(shards)
     else:
         views, route = shard_views(graph, shards)
         states = [OrderState(view.graph, alpha, beta, maintain=maintain)
                   for view in views]
     shard_list = []
-    # seed_tables() is a tuple in view order, so this zip is ordered.
-    planned = enumerate(zip(views, states, seeds))
-    for index, (view, state, seed) in planned:  # repro: ignore[ordering-flow]
+    for index, (view, state) in enumerate(zip(views, states)):
         local = view.graph
         kernel = (kernel_for(local) if flat_kernel is None
                   else FollowerKernel(local) if flat_kernel else None)
-        shard_list.append(CampaignShard(
-            index, view, state,
-            VerificationCache(seed) if seed is not None else None, kernel))
+        # seed_tables() is a tuple in view order.
+        cache = VerificationCache(seeds[index]) if seeds else None
+        shard_list.append(CampaignShard(index, view, state, cache, kernel))
     return shard_list, route
 
 

@@ -19,15 +19,11 @@ from __future__ import annotations
 
 from itertools import compress
 from math import log2
-from typing import (TYPE_CHECKING, AbstractSet, Dict, Iterable, List,
-                    Optional, Sequence, Set, Tuple)
+from typing import AbstractSet, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.bigraph.frontier import frontier_for
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.deletion_order import DeletionOrder, signature
-
-if TYPE_CHECKING:
-    from repro.core.incremental import VerificationCache
 
 __all__ = ["two_hop_filter", "two_hop_filter_cached", "signatures_of"]
 
@@ -92,12 +88,10 @@ def two_hop_filter_cached(
     graph: BipartiteGraph,
     order: DeletionOrder,
     candidates: Sequence[int],
-    cache: Optional["VerificationCache"],
 ) -> List[int]:
     """:func:`two_hop_filter`'s survivors, in ``candidates`` order, with
-    the *survivor verdicts* read from and stored in ``cache`` (a pristine
-    shard's cache, :mod:`repro.core.incremental`); with ``cache=None``
-    every candidate is a miss.
+    every verdict decided at once.  (The name predates the ranked-list
+    seed, :mod:`repro.core.incremental`; perfbench's tracer wraps it.)
 
     The verdict is a predicate of each candidate alone, because Algorithm
     3's "visited" bookkeeping is secretly pairwise: when ``x`` is
@@ -105,56 +99,32 @@ def two_hop_filter_cached(
     ``(|sig(w)|, w) > (|sig(x)|, x)``.  So ``x`` survives iff
     ``sig(x) ≠ ∅`` and no candidate ``w`` with a strictly larger
     ``(|sig|, id)`` key sits in ``x``'s order-obeying two-hop pool,
-    whatever order candidates are visited in.  This function replays
-    cached verdicts for hits and evaluates that predicate for all misses
-    together: on CSR graphs (with numpy) in whole-array passes,
+    whatever order candidates are visited in.  On CSR graphs (with
+    numpy) that predicate is evaluated in whole-array passes,
     :meth:`repro.bigraph.frontier.Frontier.undominated`; otherwise per
-    miss, full pool first and key filter after (the pool is tiny once the
-    neighbor-list intersection has run), computing signatures only for
-    the misses and their pool members, each at most once per call.
+    candidate, full pool first and key filter after (the pool is tiny
+    once the neighbor-list intersection has run), computing each
+    signature at most once per call.
     """
-    if cache is None:
-        return list(compress(candidates,
-                             _verdicts(graph, order, candidates, candidates)))
-    side = order.side
-    verdicts = cache.survivor_verdicts(side, candidates)
-    if None in verdicts:
-        misses = [x for x, verdict in zip(candidates, verdicts)
-                  if verdict is None]
-        decided = _verdicts(graph, order, misses, candidates)
-        for x, verdict in zip(misses, decided):
-            cache.store_survivor(side, x, verdict)
-        fresh = iter(decided)
-        verdicts = [next(fresh) if verdict is None else verdict
-                    for verdict in verdicts]
-    return list(compress(candidates, verdicts))
-
-
-def _verdicts(
-    graph: BipartiteGraph,
-    order: DeletionOrder,
-    misses: Sequence[int],
-    candidates: Sequence[int],
-) -> List[bool]:
-    """The survivor verdict of each miss: array passes on CSR graphs (with
-    numpy), dominator pools row by row otherwise."""
     walk = frontier_for(graph)
     if walk is not None:
-        return walk.undominated(misses, order.position, candidates)
-    return _row_verdicts(graph, order, misses, candidates)
+        verdicts = walk.undominated(candidates, order.position, candidates)
+    else:
+        verdicts = _row_verdicts(graph, order, candidates)
+    return list(compress(candidates, verdicts))
 
 
 def _row_verdicts(
     graph: BipartiteGraph,
     order: DeletionOrder,
-    misses: Sequence[int],
     candidates: Sequence[int],
 ) -> List[bool]:
-    """The survivor verdict of each miss, one dominator pool at a time."""
+    """The survivor verdict of each candidate, one dominator pool at a
+    time."""
     candidate_set = set(candidates)
     sigs: Dict[int, Set[int]] = {}
     decided: List[bool] = []
-    for x in misses:
+    for x in candidates:
         sig_x = _memo_signature(graph, order, sigs, x)
         if not sig_x:
             decided.append(False)

@@ -110,7 +110,8 @@ def load_dataset(code: str, scale: float = 1.0,
                  seed: int = 2022) -> BipartiteGraph:
     """Generate the surrogate for dataset ``code`` at the given ``scale``.
 
-    Deterministic for a (code, scale, seed) triple.  Raises
+    Deterministic for a (code, scale, seed) triple, whatever the scale's
+    numeric type: ``4`` and ``4.0`` name one graph.  Raises
     :class:`DatasetError` for unknown codes.
     """
     spec = DATASETS.get(code.upper())
@@ -119,7 +120,8 @@ def load_dataset(code: str, scale: float = 1.0,
             "unknown dataset %r; known codes: %s"
             % (code, ", ".join(DATASETS)))
     n_upper, n_lower, n_edges = spec.surrogate_shape(scale)
-    child_seed = derive_seed(seed, spec.code, scale)
+    # The seed hashes the label's repr, so the scale is spelled as a float.
+    child_seed = derive_seed(seed, spec.code, float(scale))
     if spec.model == "er":
         return erdos_renyi_bipartite(n_upper, n_lower, n_edges=n_edges,
                                      seed=child_seed)

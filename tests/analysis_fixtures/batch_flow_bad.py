@@ -1,9 +1,8 @@
 """Fixture: shared-context tables reaching order-sensitive code.
 
 Analyzed as a module inside ``repro.core``.  The batch substrate's
-accessors (``base_core()``, ``seed_tables()``, ``freeze_seed()``) return
-(α,β)-invariant *tables* — sets and set-valued maps with no defined
-order — so a per-campaign loop observing their element order breaks
+accessors (``base_core()``, ``seed_tables()``) return (α,β)-invariant
+*tables* — a set and keyed maps with no defined order — so a per-campaign loop observing their element order breaks
 byte-identity exactly like iterating a bare set.
 """
 
@@ -28,7 +27,7 @@ def replay_order(context):
     return order
 
 
-def export_seed(scratch):
-    """A frozen seed passed straight into a byte-identity sink."""
-    seed = scratch.freeze_seed()
-    return json.dumps(seed)  # ordering-flow violation (sink arg)
+def export_seed(context):
+    """A shared seed passed straight into a byte-identity sink."""
+    seeds = context.seed_tables()
+    return json.dumps(seeds)  # ordering-flow violation (sink arg)

@@ -27,7 +27,7 @@ def core_membership(context, vertices):
     return flags
 
 
-def export_seed(scratch):
-    """sorted() between the frozen seed and the sink."""
-    seed = scratch.freeze_seed()
-    return json.dumps(sorted(seed))
+def export_seed(context):
+    """sorted() between the shared seed and the sink."""
+    seeds = context.seed_tables()
+    return json.dumps(sorted(seeds))

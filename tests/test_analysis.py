@@ -180,11 +180,11 @@ class TestRecompute:
     def test_ok_fixture_is_clean(self):
         assert violations("recompute_ok.py", "recompute") == []
 
-    def test_message_names_the_function_and_the_cache(self):
+    def test_message_names_the_function_and_the_batched_call(self):
         found = violations("recompute_bad.py", "recompute")
         assert any(v.message.startswith("reachable_from()") for v in found)
         assert any(v.message.startswith("r_scores()") for v in found)
-        assert all("VerificationCache" in v.message for v in found)
+        assert all("one reachable_counts call" in v.message for v in found)
 
     def test_unmarked_module_is_never_inspected(self):
         src = ("def f(graph, order, xs):\n"

@@ -7,6 +7,7 @@ canonical JSON byte-identical to the same campaign run alone, across
 backends, worker counts, methods, sharding, kill/resume, and service
 restarts over the persisted cache."""
 
+import copy
 import json
 
 import pytest
@@ -14,9 +15,11 @@ import pytest
 from repro.bigraph.memmap import load_graph_memmap, save_graph_memmap
 from repro.bigraph.mutation import disjoint_union
 from repro.core import SharedCampaignContext
-from repro.core.api import reinforce
-from repro.core.incremental import SeedTables, VerificationCache
+from repro.core.api import engine_options, reinforce
+from repro.core.engine import _filter_stage
+from repro.core.incremental import VerificationCache
 from repro.core.order_maintenance import OrderState
+from repro.core.sharded import build_shards
 from repro.exceptions import FaultInjected, InvalidParameterError
 from repro.experiments.export import canonical_result_dict
 from repro.generators import planted_core_graph
@@ -110,52 +113,52 @@ class TestPristineClone:
 
 class TestSeedTables:
     def test_context_warms_once_and_serves_a_frozen_seed(self):
+        """A seed maps each side to its pristine ``(entries, total)``:
+        the filter stage FILVER++ runs on a cold shard, in plain-data
+        entries, built once."""
         graph = batch_graph().to_csr()
+        options = engine_options("filver++", 2)
+        [cold], _route = build_shards(graph, ALPHA, BETA, options, True,
+                                      None, 1)
         with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
             [seed] = ctx.seed_tables(shards=1)
-            assert isinstance(seed, SeedTables)
-            assert seed.entries() > 0
             assert ctx.seed_tables(shards=1)[0] is seed  # warmed once
+            assert ctx.stats()["seed_entries"] == sum(
+                len(entries) for entries, _total in seed.values())
+        assert sorted(seed) == ["lower", "upper"]
+        for side, (entries, total) in seed.items():
+            assert (entries, total) == _filter_stage(cold, side, options)
+            assert entries and total >= len(entries)
+            assert all(type(field) in (int, str) for entry in entries
+                       for field in entry)
+            assert all(entry[2:4] == (0, side) for entry in entries)
 
     def test_caches_on_one_seed_are_isolated(self):
         """Invalidating one cache (its shard's first apply) leaves the
-        shared seed and a second cache on it untouched: each cache starts
-        from its own copies of the seed's tables."""
+        shared seed and a second cache on it untouched: both read the
+        seed's lists, and neither writes them."""
         graph = batch_graph().to_csr()
         with SharedCampaignContext(graph, ALPHA, BETA) as ctx:
             [seed] = ctx.seed_tables(shards=1)
         sides = ("upper", "lower")
+        snapshot = copy.deepcopy(dict(seed))
+        entries = sum(len(seed[side][0]) for side in sides)
 
-        def keys():
-            return [(set(seed.rf[side]), set(seed.survivors[side]))
-                    for side in sides]
-
-        def reads(cache):
-            return [lookup(side, x) for side in sides
-                    for table, lookup in ((seed.rf, cache.rf_for),
-                                          (seed.survivors,
-                                           cache.survivor_verdict))
-                    for x in sorted(table[side])]
-
-        entries, seed_keys = seed.entries(), keys()
         dirtied = VerificationCache(seed)
         bystander = VerificationCache(seed)
-        before = reads(bystander)
-        hits = (bystander.rf_hits, bystander.survivor_hits,
-                bystander.seed_hits)
+        before = [bystander.ranked(side) for side in sides]
+        assert all(got is seed[side] for got, side in zip(before, sides))
+        assert bystander.seed_hits == entries
 
         dirtied.invalidate()
         assert dirtied.evictions == entries
-        assert set(reads(dirtied)) == {None}
+        assert [dirtied.ranked(side) for side in sides] == [None, None]
+        assert dirtied.seed_hits == 0
 
-        after = reads(bystander)
-        assert after == before
-        assert None not in after
-        assert (bystander.rf_hits, bystander.survivor_hits,
-                bystander.seed_hits) == tuple(
-                    2 * n for n in hits)
-        assert seed.entries() == entries
-        assert keys() == seed_keys
+        after = [bystander.ranked(side) for side in sides]
+        assert all(a is b for a, b in zip(after, before))
+        assert bystander.seed_hits == 2 * entries
+        assert dict(seed) == snapshot
 
     def test_incompatible_problems_are_rejected(self):
         graph = batch_graph().to_csr()
@@ -381,6 +384,36 @@ class TestServiceBatching:
                                         b1=2, b2=1))
             service.run_until_idle()
             assert executed == [warm.job_id, hi.job_id, lo.job_id]
+
+    def test_seeded_lists_are_read_only_across_service_jobs(
+            self, tmp_path, monkeypatch):
+        """Twenty FILVER+/FILVER++ jobs on two service threads share one
+        context's seed: every job draws the same seed object, and its
+        lists compare equal before and after the jobs ran."""
+        graph = batch_graph().to_csr()
+        served = []
+        real = SharedCampaignContext.seed_tables
+
+        def spy(self, shards=None):
+            seeds = real(self, shards)
+            if not served:
+                served.append(copy.deepcopy([dict(seed) for seed in seeds]))
+            served.append(seeds)
+            return seeds
+
+        monkeypatch.setattr(SharedCampaignContext, "seed_tables", spy)
+        specs = [JobSpec(alpha=ALPHA, beta=BETA, b1=b1, b2=b2,
+                         method="filver++" if b1 % 2 else "filver+", t=2)
+                 for b1 in range(1, 6) for b2 in range(1, 5)]
+        with CampaignService(graph, workers=2,
+                             state_dir=str(tmp_path / "r")) as service:
+            handles = [service.submit(spec) for spec in specs]
+            for handle in handles:
+                handle.result(timeout=120)
+        snapshot, first, *rest = served
+        assert len(rest) == len(specs) - 1
+        assert all(seeds is first for seeds in rest)
+        assert [dict(seed) for seed in first] == snapshot
 
     def test_worker_pool_agrees_with_inline(self, tmp_path):
         graph = batch_graph().to_csr()

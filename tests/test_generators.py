@@ -15,7 +15,7 @@ from repro.generators import (
     planted_core_graph,
     powerlaw_degree_sequence,
 )
-from repro.utils.rng import make_rng
+from repro.utils.rng import derive_seed, make_rng
 
 
 class TestErdosRenyi:
@@ -153,6 +153,21 @@ class TestDatasetRegistry:
         assert sorted(a.edges()) == sorted(b.edges())
         c = load_dataset("AC", scale=0.1, seed=2)
         assert sorted(a.edges()) != sorted(c.edges())
+
+    def test_int_and_float_scales_name_one_graph(self):
+        """``load_dataset("WC", 1)`` and ``load_dataset("WC", 1.0)`` give
+        one edge list: the seed hashes the scale as a float, which keeps
+        every float-spelled surrogate as it was."""
+        as_int = load_dataset("WC", scale=1)
+        as_float = load_dataset("WC", scale=1.0)
+        assert list(as_int.edges()) == list(as_float.edges())
+        spec = DATASETS["WC"]
+        n_upper, n_lower, n_edges = spec.surrogate_shape(1.0)
+        pinned = chung_lu_bipartite(n_upper, n_lower, n_edges,
+                                    exponent_upper=spec.exponent,
+                                    exponent_lower=spec.exponent,
+                                    seed=derive_seed(2022, "WC", 1.0))
+        assert list(as_float.edges()) == list(pinned.edges())
 
     def test_scale_changes_size_monotonically(self):
         small = load_dataset("WR", scale=0.05)

@@ -11,10 +11,11 @@ Layers of evidence, cheapest first:
 * unit contracts — the dirty regions :meth:`OrderState.apply_anchors`
   reports, the kernel's set-identity with the generic follower code, and
   the ``|rf(x)|`` sweeps against ``len(reachable_from(...))``;
-* signatures on demand: only verdict misses and their pools read
-  ``sig(x)``;
-* a seeded campaign reads each shard's seed until the shard's first
-  apply, and holds no cache after it;
+* signatures on demand: only candidates being decided and their pools
+  read ``sig(x)``;
+* a seeded campaign serves each pristine shard its context's ranked
+  lists without filtering, until the shard's first apply, and holds no
+  cache after it; a clean shard keeps each side's list;
 * engine-level byte-identity across all three FILVER variants, both
   adjacency backends, ``workers`` in {1, 4}, and resume-from-checkpoint;
 * a metamorphic check: an invalidated cache is indistinguishable from a
@@ -37,10 +38,11 @@ from repro.core import engine_options, reinforce
 from repro.core.deletion_order import (DeletionOrder, reachable_counts,
                                        reachable_from)
 from repro.core import engine as engine_module
-from repro.core.engine import run_engine
+from repro.core.engine import _filter_stage, run_engine
 from repro.core.followers import compute_followers
 from repro.core.incremental import VerificationCache
 from repro.core.order_maintenance import OrderState
+from repro.core import sharded as sharded_module
 from repro.core.sharded import CampaignShard, IdentityView
 from repro.core import signatures as signatures_module
 from repro.core.signatures import two_hop_filter, two_hop_filter_cached
@@ -347,31 +349,21 @@ class TestFollowerKernel:
             self, seeded, monkeypatch):
         """Through a whole FILVER++ campaign on ER graphs, whose order
         DAGs branch, the engine calls ``FollowerKernel.reachable`` once
-        per side per filter pass with ``rf`` misses, on exactly those
-        misses: the branching ends are counted inside the call, never by
-        calling it again (perfbench's ``filter.reachable_calls`` counts
-        these calls).  Without a seed every two-hop survivor is a miss;
-        a seeded campaign (and the context's warm-up pass) misses what
-        its cache does not hold."""
-        misses, calls, branched = [], [], []
-        real_bounds = VerificationCache.rf_bounds
+        per side per filter pass with two-hop survivors, on exactly those
+        survivors: the branching ends are counted inside the call, never
+        by calling it again (perfbench's ``filter.reachable_calls`` counts
+        these calls).  A seeded campaign's passes are the context's
+        warm-up and those of shards an anchor touched."""
+        survivors, calls, branched = [], [], []
         real_filter = engine_module.two_hop_filter_cached
         real_reachable = FollowerKernel.reachable
         real_walk = kernel_module.walk_counts
 
-        def spy_bounds(self, side, xs):
-            xs = list(xs)
-            bounds = real_bounds(self, side, xs)
-            missed = [x for x, b in zip(xs, bounds) if b is None]
-            if missed:
-                misses.append((side, missed))
-            return bounds
-
-        def spy_filter(graph, order, candidates, cache):
-            survivors = real_filter(graph, order, candidates, cache)
-            if cache is None and survivors:
-                misses.append((order.side, list(survivors)))
-            return survivors
+        def spy_filter(graph, order, candidates):
+            kept = real_filter(graph, order, candidates)
+            if kept:
+                survivors.append((order.side, list(kept)))
+            return kept
 
         def spy_reachable(self, side, sources):
             sources = list(sources)
@@ -382,7 +374,6 @@ class TestFollowerKernel:
             branched.append(len(calls))
             return real_walk(rows, position, sources)
 
-        monkeypatch.setattr(VerificationCache, "rf_bounds", spy_bounds)
         monkeypatch.setattr(engine_module, "two_hop_filter_cached",
                             spy_filter)
         monkeypatch.setattr(FollowerKernel, "reachable", spy_reachable)
@@ -395,8 +386,7 @@ class TestFollowerKernel:
                               context=ctx)
             else:
                 reinforce(g, 3, 3, 4, 4, method="filver++", t=2)
-        assert calls and calls == misses
-        assert all(sources for _side, sources in calls)
+        assert calls and calls == survivors
         if frontier._np is not None:
             # The fallback ran inside calls, one walk per call at most.
             assert branched and len(set(branched)) == len(branched)
@@ -408,33 +398,20 @@ class TestFollowerKernel:
 
 
 # ----------------------------------------------------------------------
-# Signatures on demand: only verdict misses and their pools read sig(x)
+# Signatures on demand: only decided candidates and their pools read sig(x)
 # ----------------------------------------------------------------------
-
-def partly_warm(g, state, rng):
-    """A cache holding the verdicts of a random half of each side's
-    candidates, as ``two_hop_filter`` decides them."""
-    cache = VerificationCache()
-    for order in (state.upper, state.lower):
-        cands = order.candidates(g)
-        survivors = set(two_hop_filter(g, order, cands)[0])
-        for x in rng.sample(cands, len(cands) // 2):
-            cache.store_survivor(order.side, x, x in survivors)
-    return cache
-
 
 class TestSignaturesOnDemand:
     def test_signatures_are_computed_only_for_verdict_misses(
             self, monkeypatch):
         """On the row path (a list-backed graph), ``two_hop_filter_cached``
-        computes ``sig(v)`` only for a candidate whose verdict missed and
-        for the members of that candidate's order-obeying two-hop pool
-        (Definition 9), each at most once per call: a repeated pass with
-        no invalidation computes none, and survivors equal the oracle's as
-        a set throughout."""
+        decides every candidate, so it computes ``sig(v)`` for every
+        candidate and for nothing else — each dominator pool (Definition
+        9) holds candidates only — and each at most once per call, before
+        and after applies; survivors equal the oracle's as a set
+        throughout."""
         g = planted_composite(6, seed_base=500)
         state = OrderState(g, 3, 3, maintain=True)
-        cache = VerificationCache()
         real = signatures_module.signature
         calls = []
 
@@ -443,70 +420,37 @@ class TestSignaturesOnDemand:
             return real(graph, order, v)
 
         monkeypatch.setattr(signatures_module, "signature", counting)
-
-        def two_hop_pool(order, x, cands):
-            sig_x = real(g, order, x)
-            position = table_dict(order.position)
-            return {w for w in cands if w != x and all(
-                g.has_edge(w, v) and position[w] < position[v]
-                for v in sig_x)}
-
-        def filter_pass():
-            """One pass over both sides; returns, per side, the verdict
-            misses, the candidates whose signature may be computed, the
-            vertices it was computed for, and the candidate count."""
-            seen = {}
+        rng = random.Random(11)
+        passes = 0
+        for _step in range(4):
             for order in (state.upper, state.lower):
-                side = order.side
                 cands = order.candidates(g)
                 if not cands:
                     continue
-                misses = {x for x in cands
-                          if cache.survivor_verdict(side, x) is None}
-                allowed = set(misses)
-                for x in misses:
-                    allowed |= two_hop_pool(order, x, cands)
                 ref, _ = two_hop_filter(g, order, cands)
                 del calls[:]
-                got = two_hop_filter_cached(g, order, cands, cache)
-                assert sorted(got) == sorted(ref), side
-                assert len(calls) == len(set(calls)), side
-                seen[side] = (misses, allowed, set(calls), len(cands))
-            return seen
-
-        cold = filter_pass()
-        assert cold
-        for misses, allowed, computed, _n in cold.values():
-            assert misses <= computed <= allowed
-        for misses, _allowed, computed, _n in filter_pass().values():
-            assert not misses and not computed
-
-        rng = random.Random(11)
-        partial = 0
-        for _step in range(3):
+                got = two_hop_filter_cached(g, order, cands)
+                assert sorted(got) == sorted(ref), order.side
+                assert sorted(calls) == sorted(cands), order.side
+                passes += 1
             pool = sorted(v for v in table_dict(state.upper.position)
                           if v not in state.anchors)
             state.apply_anchors([rng.choice(pool)])
-            cache = partly_warm(g, state, rng)
-            for side, (misses, allowed, computed, n_cands) in \
-                    filter_pass().items():
-                assert misses <= computed <= allowed, side
-                if misses and len(computed) < n_cands:
-                    partial += 1
-        assert partial > 0  # some pass computed only part of a side
+        assert passes > 2
 
     @pytest.mark.skipif(frontier._np is None, reason="numpy not installed")
     def test_array_pass_gathers_only_misses_and_their_two_hop_pools(
             self, monkeypatch):
-        """On CSR, the array pass computes signatures only for the verdict
-        misses and for candidates in their order-obeying two-hop pools
-        (``w`` adjacent to some ``v ∈ sig(x)`` below it, Definition 9);
-        every other row it gathers is a miss's signature vertex.  A pass
-        with only verdict hits gathers no row at all, and survivors equal
-        the oracle's as a set throughout."""
+        """On CSR, ``Frontier.undominated`` computes signatures only for
+        the candidates it decides (the misses) and for candidates in
+        their order-obeying two-hop pools (``w`` adjacent to some
+        ``v ∈ sig(x)`` below it, Definition 9); every other row it
+        gathers is a miss's signature vertex.  Deciding no candidate
+        gathers no row at all, deciding half of them computes part of a
+        side, and verdicts equal the oracle's throughout."""
         g = planted_composite(6, seed_base=500).to_csr()
         state = OrderState(g, 3, 3, maintain=True)
-        cache = VerificationCache()
+        walk = frontier.frontier_for(g)
         gathered, signed = [], []
         real_gather = frontier.Frontier._gather
         real_signatures = frontier.Frontier._signatures
@@ -522,57 +466,44 @@ class TestSignaturesOnDemand:
         monkeypatch.setattr(frontier.Frontier, "_gather", spy_gather)
         monkeypatch.setattr(frontier.Frontier, "_signatures", spy_signatures)
 
-        def filter_pass():
-            """One pass over both sides; returns, per side, the verdict
-            misses, the candidates whose signature may be computed, the
-            vertices it was computed for, every row gathered, and the
-            candidate count."""
-            seen = {}
-            for order in (state.upper, state.lower):
-                side = order.side
-                cands = order.candidates(g)
-                if not cands:
-                    continue
-                position = table_dict(order.position)
-                misses = {x for x in cands
-                          if cache.survivor_verdict(side, x) is None}
-                allowed = set(misses)
-                sig_vertices = set()
-                for x in misses:
-                    sig_x = signatures_module.signature(g, order, x)
-                    sig_vertices |= sig_x
-                    allowed |= {w for v in sig_x for w in g.neighbors(v)
-                                if w in position and w != x
-                                and position[w] < position[v]}
-                allowed &= set(cands)
-                ref, _ = two_hop_filter(g, order, cands)
-                del gathered[:], signed[:]
-                got = two_hop_filter_cached(g, order, cands, cache)
-                assert sorted(got) == sorted(ref), side
-                assert set(gathered) <= allowed | sig_vertices, side
-                seen[side] = (misses, allowed, set(signed), set(gathered),
-                              len(cands))
-            return seen
-
-        cold = filter_pass()
-        assert cold
-        for misses, allowed, computed, _rows, _n in cold.values():
-            assert misses and misses <= computed <= allowed
-        for misses, _allowed, computed, rows, _n in filter_pass().values():
-            assert not misses and not computed and not rows
+        def decide(order, cands, misses):
+            """Decide ``misses``; returns the candidates whose signature
+            may be computed and the vertices it was computed for."""
+            position = table_dict(order.position)
+            allowed = set(misses)
+            sig_vertices = set()
+            for x in misses:
+                sig_x = signatures_module.signature(g, order, x)
+                sig_vertices |= sig_x
+                allowed |= {w for v in sig_x for w in g.neighbors(v)
+                            if w in position and w != x
+                            and position[w] < position[v]}
+            allowed &= set(cands)
+            ref = set(two_hop_filter(g, order, cands)[0])
+            del gathered[:], signed[:]
+            got = walk.undominated(misses, order.position, cands)
+            assert got == [x in ref for x in misses], order.side
+            assert set(gathered) <= allowed | sig_vertices, order.side
+            return allowed, set(signed)
 
         rng = random.Random(11)
         partial = 0
-        for _step in range(3):
+        for _step in range(4):
+            for order in (state.upper, state.lower):
+                cands = order.candidates(g)
+                if not cands:
+                    continue
+                allowed, computed = decide(order, cands, cands)
+                assert set(cands) <= computed <= allowed
+                assert decide(order, cands, []) == (set(), set())
+                assert not gathered
+                half = rng.sample(cands, len(cands) // 2)
+                allowed, computed = decide(order, cands, half)
+                assert set(half) <= computed <= allowed
+                partial += 0 < len(computed) < len(cands)
             pool = sorted(v for v in table_dict(state.upper.position)
                           if v not in state.anchors)
             state.apply_anchors([rng.choice(pool)])
-            cache = partly_warm(g, state, rng)
-            for side, (misses, allowed, computed, _rows, n_cands) in \
-                    filter_pass().items():
-                assert misses <= computed <= allowed, side
-                if misses and len(computed) < n_cands:
-                    partial += 1
         assert partial > 0  # some pass computed only part of a side
 
 
@@ -580,100 +511,93 @@ class TestSignaturesOnDemand:
 # Metamorphic: an invalidated cache == a cold cache
 # ----------------------------------------------------------------------
 
-def warm_seed(g, state):
-    """Epoch-0 tables of the pristine ``state``: the two-hop filter plus
-    ``|rf(x)|`` of every survivor, frozen from a scratch cache."""
-    scratch = VerificationCache()
-    for order in (state.upper, state.lower):
-        survivors = two_hop_filter_cached(g, order, order.candidates(g),
-                                          scratch)
-        scratch.store_rf(order.side, reachable_counts(g, order, survivors))
-    return scratch.freeze_seed()
+def warm_seed(g):
+    """The context's seed for the one-shard plan of ``g``: each side's
+    pristine ranked list under FILVER++'s filter pass."""
+    with SharedCampaignContext(g, 3, 3) as ctx:
+        [seed] = ctx.seed_tables(shards=1)
+    return seed
+
+
+SIDES = ("upper", "lower")
 
 
 class TestMetamorphicInvalidation:
     def test_full_region_invalidation_equals_cold_cache(self):
-        """After :meth:`VerificationCache.invalidate`, a seeded cache that
-        also stored values of its own behaves exactly like a fresh one:
-        same filter output, and all reads are misses (nothing survived,
-        the seed's entries included)."""
+        """After :meth:`VerificationCache.invalidate`, a seeded cache
+        behaves exactly like a fresh one: every read misses and counts
+        nothing, the seed's entries are counted as evicted once, and the
+        shared seed is untouched."""
         g = planted_composite(3).to_csr()
-        state = OrderState(g, 3, 3, maintain=True)
-        seed = warm_seed(g, state)
-        entries = seed.entries()
+        seed = warm_seed(g)
+        entries = sum(len(seed[side][0]) for side in SIDES)
+        lists = [list(seed[side][0]) for side in SIDES]
         warm = VerificationCache(seed)
-        for order in (state.upper, state.lower):
-            cands = order.candidates(g)
-            warm.store_rf(order.side, reachable_counts(g, order, cands))
-        assert warm.rf_for("upper", state.upper.candidates(g)[0]) is not None
+        assert [warm.ranked(side)[0] for side in SIDES] == lists
+        assert warm.seed_hits == entries > 0
 
         warm.invalidate()
-        assert warm.evictions >= entries
-        assert seed.entries() == entries  # the shared seed is untouched
+        assert warm.evictions == entries
+        assert [seed[side][0] for side in SIDES] == lists
 
         cold = VerificationCache()
+        warm.seed_hits = 0
         for cache in (warm, cold):
-            cache.rf_hits = cache.rf_misses = cache.seed_hits = 0
-            cache.survivor_hits = cache.survivor_misses = 0
-        for order in (state.upper, state.lower):
-            cands = order.candidates(g)
-            warm_out = two_hop_filter_cached(g, order, cands, warm)
-            cold_out = two_hop_filter_cached(g, order, cands, cold)
-            assert warm_out == cold_out
-            for x in cands:
-                assert warm.rf_for(order.side, x) is None
-        assert warm.rf_hits == cold.rf_hits == warm.seed_hits == 0
-        assert (warm.survivor_hits, warm.survivor_misses) == \
-            (cold.survivor_hits, cold.survivor_misses)
+            assert [cache.ranked(side) for side in SIDES] == [None, None]
+            assert cache.seed_hits == 0
+        warm.invalidate()
+        assert warm.evictions == entries  # nothing left to drop
 
     def test_none_region_clears_everything(self):
         """An apply that reports ``None`` (unmaintained orders: no region
-        information, plain FILVER) ends a shard's cache like any other
-        apply: every entry is dropped and the shard holds no cache."""
+        information, plain FILVER) ends a shard's seed like any other
+        apply: every entry is dropped, the shard holds no cache, and the
+        next list is refiltered from the applied state."""
         g = planted_composite(2).to_csr()
-        seed = warm_seed(g, OrderState(g, 3, 3, maintain=True))
+        seed = warm_seed(g)
+        options = engine_options("filver++", 3)
         state = OrderState(g, 3, 3, maintain=False)
         cache = VerificationCache(seed)
         shard = CampaignShard(0, IdentityView(g), state, cache, None)
-        order = state.upper
-        surv = [x for x in order.candidates(g)
-                if cache.survivor_verdict(order.side, x)]
-        assert surv and None not in cache.rf_bounds(order.side, surv)
+        assert shard.ranked("upper", options) is seed["upper"]
         x = min(table_dict(state.upper.position))
         shard.apply([x])
         assert shard.cache is None
-        assert cache.evictions == seed.entries()
-        for x in surv:
-            assert cache.rf_for(order.side, x) is None
-            assert cache.survivor_verdict(order.side, x) is None
+        assert cache.evictions == sum(len(seed[side][0]) for side in SIDES)
+        assert cache.ranked("upper") is None
+        got = shard.ranked("upper", options)
+        assert got is not seed["upper"]
+        assert got == _filter_stage(shard, "upper", options)
 
 
 # ----------------------------------------------------------------------
-# A seeded campaign reads each shard's seed until the shard's first apply
+# A seeded campaign serves each shard's seed until the shard's first apply
 # ----------------------------------------------------------------------
 
 class TestPristineSeed:
     def test_seeded_shard_reads_the_seed_until_its_first_apply(
             self, monkeypatch):
-        """In a seeded FILVER++ campaign every cache read hits the seed,
-        each shard's cache is invalidated once, by the shard's first
-        apply, and is never read again; the shard holds no cache after
-        it.  The result is byte-identical to a cold run's."""
+        """In a seeded FILVER++ campaign each shard's cache is read only
+        before the shard's first apply, is invalidated once, by that
+        apply, and every read serves the seed's list; the shard holds no
+        cache after it.  The result is byte-identical to a cold run's."""
         g = planted_composite().to_csr()
         cold = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3))
         events = []
         first_applies = []
         real_invalidate = VerificationCache.invalidate
-        real_bounds = VerificationCache.rf_bounds
+        real_ranked = VerificationCache.ranked
         real_apply = CampaignShard.apply
 
         def spy_invalidate(self):
             events.append(("invalidate", self))
             real_invalidate(self)
 
-        def spy_bounds(self, side, xs):
+        def spy_ranked(self, side):
             events.append(("read", self))
-            return real_bounds(self, side, xs)
+            hit = real_ranked(self, side)
+            assert hit is not None
+            return hit
 
         def spy_apply(self, batch):
             cache = self.cache
@@ -683,7 +607,7 @@ class TestPristineSeed:
                 first_applies.append((self.index, cache))
 
         monkeypatch.setattr(VerificationCache, "invalidate", spy_invalidate)
-        monkeypatch.setattr(VerificationCache, "rf_bounds", spy_bounds)
+        monkeypatch.setattr(VerificationCache, "ranked", spy_ranked)
         monkeypatch.setattr(CampaignShard, "apply", spy_apply)
         with SharedCampaignContext(g, 3, 3) as ctx:
             got = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3,
@@ -698,13 +622,149 @@ class TestPristineSeed:
         shards = [index for index, _cache in first_applies]
         assert len(shards) == len(set(shards)) > 1
         assert [cache for _index, cache in first_applies] == invalidated
-        # The warm-up's scratch cache misses; every campaign read hits.
         read = {id(cache): cache for kind, cache in events
                 if kind == "read"}
-        seeded = [cache for cache in read.values() if cache.seed_hits]
-        assert seeded and all(cache.rf_misses == cache.survivor_misses == 0
-                              for cache in seeded)
-        assert all(cache.rf_hits == cache.seed_hits for cache in seeded)
+        assert read and all(cache.seed_hits for cache in read.values())
+
+    def test_pristine_seeded_shard_never_filters(self, monkeypatch):
+        """Before its first apply a seeded shard runs no filter stage, no
+        two-hop filter and no ``|rf(x)|`` count: every list it serves is
+        the context's own object.  Canonical JSON equals a cold run's."""
+        g = planted_composite().to_csr()
+        cold = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3))
+        applied, served, filtering = set(), [], []
+        real_filter = sharded_module._filter_stage
+        real_two_hop = engine_module.two_hop_filter_cached
+        real_reachable = FollowerKernel.reachable
+        real_ranked = CampaignShard.ranked
+        real_apply = CampaignShard.apply
+
+        def spy_filter(shard, *args):
+            assert shard.index in applied and shard.cache is None
+            filtering.append(shard.index)
+            try:
+                return real_filter(shard, *args)
+            finally:
+                filtering.pop()
+
+        def spy_two_hop(*args):
+            assert filtering
+            return real_two_hop(*args)
+
+        def spy_reachable(self, *args):
+            assert filtering
+            return real_reachable(self, *args)
+
+        def spy_ranked(self, side, *args):
+            got = real_ranked(self, side, *args)
+            if self.index not in applied:
+                served.append((self.index, side, got))
+            return got
+
+        def spy_apply(self, batch):
+            applied.add(self.index)
+            return real_apply(self, batch)
+
+        with SharedCampaignContext(g, 3, 3) as ctx:
+            seeds = ctx.seed_tables(None)  # warm before spying
+            monkeypatch.setattr(sharded_module, "_filter_stage", spy_filter)
+            monkeypatch.setattr(engine_module, "two_hop_filter_cached",
+                                spy_two_hop)
+            monkeypatch.setattr(FollowerKernel, "reachable", spy_reachable)
+            monkeypatch.setattr(CampaignShard, "ranked", spy_ranked)
+            monkeypatch.setattr(CampaignShard, "apply", spy_apply)
+            got = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3,
+                                  context=ctx))
+        assert got == cold
+        assert applied and len(seeds) > 1
+        # Pristine shards were asked again in later iterations.
+        assert len(served) > 2 * len(seeds)
+        for index, side, ranked in served:
+            assert ranked is seeds[index][side]
+
+    def test_seeded_flat_kernel_verifies_unfiltered_shards(
+            self, monkeypatch):
+        """The follower kernel is stamped when a shard is built, so a
+        seeded flat-kernel campaign verifies candidates of shards that
+        never filtered: every follower set equals
+        :func:`compute_followers` over the shard's state."""
+        g = planted_composite().to_csr()
+        built, refiltered, checked = [], set(), []
+        real_build = sharded_module.build_shards
+        real_filter = sharded_module._filter_stage
+        real_followers = FollowerKernel.followers
+
+        def spy_build(*args, **kwargs):
+            shard_list, route = real_build(*args, **kwargs)
+            built.extend(shard_list)
+            return shard_list, route
+
+        def spy_filter(shard, *args):
+            refiltered.add(shard.index)
+            return real_filter(shard, *args)
+
+        def spy_followers(self, side, x, alpha, beta):
+            got = real_followers(self, side, x, alpha, beta)
+            [shard] = [s for s in built if s.kernel is self]
+            state = shard.state
+            order = state.upper if side == "upper" else state.lower
+            assert got == compute_followers(shard.graph, order, x,
+                                            core=state.core), (side, x)
+            checked.append(shard.index not in refiltered)
+            return got
+
+        cold = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3,
+                               flat_kernel=False))
+        monkeypatch.setattr(sharded_module, "build_shards", spy_build)
+        monkeypatch.setattr(sharded_module, "_filter_stage", spy_filter)
+        monkeypatch.setattr(FollowerKernel, "followers", spy_followers)
+        with SharedCampaignContext(g, 3, 3) as ctx:
+            got = canon(reinforce(g, 3, 3, 8, 8, method="filver++", t=3,
+                                  flat_kernel=True, context=ctx))
+        assert got == cold
+        assert any(checked)  # some verification hit a never-filtered shard
+
+
+class TestRankedMemo:
+    def test_clean_shards_keep_the_other_sides_list(self, monkeypatch):
+        """Once the upper budget is spent, a shard no anchor touched since
+        the last pass that ranked both sides refilters neither: its lower
+        list is kept.  Only shards anchored since then filter again."""
+        g = planted_composite().to_csr()
+        b1 = 1
+        progress = {"iteration": 0, "spent": None, "uppers": 0}
+        last_apply, late = {}, []
+        real_filter = sharded_module._filter_stage
+        real_apply = CampaignShard.apply
+
+        def spy_filter(shard, *args):
+            spent = progress["spent"]
+            if spent is not None and last_apply.get(shard.index, -1) < spent:
+                late.append(shard.index)
+            return real_filter(shard, *args)
+
+        def spy_apply(self, batch):
+            last_apply[self.index] = progress["iteration"]
+            return real_apply(self, batch)
+
+        def observe(record):
+            progress["uppers"] += sum(1 for x in record.anchors
+                                      if g.is_upper(x))
+            if progress["uppers"] >= b1 and progress["spent"] is None:
+                progress["spent"] = progress["iteration"]
+            progress["iteration"] += 1
+
+        cold = canon(reinforce(g, 3, 3, b1, 6, method="filver+"))
+        monkeypatch.setattr(sharded_module, "_filter_stage", spy_filter)
+        monkeypatch.setattr(CampaignShard, "apply", spy_apply)
+        result = run_engine(g, 3, 3, b1, 6, engine_options("filver+", 1),
+                            "filver+", on_iteration=observe)
+        assert canon(result) == cold
+        spent = progress["spent"]
+        assert spent is not None and progress["iteration"] > spent + 1
+        touched = {index for index, it in last_apply.items() if it >= spent}
+        assert set(range(5)) - touched  # some shard stayed clean
+        assert late == []
 
 
 # ----------------------------------------------------------------------

@@ -141,7 +141,7 @@ class TestDeadlineAndStopFlag:
                 yield  # pragma: no cover - makes this a generator
 
         shard = CampaignShard(0, IdentityView(graph), state, None, None)
-        scored = [(-1, x, shard, x, state.upper)
+        scored = [(-1, x, shard.index, "upper", x)
                   for x in sorted(table_dict(state.upper.position))]
         assert scored, "fixture must provide at least one candidate"
 
@@ -155,7 +155,7 @@ class TestDeadlineAndStopFlag:
         pooled = _pooled_follower_sets(scored, StoppedEvaluator(), [state],
                                        {0}, None)
         verifications, timed_out = _verification_stage(
-            scored, NullMaintainer(), 3, 3, None, pooled)
+            scored, [shard], NullMaintainer(), 3, 3, None, pooled)
         assert (verifications, timed_out) == (0, True)
 
 
@@ -212,18 +212,16 @@ class TestOneScan:
         assert covered and head, "fixture must exercise both skip rules"
         keys = [top] + covered + head
         bounds = [1000 - rank for rank in range(len(keys))] + [0] * len(tail)
-        entries = []
-        for bound, (side, x) in zip(bounds, keys + tail):
-            order = shard.state.upper if side == "upper" else shard.state.lower
-            entries.append((-bound, x, shard, x, order))
-        return entries
+        return [(-bound, x, shard.index, side, x)
+                for bound, (side, x) in zip(bounds, keys + tail)]
 
     @staticmethod
     def make_shard(graph):
         """A one-shard campaign's shard after its first filter pass."""
         options = engine_options("filver++", 3)
         [shard], _route = build_shards(graph, 3, 3, options, True, False, 1)
-        ranked, _total = shard.ranked(3, 3, options)
+        ranked = [entry for side in ("upper", "lower")
+                  for entry in shard.ranked(side, options)[0]]
         return shard, ranked
 
     @pytest.mark.parametrize("with_deadline", [False, True])
@@ -233,16 +231,18 @@ class TestOneScan:
         threshold skip, whatever ``t`` is."""
         deadline = time.perf_counter() + 3600 if with_deadline else None
         graph = campaign_graph(seed=6)
-        _shard, filtered = self.make_shard(graph)
-        real = {(order.side, x): compute_followers(graph, order, x,
-                                                   core=shard.state.core)
-                for _bound, _gx, shard, x, order in filtered}
+        shard, filtered = self.make_shard(graph)
+        state = shard.state
+        real = {(side, x): compute_followers(
+                    graph, state.upper if side == "upper" else state.lower,
+                    x, core=state.core)
+                for _bound, _gx, _index, side, x in filtered}
 
         serial_shard, _ranked = self.make_shard(graph)
         serial_maintainer = RecordingMaintainer(graph, t, 3, 3)
         serial = _verification_stage(
-            self.ranked(serial_shard, real), serial_maintainer, 3, 3,
-            deadline)
+            self.ranked(serial_shard, real), [serial_shard],
+            serial_maintainer, 3, 3, deadline)
 
         pooled_shard, _ranked = self.make_shard(graph)
         pooled_maintainer = RecordingMaintainer(graph, t, 3, 3)
@@ -250,7 +250,7 @@ class TestOneScan:
         evaluator = RecordingEvaluator()
         dirty = {0}
         pooled = _verification_stage(
-            ranked, pooled_maintainer, 3, 3, deadline,
+            ranked, [pooled_shard], pooled_maintainer, 3, 3, deadline,
             _pooled_follower_sets(ranked, evaluator, [pooled_shard.state],
                                   dirty, deadline))
 
@@ -264,8 +264,8 @@ class TestOneScan:
         # scan consumes a prefix of them in that order, ending at the
         # first candidate skipped by the threshold: the rest of the
         # zero-bound tail is never consumed.
-        assert evaluator.items == [(0, order.side, x)
-                                   for _bound, _gx, _shard, x, order in ranked]
+        assert evaluator.items == [entry[2:] for entry in ranked]
+        assert all(item[0] == 0 for item in evaluator.items)
         consumed = [item for item, _set in evaluator.streamed]
         assert consumed == evaluator.items[:len(consumed)]
         assert len(consumed) < len(ranked)

@@ -10,7 +10,6 @@ from repro.abcore.decomposition import followers as global_followers
 from repro.bigraph import disjoint_union, frontier, from_biadjacency
 from repro.core import (OrderState, compute_orders, signature,
                         two_hop_filter, two_hop_filter_cached)
-from repro.core.incremental import VerificationCache
 from repro.core import signatures as signatures_module
 from repro.core.signatures import signatures_of
 from repro.generators.planted import planted_core_graph
@@ -132,7 +131,7 @@ def twins_graph():
 
 def composite_graph(seed):
     """Disjoint planted-core components: an anchor dirties one component,
-    so the cache is only partly invalidated."""
+    so the others' candidates keep their pristine verdicts."""
     return disjoint_union([
         planted_core_graph(alpha=3, beta=3, core_upper=6, core_lower=6,
                            n_chains=8, max_chain_length=6,
@@ -178,44 +177,25 @@ class TestArrayTwoHop:
                              [("planted", s) for s in range(3)]
                              + [("random", s) for s in range(6)])
     def test_survivors_equal_the_oracle(self, kind, seed, path):
-        """Both sides, pristine and after 1-3 applies, with no cache, a
-        cold, a partly pre-filled and a warm cache: the survivors are the
-        oracle's, in candidate order, on either path.  Pre-filled
-        verdicts are random, and replay must return them for the hits
-        and decide only the misses."""
+        """Both sides, pristine and after 1-3 applies: the survivors are
+        the oracle's, in candidate order, on either path, and a repeated
+        pass over the same state returns them again."""
         which, calls = path
         g, alpha, beta = case_graph(kind, seed)
         g = g.to_csr()
         rng = random.Random(seed)
         state = OrderState(g, alpha, beta)
-        seen = {"zero": 0, "empty": 0, "partial": 0, "passes": 0}
+        seen = {"zero": 0, "empty": 0, "passes": 0}
         for step in range(4):
             for order in (state.upper, state.lower):
-                side = order.side
                 cands = order.candidates(g)
                 if not cands:
                     continue
                 ref = set(two_hop_filter(g, order, cands)[0])
                 expected = [x for x in cands if x in ref]
-                assert two_hop_filter_cached(g, order, cands,
-                                             None) == expected
-                cache = VerificationCache()
-                assert two_hop_filter_cached(
-                    g, order, cands, cache) == expected
-                assert two_hop_filter_cached(
-                    g, order, cands, cache) == expected
-                prefilled = {x: rng.random() < 0.5
-                             for x in rng.sample(cands, len(cands) // 2)}
-                partial = VerificationCache()
-                for x, verdict in prefilled.items():
-                    partial.store_survivor(side, x, verdict)
-                replayed = [x for x in cands
-                            if prefilled.get(x, x in ref)]
-                assert two_hop_filter_cached(
-                    g, order, cands, partial) == replayed
-                assert partial.survivor_hits == len(prefilled)
+                assert two_hop_filter_cached(g, order, cands) == expected
+                assert two_hop_filter_cached(g, order, cands) == expected
                 seen["passes"] += 1
-                seen["partial"] += 0 < len(prefilled) < len(cands)
                 position = table_dict(order.position)
                 seen["zero"] += sum(position[x] == 0 for x in cands)
                 seen["empty"] += sum(not signature(g, order, x)
@@ -229,24 +209,21 @@ class TestArrayTwoHop:
             state.apply_anchors(
                 rng.sample(pool, min(len(pool), rng.randint(1, 3))))
         assert seen["passes"] and seen["zero"] and seen["empty"]
-        if kind == "planted":
-            assert seen["partial"]
         assert bool(calls) == (which == "array")
 
     @pytest.mark.parametrize("backend", ["csr", "list"])
     def test_cacheless_path_equals_the_oracle(self, backend, path,
                                               monkeypatch):
-        """With ``cache=None`` every candidate is a miss, decided by
-        ``Frontier.undominated`` on CSR with numpy and by the row loops
-        on list graphs or with numpy hidden; every result is the
-        oracle's, in candidate order."""
+        """Every candidate is decided, by ``Frontier.undominated`` on CSR
+        with numpy and by the row loops on list graphs or with numpy
+        hidden; every result is the oracle's, in candidate order."""
         which, calls = path
         rows = []
         real_rows = signatures_module._row_verdicts
 
-        def spy_rows(graph, order, misses, candidates):
-            rows.append(len(misses))
-            return real_rows(graph, order, misses, candidates)
+        def spy_rows(graph, order, candidates):
+            rows.append(len(candidates))
+            return real_rows(graph, order, candidates)
 
         monkeypatch.setattr(signatures_module, "_row_verdicts", spy_rows)
         decided = 0
@@ -259,7 +236,7 @@ class TestArrayTwoHop:
                 if not cands:
                     continue
                 ref = set(two_hop_filter(g, order, cands)[0])
-                assert two_hop_filter_cached(g, order, cands, None) == [
+                assert two_hop_filter_cached(g, order, cands) == [
                     x for x in cands if x in ref]
                 decided += len(cands)
         arrays = which == "array" and backend == "csr"
@@ -275,13 +252,11 @@ class TestArrayTwoHop:
         upper, lower = compute_orders(g, 3, 3)
         sigs = signatures_of(g, upper, upper.candidates(g))
         assert len({frozenset(s) for s in sigs.values()}) == 1
-        assert two_hop_filter_cached(g, upper, upper.candidates(g),
-                                     VerificationCache()) == [3]
+        assert two_hop_filter_cached(g, upper, upper.candidates(g)) == [3]
         position = table_dict(lower.position)
         zero = [x for x in lower.candidates(g) if position[x] == 0]
         empty = [x for x in lower.candidates(g)
                  if not signature(g, lower, x)]
         assert zero and empty
-        assert two_hop_filter_cached(g, lower, lower.candidates(g),
-                                     VerificationCache()) == zero
+        assert two_hop_filter_cached(g, lower, lower.candidates(g)) == zero
         assert bool(calls) == (which == "array")
