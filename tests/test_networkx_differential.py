@@ -85,19 +85,3 @@ def test_anchored_core_against_networkx_with_supernode():
                 changed = True
         assert anchored_abcore(g, 2, 2, [anchor]) == set(nxg.nodes)
 
-
-def test_butterflies_match_networkx_cycle_count():
-    """Butterflies are 4-cycles: compare against a networkx-based count."""
-    from repro.cohesion import count_butterflies
-
-    for seed in range(5):
-        g = random_bigraph(seed, density=0.4)
-        nxg = to_networkx(g)
-        # count 4-cycles via common-neighbor pairs (independent formula)
-        total = 0
-        uppers = list(g.upper_vertices())
-        for i, u in enumerate(uppers):
-            for w in uppers[i + 1:]:
-                common = len(set(nxg[u]) & set(nxg[w]))
-                total += common * (common - 1) // 2
-        assert count_butterflies(g) == total
