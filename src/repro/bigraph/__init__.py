@@ -27,7 +27,6 @@ from repro.bigraph.mutation import (
     remove_vertices,
     swap_layers,
 )
-from repro.bigraph.projection import co_engagement, project, weighted_project
 from repro.bigraph.shm import (
     AttachedGraph,
     SharedGraphExport,
@@ -76,14 +75,11 @@ __all__ = [
     "induced_subgraph",
     "kernel_for",
     "loads",
-    "project",
     "read_edge_list",
     "relabel_compact",
     "remove_vertices",
     "summarize",
     "swap_layers",
-    "co_engagement",
-    "weighted_project",
     "validate_problem",
     "write_edge_list",
 ]
