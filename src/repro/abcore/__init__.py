@@ -1,4 +1,4 @@
-"""(α,β)-core substrate: peeling, core numbers, shells, unipartite k-core."""
+"""(α,β)-core substrate: peeling, core numbers, shells, decomposition index."""
 
 from repro.abcore.core_numbers import lower_core_numbers, upper_core_numbers
 from repro.abcore.index import CoreIndex
@@ -9,7 +9,6 @@ from repro.abcore.decomposition import (
     followers,
     peel_with_order,
 )
-from repro.abcore.kcore import core_numbers, k_core
 from repro.abcore.shells import (
     lower_shell,
     potential_followers,
@@ -21,10 +20,8 @@ __all__ = [
     "CoreIndex",
     "abcore",
     "anchored_abcore",
-    "core_numbers",
     "delta",
     "followers",
-    "k_core",
     "lower_core_numbers",
     "lower_shell",
     "peel_with_order",

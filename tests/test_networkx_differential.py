@@ -1,18 +1,14 @@
 """Differential tests against networkx (an independent implementation).
 
-networkx knows nothing about this library's data structures, so agreement on
-shared primitives (k-core, core numbers, connectivity, an independently
-written (α,β)-peel over nx graphs) is strong evidence against shared bugs.
+networkx knows nothing about this library's data structures, so agreement
+between the library's plain and anchored (α,β)-cores and a peel written
+independently over networkx graphs is strong evidence against shared bugs.
 """
 
-import random
-
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 
-from repro.abcore import abcore, anchored_abcore, core_numbers, k_core
-from repro.abcore.kcore import bipartite_as_unipartite
+from repro.abcore import abcore, anchored_abcore
 
 from conftest import bipartite_graphs, random_bigraph
 
@@ -44,25 +40,6 @@ def test_abcore_matches_networkx_peel(g):
     for alpha, beta in ((1, 1), (2, 2), (3, 2), (2, 4)):
         assert abcore(g, alpha, beta) == networkx_abcore(g, alpha, beta), \
             (alpha, beta)
-
-
-@settings(max_examples=25, deadline=None)
-@given(bipartite_graphs(min_edges=3))
-def test_unipartite_core_numbers_match_networkx(g):
-    adjacency = bipartite_as_unipartite(g)
-    nxg = to_networkx(g)
-    nxg.remove_edges_from(nx.selfloop_edges(nxg))
-    expected = nx.core_number(nxg)
-    assert core_numbers(adjacency) == expected
-
-
-@settings(max_examples=25, deadline=None)
-@given(bipartite_graphs(min_edges=3))
-def test_k_core_matches_networkx(g):
-    adjacency = bipartite_as_unipartite(g)
-    nxg = to_networkx(g)
-    for k in (1, 2, 3):
-        assert k_core(adjacency, k) == set(nx.k_core(nxg, k).nodes)
 
 
 def test_anchored_core_against_networkx_with_supernode():
