@@ -1,13 +1,9 @@
-"""Engagement dynamics: cascades and heterogeneous-threshold equilibria."""
+"""Engagement dynamics: the departure-cascade (unraveling) simulator."""
 
 from repro.dynamics.cascade import CascadeResult, resilience_gain, simulate_cascade
-from repro.dynamics.engagement import ThresholdProfile, anchored_gain, equilibrium
 
 __all__ = [
     "CascadeResult",
-    "ThresholdProfile",
-    "anchored_gain",
-    "equilibrium",
     "resilience_gain",
     "simulate_cascade",
 ]
