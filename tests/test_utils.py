@@ -1,44 +1,6 @@
-"""Tests for the utility helpers (timers, RNG, table rendering)."""
+"""Tests for the utility helpers (RNG, table rendering)."""
 
-import time
-
-from repro.utils import (
-    Stopwatch,
-    derive_seed,
-    make_rng,
-    render_series,
-    render_table,
-    timed,
-)
-
-
-class TestStopwatch:
-    def test_accumulates_named_measurements(self):
-        sw = Stopwatch()
-        with sw.measure("a"):
-            pass
-        with sw.measure("a"):
-            pass
-        assert sw.counts["a"] == 2
-        assert sw.totals["a"] >= 0.0
-        assert sw.mean("a") >= 0.0
-
-    def test_mean_of_unknown_is_zero(self):
-        assert Stopwatch().mean("nothing") == 0.0
-
-    def test_report_sorts_by_cost(self):
-        sw = Stopwatch()
-        with sw.measure("cheap"):
-            pass
-        with sw.measure("pricey"):
-            time.sleep(0.01)
-        report = sw.report()
-        assert report.index("pricey") < report.index("cheap")
-
-    def test_timed_contextmanager(self):
-        with timed() as box:
-            time.sleep(0.005)
-        assert box[0] >= 0.004
+from repro.utils import derive_seed, make_rng, render_series, render_table
 
 
 class TestRng:
