@@ -18,7 +18,8 @@ Run:  python examples/mutualistic_network.py
 
 import random
 
-from repro import abcore, reinforce
+from repro import reinforce
+from repro.abcore import abcore
 from repro.dynamics import resilience_gain, simulate_cascade
 from repro.generators import chung_lu_bipartite
 

@@ -8,7 +8,8 @@ the anchors (sponsored users / promoted items) that grow the community most.
 Run:  python examples/quickstart.py
 """
 
-from repro import GraphBuilder, abcore, reinforce
+from repro import GraphBuilder, reinforce
+from repro.abcore import abcore
 
 ALPHA, BETA = 4, 3  # users want >= 4 items of interest; items need >= 3 fans
 

@@ -17,7 +17,8 @@ Run:  python examples/social_group_maintenance.py [scale]
 
 import sys
 
-from repro import abcore, reinforce
+from repro import reinforce
+from repro.abcore import abcore
 from repro.experiments.runner import default_constraints
 from repro.generators import load_dataset
 

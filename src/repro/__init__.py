@@ -28,7 +28,7 @@ from repro.bigraph import (
     read_edge_list,
     write_edge_list,
 )
-from repro.abcore import abcore, anchored_abcore, delta, followers
+from repro.abcore import anchored_abcore, delta, followers
 from repro.core import (
     AnchoredCoreResult,
     METHODS,
@@ -55,7 +55,6 @@ __all__ = [
     "GraphConstructionError",
     "InvalidParameterError",
     "ReproError",
-    "abcore",
     "anchored_abcore",
     "delta",
     "followers",

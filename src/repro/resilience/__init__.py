@@ -37,7 +37,7 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
 )
 from repro.resilience.faults import FaultPlan, FaultSpec, active_plan, fault_site
-from repro.resilience.retry import Backoff, retry
+from repro.resilience.retry import Backoff
 from repro.resilience.signals import TerminationFlag
 
 __all__ = [
@@ -52,6 +52,5 @@ __all__ = [
     "active_plan",
     "fault_site",
     "Backoff",
-    "retry",
     "TerminationFlag",
 ]

@@ -16,8 +16,8 @@ from repro.resilience import (
     atomic_writer,
     graph_fingerprint,
     load_checkpoint,
-    retry,
 )
+from repro.resilience.retry import retry
 
 
 def square_graph():
