@@ -2,8 +2,8 @@
 
 The campaign service runs every job against the *same* graph, so any two
 queued engine-family jobs with the same ``(α, β)`` can share the whole
-(α, β)-invariant substrate — deletion-order seed, base core, warm
-verification tables — through one
+(α, β)-invariant substrate — base core, shard views, pristine order
+states and each pristine shard's seeded ranked lists — through one
 :class:`repro.core.batch.SharedCampaignContext`.  :class:`BatchScheduler`
 is the service-side registry of those contexts:
 
