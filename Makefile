@@ -23,11 +23,13 @@ test-faults:
 		tests/test_io_fuzz.py tests/test_parallel_faults.py -q
 
 # Campaign-service gate: functional + deterministic chaos + differential
-# byte-identity tests for repro.service (docs/SERVICE.md), then the engine
+# byte-identity tests for repro.service (docs/SERVICE.md), the service's
+# shared-context tests that its failure-mode table cites, then the engine
 # SIGTERM test, which fails if a service test left its signal handlers.
 test-service-faults:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_service.py \
 		tests/test_service_faults.py tests/test_service_differential.py \
+		"tests/test_batch.py::TestServiceBatching" \
 		"tests/test_resilience.py::TestEngineGracefulSigterm" -q
 
 # ~30s soak of the campaign service: repeated submit / drain-kill /

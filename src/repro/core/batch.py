@@ -277,7 +277,14 @@ class SharedCampaignContext:
             }
 
     def close(self) -> None:
-        """Shut pooled evaluators down."""
+        """Shut pooled evaluators down.
+
+        Safe while campaigns still run against the context: only idle
+        pooled evaluators are shut down, and :meth:`release_evaluator`
+        shuts down any lease returned afterwards.  :meth:`base_core`,
+        :meth:`order_state` and :meth:`seed_tables` never read the closed
+        flag, so a running campaign finishes with the same bytes.
+        """
         with self._lock:
             if self._closed:
                 return

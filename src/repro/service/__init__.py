@@ -4,8 +4,8 @@ Load a graph once, serve many ``reinforce`` jobs against it — with
 priority/deadline queueing, byte-budget admission control, per-job
 checkpointed retries, poison-job quarantine, request coalescing over the
 byte-identity result cache (with a checksummed on-disk tier that survives
-restarts), batched dispatch of same-``(α, β)`` jobs onto a shared warm
-substrate, and graceful SIGTERM drain with restart recovery.  Pure
+restarts), one shared warm substrate per ``(α, β)`` for engine-family
+jobs, and graceful SIGTERM drain with restart recovery.  Pure
 stdlib (``threading`` + a condition-variable queue); no
 web framework.  See ``docs/SERVICE.md`` for the architecture and the
 failure-mode table, and ``tests/test_service_faults.py`` for the

@@ -6,10 +6,10 @@ JSON report of every job's outcome.  A killed run can be restarted with
 the same ``--state-dir`` and resumes its backlog from checkpoints (and
 serves finished jobs from the persisted result cache).
 
-Same-``(α, β)`` engine-family jobs of equal priority are grouped at
-dispatch onto one shared warm substrate (the default; disable with
-``--no-batching`` to force cold FIFO dispatch).  Batching never changes
-result bytes or the exit-code contract, which is:
+Engine-family jobs run against one shared substrate per ``(α, β)``
+(the default; disable with ``--no-batching`` to run every job cold).
+Jobs dispatch in priority-then-FIFO order either way.  Batching never
+changes result bytes or the exit-code contract, which is:
 
 * ``0`` — every job reached a clean terminal state;
 * ``2`` — a :class:`~repro.exceptions.ReproError` (bad arguments, bad
@@ -71,8 +71,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--supervise-interval", type=float, default=1.0,
                         help="seconds between supervision sweeps")
     parser.add_argument("--no-batching", action="store_true",
-                        help="disable grouped dispatch of same-(alpha,beta) "
-                             "jobs onto a shared warm context; results are "
+                        help="run every job cold instead of on a shared "
+                             "per-(alpha,beta) context; results are "
                              "byte-identical either way")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the per-job report as JSON")

@@ -50,26 +50,23 @@ class AdmissionController:
 
     ``budget_bytes=None`` disables memory gating (admission still enforces
     ``max_pending``).  With a budget, the graph's charged cost is
-    ``resident_bytes + mapped_fraction * mapped_bytes`` and each running
-    job charges ``job_cost_bytes`` of headroom; :meth:`max_concurrent`
-    never reports less than 1, so a budget smaller than the graph itself
-    degrades to strictly serial execution instead of wedging the queue.
+    ``resident_bytes + DEFAULT_MAPPED_FRACTION * mapped_bytes`` and each
+    running job charges ``job_cost_bytes`` of headroom;
+    :meth:`max_concurrent` never reports less than 1, so a budget smaller
+    than the graph itself degrades to strictly serial execution instead
+    of wedging the queue.
     """
 
     def __init__(self, footprint: Dict[str, object],
                  budget_bytes: Optional[int] = None,
                  max_pending: int = 64,
-                 job_cost_bytes: int = DEFAULT_JOB_COST_BYTES,
-                 mapped_fraction: float = DEFAULT_MAPPED_FRACTION) -> None:
+                 job_cost_bytes: int = DEFAULT_JOB_COST_BYTES) -> None:
         if max_pending < 1:
             raise InvalidParameterError(
                 "max_pending must be >= 1, got %d" % max_pending)
         if job_cost_bytes < 1:
             raise InvalidParameterError(
                 "job_cost_bytes must be >= 1, got %d" % job_cost_bytes)
-        if not 0.0 <= mapped_fraction <= 1.0:
-            raise InvalidParameterError(
-                "mapped_fraction must be in [0, 1], got %r" % mapped_fraction)
         if budget_bytes is not None and budget_bytes < 1:
             raise InvalidParameterError(
                 "budget_bytes must be >= 1 or None, got %d" % budget_bytes)
@@ -78,12 +75,11 @@ class AdmissionController:
         self.budget_bytes = budget_bytes
         self.max_pending = max_pending
         self.job_cost_bytes = job_cost_bytes
-        self.mapped_fraction = mapped_fraction
 
     def graph_cost(self) -> int:
         """Bytes the loaded graph charges against the budget."""
         return self.resident_bytes + int(
-            self.mapped_bytes * self.mapped_fraction)
+            self.mapped_bytes * DEFAULT_MAPPED_FRACTION)
 
     def max_concurrent(self) -> int:
         """How many jobs may run at once under the budget (always >= 1)."""
@@ -110,7 +106,7 @@ class AdmissionController:
             "graph_cost_bytes": self.graph_cost(),
             "resident_bytes": self.resident_bytes,
             "mapped_bytes": self.mapped_bytes,
-            "mapped_fraction": self.mapped_fraction,
+            "mapped_fraction": DEFAULT_MAPPED_FRACTION,
             "job_cost_bytes": self.job_cost_bytes,
             "max_pending": self.max_pending,
             "max_concurrent": min(self.max_concurrent(), 1 << 30),
@@ -144,9 +140,7 @@ class JobQueue:
 
     def claim(self, can_dispatch: Callable[[], bool],
               stop: "threading.Event",
-              timeout: Optional[float] = None,
-              choose: Optional[Callable[[List[Job]], Optional[Job]]] = None,
-              ) -> Optional[Job]:
+              timeout: Optional[float] = None) -> Optional[Job]:
         """Pop the highest-priority pending job, or None.
 
         Returns None immediately when ``stop`` is set (drain), when the
@@ -154,12 +148,6 @@ class JobQueue:
         of waiting.  ``can_dispatch`` re-evaluates under the lock each
         wakeup, so admission-control dispatch gating composes with the
         wait loop without a race.
-
-        ``choose``, when given, is offered the pending jobs in dispatch
-        order and may return any of them instead of the head — the batch
-        scheduler uses this to group same-``(α, β)`` jobs.  A None or
-        foreign return falls back to the head, so a buggy chooser can
-        reorder dispatch but never lose or invent a job.
         """
         deadline = (time.monotonic() + timeout) if timeout else None
         with self._cond:
@@ -170,10 +158,6 @@ class JobQueue:
                         self._heap[0][2].state != JobState.PENDING:
                     heapq.heappop(self._heap)
                 if self._heap and can_dispatch():
-                    if choose is not None:
-                        picked = self._pick(choose)
-                        if picked is not None:
-                            return picked
                     return heapq.heappop(self._heap)[2]
                 if timeout is not None and timeout <= 0:
                     return None
@@ -183,22 +167,6 @@ class JobQueue:
                     if remaining <= 0:
                         return None
                 self._cond.wait(remaining)
-
-    def _pick(self, choose: Callable[[List[Job]], Optional[Job]]
-              ) -> Optional[Job]:
-        """Apply a dispatch chooser under the lock; None means use the head.
-
-        The chosen job is removed by identity and the heap re-established,
-        so the remaining jobs keep their exact dispatch order.
-        """
-        entries = sorted(e for e in self._heap
-                         if e[2].state == JobState.PENDING)
-        chosen = choose([job for _, _, job in entries])
-        if chosen is None or all(job is not chosen for _, _, job in entries):
-            return None
-        self._heap = [e for e in self._heap if e[2] is not chosen]
-        heapq.heapify(self._heap)
-        return chosen
 
     def notify(self) -> None:
         """Wake every waiting worker (drain requested / a job finished)."""

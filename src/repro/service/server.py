@@ -86,11 +86,11 @@ class CampaignService:
     the per-iteration observability tap (metrics, deterministic drain
     triggering in tests).
 
-    ``batching`` (default on) routes compatible queued jobs through a
-    :class:`~repro.service.batching.BatchScheduler`: same-``(α, β)``
-    engine-family jobs of equal priority are grouped at dispatch and share
-    one warm :class:`~repro.core.batch.SharedCampaignContext` — results
-    stay byte-identical to cold runs (``docs/SERVICE.md``).
+    ``batching`` (default on) runs every engine-family job against its
+    ``(α, β)``'s :class:`~repro.core.batch.SharedCampaignContext`, drawn
+    from a bounded :class:`~repro.service.batching.BatchScheduler`
+    registry; dispatch stays priority-then-FIFO, and results stay
+    byte-identical to cold runs (``docs/SERVICE.md``).
     ``persistent_cache`` (default on) backs the result cache with a
     checksummed on-disk tier under ``<state_dir>/cache`` so hits survive
     restarts; corruption degrades to a cold cache.  Shared contexts stay
@@ -240,7 +240,7 @@ class CampaignService:
         finished = 0
         while True:
             job = self._queue.claim(self._dispatch_allowed, self._drain,
-                                    timeout=0, choose=self._choose)
+                                    timeout=0)
             if job is None:
                 return finished
             self._execute(job)
@@ -249,16 +249,11 @@ class CampaignService:
     def _dispatch_allowed(self) -> bool:
         return self._admission.dispatch_allowed(self._n_running)
 
-    @property
-    def _choose(self) -> Optional[Callable[[List[Job]], Optional[Job]]]:
-        """The queue's dispatch chooser: batch grouping, when enabled."""
-        return self._scheduler.choose if self._scheduler is not None else None
-
     def _execute(self, job: Job) -> None:
         """Run one claimed job through the supervisor and publish the result.
 
-        With batching enabled, the job borrows its ``(α, β)``'s shared
-        context for the duration of the run; any failure to *acquire* one
+        With batching enabled, the job runs against its ``(α, β)``'s shared
+        context; any failure to *acquire* one
         degrades to a cold (context-free) run — admission and quarantine
         semantics are untouched either way.
         """
@@ -276,8 +271,6 @@ class CampaignService:
             self._supervisor.run(job, drain=self._drain,
                                  requeue=self._queue.push, context=context)
         finally:
-            if self._scheduler is not None:
-                self._scheduler.release(job.spec, context)
             with self._lock:
                 self._n_running -= 1
                 if job.state == JobState.COMPLETED \
@@ -297,7 +290,7 @@ class CampaignService:
         """Claim-execute loop of worker thread ``index``."""
         while not self._stopping:
             job = self._queue.claim(self._dispatch_allowed, self._drain,
-                                    timeout=0.05, choose=self._choose)
+                                    timeout=0.05)
             if job is None:
                 if self._drain.is_set():
                     return

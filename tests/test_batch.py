@@ -24,7 +24,8 @@ from repro.exceptions import FaultInjected, InvalidParameterError
 from repro.experiments.export import canonical_result_dict
 from repro.generators import planted_core_graph
 from repro.resilience import FaultPlan
-from repro.service import CampaignService, JobSpec
+from repro.service import BatchScheduler, CampaignService, JobSpec
+from repro.service.batching import DEFAULT_MAX_CONTEXTS
 
 from conftest import table_dict
 
@@ -284,7 +285,7 @@ class TestBatchEquivalence:
 
 
 class TestServiceBatching:
-    """The service-level integration: grouped dispatch + persisted cache."""
+    """The service-level integration: shared contexts + persisted cache."""
 
     PROBLEMS = [(1, 1, "filver++", 2), (2, 1, "filver++", 2),
                 (1, 2, "filver+", 5), (2, 2, "filver", 5)]
@@ -344,8 +345,9 @@ class TestServiceBatching:
         assert stats["batch"]["builds"] == 1
         assert stats["batch"]["warm"] == [(ALPHA, BETA)]
 
-    def test_grouped_dispatch_regroups_fifo_within_a_priority(self):
-        """A warm-context job jumps ahead of an equal-priority cold one."""
+    def test_dispatch_is_fifo_within_a_priority(self):
+        """A warm context does not move a job ahead of an equal-priority
+        cold one: dispatch is priority, then FIFO."""
         graph = batch_graph().to_csr()
         executed = []
 
@@ -359,11 +361,57 @@ class TestServiceBatching:
             service.run_until_idle()  # (ALPHA, BETA) context is now warm
             cold = service.submit(JobSpec(alpha=ALPHA + 1, beta=BETA,
                                           b1=1, b2=1))
-            grouped = service.submit(JobSpec(alpha=ALPHA, beta=BETA,
-                                             b1=2, b2=1))
+            later = service.submit(JobSpec(alpha=ALPHA, beta=BETA,
+                                           b1=2, b2=1))
             service.run_until_idle()
-            assert executed == [warm.job_id, grouped.job_id, cold.job_id]
-            assert service.stats()["batch"]["grouped"] == 1
+            assert executed == [warm.job_id, cold.job_id, later.job_id]
+
+    def test_failed_context_acquisition_runs_the_job_cold(
+            self, tmp_path, monkeypatch):
+        graph = batch_graph().to_csr()
+        standalone = canonical(reinforce(graph, ALPHA, BETA, 2, 2,
+                                         method="filver++", t=2))
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("context build failed")
+
+        monkeypatch.setattr(SharedCampaignContext, "__init__", broken)
+        spec = JobSpec(alpha=ALPHA, beta=BETA, b1=2, b2=2,
+                       method="filver++", t=2)
+        [result], stats = self.run_service(graph, str(tmp_path / "f"),
+                                           [spec])
+        assert result == standalone
+        assert stats["batch"]["contexts"] == 0
+        assert stats["batch"]["builds"] == 0
+
+    def test_registry_evicts_the_least_recently_acquired_context(self):
+        """Past the bound the oldest context is closed, and a campaign
+        still holding it — serial, or leasing an evaluator after the
+        close — keeps its standalone bytes."""
+        graph = batch_graph().to_csr()
+        problems = [(alpha, beta) for alpha in range(1, 4)
+                    for beta in range(1, 4)][:DEFAULT_MAX_CONTEXTS + 1]
+        scheduler = BatchScheduler(graph)
+        try:
+            contexts = [scheduler.acquire(JobSpec(alpha=alpha, beta=beta,
+                                                  b1=1, b2=1))
+                        for alpha, beta in problems]
+            stats = scheduler.stats()
+            assert stats["contexts"] == DEFAULT_MAX_CONTEXTS
+            assert stats["evictions"] == 1
+            evicted, *kept = contexts
+            assert evicted._closed
+            assert not any(context._closed for context in kept)
+            alpha, beta = problems[0]
+            cold = canonical(reinforce(graph, alpha, beta, 2, 2,
+                                       method="filver++", t=2))
+            for workers in (1, 2):
+                assert canonical(reinforce(
+                    graph, alpha, beta, 2, 2, method="filver++", t=2,
+                    workers=workers, context=evicted)) == cold
+            assert evicted.stats()["evaluators_built"] == 1
+        finally:
+            scheduler.close()
 
     def test_grouped_dispatch_never_outranks_priority(self):
         """A warm context cannot promote a job over a higher priority."""

@@ -175,7 +175,7 @@ class TestAdmissionController:
             budget_bytes=1100, job_cost_bytes=10)
         mapped = AdmissionController(
             {"resident_bytes": 0, "mapped_bytes": 1000},
-            budget_bytes=1100, job_cost_bytes=10, mapped_fraction=0.25)
+            budget_bytes=1100, job_cost_bytes=10)
         # Same bytes, but the memmap graph's pages are evictable: the
         # out-of-core backend admits far more concurrency per budget byte.
         assert mapped.max_concurrent() > resident.max_concurrent()
@@ -183,8 +183,6 @@ class TestAdmissionController:
     def test_bad_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):
             AdmissionController(self.FOOTPRINT, max_pending=0)
-        with pytest.raises(InvalidParameterError):
-            AdmissionController(self.FOOTPRINT, mapped_fraction=1.5)
         with pytest.raises(InvalidParameterError):
             AdmissionController(self.FOOTPRINT, job_cost_bytes=0)
         with pytest.raises(InvalidParameterError):
