@@ -15,12 +15,14 @@ test:
 
 # Deterministic resilience gate: fault injection, checkpoint/resume
 # replay-equivalence, crash isolation, seeded fuzzing of every persisted
-# artifact and of the edge-list loaders, and the worker-death, abort and
-# deadline suite of the process pool.  No sleeps; all randomness is seeded.
+# artifact and of the edge-list loaders, the worker-death, abort and
+# deadline suite of the process pool, and the memmap store's refusal paths
+# and failed-build cleanup.  No sleeps; all randomness is seeded.
 test-faults:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py \
 		tests/test_resilience.py tests/test_artifact_fuzz.py \
-		tests/test_io_fuzz.py tests/test_parallel_faults.py -q
+		tests/test_io_fuzz.py tests/test_parallel_faults.py \
+		tests/test_memmap.py -q
 
 # Campaign-service gate: functional + deterministic chaos + differential
 # byte-identity tests for repro.service (docs/SERVICE.md), the service's

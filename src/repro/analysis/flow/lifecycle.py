@@ -7,8 +7,8 @@ that every acquisition of such a resource is tied to a release that also
 runs on exception paths.
 
 **Acquisitions** are calls resolving to :data:`RESOURCE_FACTORIES`
-(``SharedMemory``, ``open``/``gzip.open``, ``numpy.memmap``,
-``tempfile.*``), to the repo's own handle factories
+(``SharedMemory``, ``open``/``gzip.open``, ``mmap.mmap``,
+``numpy.memmap``, ``tempfile.*``), to the repo's own handle factories
 (``export_shared_graph``, ``attach_shared_graph``,
 ``create_sharded_evaluator``), or — the interprocedural part — to any
 function in the program whose return value is an acquired resource
@@ -63,6 +63,7 @@ RESOURCE_FACTORIES = frozenset({
     "lzma.open",
     "tempfile.TemporaryFile",
     "tempfile.NamedTemporaryFile",
+    "mmap.mmap",
     "numpy.memmap",
     "multiprocessing.Pool",
     "concurrent.futures.ProcessPoolExecutor",

@@ -11,10 +11,11 @@ Two entry points cover the common cases:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bigraph.csr import csr_from_indexed_edges
 from repro.bigraph.graph import BipartiteGraph
+from repro.bigraph.memmap import memmap_graph_from_indexed_edges
 from repro.exceptions import GraphConstructionError
 
 __all__ = ["GraphBuilder", "from_edge_list", "from_biadjacency"]
@@ -120,13 +121,7 @@ def from_edge_list(
     ``memmap_dir`` (a fresh temporary directory when ``None``, removed when
     the graph is collected) so the adjacency never has to be resident.
     """
-    if backend not in ("list", "csr", "memmap"):
-        raise GraphConstructionError(
-            "unknown adjacency backend %r (expected 'list', 'csr' or"
-            " 'memmap')" % (backend,))
-    if memmap_dir is not None and backend != "memmap":
-        raise GraphConstructionError(
-            "memmap_dir only applies to backend='memmap'")
+    _check_backend(backend, memmap_dir)
     edge_list = list(edges)
     max_u = max((e[0] for e in edge_list), default=-1)
     max_v = max((e[1] for e in edge_list), default=-1)
@@ -142,22 +137,9 @@ def from_edge_list(
         if u < 0 or v < 0:
             raise GraphConstructionError("negative vertex index in edge (%d, %d)" % (u, v))
 
-    if backend == "csr":
-        csr = csr_from_indexed_edges(
-            lambda: iter(edge_list), n_upper, n_lower, dedupe=dedupe)
-        return BipartiteGraph(n_upper, n_lower, csr,
-                              upper_labels=upper_labels,
-                              lower_labels=lower_labels,
-                              _validate=False)
-
-    if backend == "memmap":
-        # Local import: keeps the numpy dependency out of list/csr builds.
-        from repro.bigraph.memmap import memmap_graph_from_indexed_edges
-
-        return memmap_graph_from_indexed_edges(
-            lambda: iter(edge_list), n_upper, n_lower, path=memmap_dir,
-            dedupe=dedupe, upper_labels=upper_labels,
-            lower_labels=lower_labels)
+    if backend != "list":
+        return _flat_graph(lambda: iter(edge_list), n_upper, n_lower, dedupe,
+                           backend, memmap_dir, upper_labels, lower_labels)
 
     adjacency: List[List[int]] = [[] for _ in range(n_upper + n_lower)]
     for u, v in edge_list:
@@ -185,6 +167,44 @@ def from_edge_list(
         raise GraphConstructionError("duplicate edge with dedupe=False")
 
     return BipartiteGraph(n_upper, n_lower, adjacency,
+                          upper_labels=upper_labels,
+                          lower_labels=lower_labels,
+                          _validate=False)
+
+
+def _check_backend(backend: str, memmap_dir: Optional[str]) -> None:
+    """Refuse an unknown ``backend`` or a ``memmap_dir`` it does not use."""
+    if backend not in ("list", "csr", "memmap"):
+        raise GraphConstructionError(
+            "unknown adjacency backend %r (expected 'list', 'csr' or"
+            " 'memmap')" % (backend,))
+    if memmap_dir is not None and backend != "memmap":
+        raise GraphConstructionError(
+            "memmap_dir only applies to backend='memmap'")
+
+
+def _flat_graph(
+    pairs: Callable[[], Iterable[Tuple[int, int]]],
+    n_upper: int,
+    n_lower: int,
+    dedupe: bool,
+    backend: str,
+    memmap_dir: Optional[str],
+    upper_labels: Optional[Sequence[object]],
+    lower_labels: Optional[Sequence[object]],
+) -> BipartiteGraph:
+    """A ``"csr"`` or ``"memmap"`` graph built from per-layer index pairs.
+
+    The one place both flat backends are chosen, for
+    :func:`from_edge_list` and the streaming edge-list loader alike;
+    ``pairs`` is invoked twice, as :func:`csr_from_indexed_edges` needs.
+    """
+    if backend == "memmap":
+        return memmap_graph_from_indexed_edges(
+            pairs, n_upper, n_lower, path=memmap_dir, dedupe=dedupe,
+            upper_labels=upper_labels, lower_labels=lower_labels)
+    csr = csr_from_indexed_edges(pairs, n_upper, n_lower, dedupe=dedupe)
+    return BipartiteGraph(n_upper, n_lower, csr,
                           upper_labels=upper_labels,
                           lower_labels=lower_labels,
                           _validate=False)

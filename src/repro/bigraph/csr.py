@@ -28,7 +28,7 @@ graph) so both backends keep working through one call site.
 from __future__ import annotations
 
 from array import array
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphConstructionError
 
@@ -198,12 +198,35 @@ def csr_from_indexed_edges(
     :class:`GraphConstructionError` otherwise, matching
     :func:`repro.bigraph.builder.from_edge_list`.
     """
+    offsets, neighbors, degrees, n_entries = _fill_csr(
+        pairs, n_upper, n_lower, dedupe,
+        lambda name, typecode, length: array(typecode, [0]) * length)
+    del neighbors[n_entries:]
+    return CSRAdjacency(offsets, neighbors, degrees)
+
+
+def _fill_csr(
+    pairs: Callable[[], Iterable[Tuple[int, int]]],
+    n_upper: int,
+    n_lower: int,
+    dedupe: bool,
+    allocate: Callable[[str, str, int], Any],
+) -> Tuple[Any, Any, Any, int]:
+    """The two-pass CSR build shared by the in-RAM and memmap backends.
+
+    ``allocate(name, typecode, length)`` returns a zero-filled, writable
+    buffer of ``length`` items (``name`` is ``"degrees"``, ``"offsets"`` or
+    ``"neighbors"``): an ``array`` for the in-RAM table, a file-backed
+    ``memoryview`` for :mod:`repro.bigraph.memmap`.  Returns the three
+    buffers and ``n_entries``; dedupe compacts rows towards the front, so
+    only the first ``n_entries`` neighbor slots are meaningful.
+    """
     if n_upper < 0 or n_lower < 0:
         raise GraphConstructionError("layer sizes must be non-negative")
     n = n_upper + n_lower
 
     # Pass 1: count per-vertex degrees (and validate index ranges).
-    degrees = array(_NEIGHBOR_TYPECODE, [0]) * n
+    degrees = allocate("degrees", _NEIGHBOR_TYPECODE, n)
     for u, v in pairs():
         if not 0 <= u < n_upper or not 0 <= v < n_lower:
             raise GraphConstructionError(
@@ -212,14 +235,14 @@ def csr_from_indexed_edges(
         degrees[u] += 1
         degrees[n_upper + v] += 1
 
-    offsets = array(_OFFSET_TYPECODE, [0]) * (n + 1)
+    offsets = allocate("offsets", _OFFSET_TYPECODE, n + 1)
     total = 0
     for i in range(n):
         total += degrees[i]
         offsets[i + 1] = total
 
     # Pass 2: scatter neighbor ids into their rows.
-    neighbors = array(_NEIGHBOR_TYPECODE, [0]) * total
+    neighbors = allocate("neighbors", _NEIGHBOR_TYPECODE, total)
     cursor = array(_OFFSET_TYPECODE, offsets)
     for u, v in pairs():
         gv = n_upper + v
@@ -250,6 +273,4 @@ def csr_from_indexed_edges(
         offsets[v] = row_start
         degrees[v] = write - row_start
     offsets[n] = write
-    if write < len(neighbors):
-        del neighbors[write:]
-    return CSRAdjacency(offsets, neighbors, degrees)
+    return offsets, neighbors, degrees, write

@@ -31,8 +31,7 @@ from typing import (
     Union,
 )
 
-from repro.bigraph.builder import GraphBuilder
-from repro.bigraph.csr import csr_from_indexed_edges
+from repro.bigraph.builder import GraphBuilder, _check_backend, _flat_graph
 from repro.bigraph.graph import BipartiteGraph
 from repro.exceptions import GraphConstructionError, InvalidParameterError
 from repro.resilience.atomic import atomic_writer
@@ -149,16 +148,10 @@ def read_edge_list(source: PathOrFile, dedupe: bool = True,
     path under every ``on_error`` setting and backend.
     """
     fault_site("io.read_edge_list")
-    if backend in ("csr", "memmap"):
+    _check_backend(backend, memmap_dir)
+    if backend != "list":
         return _read_edge_list_csr(source, dedupe, on_error, stats,
                                    backend=backend, memmap_dir=memmap_dir)
-    if backend != "list":
-        raise GraphConstructionError(
-            "unknown adjacency backend %r (expected 'list', 'csr' or"
-            " 'memmap')" % (backend,))
-    if memmap_dir is not None:
-        raise GraphConstructionError(
-            "memmap_dir only applies to backend='memmap'")
     builder = GraphBuilder()
     builder.add_edges(parse_edge_lines(_source_lines(source), on_error, stats))
     return builder.build(dedupe=dedupe)
@@ -206,21 +199,9 @@ def _read_edge_list_csr(source: PathOrFile, dedupe: bool,
 
     _consume(_source_lines(source))
 
-    n_upper = len(upper_labels)
-    n_lower = len(lower_labels)
-    if backend == "memmap":
-        from repro.bigraph.memmap import memmap_graph_from_indexed_edges
-
-        return memmap_graph_from_indexed_edges(
-            lambda: zip(us, vs), n_upper, n_lower, path=memmap_dir,
-            dedupe=dedupe, upper_labels=upper_labels,
-            lower_labels=lower_labels)
-    csr = csr_from_indexed_edges(
-        lambda: zip(us, vs), n_upper, n_lower, dedupe=dedupe)
-    return BipartiteGraph(n_upper, n_lower, csr,
-                          upper_labels=upper_labels,
-                          lower_labels=lower_labels,
-                          _validate=False)
+    return _flat_graph(lambda: zip(us, vs), len(upper_labels),
+                       len(lower_labels), dedupe, backend, memmap_dir,
+                       upper_labels, lower_labels)
 
 
 def write_edge_list(graph: BipartiteGraph, target: PathOrFile,

@@ -2,11 +2,13 @@
 
 ``backend="memmap"`` keeps the three CSR buffers
 (``offsets``/``neighbors``/``degrees``, see :mod:`repro.bigraph.csr`) in
-files under one directory and exposes them through ``np.memmap`` views, so
-a campaign touches graph pages on demand instead of holding the whole
-adjacency resident.  The buffers reach :class:`CSRAdjacency` as
-``memoryview`` wrappers — the same buffer-protocol route the shared-memory
-attach path uses — so every algorithm layer works unchanged.
+files under one directory and maps them with the standard library's
+:mod:`mmap`, so a campaign touches graph pages on demand instead of holding
+the whole adjacency resident.  The buffers reach :class:`CSRAdjacency` as
+``memoryview`` casts of the maps — the same buffer-protocol route the
+shared-memory attach path uses — so every algorithm layer works unchanged.
+The builder is the in-RAM two-pass routine of :mod:`repro.bigraph.csr`
+with file-backed output buffers.
 
 On-disk layout (one directory per graph)::
 
@@ -25,22 +27,20 @@ bare, unchecksummed object) are refused too.
 Lifecycle: :class:`MemmapStore` owns the maps and releases them in
 :meth:`MemmapStore.close`; :class:`MemmapCSRAdjacency` holds the store and
 forwards :meth:`MemmapCSRAdjacency.close`.  Graphs built into an unnamed
-temporary directory clean the files up when the store is collected.
-
-numpy is an optional dependency of this module only; constructors raise
-:class:`GraphConstructionError` when it is unavailable instead of breaking
-imports.
+temporary directory clean the files up when the store is collected, and a
+build that fails removes that directory at once.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import shutil
 import tempfile
 import weakref
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.bigraph.csr import CSRAdjacency
+from repro.bigraph.csr import CSRAdjacency, _fill_csr
 from repro.bigraph.graph import BipartiteGraph
 from repro.exceptions import GraphConstructionError
 from repro.resilience.envelope import (
@@ -63,33 +63,25 @@ __all__ = [
 MEMMAP_SCHEMA = 2
 
 _HEADER = "header.json"
-_FILES = (("offsets", "offsets.bin"), ("neighbors", "neighbors.bin"),
-          ("degrees", "degrees.bin"))
-
-
-def _require_numpy():
-    try:
-        import numpy
-    except ImportError as error:  # pragma: no cover - image ships numpy
-        raise GraphConstructionError(
-            "backend='memmap' requires numpy, which is not installed"
-        ) from error
-    return numpy
+#: buffer name -> (file name, item typecode, item size in bytes)
+_FILES = {"offsets": ("offsets.bin", "q", 8),
+          "neighbors": ("neighbors.bin", "i", 4),
+          "degrees": ("degrees.bin", "i", 4)}
 
 
 class MemmapStore:
     """Owner of the three file-backed buffer maps of one graph directory.
 
-    The store acquires its ``np.memmap`` views in :meth:`open` (called by
-    the constructor) and releases them in :meth:`close`; dropping every
-    external ``memoryview`` first is the caller's job (the adjacency does
-    this), after which the OS reclaims the mapping.  Safe to close twice.
+    The store maps its files in :meth:`open` (called by the constructor)
+    and releases the views in :meth:`close`; each view owns its
+    ``mmap.mmap``, so the OS reclaims a mapping once the last view over it
+    (the adjacency drops its own in :meth:`MemmapCSRAdjacency.close`) is
+    released.  Safe to close twice.
     """
 
     def __init__(self, path: "os.PathLike[str] | str") -> None:
         self.path = os.fspath(path)
         self.header = _read_header(self.path)
-        self._maps: List[object] = []
         self.offsets: Optional[memoryview] = None
         self.neighbors: Optional[memoryview] = None
         self.degrees: Optional[memoryview] = None
@@ -102,26 +94,25 @@ class MemmapStore:
         Before mapping, each body file's on-disk size is checked against
         the length the header promises (``>=``, not ``==`` — the
         neighbors file legitimately keeps a dead tail after dedupe
-        compaction).  A shorter file means the write was truncated or
-        the body was damaged after the header landed; that raises a
-        :class:`GraphConstructionError` naming the file instead of a
-        baffling mmap/IndexError deep inside a campaign.
+        compaction), and only the promised bytes are mapped.  A shorter
+        file means the write was truncated or the body was damaged after
+        the header landed; that raises a :class:`GraphConstructionError`
+        naming the file instead of a baffling mmap/IndexError deep inside
+        a campaign.
         """
-        np = _require_numpy()
         header = self.header
         n = int(header["n_upper"]) + int(header["n_lower"])
-        n_entries = int(header["n_entries"])
-        shapes = {"offsets": (n + 1,), "neighbors": (n_entries,),
-                  "degrees": (n,)}
-        dtypes = {"offsets": np.int64, "neighbors": np.int32,
-                  "degrees": np.int32}
-        formats = {"offsets": "q", "neighbors": "i", "degrees": "i"}
-        itemsizes = {"offsets": 8, "neighbors": 4, "degrees": 4}
-        for name, filename in _FILES:
-            if shapes[name][0] == 0:
+        lengths = {"offsets": n + 1, "neighbors": int(header["n_entries"]),
+                   "degrees": n}
+        views = {}
+        for name, (filename, typecode, itemsize) in _FILES.items():
+            if lengths[name] == 0:
+                # mmap refuses empty maps; an edge-free graph has an
+                # empty neighbor table, which needs no backing pages.
+                views[name] = memoryview(b"").cast(typecode)
                 continue
             file_path = os.path.join(self.path, filename)
-            needed = itemsizes[name] * shapes[name][0]
+            needed = itemsize * lengths[name]
             try:
                 actual = os.path.getsize(file_path)
             except OSError as error:
@@ -135,23 +126,11 @@ class MemmapStore:
                     "(%d entries of %d bytes); the graph directory is "
                     "corrupt — rebuild it with save_graph_memmap"
                     % (self.path, name, filename, actual, needed,
-                       shapes[name][0], itemsizes[name]))
-        views = {}
-        try:
-            for name, filename in _FILES:
-                if shapes[name][0] == 0:
-                    # mmap refuses empty files; an edge-free graph has an
-                    # empty neighbor table, which needs no backing pages.
-                    views[name] = memoryview(b"").cast(formats[name])
-                    continue
-                mapped = np.memmap(os.path.join(self.path, filename),
-                                   dtype=dtypes[name], mode="r",
-                                   shape=shapes[name])
-                self._maps.append(mapped)
-                views[name] = memoryview(mapped)
-        except (OSError, ValueError):
-            self.close()
-            raise
+                       lengths[name], itemsize))
+            with open(file_path, "rb") as handle:
+                views[name] = memoryview(mmap.mmap(
+                    handle.fileno(), needed,
+                    access=mmap.ACCESS_READ)).cast(typecode)
         self.offsets = views["offsets"]
         self.neighbors = views["neighbors"]
         self.degrees = views["degrees"]
@@ -167,7 +146,7 @@ class MemmapStore:
         return total
 
     def close(self) -> None:
-        """Release the views and drop the maps; safe to call twice.
+        """Release the three views, unmapping the files; safe to call twice.
 
         A caller that still holds row memoryviews keeps the pages mapped
         until those views die — same contract as the shared-memory attach
@@ -180,7 +159,6 @@ class MemmapStore:
             if view is not None:
                 view.release()
         self.offsets = self.neighbors = self.degrees = None
-        self._maps = []
 
     def __enter__(self) -> "MemmapStore":
         return self
@@ -280,7 +258,7 @@ def save_graph_memmap(graph: BipartiteGraph,
     assert isinstance(adj, CSRAdjacency)
     target = os.fspath(path)
     os.makedirs(target, exist_ok=True)
-    for name, filename in _FILES:
+    for name, (filename, _, _) in _FILES.items():
         buf = getattr(adj, name)
         with open(os.path.join(target, filename), "wb") as handle:
             if len(buf):
@@ -326,79 +304,51 @@ def memmap_graph_from_indexed_edges(
 ) -> BipartiteGraph:
     """Build a memmap-backed graph from per-layer index pairs, out of core.
 
-    The two-pass CSR construction of
-    :func:`repro.bigraph.csr.csr_from_indexed_edges` is replayed with the
-    output buffers file-backed from the start, so peak resident memory is
-    the caller's edge iterator plus one int64 cursor per vertex — never the
+    Runs the two-pass CSR construction of
+    :func:`repro.bigraph.csr.csr_from_indexed_edges` with the output
+    buffers file-backed from the start, so peak resident memory is the
+    caller's edge iterator plus one int64 cursor per vertex — never the
     neighbor table itself.  ``pairs`` is invoked twice (counts pass, fill
     pass), exactly like the in-RAM builder.
 
     ``path=None`` builds into a fresh temporary directory that is removed
-    when the returned graph's store is garbage-collected.
+    when the returned graph's store is garbage-collected, or at once when
+    the build fails.
     """
-    np = _require_numpy()
-    if n_upper < 0 or n_lower < 0:
-        raise GraphConstructionError("layer sizes must be non-negative")
     cleanup = path is None
     target = (tempfile.mkdtemp(prefix="repro-memmap-")
               if path is None else os.fspath(path))
-    os.makedirs(target, exist_ok=True)
-    n = n_upper + n_lower
+    views: List[memoryview] = []
+    maps: List[mmap.mmap] = []
 
-    degrees = np.memmap(os.path.join(target, "degrees.bin"),
-                        dtype=np.int32, mode="w+", shape=(max(1, n),))
-    degrees[:] = 0
-    for u, v in pairs():
-        if not 0 <= u < n_upper or not 0 <= v < n_lower:
-            raise GraphConstructionError(
-                "edge index out of range: (%d, %d) with layers (%d, %d)"
-                % (u, v, n_upper, n_lower))
-        degrees[u] += 1
-        degrees[n_upper + v] += 1
+    def allocate(name: str, typecode: str, length: int) -> memoryview:
+        # mmap refuses empty maps, so an empty buffer keeps one item of
+        # file; the header's counts say how much of each file is live.
+        filename, _, itemsize = _FILES[name]
+        size = itemsize * max(1, length)
+        with open(os.path.join(target, filename), "w+b") as handle:
+            handle.truncate(size)
+            maps.append(mmap.mmap(handle.fileno(), size))
+        views.append(memoryview(maps[-1]).cast(typecode)[:length])
+        return views[-1]
 
-    offsets = np.memmap(os.path.join(target, "offsets.bin"),
-                        dtype=np.int64, mode="w+", shape=(n + 1,))
-    offsets[0] = 0
-    if n:
-        np.cumsum(degrees[:n], out=offsets[1:])
-    total = int(offsets[n])
-
-    neighbors = np.memmap(os.path.join(target, "neighbors.bin"),
-                          dtype=np.int32, mode="w+",
-                          shape=(max(1, total),))
-    cursor = np.array(offsets[:n], dtype=np.int64, copy=True)
-    for u, v in pairs():
-        gv = n_upper + v
-        slot = cursor[u]
-        neighbors[slot] = gv
-        cursor[u] = slot + 1
-        slot = cursor[gv]
-        neighbors[slot] = u
-        cursor[gv] = slot + 1
-    del cursor
-
-    # Canonicalise: sort each row in place, drop (or reject) duplicates.
-    # Mirrors csr_from_indexed_edges; the dedupe-compacted tail of the
-    # neighbors file is simply never mapped on reload.
-    write = 0
-    for v in range(n):
-        start = int(offsets[v])
-        end = int(offsets[v + 1])
-        row = np.sort(neighbors[start:end])
-        if dedupe:
-            row = np.unique(row)
-        elif len(row) > 1 and (row[1:] == row[:-1]).any():
-            raise GraphConstructionError("duplicate edge with dedupe=False")
-        width = len(row)
-        neighbors[write:write + width] = row
-        offsets[v] = write
-        degrees[v] = width
-        write += width
-    offsets[n] = write
-
-    for mapped in (degrees, offsets, neighbors):
-        mapped.flush()
-    del degrees, offsets, neighbors
-    _write_header(target, n_upper, n_lower, write,
-                  upper_labels, lower_labels)
-    return load_graph_memmap(target, _cleanup_dir=cleanup)
+    try:
+        os.makedirs(target, exist_ok=True)
+        try:
+            n_entries = _fill_csr(pairs, n_upper, n_lower, dedupe,
+                                  allocate)[3]
+        finally:
+            # The failing frame may still hold the views: release them
+            # before the maps close.
+            for view in views:
+                view.release()
+            for mapped in maps:
+                mapped.flush()
+                mapped.close()
+        _write_header(target, n_upper, n_lower, n_entries,
+                      upper_labels, lower_labels)
+        return load_graph_memmap(target, _cleanup_dir=cleanup)
+    except BaseException:  # repro: boundary - drop a half-built temp dir
+        if cleanup:
+            shutil.rmtree(target, ignore_errors=True)
+        raise

@@ -44,3 +44,18 @@ def scan_counts_no_release(path, n):
     """Bound, but the mapping is never released on any path."""
     mapped = np.memmap(path, dtype="i4", mode="r", shape=(n,))  # resource-lifecycle violation
     return int(mapped[0])
+
+
+import mmap
+
+
+def peek_unbound(handle):
+    """A stdlib map dropped on the floor: never bound, never closed."""
+    mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)  # resource-lifecycle violation (unbound)
+    return handle
+
+
+def peek_no_release(handle):
+    """Bound, but the map is never closed on any path."""
+    mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)  # resource-lifecycle violation
+    return mapped[:4]

@@ -74,3 +74,23 @@ def open_counts(path, n):
 def register_map(maps, path, n):
     """The mapping escapes into a container the caller owns."""
     maps.append(np.memmap(path, dtype="i4", mode="r", shape=(n,)))
+
+
+import mmap
+
+
+class MappedFile:
+    """Owns one stdlib map; close() releases it."""
+
+    def __init__(self, handle):
+        self._map = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+
+    def close(self):
+        """Unmap the file."""
+        self._map.close()
+
+
+def map_view(handle, typecode):
+    """The map escapes into the view that owns it (the MemmapStore idiom)."""
+    return memoryview(mmap.mmap(handle.fileno(), 0,
+                                access=mmap.ACCESS_READ)).cast(typecode)

@@ -310,6 +310,17 @@ class TestResourceLifecycle:
         assert flow_violations("resource_lifecycle_ok.py",
                                "resource-lifecycle") == []
 
+    def test_stdlib_mmap_acquisitions_are_tracked(self):
+        found = flow_violations("resource_lifecycle_bad.py",
+                                "resource-lifecycle")
+        mmap_messages = [v.message for v in found
+                         if "mmap.mmap" in v.message]
+        assert any("never bound" in m for m in mmap_messages)
+        assert any("never released" in m for m in mmap_messages)
+        # The owning class and the escape into a view stay clean.
+        assert flow_violations("resource_lifecycle_ok.py",
+                               "resource-lifecycle") == []
+
     def test_owning_class_without_releaser_is_flagged(self):
         src = ('"""Holder without a close method leaks its segment."""\n\n'
                "from multiprocessing.shared_memory import SharedMemory\n\n\n"

@@ -10,9 +10,16 @@ built from the same edge stream.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
+import textwrap
 
 import pytest
+
+import repro
 
 from repro.bigraph import from_edge_list, read_edge_list, write_edge_list
 from repro.bigraph.memmap import (
@@ -193,23 +200,38 @@ class TestBodyValidation:
         with pytest.raises(GraphConstructionError, match="neighbors.bin"):
             load_graph_memmap(target)
 
-    def test_oversized_neighbors_file_is_fine(self, tmp_path):
+    @pytest.mark.parametrize("padding", [8, 3])
+    def test_oversized_neighbors_file_is_fine(self, tmp_path, padding):
         # The dedupe-compacted tail legitimately leaves the neighbors file
-        # longer than n_entries; padding must not be mistaken for damage.
+        # longer than n_entries; padding must not be mistaken for damage,
+        # even when it is not a whole number of entries.
         target = self.make_dir(tmp_path)
         body = tmp_path / "g" / "neighbors.bin"
-        body.write_bytes(body.read_bytes() + b"\x00" * 8)
+        body.write_bytes(body.read_bytes() + b"\x00" * padding)
         graph = load_graph_memmap(target)
         assert graph.n_edges == len(EDGES)
         graph.adjacency.close()
 
 
 class TestOutOfCoreBuilder:
-    def test_matches_in_ram_builder(self, tmp_path):
-        in_ram = from_edge_list(EDGES, n_upper=4, n_lower=3, backend="csr")
+    @pytest.mark.parametrize("edges, n_upper, n_lower", [
+        (EDGES, 4, 3),
+        ([], 0, 0),
+        (EDGES, 6, 5),
+        (EDGES + EDGES[:3], 4, 3),
+    ], ids=["plain", "empty", "trailing-isolated", "duplicates"])
+    def test_matches_in_ram_builder(self, tmp_path, edges, n_upper,
+                                    n_lower):
+        in_ram = from_edge_list(edges, n_upper=n_upper, n_lower=n_lower,
+                                backend="csr")
         built = memmap_graph_from_indexed_edges(
-            lambda: iter(EDGES), 4, 3, path=tmp_path / "g")
+            lambda: iter(edges), n_upper, n_lower, path=tmp_path / "g")
         same_structure(in_ram, built)
+        ram, disk = in_ram.adjacency, built.adjacency
+        assert list(disk.offsets) == list(ram.offsets)
+        assert list(disk.degrees) == list(ram.degrees)
+        n_entries = disk.store.header["n_entries"]
+        assert list(disk.neighbors[:n_entries]) == list(ram.neighbors)
         built.adjacency.close()
 
     def test_dedupe_collapses_duplicates(self, tmp_path):
@@ -231,6 +253,17 @@ class TestOutOfCoreBuilder:
                 lambda: iter([(5, 0)]), 4, 3, path=tmp_path / "g")
         with pytest.raises(GraphConstructionError, match="non-negative"):
             memmap_graph_from_indexed_edges(lambda: iter([]), -1, 3)
+
+    def test_failed_build_removes_its_temporary_directory(self, tmp_path,
+                                                          monkeypatch):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        with pytest.raises(GraphConstructionError, match="duplicate"):
+            from_edge_list([(0, 0), (0, 0)], backend="memmap", dedupe=False)
+        with pytest.raises(GraphConstructionError, match="out of range"):
+            memmap_graph_from_indexed_edges(lambda: iter([(5, 0)]), 4, 3)
+        assert list(scratch.iterdir()) == []
 
     def test_unnamed_temporary_directory(self):
         built = memmap_graph_from_indexed_edges(lambda: iter(EDGES), 4, 3)
@@ -255,6 +288,52 @@ class TestBackendThreading:
                             memmap_dir=str(tmp_path / "g"))
         same_structure(csr, mm)
         mm.adjacency.close()
+
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_memmap_dir_needs_the_memmap_backend(self, tmp_path, backend):
+        source = tmp_path / "edges.txt"
+        write_edge_list(from_edge_list(EDGES), source)
+        with pytest.raises(GraphConstructionError, match="memmap_dir"):
+            from_edge_list(EDGES, backend=backend, memmap_dir=str(tmp_path))
+        with pytest.raises(GraphConstructionError, match="memmap_dir"):
+            read_edge_list(source, backend=backend, memmap_dir=str(tmp_path))
+
+    def test_memmap_backend_needs_no_numpy(self, tmp_path):
+        script = textwrap.dedent("""\
+            import sys
+            sys.modules["numpy"] = None
+            import repro
+            from repro.bigraph import from_edge_list, read_edge_list
+            from repro.bigraph import write_edge_list
+            from repro.bigraph.memmap import load_graph_memmap
+
+            root = sys.argv[1]
+            edges = %r
+            csr = from_edge_list(edges, n_upper=4, n_lower=3, backend="csr")
+            built = from_edge_list(edges, n_upper=4, n_lower=3,
+                                   backend="memmap",
+                                   memmap_dir=root + "/built")
+            built.adjacency.close()
+            reopened = load_graph_memmap(root + "/built")
+            assert reopened.adjacency == csr.adjacency
+
+            write_edge_list(csr, root + "/edges.txt")
+            read = read_edge_list(root + "/edges.txt", backend="memmap",
+                                  memmap_dir=root + "/read")
+            read.adjacency.close()
+            reopened = load_graph_memmap(root + "/read")
+            read_csr = read_edge_list(root + "/edges.txt", backend="csr")
+            assert reopened.adjacency == read_csr.adjacency
+            print("ok")
+        """) % (EDGES,)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "ok"
 
 
 class TestFootprintAccounting:
