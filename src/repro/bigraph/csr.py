@@ -32,7 +32,8 @@ from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, 
 
 from repro.exceptions import GraphConstructionError
 
-__all__ = ["CSRAdjacency", "adjacency_arrays", "csr_from_indexed_edges"]
+__all__ = ["CSRAdjacency", "adjacency_arrays", "csr_from_indexed_edges",
+           "row_slices"]
 
 _OFFSET_TYPECODE = "q"   # 64-bit: safe past 2**31 total edge endpoints
 _NEIGHBOR_TYPECODE = "i"  # 32-bit vertex ids: 4 bytes per endpoint
@@ -177,6 +178,23 @@ def adjacency_arrays(
     if isinstance(adj, CSRAdjacency):
         return adj.offsets, adj.neighbors, adj.degrees
     return None
+
+
+def row_slices(graph: object,
+               vertices: Iterable[int]) -> Iterator[Sequence[int]]:
+    """The neighbor rows of ``vertices``, in their order.
+
+    On a CSR graph each row is a slice of the ``neighbors`` buffer, cut
+    without a method call per row (``CSRAdjacency.__getitem__`` is one);
+    on a list graph it is the row list itself.
+    """
+    arrays = adjacency_arrays(graph)
+    if arrays is None:
+        yield from map(getattr(graph, "adjacency").__getitem__, vertices)
+        return
+    offsets, neighbors = arrays[0], arrays[1]
+    for v in vertices:
+        yield neighbors[offsets[v]:offsets[v + 1]]
 
 
 def csr_from_indexed_edges(

@@ -24,6 +24,13 @@ converts a table first.
   how often the walk reached it: one ``bincount``.  The walk hands back
   only the members below a cap (outside order repair's current core),
   so the caller never filters the whole set in Python.
+* :meth:`Frontier.sweep` is the repair's core sweep over that open part
+  (and the whole-graph one of an order build): the levels below the cap
+  peel in rounds, as :meth:`Frontier.peel` does, and only the cap level,
+  whose removal order is the deletion order, runs its FIFO cascade in
+  Python over slices of the buffers.  It and :meth:`Frontier.renumber`
+  write core numbers and positions straight into the order state's
+  tables.
 
 The two-hop domination filter (Algorithm 3) uses the same gathers.
 :meth:`Frontier.undominated` decides every miss's survivor verdict
@@ -54,22 +61,40 @@ Scratch arrays are allocated per call, so threads that share one graph
 never shared) because it runs once per filter pass.  numpy is optional:
 :func:`frontier_for` returns ``None`` for list-backed graphs or when numpy
 is not installed, and callers keep their per-row loops for that case.
+This is the only module that imports numpy, and it does so on the first
+:func:`frontier_for` (or :func:`held_entries`) call, not on import.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import (Any, Callable, Collection, List, Optional, Sequence, Set,
-                    Tuple)
+from importlib.util import find_spec
+from typing import Any, Callable, Collection, List, Optional, Sequence, Tuple
 
 from repro.bigraph.csr import adjacency_arrays
 
-try:  # pragma: no cover - exercised implicitly by frontier_for()
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+__all__ = ["Frontier", "frontier_for", "held_entries"]
 
-__all__ = ["Frontier", "frontier_for"]
+#: Stands for numpy until the first :func:`frontier_for` call imports it.
+_PENDING = object()
+
+#: numpy, or ``None`` when it is not installed (tests set it to ``None``
+#: to hide numpy).  It is imported on first use, not with the package:
+#: numpy is most of ``import repro``'s time, and a process that never
+#: makes a frontier pass (a memmap reader, a CLI ``--help``) never pays.
+_np: Any = _PENDING if find_spec("numpy") is not None else None
+
+
+def _numpy() -> Any:
+    """numpy, imported on the first call, or ``None``."""
+    global _np
+    if _np is _PENDING:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - present but broken
+            numpy = None
+        _np = numpy
+    return _np
 
 
 def frontier_for(graph: object) -> Optional["Frontier"]:
@@ -79,12 +104,21 @@ def frontier_for(graph: object) -> Optional["Frontier"]:
     the rule :func:`repro.abcore.decomposition.anchored_abcore` follows
     for its vectorized full-graph peel.
     """
-    if _np is None:
-        return None
     arrays = adjacency_arrays(graph)
-    if arrays is None:
+    if arrays is None or _numpy() is None:
         return None
     return Frontier(arrays[0], arrays[1])
+
+
+def held_entries(position: array, start: int, stop: int) -> Optional[List[int]]:
+    """The ids ``v`` in ``[start, stop)`` with ``position[v] >= 0``, in
+    increasing order, from one pass over an order's ``array('q')`` table;
+    ``None`` when numpy is not importable."""
+    if _numpy() is None:
+        return None
+    held = _np.flatnonzero(_table(position)[start:stop] >= 0)
+    held += start
+    return held.tolist()
 
 
 class Frontier:
@@ -200,17 +234,19 @@ class Frontier:
     # ------------------------------------------------------------------
 
     def component(self, x: int, reach: array, level: int, numbers: array,
-                  cap: int) -> Tuple[Set[int], List[int]]:
+                  cap: int) -> Tuple[Any, Any]:
         """The vertices ``v`` connected to ``x`` through ``reach[v] >=
         level`` (``x`` itself always counts) that are open, ``numbers[v] <
-        cap``, and as an ``n``-long list each member's degree inside the
-        whole connected set, closed members included.
+        cap``, as a sorted index array, and as an ``n``-long int64 array
+        each member's degree inside the whole connected set, closed members
+        included.
 
         Closed vertices are walked through like any other member: they
         connect the open ones and count toward their degrees, but only the
         open members are handed back.  Every allowed neighbor of a member
         is a member, and each member's row is gathered once, so a member's
-        degree is the number of times it was reached.
+        degree is the number of times it was reached.  Both arrays feed
+        :meth:`sweep` as they are.
         """
         allowed = _table(reach) >= level
         allowed[x] = True
@@ -225,7 +261,117 @@ class Frontier:
         region = _np.concatenate(levels)
         degrees = _np.bincount(_np.concatenate(reached), minlength=self.n)
         open_part = region[_table(numbers).take(region) < cap]
-        return set(open_part.tolist()), degrees.tolist()
+        open_part.sort()
+        return open_part, degrees.astype(_np.int64, copy=False)
+
+    # ------------------------------------------------------------------
+    # Order repair (Algorithm 4)
+    # ------------------------------------------------------------------
+
+    def sweep(self, alpha: int, beta: int, side: str, n_upper: int,
+              anchors: Collection[int], members: Optional[Any],
+              start_level: int, degree: Optional[Any],
+              numbers: array) -> Tuple[List[int], List[int], List[int]]:
+        """:func:`repro.abcore.core_numbers.core_sweep` on this graph's
+        buffers: ``(sequence, relaxed_core, core)``, with each member's
+        capped core number written into the ``array('q')`` table
+        ``numbers``.
+
+        ``members`` is a sorted index array (``None``: every vertex) and
+        ``degree`` an ``n``-long int64 array of each member's degree
+        inside the swept region (``None``: the whole graph's degrees),
+        which the sweep decrements in place; ``start_level`` is
+        ``core_sweep``'s.  ``relaxed_core`` and ``core`` come back in
+        increasing id, ``sequence`` in removal order.
+
+        A level below the cap removes a *set*: every alive non-anchor
+        vertex outside the level's core, whatever the order of removal.
+        So those levels peel as :meth:`peel` does, in rounds that each
+        remove every violating vertex at once, and each level writes its
+        core number once.  Only the cap level's removal order matters: it
+        is the deletion order.  Its seeds (the violators, in increasing id)
+        come from one mask pass, and its FIFO cascade runs in Python over
+        slices of the buffers, because a cap cascade is typically many
+        rounds of a few vertices each, where a round's array calls cost
+        more than its Python loop.  A bipartite row holds only the other
+        layer, so the cascade reads one threshold per row.
+        """
+        n = self.n
+        int64 = _np.int64
+        if members is None:
+            members = _np.arange(n, dtype=_np.intp)
+            degree = _np.diff(self.offsets).astype(int64)
+        alive = _np.zeros(n, dtype=_np.uint8)
+        alive[members] = 1
+        # An anchor never peels: lift its degree above every threshold.
+        pinned = _np.fromiter(anchors, dtype=_np.intp, count=len(anchors))
+        degree[pinned[alive.take(pinned) == 1]] += _PINNED
+        vary_lower = side == "upper"
+        cap = beta if vary_lower else alpha
+        table = _table(numbers)
+        live = members
+        seeds = members
+        first = start_level + 1 if start_level else 0
+        for k in range(first, cap):
+            upper_min, lower_min = (alpha, k) if vary_lower else (k, beta)
+            removing = seeds[degree.take(seeds)
+                             < _np.where(seeds < n_upper, upper_min,
+                                         lower_min)]
+            while removing.size:
+                alive[removing] = 0
+                reached = self._gather(removing)[0]
+                touched, hits = _np.unique(reached[alive.take(reached) == 1],
+                                           return_counts=True)
+                degree[touched] -= hits
+                removing = touched[degree.take(touched)
+                                   < _np.where(touched < n_upper, upper_min,
+                                               lower_min)]
+            kept = alive.take(live) == 1
+            table[live[~kept]] = k - 1 if k else 0
+            live = live[kept]
+            # Past the first level only the varied layer can violate.
+            split = _np.searchsorted(live, n_upper)
+            seeds = live[split:] if vary_lower else live[:split]
+
+        if first > cap:  # Nothing to peel: every member keeps the cap.
+            table[members] = cap
+            return [], members.tolist(), members.tolist()
+        # The cap level: a FIFO cascade from the relaxed core.
+        upper_min, lower_min = (alpha, cap) if vary_lower else (cap, beta)
+        removing = seeds[degree.take(seeds)
+                         < _np.where(seeds < n_upper, upper_min, lower_min)]
+        alive[removing] = 0
+        queue = removing.tolist()
+        flags = bytearray(alive)
+        deg = degree.tolist()
+        offsets = memoryview(self.offsets)
+        neighbors = memoryview(self.neighbors)
+        push = queue.append
+        for v in queue:  # hot-loop
+            least = lower_min if v < n_upper else upper_min
+            for w in neighbors[offsets[v]:offsets[v + 1]]:
+                if flags[w]:
+                    d = deg[w] - 1
+                    deg[w] = d
+                    if d < least:
+                        flags[w] = 0
+                        push(w)
+        kept = _np.frombuffer(flags, dtype=_np.uint8).take(live) == 1
+        table[live] = _np.where(kept, cap, cap - 1)
+        return queue, live.tolist(), live[kept].tolist()
+
+    def renumber(self, position: array, region: Any,
+                 sequence: List[int], start: int) -> List[int]:
+        """Drop every entry of ``region`` (a sorted index array) from the
+        ``array('q')`` table ``position``, then number ``sequence``
+        ``start, start + 1, ...``.  Returns the members of ``region`` that
+        held an entry before, in increasing id."""
+        table = _table(position)
+        held = region[table.take(region) >= 0].tolist()
+        table[region] = -1
+        at = _np.fromiter(sequence, dtype=_np.intp, count=len(sequence))
+        table[at] = _np.arange(start, start + at.size, dtype=_np.int64)
+        return held
 
     def order_paths(self, sources: Sequence[int], position: array,
                     slot: Any) -> Tuple[List[int], List[int],
@@ -431,6 +577,11 @@ class Frontier:
         failed[pair_of[missing]] = True
         verdict[pair_x[~failed]] = False
         return verdict.tolist()
+
+
+#: Added to an anchor's degree so that no decrement brings it below a
+#: threshold: anchors never peel.
+_PINNED = 1 << 62
 
 
 def _table(values: array) -> Any:

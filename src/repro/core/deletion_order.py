@@ -23,6 +23,8 @@ from itertools import compress, count
 from typing import Collection, Dict, Iterable, List, Optional, Set
 
 from repro.abcore.decomposition import anchored_abcore, peel_with_order
+from repro.bigraph.csr import row_slices
+from repro.bigraph.frontier import held_entries
 from repro.bigraph.graph import BipartiteGraph
 from repro.bigraph.kernel import walk_counts
 
@@ -94,8 +96,11 @@ class DeletionOrder:
         """
         layer = (graph.upper_vertices() if self.side == "upper"
                  else graph.lower_vertices())
-        held = map(_HOLDS_ENTRY, self.position[layer.start:layer.stop])
-        return list(compress(layer, held))
+        held = held_entries(self.position, layer.start, layer.stop)
+        if held is not None:
+            return held
+        return list(compress(
+            layer, map(_HOLDS_ENTRY, self.position[layer.start:layer.stop])))
 
     def deleted_in_order(self) -> List[int]:
         """Shell vertices sorted by increasing deletion position."""
@@ -122,19 +127,14 @@ def zero_order_anchors(
     Lines 23 and 25).
     """
     placed = set(placed_anchors)
-    want_upper = side == "upper"
-    is_upper = graph.is_upper
-    neighbors = graph.neighbors  # hoisted: one row fetch per shell vertex
+    other = graph.is_lower if side == "upper" else graph.is_upper
     zeros: Set[int] = set()
     # Bipartite: a want-side neighbor only ever hangs off an opposite-side
     # shell vertex, so same-side rows are skipped wholesale.
-    for v in shell_sequence:
-        if is_upper(v) == want_upper:
-            continue
-        for w in neighbors(v):
-            if w in relaxed_core or w in placed:
-                continue
-            zeros.add(w)
+    for row in row_slices(graph, filter(other, shell_sequence)):
+        zeros.update(row)
+    zeros -= relaxed_core
+    zeros -= placed
     return zeros
 
 

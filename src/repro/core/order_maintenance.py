@@ -37,10 +37,11 @@ Equivalence with full recomputation is property-tested in
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Collection, Dict, Optional, Sequence, Set, Tuple
 
 from repro.abcore.core_numbers import core_sweep
 from repro.abcore.decomposition import anchored_abcore
+from repro.bigraph.csr import row_slices
 from repro.bigraph.frontier import Frontier, frontier_for
 from repro.bigraph.graph import BipartiteGraph
 from repro.core.deletion_order import (DeletionOrder, compute_order,
@@ -117,16 +118,26 @@ class OrderState:
         """One side's full order and core numbers from a whole-graph sweep.
 
         The sweep's cap-level sequence is ``compute_order``'s peel of the
-        relaxed core, so the order is the one ``compute_order`` builds.
+        relaxed core, so the order is the one ``compute_order`` builds.  On
+        CSR graphs (with numpy) the sweep is :meth:`Frontier.sweep`, which
+        writes the core numbers into the table itself.
         """
-        sweep = core_sweep(self.graph, self.alpha, self.beta, side,
-                           self.anchors)
-        order = order_from_peel(self.graph, self.alpha, self.beta, side,
-                                self.anchors, sweep.sequence, sweep.core,
-                                sweep.relaxed_core)
-        numbers = array("q", [0]) * self.graph.n_vertices
-        for v, k in sweep.numbers.items():
-            numbers[v] = k
+        graph, alpha, beta = self.graph, self.alpha, self.beta
+        numbers = array("q", [0]) * graph.n_vertices
+        walk = frontier_for(graph)
+        if walk is None:
+            sweep = core_sweep(graph, alpha, beta, side, self.anchors)
+            for v, k in sweep.numbers.items():
+                numbers[v] = k
+            sequence, relaxed, core = (sweep.sequence, sweep.relaxed_core,
+                                       sweep.core)
+        else:
+            sequence, relaxed_ids, core_ids = walk.sweep(
+                alpha, beta, side, graph.n_upper, self.anchors, None, 0,
+                None, numbers)
+            relaxed, core = set(relaxed_ids), set(core_ids)
+        order = order_from_peel(graph, alpha, beta, side, self.anchors,
+                                sequence, core, relaxed)
         return order, numbers
 
     def clone_pristine(self, maintain: Optional[bool] = None) -> "OrderState":
@@ -264,14 +275,16 @@ class OrderState:
         dirty: Set[int] = set()
         flipped: Set[int] = set()
         ordered = sorted(fresh, key=lambda x: (start_levels[x], x))
+        walk = frontier_for(self.graph)
         self._level0_core = None  # per-batch cache for _affected_graph
         for x in ordered:
             if x in covered or x in core:
                 continue
             region, degrees = self._affected_graph(side, x, start_levels[x])
+            members = region if walk is None else region.tolist()
             grown, changed, shell_flips = self._repair_region(
-                side, region, degrees, level=max(1, start_levels[x]))
-            covered |= region
+                side, region, members, degrees, max(1, start_levels[x]), walk)
+            covered.update(members)
             joined |= grown
             dirty |= changed
             flipped |= shell_flips
@@ -281,21 +294,22 @@ class OrderState:
         return joined, dirty
 
     def _affected_graph(self, side: str, x: int, level: int,
-                        ) -> Tuple[Set[int], List[int]]:
+                        ) -> Tuple[Any, Any]:
         """BFS from ``x`` restricted to core numbers ≥ ``level`` (Line 2).
 
         Returns the region's *open part* ``R° = region ∖ C``, where ``C``
         is the side's current anchored core (the vertices whose capped
-        core number is the cap), and, as an ``n_vertices``-long list, each
-        region member's degree inside the whole region, ``C`` members
-        included: the walk tests every edge of the region anyway, so it
-        counts them for :func:`core_sweep`.  The walk runs through ``C``,
-        which connects the open vertices.  On CSR graphs (with numpy) the
-        walk is one level-synchronous
-        :class:`repro.bigraph.frontier.Frontier` pass per BFS level over
-        the core-number tables and the frontier hands back ``R°`` itself;
-        on list graphs it is a row loop that collects ``R°`` as it marks
-        members.
+        core number is the cap), and, ``n_vertices`` long, each region
+        member's degree inside the whole region, ``C`` members included:
+        the walk tests every edge of the region anyway, so it counts them
+        for the sweep.  The walk runs through ``C``, which connects the
+        open vertices.  On CSR graphs (with numpy) it is one
+        level-synchronous :meth:`Frontier.component` pass per BFS level
+        over the core-number tables, which hands back ``R°`` as a sorted
+        index array and the degrees as an array, both ready for
+        :meth:`Frontier.sweep`; on list graphs it is a row loop that
+        collects ``R°`` as a set as it marks members and the degrees in a
+        list.
 
         For ``level = 0`` the stored core numbers are vacuous, so the walk is
         instead confined to the (α,1)-core (upper side) / (1,β)-core (lower
@@ -370,18 +384,22 @@ class OrderState:
             table[v] = 1
         return table
 
-    def _repair_region(self, side: str, region: Set[int],
-                       degrees: List[int], level: int,
+    def _repair_region(self, side: str, region: Any, members: Collection[int],
+                       degrees: Any, level: int, walk: Optional[Frontier],
                        ) -> Tuple[Set[int], Set[int], Set[int]]:
         """Recompute core numbers and order positions in one region's open
-        part ``region = R°`` (the affected graph less the current core).
+        part ``R°`` (the affected graph less the current core).
 
-        ``level`` is the placed anchor's old core number (at least 1): every
-        region member has a core number ≥ ``level``, so one
-        :func:`core_sweep` from there (Algorithm 4, Line 4) yields the
-        region's core numbers, relaxed core, core and — as its cap-level
-        removal sequence — the region's deletion order, numbered from the
-        side's counter upward.
+        ``region`` is ``R°`` as :meth:`_affected_graph` returns it and
+        ``members`` its vertices as Python ints.  ``level`` is the placed
+        anchor's old core number (at least 1): every region member has a
+        core number ≥ ``level``, so one sweep from there (Algorithm 4,
+        Line 4) yields the region's core numbers, relaxed core, core and —
+        as its cap-level removal sequence — the region's deletion order,
+        numbered from the side's counter upward.  With a frontier ``walk``
+        the sweep is :meth:`Frontier.sweep`, and it and
+        :meth:`Frontier.renumber` write the tables in place; otherwise it
+        is :func:`core_sweep`, the oracle, written back here.
 
         Sweeping ``R°`` alone gives what a sweep of the whole affected
         graph gives, restricted to ``R°``.  The current core ``C`` only
@@ -408,33 +426,43 @@ class OrderState:
         ever deleted or (re)assigned here, so vertices outside it cannot
         change.
         """
-        sweep = core_sweep(self.graph, self.alpha, self.beta, side,
-                           self.anchors, region, level, degrees)
-        sequence = sweep.sequence
+        graph, alpha, beta = self.graph, self.alpha, self.beta
         if side == "upper":
             order, numbers = self.upper, self.core_u
             start = self._counter_u + 1
-            self._counter_u += len(sequence)
         else:
             order, numbers = self.lower, self.core_l
             start = self._counter_l + 1
-            self._counter_l += len(sequence)
-        for v, k in sweep.numbers.items():
-            numbers[v] = k
-
-        # Fresh order positions for the open part, numbered above everything.
         position = order.position
-        changed = {v for v in region if position[v] >= 0}
-        for v in region:
-            position[v] = -1
-        for p, v in enumerate(sequence, start):
-            position[v] = p
+        if walk is not None:
+            sequence, relaxed_part, joined = walk.sweep(
+                alpha, beta, side, graph.n_upper, self.anchors, region,
+                level, degrees, numbers)
+            held = walk.renumber(position, region, sequence, start)
+        else:
+            sweep = core_sweep(graph, alpha, beta, side, self.anchors,
+                               region, level, degrees)
+            sequence, relaxed_part, joined = (sweep.sequence,
+                                              sweep.relaxed_core, sweep.core)
+            for v, k in sweep.numbers.items():
+                numbers[v] = k
+            held = [v for v in region if position[v] >= 0]
+            for v in region:
+                position[v] = -1
+            for p, v in enumerate(sequence, start):
+                position[v] = p
+        if side == "upper":
+            self._counter_u += len(sequence)
+        else:
+            self._counter_l += len(sequence)
+
+        changed = set(held)
         flipped = changed.symmetric_difference(sequence)
         relaxed = order.relaxed_core
-        relaxed -= region
-        relaxed |= sweep.relaxed_core
-        changed |= sweep.relaxed_core
-        return sweep.core, changed, flipped
+        relaxed.difference_update(members)
+        relaxed.update(relaxed_part)
+        changed.update(relaxed_part)
+        return set(joined), changed, flipped
 
     def _refresh_zero_entries(self, side: str, touched: Set[int],
                               flipped: Set[int]) -> Set[int]:
@@ -460,7 +488,6 @@ class OrderState:
         relaxed = order.relaxed_core
         anchors = self.anchors
         graph = self.graph
-        row_of = graph.adjacency.__getitem__
         own, other = ((graph.is_upper, graph.is_lower) if side == "upper"
                       else (graph.is_lower, graph.is_upper))
         # A touched vertex holds no zero entry after the repair (an open
@@ -468,15 +495,18 @@ class OrderState:
         # member holds none), so inside the relaxed core it stays
         # non-zero.  A bipartite row holds only the other layer.
         around = set(filter(own, touched - relaxed))
-        for v in filter(other, flipped):
-            around.update(row_of(v))
+        for row in row_slices(graph, filter(other, flipped)):
+            around.update(row)
         churn: Set[int] = set()
         # Order-free: each test reads other-layer entries only, and every
         # write is an own-layer entry.
+        # ``rows`` walks ``around`` in the same order as the loop does.
+        rows = row_slices(graph, around)
         for w in around:  # repro: ignore[determinism]
+            row = next(rows)
             zero = False
             if w not in relaxed and w not in anchors:
-                for v in row_of(w):
+                for v in row:
                     if position[v] > 0:
                         zero = True
                         break

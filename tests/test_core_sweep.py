@@ -9,12 +9,13 @@ sweep's numbers, relaxed core, cap-level removal sequence and core.
 
 import copy
 import random
+from array import array
 
 import pytest
 
 from repro.abcore import anchored_abcore
-from repro.abcore.core_numbers import core_sweep
-from repro.bigraph import from_edge_list
+from repro.abcore.core_numbers import CoreSweep, core_sweep
+from repro.bigraph import frontier, from_edge_list
 from repro.core import OrderState, compute_order, order_maintenance
 
 from conftest import random_bigraph, table_dict
@@ -58,8 +59,16 @@ def oracle(graph, alpha, beta, side, anchors, subset, start_level):
 
 def assert_sweep_matches_oracle(graph, alpha, beta, side, anchors,
                                 subset=None, start_level=0, degrees=None):
+    """On CSR graphs with numpy, ``Frontier.sweep`` too."""
+    arrays = None
+    if frontier.frontier_for(graph) is not None:
+        arrays = frontier_sweep(graph, alpha, beta, side, anchors, subset,
+                                start_level,
+                                None if degrees is None else list(degrees))
     sweep = core_sweep(graph, alpha, beta, side, anchors, subset,
                        start_level, degrees)
+    if arrays is not None:
+        assert arrays == sweep
     numbers, order = oracle(graph, alpha, beta, side, anchors, subset,
                             start_level)
     assert sweep.numbers == numbers
@@ -67,6 +76,37 @@ def assert_sweep_matches_oracle(graph, alpha, beta, side, anchors,
     assert sweep.sequence == order.deleted_in_order()
     assert sweep.core == order.core
     return sweep
+
+
+def frontier_sweep(graph, alpha, beta, side, anchors, subset=None,
+                   start_level=0, degrees=None):
+    """``Frontier.sweep`` read back as a :class:`CoreSweep`: the numbers it
+    wrote into a table that starts at -1, restricted to the swept set."""
+    walk = frontier.frontier_for(graph)
+    assert walk is not None
+    import numpy as np
+    table = array("q", [-1]) * graph.n_vertices
+    members = None
+    if subset is not None:
+        members = np.array(sorted(subset), dtype=np.intp)
+        if degrees is None:
+            degrees = induced_degrees(graph, set(subset))
+        degrees = np.array(degrees, dtype=np.int64)
+    sequence, relaxed, core = walk.sweep(alpha, beta, side, graph.n_upper,
+                                         anchors, members, start_level,
+                                         degrees, table)
+    swept = range(graph.n_vertices) if subset is None else subset
+    assert relaxed == sorted(relaxed) and core == sorted(core)
+    return CoreSweep({v: table[v] for v in swept}, set(relaxed), sequence,
+                     set(core))
+
+
+def walked(state, side, x, level):
+    """``OrderState._affected_graph`` on the state's own path, as a set and
+    a list whichever path ran (index arrays on the frontier path)."""
+    state._level0_core = None
+    region, degrees = state._affected_graph(side, x, level)
+    return set(map(int, region)), [int(d) for d in degrees]
 
 
 def induced_degrees(graph, region):
@@ -165,7 +205,19 @@ def test_every_start_level_up_to_the_cap(seed, alpha, beta):
     region's varied-``s`` core.  Whole components of the (anchored)
     level-``s`` core qualify.
     """
-    g = random_bigraph(100 + seed, density=0.4)
+    sweep_every_start_level(random_bigraph(100 + seed, density=0.4), seed,
+                            alpha, beta)
+
+
+@pytest.mark.parametrize("seed,alpha,beta", CASES)
+def test_every_start_level_up_to_the_cap_on_csr(seed, alpha, beta):
+    """The same regions on the CSR graph, where ``Frontier.sweep`` must
+    match ``core_sweep`` and the oracle too."""
+    sweep_every_start_level(random_bigraph(100 + seed, density=0.4).to_csr(),
+                            seed, alpha, beta)
+
+
+def sweep_every_start_level(g, seed, alpha, beta):
     rng = random.Random(seed)
     anchors = rng.sample(list(g.vertices()), 2)
     for side in ("upper", "lower"):
@@ -204,8 +256,7 @@ def test_regions_from_order_repair(seed, backend):
             numbers = table_dict(state.core_u if side == "upper"
                                  else state.core_l)
             whole = affected_region(state, side, x, start[side])
-            open_part, degrees = state._affected_graph(side, x, start[side])
-            state._level0_core = None
+            open_part, degrees = walked(state, side, x, start[side])
             assert x in whole
             closed = whole & state.core
             assert closed == {v for v in whole if numbers.get(v, 0) == cap}
@@ -218,9 +269,12 @@ def test_regions_from_order_repair(seed, backend):
             assert_sweep_matches_oracle(g, alpha, beta, side, state.anchors,
                                         subset=whole, start_level=level,
                                         degrees=list(degrees))
-            assert_open_sweep_matches_whole(g, alpha, beta, side,
-                                            state.anchors, whole, closed,
-                                            level, degrees)
+            part = assert_open_sweep_matches_whole(g, alpha, beta, side,
+                                                   state.anchors, whole,
+                                                   closed, level, degrees)
+            if frontier.frontier_for(g) is not None:
+                assert frontier_sweep(g, alpha, beta, side, state.anchors,
+                                      open_part, level, degrees) == part
             checked += 1
         state.anchors.discard(x)
         state.apply_anchor(x)
@@ -238,7 +292,9 @@ def test_repairs_sweep_only_the_open_part(seed, backend, monkeypatch):
     """Every repair sweep of ``apply_anchor`` and of FILVER++ batches of
     2-3 anchors runs over the open part of its affected graph: disjoint
     from the core before that repair, and equal to the whole region's
-    sweep with the same degrees, restricted to the open part."""
+    sweep with the same degrees, restricted to the open part.  The list
+    graph's repairs run ``core_sweep``; the CSR graph's run
+    ``Frontier.sweep``, whose table writes must equal that sweep too."""
     rng = random.Random(seed)
     g = (two_components(300 + seed) if seed % 2 == 0
          else random_bigraph(300 + seed, n1_range=(10, 20),
@@ -262,11 +318,8 @@ def test_repairs_sweep_only_the_open_part(seed, backend, monkeypatch):
     batch = {}
     seen = {"sweeps": 0, "closed": 0}
 
-    def sweep_spy(graph, alpha, beta, side, anchors=(), subset=None,
-                  start_level=0, degrees=None):
-        if subset is None:  # a whole-graph rebuild, not a repair
-            return core_sweep(graph, alpha, beta, side, anchors, subset,
-                              start_level, degrees)
+    def check_repair(side, anchors, subset, start_level, degrees):
+        """The oracle sweep of one repair, after checking its region."""
         walked_side, whole = walks[-1]
         assert walked_side == side
         cap = beta if side == "upper" else alpha
@@ -278,18 +331,45 @@ def test_repairs_sweep_only_the_open_part(seed, backend, monkeypatch):
         closed = whole & pre_core
         assert set(subset) == whole - closed
         part = assert_open_sweep_matches_whole(
-            graph, alpha, beta, side, anchors, whole, closed, start_level,
+            g, alpha, beta, side, anchors, whole, closed, start_level,
             degrees)
+        batch[side] |= part.core
+        seen["sweeps"] += 1
+        seen["closed"] += len(closed)
+        return part
+
+    def sweep_spy(graph, alpha, beta, side, anchors=(), subset=None,
+                  start_level=0, degrees=None):
+        if subset is None:  # a whole-graph rebuild, not a repair
+            return core_sweep(graph, alpha, beta, side, anchors, subset,
+                              start_level, degrees)
+        part = check_repair(side, anchors, subset, start_level,
+                            list(degrees))
         sweep = core_sweep(graph, alpha, beta, side, anchors, subset,
                            start_level, degrees)
         assert sweep == part
-        batch[side] |= sweep.core
-        seen["sweeps"] += 1
-        seen["closed"] += len(closed)
         return sweep
+
+    real_sweep = frontier.Frontier.sweep
+
+    def array_spy(self, alpha, beta, side, n_upper, anchors, members,
+                  start_level, degree, numbers):
+        if members is None:  # a whole-graph rebuild, not a repair
+            return real_sweep(self, alpha, beta, side, n_upper, anchors,
+                              members, start_level, degree, numbers)
+        subset = members.tolist()
+        part = check_repair(side, anchors, subset, start_level,
+                            degree.tolist())
+        out = real_sweep(self, alpha, beta, side, n_upper, anchors, members,
+                         start_level, degree, numbers)
+        sequence, relaxed, core = out
+        assert CoreSweep({v: numbers[v] for v in subset}, set(relaxed),
+                         sequence, set(core)) == part
+        return out
 
     monkeypatch.setattr(OrderState, "_affected_graph", walk_spy)
     monkeypatch.setattr(order_maintenance, "core_sweep", sweep_spy)
+    monkeypatch.setattr(frontier.Frontier, "sweep", array_spy)
     # Vertices outside the core, and one inside it, which changes nothing.
     pool = [v for v in g.vertices() if v not in state.core]
     rng.shuffle(pool)
@@ -313,8 +393,7 @@ def row_walk(state, side, x, level):
     """The same walk on a list-backed twin of ``state`` (the row loop)."""
     twin = copy.copy(state)
     twin.graph = state.graph.to_list()
-    twin._level0_core = None
-    return twin._affected_graph(side, x, level)
+    return walked(twin, side, x, level)
 
 
 @pytest.mark.parametrize("backend", ["list", "csr"])
@@ -329,8 +408,7 @@ def test_walk_from_an_anchor_with_an_empty_row(backend):
     state.anchors.add(x)
     for side in ("upper", "lower"):
         for level in (0, 1, 2):
-            state._level0_core = None
-            region, degrees = state._affected_graph(side, x, level)
+            region, degrees = walked(state, side, x, level)
             assert region == {x}
             assert degrees == [0] * g.n_vertices
             if backend == "csr":

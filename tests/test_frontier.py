@@ -31,7 +31,8 @@ def campaign(graph):
 
 
 def count_passes(monkeypatch):
-    calls = {"component": 0, "undominated": 0, "order_paths": 0}
+    calls = {"component": 0, "sweep": 0, "renumber": 0, "undominated": 0,
+             "order_paths": 0}
     for name in calls:
         real = getattr(frontier.Frontier, name)
 
@@ -45,17 +46,20 @@ def count_passes(monkeypatch):
 
 def test_row_path_campaign_equals_frontier_path(monkeypatch):
     """FILVER++ on a CSR graph exports the same canonical JSON with the
-    numpy path turned off, and only the numpy path makes frontier passes."""
+    numpy path turned off and on the list graph, and only the numpy path on
+    CSR makes frontier passes: order repair's walks, sweeps and
+    renumberings among them."""
     g = planted_core_graph(alpha=3, beta=3, core_upper=8, core_lower=8,
                            n_chains=12, max_chain_length=8,
                            seed=31).to_csr()
     calls = count_passes(monkeypatch)
     fast = campaign(g)
-    assert calls["component"] > 0 and calls["undominated"] > 0
-    assert calls["order_paths"] > 0
+    assert all(calls.values()), calls
+    before = dict(calls)
+    assert campaign(g.to_list()) == fast
+    assert calls == before
     monkeypatch.setattr(frontier, "_np", None)
     assert frontier.frontier_for(g) is None
-    before = dict(calls)
     assert campaign(g) == fast
     assert calls == before
 
