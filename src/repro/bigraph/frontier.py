@@ -62,7 +62,9 @@ never shared) because it runs once per filter pass.  numpy is optional:
 :func:`frontier_for` returns ``None`` for list-backed graphs or when numpy
 is not installed, and callers keep their per-row loops for that case.
 This is the only module that imports numpy, and it does so on the first
-:func:`frontier_for` (or :func:`held_entries`) call, not on import.
+:func:`frontier_for` (or :func:`held_entries`) call, not on import;
+:mod:`repro.bigraph.components` gets numpy from :func:`_numpy` too, for
+its shard-setup passes.
 """
 
 from __future__ import annotations

@@ -233,13 +233,10 @@ def shard_views(graph: BipartiteGraph, shards: Optional[int],
         decomposition = ComponentDecomposition(graph)
         plan = plan_shards(decomposition.sizes, shards)
         if len(plan) > 1:
-            # component label -> owning shard index, for routing anchors.
-            shard_of = {component: index for index, components
-                        in enumerate(plan) for component in components}
-            labels = decomposition.labels
+            # Each vertex's shard index, for routing anchors.
+            shard_of = decomposition.group_of_vertex(plan)
             return ([decomposition.subgraph_view(components)
-                     for components in plan],
-                    lambda gx: shard_of[labels[gx]])
+                     for components in plan], shard_of.__getitem__)
     return [IdentityView(graph)], lambda gx: 0
 
 

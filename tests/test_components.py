@@ -1,34 +1,44 @@
 """Tests for connected-component labeling and subgraph views.
 
-Three layers: unit tests of :func:`component_labels` /
+Four layers: unit tests of :func:`component_labels` /
 :func:`component_sizes` (singleton vertices, one giant component,
 backend-independence of the canonical numbering), the
 :class:`SubgraphView` id maps (global↔local round-trips, monotone
-renumbering, whole-component closure), and the metamorphic guarantee the
-sharded substrate is built on — permuting the component assembly order
-never changes what a sharded campaign computes relative to the serial
-engine on the same graph, and maps to the same anchor *labels* across
-permutations.
+renumbering, whole-component closure), the differential test of the
+array passes (CSR graphs with numpy, in RAM and memmap) against the row
+loops (list graphs, and CSR graphs with numpy hidden), and the
+metamorphic guarantee the sharded substrate is built on — permuting the
+component assembly order never changes what a sharded campaign computes
+relative to the serial engine on the same graph, and maps to the same
+anchor *labels* across permutations.
 """
 
+import contextlib
 import itertools
 import json
+import pathlib
+import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bigraph import disjoint_union, from_edge_list
+from repro.bigraph import disjoint_union, frontier, from_edge_list
 from repro.bigraph.components import (
     ComponentDecomposition,
     component_labels,
     component_sizes,
     decompose,
 )
+from repro.bigraph.stats import memory_footprint
 from repro.core.api import reinforce
+from repro.core.sharded import plan_shards, shard_views
 from repro.exceptions import InvalidParameterError
 from repro.experiments.export import canonical_result_dict
 from repro.generators.planted import planted_core_graph
 
-from conftest import random_bigraph
+from conftest import bipartite_graphs, random_bigraph
 
 
 def path_with_isolates():
@@ -127,6 +137,198 @@ class TestSubgraphView:
     def test_sizes_are_cached(self):
         decomposition = ComponentDecomposition(path_with_isolates())
         assert decomposition.sizes is decomposition.sizes
+
+    def test_view_holds_no_per_vertex_map(self):
+        view = self.decomposition().subgraph_view([0])
+        assert not hasattr(view, "__dict__")
+        assert set(view.__slots__) == {"components", "to_global", "graph"}
+        assert 6 not in view and -1 not in view and 99 not in view
+        with pytest.raises(KeyError):
+            view.localize([0, 6])
+
+    def test_router_reads_each_vertex_shard(self):
+        graph = path_with_isolates().to_csr()
+        views, route = shard_views(graph, 2)
+        for v in range(graph.n_vertices):
+            assert v in views[route(v)]
+
+
+class TestFootprintRows:
+    """``memory_footprint(per_component=True)`` is a JSON report: its rows
+    must hold plain ints on every backend, never numpy scalars."""
+
+    @pytest.mark.parametrize("backend", ["list", "csr", "memmap"])
+    def test_per_component_rows_are_plain_ints(self, backend, tmp_path):
+        graph = with_backend(two_parts_with_isolates(), backend, tmp_path)
+        footprint = memory_footprint(graph, per_component=True)
+        json.dumps(footprint)
+        rows = footprint["components"]
+        assert sum(row["n_edges"] for row in rows) == graph.n_edges
+        for row in rows:
+            assert all(type(value) is int for value in row.values()), row
+        for triple in component_sizes(graph):
+            assert all(type(value) is int for value in triple), triple
+        close(graph)
+
+
+def two_parts_with_isolates():
+    """Two random components' worth of edges plus isolated vertices on
+    both sides."""
+    return disjoint_union([random_bigraph(3, density=0.3),
+                           path_with_isolates(),
+                           random_bigraph(8, density=0.2)])
+
+
+def with_backend(graph, backend, directory):
+    """``graph`` rebuilt from its edge stream on ``backend``."""
+    if backend == "list":
+        return graph
+    edges = [(u, v - graph.n_upper) for u, v in graph.edges()]
+    return from_edge_list(edges, n_upper=graph.n_upper,
+                          n_lower=graph.n_lower, backend=backend,
+                          memmap_dir=str(directory / "g")
+                          if backend == "memmap" else None)
+
+
+def close(graph):
+    if graph.backend == "memmap":
+        graph.adjacency.close()
+
+
+@contextlib.contextmanager
+def numpy_hidden():
+    """Run the row loops on CSR graphs too: components reads numpy
+    through ``frontier._numpy()``."""
+    saved = frontier._np
+    frontier._np = None
+    try:
+        yield
+    finally:
+        frontier._np = saved
+
+
+def snapshot(graph):
+    """Everything the decomposition hands the shard plan, as plain data:
+    labels, sizes, members, and for several plans every view's id map
+    and CSR buffers plus each vertex's group."""
+    decomposition = ComponentDecomposition(graph)
+    k = decomposition.n_components
+    taken = {
+        "labels": (decomposition.labels.typecode, list(decomposition.labels)),
+        "n_components": k,
+        "sizes": decomposition.sizes,
+        "members": [decomposition.members([c]) for c in range(k)],
+    }
+    sizes = decomposition.sizes
+    plans = {"auto": plan_shards(sizes, None), "two": plan_shards(sizes, 2),
+             "all": [tuple(range(k))] if k else [],
+             "odd-even": [tuple(range(1, k, 2)), tuple(range(0, k, 2))]
+             if k > 1 else [],
+             "nothing": [()]}
+    for name, plan in plans.items():
+        views = [decomposition.subgraph_view(group) for group in plan]
+        taken[name] = ([view_buffers(view) for view in views],
+                       list(decomposition.group_of_vertex(plan)))
+    return taken
+
+
+def view_buffers(view):
+    local = view.graph
+    adj = local.adjacency if local.backend == "csr" \
+        else local.to_csr().adjacency
+    return (view.components, view.to_global.typecode, list(view.to_global),
+            local.n_upper, local.n_lower,
+            adj.offsets.typecode, list(adj.offsets),
+            adj.neighbors.typecode, list(adj.neighbors),
+            adj.degrees.typecode, list(adj.degrees))
+
+
+def shuffled_path(n, seed):
+    """A path alternating ``n`` uppers and ``n`` lowers, ids shuffled on
+    both sides: the most hook rounds per vertex of these inputs."""
+    rng = random.Random(seed)
+    uppers = list(range(n))
+    lowers = list(range(n))
+    rng.shuffle(uppers)
+    rng.shuffle(lowers)
+    edges = [(uppers[i], lowers[i]) for i in range(n)]
+    edges += [(uppers[i + 1], lowers[i]) for i in range(n - 1)]
+    return from_edge_list(edges, n_upper=n, n_lower=n)
+
+
+@st.composite
+def sparse_bipartite_graphs(draw):
+    """Up to 40 vertices a side and about one edge per vertex."""
+    n_upper = draw(st.integers(1, 40))
+    n_lower = draw(st.integers(1, 40))
+    edges = draw(st.lists(st.tuples(st.integers(0, n_upper - 1),
+                                    st.integers(0, n_lower - 1)),
+                          max_size=n_upper + n_lower))
+    return from_edge_list(edges, n_upper=n_upper, n_lower=n_lower)
+
+
+DIFFERENTIAL_GRAPHS = {
+    "empty": lambda: from_edge_list([], n_upper=0, n_lower=0),
+    "all-isolated": lambda: from_edge_list([], n_upper=4, n_lower=6),
+    "giant": lambda: from_edge_list(
+        [(u, v) for u in range(5) for v in range(7)], n_upper=5, n_lower=7),
+    "shuffled-path": lambda: shuffled_path(600, seed=5),
+    "ascending-path": lambda: from_edge_list(
+        [(i, i) for i in range(600)] + [(i + 1, i) for i in range(599)],
+        n_upper=600, n_lower=600),
+    "star-under-largest-id": lambda: from_edge_list(
+        [(u, 0) for u in range(300)], n_upper=300, n_lower=1),
+    "parts-with-isolates": two_parts_with_isolates,
+    "planted-parts": lambda: disjoint_union([
+        planted_core_graph(alpha=3, beta=3, core_upper=5, core_lower=6,
+                           n_chains=5, max_chain_length=4, seed=seed)
+        for seed in (1, 2, 3)]),
+}
+
+
+def assert_paths_agree(graph):
+    """The row loops on the list graph and on CSR with numpy hidden, and
+    the array passes on in-RAM and memmap CSR, hand over the same data."""
+    expected = snapshot(graph)
+    with tempfile.TemporaryDirectory() as directory:
+        csr = with_backend(graph, "csr", None)
+        with numpy_hidden():
+            assert snapshot(csr) == expected
+        assert snapshot(csr) == expected
+        memmap = with_backend(graph, "memmap", pathlib.Path(directory))
+        assert snapshot(memmap) == expected
+        # No decomposition buffer still points into the map.
+        memmap.adjacency.close()
+
+
+@pytest.mark.skipif(frontier._np is None, reason="numpy not installed")
+class TestArrayPassesMatchRowLoops:
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_GRAPHS))
+    def test_graph(self, name):
+        assert_paths_agree(DIFFERENTIAL_GRAPHS[name]())
+
+    @settings(max_examples=60, deadline=None)
+    @given(bipartite_graphs(max_upper=12, max_lower=12))
+    def test_drawn_graphs(self, graph):
+        assert_paths_agree(graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_bipartite_graphs())
+    def test_drawn_sparse_graphs(self, graph):
+        # Many small components and long trees: deep hook chains.
+        assert_paths_agree(graph)
+
+    def test_list_graph_runs_the_row_loops(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a list graph asked for numpy")
+
+        monkeypatch.setattr(frontier, "_numpy", refuse)
+        graph = two_parts_with_isolates()
+        decomposition = ComponentDecomposition(graph)
+        plan = plan_shards(decomposition.sizes, 2)
+        assert [decomposition.subgraph_view(group).graph.backend
+                for group in plan] == ["list", "list"]
+        decomposition.group_of_vertex(plan)
 
 
 class TestMetamorphicPermutation:
